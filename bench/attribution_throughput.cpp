@@ -1,21 +1,19 @@
 // Offline attribution + aggregation throughput: the paper's "<5 s per app"
 // stage at study scale (§II-B3), tracked from PR 1 onward.
 //
-// Three axes, benchmarked independently and combined:
-//   - per-query cost: naive capture scan (O(packets)) vs CaptureIndex
-//     (O(log packets)), per-run frame/domain memos, and the compiled
-//     AttributionProgram (trie probes instead of per-prefix string scans);
-//   - fold cost: row-at-a-time StudyAggregator::addApp vs the columnar
-//     FlowColumns batch fold;
-//   - parallelism: 1 worker vs one per hardware thread.
+// The headline runs a 200-app synthetic study through the production path
+// — TrafficAttributor::attributeColumns, then StudyAggregator::addAppColumns
+// — serialized and with one worker per hardware thread, prints absolute
+// apps/s for attribution alone and for attribution + study fold, and
+// writes BENCH_attribution.json so the perf trajectory is machine-readable
+// (scripts/check_bench_floor.py gates on it).
 //
-// The headline comparison runs a 200-app synthetic study end to end
-// (attribute + study fold) the way the seed did — naive volume scans, no
-// memos, no interning, no compiled program, row fold, serialized — and the
-// way the pipeline does now (compiled + columnar + parallel), prints the
-// speedup, and writes BENCH_attribution.json so the perf trajectory is
-// machine-readable (scripts/check_bench_floor.py gates on it). The
-// google-benchmark microbenchmarks after it isolate each axis.
+// The google-benchmark microbenchmarks after it isolate one axis each:
+// naive capture scan (O(packets), the CaptureFile::streamVolume oracle) vs
+// CaptureIndex (O(log packets)); the reference prefix matchers vs the
+// compiled AttributionProgram (trie probes instead of per-prefix string
+// scans); per-app attribution; the columnar fold alone; and attribution
+// at 1/2/4 threads.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -73,9 +71,8 @@ struct StudyWorld {
     }
   }
 
-  [[nodiscard]] core::TrafficAttributor attributor(
-      core::AttributorConfig config = {}) const {
-    return {corpus, *categorizer, config};
+  [[nodiscard]] core::TrafficAttributor attributor() const {
+    return {corpus, *categorizer};
   }
 
   const radar::LibraryCorpus corpus = radar::LibraryCorpus::builtin();
@@ -89,19 +86,6 @@ const StudyWorld& world() {
   return kWorld;
 }
 
-/// The seed's attributor, faithfully: every optimization this repo has
-/// grown since — capture index, frame/domain memos, symbol interning, the
-/// compiled program, columnar folds — switched off.
-core::AttributorConfig seedConfig() {
-  core::AttributorConfig config;
-  config.useCaptureIndex = false;
-  config.memoizeFrames = false;
-  config.internSymbols = false;
-  config.compileProgram = false;
-  config.columnarFold = false;
-  return config;
-}
-
 /// Attribute every run of the study with `threads` workers; returns the
 /// total flow count (and keeps the optimizer honest).
 std::size_t attributeStudy(const core::TrafficAttributor& attributor,
@@ -112,7 +96,7 @@ std::size_t attributeStudy(const core::TrafficAttributor& attributor,
     while (true) {
       const std::size_t i = nextRun.fetch_add(1);
       if (i >= world().runs.size()) return;
-      const auto flows = attributor.attribute(world().runs[i]);
+      const auto flows = attributor.attributeColumns(world().runs[i]);
       flowCount.fetch_add(flows.size());
     }
   };
@@ -126,25 +110,12 @@ std::size_t attributeStudy(const core::TrafficAttributor& attributor,
   return flowCount.load();
 }
 
-/// Attribute and row-fold the whole study serially (the seed's end-to-end
-/// shape: one worker, FlowRecord rows through StudyAggregator::addApp).
-std::size_t attributeAndFoldRows(const core::TrafficAttributor& attributor,
-                                 core::StudyAggregator& study) {
-  std::size_t flowCount = 0;
-  for (const auto& run : world().runs) {
-    const auto flows = attributor.attribute(run);
-    flowCount += flows.size();
-    study.addApp(run, flows);
-  }
-  return flowCount;
-}
-
-/// Attribute (columnar) with `threads` workers and fold every batch through
+/// Attribute with `threads` workers and fold every batch through
 /// StudyAggregator::addAppColumns — the pipeline's end-to-end shape. The
 /// fold is serialized behind a mutex exactly like the accumulator's.
-std::size_t attributeAndFoldColumns(const core::TrafficAttributor& attributor,
-                                    std::size_t threads,
-                                    core::StudyAggregator& study) {
+std::size_t attributeAndFold(const core::TrafficAttributor& attributor,
+                             std::size_t threads,
+                             core::StudyAggregator& study) {
   std::atomic<std::size_t> nextRun{0};
   std::atomic<std::size_t> flowCount{0};
   std::mutex foldMutex;
@@ -176,83 +147,48 @@ double secondsOf(const std::function<void()>& fn) {
       .count();
 }
 
-/// The acceptance-criterion comparison; also writes BENCH_attribution.json.
-void runHeadlineComparison() {
+/// The headline numbers; also writes BENCH_attribution.json.
+void runHeadline() {
   const std::size_t threads =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
 
   std::size_t packets = 0;
   for (const auto& run : world().runs) packets += run.capture.size();
 
-  const auto naive = world().attributor(seedConfig());
-  const auto optimized = world().attributor();
-
-  // Attribution-only axes (the PR-1 comparison, kept for trajectory).
+  // Each leg gets a fresh attributor, so every one pays the same cold
+  // frame cache and symbol pool.
   std::size_t flows = 0;
-  const double naiveSerialS =
-      secondsOf([&] { flows = attributeStudy(naive, 1); });
-  const double indexedSerialS =
-      secondsOf([&] { attributeStudy(optimized, 1); });
-  const double indexedParallelS =
-      secondsOf([&] { attributeStudy(optimized, threads); });
-
-  // End-to-end: attribution plus the study fold, seed shape vs pipeline
-  // shape. This is the headline the perf floor gates on.
-  double seedFoldS = 0.0;
-  {
+  const double attributeSerialS = secondsOf([&] {
+    flows = attributeStudy(world().attributor(), 1);
+  });
+  const double attributeParallelS = secondsOf([&] {
+    attributeStudy(world().attributor(), threads);
+  });
+  const auto timeFold = [&](std::size_t workers) {
+    const auto attributor = world().attributor();
     core::StudyAggregator study;
-    seedFoldS = secondsOf([&] { attributeAndFoldRows(naive, study); });
+    const double seconds =
+        secondsOf([&] { attributeAndFold(attributor, workers, study); });
     benchmark::DoNotOptimize(study.totals());
-  }
-  double columnarSerialS = 0.0;
-  {
-    core::StudyAggregator study;
-    columnarSerialS =
-        secondsOf([&] { attributeAndFoldColumns(optimized, 1, study); });
-    benchmark::DoNotOptimize(study.totals());
-  }
-  double columnarParallelS = 0.0;
-  {
-    core::StudyAggregator study;
-    columnarParallelS =
-        secondsOf([&] { attributeAndFoldColumns(optimized, threads, study); });
-    benchmark::DoNotOptimize(study.totals());
-  }
-
-  const auto speedupOver = [](double seed, double now) {
-    return now > 0.0 ? seed / now : 0.0;
+    return seconds;
   };
-  const double speedupIndexedParallel =
-      speedupOver(naiveSerialS, indexedParallelS);
-  const double speedupColumnarSerial = speedupOver(seedFoldS, columnarSerialS);
-  const double speedupColumnarParallel =
-      speedupOver(seedFoldS, columnarParallelS);
+  const double foldSerialS = timeFold(1);
+  const double foldParallelS = timeFold(threads);
+
+  const auto appsPerSec = [](double seconds) {
+    return seconds > 0.0 ? static_cast<double>(kStudyApps) / seconds : 0.0;
+  };
 
   std::printf("=== attribution throughput: %zu-app study ===\n", kStudyApps);
   std::printf("capture packets: %zu, flows attributed: %zu\n", packets, flows);
-  std::printf("--- attribution only ---\n");
-  std::printf("seed  (naive scans, no memo/intern/program, serialized): %8.3f s  (%.1f apps/s)\n",
-              naiveSerialS, static_cast<double>(kStudyApps) / naiveSerialS);
-  std::printf("index (capture index + memos + program,     serialized): %8.3f s  (%.1f apps/s)\n",
-              indexedSerialS, static_cast<double>(kStudyApps) / indexedSerialS);
-  std::printf("index (capture index + memos + program, %2zu-way parallel): %6.3f s  (%.1f apps/s)\n",
-              threads, indexedParallelS,
-              static_cast<double>(kStudyApps) / indexedParallelS);
-  std::printf("--- attribution + study fold (headline) ---\n");
-  std::printf("seed  (naive attribute + row fold,          serialized): %8.3f s  (%.1f apps/s)\n",
-              seedFoldS, static_cast<double>(kStudyApps) / seedFoldS);
-  std::printf("this  (compiled attribute + columnar fold,  serialized): %8.3f s  (%.1f apps/s)\n",
-              columnarSerialS,
-              static_cast<double>(kStudyApps) / columnarSerialS);
-  std::printf("this  (compiled attribute + columnar fold, %2zu-way parallel): %.3f s  (%.1f apps/s)\n",
-              threads, columnarParallelS,
-              static_cast<double>(kStudyApps) / columnarParallelS);
-  std::printf("speedup (seed -> indexed parallel, attribution only): %.1fx\n",
-              speedupIndexedParallel);
-  std::printf("speedup (seed -> columnar serialized, end to end)   : %.1fx\n",
-              speedupColumnarSerial);
-  std::printf("speedup (seed -> columnar parallel,   end to end)   : %.1fx\n\n",
-              speedupColumnarParallel);
+  std::printf("attribute,        serialized:     %8.3f s  (%.1f apps/s)\n",
+              attributeSerialS, appsPerSec(attributeSerialS));
+  std::printf("attribute,        %2zu-way parallel: %7.3f s  (%.1f apps/s)\n",
+              threads, attributeParallelS, appsPerSec(attributeParallelS));
+  std::printf("attribute + fold, serialized:     %8.3f s  (%.1f apps/s)\n",
+              foldSerialS, appsPerSec(foldSerialS));
+  std::printf("attribute + fold, %2zu-way parallel: %7.3f s  (%.1f apps/s)\n\n",
+              threads, foldParallelS, appsPerSec(foldParallelS));
 
   if (std::FILE* json = std::fopen("BENCH_attribution.json", "w")) {
     std::fprintf(json,
@@ -261,22 +197,14 @@ void runHeadlineComparison() {
                  "  \"capture_packets\": %zu,\n"
                  "  \"flows\": %zu,\n"
                  "  \"threads\": %zu,\n"
-                 "  \"naive_serialized_seconds\": %.6f,\n"
-                 "  \"indexed_serialized_seconds\": %.6f,\n"
-                 "  \"indexed_parallel_seconds\": %.6f,\n"
-                 "  \"seed_fold_serialized_seconds\": %.6f,\n"
-                 "  \"columnar_serialized_seconds\": %.6f,\n"
-                 "  \"columnar_parallel_seconds\": %.6f,\n"
-                 "  \"speedup_indexed_serialized\": %.3f,\n"
-                 "  \"speedup_indexed_parallel\": %.3f,\n"
-                 "  \"speedup_columnar_serialized\": %.3f,\n"
-                 "  \"speedup_columnar_parallel\": %.3f\n"
+                 "  \"attribute_serialized_apps_per_sec\": %.3f,\n"
+                 "  \"attribute_parallel_apps_per_sec\": %.3f,\n"
+                 "  \"fold_serialized_apps_per_sec\": %.3f,\n"
+                 "  \"fold_parallel_apps_per_sec\": %.3f\n"
                  "}\n",
-                 kStudyApps, packets, flows, threads, naiveSerialS,
-                 indexedSerialS, indexedParallelS, seedFoldS, columnarSerialS,
-                 columnarParallelS, speedupOver(naiveSerialS, indexedSerialS),
-                 speedupIndexedParallel, speedupColumnarSerial,
-                 speedupColumnarParallel);
+                 kStudyApps, packets, flows, threads,
+                 appsPerSec(attributeSerialS), appsPerSec(attributeParallelS),
+                 appsPerSec(foldSerialS), appsPerSec(foldParallelS));
     std::fclose(json);
     std::printf("wrote BENCH_attribution.json\n\n");
   }
@@ -341,27 +269,16 @@ void BM_CaptureIndex_Build(benchmark::State& state) {
 }
 BENCHMARK(BM_CaptureIndex_Build);
 
-void BM_AttributeApp_Seed(benchmark::State& state) {
-  const auto attributor = world().attributor(seedConfig());
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        attributor.attribute(world().runs[i++ % world().runs.size()]));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(i));
-}
-BENCHMARK(BM_AttributeApp_Seed);
-
-void BM_AttributeApp_Indexed(benchmark::State& state) {
+void BM_AttributeApp(benchmark::State& state) {
   const auto attributor = world().attributor();
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        attributor.attribute(world().runs[i++ % world().runs.size()]));
+        attributor.attributeColumns(world().runs[i++ % world().runs.size()]));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(i));
 }
-BENCHMARK(BM_AttributeApp_Indexed);
+BENCHMARK(BM_AttributeApp);
 
 // Sample lookups for the matcher microbenches: hits at several depths plus
 // adversarial near-prefixes and misses.
@@ -451,17 +368,14 @@ void BM_BuiltinFrame_Compiled(benchmark::State& state) {
 }
 BENCHMARK(BM_BuiltinFrame_Compiled);
 
-/// Pre-attributed study for the fold-only microbenches. The attributor
-/// outlives the flows/columns (their Symbols point into its pool).
+/// Pre-attributed study for the fold-only microbench. The attributor
+/// outlives the columns (their ids point into its pool).
 struct FoldWorld {
   FoldWorld() : attributor(world().attributor()) {
-    for (const auto& run : world().runs) {
-      rows.push_back(attributor.attribute(run));
+    for (const auto& run : world().runs)
       columns.push_back(attributor.attributeColumns(run));
-    }
   }
   core::TrafficAttributor attributor;
-  std::vector<std::vector<core::FlowRecord>> rows;
   std::vector<core::FlowColumns> columns;
 };
 
@@ -470,29 +384,19 @@ const FoldWorld& foldWorld() {
   return kFold;
 }
 
-void BM_StudyFold_Rows(benchmark::State& state) {
+void BM_StudyFold(benchmark::State& state) {
+  // Attribute outside the timed loop: only the fold is measured.
+  const FoldWorld& fold = foldWorld();
   for (auto _ : state) {
     core::StudyAggregator study;
     for (std::size_t i = 0; i < world().runs.size(); ++i)
-      study.addApp(world().runs[i], foldWorld().rows[i]);
+      study.addAppColumns(world().runs[i], fold.columns[i]);
     benchmark::DoNotOptimize(study.totals());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(
       state.iterations() * static_cast<std::int64_t>(kStudyApps)));
 }
-BENCHMARK(BM_StudyFold_Rows)->Unit(benchmark::kMillisecond);
-
-void BM_StudyFold_Columnar(benchmark::State& state) {
-  for (auto _ : state) {
-    core::StudyAggregator study;
-    for (std::size_t i = 0; i < world().runs.size(); ++i)
-      study.addAppColumns(world().runs[i], foldWorld().columns[i]);
-    benchmark::DoNotOptimize(study.totals());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(
-      state.iterations() * static_cast<std::int64_t>(kStudyApps)));
-}
-BENCHMARK(BM_StudyFold_Columnar)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StudyFold)->Unit(benchmark::kMillisecond);
 
 void BM_StudyAttribution(benchmark::State& state) {
   const auto attributor = world().attributor();
@@ -514,7 +418,7 @@ BENCHMARK(BM_StudyAttribution)
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  runHeadlineComparison();
+  runHeadline();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

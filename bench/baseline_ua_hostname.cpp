@@ -14,7 +14,6 @@
 
 #include "core/attribution.hpp"
 #include "core/baseline.hpp"
-#include "orch/collector.hpp"
 #include "orch/dispatcher.hpp"
 #include "radar/corpus.hpp"
 #include "vtsim/categorizer.hpp"
@@ -51,8 +50,7 @@ int main(int argc, char** argv) {
   core::BaselineScore comboScore;
   std::size_t exchanges = 0;
 
-  orch::CollectionServer collector;
-  orch::Dispatcher dispatcher(generator.farm(), &collector, {});
+  orch::Dispatcher dispatcher(generator.farm(), nullptr, {});
   std::size_t next = 0;
   dispatcher.run(
       [&]() -> std::optional<orch::Dispatcher::Job> {

@@ -74,7 +74,7 @@ double streamCorpus(std::size_t clients) {
   config.ingest.queueCapacity = 8192;
   spectord::SpectorDaemon daemon(
       config, [](const core::RunArtifacts&) {
-        return std::vector<core::FlowRecord>{};
+        return core::FlowColumns{};
       });
 
   const auto start = std::chrono::steady_clock::now();
@@ -119,7 +119,7 @@ StormStats streamStorm(std::size_t clients, std::uint64_t killEveryBytes) {
   config.ingest.queueCapacity = 8192;
   spectord::SpectorDaemon daemon(
       config, [](const core::RunArtifacts&) {
-        return std::vector<core::FlowRecord>{};
+        return core::FlowColumns{};
       });
 
   std::atomic<std::uint64_t> reconnects{0};

@@ -10,11 +10,12 @@
 //     on every socket, so sending each distinct signature once per run and
 //     u32 ids afterwards should cut steady-state datagrams by >= 3x;
 //
-//   - heap allocations per 10k attributed flows, a faithful replica of the
-//     pre-interning string pipeline (per-call frame memos, one std::string
-//     per flow field, string-keyed aggregation) vs the symbol pipeline
-//     (cross-run frame cache, u32-symbol flow records, id-keyed
-//     aggregation), counted with a global operator new hook: >= 5x fewer.
+//   - heap allocations per 10k attributed flows in the record + fold stage,
+//     a faithful replica of the pre-interning string pipeline (one
+//     std::string per flow field, string-keyed aggregation) vs the symbol
+//     pipeline (u32-id FlowColumns batches folded through the dense
+//     StudyAggregator::addAppColumns), counted with a global operator new
+//     hook: >= 5x fewer.
 #include <sys/resource.h>
 
 #include <atomic>
@@ -260,41 +261,17 @@ std::size_t legacyRecordAndFold(
   return flowCount;
 }
 
-/// The record stage as it now stands: flow records stay u32 symbols, the
-/// StudyAggregator folds them through its id-keyed translation cache.
-std::size_t symbolRecordAndFold(
-    const StudyWorld& world,
-    const std::vector<std::vector<core::FlowRecord>>& flowsPerRun) {
+/// The record stage as it now stands: each run's flows are one u32-id
+/// FlowColumns batch, folded through the dense StudyAggregator entry point.
+std::size_t symbolRecordAndFold(const StudyWorld& world,
+                                const std::vector<core::FlowColumns>& batches) {
   core::StudyAggregator study;
   std::size_t flowCount = 0;
   for (std::size_t i = 0; i < world.runs.size(); ++i) {
-    study.addApp(world.runs[i], flowsPerRun[i]);
-    flowCount += flowsPerRun[i].size();
+    study.addAppColumns(world.runs[i], batches[i]);
+    flowCount += batches[i].size();
   }
   return flowCount;
-}
-
-/// End-to-end context numbers: attribute + record + fold, the way the seed
-/// ran (interning off, per-call string work) vs the way the pipeline runs
-/// now. Dominated on both sides by attribution proper, so the ratio is
-/// structurally smaller than the record-stage headline.
-std::size_t legacyEndToEnd(const StudyWorld& world) {
-  core::AttributorConfig config;
-  config.internSymbols = false;
-  const core::TrafficAttributor attributor(world.corpus, *world.categorizer,
-                                           config);
-  std::vector<std::vector<core::FlowRecord>> flowsPerRun;
-  flowsPerRun.reserve(world.runs.size());
-  for (const auto& run : world.runs) flowsPerRun.push_back(attributor.attribute(run));
-  return legacyRecordAndFold(world, flowsPerRun);
-}
-
-std::size_t symbolEndToEnd(const StudyWorld& world) {
-  const core::TrafficAttributor attributor(world.corpus, *world.categorizer);
-  std::vector<std::vector<core::FlowRecord>> flowsPerRun;
-  flowsPerRun.reserve(world.runs.size());
-  for (const auto& run : world.runs) flowsPerRun.push_back(attributor.attribute(run));
-  return symbolRecordAndFold(world, flowsPerRun);
 }
 
 std::uint64_t countAllocations(const std::function<std::size_t()>& fn,
@@ -324,33 +301,31 @@ int main() {
 
   // ---- allocations ---------------------------------------------------------
   const StudyWorld world;
-  // Attribute the study once with the live pipeline; the record-stage
-  // comparison below replays the exact same flows through both folds. The
-  // attributor stays alive so the symbol flow records remain valid.
+  // Attribute the study once; the record-stage comparison below replays
+  // the exact same flows through both folds. The attributor stays alive so
+  // the flow symbols and batch ids remain valid.
   const core::TrafficAttributor attributor(world.corpus, *world.categorizer);
   std::vector<std::vector<core::FlowRecord>> flowsPerRun;
+  std::vector<core::FlowColumns> batches;
   flowsPerRun.reserve(world.runs.size());
-  for (const auto& run : world.runs)
+  batches.reserve(world.runs.size());
+  for (const auto& run : world.runs) {
     flowsPerRun.push_back(attributor.attribute(run));
+    batches.push_back(
+        core::FlowColumns::fromRows(flowsPerRun.back(), attributor.symbols()));
+  }
 
-  // Warm both paths once: the symbol pool, the cross-run frame cache and
-  // every lazy corpus/categorizer structure fill here, so the measured
-  // passes compare steady-state per-flow cost, not first-touch setup.
+  // Warm both paths once so the measured passes compare steady-state
+  // per-flow cost, not first-touch setup.
   (void)legacyRecordAndFold(world, flowsPerRun);
-  (void)symbolRecordAndFold(world, flowsPerRun);
+  (void)symbolRecordAndFold(world, batches);
 
   std::size_t legacyFlows = 0;
   std::size_t symbolFlows = 0;
   const std::uint64_t legacyAllocs = countAllocations(
       [&] { return legacyRecordAndFold(world, flowsPerRun); }, legacyFlows);
   const std::uint64_t symbolAllocs = countAllocations(
-      [&] { return symbolRecordAndFold(world, flowsPerRun); }, symbolFlows);
-
-  std::size_t e2eFlows = 0;
-  const std::uint64_t legacyE2eAllocs =
-      countAllocations([&] { return legacyEndToEnd(world); }, e2eFlows);
-  const std::uint64_t symbolE2eAllocs =
-      countAllocations([&] { return symbolEndToEnd(world); }, e2eFlows);
+      [&] { return symbolRecordAndFold(world, batches); }, symbolFlows);
 
   const double legacyPer10k = legacyFlows > 0
                                   ? 10000.0 * static_cast<double>(legacyAllocs) /
@@ -361,10 +336,6 @@ int main() {
                                         static_cast<double>(symbolFlows)
                                   : 0;
   const double allocReduction = symbolPer10k > 0 ? legacyPer10k / symbolPer10k : 0;
-  const double e2eReduction =
-      symbolE2eAllocs > 0 ? static_cast<double>(legacyE2eAllocs) /
-                                static_cast<double>(symbolE2eAllocs)
-                          : 0;
 
   struct rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
@@ -376,9 +347,6 @@ int main() {
   std::printf("symbol records:        %10llu allocations  (%.0f per 10k flows)\n",
               static_cast<unsigned long long>(symbolAllocs), symbolPer10k);
   std::printf("allocation reduction: %.1fx\n", allocReduction);
-  std::printf("end-to-end (attribute+record+fold): %llu -> %llu allocations (%.1fx)\n",
-              static_cast<unsigned long long>(legacyE2eAllocs),
-              static_cast<unsigned long long>(symbolE2eAllocs), e2eReduction);
   std::printf("peak RSS: %ld KB\n\n", usage.ru_maxrss);
 
   if (std::FILE* json = std::fopen("BENCH_wire.json", "w")) {
@@ -398,9 +366,6 @@ int main() {
                  "  \"legacy_allocations_per_10k_flows\": %.1f,\n"
                  "  \"symbol_allocations_per_10k_flows\": %.1f,\n"
                  "  \"allocation_reduction\": %.3f,\n"
-                 "  \"end_to_end_legacy_allocations\": %llu,\n"
-                 "  \"end_to_end_symbol_allocations\": %llu,\n"
-                 "  \"end_to_end_allocation_reduction\": %.3f,\n"
                  "  \"peak_rss_kb\": %ld\n"
                  "}\n",
                  wire.sockets, wire.distinctSignatures,
@@ -409,10 +374,7 @@ int main() {
                  v3PerSocket, wireReduction, kStudyApps, symbolFlows,
                  static_cast<unsigned long long>(legacyAllocs),
                  static_cast<unsigned long long>(symbolAllocs), legacyPer10k,
-                 symbolPer10k, allocReduction,
-                 static_cast<unsigned long long>(legacyE2eAllocs),
-                 static_cast<unsigned long long>(symbolE2eAllocs), e2eReduction,
-                 usage.ru_maxrss);
+                 symbolPer10k, allocReduction, usage.ru_maxrss);
     std::fclose(json);
     std::printf("wrote BENCH_wire.json\n");
   }

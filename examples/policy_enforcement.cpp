@@ -13,6 +13,7 @@
 #include "core/attribution.hpp"
 #include "core/cost.hpp"
 #include "core/monitor.hpp"
+#include "core/report.hpp"
 #include "monkey/monkey.hpp"
 #include "hook/xposed.hpp"
 #include "orch/emulator.hpp"
@@ -48,11 +49,14 @@ Measurement measure(const store::AppStoreGenerator& generator,
     rt::Interpreter runtime(job.program, stack, monitor.tracer(), clock,
                             rng.fork(2));
 
+    // The supervisor sends v3 dictionary frames: decode them with one
+    // stream decoder per run, as the emulator's local sink does.
     std::vector<core::UdpReport> reports;
+    core::ReportStreamDecoder decoder;
     stack.registerUdpSink(core::kDefaultCollectorEndpoint,
                           [&](const net::SockEndpoint&,
                               std::span<const std::uint8_t> payload) {
-                            reports.push_back(core::decodeReportDatagram(payload));
+                            reports.push_back(decoder.decode(payload));
                           });
     hook::XposedFramework xposed;
     if (engine != nullptr)

@@ -13,7 +13,6 @@
 
 #include "core/analysis.hpp"
 #include "core/attribution.hpp"
-#include "orch/collector.hpp"
 #include "orch/dispatcher.hpp"
 #include "radar/corpus.hpp"
 #include "store/generator.hpp"
@@ -41,10 +40,11 @@ int main(int argc, char** argv) {
   std::mutex analysisMutex;
 
   // Dispatch.
-  orch::CollectionServer collector;
+  // Reports reach the analysis through each run's artifact bundle, so no
+  // central collector is wired in.
   orch::DispatcherConfig dispatcherConfig;
   dispatcherConfig.workers = workers;
-  orch::Dispatcher dispatcher(generator.farm(), &collector, dispatcherConfig);
+  orch::Dispatcher dispatcher(generator.farm(), nullptr, dispatcherConfig);
 
   std::size_t next = 0;
   dispatcher.run(
@@ -57,8 +57,7 @@ int main(int argc, char** argv) {
         // Workers already hold the dispatcher's sink lock; the categorizer
         // cache still needs guarding against the attributor's writes.
         const std::scoped_lock lock(analysisMutex);
-        const auto flows = attributor.attribute(artifacts);
-        study.addApp(artifacts, flows);
+        study.addAppColumns(artifacts, attributor.attributeColumns(artifacts));
       });
 
   // Headline numbers (§IV-A).

@@ -29,7 +29,6 @@
 #include "core/export.hpp"
 #include "hook/xposed.hpp"
 #include "monkey/monkey.hpp"
-#include "orch/collector.hpp"
 #include "orch/database.hpp"
 #include "orch/dispatcher.hpp"
 #include "policy/module.hpp"
@@ -104,10 +103,9 @@ int cmdRun(const Args& args) {
   const store::AppStoreGenerator generator(config);
 
   orch::ResultDatabase db;
-  orch::CollectionServer collector;
   orch::DispatcherConfig dispatcherConfig;
   dispatcherConfig.workers = optSize(args, "workers", 0);
-  orch::Dispatcher dispatcher(generator.farm(), &collector, dispatcherConfig);
+  orch::Dispatcher dispatcher(generator.farm(), nullptr, dispatcherConfig);
   std::size_t next = 0;
   dispatcher.run(
       [&]() -> std::optional<orch::Dispatcher::Job> {
@@ -170,7 +168,7 @@ int cmdAnalyze(const Args& args) {
   core::TrafficAttributor attributor(corpus, categorizer);
   core::StudyAggregator study;
   db.forEach([&](const core::RunArtifacts& artifacts) {
-    study.addApp(artifacts, attributor.attribute(artifacts));
+    study.addAppColumns(artifacts, attributor.attributeColumns(artifacts));
   });
   printStudySummary(study);
 

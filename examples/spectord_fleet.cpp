@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
       vtsim::defaultVendorPanel(), [&generator](const std::string& domain) {
         return generator.domainTruth(domain);
       });
-  core::TrafficAttributor attributor(corpus, categorizer, config.attribution);
+  core::TrafficAttributor attributor(corpus, categorizer);
 
   spectord::DaemonConfig daemonConfig;
   daemonConfig.ingest = config.ingest;
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   daemonConfig.checkpointDirectory = checkpointDir.string();
   spectord::SpectorDaemon daemon(
       daemonConfig, [&attributor](const core::RunArtifacts& artifacts) {
-        return attributor.attribute(artifacts);
+        return attributor.attributeColumns(artifacts);
       });
 
   // --- dashboard surface: subscribe before any run lands ---------------

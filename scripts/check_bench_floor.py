@@ -39,22 +39,22 @@ import sys
 # path -> {key: (floor, unit)}; unit "x" = ratio, "/s" = absolute rate.
 FLOORS = {
     "BENCH_attribution.json": {
-        # Attribution only: per-query capture index + memos + compiled
-        # program.
-        "speedup_indexed_serialized": (20.0, "x"),
-        # End to end (attribution + study fold), the headline ROADMAP
-        # metric.
-        "speedup_columnar_serialized": (20.0, "x"),
-        "speedup_columnar_parallel": (20.0, "x"),
+        # The production path over a 200-app study: attributeColumns
+        # alone, then attributeColumns + addAppColumns (the headline
+        # ROADMAP metric), serialized and parallel. Measured ~1,500,
+        # ~1,350 and ~1,500 apps/s on a 4-thread box (parallel cannot beat
+        # serialized on a 1-core box, so its floor matches the fold's).
+        "attribute_serialized_apps_per_sec": (350.0, "/s"),
+        "fold_serialized_apps_per_sec": (325.0, "/s"),
+        "fold_parallel_apps_per_sec": (325.0, "/s"),
     },
     "BENCH_wire.json": {
         # v3 dictionary frames vs v2 self-contained frames, bytes per
         # reported socket (paper's report channel). Measured ~4x.
         "wire_reduction": (3.0, "x"),
-        # Symbol-interned attribution vs the legacy string pipeline,
-        # heap allocations per 10k flows. Measured >100x.
+        # Symbol-interned columnar record + fold vs the legacy string
+        # pipeline, heap allocations per 10k flows. Measured >100x.
         "allocation_reduction": (5.0, "x"),
-        "end_to_end_allocation_reduction": (5.0, "x"),
     },
     "BENCH_ingest.json": {
         # Sharded router, single shard, multi-producer: absolute floor

@@ -1,0 +1,64 @@
+#!/usr/bin/env bash
+# ASan + UBSan CI lane: build the decoder, crash-recovery and attribution
+# suites with AddressSanitizer and UndefinedBehaviorSanitizer and run them.
+# The fuzzers feed the wire, .spab and elision decoders hostile bytes; the
+# recovery sweep truncates and corrupts bundles mid-write; the symbol pool
+# hands out pointers into chunked storage; and the attribution, fold and
+# ingest suites drive the dense id-indexed accumulators, where an
+# out-of-range id is a silent heap overrun in a release build.
+#
+# Usage: scripts/ci_asan.sh [build-dir]   (default: build-asan)
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+BUILD_DIR="${1:-build-asan}"
+
+# LIBSPECTOR_SANITIZE=address enables both -fsanitize=address and
+# -fsanitize=undefined (see CMakeLists.txt). _GLIBCXX_ASSERTIONS adds
+# bounds checks to standard containers, which catch an out-of-range index
+# that still lands inside a vector's capacity, where ASan sees no overrun.
+cmake -B "$BUILD_DIR" -S . \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DLIBSPECTOR_SANITIZE=address \
+  -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
+
+TARGETS=(
+  fuzz_decoders_test
+  spectord_fuzz_test
+  fuzz_elision_test
+  report_test
+  ingest_router_test
+  recovery_test
+  symbol_pool_test
+  attribution_test
+  analysis_test
+  export_test
+  accumulator_test
+  flow_columns_test
+  supervisor_test
+  engine_test
+  emulator_test
+  dispatcher_test
+  default_wire_test
+  study_test
+  prefetch_determinism_test
+  ingest_pipeline_test
+  ingest_stress_test
+  spectord_daemon_test
+  spectord_resilient_test
+  pipeline_test
+  scenario_matrix_test
+)
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TARGETS[@]}"
+
+# Any report fails the lane: ASan aborts on its first error by default,
+# and halt_on_error makes UBSan's recoverable checks abort too.
+export ASAN_OPTIONS="abort_on_error=1 detect_leaks=1"
+export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
+
+for target in "${TARGETS[@]}"; do
+  echo "== $target"
+  "$BUILD_DIR/tests/$target" --gtest_brief=1
+done
+
+echo "ASan/UBSan lane: OK"

@@ -2,17 +2,17 @@
 # TSan CI lane: build the concurrent subsystems under ThreadSanitizer and
 # run the tests that exercise them — the ingest tier (sharded router,
 # pipeline, chaos channel, v3 dictionary path), the dispatcher fleet, the
-# collection server, the job-prefetch generator pool, the
-# lock-free-read symbol pool, the shared compiled attribution
-# program + columnar fold that concurrent shard workers run through, and
-# the spectord daemon (event loop vs. client threads vs. shard consumers,
-# plus the multi-collector cluster driver and the resilient client tier —
-# reconnect/resume under BreakerEndpoint kills runs client threads against
-# breaker pump threads against the daemon loop), and the scenario
-# conformance matrix (golden-pinned studies at 0/1/2/8 workers and 1/2/4
-# collectors with the keep-alive/adversarial/background-sync flags on). A
-# data race here corrupts studies silently, so this lane gates every
-# change to the streaming path.
+# job-prefetch generator pool, the lock-free-read symbol pool, the shared
+# compiled attribution program + columnar fold that concurrent shard
+# workers run through, and the spectord daemon (event loop vs. client
+# threads vs. shard consumers, plus the multi-collector runCollector path
+# and the resilient client tier — reconnect/resume under BreakerEndpoint kills
+# runs client threads against breaker pump threads against the daemon
+# loop), and the scenario conformance matrix (golden-pinned studies at
+# 0/1/2/8 workers and 1/2/4 collectors with the
+# keep-alive/adversarial/background-sync flags on). A data race here
+# corrupts studies silently, so this lane gates every change to the
+# streaming path.
 #
 # Usage: scripts/ci_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -32,7 +32,6 @@ TARGETS=(
   ingest_stress_test
   ingest_dict_test
   dispatcher_test
-  collector_test
   study_test
   recovery_test
   database_test
@@ -56,6 +55,6 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TARGETS[@]}"
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)" \
-  -R 'Ingest|Dispatcher|Collector|StudyRunner|Recovery|Database|Prefetch|Symbol|Interning|AttributionProgram|FlowColumns|Columnar|Spectord|Reconnector|ScenarioMatrix')
+  -R 'Ingest|Dispatcher|StudyRunner|Recovery|Database|Prefetch|Symbol|Interning|AttributionProgram|FlowColumns|Spectord|Reconnector|ScenarioMatrix')
 
 echo "TSan lane: OK"

@@ -72,92 +72,35 @@ void StudyAggregator::foldRunPackets(const RunArtifacts& run) {
   }
 }
 
-void StudyAggregator::addApp(const RunArtifacts& run,
-                             std::span<const FlowRecord> flows) {
-  AppAgg app = makeAppAgg(run);
-
-  // Translate flow symbols (owned by the producing attributor's pool) into
-  // this study's pool, once per distinct entry per app: keyed by pool-entry
-  // identity, a repeat costs one pointer hash instead of a string hash.
-  std::unordered_map<const void*, util::Symbol> local;
-  const auto localSym = [&](util::Symbol s) -> util::Symbol {
-    const auto [it, inserted] = local.try_emplace(s.identity());
-    if (inserted) it->second = pool_.intern(s.view());
-    return it->second;
-  };
-
-  for (const auto& flow : flows) {
-    app.sent += flow.sentBytes;
-    app.recv += flow.recvBytes;
-    if (flow.antOrigin) app.antBytes += flow.sentBytes + flow.recvBytes;
-    if (flow.commonOrigin) app.clBytes += flow.sentBytes + flow.recvBytes;
-
-    const util::Symbol originLibrary = localSym(flow.originLibrary);
-    const util::Symbol libraryCategory = localSym(flow.libraryCategory);
-
-    EntityAgg& lib = entityAt(libraries_, libraryCount_, originLibrary);
-    lib.sent += flow.sentBytes;
-    lib.recv += flow.recvBytes;
-    lib.category = libraryCategory;
-    lib.ant = lib.ant || flow.antOrigin;
-    lib.common = lib.common || flow.commonOrigin;
-    if (flow.rttMs != 0) {
-      lib.rttSumMs += flow.rttMs;
-      ++lib.rttFlows;
-    }
-
-    const util::Symbol twoLevelLibrary = localSym(flow.twoLevelLibrary);
-    EntityAgg& two = entityAt(twoLevel_, twoLevelCount_, twoLevelLibrary);
-    two.sent += flow.sentBytes;
-    two.recv += flow.recvBytes;
-    two.category = libraryCategory;
-
-    const util::Symbol domainCategory = localSym(flow.domainCategory);
-    if (!flow.domain.empty()) {
-      const util::Symbol domain = localSym(flow.domain);
-      EntityAgg& dom = entityAt(domains_, domainCount_, domain);
-      dom.sent += flow.sentBytes;  // received by the domain's servers
-      dom.recv += flow.recvBytes;  // sent by the domain's servers
-      dom.category = domainCategory;
-    }
-
-    const std::uint64_t bytes = flow.sentBytes + flow.recvBytes;
-    const util::Symbol appCategory = localSym(flow.appCategory);
-    bumpMatrix(byAppCatLibCat_, catSlot(appCategory), catSlot(libraryCategory),
-               bytes);
-    bumpMatrix(heatmap_, catSlot(libraryCategory), catSlot(domainCategory),
-               bytes);
-    ++flowCount_;
-  }
-  apps_.push_back(std::move(app));
-  unattributedBytes_ += TrafficAttributor::unattributedTcpPayload(run, flows);
-  foldRunPackets(run);
-}
-
 void StudyAggregator::addAppColumns(const RunArtifacts& run,
                                     const FlowColumns& columns) {
   AppAgg app = makeAppAgg(run);
+  if (columns.size() != 0) foldFlows(columns, app);
+  apps_.push_back(std::move(app));
+  unattributedBytes_ += unattributedTcpPayload(run, columns);
+  foldRunPackets(run);
+}
 
+void StudyAggregator::foldFlows(const FlowColumns& columns, AppAgg& app) {
   // Foreign-id translation as a dense array: source pools assign ids
-  // contiguously, so a vector indexed by source id replaces the row path's
-  // identity-keyed hash memo — and persists across apps, making repeats
-  // free study-wide, not just app-wide. Interning happens in exactly the
-  // row fold's per-flow field order, so both folds assign identical local
-  // pool ids (the id-order query iteration depends on it).
+  // contiguously, so a vector indexed by source id resolves each string
+  // once per study — repeats across apps are free. The id-order query
+  // iteration depends on the per-flow field order interned below.
   std::vector<util::Symbol>& xlat = columnXlat_[columns.pool];
   if (columns.pool->size() > xlat.size()) xlat.resize(columns.pool->size());
   const auto local = [&](std::uint32_t sourceId) -> util::Symbol {
+    // A row field left unset (Symbol{}) columnarizes to kNoId; it stands
+    // for "", so it folds as "".
+    if (sourceId == util::Symbol::kNoId) return pool_.intern("");
     util::Symbol& cached = xlat[sourceId];
     if (cached.identity() == nullptr)
       cached = pool_.intern(columns.pool->at(sourceId).view());
     return cached;
   };
-  // The id of "" in the source pool (kNoId when never interned there, which
-  // no real domain column id can equal): one comparison replaces the row
-  // path's per-flow empty() check.
+  // The id of "" in the source pool: a flow resolved a domain unless its
+  // domain column holds that id or kNoId (an unset row field).
   const std::uint32_t emptyDomainId = columns.pool->find("").id();
 
-  std::uint64_t attributedBytes = 0;
   for (std::size_t i = 0; i < columns.size(); ++i) {
     const std::uint64_t sent = columns.sentBytes[i];
     const std::uint64_t recv = columns.recvBytes[i];
@@ -191,11 +134,12 @@ void StudyAggregator::addAppColumns(const RunArtifacts& run,
     two.category = libraryCategory;
 
     const util::Symbol domainCategory = local(columns.domainCategory[i]);
-    if (columns.domain[i] != emptyDomainId) {
+    if (columns.domain[i] != emptyDomainId &&
+        columns.domain[i] != util::Symbol::kNoId) {
       const util::Symbol domain = local(columns.domain[i]);
       EntityAgg& dom = entityAt(domains_, domainCount_, domain);
-      dom.sent += sent;
-      dom.recv += recv;
+      dom.sent += sent;  // received by the domain's servers
+      dom.recv += recv;  // sent by the domain's servers
       dom.category = domainCategory;
     }
 
@@ -205,14 +149,7 @@ void StudyAggregator::addAppColumns(const RunArtifacts& run,
     bumpMatrix(heatmap_, catSlot(libraryCategory), catSlot(domainCategory),
                bytes);
     ++flowCount_;
-    attributedBytes += bytes;
   }
-  apps_.push_back(std::move(app));
-  const std::uint64_t totalTcpPayload = run.capture.totalTcpPayloadBytes();
-  unattributedBytes_ += attributedBytes >= totalTcpPayload
-                            ? 0
-                            : totalTcpPayload - attributedBytes;
-  foldRunPackets(run);
 }
 
 StudyAggregator::Totals StudyAggregator::totals() const {
@@ -559,11 +496,7 @@ StudyAccumulator::StudyAccumulator(StudyAggregator& study, FoldHook onFolded)
     : study_(study), onFolded_(std::move(onFolded)) {}
 
 void StudyAccumulator::foldLocked(PendingApp&& app) {
-  if (app.columnar) {
-    study_.addAppColumns(app.run, app.columns);
-  } else {
-    study_.addApp(app.run, app.flows);
-  }
+  study_.addAppColumns(app.run, app.columns);
   if (onFolded_) onFolded_(std::move(app.run));
   ++folded_;
 }
@@ -578,19 +511,10 @@ void StudyAccumulator::drainLocked() {
   }
 }
 
-void StudyAccumulator::add(std::size_t jobIndex, RunArtifacts&& run,
-                           std::vector<FlowRecord>&& flows) {
-  const std::scoped_lock lock(mutex_);
-  pending_.emplace(jobIndex,
-                   PendingApp{std::move(run), std::move(flows), {}, false});
-  drainLocked();
-}
-
 void StudyAccumulator::addColumns(std::size_t jobIndex, RunArtifacts&& run,
                                   FlowColumns&& columns) {
   const std::scoped_lock lock(mutex_);
-  pending_.emplace(jobIndex,
-                   PendingApp{std::move(run), {}, std::move(columns), true});
+  pending_.emplace(jobIndex, PendingApp{std::move(run), std::move(columns)});
   drainLocked();
 }
 

@@ -8,7 +8,6 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -24,27 +23,23 @@ namespace libspector::core {
 ///
 /// Entity state is keyed by the ids of a study-scoped util::SymbolPool and
 /// stored *densely*: a vector slot per pool id (util::DenseSymbolMap), so
-/// the per-flow fold is array probes, not hashing. addApp translates each
-/// flow's symbols (owned by whatever attributor produced them) into the
-/// aggregator's own pool once per distinct entry; addAppColumns does the
-/// same through a per-source-pool dense id translation table, making the
-/// whole columnar fold allocation-free after first sight of each string.
-/// Both folds write identical state — the row path is the bit-identical
-/// reference for the columnar one. Move-only (it owns the pool its ids
-/// point into).
+/// the per-flow fold is array probes, not hashing. addAppColumns translates
+/// each batch's ids (into whatever attributor pool produced them) into the
+/// aggregator's own pool through a per-source-pool dense translation table,
+/// making the fold allocation-free after first sight of each string.
+/// Move-only (it owns the pool its ids point into).
 class StudyAggregator {
  public:
   StudyAggregator() = default;
   StudyAggregator(StudyAggregator&&) noexcept = default;
   StudyAggregator& operator=(StudyAggregator&&) noexcept = default;
 
-  /// Fold one app's run and attributed flows into the study (row form —
-  /// the reference fold).
-  void addApp(const RunArtifacts& run, std::span<const FlowRecord> flows);
-
-  /// Batch fold of one app's columnar flow batch: same study state as
-  /// addApp over the equivalent rows, byte for byte, but driven by
-  /// contiguous id arrays and dense accumulators.
+  /// Fold one app's run and its attributed flow batch into the study,
+  /// driven by contiguous id arrays and dense accumulators. An empty batch
+  /// (FlowColumns{}, no pool) folds a zero-flow app. The symbol columns the
+  /// fold reads must hold ids of `columns.pool`, as attributeColumns'
+  /// always do, or Symbol::kNoId (a row field fromRows found unset), which
+  /// folds as "" — and, in the domain column, as no resolved domain.
   void addAppColumns(const RunArtifacts& run, const FlowColumns& columns);
 
   // ---- §IV-A headline numbers -------------------------------------------
@@ -188,8 +183,6 @@ class StudyAggregator {
     std::uint64_t sent = 0;
     std::uint64_t recv = 0;
     /// Latency axis: sum/count over flows whose window measured an RTT.
-    /// New fields only — the fold's intern order is pinned by the
-    /// row/columnar equivalence, so the axis must not reorder it.
     std::uint64_t rttSumMs = 0;
     std::uint64_t rttFlows = 0;
     bool ant = false;
@@ -225,14 +218,15 @@ class StudyAggregator {
   void growCategoryMatrices();
   void bumpMatrix(std::vector<MatrixCell>& matrix, std::uint32_t a,
                   std::uint32_t b, std::uint64_t bytes);
-  /// Per-run tail shared by both folds: UDP/report byte accounting.
+  /// The per-flow half of addAppColumns (non-empty batches only).
+  void foldFlows(const FlowColumns& columns, AppAgg& app);
+  /// Per-run tail: UDP/report byte accounting.
   void foldRunPackets(const RunArtifacts& run);
 
   /// Study-scoped pool. Ids are assigned in fold order, which the
   /// StudyAccumulator makes deterministic (dispatch order), so id-keyed
-  /// iteration below is deterministic first-appearance order. Both folds
-  /// intern per-flow fields in the same order, so row and columnar studies
-  /// assign identical ids.
+  /// iteration below is deterministic first-appearance order; the rendered
+  /// study depends on the per-flow field order the fold interns in.
   util::SymbolPool pool_;
   std::vector<AppAgg> apps_;
   /// Entity aggregates, dense by the entity name's pool id.
@@ -278,13 +272,9 @@ class StudyAccumulator {
 
   explicit StudyAccumulator(StudyAggregator& study, FoldHook onFolded = {});
 
-  /// Deliver app `jobIndex`. Thread-safe; folds eagerly when contiguous.
-  void add(std::size_t jobIndex, RunArtifacts&& run,
-           std::vector<FlowRecord>&& flows);
-
-  /// Deliver app `jobIndex` as a columnar batch (folded through
-  /// StudyAggregator::addAppColumns). Mixing add and addColumns across jobs
-  /// is fine — both folds write identical study state.
+  /// Deliver app `jobIndex` and its flow batch (folded through
+  /// StudyAggregator::addAppColumns). Thread-safe; folds eagerly when
+  /// contiguous.
   void addColumns(std::size_t jobIndex, RunArtifacts&& run,
                   FlowColumns&& columns);
 
@@ -302,12 +292,10 @@ class StudyAccumulator {
  private:
   struct PendingApp {
     RunArtifacts run;
-    std::vector<FlowRecord> flows;
     FlowColumns columns;
-    bool columnar = false;
   };
 
-  /// Fold one buffered app through the matching aggregator entry point.
+  /// Fold one buffered app. Requires mutex_ held.
   void foldLocked(PendingApp&& app);
 
   /// Fold buffered apps while the next expected index is available.

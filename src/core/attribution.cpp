@@ -36,6 +36,10 @@ constexpr std::array<std::string_view, 14> kBuiltinPrefixes = {
     "sun",
 };
 
+/// How far before the report timestamp a connection's handshake packets
+/// may lie (the post-hook fires after establishment).
+constexpr util::SimTimeMs kConnectSlackMs = 2000;
+
 }  // namespace
 
 std::span<const std::string_view> builtinFramePrefixes() noexcept {
@@ -126,46 +130,11 @@ std::optional<std::size_t> originFrameIndex(
 }
 
 TrafficAttributor::TrafficAttributor(const radar::LibraryCorpus& corpus,
-                                     vtsim::DomainCategorizer& domains,
-                                     AttributorConfig config)
-    : corpus_(corpus),
-      domains_(domains),
-      config_(config),
-      program_(config.compileProgram
-                   ? std::make_unique<const AttributionProgram>(
-                         corpus, builtinFramePrefixes(), radar::antLibraries(),
-                         radar::commonLibraries())
-                   : nullptr),
+                                     vtsim::DomainCategorizer& domains)
+    : domains_(domains),
+      program_(corpus, builtinFramePrefixes(), radar::antLibraries(),
+               radar::commonLibraries()),
       pool_(std::make_unique<util::SymbolPool>()) {}
-
-TrafficAttributor::FrameInfo TrafficAttributor::computeFrameInfo(
-    std::string_view signature) const {
-  FrameInfo info;
-  std::string originLibrary = packageOfEntry(signature);
-  if (originLibrary.empty()) originLibrary = frameNameOf(signature);
-  info.originLibrary = pool_->intern(originLibrary);
-  info.twoLevelLibrary = pool_->intern(util::prefixLevels(originLibrary, 2));
-  if (program_ != nullptr) {
-    // One compiled walk answers the builtin filter; a second answers the
-    // ant/common lists and the corpus election for the origin package.
-    info.builtin = program_->isBuiltinFrame(signature);
-    info.junkPackage = AttributionProgram::isJunkPackageEntry(signature);
-    const AttributionProgram::Lookup hit =
-        program_->lookupPackage(originLibrary);
-    info.libraryCategory = pool_->intern(program_->categoryOf(hit));
-    info.ant = hit.ant;
-    info.common = hit.common;
-  } else {
-    info.builtin = isBuiltinFrame(signature);
-    info.junkPackage = isJunkPackageFrame(signature);
-    info.libraryCategory =
-        pool_->intern(corpus_.matchCategory(originLibrary).category);
-    info.ant = radar::antLibraries().matches(originLibrary);
-    info.common = radar::commonLibraries().matches(originLibrary);
-  }
-  info.reflectMarker = isReflectionMarkerFrame(signature);
-  return info;
-}
 
 const TrafficAttributor::FrameInfo& TrafficAttributor::sharedFrameInfo(
     util::Symbol signature) const {
@@ -175,9 +144,23 @@ const TrafficAttributor::FrameInfo& TrafficAttributor::sharedFrameInfo(
     if (it != frameCache_.end()) return it->second;
   }
   // Compute outside the exclusive section (corpus prediction is the pricey
-  // part); a losing racer's identical entry is simply discarded.
-  FrameInfo info = computeFrameInfo(signature.view());
+  // part); a losing racer's identical entry is simply discarded. One
+  // compiled walk answers the builtin filter; a second answers the
+  // ant/common lists and the corpus election for the origin package.
+  const std::string_view frame = signature.view();
+  std::string originLibrary = packageOfEntry(frame);
+  if (originLibrary.empty()) originLibrary = frameNameOf(frame);
+  const AttributionProgram::Lookup hit = program_.lookupPackage(originLibrary);
+  FrameInfo info;
+  info.builtin = program_.isBuiltinFrame(frame);
+  info.originLibrary = pool_->intern(originLibrary);
+  info.twoLevelLibrary = pool_->intern(util::prefixLevels(originLibrary, 2));
+  info.libraryCategory = pool_->intern(program_.categoryOf(hit));
   info.signature = signature;
+  info.ant = hit.ant;
+  info.common = hit.common;
+  info.junkPackage = AttributionProgram::isJunkPackageEntry(frame);
+  info.reflectMarker = isReflectionMarkerFrame(frame);
   const std::unique_lock lock(frameMutex_);
   return frameCache_.try_emplace(signature.id(), info).first->second;
 }
@@ -259,74 +242,35 @@ std::vector<FlowRecord> TrafficAttributor::attribute(
   // 1c. Index the capture once: every flow below queries its stream volume
   //     in O(log P) instead of rescanning all P packets (the old
   //     O(flows x packets) hot spot of the offline stage).
-  std::optional<net::CaptureIndex> captureIndex;
-  if (config_.useCaptureIndex) captureIndex.emplace(run.capture);
-  const auto volumeFor = [&](const net::SocketPair& pair, util::SimTimeMs from,
-                             util::SimTimeMs to) {
-    return captureIndex ? captureIndex->streamVolume(pair, from, to)
-                        : run.capture.streamVolume(pair, from, to);
-  };
+  const net::CaptureIndex captureIndex(run.capture);
 
-  // 1d. Per-frame derivation caching. With internSymbols the cache is the
-  //     attributor-lifetime frameCache_ keyed by interned signature id —
-  //     the same SDK stacks recur in every app, so parsing and corpus
-  //     prediction happen once per study; a per-call view-keyed memo in
-  //     front of it collapses the repeats *within* a run to one hash probe
-  //     with no pool traffic or cache lock. Without internSymbols, fall
-  //     back to per-call memos keyed by views into run.reports (which
-  //     outlives this call), exactly the pre-interning behavior.
+  // 1d. Per-frame derivations live in the attributor-lifetime frameCache_
+  //     keyed by interned signature id — the same SDK stacks recur in
+  //     every app, so parsing and corpus prediction happen once per study;
+  //     a per-call view-keyed memo in front of it collapses the repeats
+  //     *within* a run to one hash probe with no pool traffic or cache lock.
   std::unordered_map<std::string_view, const FrameInfo*> frameMemo;
-  std::unordered_map<std::string_view, bool> builtinMemo;
-  std::unordered_map<std::string_view, bool> junkMemo;
-  std::unordered_map<std::string_view, FrameInfo> originMemo;
-
-  const auto sharedInfoOf = [&](const std::string& frame) -> const FrameInfo& {
+  const auto infoOf = [&](const std::string& frame) -> const FrameInfo& {
     const auto [it, inserted] = frameMemo.try_emplace(frame, nullptr);
     if (inserted) it->second = &sharedFrameInfo(pool_->intern(frame));
     return *it->second;
   };
-  const auto isBuiltinOf = [&](const std::string& frame) -> bool {
-    if (config_.internSymbols) return sharedInfoOf(frame).builtin;
-    if (!config_.memoizeFrames) return isBuiltinFrame(frame);
-    const auto [it, inserted] = builtinMemo.try_emplace(frame, false);
-    if (inserted) it->second = isBuiltinFrame(frame);
-    return it->second;
-  };
-  const auto isJunkOf = [&](const std::string& frame) -> bool {
-    if (config_.internSymbols) return sharedInfoOf(frame).junkPackage;
-    if (!config_.memoizeFrames) return isJunkPackageFrame(frame);
-    const auto [it, inserted] = junkMemo.try_emplace(frame, false);
-    if (inserted) it->second = isJunkPackageFrame(frame);
-    return it->second;
-  };
-  const auto isReflectOf = [&](const std::string& frame) -> bool {
-    // Plain string equality: cheap enough to skip the memo tiers.
-    if (config_.internSymbols) return sharedInfoOf(frame).reflectMarker;
-    return isReflectionMarkerFrame(frame);
-  };
+  // originFrameIndex with trampoline elision, answered from the cache.
   const auto originIndexOf =
       [&](std::span<const std::string> stack) -> std::optional<std::size_t> {
     for (std::size_t i = stack.size(); i-- > 0;) {
-      if (isBuiltinOf(stack[i])) continue;
-      if (config_.elideTrampolines &&
-          (isJunkOf(stack[i]) || (i >= 1 && isReflectOf(stack[i - 1]))))
-        continue;
+      const FrameInfo& info = infoOf(stack[i]);
+      if (info.builtin || info.junkPackage) continue;
+      if (i >= 1 && infoOf(stack[i - 1]).reflectMarker) continue;
       return i;
     }
     return std::nullopt;
-  };
-  const auto originInfoFor = [&](const std::string& signature) -> FrameInfo {
-    if (!config_.memoizeFrames) return computeFrameInfo(signature);
-    const auto [it, inserted] = originMemo.try_emplace(signature);
-    if (inserted) it->second = computeFrameInfo(signature);
-    return it->second;
   };
 
   // 1e. Domain lookups repeat heavily within a run (one CDN or ad host
   //     serves many flows); memoize the interned domain and its category
   //     per distinct name so the categorizer's global lock is taken once
-  //     per domain, not once per flow. Gated with the other per-run memos
-  //     so the memo-free reference path stays untouched.
+  //     per domain, not once per flow.
   struct DomainSyms {
     util::Symbol domain;
     util::Symbol category;
@@ -382,15 +326,15 @@ std::vector<FlowRecord> TrafficAttributor::attribute(
       // handshake slack.
       const util::SimTimeMs from =
           report.requestOrdinal > 0 ? report.timestampMs
-          : report.timestampMs > config_.connectSlackMs
-              ? report.timestampMs - config_.connectSlackMs
+          : report.timestampMs > kConnectSlackMs
+              ? report.timestampMs - kConnectSlackMs
               : 0;
       const util::SimTimeMs to =
           k + 1 < indices.size()
               ? run.reports[indices[k + 1]].timestampMs - 1
               : std::numeric_limits<util::SimTimeMs>::max();
 
-      const auto volume = volumeFor(pair, from, to);
+      const auto volume = captureIndex.streamVolume(pair, from, to);
 
       FlowRecord flow;
       flow.apkSha256 = apkSym;
@@ -408,49 +352,29 @@ std::vector<FlowRecord> TrafficAttributor::attribute(
 
       std::string_view domain = hostFor(pair, from, to);
       if (domain.empty()) domain = domainFor(pair.dst.ip, report.timestampMs);
-      if (config_.memoizeFrames || config_.internSymbols) {
-        const auto [it, inserted] = domainMemo.try_emplace(domain);
-        if (inserted) {
-          it->second.domain = pool_->intern(domain);
-          it->second.category =
-              domain.empty()
-                  ? unknownDomainCategorySym
-                  : pool_->intern(
-                        domains_.categorize(std::string(domain)).category);
-        }
-        flow.domain = it->second.domain;
-        flow.domainCategory = it->second.category;
-      } else {
-        flow.domainCategory =
+      const auto [domainIt, firstSight] = domainMemo.try_emplace(domain);
+      if (firstSight) {
+        domainIt->second.domain = pool_->intern(domain);
+        domainIt->second.category =
             domain.empty()
                 ? unknownDomainCategorySym
                 : pool_->intern(
                       domains_.categorize(std::string(domain)).category);
-        flow.domain = pool_->intern(domain);
       }
+      flow.domain = domainIt->second.domain;
+      flow.domainCategory = domainIt->second.category;
 
       const auto origin = originIndexOf(report.stackSignatures);
       if (origin) {
-        const std::string& signature = report.stackSignatures[*origin];
-        if (config_.internSymbols) {
-          // The shared cache entry carries the interned signature: the
-          // origin frame costs one memo probe total, not three interns.
-          const FrameInfo& info = sharedInfoOf(signature);
-          flow.originSignature = info.signature;
-          flow.originLibrary = info.originLibrary;
-          flow.twoLevelLibrary = info.twoLevelLibrary;
-          flow.libraryCategory = info.libraryCategory;
-          flow.antOrigin = info.ant;
-          flow.commonOrigin = info.common;
-        } else {
-          flow.originSignature = pool_->intern(signature);
-          const FrameInfo info = originInfoFor(signature);
-          flow.originLibrary = info.originLibrary;
-          flow.twoLevelLibrary = info.twoLevelLibrary;
-          flow.libraryCategory = info.libraryCategory;
-          flow.antOrigin = info.ant;
-          flow.commonOrigin = info.common;
-        }
+        // The shared cache entry carries the interned signature: the
+        // origin frame costs one memo probe total, not three interns.
+        const FrameInfo& info = infoOf(report.stackSignatures[*origin]);
+        flow.originSignature = info.signature;
+        flow.originLibrary = info.originLibrary;
+        flow.twoLevelLibrary = info.twoLevelLibrary;
+        flow.libraryCategory = info.libraryCategory;
+        flow.antOrigin = info.ant;
+        flow.commonOrigin = info.common;
       } else {
         flow.builtinOrigin = true;
         std::string star = "*-";
@@ -556,13 +480,14 @@ FlowColumns FlowColumns::fromRows(std::span<const FlowRecord> flows,
   return columns;
 }
 
-std::uint64_t TrafficAttributor::unattributedTcpPayload(
-    const RunArtifacts& run, std::span<const FlowRecord> flows) {
-  // The capture maintains this sum incrementally on append; re-deriving it
-  // here was a full packet scan per run.
+std::uint64_t unattributedTcpPayload(const RunArtifacts& run,
+                                     const FlowColumns& flows) {
+  // The capture maintains its total incrementally on append; re-deriving it
+  // here would be a full packet scan per run.
   const std::uint64_t totalTcpPayload = run.capture.totalTcpPayloadBytes();
   std::uint64_t attributed = 0;
-  for (const auto& flow : flows) attributed += flow.sentBytes + flow.recvBytes;
+  for (std::size_t i = 0; i < flows.size(); ++i)
+    attributed += flows.sentBytes[i] + flows.recvBytes[i];
   return attributed >= totalTcpPayload ? 0 : totalTcpPayload - attributed;
 }
 

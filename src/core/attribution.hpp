@@ -68,10 +68,12 @@ namespace libspector::core {
 /// Index (into the innermost-first list) of the origin frame: the
 /// chronologically first non-built-in method, i.e. the outermost surviving
 /// frame. std::nullopt when every frame is built-in. With
-/// `elideTrampolines`, laundering trampoline frames (see isTrampolineFrame)
-/// are skipped as well — a fixed point on un-laundered stacks.
+/// `elideTrampolines` (the default, and what TrafficAttributor does),
+/// laundering trampoline frames (see isTrampolineFrame) are skipped as
+/// well — a fixed point on un-laundered stacks. Off keeps the raw
+/// footnote-2 scan.
 [[nodiscard]] std::optional<std::size_t> originFrameIndex(
-    std::span<const std::string> stackSignatures, bool elideTrampolines = false);
+    std::span<const std::string> stackSignatures, bool elideTrampolines = true);
 
 /// One attributed flow: a socket, its volume, and its origin context.
 ///
@@ -159,53 +161,17 @@ struct FlowColumns {
                                             const util::SymbolPool& pool);
 };
 
-struct AttributorConfig {
-  /// How far before the report timestamp the connection's handshake packets
-  /// may lie (the post-hook fires after establishment).
-  util::SimTimeMs connectSlackMs = 2000;
-  /// Build a net::CaptureIndex once per run and answer every stream-volume
-  /// query from it (O(log P)) instead of scanning the whole capture per
-  /// flow (O(P)). Off reproduces the naive scan bit-for-bit; it exists for
-  /// the equivalence tests and the attribution_throughput bench.
-  bool useCaptureIndex = true;
-  /// Memoize signature parsing, the built-in-frame filter, and the derived
-  /// origin-library fields across the frames of a run (stack traces repeat
-  /// the same frames heavily). Purely an allocation/CPU saver; results are
-  /// identical either way.
-  bool memoizeFrames = true;
-  /// Share the per-frame derivation cache *across runs*, keyed by interned
-  /// signature id (a shared_mutex-guarded map of immutable entries). The
-  /// same SDK stacks recur in every app of a study, so the cross-run cache
-  /// makes signature parsing and corpus prediction a once-per-study cost.
-  /// Off falls back to the per-call memo above. Results are identical
-  /// either way (the byte-identity tests pin this); flows reference the
-  /// attributor's symbol pool in both modes.
-  bool internSymbols = true;
-  /// Compile the builtin filter, AnT/common lists and corpus elections into
-  /// one AttributionProgram at construction, so every per-frame question is
-  /// a single component-trie walk (array probes over interned component
-  /// ids) instead of four independent string-prefix walks. Off falls back
-  /// to the reference matchers; results are identical either way.
-  bool compileProgram = true;
-  /// Produce FlowColumns batches and fold them through the columnar
-  /// StudyAggregator entry points (dense id-indexed accumulators). Off
-  /// keeps the row-at-a-time FlowRecord fold as the bit-identical
-  /// reference; the study tests pin both paths to the same bytes.
-  bool columnarFold = true;
-  /// Elide stack-laundering trampoline frames (junk packages and
-  /// reflection-invoked frames, DESIGN.md §14) before electing the origin.
-  /// Honest stacks contain neither, so the pass is a fixed point on them —
-  /// the default-on setting leaves the legacy corpus byte-identical (pinned
-  /// by the scenario-conformance tier) while restoring correct attribution
-  /// for adversarial apps. Off keeps the raw footnote-2 scan.
-  bool elideTrampolines = true;
-};
+/// TCP payload bytes in the run's capture that no flow of the batch covers
+/// — the blind spot left by lost UDP context reports (the supervisor's
+/// channel is best-effort): total TCP payload minus Σ(sent + recv), floored
+/// at 0. Lower-bounds the coverage of the attribution.
+[[nodiscard]] std::uint64_t unattributedTcpPayload(const RunArtifacts& run,
+                                                   const FlowColumns& flows);
 
 class TrafficAttributor {
  public:
   TrafficAttributor(const radar::LibraryCorpus& corpus,
-                    vtsim::DomainCategorizer& domains,
-                    AttributorConfig config = {});
+                    vtsim::DomainCategorizer& domains);
 
   /// Attribute every reported socket of one app run. Thread-safe: parallel
   /// workers share one attributor (the pool and frame cache are internally
@@ -222,13 +188,6 @@ class TrafficAttributor {
     return *pool_;
   }
 
- public:
-  /// TCP payload bytes in the capture that no attributed flow covers —
-  /// the blind spot left by lost UDP context reports (the supervisor's
-  /// channel is best-effort). Lower-bounds the coverage of the attribution.
-  [[nodiscard]] static std::uint64_t unattributedTcpPayload(
-      const RunArtifacts& run, std::span<const FlowRecord> flows);
-
  private:
   /// Everything attribution derives from one distinct stack frame.
   /// Immutable after insertion into the cross-run cache.
@@ -237,28 +196,26 @@ class TrafficAttributor {
     util::Symbol originLibrary;
     util::Symbol twoLevelLibrary;
     util::Symbol libraryCategory;
-    /// The interned raw signature (internSymbols path only), so an origin
-    /// frame is interned once, not re-interned per field it feeds.
+    /// The interned raw signature, so an origin frame is interned once,
+    /// not re-interned per field it feeds.
     util::Symbol signature;
     bool ant = false;
     bool common = false;
-    /// Trampoline-elision inputs (config_.elideTrampolines): junk package
-    /// and reflection-marker status of this frame (the marker flags the
-    /// *inward* neighbour for elision).
+    /// Trampoline-elision inputs: junk package and reflection-marker status
+    /// of this frame (the marker flags the *inward* neighbour for elision).
     bool junkPackage = false;
     bool reflectMarker = false;
   };
 
-  [[nodiscard]] FrameInfo computeFrameInfo(std::string_view signature) const;
-  /// Cross-run cache lookup (config_.internSymbols path).
+  /// Cross-run cache lookup, computing the entry on first sight.
   [[nodiscard]] const FrameInfo& sharedFrameInfo(util::Symbol signature) const;
 
-  const radar::LibraryCorpus& corpus_;
   vtsim::DomainCategorizer& domains_;
-  AttributorConfig config_;
-  /// Compiled once at construction (config_.compileProgram); immutable and
-  /// shared lock-free by all worker threads. Null when disabled.
-  std::unique_ptr<const AttributionProgram> program_;
+  /// The builtin filter, AnT/common lists and corpus elections compiled
+  /// into one component trie at construction, so every per-frame question
+  /// is a single walk over interned component ids; immutable and shared
+  /// lock-free by all worker threads.
+  AttributionProgram program_;
   /// Owns every Symbol handed out in FlowRecords. Behind a unique_ptr so
   /// the attributor stays movable and flow symbols survive the move.
   std::unique_ptr<util::SymbolPool> pool_;

@@ -227,10 +227,4 @@ bool ReportFrame::looksFramed(std::span<const std::uint8_t> datagram) noexcept {
   return magic == kFrameMagic;
 }
 
-UdpReport decodeReportDatagram(std::span<const std::uint8_t> datagram) {
-  if (ReportFrame::looksFramed(datagram))
-    return ReportFrame::decode(datagram).report;
-  return UdpReport::decode(datagram);
-}
-
 }  // namespace libspector::core

@@ -166,8 +166,8 @@ class DictFrameEncoder {
       ids_;
 };
 
-/// Stateful receiver for a *reliable, in-order* report stream (the
-/// emulator's local sink, the collection server): folds v3 dictionary
+/// Stateful receiver for a *reliable, in-order* report stream (such as the
+/// emulator's local sink): folds v3 dictionary
 /// definitions per worker and resolves ids back to signature text, and
 /// passes raw / v1 / v2 datagrams through unchanged. On an in-order
 /// stream a definition always precedes its first reference, so an
@@ -184,12 +184,5 @@ class ReportStreamDecoder {
                      std::unordered_map<std::uint32_t, std::string>>
       dictByWorker_;
 };
-
-/// Decode either stateless wire format: a framed v1/v2 datagram yields its
-/// payload report, a legacy raw datagram decodes directly. v3 datagrams
-/// throw (they need stream state — use ReportStreamDecoder). Throws
-/// util::DecodeError.
-[[nodiscard]] UdpReport decodeReportDatagram(
-    std::span<const std::uint8_t> datagram);
 
 }  // namespace libspector::core

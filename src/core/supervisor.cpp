@@ -9,7 +9,7 @@ namespace libspector::core {
 
 SocketSupervisor::SocketSupervisor(net::SockEndpoint collector,
                                    std::uint32_t workerId)
-    : collector_(collector), workerId_(workerId) {}
+    : collector_(collector), dictEncoder_(workerId) {}
 
 std::string translateFrame(const rt::StackFrameSnapshot& frame,
                            const rt::AppProgram& program,
@@ -89,17 +89,7 @@ void SocketSupervisor::onSocketConnected(
   // Framed with the worker id and this run's next sequence number: the
   // channel is best-effort UDP, and only sender-assigned sequencing lets
   // the ingest tier account loss/dup/reorder instead of absorbing it.
-  std::vector<std::uint8_t> datagram;
-  if (dictEncoder_) {
-    datagram = dictEncoder_->encode(reportsSent_, report);
-  } else {
-    ReportFrame frame;
-    frame.workerId = workerId_;
-    frame.sequence = reportsSent_;
-    frame.report = std::move(report);
-    datagram = frame.encode();
-  }
-  stack.sendUdpDatagram(collector_, datagram);
+  stack.sendUdpDatagram(collector_, dictEncoder_.encode(reportsSent_, report));
   ++reportsSent_;
 }
 

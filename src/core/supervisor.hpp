@@ -8,7 +8,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "core/report.hpp"
@@ -27,15 +26,13 @@ class SocketSupervisor final : public hook::XposedModule {
   /// `workerId` stamps every framed report this supervisor emits; the
   /// dispatcher passes the job index so (workerId, sequence) is unique per
   /// study and the ingest tier can account loss/duplication per apk.
+  /// Reports go out as dictionary-compressed v3 frames (each distinct
+  /// signature sent once per run, then by id): the receiving tier must
+  /// keep dictionary state — the sharded ingest router and the
+  /// ReportStreamDecoder both do.
   explicit SocketSupervisor(
       net::SockEndpoint collector = kDefaultCollectorEndpoint,
       std::uint32_t workerId = 0);
-
-  /// Switch this run's report datagrams to the dictionary-compressed v3
-  /// frame (each distinct signature sent once, then by id). The receiving
-  /// tier must understand v3 — the sharded ingest router and the
-  /// ReportStreamDecoder both do; plain decodeReportDatagram does not.
-  void enableDictionaryFrames() { dictEncoder_.emplace(workerId_); }
 
   /// Pre-seed the next onAppLoaded with work the host already did: the
   /// apk's hex sha256 (the emulator computes it once per run for the
@@ -62,9 +59,7 @@ class SocketSupervisor final : public hook::XposedModule {
                          const std::shared_ptr<AppState>& state);
 
   net::SockEndpoint collector_;
-  std::uint32_t workerId_ = 0;
-  /// Engaged when v3 dictionary frames are enabled for this run.
-  std::optional<DictFrameEncoder> dictEncoder_;
+  DictFrameEncoder dictEncoder_;
   std::size_t reportsSent_ = 0;
   std::string pendingApkSha256_;
   dex::FrameTableCache* tableCache_ = nullptr;

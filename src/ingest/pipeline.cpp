@@ -7,10 +7,8 @@ namespace libspector::ingest {
 
 IngestPipeline::IngestPipeline(IngestConfig config, AttributeFn attribute,
                                core::StudyAccumulator* accumulator,
-                               CheckpointFn checkpoint,
-                               AttributeColumnsFn attributeColumns)
+                               CheckpointFn checkpoint)
     : attribute_(std::move(attribute)),
-      attributeColumns_(std::move(attributeColumns)),
       accumulator_(accumulator),
       checkpoint_(std::move(checkpoint)),
       router_(config, [this](RunDelivery&& delivery) {
@@ -54,78 +52,11 @@ void bumpBytes(std::map<std::string, std::uint64_t, std::less<>>& map,
 }  // namespace
 
 void IngestPipeline::onRun(RunDelivery&& delivery) {
-  if (attributeColumns_) {
-    onRunColumnar(std::move(delivery));
-    return;
-  }
-  // Attribution runs on the shard consumer thread, unlocked: this is the
-  // heavy stage, and shards are the parallelism axis of the ingest tier.
-  std::vector<core::FlowRecord> flows = attribute_(delivery.artifacts);
-  const std::uint64_t unattributed = core::TrafficAttributor::
-      unattributedTcpPayload(delivery.artifacts, flows);
-
-  const bool publish = static_cast<bool>(runHook_);
-  RunDigest digest;
-  {
-    const std::scoped_lock lock(mutex_);
-    ++rolling_.runsFolded;
-    rolling_.flowCount += flows.size();
-    rolling_.unattributedBytes += unattributed;
-    std::uint64_t appBytes = 0;
-    std::map<std::string_view, std::uint64_t> runLibs;
-    std::map<std::string_view, std::uint64_t> runCats;
-    for (const auto& flow : flows) {
-      const std::uint64_t bytes = flow.sentBytes + flow.recvBytes;
-      appBytes += bytes;
-      bumpBytes(rolling_.bytesByLibrary, flow.originLibrary.view(), bytes);
-      bumpBytes(rolling_.bytesByLibCategory, flow.libraryCategory.view(), bytes);
-      if (publish) {
-        runLibs[flow.originLibrary.view()] += bytes;
-        runCats[flow.libraryCategory.view()] += bytes;
-      }
-    }
-    rolling_.attributedBytes += appBytes;
-    rolling_.bytesByApp[delivery.artifacts.apkSha256] += appBytes;
-    accounts_[delivery.artifacts.apkSha256] = delivery.account;
-    if (publish) {
-      digest.jobIndex = delivery.jobIndex;
-      digest.apkSha256 = delivery.artifacts.apkSha256;
-      digest.replayed = delivery.replayed;
-      digest.flowCount = flows.size();
-      digest.attributedBytes = appBytes;
-      digest.unattributedBytes = unattributed;
-      for (const auto& [lib, bytes] : runLibs)
-        digest.bytesByLibrary.emplace_back(std::string(lib), bytes);
-      for (const auto& [cat, bytes] : runCats)
-        digest.bytesByLibCategory.emplace_back(std::string(cat), bytes);
-      digest.account = delivery.account;
-      digest.runsFolded = rolling_.runsFolded;
-    }
-  }
-
-  // Durable before aggregated: a run that is checkpointed but not yet
-  // folded is replayed on recovery; the reverse order would lose it.
-  if (checkpoint_ && !delivery.replayed) checkpoint_(delivery);
-  // Durable before published: observers only ever see checkpointed runs.
-  if (publish) runHook_(digest);
-
-  if (accumulator_ != nullptr)
-    accumulator_->add(delivery.jobIndex, std::move(delivery.artifacts),
-                      std::move(flows));
-}
-
-void IngestPipeline::onRunColumnar(RunDelivery&& delivery) {
   // Attribution (the heavy stage) stays on the shard consumer thread,
   // unlocked; only the fold below takes the pipeline mutex.
-  core::FlowColumns columns = attributeColumns_(delivery.artifacts);
-
-  std::uint64_t attributed = 0;
-  for (std::size_t i = 0; i < columns.size(); ++i)
-    attributed += columns.sentBytes[i] + columns.recvBytes[i];
-  const std::uint64_t totalTcp =
-      delivery.artifacts.capture.totalTcpPayloadBytes();
+  core::FlowColumns columns = attribute_(delivery.artifacts);
   const std::uint64_t unattributed =
-      attributed >= totalTcp ? 0 : totalTcp - attributed;
+      core::unattributedTcpPayload(delivery.artifacts, columns);
 
   const bool publish = static_cast<bool>(runHook_);
   RunDigest digest;
@@ -135,10 +66,11 @@ void IngestPipeline::onRunColumnar(RunDelivery&& delivery) {
     rolling_.flowCount += columns.size();
     rolling_.unattributedBytes += unattributed;
     // Sum per distinct id first (array adds), then one sorted-map bump per
-    // distinct library/category this run — the row path pays a map probe
-    // per flow.
+    // distinct library/category this run instead of one per flow.
+    std::uint64_t attributed = 0;
     for (std::size_t i = 0; i < columns.size(); ++i) {
       const std::uint64_t bytes = columns.sentBytes[i] + columns.recvBytes[i];
+      attributed += bytes;
       libSums_.bump(columns.originLibrary[i], bytes);
       catSums_.bump(columns.libraryCategory[i], bytes);
     }
@@ -175,8 +107,8 @@ void IngestPipeline::onRunColumnar(RunDelivery&& delivery) {
     }
   }
 
-  // Durable before aggregated — same crash-recovery ordering as the row
-  // path.
+  // Durable before aggregated: a run that is checkpointed but not yet
+  // folded is replayed on recovery; the reverse order would lose it.
   if (checkpoint_ && !delivery.replayed) checkpoint_(delivery);
   // Durable before published: observers only ever see checkpointed runs.
   if (publish) runHook_(digest);

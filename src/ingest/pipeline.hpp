@@ -57,11 +57,9 @@ struct RunDigest {
 
 class IngestPipeline final : public ReportSink {
  public:
+  /// Produces one run's attributed flows as a core::FlowColumns batch
+  /// (core::TrafficAttributor::attributeColumns in production).
   using AttributeFn =
-      std::function<std::vector<core::FlowRecord>(const core::RunArtifacts&)>;
-  /// Columnar variant: produces the run's flows as one core::FlowColumns
-  /// batch instead of row records.
-  using AttributeColumnsFn =
       std::function<core::FlowColumns(const core::RunArtifacts&)>;
 
   /// Incremental checkpoint hook: invoked on the shard consumer thread for
@@ -81,16 +79,12 @@ class IngestPipeline final : public ReportSink {
 
   /// `accumulator` (optional) receives every finalized run under its job
   /// index — the deterministic batch view. Rolling aggregates and loss
-  /// accounts are always maintained. When `attributeColumns` is set it
-  /// replaces `attribute` on every run: the shard produces one FlowColumns
-  /// batch, folds the rolling totals from the id columns (one map bump per
-  /// distinct library/category per run instead of per flow), and hands the
-  /// batch to the accumulator's columnar entry point. Study output is byte
-  /// identical either way.
+  /// accounts are always maintained: the shard folds them from the batch's
+  /// id columns (one map bump per distinct library/category per run, not
+  /// per flow).
   IngestPipeline(IngestConfig config, AttributeFn attribute,
                  core::StudyAccumulator* accumulator = nullptr,
-                 CheckpointFn checkpoint = {},
-                 AttributeColumnsFn attributeColumns = {});
+                 CheckpointFn checkpoint = {});
 
   /// Datagram path: forwards to the sharded router.
   void submitDatagram(std::span<const std::uint8_t> payload) override;
@@ -147,10 +141,8 @@ class IngestPipeline final : public ReportSink {
   };
 
   void onRun(RunDelivery&& delivery);
-  void onRunColumnar(RunDelivery&& delivery);
 
   AttributeFn attribute_;
-  AttributeColumnsFn attributeColumns_;
   core::StudyAccumulator* accumulator_;
   CheckpointFn checkpoint_;
   RunHookFn runHook_;

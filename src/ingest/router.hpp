@@ -1,9 +1,9 @@
 // Sharded streaming ingest router (the scale path the ROADMAP's
 // "heavy traffic from millions of users" goal demands).
 //
-// The legacy orch::CollectionServer funnels every emulator worker through
-// one mutex-guarded map and silently absorbs whatever UDP did to the
-// datagrams in flight. ShardedIngest replaces that hot path:
+// A single mutex-guarded collection map would funnel every emulator worker
+// through one lock and silently absorb whatever UDP did to the datagrams in
+// flight. ShardedIngest is the collection tier instead:
 //
 //  - every datagram carries the core::ReportFrame framing (worker id,
 //    per-run sequence number, crc32), so loss, duplication, reordering and

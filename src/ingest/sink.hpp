@@ -1,7 +1,7 @@
 // The datagram ingestion boundary.
 //
-// Everything that can receive a supervisor report datagram — the legacy
-// orch::CollectionServer, the sharded ingest router, fault-injection
+// Everything that can receive a supervisor report datagram — the sharded
+// ingest router, the ingest pipeline, spectord clients, fault-injection
 // wrappers — implements this one-method interface, so emulators and
 // dispatchers are wired against the boundary rather than a concrete
 // collector.

@@ -27,8 +27,8 @@
 
 #include "dex/apk.hpp"
 #include "dex/disassembler.hpp"
+#include "ingest/sink.hpp"
 #include "net/server.hpp"
-#include "orch/collector.hpp"
 #include "orch/emulator.hpp"
 #include "rt/program.hpp"
 

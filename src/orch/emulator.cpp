@@ -58,7 +58,6 @@ core::RunArtifacts EmulatorInstance::run(const dex::ApkFile& apk,
   hook::XposedFramework xposed;
   const auto supervisor = std::make_shared<core::SocketSupervisor>(
       core::kDefaultCollectorEndpoint, config_.workerId);
-  if (config_.dictionaryFrames) supervisor->enableDictionaryFrames();
   supervisor->primeApkContext(apkSha256, config_.frameTableCache);
   xposed.installModule(supervisor);
   xposed.attachToApp(runtime, apk);

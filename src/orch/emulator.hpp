@@ -35,15 +35,6 @@ struct EmulatorConfig {
   /// account loss per (worker, sequence). The dispatcher passes the job
   /// index, which is unique per study.
   std::uint32_t workerId = 0;
-  /// Emit dictionary-compressed v3 report frames (each distinct signature
-  /// once per run, then by u32 id) instead of v1. On by default since the
-  /// spectord daemon landed: v3 shrinks the report datagrams, which
-  /// changes the capture's recorded UDP sizes and therefore the study's
-  /// reportBytes — but nothing the renderer consumes (the rendered study
-  /// is byte-identical either way, pinned by
-  /// tests/orch/default_wire_test.cpp). Set false to reproduce historical
-  /// v1-wire reportBytes numbers; the decoder accepts v1/v2/v3 regardless.
-  bool dictionaryFrames = true;
   /// Precomputed hex sha256 of the apk under test (empty = hash at run
   /// start). The generation tier's JobPrefetcher fills this, so emulator
   /// workers never serialize an apk just to hash it; either way the digest

@@ -28,7 +28,6 @@ StudyOutput runPipeline(const store::AppStoreGenerator& generator,
                         const std::string& artifactsDirectory,
                         const ingest::IngestConfig& ingestConfig,
                         const store::PrefetchConfig& prefetchConfig,
-                        const core::AttributorConfig& attributionConfig,
                         std::vector<RecoveredRun>* replays) {
   const auto start = std::chrono::steady_clock::now();
 
@@ -37,7 +36,7 @@ StudyOutput runPipeline(const store::AppStoreGenerator& generator,
       vtsim::defaultVendorPanel(), [&generator](const std::string& domain) {
         return generator.domainTruth(domain);
       });
-  core::TrafficAttributor attributor(kCorpus, categorizer, attributionConfig);
+  core::TrafficAttributor attributor(kCorpus, categorizer);
 
   StudyOutput output;
   const bool persist = !artifactsDirectory.empty();
@@ -73,7 +72,7 @@ StudyOutput runPipeline(const store::AppStoreGenerator& generator,
     ingest::IngestPipeline pipeline(
         ingestConfig,
         [&attributor](const core::RunArtifacts& artifacts) {
-          return attributor.attribute(artifacts);
+          return attributor.attributeColumns(artifacts);
         },
         &accumulator,
         persist ? ingest::IngestPipeline::CheckpointFn(
@@ -82,16 +81,7 @@ StudyOutput runPipeline(const store::AppStoreGenerator& generator,
                                                  delivery.account,
                                                  delivery.artifacts);
                       })
-                : ingest::IngestPipeline::CheckpointFn{},
-        // Columnar fold (batch id arrays through the dense aggregator) when
-        // enabled; the row AttributeFn above stays the bit-identical
-        // reference path.
-        attributionConfig.columnarFold
-            ? ingest::IngestPipeline::AttributeColumnsFn(
-                  [&attributor](const core::RunArtifacts& artifacts) {
-                    return attributor.attributeColumns(artifacts);
-                  })
-            : ingest::IngestPipeline::AttributeColumnsFn{});
+                : ingest::IngestPipeline::CheckpointFn{});
 
     if (replays != nullptr) {
       for (auto& run : *replays) {
@@ -169,31 +159,29 @@ StudyOutput runPipeline(const store::AppStoreGenerator& generator,
 StudyOutput runStudy(const StudyConfig& config) {
   const store::AppStoreGenerator generator(config.store);
   return runStudy(generator, config.dispatcher, config.artifactsDirectory,
-                  config.ingest, config.prefetch, config.attribution);
+                  config.ingest, config.prefetch);
 }
 
 StudyOutput runStudy(const store::AppStoreGenerator& generator,
                      const DispatcherConfig& dispatcherConfig,
                      const std::string& artifactsDirectory,
                      const ingest::IngestConfig& ingestConfig,
-                     const store::PrefetchConfig& prefetch,
-                     const core::AttributorConfig& attribution) {
+                     const store::PrefetchConfig& prefetch) {
   return runPipeline(generator, dispatcherConfig, artifactsDirectory,
-                     ingestConfig, prefetch, attribution, nullptr);
+                     ingestConfig, prefetch, nullptr);
 }
 
 ResumeOutput resumeStudy(const StudyConfig& config) {
   const store::AppStoreGenerator generator(config.store);
   return resumeStudy(generator, config.dispatcher, config.artifactsDirectory,
-                     config.ingest, config.prefetch, config.attribution);
+                     config.ingest, config.prefetch);
 }
 
 ResumeOutput resumeStudy(const store::AppStoreGenerator& generator,
                          const DispatcherConfig& dispatcherConfig,
                          const std::string& artifactsDirectory,
                          const ingest::IngestConfig& ingestConfig,
-                         const store::PrefetchConfig& prefetch,
-                         const core::AttributorConfig& attribution) {
+                         const store::PrefetchConfig& prefetch) {
   if (artifactsDirectory.empty())
     throw std::invalid_argument(
         "resumeStudy: artifactsDirectory must name the checkpoint directory "
@@ -202,8 +190,7 @@ ResumeOutput resumeStudy(const store::AppStoreGenerator& generator,
   ResumeOutput resume;
   resume.recovery = StudyRecovery::scan(artifactsDirectory);
   resume.output = runPipeline(generator, dispatcherConfig, artifactsDirectory,
-                              ingestConfig, prefetch, attribution,
-                              &resume.recovery.runs);
+                              ingestConfig, prefetch, &resume.recovery.runs);
   return resume;
 }
 
@@ -235,8 +222,7 @@ MergeOutput mergeStudies(const StudyConfig& config,
   // No artifactsDirectory: the merge aggregates, it does not re-persist
   // the collectors' bundles into a fourth directory.
   merge.output = runPipeline(generator, config.dispatcher, std::string{},
-                             config.ingest, config.prefetch,
-                             config.attribution, &combined);
+                             config.ingest, config.prefetch, &combined);
   return merge;
 }
 

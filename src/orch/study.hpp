@@ -56,10 +56,6 @@ struct StudyConfig {
   /// and the domains.csv world manifest is written at the end. The same
   /// directory is what resumeStudy() recovers from after a crash.
   std::string artifactsDirectory;
-  /// Attribution knobs (capture index, frame memoization, symbol
-  /// interning). Every combination yields byte-identical study output —
-  /// they trade speed and memory, not results.
-  core::AttributorConfig attribution;
 };
 
 struct StudyOutput {
@@ -90,8 +86,7 @@ struct StudyOutput {
                                    const std::string& artifactsDirectory = {},
                                    const ingest::IngestConfig& ingestConfig = {
                                        .shards = 0},
-                                   const store::PrefetchConfig& prefetch = {},
-                                   const core::AttributorConfig& attribution = {});
+                                   const store::PrefetchConfig& prefetch = {});
 
 struct ResumeOutput {
   StudyOutput output;
@@ -114,8 +109,7 @@ struct ResumeOutput {
     const DispatcherConfig& dispatcherConfig,
     const std::string& artifactsDirectory,
     const ingest::IngestConfig& ingestConfig = {.shards = 0},
-    const store::PrefetchConfig& prefetch = {},
-    const core::AttributorConfig& attribution = {});
+    const store::PrefetchConfig& prefetch = {});
 
 struct MergeOutput {
   StudyOutput output;

@@ -53,7 +53,7 @@ PolicyDecision PolicyEngine::evaluate(std::span<const std::string> stackEntries,
                                       std::string_view domain,
                                       util::SimTimeMs nowMs) {
   // Same origin extraction the measurement pipeline uses: chronologically
-  // first non-built-in frame.
+  // first non-built-in frame, with laundering trampolines elided.
   const auto origin = core::originFrameIndex(stackEntries);
   std::string originLibrary;
   if (origin) originLibrary = core::packageOfEntry(stackEntries[*origin]);

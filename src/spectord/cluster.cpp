@@ -30,23 +30,16 @@ CollectorResult runCollector(const orch::StudyConfig& config,
       vtsim::defaultVendorPanel(), [&generator](const std::string& domain) {
         return generator.domainTruth(domain);
       });
-  core::TrafficAttributor attributor(kCorpus, categorizer, config.attribution);
+  core::TrafficAttributor attributor(kCorpus, categorizer);
 
   DaemonConfig daemonConfig;
   daemonConfig.ingest = config.ingest;
   daemonConfig.checkpointDirectory = options.checkpointDirectory;
   daemonConfig.assignment = assignment;
-  SpectorDaemon daemon(
-      daemonConfig,
-      [&attributor](const core::RunArtifacts& artifacts) {
-        return attributor.attribute(artifacts);
-      },
-      config.attribution.columnarFold
-          ? ingest::IngestPipeline::AttributeColumnsFn(
-                [&attributor](const core::RunArtifacts& artifacts) {
-                  return attributor.attributeColumns(artifacts);
-                })
-          : ingest::IngestPipeline::AttributeColumnsFn{});
+  SpectorDaemon daemon(daemonConfig,
+                       [&attributor](const core::RunArtifacts& artifacts) {
+                         return attributor.attributeColumns(artifacts);
+                       });
 
   CollectorResult result;
   const std::size_t appCount = generator.appCount();

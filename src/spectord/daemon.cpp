@@ -30,19 +30,18 @@ std::uint32_t CollectorAssignment::ownerOf(const std::string& apkSha256) const {
       (static_cast<unsigned __int128>(h) * count) >> 64);
 }
 
-SpectorDaemon::SpectorDaemon(
-    DaemonConfig config, ingest::IngestPipeline::AttributeFn attribute,
-    ingest::IngestPipeline::AttributeColumnsFn attributeColumns,
-    core::StudyAccumulator* accumulator, orch::KillProbe checkpointProbe)
+SpectorDaemon::SpectorDaemon(DaemonConfig config,
+                             ingest::IngestPipeline::AttributeFn attribute,
+                             core::StudyAccumulator* accumulator,
+                             orch::KillProbe checkpointProbe)
     : config_(std::move(config)),
-      pipeline_(
-          config_.ingest, std::move(attribute), accumulator,
-          [this](const ingest::RunDelivery& delivery) {
-            if (checkpoints_)
-              checkpoints_->checkpoint(delivery.jobIndex, delivery.account,
-                                       delivery.artifacts);
-          },
-          std::move(attributeColumns)) {
+      pipeline_(config_.ingest, std::move(attribute), accumulator,
+                [this](const ingest::RunDelivery& delivery) {
+                  if (checkpoints_)
+                    checkpoints_->checkpoint(delivery.jobIndex,
+                                             delivery.account,
+                                             delivery.artifacts);
+                }) {
   if (!config_.checkpointDirectory.empty())
     checkpoints_.emplace(config_.checkpointDirectory,
                          std::move(checkpointProbe));

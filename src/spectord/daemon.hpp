@@ -104,16 +104,14 @@ struct DaemonCounters {
 
 class SpectorDaemon {
  public:
-  /// `attribute` / `attributeColumns` / `accumulator` are the pipeline's
-  /// usual wiring (pipeline.hpp). When `config.checkpointDirectory` is
-  /// set the daemon owns an orch::CheckpointWriter and persists every
-  /// fresh run before it is published; `checkpointProbe` is the
-  /// crash-injection hook for it.
-  explicit SpectorDaemon(
-      DaemonConfig config, ingest::IngestPipeline::AttributeFn attribute,
-      ingest::IngestPipeline::AttributeColumnsFn attributeColumns = {},
-      core::StudyAccumulator* accumulator = nullptr,
-      orch::KillProbe checkpointProbe = {});
+  /// `attribute` / `accumulator` are the pipeline's usual wiring
+  /// (pipeline.hpp). When `config.checkpointDirectory` is set the daemon
+  /// owns an orch::CheckpointWriter and persists every fresh run before it
+  /// is published; `checkpointProbe` is the crash-injection hook for it.
+  explicit SpectorDaemon(DaemonConfig config,
+                         ingest::IngestPipeline::AttributeFn attribute,
+                         core::StudyAccumulator* accumulator = nullptr,
+                         orch::KillProbe checkpointProbe = {});
   ~SpectorDaemon();
 
   SpectorDaemon(const SpectorDaemon&) = delete;

@@ -35,8 +35,10 @@ struct SymbolPool::State {
   };
 
   std::mutex writeMutex;
-  /// Count released *after* the entry (and its table slot) are fully
-  /// written, so at(id < size()) always reads a constructed entry.
+  /// Count released after the entry is fully written but *before* its
+  /// table slot is published: at(id < size()) always reads a constructed
+  /// entry, and a thread that finds a symbol lock-free through the table
+  /// also sees size() and at() cover its id.
   std::atomic<std::size_t> count{0};
   std::atomic<std::size_t> textBytes{0};
   std::array<std::atomic<Symbol::Entry*>, kMaxChunks> chunks{};
@@ -130,9 +132,9 @@ Symbol SymbolPool::intern(std::string_view text) {
   Symbol::Entry* entry = &chunk[id & (kChunkSize - 1)];
   entry->text.assign(text);
   entry->id = static_cast<std::uint32_t>(id);
-  State::insert(*t, hash, entry);
   s.textBytes.fetch_add(text.size(), std::memory_order_relaxed);
   s.count.store(id + 1, std::memory_order_release);
+  State::insert(*t, hash, entry);
   // Keep the load factor under ~3/4 so probes stay short.
   if ((id + 1) * 4 >= (t->mask + 1) * 3) s.growLocked(id + 1);
   return Symbol(entry);

@@ -19,12 +19,14 @@ RunArtifacts runFor(std::size_t i) {
 }
 
 // Static pool: test flows stay valid for the whole binary.
-util::Symbol sym(std::string_view text) {
+util::SymbolPool& testPool() {
   static util::SymbolPool pool;
-  return pool.intern(text);
+  return pool;
 }
 
-std::vector<FlowRecord> flowsFor(std::size_t i) {
+util::Symbol sym(std::string_view text) { return testPool().intern(text); }
+
+FlowColumns flowsFor(std::size_t i) {
   FlowRecord flow;
   flow.apkSha256 = sym("sha" + std::to_string(i));
   flow.appPackage = sym("com.app.n" + std::to_string(i));
@@ -35,7 +37,7 @@ std::vector<FlowRecord> flowsFor(std::size_t i) {
   flow.domainCategory = sym("cdn");
   flow.sentBytes = 100 * (i + 1);
   flow.recvBytes = 1000 * (i + 1);
-  return {flow};
+  return FlowColumns::fromRows({&flow, 1}, testPool());
 }
 
 TEST(StudyAccumulatorTest, OutOfOrderDeliveryMatchesSequentialFold) {
@@ -43,7 +45,7 @@ TEST(StudyAccumulatorTest, OutOfOrderDeliveryMatchesSequentialFold) {
 
   StudyAggregator sequential;
   for (std::size_t i = 0; i < kApps; ++i)
-    sequential.addApp(runFor(i), flowsFor(i));
+    sequential.addAppColumns(runFor(i), flowsFor(i));
 
   StudyAggregator reordered;
   std::vector<std::string> foldOrder;
@@ -53,7 +55,7 @@ TEST(StudyAccumulatorTest, OutOfOrderDeliveryMatchesSequentialFold) {
   // Completion order a 4-worker fleet could produce: nothing folds until
   // index 0 lands, then the contiguous prefix drains at once.
   for (const std::size_t index : {3u, 1u, 6u, 0u, 2u, 5u, 4u})
-    accumulator.add(index, runFor(index), flowsFor(index));
+    accumulator.addColumns(index, runFor(index), flowsFor(index));
   EXPECT_EQ(accumulator.pendingCount(), 0u);
   accumulator.finish();
 
@@ -77,11 +79,11 @@ TEST(StudyAccumulatorTest, SkippedIndicesDoNotStallTheFold) {
   StudyAccumulator accumulator(study, [&](RunArtifacts&& run) {
     foldOrder.push_back(run.packageName);
   });
-  accumulator.add(2, runFor(2), flowsFor(2));
+  accumulator.addColumns(2, runFor(2), flowsFor(2));
   EXPECT_EQ(accumulator.appsFolded(), 0u);  // waiting on 0 and 1
   accumulator.skip(0);                      // failed job releases the prefix
   EXPECT_EQ(accumulator.appsFolded(), 0u);  // still waiting on 1
-  accumulator.add(1, runFor(1), flowsFor(1));
+  accumulator.addColumns(1, runFor(1), flowsFor(1));
   EXPECT_EQ(accumulator.appsFolded(), 2u);
   EXPECT_EQ(accumulator.pendingCount(), 0u);
   accumulator.finish();
@@ -99,8 +101,8 @@ TEST(StudyAccumulatorTest, FinishFoldsStragglersInIndexOrder) {
   StudyAccumulator accumulator(study, [&](RunArtifacts&& run) {
     foldOrder.push_back(run.packageName);
   });
-  accumulator.add(4, runFor(4), flowsFor(4));
-  accumulator.add(2, runFor(2), flowsFor(2));
+  accumulator.addColumns(4, runFor(4), flowsFor(4));
+  accumulator.addColumns(2, runFor(2), flowsFor(2));
   EXPECT_EQ(accumulator.appsFolded(), 0u);
   accumulator.finish();
   EXPECT_EQ(accumulator.appsFolded(), 2u);

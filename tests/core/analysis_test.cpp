@@ -9,9 +9,15 @@ namespace {
 
 // Backs the test flows' symbols; static so every FlowRecord built here
 // stays valid for the whole test binary (mirrors the attributor's pool).
-util::Symbol sym(std::string_view text) {
+util::SymbolPool& testPool() {
   static util::SymbolPool pool;
-  return pool.intern(text);
+  return pool;
+}
+
+util::Symbol sym(std::string_view text) { return testPool().intern(text); }
+
+FlowColumns columns(const std::vector<FlowRecord>& flows) {
+  return FlowColumns::fromRows(flows, testPool());
 }
 
 FlowRecord flow(const std::string& app, const std::string& appCategory,
@@ -69,10 +75,13 @@ class AnalysisTest : public ::testing::Test {
              "ads1.com", "advertisements", 10, 900, /*ant=*/true),
     };
     // App 4: no traffic at all.
-    aggregator_.addApp(appRun("app1", "GAME_ACTION", 0.20, 1000), app1);
-    aggregator_.addApp(appRun("app2", "NEWS_AND_MAGAZINES", 0.05, 2000), app2);
-    aggregator_.addApp(appRun("app3", "TOOLS", 0.10, 3000), app3);
-    aggregator_.addApp(appRun("app4", "TOOLS", 0.01, 4000), {});
+    aggregator_.addAppColumns(appRun("app1", "GAME_ACTION", 0.20, 1000),
+                              columns(app1));
+    aggregator_.addAppColumns(appRun("app2", "NEWS_AND_MAGAZINES", 0.05, 2000),
+                              columns(app2));
+    aggregator_.addAppColumns(appRun("app3", "TOOLS", 0.10, 3000),
+                              columns(app3));
+    aggregator_.addAppColumns(appRun("app4", "TOOLS", 0.01, 4000), {});
   }
 
   StudyAggregator aggregator_;
@@ -219,13 +228,34 @@ TEST(AnalysisEdgeTest, UdpStatsSeparateReportsFromDns) {
   const net::SocketPair tcpPair{{net::Ipv4Addr(10, 0, 2, 15), 1002},
                                 {net::Ipv4Addr(198, 18, 0, 1), 443}};
   run.capture.append(net::makeTcpPacket(3, tcpPair, 1540, 1500));
-  aggregator.addApp(run, {});
+  aggregator.addAppColumns(run, {});
 
   const auto& udp = aggregator.udpStats();
   EXPECT_EQ(udp.dnsBytes, 70u);
   EXPECT_EQ(udp.udpBytes, 70u);      // excludes Libspector reports
   EXPECT_EQ(udp.reportBytes, 300u);
   EXPECT_EQ(udp.totalBytes, 1910u);
+}
+
+TEST(AnalysisEdgeTest, UnsetRowFieldsFoldAsEmpty) {
+  // fromRows columnarizes an unset Symbol field as kNoId; the fold reads it
+  // as "", and an unset domain as no resolved domain.
+  FlowRecord bare;
+  bare.originLibrary = sym("com.lib.only");
+  bare.sentBytes = 10;
+  bare.recvBytes = 90;
+  StudyAggregator aggregator;
+  aggregator.addAppColumns(appRun("app", "TOOLS"), columns({bare}));
+
+  const auto totals = aggregator.totals();
+  EXPECT_EQ(totals.flowCount, 1u);
+  EXPECT_EQ(totals.totalBytes, 100u);
+  EXPECT_EQ(totals.originLibraryCount, 1u);
+  EXPECT_EQ(totals.twoLevelLibraryCount, 1u);
+  EXPECT_EQ(totals.domainCount, 0u);
+  const auto byCategory = aggregator.transferByAppAndLibCategory();
+  ASSERT_EQ(byCategory.size(), 1u);
+  EXPECT_EQ(byCategory.at("").at(""), 100u);
 }
 
 }  // namespace

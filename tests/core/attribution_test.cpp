@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
+#include "util/strings.hpp"
+
 namespace libspector::core {
 namespace {
 
@@ -157,6 +162,58 @@ class AttributorTest : public ::testing::Test {
     run.packageName = "com.myapp";
     run.appCategory = "GAME_ACTION";
     return run;
+  }
+
+  /// Check every flow against an oracle built only from reference pieces:
+  /// the naive CaptureFile::streamVolume scan over the flow's connection
+  /// window, originFrameIndex, and the reference prefix matchers
+  /// (LibraryCorpus::matchCategory and the AnT/common-library lists).
+  void expectMatchesReference(const RunArtifacts& run,
+                              const std::vector<FlowRecord>& flows) const {
+    ASSERT_EQ(flows.size(), run.reports.size());
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      SCOPED_TRACE(i);
+      const FlowRecord& flow = flows[i];
+      // The window opens at the flow's report — 2 s earlier for a connect
+      // report, whose handshake precedes the post-hook — and closes just
+      // before the next report on the same socket.
+      const UdpReport* owner = nullptr;
+      util::SimTimeMs to = std::numeric_limits<util::SimTimeMs>::max();
+      for (const auto& report : run.reports) {
+        if (report.socketPair != flow.socketPair) continue;
+        if (report.timestampMs == flow.connectTimeMs)
+          owner = &report;
+        else if (report.timestampMs > flow.connectTimeMs)
+          to = std::min(to, report.timestampMs - 1);
+      }
+      ASSERT_NE(owner, nullptr);
+      const util::SimTimeMs at = owner->timestampMs;
+      const util::SimTimeMs from =
+          owner->requestOrdinal > 0 ? at : at > 2000 ? at - 2000 : 0;
+      const auto volume = run.capture.streamVolume(flow.socketPair, from, to);
+      EXPECT_EQ(flow.sentBytes, volume.payloadFromSrc);
+      EXPECT_EQ(flow.recvBytes, volume.payloadFromDst);
+      EXPECT_EQ(flow.rttMs, volume.rttMs());
+      EXPECT_EQ(flow.requestOrdinal, owner->requestOrdinal);
+
+      const auto origin = originFrameIndex(owner->stackSignatures);
+      EXPECT_EQ(flow.builtinOrigin, !origin.has_value());
+      if (!origin) {
+        EXPECT_EQ(flow.originLibrary.view(), "*-" + flow.domainCategory.str());
+        EXPECT_EQ(flow.libraryCategory.view(), radar::kUnknownCategory);
+        continue;
+      }
+      const std::string& frame = owner->stackSignatures[*origin];
+      std::string library = packageOfEntry(frame);
+      if (library.empty()) library = frameNameOf(frame);
+      EXPECT_EQ(flow.originSignature.view(), frame);
+      EXPECT_EQ(flow.originLibrary.view(), library);
+      EXPECT_EQ(flow.twoLevelLibrary.view(), util::prefixLevels(library, 2));
+      EXPECT_EQ(flow.libraryCategory.view(),
+                corpus_.matchCategory(library).category);
+      EXPECT_EQ(flow.antOrigin, radar::antLibraries().matches(library));
+      EXPECT_EQ(flow.commonOrigin, radar::commonLibraries().matches(library));
+    }
   }
 
   const std::vector<std::string> kAdStack = {
@@ -338,9 +395,9 @@ TEST_F(AttributorTest, OutOfOrderHttpExchangesPickChronologicalHost) {
 }
 
 TEST_F(AttributorTest, IndexedAndNaivePathsAgreeExactly) {
-  // The capture index and the frame memos are pure accelerations: flows
-  // must match the naive configuration field for field, including on
-  // port-reuse windows.
+  // The capture index, the frame cache and the compiled program are pure
+  // accelerations: flows must match the naive scan and the reference
+  // matchers field for field, including on port-reuse windows.
   auto run = baseRun();
   addFlow(run, 47000, "ads5.y.com", net::Ipv4Addr(198, 18, 0, 13), 1000, 500,
           7000, kAdStack);
@@ -351,27 +408,16 @@ TEST_F(AttributorTest, IndexedAndNaivePathsAgreeExactly) {
           {"java.net.Socket.connect", "Lcom/myapp/net/Api;->fetch()V",
            "Lcom/myapp/ui/Main;->onClick(Landroid/view/View;)V"});
 
-  AttributorConfig naiveConfig;
-  naiveConfig.useCaptureIndex = false;
-  naiveConfig.memoizeFrames = false;
-  const TrafficAttributor naive(corpus_, categorizer_, naiveConfig);
-
-  const auto fast = attributor_.attribute(run);
-  const auto slow = naive.attribute(run);
-  ASSERT_EQ(fast.size(), slow.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_EQ(fast[i].originLibrary, slow[i].originLibrary) << i;
-    EXPECT_EQ(fast[i].originSignature, slow[i].originSignature) << i;
-    EXPECT_EQ(fast[i].twoLevelLibrary, slow[i].twoLevelLibrary) << i;
-    EXPECT_EQ(fast[i].libraryCategory, slow[i].libraryCategory) << i;
-    EXPECT_EQ(fast[i].domain, slow[i].domain) << i;
-    EXPECT_EQ(fast[i].domainCategory, slow[i].domainCategory) << i;
-    EXPECT_EQ(fast[i].sentBytes, slow[i].sentBytes) << i;
-    EXPECT_EQ(fast[i].recvBytes, slow[i].recvBytes) << i;
-    EXPECT_EQ(fast[i].antOrigin, slow[i].antOrigin) << i;
-    EXPECT_EQ(fast[i].commonOrigin, slow[i].commonOrigin) << i;
-    EXPECT_EQ(fast[i].builtinOrigin, slow[i].builtinOrigin) << i;
-  }
+  const auto flows = attributor_.attribute(run);
+  expectMatchesReference(run, flows);
+  // Domains come from the DNS answers laid down with each socket.
+  ASSERT_EQ(flows.size(), 3u);
+  EXPECT_EQ(flows[0].domain, "ads5.y.com");
+  EXPECT_EQ(flows[0].domainCategory, "advertisements");
+  EXPECT_EQ(flows[1].domain, "api9.backend.com");
+  EXPECT_EQ(flows[1].domainCategory, "business_and_finance");
+  EXPECT_EQ(flows[2].domain, "ads5.y.com");
+  EXPECT_EQ(flows[2].domainCategory, "advertisements");
 }
 
 // ---------------------------------------------------------------------------
@@ -583,7 +629,8 @@ TEST_F(KeepAliveAttributorTest, BoundaryReportStillResolvesDnsDomain) {
 
 TEST_F(KeepAliveAttributorTest, IndexedAndNaivePathsAgreeOnBoundaries) {
   // The capture index answers boundary windows exactly like the naive
-  // scan, ordinals and RTT included.
+  // scan, ordinals and RTT included, and each request keeps its own
+  // origin.
   auto run = baseRun();
   const auto pair = pairWithPort(50007, net::Ipv4Addr(198, 18, 0, 27));
   run.capture.append(net::makeTcpPacket(1001, pair, 540, 500));
@@ -593,23 +640,12 @@ TEST_F(KeepAliveAttributorTest, IndexedAndNaivePathsAgreeOnBoundaries) {
   addFlowReport(run, pair, 1000, kAdStack);
   addBoundary(run, pair, 2000, 1, kAnalyticsStack);
 
-  AttributorConfig naiveConfig;
-  naiveConfig.useCaptureIndex = false;
-  naiveConfig.memoizeFrames = false;
-  naiveConfig.internSymbols = false;
-  const TrafficAttributor naive(corpus_, categorizer_, naiveConfig);
-
-  const auto fast = attributor_.attribute(run);
-  const auto slow = naive.attribute(run);
-  ASSERT_EQ(fast.size(), slow.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_EQ(fast[i].requestOrdinal, slow[i].requestOrdinal) << i;
-    EXPECT_EQ(fast[i].rttMs, slow[i].rttMs) << i;
-    EXPECT_EQ(fast[i].sentBytes, slow[i].sentBytes) << i;
-    EXPECT_EQ(fast[i].recvBytes, slow[i].recvBytes) << i;
-    EXPECT_EQ(fast[i].originLibrary.view(), slow[i].originLibrary.view()) << i;
-    EXPECT_EQ(fast[i].domain.view(), slow[i].domain.view()) << i;
-  }
+  const auto flows = attributor_.attribute(run);
+  expectMatchesReference(run, flows);
+  ASSERT_EQ(flows.size(), 2u);
+  EXPECT_EQ(flows[0].requestOrdinal, 0u);
+  EXPECT_EQ(flows[1].requestOrdinal, 1u);
+  EXPECT_NE(flows[0].originLibrary, flows[1].originLibrary);
 }
 
 }  // namespace

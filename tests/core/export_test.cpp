@@ -10,10 +10,12 @@ namespace libspector::core {
 namespace {
 
 // Static pool: test flows stay valid for the whole binary.
-util::Symbol sym(std::string_view text) {
+util::SymbolPool& testPool() {
   static util::SymbolPool pool;
-  return pool.intern(text);
+  return pool;
 }
+
+util::Symbol sym(std::string_view text) { return testPool().intern(text); }
 
 FlowRecord makeFlow(const std::string& library, const std::string& libCategory,
                     const std::string& domain, const std::string& domainCategory,
@@ -38,11 +40,12 @@ StudyAggregator sampleStudy() {
   run.appCategory = "TOOLS";
   run.coverage.coveredMethods = 10;
   run.coverage.totalMethods = 100;
-  study.addApp(run, std::vector<FlowRecord>{
-                        makeFlow("com.unity3d.ads", "Advertisement", "ads.com",
-                                 "advertisements", 100, 9000),
-                        makeFlow("com.myapp.net", "Unknown", "api.com",
-                                 "business_and_finance", 50, 600)});
+  const std::vector<FlowRecord> flows = {
+      makeFlow("com.unity3d.ads", "Advertisement", "ads.com", "advertisements",
+               100, 9000),
+      makeFlow("com.myapp.net", "Unknown", "api.com", "business_and_finance",
+               50, 600)};
+  study.addAppColumns(run, FlowColumns::fromRows(flows, testPool()));
   return study;
 }
 

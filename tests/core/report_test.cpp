@@ -189,7 +189,6 @@ TEST(ReportTest, StatelessDecodersRejectDictFrames) {
   DictFrameEncoder encoder(1);
   const auto datagram = encoder.encode(0, sampleReport());
   EXPECT_THROW((void)ReportFrame::decode(datagram), util::DecodeError);
-  EXPECT_THROW((void)decodeReportDatagram(datagram), util::DecodeError);
 
   // ...but the routing header stays version-agnostic: a shard router can
   // place a v3 datagram without dictionary state.
@@ -263,7 +262,6 @@ TEST(ReportTest, V2AliasDatagramStillDecodes) {
   bytes[4] = 2;  // version byte: magic (4 bytes) | version | crc | body
   EXPECT_EQ(ReportFrame::peek(bytes).version, 2);
   EXPECT_EQ(ReportFrame::decode(bytes).report, report);
-  EXPECT_EQ(decodeReportDatagram(bytes), report);
   ReportStreamDecoder stream;
   EXPECT_EQ(stream.decode(bytes), report);
 }

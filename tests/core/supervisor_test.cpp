@@ -60,10 +60,11 @@ TEST_F(SupervisorTest, SendsOneReportPerSocketWithFullContext) {
   rt::Interpreter runtime(program_, stack, tracer_, clock_, util::Rng(4));
 
   std::vector<UdpReport> received;
+  ReportStreamDecoder decoder;
   stack.registerUdpSink(kDefaultCollectorEndpoint,
                         [&](const net::SockEndpoint&,
                             std::span<const std::uint8_t> payload) {
-                          received.push_back(decodeReportDatagram(payload));
+                          received.push_back(decoder.decode(payload));
                         });
 
   auto supervisor = std::make_shared<SocketSupervisor>();
@@ -90,10 +91,11 @@ TEST_F(SupervisorTest, AppFramesCarryFullTypeSignatures) {
   net::NetworkStack stack(farm_, clock_, util::Rng(3));
   rt::Interpreter runtime(program_, stack, tracer_, clock_, util::Rng(4));
   std::vector<UdpReport> received;
+  ReportStreamDecoder decoder;
   stack.registerUdpSink(kDefaultCollectorEndpoint,
                         [&](const net::SockEndpoint&,
                             std::span<const std::uint8_t> payload) {
-                          received.push_back(decodeReportDatagram(payload));
+                          received.push_back(decoder.decode(payload));
                         });
   auto supervisor = std::make_shared<SocketSupervisor>();
   supervisor->onAppLoaded(runtime, apk_);
@@ -130,10 +132,11 @@ TEST_F(SupervisorTest, ReportTimestampMatchesEmulatorClock) {
   net::NetworkStack stack(farm_, clock_, util::Rng(3));
   rt::Interpreter runtime(program_, stack, tracer_, clock_, util::Rng(4));
   std::vector<UdpReport> received;
+  ReportStreamDecoder decoder;
   stack.registerUdpSink(kDefaultCollectorEndpoint,
                         [&](const net::SockEndpoint&,
                             std::span<const std::uint8_t> payload) {
-                          received.push_back(decodeReportDatagram(payload));
+                          received.push_back(decoder.decode(payload));
                         });
   auto supervisor = std::make_shared<SocketSupervisor>();
   supervisor->onAppLoaded(runtime, apk_);

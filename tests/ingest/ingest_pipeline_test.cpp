@@ -58,7 +58,7 @@ TEST_F(IngestPipelineTest, AccountsAFaultyChannelExactlyPerApk) {
   ingestConfig.shards = 3;
   IngestPipeline pipeline(ingestConfig,
                           [this](const core::RunArtifacts& artifacts) {
-                            return attributor_.attribute(artifacts);
+                            return attributor_.attributeColumns(artifacts);
                           });
   ChaosConfig chaosConfig;
   chaosConfig.lossProb = 0.05;
@@ -129,7 +129,7 @@ TEST_F(IngestPipelineTest, StreamingAttributionMatchesBatchOverDeliveredReports)
   IngestConfig ingestConfig;
   ingestConfig.shards = 2;
   const auto attribute = [this](const core::RunArtifacts& artifacts) {
-    return attributor_.attribute(artifacts);
+    return attributor_.attributeColumns(artifacts);
   };
 
   {
@@ -153,7 +153,7 @@ TEST_F(IngestPipelineTest, StreamingAttributionMatchesBatchOverDeliveredReports)
   // Batch side: the classic offline pass over exactly those artifacts.
   core::StudyAggregator batch;
   for (const auto& artifacts : delivered)
-    batch.addApp(artifacts, attributor_.attribute(artifacts));
+    batch.addAppColumns(artifacts, attributor_.attributeColumns(artifacts));
 
   EXPECT_EQ(streaming.totals().totalBytes, batch.totals().totalBytes);
   EXPECT_EQ(streaming.totals().flowCount, batch.totals().flowCount);
@@ -167,7 +167,7 @@ TEST_F(IngestPipelineTest, PublishesRollingTotalsAfterEveryRun) {
   ingestConfig.shards = 1;
   IngestPipeline pipeline(ingestConfig,
                           [this](const core::RunArtifacts& artifacts) {
-                            return attributor_.attribute(artifacts);
+                            return attributor_.attributeColumns(artifacts);
                           });
 
   std::uint64_t lastRuns = 0;

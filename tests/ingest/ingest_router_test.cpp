@@ -55,10 +55,10 @@ TEST(ReportFrameTest, RoundTripsThroughWire) {
 TEST(ReportFrameTest, RawReportIsNotMistakenForAFrame) {
   const auto raw = sampleReport("aaa", 0).encode();
   EXPECT_FALSE(core::ReportFrame::looksFramed(raw));
-  // The dual-format helper handles both encodings.
-  EXPECT_EQ(core::decodeReportDatagram(raw), sampleReport("aaa", 0));
-  EXPECT_EQ(core::decodeReportDatagram(frameBytes("aaa", 1, 5)),
-            sampleReport("aaa", 5));
+  // The stream decoder handles both encodings.
+  core::ReportStreamDecoder decoder;
+  EXPECT_EQ(decoder.decode(raw), sampleReport("aaa", 0));
+  EXPECT_EQ(decoder.decode(frameBytes("aaa", 1, 5)), sampleReport("aaa", 5));
 }
 
 TEST(ReportFrameTest, ChecksumRejectsEveryBitFlip) {

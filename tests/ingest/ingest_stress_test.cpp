@@ -151,7 +151,7 @@ TEST(IngestStressTest, ConcurrentRunSubmissionsThroughThePipeline) {
     IngestPipeline pipeline(
         config,
         [](const core::RunArtifacts&) {
-          return std::vector<core::FlowRecord>{};
+          return core::FlowColumns{};
         },
         &accumulator);
     {

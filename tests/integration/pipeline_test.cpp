@@ -7,7 +7,6 @@
 
 #include "core/analysis.hpp"
 #include "core/attribution.hpp"
-#include "orch/collector.hpp"
 #include "orch/dispatcher.hpp"
 #include "radar/corpus.hpp"
 #include "store/generator.hpp"
@@ -36,10 +35,9 @@ StudyOutcome runStudy(std::size_t apps, std::uint64_t seed) {
   core::TrafficAttributor attributor(corpus, categorizer);
 
   StudyOutcome outcome;
-  orch::CollectionServer collector;
   orch::DispatcherConfig config;
   config.workers = 4;
-  orch::Dispatcher dispatcher(generator.farm(), &collector, config);
+  orch::Dispatcher dispatcher(generator.farm(), nullptr, config);
   std::size_t next = 0;
   dispatcher.run(
       [&]() -> std::optional<orch::Dispatcher::Job> {
@@ -48,10 +46,10 @@ StudyOutcome runStudy(std::size_t apps, std::uint64_t seed) {
         return orch::Dispatcher::Job{std::move(job.apk), std::move(job.program)};
       },
       [&](core::RunArtifacts&& artifacts) {
-        const auto flows = attributor.attribute(artifacts);
+        const auto flows = attributor.attributeColumns(artifacts);
         outcome.totalReports += artifacts.reports.size();
         outcome.totalFlows += flows.size();
-        outcome.study.addApp(artifacts, flows);
+        outcome.study.addAppColumns(artifacts, flows);
       });
   return outcome;
 }

@@ -1,22 +1,26 @@
-// The default report wire is now ReportFrame v3 (dictionary frames): the
-// collector has spoken v3 end-to-end since the ingest dictionary path
-// landed, so the fleet default flips on. Two things must stay true:
+// The report wire is ReportFrame v3 (dictionary frames): the collector has
+// spoken v3 end-to-end since the ingest dictionary path landed, and the
+// supervisor emits nothing else. Two things must stay true:
 //
-//  1. The rendered study is byte-identical to the old v1-wire default —
-//     v3 changes only the size of Libspector's own report datagrams,
-//     which no figure or table consumes.
-//  2. The flip actually buys the compression it exists for: the capture's
-//     recorded report bytes shrink.
+//  1. Every report datagram the fleet emits is a v3 frame.
+//  2. The rendered study is byte-identical to the one the retired v1-wire
+//     default rendered — v3 changes only the size of Libspector's own
+//     report datagrams, which no figure or table consumes. That study's
+//     size, FNV-64 and UDP byte counts were recorded while the v1 emitter
+//     still existed.
 //
-// The v1/v2/v3 codec golden vectors live in tests/core/report_test.cpp
-// and are independent of this default.
+// The v1/v2/v3 codec golden vectors live in tests/core/report_test.cpp,
+// and the wire-size reduction is gated by bench/wire_and_memory.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "core/export.hpp"
+#include "core/report.hpp"
+#include "ingest/sink.hpp"
 #include "orch/emulator.hpp"
 #include "orch/study.hpp"
+#include "util/bytes.hpp"
 
 namespace libspector::orch {
 namespace {
@@ -48,27 +52,39 @@ std::string renderStudy(const core::StudyAggregator& study) {
   return out.str();
 }
 
+/// Counts datagrams, failing the test on any that is not a v3 frame.
+class V3OnlySink final : public ingest::ReportSink {
+ public:
+  void submitDatagram(std::span<const std::uint8_t> payload) override {
+    ++datagrams;
+    EXPECT_NO_THROW((void)core::DictReportFrame::decode(payload));
+  }
+  std::size_t datagrams = 0;
+};
+
 TEST(DefaultWireTest, DictionaryFramesDefaultsOn) {
-  EXPECT_TRUE(EmulatorConfig{}.dictionaryFrames);
-  EXPECT_TRUE(StudyConfig{}.dispatcher.emulator.dictionaryFrames);
+  const auto config = smallConfig();
+  const store::AppStoreGenerator generator(config.store);
+  V3OnlySink sink;
+  for (std::size_t i = 0; i < 5; ++i) {
+    const auto job = generator.makeJob(i);
+    (void)EmulatorInstance(generator.farm(), &sink, config.dispatcher.emulator)
+        .run(job.apk, job.program);
+  }
+  EXPECT_GT(sink.datagrams, 0u);
 }
 
 TEST(DefaultWireTest, DefaultStudyByteIdenticalToLegacyV1Wire) {
-  const auto modern = runStudy(smallConfig());
+  const auto study = runStudy(smallConfig()).study;
+  const std::string rendered = renderStudy(study);
+  EXPECT_EQ(rendered.size(), 20020u);
+  EXPECT_EQ(util::fnv1a64(rendered), 0x30f8bea27cb02f37ULL);
 
-  auto legacyConfig = smallConfig();
-  legacyConfig.dispatcher.emulator.dictionaryFrames = false;
-  const auto legacy = runStudy(legacyConfig);
-
-  EXPECT_EQ(modern.appsProcessed, legacy.appsProcessed);
-  EXPECT_EQ(renderStudy(modern.study), renderStudy(legacy.study));
-
-  // The wire itself must differ in exactly the advertised direction:
-  // report datagrams shrink, everything else in the capture is untouched.
-  EXPECT_LT(modern.study.udpStats().reportBytes,
-            legacy.study.udpStats().reportBytes);
-  EXPECT_EQ(modern.study.udpStats().udpBytes, legacy.study.udpStats().udpBytes);
-  EXPECT_EQ(modern.study.udpStats().dnsBytes, legacy.study.udpStats().dnsBytes);
+  // The wire itself differs in exactly the advertised direction: report
+  // datagrams shrink, everything else in the capture is untouched.
+  EXPECT_LT(study.udpStats().reportBytes, 180265u);
+  EXPECT_EQ(study.udpStats().udpBytes, 23904u);
+  EXPECT_EQ(study.udpStats().dnsBytes, 23904u);
 }
 
 }  // namespace

@@ -49,8 +49,7 @@ class DispatcherTest : public ::testing::Test {
 };
 
 TEST_F(DispatcherTest, ProcessesEveryJobAcrossWorkers) {
-  CollectionServer collector;
-  Dispatcher dispatcher(farm_, &collector, quickConfig(4));
+  Dispatcher dispatcher(farm_, nullptr, quickConfig(4));
 
   constexpr int kJobs = 40;
   int next = 0;
@@ -130,8 +129,7 @@ TEST_F(DispatcherTest, ArtifactsIdenticalRegardlessOfWorkerCount) {
 }
 
 TEST_F(DispatcherTest, ConcurrentDeliveryTagsJobsWithPullOrderIndices) {
-  CollectionServer collector;
-  Dispatcher dispatcher(farm_, &collector, quickConfig(4));
+  Dispatcher dispatcher(farm_, nullptr, quickConfig(4));
   constexpr int kJobs = 24;
   int next = 0;
   std::mutex mutex;

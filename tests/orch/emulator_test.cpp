@@ -1,9 +1,9 @@
 #include "orch/emulator.hpp"
 
-#include "orch/collector.hpp"
-
 #include <gtest/gtest.h>
 
+#include "core/report.hpp"
+#include "ingest/sink.hpp"
 #include "util/sha256.hpp"
 
 namespace libspector::orch {
@@ -110,11 +110,23 @@ TEST_F(EmulatorTest, CoverageComputedAgainstDex) {
 }
 
 TEST_F(EmulatorTest, CentralCollectorReceivesSameReports) {
-  CollectionServer collector;
+  // A reliable central sink decoding the forwarded datagram stream.
+  class DecodingSink final : public ingest::ReportSink {
+   public:
+    void submitDatagram(std::span<const std::uint8_t> payload) override {
+      reports.push_back(decoder_.decode(payload));
+    }
+    std::vector<core::UdpReport> reports;
+
+   private:
+    core::ReportStreamDecoder decoder_;
+  };
+  DecodingSink collector;
   EmulatorInstance emulator(farm_, &collector, config(10));
   const auto artifacts = emulator.run(apk_, program_);
-  const auto central = collector.takeReports(artifacts.apkSha256);
-  EXPECT_EQ(central.size(), artifacts.reports.size());
+  ASSERT_EQ(collector.reports.size(), artifacts.reports.size());
+  for (std::size_t i = 0; i < artifacts.reports.size(); ++i)
+    EXPECT_EQ(collector.reports[i], artifacts.reports[i]);
 }
 
 TEST_F(EmulatorTest, FreshImagePerRunIsDeterministic) {

@@ -15,6 +15,7 @@
 
 #include "core/export.hpp"
 #include "orch/study.hpp"
+#include "util/bytes.hpp"
 
 namespace libspector::orch {
 namespace {
@@ -137,6 +138,11 @@ TEST_P(RecoverySweep, KillPointSweepYieldsByteIdenticalStudy) {
   const auto groundTruth = runStudy(config);
   const std::string expected = renderStudy(groundTruth.study);
   ASSERT_EQ(groundTruth.appsProcessed, config.store.appCount);
+  // Size and FNV-64 of this ground truth as recorded when the attributor
+  // still had its interning-off and row-fold fallbacks: all three
+  // rendered these bytes.
+  EXPECT_EQ(expected.size(), 11378u);
+  EXPECT_EQ(util::fnv1a64(expected), 0x81ae51e4bb761c0fULL);
 
   // The checkpointed deliveries of the uninterrupted run, in job-index
   // order — the exact sequence a crashed collector would have persisted.
@@ -199,96 +205,6 @@ TEST_P(RecoverySweep, KillPointSweepYieldsByteIdenticalStudy) {
 
 INSTANTIATE_TEST_SUITE_P(PrefetchThreads, RecoverySweep,
                          ::testing::Values(0, 2, 8));
-
-TEST(RecoveryTest, ResumeWithoutSymbolInterningIsByteIdentical) {
-  // The resumed half of a crashed study re-attributes with a fresh
-  // attributor; running that half with symbol interning disabled must still
-  // land on the interned ground truth, at every checkpoint kill point.
-  auto config = recoveryConfig();
-  config.artifactsDirectory = freshDir("intern_groundtruth");
-  const auto groundTruth = runStudy(config);
-  const std::string expected = renderStudy(groundTruth.study);
-
-  auto truthScan = StudyRecovery::scan(config.artifactsDirectory);
-  ASSERT_EQ(truthScan.runs.size(), config.store.appCount);
-  const std::size_t crashAt = truthScan.runs.size() / 2;
-
-  for (const std::string_view killPoint : kCheckpointKillPoints) {
-    auto crashed = recoveryConfig(2);
-    crashed.artifactsDirectory =
-        freshDir("intern_off_" + std::string(killPoint));
-    crashed.attribution.internSymbols = false;
-
-    std::size_t current = 0;
-    CheckpointWriter writer(crashed.artifactsDirectory,
-                            [&](std::string_view point) {
-                              if (point == killPoint && current == crashAt)
-                                throw SimulatedCrash("crash");
-                            });
-    bool crashedOut = false;
-    try {
-      for (const auto& run : truthScan.runs) {
-        current = run.jobIndex;
-        writer.checkpoint(run.jobIndex, run.account, run.artifacts);
-      }
-    } catch (const SimulatedCrash&) {
-      crashedOut = true;
-    }
-    ASSERT_TRUE(crashedOut) << killPoint;
-
-    const auto resumed = resumeStudy(crashed);
-    EXPECT_EQ(renderStudy(resumed.output.study), expected)
-        << "interning-off resume diverged after crash at " << killPoint;
-    EXPECT_EQ(resumed.output.appsProcessed, crashed.store.appCount)
-        << killPoint;
-  }
-}
-
-TEST(RecoveryTest, ResumeWithoutColumnarFoldIsByteIdentical) {
-  // Same contract for the columnar fold and the compiled attribution
-  // program: a resume that re-attributes through the row-reference path
-  // must land on the ground truth the accelerated study wrote, at every
-  // checkpoint kill point.
-  auto config = recoveryConfig();
-  config.artifactsDirectory = freshDir("columnar_groundtruth");
-  const auto groundTruth = runStudy(config);
-  const std::string expected = renderStudy(groundTruth.study);
-
-  auto truthScan = StudyRecovery::scan(config.artifactsDirectory);
-  ASSERT_EQ(truthScan.runs.size(), config.store.appCount);
-  const std::size_t crashAt = truthScan.runs.size() / 2;
-
-  for (const std::string_view killPoint : kCheckpointKillPoints) {
-    auto crashed = recoveryConfig(2);
-    crashed.artifactsDirectory =
-        freshDir("columnar_off_" + std::string(killPoint));
-    crashed.attribution.columnarFold = false;
-    crashed.attribution.compileProgram = false;
-
-    std::size_t current = 0;
-    CheckpointWriter writer(crashed.artifactsDirectory,
-                            [&](std::string_view point) {
-                              if (point == killPoint && current == crashAt)
-                                throw SimulatedCrash("crash");
-                            });
-    bool crashedOut = false;
-    try {
-      for (const auto& run : truthScan.runs) {
-        current = run.jobIndex;
-        writer.checkpoint(run.jobIndex, run.account, run.artifacts);
-      }
-    } catch (const SimulatedCrash&) {
-      crashedOut = true;
-    }
-    ASSERT_TRUE(crashedOut) << killPoint;
-
-    const auto resumed = resumeStudy(crashed);
-    EXPECT_EQ(renderStudy(resumed.output.study), expected)
-        << "columnar-off resume diverged after crash at " << killPoint;
-    EXPECT_EQ(resumed.output.appsProcessed, crashed.store.appCount)
-        << killPoint;
-  }
-}
 
 TEST(RecoveryTest, CorruptBundlesAreQuarantinedAndReRun) {
   auto config = recoveryConfig();

@@ -65,6 +65,29 @@ TEST(PolicyEngineTest, EvaluateExtractsOriginFromStack) {
   EXPECT_FALSE(engine.evaluate(firstParty, "config.unityads.com").blocked);
 }
 
+TEST(PolicyEngineTest, LaunderedStackIsBlockedLikeTheMeasurement) {
+  // The DESIGN.md §14 laundering: the SDK request is bounced through
+  // Method.invoke from a junk-package trampoline. The measurement pipeline
+  // elides the trampoline and attributes the SDK; enforcement must elect
+  // the same origin, or a laundering library slips past its block rule.
+  const std::vector<std::string> laundered = {
+      "java.net.Socket.connect",
+      "com.android.okhttp.internal.Platform.connectSocket",
+      "com.unity3d.ads.android.cache.b.a",
+      "com.unity3d.ads.android.cache.b.doInBackground",
+      "java.lang.reflect.Method.invoke",
+      "ab.c.x0.i0",
+      "android.os.AsyncTask$2.call",
+      "java.util.concurrent.FutureTask.run",
+  };
+  PolicyEngine byPrefix;
+  byPrefix.blockLibraryPrefix("com.unity3d.ads");
+  EXPECT_TRUE(byPrefix.evaluate(laundered, "config.unityads.com").blocked);
+  PolicyEngine byAntList;
+  byAntList.blockAntLibraries();
+  EXPECT_TRUE(byAntList.evaluate(laundered, "config.unityads.com").blocked);
+}
+
 TEST(PolicyEngineTest, BuiltinOnlyStackHasNoOriginToMatch) {
   PolicyEngine engine;
   engine.blockLibraryPrefix("com.mopub");

@@ -57,7 +57,7 @@ class SpectordDaemonTest : public ::testing::Test {
   std::unique_ptr<SpectorDaemon> makeDaemon(DaemonConfig config) {
     return std::make_unique<SpectorDaemon>(
         std::move(config), [this](const core::RunArtifacts& artifacts) {
-          return attributor_.attribute(artifacts);
+          return attributor_.attributeColumns(artifacts);
         });
   }
 
@@ -128,7 +128,7 @@ TEST_F(SpectordDaemonTest, WireIngestMatchesInProcessPipeline) {
   // Reference side: the same runs submitted straight into a pipeline.
   ingest::IngestPipeline pipeline(
       daemonConfig().ingest, [this](const core::RunArtifacts& artifacts) {
-        return attributor_.attribute(artifacts);
+        return attributor_.attributeColumns(artifacts);
       });
   for (std::size_t i = 0; i < 4; ++i) {
     auto artifacts = runApp(i, &pipeline);
@@ -464,7 +464,7 @@ TEST_F(SpectordDaemonTest, RunCompleteOutsideOwnedSliceIsRefused) {
     // client would also work, but the emulator needs *some* sink).
     ingest::IngestPipeline scratch(
         {.shards = 1}, [this](const core::RunArtifacts& artifacts) {
-          return attributor_.attribute(artifacts);
+          return attributor_.attributeColumns(artifacts);
         });
     for (std::size_t i = 0; i < generator_.appCount(); ++i) {
       runs.push_back(runApp(i, &scratch));

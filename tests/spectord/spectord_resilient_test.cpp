@@ -61,7 +61,7 @@ class SpectordResilientTest : public ::testing::Test {
     config.ingest.shards = 2;
     return std::make_unique<SpectorDaemon>(
         std::move(config), [this](const core::RunArtifacts& artifacts) {
-          return attributor_.attribute(artifacts);
+          return attributor_.attributeColumns(artifacts);
         });
   }
 
