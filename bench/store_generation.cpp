@@ -1,28 +1,30 @@
-// Pipelined app-store generation throughput, tracked from PR 4 onward.
+// App-store generation throughput: the per-app work a dispatcher worker
+// does before it emulates.
 //
 // Two axes:
-//   - job expansion: makeJob + apk hashing through the serial pull-through
-//     path vs the JobPrefetcher's generator pool at several thread counts
-//     (a consumer draining as fast as next() delivers);
+//   - job expansion: makeJob + streaming apk sha256, on 1 thread and on
+//     every hardware thread, the threads claiming corpus indices from one
+//     atomic cursor as the dispatcher's workers do;
 //   - hashing: ApkFile::sha256() as one streaming serialization walk vs
-//     the seed path (materialize serialize(), then hash the buffer).
+//     materializing serialize() and hashing the buffer.
 //
-// The headline comparison drains a fixed corpus through the prefetcher at
-// 0 (serial), 2, 4 and hardware-thread generators, prints apps/sec per
-// configuration, and writes BENCH_store.json so the perf trajectory is
-// machine-readable. Scaling is flat on 1-core CI boxes; the >=3x pipeline
-// criterion applies on multi-core hardware. The google-benchmark
-// microbenchmarks after it isolate the hash path.
+// The headline expands a fixed corpus kRepetitions times per thread count,
+// prints the median apps/s with its min and max, and writes
+// BENCH_store.json (gated by scripts/check_bench_floor.py). The
+// google-benchmark microbenchmarks after it isolate the hash path; pass
+// --benchmark_filter='^$' to run the headline alone.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "store/prefetch.hpp"
+#include "store/generator.hpp"
 #include "util/sha256.hpp"
 
 namespace {
@@ -30,6 +32,7 @@ namespace {
 using namespace libspector;
 
 constexpr std::size_t kApps = 96;
+constexpr std::size_t kRepetitions = 5;
 
 const store::AppStoreGenerator& benchGenerator() {
   static const store::AppStoreGenerator kGenerator([] {
@@ -42,78 +45,71 @@ const store::AppStoreGenerator& benchGenerator() {
   return kGenerator;
 }
 
-struct DrainResult {
-  double seconds = 0.0;
-  store::JobPrefetcher::Stats stats;
-};
-
-/// Drain the whole corpus through a prefetcher with `threads` generators,
-/// consuming as fast as next() delivers (the dispatcher's source lock is
-/// not the bottleneck here; expansion is).
-DrainResult drainCorpus(std::size_t threads) {
-  store::PrefetchConfig config;
-  config.threads = threads;
-  config.capacity = 32;
-  store::JobPrefetcher prefetcher(benchGenerator(), config);
+/// Expands the whole corpus (makeJob + streaming sha256) on `threads`
+/// threads that claim indices from one cursor; returns apps/s.
+double expandCorpus(std::size_t threads) {
+  std::atomic<std::size_t> cursor{0};
+  const auto claimLoop = [&cursor] {
+    for (std::size_t i = cursor.fetch_add(1); i < kApps;
+         i = cursor.fetch_add(1)) {
+      const auto job = benchGenerator().makeJob(i);
+      benchmark::DoNotOptimize(util::toHex(job.apk.sha256()));
+    }
+  };
   const auto start = std::chrono::steady_clock::now();
-  std::size_t delivered = 0;
-  while (auto item = prefetcher.next()) {
-    benchmark::DoNotOptimize(item->apkSha256.data());
-    ++delivered;
+  {
+    std::vector<std::jthread> pool;
+    for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(claimLoop);
   }
-  DrainResult result;
-  result.seconds =
+  const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  result.stats = prefetcher.stats();
-  if (delivered != kApps) std::fprintf(stderr, "short drain: %zu\n", delivered);
-  return result;
+  return static_cast<double>(kApps) / seconds;
 }
 
-void runHeadlineComparison() {
+struct Rate {
+  std::size_t threads = 0;
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Rate measure(std::size_t threads) {
+  std::vector<double> samples;
+  for (std::size_t r = 0; r < kRepetitions; ++r)
+    samples.push_back(expandCorpus(threads));
+  std::sort(samples.begin(), samples.end());
+  return {threads, samples[samples.size() / 2], samples.front(),
+          samples.back()};
+}
+
+void runHeadline() {
+  (void)benchGenerator();  // world build is set-up, not generation
   const std::size_t hardware =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  std::vector<std::size_t> threadCounts{0, 2, 4};
-  if (std::find(threadCounts.begin(), threadCounts.end(), hardware) ==
-      threadCounts.end())
-    threadCounts.push_back(hardware);
-
-  std::printf("=== store generation: %zu apps, expand + streaming sha256 ===\n",
-              kApps);
-  std::vector<DrainResult> results;
-  double serialRate = 0.0;
-  for (const std::size_t threads : threadCounts) {
-    const auto result = drainCorpus(threads);
-    results.push_back(result);
-    const double rate = static_cast<double>(kApps) / result.seconds;
-    if (threads == 0) serialRate = rate;
-    std::printf(
-        "%zu threads%s: %8.3f s  (%7.1f apps/s, window high-water %zu, "
-        "consumer waits %zu)%s\n",
-        threads, threads == 0 ? " (serial)" : "", result.seconds, rate,
-        result.stats.maxOutstanding, result.stats.consumerWaits,
-        threads == 0 ? "" :
-            (" -- " + std::to_string(rate / serialRate) + "x").c_str());
-  }
+  std::printf("=== store generation: %zu apps, makeJob + streaming sha256, "
+              "median of %zu ===\n",
+              kApps, kRepetitions);
+  const Rate one = measure(1);
+  const Rate all = measure(hardware);
+  for (const Rate& rate : {one, all})
+    std::printf("%2zu thread(s): %8.1f apps/s  (min %.1f, max %.1f)\n",
+                rate.threads, rate.median, rate.min, rate.max);
   std::printf("\n");
 
   if (std::FILE* json = std::fopen("BENCH_store.json", "w")) {
-    std::fprintf(json, "{\n  \"apps\": %zu,\n  \"hardware_threads\": %zu,\n",
-                 kApps, hardware);
-    std::fprintf(json, "  \"configurations\": [\n");
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const double rate = static_cast<double>(kApps) / results[i].seconds;
+    std::fprintf(json,
+                 "{\n  \"apps\": %zu,\n  \"repetitions\": %zu,\n"
+                 "  \"hardware_threads\": %zu,\n",
+                 kApps, kRepetitions, hardware);
+    for (const auto& [key, rate] :
+         {std::pair{"one_thread", one}, std::pair{"all_threads", all}})
       std::fprintf(json,
-                   "    {\"threads\": %zu, \"seconds\": %.6f, "
-                   "\"apps_per_sec\": %.2f, \"speedup_vs_serial\": %.3f, "
-                   "\"max_outstanding\": %zu, \"consumer_waits\": %zu}%s\n",
-                   threadCounts[i], results[i].seconds, rate,
-                   serialRate > 0.0 ? rate / serialRate : 0.0,
-                   results[i].stats.maxOutstanding,
-                   results[i].stats.consumerWaits,
-                   i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(json, "  ]\n}\n");
+                   "  \"%s_apps_per_sec\": %.2f,\n"
+                   "  \"%s_apps_per_sec_min\": %.2f,\n"
+                   "  \"%s_apps_per_sec_max\": %.2f,\n",
+                   key, rate.median, key, rate.min, key, rate.max);
+    std::fprintf(json, "  \"threads\": [1, %zu]\n}\n", hardware);
     std::fclose(json);
     std::printf("wrote BENCH_store.json\n\n");
   }
@@ -124,7 +120,7 @@ void runHeadlineComparison() {
 // ---------------------------------------------------------------------------
 
 void BM_Sha256Streaming(benchmark::State& state) {
-  // The PR 4 path: one serialization walk feeding the hasher, no buffer.
+  // The production path: one serialization walk feeding the hasher.
   const auto job = benchGenerator().makeJob(0);
   std::size_t bytes = 0;
   for (auto _ : state) {
@@ -138,7 +134,7 @@ void BM_Sha256Streaming(benchmark::State& state) {
 BENCHMARK(BM_Sha256Streaming)->Unit(benchmark::kMicrosecond);
 
 void BM_Sha256Buffered(benchmark::State& state) {
-  // The seed path: materialize the serialized apk, then hash the buffer.
+  // Materialize the serialized apk, then hash the buffer.
   const auto job = benchGenerator().makeJob(0);
   std::size_t bytes = 0;
   for (auto _ : state) {
@@ -154,7 +150,7 @@ void BM_Sha256Buffered(benchmark::State& state) {
 BENCHMARK(BM_Sha256Buffered)->Unit(benchmark::kMicrosecond);
 
 void BM_MakeJob(benchmark::State& state) {
-  // Expansion alone (no hashing): the unit of work the pool parallelizes.
+  // Expansion alone (no hashing).
   std::size_t i = 0;
   for (auto _ : state)
     benchmark::DoNotOptimize(benchGenerator().makeJob(i++ % kApps));
@@ -167,7 +163,7 @@ BENCHMARK(BM_MakeJob)->Unit(benchmark::kMicrosecond);
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  runHeadlineComparison();
+  runHeadline();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -6,8 +6,10 @@
 // Usage: large_scale_study [apps] [workers] [methodScale] [csvDir]
 //   large_scale_study 25000 0 1.0          # full population, full-size dex
 //   large_scale_study 2500 0 0.15 out/     # also export figure CSVs
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "core/analysis.hpp"
 #include "core/cost.hpp"
@@ -19,11 +21,35 @@
 
 using namespace libspector;
 
+namespace {
+
+/// `text` as a positive finite number when it is nothing else.
+std::optional<double> parseScale(const char* text) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value) || value <= 0)
+    return std::nullopt;
+  return value;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   store::StoreConfig storeConfig;
-  storeConfig.appCount = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 2500;
-  const std::size_t workers = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 0;
-  if (argc > 3) storeConfig.methodScale = std::strtod(argv[3], nullptr);
+  std::optional<std::uint64_t> apps = 2500;
+  std::optional<std::uint64_t> workers = 0;  // 0 = one per hardware thread
+  std::optional<double> methodScale = storeConfig.methodScale;
+  if (argc > 1) apps = util::parseWholeNumber(argv[1]);
+  if (argc > 2) workers = util::parseWholeNumber(argv[2]);
+  if (argc > 3) methodScale = parseScale(argv[3]);
+  if (argc > 5 || !apps || *apps == 0 || !workers || !methodScale) {
+    std::fprintf(stderr,
+                 "usage: large_scale_study [apps>0] [workers] "
+                 "[methodScale>0] [csvDir]\n");
+    return 2;
+  }
+  storeConfig.appCount = *apps;
+  storeConfig.methodScale = *methodScale;
   const char* csvDir = argc > 4 ? argv[4] : nullptr;
 
   util::setLogLevel(util::LogLevel::Info);
@@ -39,7 +65,7 @@ int main(int argc, char** argv) {
   // runStudy attributes on the worker fleet and folds results in dispatch
   // order, so the numbers below are byte-identical at any worker count.
   orch::DispatcherConfig dispatcherConfig;
-  dispatcherConfig.workers = workers;
+  dispatcherConfig.workers = *workers;
   const orch::StudyOutput output = orch::runStudy(generator, dispatcherConfig);
   const core::StudyAggregator& study = output.study;
 

@@ -6,10 +6,11 @@
 //   3. Attribute every socket to its origin-library and destination domain.
 //   4. Print the §IV-A headline numbers.
 //
-// Usage: quickstart [appCount] [workers]
+// Usage: quickstart [apps] [workers]   (defaults: 300 apps, one worker per
+//        hardware thread)
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
+#include <optional>
 
 #include "core/analysis.hpp"
 #include "core/attribution.hpp"
@@ -22,9 +23,16 @@
 using namespace libspector;
 
 int main(int argc, char** argv) {
+  std::optional<std::uint64_t> apps = 300;
+  std::optional<std::uint64_t> workers = 0;  // 0 = one per hardware thread
+  if (argc > 1) apps = util::parseWholeNumber(argv[1]);
+  if (argc > 2) workers = util::parseWholeNumber(argv[2]);
+  if (argc > 3 || !apps || *apps == 0 || !workers) {
+    std::fprintf(stderr, "usage: quickstart [apps>0] [workers]\n");
+    return 2;
+  }
   store::StoreConfig storeConfig;
-  storeConfig.appCount = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 300;
-  const std::size_t workers = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 0;
+  storeConfig.appCount = *apps;
 
   std::printf("Generating store world (%zu apps)...\n", storeConfig.appCount);
   store::AppStoreGenerator generator(storeConfig);
@@ -43,15 +51,18 @@ int main(int argc, char** argv) {
   // Reports reach the analysis through each run's artifact bundle, so no
   // central collector is wired in.
   orch::DispatcherConfig dispatcherConfig;
-  dispatcherConfig.workers = workers;
+  dispatcherConfig.workers = *workers;
   orch::Dispatcher dispatcher(generator.farm(), nullptr, dispatcherConfig);
 
   std::size_t next = 0;
   dispatcher.run(
       [&]() -> std::optional<orch::Dispatcher::Job> {
         if (next >= generator.appCount()) return std::nullopt;
-        auto job = generator.makeJob(next++);
-        return orch::Dispatcher::Job{std::move(job.apk), std::move(job.program)};
+        const std::size_t index = next++;
+        auto job = generator.makeJob(index);
+        return orch::Dispatcher::Job{.apk = std::move(job.apk),
+                                     .program = std::move(job.program),
+                                     .index = index};
       },
       [&](core::RunArtifacts&& artifacts) {
         // Workers already hold the dispatcher's sink lock; the categorizer

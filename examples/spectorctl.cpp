@@ -110,8 +110,11 @@ int cmdRun(const Args& args) {
   dispatcher.run(
       [&]() -> std::optional<orch::Dispatcher::Job> {
         if (next >= generator.appCount()) return std::nullopt;
-        auto job = generator.makeJob(next++);
-        return orch::Dispatcher::Job{std::move(job.apk), std::move(job.program)};
+        const std::size_t index = next++;
+        auto job = generator.makeJob(index);
+        return orch::Dispatcher::Job{.apk = std::move(job.apk),
+                                     .program = std::move(job.program),
+                                     .index = index};
       },
       [&](core::RunArtifacts&& artifacts) { db.store(std::move(artifacts)); });
 

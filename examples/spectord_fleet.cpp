@@ -14,7 +14,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -29,17 +28,25 @@
 #include "spectord/client.hpp"
 #include "spectord/daemon.hpp"
 #include "store/generator.hpp"
-#include "store/prefetch.hpp"
+#include "util/strings.hpp"
 #include "vtsim/categorizer.hpp"
 
 using namespace libspector;
 
 int main(int argc, char** argv) {
+  std::optional<std::uint64_t> apps = 12;
+  std::optional<std::uint64_t> workers = 3;  // 0 = one per hardware thread
+  if (argc > 1) apps = util::parseWholeNumber(argv[1]);
+  if (argc > 2) workers = util::parseWholeNumber(argv[2]);
+  if (argc > 3 || !apps || *apps == 0 || !workers) {
+    std::fprintf(stderr, "usage: spectord_fleet [apps>0] [workers]\n");
+    return 2;
+  }
   orch::StudyConfig config;
-  config.store.appCount = argc > 1 ? std::atoi(argv[1]) : 12;
+  config.store.appCount = *apps;
   config.store.seed = 7;
   config.store.methodScale = 0.05;
-  config.dispatcher.workers = argc > 2 ? std::atoi(argv[2]) : 3;
+  config.dispatcher.workers = *workers;
   config.dispatcher.emulator.monkey.events = 100;
   config.dispatcher.emulator.monkey.throttleMs = 50;
 
@@ -78,20 +85,18 @@ int main(int argc, char** argv) {
   // --- ingest surface: the emulator fleet, reports over the wire -------
   spectord::IngestClient sink(daemon.connect(), /*clientId=*/2);
   {
-    std::vector<std::size_t> indices(generator.appCount());
-    for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-    store::JobPrefetcher prefetcher(generator, std::move(indices),
-                                    config.prefetch);
+    // Each worker claims the next corpus index and expands the job itself.
+    std::atomic<std::size_t> cursor{0};
     std::atomic<std::uint64_t> accepted{0};
     orch::Dispatcher dispatcher(generator.farm(), &sink, config.dispatcher);
     dispatcher.runConcurrent(
         [&]() -> std::optional<orch::Dispatcher::Job> {
-          auto item = prefetcher.next();
-          if (!item) return std::nullopt;
-          return orch::Dispatcher::Job{std::move(item->job.apk),
-                                       std::move(item->job.program),
-                                       item->index,
-                                       std::move(item->apkSha256)};
+          const std::size_t index = cursor.fetch_add(1);
+          if (index >= generator.appCount()) return std::nullopt;
+          auto job = generator.makeJob(index);
+          return orch::Dispatcher::Job{.apk = std::move(job.apk),
+                                       .program = std::move(job.program),
+                                       .index = index};
         },
         [&](std::size_t index, core::RunArtifacts&& artifacts) {
           if (sink.completeRun(index, artifacts).accepted)

@@ -9,6 +9,7 @@ JSON next to the cwd:
   bench/ingest_throughput      -> BENCH_ingest.json
   bench/spectord_throughput    -> BENCH_spectord.json
   bench/scenario_throughput    -> BENCH_scenarios.json
+  bench/store_generation       -> BENCH_store.json
 
 This script fails when any gated metric regresses below its recorded
 floor, so an accidental slow-down on a hot path turns a green lane red
@@ -81,6 +82,15 @@ FLOORS = {
         # magnitude as the legacy corpus (measured ~73/s vs ~62/s on the
         # 1-core CI box).
         "scenario_apps_per_sec": (15.0, "/s"),
+    },
+    "BENCH_store.json": {
+        # makeJob + streaming sha256 over a 96-app corpus, median of 5,
+        # the threads claiming indices from one cursor as dispatcher
+        # workers do. Measured ~150-165 apps/s on 1 thread and ~600-710
+        # on 4 threads of a 4-thread box. The all-threads floor matches the
+        # one-thread floor: on a 1-core box it cannot beat one thread.
+        "one_thread_apps_per_sec": (40.0, "/s"),
+        "all_threads_apps_per_sec": (40.0, "/s"),
     },
 }
 

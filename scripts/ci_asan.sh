@@ -3,9 +3,11 @@
 # suites with AddressSanitizer and UndefinedBehaviorSanitizer and run them.
 # The fuzzers feed the wire, .spab and elision decoders hostile bytes; the
 # recovery sweep truncates and corrupts bundles mid-write; the symbol pool
-# hands out pointers into chunked storage; and the attribution, fold and
-# ingest suites drive the dense id-indexed accumulators, where an
-# out-of-range id is a silent heap overrun in a release build.
+# hands out pointers into chunked storage; the supervisor's frame index
+# and the monitor's coverage set borrow string views from the apk; and
+# the attribution, fold and ingest suites drive the dense id-indexed
+# accumulators, where an out-of-range id is a silent heap overrun in a
+# release build.
 #
 # Usage: scripts/ci_asan.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -35,13 +37,15 @@ TARGETS=(
   export_test
   accumulator_test
   flow_columns_test
+  disassembler_test
+  monitor_test
   supervisor_test
   engine_test
   emulator_test
   dispatcher_test
   default_wire_test
   study_test
-  prefetch_determinism_test
+  generation_determinism_test
   ingest_pipeline_test
   ingest_stress_test
   spectord_daemon_test

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # TSan CI lane: build the concurrent subsystems under ThreadSanitizer and
 # run the tests that exercise them — the ingest tier (sharded router,
-# pipeline, chaos channel, v3 dictionary path), the dispatcher fleet, the
-# job-prefetch generator pool, the lock-free-read symbol pool, the shared
+# pipeline, chaos channel, v3 dictionary path), the dispatcher fleet (whose
+# workers call their job source concurrently: the study's and the spectord
+# collector's cursor claims, the collector's jobLimit under concurrent
+# claims), the lock-free-read symbol pool, the shared
 # compiled attribution program + columnar fold that concurrent shard
 # workers run through, and the spectord daemon (event loop vs. client
 # threads vs. shard consumers, plus the multi-collector runCollector path
@@ -35,8 +37,7 @@ TARGETS=(
   study_test
   recovery_test
   database_test
-  prefetch_test
-  prefetch_determinism_test
+  generation_determinism_test
   symbol_pool_test
   attribution_program_test
   flow_columns_test
@@ -55,6 +56,6 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TARGETS[@]}"
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)" \
-  -R 'Ingest|Dispatcher|StudyRunner|Recovery|Database|Prefetch|Symbol|Interning|AttributionProgram|FlowColumns|Spectord|Reconnector|ScenarioMatrix')
+  -R 'Ingest|Dispatcher|StudyRunner|Recovery|Database|Determinism|Symbol|Interning|AttributionProgram|FlowColumns|Spectord|Reconnector|ScenarioMatrix')
 
 echo "TSan lane: OK"

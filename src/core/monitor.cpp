@@ -2,17 +2,19 @@
 
 #include <unordered_set>
 
-#include "dex/disassembler.hpp"
-
 namespace libspector::core {
 
 CoverageResult MethodMonitor::computeCoverage(
     const std::vector<std::string>& traceFile, const dex::ApkFile& apk) {
-  const auto dexSignatures = dex::allMethodSignatures(apk);
-  const std::unordered_set<std::string_view> dexSet(dexSignatures.begin(),
-                                                    dexSignatures.end());
+  // Views into the apk's own signature strings: the set indexes the dex in
+  // place for the length of this call.
+  std::unordered_set<std::string_view> dexSet;
+  dexSet.reserve(apk.totalMethodCount());
+  for (const auto& dex : apk.dexFiles)
+    for (const auto& cls : dex.classes)
+      for (const auto& m : cls.methods) dexSet.insert(m.signature);
   CoverageResult result;
-  result.totalMethods = dexSignatures.size();
+  result.totalMethods = apk.totalMethodCount();
   result.traceEntries = traceFile.size();
   for (const auto& entry : traceFile) {
     if (dexSet.contains(entry)) ++result.coveredMethods;

@@ -21,15 +21,13 @@ std::string translateFrame(const rt::StackFrameSnapshot& frame,
   }
   // Framework frames: try the dex translation table (third-party code
   // bundled in the apk shows up here), otherwise keep the frame name.
-  const auto& overloads = translations.lookup(frame.name);
-  if (!overloads.empty()) return overloads.front();
+  const auto overloads = translations.lookup(frame.name);
+  if (!overloads.empty()) return std::string(overloads.front());
   return frame.name;
 }
 
-void SocketSupervisor::primeApkContext(std::string apkSha256,
-                                       dex::FrameTableCache* tableCache) {
+void SocketSupervisor::primeApkContext(std::string apkSha256) {
   pendingApkSha256_ = std::move(apkSha256);
-  tableCache_ = tableCache;
 }
 
 void SocketSupervisor::onAppLoaded(rt::Interpreter& runtime,
@@ -39,12 +37,8 @@ void SocketSupervisor::onAppLoaded(rt::Interpreter& runtime,
   std::string sha = pendingApkSha256_.empty() ? util::toHex(apk.sha256())
                                               : std::move(pendingApkSha256_);
   pendingApkSha256_.clear();
-  auto translations =
-      tableCache_ != nullptr
-          ? tableCache_->tableFor(sha, apk)
-          : std::make_shared<const dex::FrameTranslationTable>(apk);
   auto state = std::make_shared<AppState>(
-      AppState{std::move(sha), std::move(translations)});
+      AppState{std::move(sha), dex::FrameTranslationTable(apk)});
   runtime.registerPostHook(
       std::string(rt::kSocketConnectFrame),
       [this, state](const rt::SocketHookContext& context) {
@@ -84,7 +78,7 @@ void SocketSupervisor::onSocketConnected(
   report.stackSignatures.reserve(trace.size());
   for (const auto& frame : trace)
     report.stackSignatures.push_back(
-        translateFrame(frame, runtime.program(), *state->translations));
+        translateFrame(frame, runtime.program(), state->translations));
 
   // Framed with the worker id and this run's next sequence number: the
   // channel is best-effort UDP, and only sender-assigned sequencing lets

@@ -34,17 +34,16 @@ class SocketSupervisor final : public hook::XposedModule {
       net::SockEndpoint collector = kDefaultCollectorEndpoint,
       std::uint32_t workerId = 0);
 
-  /// Pre-seed the next onAppLoaded with work the host already did: the
-  /// apk's hex sha256 (the emulator computes it once per run for the
-  /// artifact bundle) and an optional fleet-wide translation-table cache.
-  /// Without this the supervisor re-serializes the apk to hash it and
-  /// rebuilds the class table on every app load.
-  void primeApkContext(std::string apkSha256,
-                       dex::FrameTableCache* tableCache = nullptr);
+  /// Pre-seed the next onAppLoaded with the apk's hex sha256 (the emulator
+  /// computes it once per run for the artifact bundle). Without this the
+  /// supervisor re-serializes the apk to hash it.
+  void primeApkContext(std::string apkSha256);
 
-  /// Installs the post-hook on java.net.Socket.connect; resolves the frame
-  /// -> signature translation table and the apk checksum the reports will
-  /// carry (both from primeApkContext when available, computed otherwise).
+  /// Installs the post-hook on java.net.Socket.connect; indexes the apk's
+  /// frame -> signature translations in place and resolves the apk
+  /// checksum the reports will carry (from primeApkContext when available).
+  /// The index borrows `apk`'s strings: the apk must outlive the hooks,
+  /// as the emulator's does for the whole run.
   void onAppLoaded(rt::Interpreter& runtime, const dex::ApkFile& apk) override;
 
   [[nodiscard]] std::size_t reportsSent() const noexcept { return reportsSent_; }
@@ -52,7 +51,7 @@ class SocketSupervisor final : public hook::XposedModule {
  private:
   struct AppState {
     std::string apkSha256;
-    std::shared_ptr<const dex::FrameTranslationTable> translations;
+    dex::FrameTranslationTable translations;
   };
 
   void onSocketConnected(const rt::SocketHookContext& context,
@@ -62,7 +61,6 @@ class SocketSupervisor final : public hook::XposedModule {
   DictFrameEncoder dictEncoder_;
   std::size_t reportsSent_ = 0;
   std::string pendingApkSha256_;
-  dex::FrameTableCache* tableCache_ = nullptr;
 };
 
 /// Translate one stack frame to what the report should carry: the exact

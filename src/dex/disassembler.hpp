@@ -6,11 +6,9 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
+#include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "dex/apk.hpp"
@@ -24,59 +22,42 @@ namespace libspector::dex {
 /// Map from frame name ("com.foo.Bar.baz") to the type signatures of its
 /// overloads, as a Java stack frame does not carry parameter types.
 /// Signatures for one frame name keep dex order.
+///
+/// The table is a per-run index, not a copy: it holds views into the
+/// apk's own signature strings, so the apk must outlive it and must not
+/// change while it lives (the supervisor builds one per app load, from the
+/// ApkFile the emulator holds for the whole run). Frame names are never
+/// built: each signature is split with parseSignatureView, and the dotted
+/// name is hashed and compared straight off the slashed class part.
 class FrameTranslationTable {
  public:
   explicit FrameTranslationTable(const ApkFile& apk);
+  /// A temporary apk would leave the table's views dangling.
+  FrameTranslationTable(ApkFile&&) = delete;
 
   /// Signatures of all overloads behind a frame name; empty when the frame
   /// does not belong to the apk (e.g. a framework method).
-  [[nodiscard]] const std::vector<std::string>& lookup(
-      const std::string& frameName) const;
+  [[nodiscard]] std::span<const std::string_view> lookup(
+      std::string_view frameName) const;
 
-  [[nodiscard]] std::size_t size() const noexcept { return table_.size(); }
-
- private:
-  std::unordered_map<std::string, std::vector<std::string>> table_;
-};
-
-/// Thread-safe LRU cache of FrameTranslationTables keyed on apk digest.
-///
-/// Building the table is a full walk of the apk's class tables (tens of
-/// thousands of signature parses for a paper-scale apk); the Socket
-/// Supervisor used to rebuild it on every app load. The dispatcher owns
-/// one cache for the whole fleet, so repeated runs of the same apk —
-/// resume re-runs, retries, benches, policy re-checks — parse the dex
-/// once. Keying on the content digest (not package/version) makes a stale
-/// hit impossible: same digest, same bytes, same table.
-class FrameTableCache {
- public:
-  explicit FrameTableCache(std::size_t capacity = 256);
-
-  /// The table for `apk`, built on miss. `apkSha256` is the hex digest of
-  /// the apk's serialized bytes (the caller already has it — computing it
-  /// here would defeat the digest memoization this cache rides on).
-  [[nodiscard]] std::shared_ptr<const FrameTranslationTable> tableFor(
-      const std::string& apkSha256, const ApkFile& apk);
-
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-  };
-  [[nodiscard]] Stats stats() const;
-  [[nodiscard]] std::size_t size() const;
+  /// Number of distinct frame names.
+  [[nodiscard]] std::size_t size() const noexcept { return frameCount_; }
 
  private:
-  struct Entry {
-    std::shared_ptr<const FrameTranslationTable> table;
-    std::list<std::string>::iterator lruPosition;
+  /// One parseable signature's frame name, as the two views it is dotted
+  /// from ("com/foo/Bar" + '.' + "baz").
+  struct Frame {
+    std::uint64_t hash = 0;
+    std::string_view slashedClass;
+    std::string_view methodName;
   };
 
-  mutable std::mutex mutex_;
-  std::size_t capacity_;
-  std::list<std::string> lru_;  // front = most recently used digest
-  std::unordered_map<std::string, Entry> entries_;
-  Stats stats_;
+  /// Sorted by (hash, dotted name, dex order), so every frame name's
+  /// overloads are one contiguous dex-ordered run; signatures_[i] is
+  /// frames_[i]'s signature.
+  std::vector<Frame> frames_;
+  std::vector<std::string_view> signatures_;
+  std::size_t frameCount_ = 0;
 };
 
 }  // namespace libspector::dex

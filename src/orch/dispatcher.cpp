@@ -36,19 +36,26 @@ void Dispatcher::recordJob(double jobMs, double sinkMs, double blockedMs) {
 
 void Dispatcher::run(const JobSource& source, const ResultSink& sink) {
   // Serialized delivery is the concurrent path plus one lock around the
-  // sink; the lock-acquire wait is surfaced in stats() so the cost of
-  // funneling the fleet through a serialized sink stays measurable.
+  // source and one around the sink; the sink lock-acquire wait is surfaced
+  // in stats() so the cost of funneling the fleet through a serialized
+  // sink stays measurable.
+  std::mutex sourceMutex;
   std::mutex sinkMutex;
-  runConcurrent(source, [&](std::size_t, core::RunArtifacts&& artifacts) {
-    const auto blockedStart = Clock::now();
-    const std::scoped_lock lock(sinkMutex);
-    const double blockedMs = millisSince(blockedStart);
-    {
-      const std::scoped_lock statsLock(statsMutex_);
-      stats_.sinkBlockedMsTotal += blockedMs;
-    }
-    sink(std::move(artifacts));
-  });
+  runConcurrent(
+      [&] {
+        const std::scoped_lock lock(sourceMutex);
+        return source();
+      },
+      [&](std::size_t, core::RunArtifacts&& artifacts) {
+        const auto blockedStart = Clock::now();
+        const std::scoped_lock lock(sinkMutex);
+        const double blockedMs = millisSince(blockedStart);
+        {
+          const std::scoped_lock statsLock(statsMutex_);
+          stats_.sinkBlockedMsTotal += blockedMs;
+        }
+        sink(std::move(artifacts));
+      });
 }
 
 void Dispatcher::runConcurrent(const JobSource& source,
@@ -60,32 +67,21 @@ void Dispatcher::runConcurrent(const JobSource& source,
           : std::max<std::size_t>(1, std::thread::hardware_concurrency());
 
   const auto runStart = Clock::now();
-  std::mutex sourceMutex;
   std::mutex failureMutex;
-  std::atomic<std::size_t> jobIndex{0};
   std::atomic<std::size_t> completed{0};
 
   const auto workerLoop = [&] {
-    while (true) {
-      std::optional<Job> job;
-      std::size_t index = 0;
-      {
-        // Pulls stay serialized (sources need no locking of their own) and
-        // index assignment follows pull order, so per-app seeds — and with
-        // them every artifact byte — are independent of worker count.
-        const std::scoped_lock lock(sourceMutex);
-        job = source();
-        if (!job) return;
-        index = job->index ? *job->index : jobIndex.fetch_add(1);
-      }
-
+    // The source runs here, on the worker, with no lock: expanding a job
+    // is per-app work like emulating it. Per-app seeds follow the job's
+    // own index, so every artifact byte is independent of worker count.
+    while (std::optional<Job> job = source()) {
+      const std::size_t index = job->index;
       EmulatorConfig emulatorConfig = config_.emulator;
       emulatorConfig.seed = config_.baseSeed + index;
       // Job indices are unique per study, so (workerId, sequence) uniquely
       // identifies every framed report the fleet emits.
       emulatorConfig.workerId = static_cast<std::uint32_t>(index);
       emulatorConfig.apkSha256 = std::move(job->apkSha256);
-      emulatorConfig.frameTableCache = &frameTables_;
       EmulatorInstance emulator(farm_, collector_, emulatorConfig);
       const auto jobStart = Clock::now();
       try {

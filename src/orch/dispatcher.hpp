@@ -5,17 +5,18 @@
 // a fresh EmulatorInstance, runs the app, and hands the artifact bundle to
 // the result sink.
 //
-// Two delivery modes:
-//  - run(): job pulls and result delivery are serialized by the dispatcher,
-//    so sources and sinks need no locking of their own. Simple, but the
-//    whole fleet funnels through one sink — anything expensive in the sink
-//    (the offline attribution stage used to live there) collapses the
-//    fleet to one core.
-//  - runConcurrent(): results are delivered on the worker thread that
-//    produced them, tagged with the job index, with no serialization. The
-//    sink must be thread-safe; in exchange heavy per-result work
-//    (attribution) runs in parallel, and the index lets an order-restoring
-//    consumer (core::StudyAccumulator) keep output deterministic.
+// Every job carries its own index: it seeds the emulator and tags the
+// delivery, so artifacts depend on what a job is, never on which worker
+// pulled it or when. Two delivery modes:
+//  - run(): source pulls and result delivery are each serialized by the
+//    dispatcher, so sources and sinks need no locking of their own.
+//    Simple, but the whole fleet funnels through one source and one sink.
+//  - runConcurrent(): the source is called from every worker with no lock,
+//    so a source that expands jobs (makeJob + sha256 for a study) does it
+//    in parallel; results are delivered on the worker thread that produced
+//    them, tagged with the job index. Source and sink must be thread-safe;
+//    an order-restoring consumer (core::StudyAccumulator) keeps output
+//    deterministic.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +27,6 @@
 #include <vector>
 
 #include "dex/apk.hpp"
-#include "dex/disassembler.hpp"
 #include "ingest/sink.hpp"
 #include "net/server.hpp"
 #include "orch/emulator.hpp"
@@ -47,17 +47,17 @@ class Dispatcher {
   struct Job {
     dex::ApkFile apk;
     rt::AppProgram program;
-    /// When set, the job runs under this index instead of the next
-    /// pull-order one. Emulator seeds derive from the index, so resumed
-    /// studies use this to re-run gap jobs under their original
-    /// identities and reproduce the uninterrupted run byte for byte.
-    std::optional<std::size_t> index;
+    /// The job's identity in its study. Emulator seeds and report worker
+    /// ids derive from it, so a study passes the corpus index: resumed
+    /// studies re-run gap jobs under their original identities and
+    /// reproduce the uninterrupted run byte for byte.
+    std::size_t index = 0;
     /// Precomputed hex sha256 of `apk` (empty = the emulator hashes it).
-    /// The generation tier fills this so the hash overlaps generation
-    /// instead of stalling an emulator worker.
-    std::string apkSha256;
+    /// A source that hashes anyway (to test ownership) passes it on.
+    std::string apkSha256 = {};
   };
-  /// Returns the next job or std::nullopt when the corpus is exhausted.
+  /// Returns the next job or std::nullopt once the worker should stop.
+  /// runConcurrent calls it from every worker at once.
   using JobSource = std::function<std::optional<Job>()>;
   /// Receives each finished app's artifacts (serialized delivery).
   using ResultSink = std::function<void(core::RunArtifacts&&)>;
@@ -112,9 +112,9 @@ class Dispatcher {
   /// ran 25,000 heterogeneous Play-store apps).
   void run(const JobSource& source, const ResultSink& sink);
 
-  /// Like run(), but results are delivered concurrently with job indices
-  /// (assigned in source-pull order, which also seeds the emulators).
-  /// `onFailure` is optional.
+  /// Like run(), but the source is called concurrently and results are
+  /// delivered concurrently with their job indices. Both must be
+  /// thread-safe. `onFailure` is optional.
   void runConcurrent(const JobSource& source, const IndexedResultSink& sink,
                      const FailureSink& onFailure = {});
 
@@ -130,10 +130,6 @@ class Dispatcher {
   const net::ServerFarm& farm_;
   ingest::ReportSink* collector_;
   DispatcherConfig config_;
-  /// Fleet-wide frame-translation-table cache, shared by every emulator
-  /// this dispatcher boots (keyed on apk digest, so re-runs of the same
-  /// apk skip the dex walk entirely).
-  dex::FrameTableCache frameTables_;
   std::size_t processed_ = 0;
   std::vector<FailedJob> failures_;
   Stats stats_;

@@ -47,10 +47,10 @@ core::RunArtifacts EmulatorInstance::run(const dex::ApkFile& apk,
   rt::Interpreter runtime(program, stack, monitor.tracer(), clock, rng.fork(2));
   runtime.setScenario(config_.scenario);
 
-  // Apk identity, computed at most once per run: the prefetcher's streaming
-  // digest when present, one streaming serialization walk otherwise. The
-  // supervisor is primed with the same string (and the fleet's translation
-  // table cache) so it never re-serializes the apk.
+  // Apk identity, computed at most once per run: the job source's digest
+  // when present, one streaming serialization walk otherwise. The
+  // supervisor is primed with the same string so it never re-serializes
+  // the apk; its frame index borrows from `apk`, which outlives the run.
   const std::string apkSha256 = config_.apkSha256.empty()
                                     ? util::toHex(apk.sha256())
                                     : config_.apkSha256;
@@ -58,7 +58,7 @@ core::RunArtifacts EmulatorInstance::run(const dex::ApkFile& apk,
   hook::XposedFramework xposed;
   const auto supervisor = std::make_shared<core::SocketSupervisor>(
       core::kDefaultCollectorEndpoint, config_.workerId);
-  supervisor->primeApkContext(apkSha256, config_.frameTableCache);
+  supervisor->primeApkContext(apkSha256);
   xposed.installModule(supervisor);
   xposed.attachToApp(runtime, apk);
 

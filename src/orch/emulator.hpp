@@ -36,14 +36,11 @@ struct EmulatorConfig {
   /// index, which is unique per study.
   std::uint32_t workerId = 0;
   /// Precomputed hex sha256 of the apk under test (empty = hash at run
-  /// start). The generation tier's JobPrefetcher fills this, so emulator
-  /// workers never serialize an apk just to hash it; either way the digest
-  /// is computed at most once per run and shared with the supervisor.
+  /// start). A job source that already hashed the apk (the spectord
+  /// collector does, to test ownership) passes it on; either way the
+  /// digest is computed at most once per run and shared with the
+  /// supervisor.
   std::string apkSha256;
-  /// Fleet-wide frame-translation-table cache handed to the supervisor
-  /// (nullptr = the supervisor builds its own table per run). Owned by the
-  /// dispatcher; must outlive the instance.
-  dex::FrameTableCache* frameTableCache = nullptr;
   /// Workload-scenario switches (§14). All off (the default) pins the
   /// legacy runtime byte for byte; each flag opens one new behaviour in
   /// the runtime (keep-alive pooling) — the matching store/generator flags

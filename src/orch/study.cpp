@@ -1,6 +1,7 @@
 #include "orch/study.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -27,7 +28,6 @@ StudyOutput runPipeline(const store::AppStoreGenerator& generator,
                         const DispatcherConfig& dispatcherConfig,
                         const std::string& artifactsDirectory,
                         const ingest::IngestConfig& ingestConfig,
-                        const store::PrefetchConfig& prefetchConfig,
                         std::vector<RecoveredRun>* replays) {
   const auto start = std::chrono::steady_clock::now();
 
@@ -92,25 +92,25 @@ StudyOutput runPipeline(const store::AppStoreGenerator& generator,
       replays->clear();
     }
 
-    // Generation tier: the prefetcher expands the gap indices (all of them
-    // for a fresh run) ahead of the fleet, order-preserving, hashing each
-    // apk during expansion. Resumed studies see only the gaps here, still
-    // pinned to their original indices.
+    // Each worker claims the next gap index (every index, for a fresh
+    // run) and expands it itself: makeJob is a pure function of the index,
+    // so the job is the same whichever worker claims it. Resumed studies
+    // see only the gaps here, still pinned to their original indices.
     std::vector<std::size_t> gaps;
     gaps.reserve(appCount);
     for (std::size_t i = 0; i < appCount; ++i)
       if (!done[i]) gaps.push_back(i);
-    store::JobPrefetcher prefetcher(generator, std::move(gaps),
-                                    prefetchConfig);
+    std::atomic<std::size_t> cursor{0};
 
     Dispatcher dispatcher(generator.farm(), &pipeline, dispatcherConfig);
     dispatcher.runConcurrent(
-        [&prefetcher]() -> std::optional<Dispatcher::Job> {
-          auto item = prefetcher.next();
-          if (!item) return std::nullopt;
-          return Dispatcher::Job{std::move(item->job.apk),
-                                 std::move(item->job.program), item->index,
-                                 std::move(item->apkSha256)};
+        [&]() -> std::optional<Dispatcher::Job> {
+          const std::size_t claim = cursor.fetch_add(1);
+          if (claim >= gaps.size()) return std::nullopt;
+          auto job = generator.makeJob(gaps[claim]);
+          return Dispatcher::Job{.apk = std::move(job.apk),
+                                 .program = std::move(job.program),
+                                 .index = gaps[claim]};
         },
         [&](std::size_t index, core::RunArtifacts&& artifacts) {
           pipeline.submitRun(index, std::move(artifacts));
@@ -120,7 +120,6 @@ StudyOutput runPipeline(const store::AppStoreGenerator& generator,
         });
     pipeline.drain();
     accumulator.finish();
-    output.prefetchStats = prefetcher.stats();
     output.ingestMetrics = pipeline.metrics();
     output.appsProcessed = dispatcher.appsProcessed() + output.appsReplayed;
     output.appsFailed = dispatcher.failures().size();
@@ -159,29 +158,27 @@ StudyOutput runPipeline(const store::AppStoreGenerator& generator,
 StudyOutput runStudy(const StudyConfig& config) {
   const store::AppStoreGenerator generator(config.store);
   return runStudy(generator, config.dispatcher, config.artifactsDirectory,
-                  config.ingest, config.prefetch);
+                  config.ingest);
 }
 
 StudyOutput runStudy(const store::AppStoreGenerator& generator,
                      const DispatcherConfig& dispatcherConfig,
                      const std::string& artifactsDirectory,
-                     const ingest::IngestConfig& ingestConfig,
-                     const store::PrefetchConfig& prefetch) {
+                     const ingest::IngestConfig& ingestConfig) {
   return runPipeline(generator, dispatcherConfig, artifactsDirectory,
-                     ingestConfig, prefetch, nullptr);
+                     ingestConfig, nullptr);
 }
 
 ResumeOutput resumeStudy(const StudyConfig& config) {
   const store::AppStoreGenerator generator(config.store);
   return resumeStudy(generator, config.dispatcher, config.artifactsDirectory,
-                     config.ingest, config.prefetch);
+                     config.ingest);
 }
 
 ResumeOutput resumeStudy(const store::AppStoreGenerator& generator,
                          const DispatcherConfig& dispatcherConfig,
                          const std::string& artifactsDirectory,
-                         const ingest::IngestConfig& ingestConfig,
-                         const store::PrefetchConfig& prefetch) {
+                         const ingest::IngestConfig& ingestConfig) {
   if (artifactsDirectory.empty())
     throw std::invalid_argument(
         "resumeStudy: artifactsDirectory must name the checkpoint directory "
@@ -190,7 +187,7 @@ ResumeOutput resumeStudy(const store::AppStoreGenerator& generator,
   ResumeOutput resume;
   resume.recovery = StudyRecovery::scan(artifactsDirectory);
   resume.output = runPipeline(generator, dispatcherConfig, artifactsDirectory,
-                              ingestConfig, prefetch, &resume.recovery.runs);
+                              ingestConfig, &resume.recovery.runs);
   return resume;
 }
 
@@ -222,7 +219,7 @@ MergeOutput mergeStudies(const StudyConfig& config,
   // No artifactsDirectory: the merge aggregates, it does not re-persist
   // the collectors' bundles into a fourth directory.
   merge.output = runPipeline(generator, config.dispatcher, std::string{},
-                             config.ingest, config.prefetch, &combined);
+                             config.ingest, &combined);
   return merge;
 }
 

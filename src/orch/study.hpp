@@ -32,7 +32,6 @@
 #include "orch/dispatcher.hpp"
 #include "orch/recovery.hpp"
 #include "store/generator.hpp"
-#include "store/prefetch.hpp"
 
 namespace libspector::orch {
 
@@ -44,13 +43,6 @@ struct StudyConfig {
   /// one shard per hardware thread; any shard count yields byte-identical
   /// study output (the accumulator restores dispatch order).
   ingest::IngestConfig ingest{.shards = 0};
-  /// Pipelined job generation: N generator threads expand AppPlans (and
-  /// stream-hash the apks) ahead of the dispatcher through a bounded
-  /// reorder window, so emulator workers never stall on makeJob. 0 threads
-  /// = the serial pull-through path. Any thread count yields byte-identical
-  /// study output — makeJob is a pure function of the plan seed, and the
-  /// window preserves index order (tests/store/prefetch_determinism_test).
-  store::PrefetchConfig prefetch;
   /// When non-empty, every run is incrementally checkpointed here as its
   /// shard finalizes it (one crc32-framed .spab per app plus a manifest),
   /// and the domains.csv world manifest is written at the end. The same
@@ -72,9 +64,6 @@ struct StudyOutput {
   /// Ingest-tier counters: per-shard loss/dup/reorder accounting, queue
   /// behaviour, fold latency percentiles. toJson() for dashboards.
   ingest::IngestMetrics ingestMetrics;
-  /// Generation-tier counters (jobs expanded/delivered, reorder-window
-  /// high-water mark, consumer stalls on makeJob).
-  store::JobPrefetcher::Stats prefetchStats;
 };
 
 /// Generate a world per `config.store` and measure it end to end.
@@ -85,8 +74,7 @@ struct StudyOutput {
                                    const DispatcherConfig& dispatcherConfig,
                                    const std::string& artifactsDirectory = {},
                                    const ingest::IngestConfig& ingestConfig = {
-                                       .shards = 0},
-                                   const store::PrefetchConfig& prefetch = {});
+                                       .shards = 0});
 
 struct ResumeOutput {
   StudyOutput output;
@@ -108,8 +96,7 @@ struct ResumeOutput {
     const store::AppStoreGenerator& generator,
     const DispatcherConfig& dispatcherConfig,
     const std::string& artifactsDirectory,
-    const ingest::IngestConfig& ingestConfig = {.shards = 0},
-    const store::PrefetchConfig& prefetch = {});
+    const ingest::IngestConfig& ingestConfig = {.shards = 0});
 
 struct MergeOutput {
   StudyOutput output;

@@ -1,6 +1,7 @@
 #include "spectord/cluster.hpp"
 
 #include <atomic>
+#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -10,8 +11,8 @@
 #include "orch/recovery.hpp"
 #include "radar/corpus.hpp"
 #include "spectord/client.hpp"
-#include "store/prefetch.hpp"
 #include "util/log.hpp"
+#include "util/sha256.hpp"
 #include "vtsim/categorizer.hpp"
 
 namespace libspector::spectord {
@@ -80,38 +81,39 @@ CollectorResult runCollector(const orch::StudyConfig& config,
   result.sessionToken = client.sessionToken();
 
   {
-    // The prefetcher expands the whole corpus — ownership hashes the apk
-    // digest, which only exists after expansion — and the source filters
-    // to owned gaps. Non-owned expansion is wasted generation, not wasted
-    // emulation; the emulator tier only ever sees owned jobs.
-    std::vector<std::size_t> indices;
-    indices.reserve(appCount);
-    for (std::size_t i = 0; i < appCount; ++i) indices.push_back(i);
-    store::JobPrefetcher prefetcher(generator, std::move(indices),
-                                    config.prefetch);
+    // Workers claim corpus indices from one cursor and expand them
+    // themselves. Ownership hashes the apk digest, which only exists after
+    // expansion, so every collector expands the whole corpus (minus what
+    // it replayed) and keeps its owned share. Non-owned expansion is
+    // wasted generation, not wasted emulation; the emulator tier only ever
+    // sees owned jobs.
+    std::atomic<std::size_t> cursor{0};
+    std::mutex limitMutex;  // guards the jobLimit check and both counters
 
     std::atomic<std::uint64_t> accepted{0};
     orch::Dispatcher dispatcher(generator.farm(), &client, config.dispatcher);
     dispatcher.runConcurrent(
-        // Serialized by the dispatcher's source lock, so the plain result
-        // counters are safe here.
         [&]() -> std::optional<orch::Dispatcher::Job> {
           while (true) {
-            if (result.jobsDispatched >= options.jobLimit)
-              return std::nullopt;  // simulated mid-study kill
-            auto item = prefetcher.next();
-            if (!item) return std::nullopt;
-            if (!assignment.owns(item->apkSha256)) continue;
-            if (done[item->index]) continue;  // replayed on resume
-            // Owned is counted after the done[] skip: a resumed collector
-            // reports only the gaps it still has to work, not its whole
-            // share over again.
-            ++result.jobsOwned;
-            ++result.jobsDispatched;
-            return orch::Dispatcher::Job{std::move(item->job.apk),
-                                         std::move(item->job.program),
-                                         item->index,
-                                         std::move(item->apkSha256)};
+            const std::size_t index = cursor.fetch_add(1);
+            if (index >= appCount) return std::nullopt;
+            if (done[index]) continue;  // replayed on resume
+            auto job = generator.makeJob(index);
+            std::string sha = util::toHex(job.apk.sha256());
+            if (!assignment.owns(sha)) continue;
+            {
+              const std::scoped_lock lock(limitMutex);
+              if (result.jobsDispatched >= options.jobLimit)
+                return std::nullopt;  // simulated mid-study kill
+              // Owned is counted after the done[] skip: a resumed
+              // collector reports only the gaps it still has to work, not
+              // its whole share over again.
+              ++result.jobsOwned;
+              ++result.jobsDispatched;
+            }
+            return orch::Dispatcher::Job{std::move(job.apk),
+                                         std::move(job.program), index,
+                                         std::move(sha)};
           }
         },
         [&](std::size_t index, core::RunArtifacts&& artifacts) {

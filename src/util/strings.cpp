@@ -1,6 +1,7 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace libspector::util {
@@ -75,6 +76,15 @@ std::string prefixLevels(std::string_view package, int n) {
 
 bool contains(std::string_view s, std::string_view needle) {
   return s.find(needle) != std::string_view::npos;
+}
+
+std::optional<std::uint64_t> parseWholeNumber(std::string_view text) noexcept {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  // Unsigned from_chars takes no sign and no space; empty text is an error.
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end) return std::nullopt;
+  return value;
 }
 
 std::string humanBytes(double bytes) {

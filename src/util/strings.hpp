@@ -2,7 +2,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,6 +45,12 @@ namespace libspector::util {
 
 /// Human-readable byte count ("1.59 GB", "452 MB", "713 B").
 [[nodiscard]] std::string humanBytes(double bytes);
+
+/// `text` as a decimal whole number when it is nothing else: no sign, no
+/// space, no trailing characters, no overflow. Command lines parse counts
+/// with this, not atoi/strtoul, which read "12x" as 12 and "abc" as 0.
+[[nodiscard]] std::optional<std::uint64_t> parseWholeNumber(
+    std::string_view text) noexcept;
 
 /// Heterogeneous hash for unordered containers keyed by std::string, so
 /// lookups accept std::string_view without allocating a temporary key.

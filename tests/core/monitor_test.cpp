@@ -54,6 +54,20 @@ TEST(MonitorTest, OverloadsCountedSeparately) {
   EXPECT_EQ(coverage.totalMethods, 2u);
 }
 
+TEST(MonitorTest, DuplicateDexSignaturesCountTowardTheTotalOnly) {
+  // A signature listed twice in the dex counts twice in the denominator
+  // (every dex method entry) but is one covered method: the coverage the
+  // apk-copying implementation computed.
+  const auto apk =
+      apkWithMethods({"La;->m()V", "La;->m()V", "La;->n()V", "La;->o()V"});
+  const auto coverage =
+      MethodMonitor::computeCoverage({"La;->m()V", "La;->x()V"}, apk);
+  EXPECT_EQ(coverage.totalMethods, 4u);
+  EXPECT_EQ(coverage.coveredMethods, 1u);
+  EXPECT_EQ(coverage.traceEntries, 2u);
+  EXPECT_DOUBLE_EQ(coverage.ratio(), 0.25);
+}
+
 TEST(MonitorTest, MonitorWiresUniqueTracer) {
   MethodMonitor monitor;
   monitor.tracer().onMethodEntry("La;->m1()V");

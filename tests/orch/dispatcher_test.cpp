@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <mutex>
 #include <set>
@@ -21,6 +22,7 @@ class DispatcherTest : public ::testing::Test {
 
   Dispatcher::Job jobFor(int index) {
     Dispatcher::Job job;
+    job.index = static_cast<std::size_t>(index);
     job.apk.packageName = "com.app.n" + std::to_string(index);
     job.apk.appCategory = "TOOLS";
     rt::NetRequestAction request;
@@ -131,13 +133,16 @@ TEST_F(DispatcherTest, ArtifactsIdenticalRegardlessOfWorkerCount) {
 TEST_F(DispatcherTest, ConcurrentDeliveryTagsJobsWithPullOrderIndices) {
   Dispatcher dispatcher(farm_, nullptr, quickConfig(4));
   constexpr int kJobs = 24;
-  int next = 0;
+  // Concurrent source: every worker calls it with no lock, so it claims
+  // from an atomic cursor and tags each job with the claimed index.
+  std::atomic<int> next{0};
   std::mutex mutex;
   std::map<std::size_t, std::string> byIndex;
   dispatcher.runConcurrent(
       [&]() -> std::optional<Dispatcher::Job> {
-        if (next >= kJobs) return std::nullopt;
-        return jobFor(next++);
+        const int claim = next.fetch_add(1);
+        if (claim >= kJobs) return std::nullopt;
+        return jobFor(claim);
       },
       [&](std::size_t index, core::RunArtifacts&& artifacts) {
         // Concurrent sink: the dispatcher no longer serializes delivery.
@@ -146,7 +151,7 @@ TEST_F(DispatcherTest, ConcurrentDeliveryTagsJobsWithPullOrderIndices) {
       });
   ASSERT_EQ(byIndex.size(), static_cast<std::size_t>(kJobs));
   for (int i = 0; i < kJobs; ++i) {
-    // Index i is assigned at the i-th source pull, which produced app i.
+    // Index i was claimed by the i-th source pull, which produced app i.
     EXPECT_EQ(byIndex.at(static_cast<std::size_t>(i)),
               "com.app.n" + std::to_string(i));
   }
@@ -154,16 +159,16 @@ TEST_F(DispatcherTest, ConcurrentDeliveryTagsJobsWithPullOrderIndices) {
 
 TEST_F(DispatcherTest, ConcurrentFailureCallbackReportsTheIndex) {
   Dispatcher dispatcher(farm_, nullptr, quickConfig(3));
-  int next = 0;
+  std::atomic<int> next{0};
   std::mutex mutex;
   std::vector<std::size_t> delivered;
   std::vector<std::size_t> failed;
   dispatcher.runConcurrent(
       [&]() -> std::optional<Dispatcher::Job> {
-        if (next >= 9) return std::nullopt;
-        Dispatcher::Job job = jobFor(next);
-        if (next == 4) job.program.uiHandlers = {9999};
-        ++next;
+        const int claim = next.fetch_add(1);
+        if (claim >= 9) return std::nullopt;
+        Dispatcher::Job job = jobFor(claim);
+        if (claim == 4) job.program.uiHandlers = {9999};
         return job;
       },
       [&](std::size_t index, core::RunArtifacts&&) {

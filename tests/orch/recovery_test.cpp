@@ -22,17 +22,15 @@ namespace {
 
 namespace fs = std::filesystem;
 
-StudyConfig recoveryConfig(std::size_t prefetchThreads = 0) {
+StudyConfig recoveryConfig(std::size_t workers = 2) {
   StudyConfig config;
   config.store.appCount = 8;
   config.store.seed = 7;
   config.store.methodScale = 0.05;
   config.dispatcher.emulator.monkey.events = 80;
   config.dispatcher.emulator.monkey.throttleMs = 50;
-  config.dispatcher.workers = 2;
+  config.dispatcher.workers = workers;
   config.ingest.shards = 2;
-  config.prefetch.threads = prefetchThreads;
-  config.prefetch.capacity = 4;
   return config;
 }
 
@@ -122,19 +120,19 @@ TEST(RecoveryTest, TornManifestTailIsRepairedOnNextWriter) {
   EXPECT_EQ(report.runs[1].jobIndex, 2u);
 }
 
-// The sweep runs under several prefetch thread counts: resumeStudy feeds
-// only the gap indices to the generation tier, and the reorder window must
-// keep their original identities at any parallelism — a resumed pipelined
-// study is byte-identical to the uninterrupted serial one.
+// The sweep runs under several worker counts: resumeStudy hands only the
+// gap indices to the workers that claim and expand them, and each gap must
+// keep its original identity at any parallelism — a resumed study is
+// byte-identical to the uninterrupted one.
 class RecoverySweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(RecoverySweep, KillPointSweepYieldsByteIdenticalStudy) {
-  const std::size_t prefetchThreads = GetParam();
-  // Ground truth: the same study, uninterrupted, no prefetch pool — the
-  // resumed pipelined runs below must match it byte for byte.
+  const std::size_t workers = GetParam();
+  // Ground truth: the same study, uninterrupted, at the default two
+  // workers — the resumed runs below must match it byte for byte.
   auto config = recoveryConfig();
   config.artifactsDirectory =
-      freshDir("groundtruth_p" + std::to_string(prefetchThreads));
+      freshDir("groundtruth_w" + std::to_string(workers));
   const auto groundTruth = runStudy(config);
   const std::string expected = renderStudy(groundTruth.study);
   ASSERT_EQ(groundTruth.appsProcessed, config.store.appCount);
@@ -154,9 +152,9 @@ TEST_P(RecoverySweep, KillPointSweepYieldsByteIdenticalStudy) {
          {std::size_t{0}, truthScan.runs.size() / 2,
           truthScan.runs.size() - 1}) {
       const std::string tag = std::string(killPoint) + "_" +
-                              std::to_string(crashAt) + "_p" +
-                              std::to_string(prefetchThreads);
-      auto crashed = recoveryConfig(prefetchThreads);
+                              std::to_string(crashAt) + "_w" +
+                              std::to_string(workers);
+      auto crashed = recoveryConfig(workers);
       crashed.artifactsDirectory = freshDir(tag);
 
       // Re-drive the checkpoint protocol up to the injected crash. The
@@ -203,8 +201,7 @@ TEST_P(RecoverySweep, KillPointSweepYieldsByteIdenticalStudy) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(PrefetchThreads, RecoverySweep,
-                         ::testing::Values(0, 2, 8));
+INSTANTIATE_TEST_SUITE_P(Workers, RecoverySweep, ::testing::Values(1, 2, 8));
 
 TEST(RecoveryTest, CorruptBundlesAreQuarantinedAndReRun) {
   auto config = recoveryConfig();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <optional>
 #include <sstream>
@@ -127,12 +128,15 @@ TEST(StudyRunnerTest, StreamingIngestMatchesTheInlineBatchPipeline) {
   core::StudyAggregator batchStudy;
   core::StudyAccumulator accumulator(batchStudy);
   Dispatcher dispatcher(generator.farm(), nullptr, config.dispatcher);
-  std::size_t next = 0;
+  std::atomic<std::size_t> next{0};
   dispatcher.runConcurrent(
       [&]() -> std::optional<Dispatcher::Job> {
-        if (next >= generator.appCount()) return std::nullopt;
-        auto job = generator.makeJob(next++);
-        return Dispatcher::Job{std::move(job.apk), std::move(job.program)};
+        const std::size_t index = next.fetch_add(1);
+        if (index >= generator.appCount()) return std::nullopt;
+        auto job = generator.makeJob(index);
+        return Dispatcher::Job{.apk = std::move(job.apk),
+                               .program = std::move(job.program),
+                               .index = index};
       },
       [&](std::size_t index, core::RunArtifacts&& artifacts) {
         auto flows = attributor.attributeColumns(artifacts);

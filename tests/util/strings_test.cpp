@@ -138,5 +138,14 @@ TEST(HumanBytesTest, UnitsScale) {
   EXPECT_EQ(humanBytes(1024.0 * 1024.0 * 1024.0 * 2.84), "2.84 GB");
 }
 
+TEST(ParseWholeNumberTest, AcceptsOnlyAWholeDecimalNumber) {
+  EXPECT_EQ(parseWholeNumber("0"), 0u);
+  EXPECT_EQ(parseWholeNumber("2500"), 2500u);
+  EXPECT_EQ(parseWholeNumber("18446744073709551615"), ~std::uint64_t{0});
+  for (const char* bad : {"", "abc", "12x", "x12", " 12", "12 ", "-1", "+1",
+                          "1.5", "--help", "18446744073709551616"})
+    EXPECT_FALSE(parseWholeNumber(bad).has_value()) << '"' << bad << '"';
+}
+
 }  // namespace
 }  // namespace libspector::util
