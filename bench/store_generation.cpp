@@ -9,9 +9,11 @@
 //     materializing serialize() and hashing the buffer.
 //
 // The headline expands a fixed corpus kRepetitions times per thread count,
-// prints the median apps/s with its min and max, and writes
-// BENCH_store.json (gated by scripts/check_bench_floor.py). The
-// google-benchmark microbenchmarks after it isolate the hash path; pass
+// prints the median apps/s with its min and max, times the streaming hash
+// alone in serialized MB/s (1 MB = 10^6 bytes) on the kernel the process
+// selected, and writes BENCH_store.json (gated by
+// scripts/check_bench_floor.py). The google-benchmark microbenchmarks
+// after it isolate the hash path and report bytes per second; pass
 // --benchmark_filter='^$' to run the headline alone.
 #include <benchmark/benchmark.h>
 
@@ -33,6 +35,7 @@ using namespace libspector;
 
 constexpr std::size_t kApps = 96;
 constexpr std::size_t kRepetitions = 5;
+constexpr std::size_t kHashedApps = 16;
 
 const store::AppStoreGenerator& benchGenerator() {
   static const store::AppStoreGenerator kGenerator([] {
@@ -74,13 +77,37 @@ struct Rate {
   double max = 0.0;
 };
 
-Rate measure(std::size_t threads) {
+/// `sample()` taken kRepetitions times: the median with min and max.
+template <class Sample>
+Rate repeat(std::size_t threads, Sample sample) {
   std::vector<double> samples;
-  for (std::size_t r = 0; r < kRepetitions; ++r)
-    samples.push_back(expandCorpus(threads));
+  for (std::size_t r = 0; r < kRepetitions; ++r) samples.push_back(sample());
   std::sort(samples.begin(), samples.end());
   return {threads, samples[samples.size() / 2], samples.front(),
           samples.back()};
+}
+
+Rate measure(std::size_t threads) {
+  return repeat(threads, [threads] { return expandCorpus(threads); });
+}
+
+/// ApkFile::sha256() over the first kHashedApps apks of the corpus on one
+/// thread, kRepetitions times: median serialized MB/s with min and max.
+Rate measureHash() {
+  std::vector<store::AppStoreGenerator::Job> jobs;
+  std::size_t bytes = 0;
+  for (std::size_t i = 0; i < kHashedApps; ++i) {
+    jobs.push_back(benchGenerator().makeJob(i));
+    bytes += jobs.back().apk.serialize().size();
+  }
+  return repeat(1, [&] {
+    const auto start = std::chrono::steady_clock::now();
+    for (const auto& job : jobs) benchmark::DoNotOptimize(job.apk.sha256());
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    return static_cast<double>(bytes) / 1e6 / seconds;
+  });
 }
 
 void runHeadline() {
@@ -95,6 +122,9 @@ void runHeadline() {
   for (const Rate& rate : {one, all})
     std::printf("%2zu thread(s): %8.1f apps/s  (min %.1f, max %.1f)\n",
                 rate.threads, rate.median, rate.min, rate.max);
+  const Rate hash = measureHash();
+  std::printf("sha256 (%s kernel): %8.1f MB/s  (min %.1f, max %.1f)\n",
+              util::Sha256::kernelName(), hash.median, hash.min, hash.max);
   std::printf("\n");
 
   if (std::FILE* json = std::fopen("BENCH_store.json", "w")) {
@@ -109,6 +139,12 @@ void runHeadline() {
                    "  \"%s_apps_per_sec_min\": %.2f,\n"
                    "  \"%s_apps_per_sec_max\": %.2f,\n",
                    key, rate.median, key, rate.min, key, rate.max);
+    std::fprintf(json,
+                 "  \"sha256_kernel\": \"%s\",\n"
+                 "  \"sha256_mb_per_sec\": %.2f,\n"
+                 "  \"sha256_mb_per_sec_min\": %.2f,\n"
+                 "  \"sha256_mb_per_sec_max\": %.2f,\n",
+                 util::Sha256::kernelName(), hash.median, hash.min, hash.max);
     std::fprintf(json, "  \"threads\": [1, %zu]\n}\n", hardware);
     std::fclose(json);
     std::printf("wrote BENCH_store.json\n\n");
@@ -122,11 +158,8 @@ void runHeadline() {
 void BM_Sha256Streaming(benchmark::State& state) {
   // The production path: one serialization walk feeding the hasher.
   const auto job = benchGenerator().makeJob(0);
-  std::size_t bytes = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(job.apk.sha256());
-    if (bytes == 0) bytes = job.apk.serialize().size();
-  }
+  const std::size_t bytes = job.apk.serialize().size();
+  for (auto _ : state) benchmark::DoNotOptimize(job.apk.sha256());
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(bytes));
@@ -136,10 +169,9 @@ BENCHMARK(BM_Sha256Streaming)->Unit(benchmark::kMicrosecond);
 void BM_Sha256Buffered(benchmark::State& state) {
   // Materialize the serialized apk, then hash the buffer.
   const auto job = benchGenerator().makeJob(0);
-  std::size_t bytes = 0;
+  const std::size_t bytes = job.apk.serialize().size();
   for (auto _ : state) {
     const auto buffer = job.apk.serialize();
-    bytes = buffer.size();
     benchmark::DoNotOptimize(
         util::Sha256::hash(std::span(buffer.data(), buffer.size())));
   }

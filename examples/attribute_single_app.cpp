@@ -5,8 +5,9 @@
 // Listing-2-style category votes.
 //
 // Usage: attribute_single_app [appIndex] [seed]
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "core/attribution.hpp"
 #include "orch/emulator.hpp"
@@ -18,15 +19,22 @@
 using namespace libspector;
 
 int main(int argc, char** argv) {
-  const std::size_t appIndex = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 7;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 20200629;
+  std::optional<std::uint64_t> appIndex = 7;
+  std::optional<std::uint64_t> seed = 20200629;
+  if (argc > 1) appIndex = util::parseWholeNumber(argv[1]);
+  if (argc > 2) seed = util::parseWholeNumber(argv[2]);
+  // The store holds apps 0..appIndex, so appIndex + 1 must not wrap to 0.
+  if (argc > 3 || !appIndex || *appIndex == UINT64_MAX || !seed) {
+    std::fprintf(stderr, "usage: attribute_single_app [appIndex] [seed]\n");
+    return 2;
+  }
 
   store::StoreConfig storeConfig;
-  storeConfig.appCount = appIndex + 1;
-  storeConfig.seed = seed;
+  storeConfig.appCount = *appIndex + 1;
+  storeConfig.seed = *seed;
   const store::AppStoreGenerator generator(storeConfig);
-  const auto& plan = generator.plan(appIndex);
-  auto job = generator.makeJob(appIndex);
+  const auto& plan = generator.plan(*appIndex);
+  auto job = generator.makeJob(*appIndex);
 
   std::printf("app:        %s\n", plan.packageName.c_str());
   std::printf("category:   %s\n", plan.appCategory.c_str());
@@ -40,7 +48,7 @@ int main(int argc, char** argv) {
   orch::EmulatorConfig emulatorConfig;
   emulatorConfig.monkey.events = 1000;
   emulatorConfig.monkey.throttleMs = 500;
-  emulatorConfig.seed = seed + appIndex;
+  emulatorConfig.seed = *seed + *appIndex;
   orch::EmulatorInstance emulator(generator.farm(), nullptr, emulatorConfig);
   const auto artifacts = emulator.run(job.apk, job.program);
 

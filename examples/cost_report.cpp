@@ -3,18 +3,40 @@
 // device battery, holding the paper's measured traffic volumes fixed.
 //
 // Usage: cost_report [adMBPerRun] [usdPerGB]
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-
 #include <initializer_list>
+#include <optional>
 
 #include "core/cost.hpp"
 
 using namespace libspector;
 
+namespace {
+
+/// `text` as a finite number >= 0 when it is nothing else.
+std::optional<double> parseRate(const char* text) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value) || value < 0)
+    return std::nullopt;
+  return value;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const double adMb = argc > 1 ? std::strtod(argv[1], nullptr) : 15.58;
-  const double usdPerGb = argc > 2 ? std::strtod(argv[2], nullptr) : 10.0;
+  std::optional<double> adMbArg = 15.58;
+  std::optional<double> usdPerGbArg = 10.0;
+  if (argc > 1) adMbArg = parseRate(argv[1]);
+  if (argc > 2) usdPerGbArg = parseRate(argv[2]);
+  if (argc > 3 || !adMbArg || !usdPerGbArg) {
+    std::fprintf(stderr, "usage: cost_report [adMBPerRun>=0] [usdPerGB>=0]\n");
+    return 2;
+  }
+  const double adMb = *adMbArg;
+  const double usdPerGb = *usdPerGbArg;
   const double bytesPerRun = adMb * 1024 * 1024;
 
   std::printf("Advertisement traffic: %.2f MB per 8-minute session\n", adMb);

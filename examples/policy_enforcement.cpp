@@ -7,8 +7,8 @@
 //
 // Usage: policy_enforcement [apps]
 #include <cstdio>
-#include <cstdlib>
 #include <map>
+#include <optional>
 
 #include "core/attribution.hpp"
 #include "core/cost.hpp"
@@ -92,7 +92,13 @@ Measurement measure(const store::AppStoreGenerator& generator,
 
 int main(int argc, char** argv) {
   store::StoreConfig storeConfig;
-  storeConfig.appCount = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 120;
+  std::optional<std::uint64_t> apps = 120;
+  if (argc > 1) apps = util::parseWholeNumber(argv[1]);
+  if (argc > 2 || !apps || *apps == 0) {
+    std::fprintf(stderr, "usage: policy_enforcement [apps>0]\n");
+    return 2;
+  }
+  storeConfig.appCount = *apps;
   const store::AppStoreGenerator generator(storeConfig);
 
   const radar::LibraryCorpus corpus = radar::LibraryCorpus::builtin();

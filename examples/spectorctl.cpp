@@ -15,13 +15,19 @@
 //
 //   spectorctl policy --apps N [--seed S] --block PREFIX [--block ...]
 //       Enforcement dry-run: measure with the given library blacklist.
+//
+// A bad command line (--help, an unknown subcommand or option, an option
+// without its value, a malformed number or 0 apps) prints the usage text
+// and exits 2.
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/analysis.hpp"
@@ -42,30 +48,62 @@ using namespace libspector;
 
 namespace {
 
+constexpr const char* kUsage =
+    "usage: spectorctl <run|analyze|inspect|policy> [options]\n"
+    "  run     --apps N>0 [--seed S] [--workers W] --out DIR\n"
+    "  analyze --in DIR [--csv DIR] [--report FILE]\n"
+    "  inspect --in DIR --sha PREFIX\n"
+    "  policy  --apps N>0 [--seed S] --block PREFIX [--block ...]\n";
+
+/// Prints `why` (if any) and the usage text; returns the exit status 2.
+int usage(const char* why = nullptr) {
+  if (why != nullptr) std::fprintf(stderr, "spectorctl: %s\n", why);
+  std::fputs(kUsage, stderr);
+  return 2;
+}
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
   std::vector<std::string> blockPrefixes;
 };
 
-Args parseArgs(int argc, char** argv) {
+/// The options each subcommand takes; every one takes a value.
+const std::map<std::string, std::set<std::string>> kOptions = {
+    {"run", {"apps", "seed", "workers", "out"}},
+    {"analyze", {"in", "csv", "report"}},
+    {"inspect", {"in", "sha"}},
+    {"policy", {"apps", "seed", "block"}},
+};
+
+/// The command line, or nullopt when it names no subcommand, an option the
+/// subcommand does not take, or an option without its value.
+std::optional<Args> parseArgs(int argc, char** argv) {
+  if (argc < 2) return std::nullopt;
   Args args;
-  if (argc > 1) args.command = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
-    const std::string key = argv[i];
-    if (!key.starts_with("--")) continue;
-    if (key == "--block") {
+  args.command = argv[1];
+  const auto allowed = kOptions.find(args.command);
+  if (allowed == kOptions.end()) return std::nullopt;
+  for (int i = 2; i < argc; i += 2) {
+    const std::string_view flag = argv[i];
+    if (!flag.starts_with("--") || i + 1 >= argc) return std::nullopt;
+    const std::string key(flag.substr(2));
+    if (!allowed->second.contains(key)) return std::nullopt;
+    if (key == "block") {
       args.blockPrefixes.emplace_back(argv[i + 1]);
     } else {
-      args.options[key.substr(2)] = argv[i + 1];
+      args.options[key] = argv[i + 1];
     }
   }
   return args;
 }
 
-std::size_t optSize(const Args& args, const std::string& key, std::size_t fallback) {
+/// A whole-number option, `fallback` when absent, nullopt when malformed.
+std::optional<std::uint64_t> optNumber(const Args& args, const std::string& key,
+                                       std::uint64_t fallback) {
   const auto it = args.options.find(key);
-  return it == args.options.end() ? fallback : std::strtoul(it->second.c_str(), nullptr, 10);
+  return it == args.options.end() ? fallback
+                                  : util::parseWholeNumber(it->second);
 }
 
 std::string optStr(const Args& args, const std::string& key, std::string fallback = {}) {
@@ -93,18 +131,21 @@ void printStudySummary(const core::StudyAggregator& study) {
 
 int cmdRun(const Args& args) {
   const std::string outDir = optStr(args, "out");
-  if (outDir.empty()) {
-    std::fprintf(stderr, "run: --out DIR is required\n");
-    return 2;
-  }
+  if (outDir.empty()) return usage("run: --out DIR is required");
+  const auto apps = optNumber(args, "apps", 200);
+  const auto seed = optNumber(args, "seed", 20200629);
+  const auto workers = optNumber(args, "workers", 0);
+  if (!apps || *apps == 0 || !seed || !workers)
+    return usage("run: --apps needs a whole number > 0, --seed and "
+                 "--workers whole numbers");
   store::StoreConfig config;
-  config.appCount = optSize(args, "apps", 200);
-  config.seed = optSize(args, "seed", 20200629);
+  config.appCount = *apps;
+  config.seed = *seed;
   const store::AppStoreGenerator generator(config);
 
   orch::ResultDatabase db;
   orch::DispatcherConfig dispatcherConfig;
-  dispatcherConfig.workers = optSize(args, "workers", 0);
+  dispatcherConfig.workers = *workers;
   orch::Dispatcher dispatcher(generator.farm(), nullptr, dispatcherConfig);
   std::size_t next = 0;
   dispatcher.run(
@@ -149,10 +190,7 @@ std::map<std::string, std::string> loadDomainManifest(const std::string& dir) {
 
 int cmdAnalyze(const Args& args) {
   const std::string inDir = optStr(args, "in");
-  if (inDir.empty()) {
-    std::fprintf(stderr, "analyze: --in DIR is required\n");
-    return 2;
-  }
+  if (inDir.empty()) return usage("analyze: --in DIR is required");
   orch::ResultDatabase db;
   const auto load = db.loadFromDirectory(inDir);
   std::printf("loaded %zu artifact bundles from %s (%zu replaced)\n",
@@ -192,10 +230,8 @@ int cmdAnalyze(const Args& args) {
 int cmdInspect(const Args& args) {
   const std::string inDir = optStr(args, "in");
   const std::string shaPrefix = optStr(args, "sha");
-  if (inDir.empty() || shaPrefix.empty()) {
-    std::fprintf(stderr, "inspect: --in DIR and --sha PREFIX are required\n");
-    return 2;
-  }
+  if (inDir.empty() || shaPrefix.empty())
+    return usage("inspect: --in DIR and --sha PREFIX are required");
   orch::ResultDatabase db;
   const auto load = db.loadFromDirectory(inDir);
   for (const auto& failure : load.failures)
@@ -234,13 +270,16 @@ int cmdInspect(const Args& args) {
 }
 
 int cmdPolicy(const Args& args) {
-  if (args.blockPrefixes.empty()) {
-    std::fprintf(stderr, "policy: at least one --block PREFIX is required\n");
-    return 2;
-  }
+  if (args.blockPrefixes.empty())
+    return usage("policy: at least one --block PREFIX is required");
+  const auto apps = optNumber(args, "apps", 100);
+  const auto seed = optNumber(args, "seed", 20200629);
+  if (!apps || *apps == 0 || !seed)
+    return usage("policy: --apps needs a whole number > 0, --seed a whole "
+                 "number");
   store::StoreConfig config;
-  config.appCount = optSize(args, "apps", 100);
-  config.seed = optSize(args, "seed", 20200629);
+  config.appCount = *apps;
+  config.seed = *seed;
   const store::AppStoreGenerator generator(config);
 
   policy::PolicyEngine engine;
@@ -277,16 +316,10 @@ int cmdPolicy(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parseArgs(argc, argv);
-  if (args.command == "run") return cmdRun(args);
-  if (args.command == "analyze") return cmdAnalyze(args);
-  if (args.command == "inspect") return cmdInspect(args);
-  if (args.command == "policy") return cmdPolicy(args);
-  std::fprintf(stderr,
-               "usage: spectorctl <run|analyze|inspect|policy> [options]\n"
-               "  run     --apps N [--seed S] [--workers W] --out DIR\n"
-               "  analyze --in DIR [--csv DIR] [--report FILE]\n"
-               "  inspect --in DIR --sha PREFIX\n"
-               "  policy  --apps N [--seed S] --block PREFIX [--block ...]\n");
-  return args.command.empty() ? 2 : 1;
+  const std::optional<Args> args = parseArgs(argc, argv);
+  if (!args) return usage();
+  if (args->command == "run") return cmdRun(*args);
+  if (args->command == "analyze") return cmdAnalyze(*args);
+  if (args->command == "inspect") return cmdInspect(*args);
+  return cmdPolicy(*args);
 }

@@ -113,8 +113,15 @@ int main(int argc, char** argv) {
 
   // --- watch the study land -------------------------------------------
   daemon.drain();
-  dashboard.waitForRuns(generator.appCount(), std::chrono::milliseconds(5000));
+  // Each run lands as a Totals delta and then a Progress delta; the line
+  // below prints both.
   const spectord::DashboardMirror& mirror = dashboard.mirror();
+  dashboard.waitUntil(
+      [&] {
+        return mirror.totals.runsFolded >= generator.appCount() &&
+               mirror.runsFolded >= generator.appCount();
+      },
+      std::chrono::milliseconds(5000));
   std::printf("dashboard: %llu/%llu runs, %llu flows, %llu attributed "
               "bytes, %llu deltas received\n",
               static_cast<unsigned long long>(mirror.runsFolded),

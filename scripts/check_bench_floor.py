@@ -37,7 +37,8 @@ import json
 import os
 import sys
 
-# path -> {key: (floor, unit)}; unit "x" = ratio, "/s" = absolute rate.
+# path -> {key: (floor, unit)}; unit "x" = ratio, "/s" or "MB/s" =
+# absolute rate.
 FLOORS = {
     "BENCH_attribution.json": {
         # The production path over a 200-app study: attributeColumns
@@ -91,12 +92,18 @@ FLOORS = {
         # one-thread floor: on a 1-core box it cannot beat one thread.
         "one_thread_apps_per_sec": (40.0, "/s"),
         "all_threads_apps_per_sec": (40.0, "/s"),
+        # ApkFile::sha256() alone over 16 apks, serialized MB/s on one
+        # thread, median of 5, on whichever kernel the process selected
+        # (sha256_kernel). Measured 103-151 MB/s on the portable kernel and
+        # 397-711 MB/s on the SHA-extension kernel of one 4-core box: the
+        # floor is one both kernels clear, so it gates the code on any CPU.
+        "sha256_mb_per_sec": (60.0, "MB/s"),
     },
 }
 
 
 def fmt(value, unit):
-    if unit == "/s":
+    if unit.endswith("/s"):
         return f"{value:,.0f}{unit}"
     return f"{value:g}{unit}"
 

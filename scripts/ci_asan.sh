@@ -4,10 +4,12 @@
 # The fuzzers feed the wire, .spab and elision decoders hostile bytes; the
 # recovery sweep truncates and corrupts bundles mid-write; the symbol pool
 # hands out pointers into chunked storage; the supervisor's frame index
-# and the monitor's coverage set borrow string views from the apk; and
-# the attribution, fold and ingest suites drive the dense id-indexed
-# accumulators, where an out-of-range id is a silent heap overrun in a
-# release build.
+# borrows string views from the apk and the monitor's coverage set from
+# the trace; the SHA-extension digest kernel makes 16-byte loads from
+# caller buffers at any alignment; the method tracer keeps per-id slots
+# and views into its own map; and the attribution, fold and ingest suites
+# drive the dense id-indexed accumulators, where an out-of-range id is a
+# silent heap overrun in a release build.
 #
 # Usage: scripts/ci_asan.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -25,6 +27,9 @@ cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
 
 TARGETS=(
+  sha256_test
+  tracer_test
+  interpreter_test
   fuzz_decoders_test
   spectord_fuzz_test
   fuzz_elision_test

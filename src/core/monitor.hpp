@@ -77,6 +77,10 @@ class MethodMonitor {
     void onMethodEntry(std::string_view signature) override {
       owner_.tracer_.onMethodEntry(signature);
     }
+    void onAppMethodEntry(rt::MethodId id,
+                          std::string_view signature) override {
+      owner_.tracer_.onAppMethodEntry(id, signature);
+    }
     [[nodiscard]] std::vector<std::string> traceFile() const override {
       return owner_.tracer_.traceFile();
     }

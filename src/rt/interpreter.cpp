@@ -82,7 +82,7 @@ void Interpreter::runMethod(MethodId id, int depth) {
   const MethodInfo& method = program_.method(id);
   liveStack_.push_back({method.frameName, static_cast<std::int32_t>(id)});
   ++methodEntries_;
-  tracer_.onMethodEntry(method.signature);
+  tracer_.onAppMethodEntry(id, method.signature);
   for (const Action& action : method.body) {
     if (++actionsThisEntry_ > limits_.maxActionsPerEntry) break;
     execAction(action, depth);
@@ -126,7 +126,7 @@ void Interpreter::pushFrameworkFrame(std::string_view name) {
 void Interpreter::firePostHooks(std::string_view frameName,
                                 net::SocketId socketId,
                                 std::uint32_t requestOrdinal) {
-  const auto it = postHooks_.find(std::string(frameName));
+  const auto it = postHooks_.find(frameName);
   if (it == postHooks_.end()) return;
   const SocketHookContext context{socketId, *this, requestOrdinal};
   for (const PostHook& hook : it->second) hook(context);

@@ -19,6 +19,7 @@
 #include "rt/tracer.hpp"
 #include "util/clock.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace libspector::rt {
 
@@ -155,7 +156,9 @@ class Interpreter {
   ScenarioConfig scenario_;
 
   std::vector<LiveFrame> liveStack_;
-  std::unordered_map<std::string, std::vector<PostHook>> postHooks_;
+  std::unordered_map<std::string, std::vector<PostHook>,
+                     util::TransparentStringHash, std::equal_to<>>
+      postHooks_;
   std::vector<PreConnectHook> preConnectHooks_;
   std::deque<MethodId> asyncQueue_;
   std::deque<SystemRequestAction> systemQueue_;

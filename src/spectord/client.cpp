@@ -259,6 +259,11 @@ void DashboardClient::subscribe(Topic topic) {
 }
 
 std::size_t DashboardClient::poll(std::chrono::milliseconds timeout) {
+  return pollUntil(timeout, [] { return false; });
+}
+
+std::size_t DashboardClient::pollUntil(std::chrono::milliseconds timeout,
+                                       const std::function<bool()>& done) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   std::size_t folded = 0;
   while (true) {
@@ -295,30 +300,25 @@ std::size_t DashboardClient::poll(std::chrono::milliseconds timeout) {
       default:
         break;
     }
+    if (done()) break;
   }
   return folded;
 }
 
+bool DashboardClient::waitUntil(const std::function<bool()>& done,
+                                std::chrono::milliseconds timeout) {
+  if (!done()) pollUntil(timeout, done);
+  return done();
+}
+
 bool DashboardClient::waitForSnapshot(Topic topic,
                                       std::chrono::milliseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (snapshotsReceived(topic) == 0) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return false;
-    poll(std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now));
-  }
-  return true;
+  return waitUntil([&] { return snapshotsReceived(topic) > 0; }, timeout);
 }
 
 bool DashboardClient::waitForRuns(std::uint64_t runs,
                                   std::chrono::milliseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (mirror_.totals.runsFolded < runs) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return false;
-    poll(std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now));
-  }
-  return true;
+  return waitUntil([&] { return mirror_.totals.runsFolded >= runs; }, timeout);
 }
 
 // --- AdminClient -----------------------------------------------------------

@@ -15,6 +15,7 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -157,6 +158,12 @@ class DashboardClient {
   std::size_t poll(std::chrono::milliseconds timeout =
                        std::chrono::milliseconds(0));
 
+  /// Poll until `done()` holds, checking it after every folded frame, or
+  /// until the timeout; returns whether it holds. A caller that compares
+  /// the mirror afterwards must wait for a condition that every frame it
+  /// compares has landed.
+  bool waitUntil(const std::function<bool()>& done,
+                 std::chrono::milliseconds timeout);
   /// Poll until the mirror has folded a snapshot for `topic`.
   bool waitForSnapshot(Topic topic, std::chrono::milliseconds timeout);
   /// Poll until the mirror's Totals view has seen `runs` runs.
@@ -180,6 +187,10 @@ class DashboardClient {
   void close() { channel_.close(); }
 
  private:
+  /// poll(), returning early once a folded frame makes `done()` hold.
+  std::size_t pollUntil(std::chrono::milliseconds timeout,
+                        const std::function<bool()>& done);
+
   ClientChannel channel_;
   DashboardMirror mirror_;
   std::uint64_t session_ = 0;

@@ -2,9 +2,15 @@
 //
 // The Socket Supervisor tags every UDP report with the sha256 checksum of
 // the apk under test (paper §II-B2a); the result database keys artifacts by
-// the same digest.  No external crypto dependency is available offline, so
-// the digest is implemented here and validated against FIPS test vectors in
-// tests/util/sha256_test.cpp.
+// the same digest.  The digest is implemented here rather than linked from
+// a crypto library, which would add a dependency and resident memory to
+// every process for one function. It is validated against FIPS test
+// vectors in tests/util/sha256_test.cpp.
+//
+// Two compression kernels exist. The process reads CPUID once and uses the
+// x86 SHA-extension kernel when the CPU has SHA, SSSE3 and SSE4.1; every
+// other CPU runs the portable kernel, which is also the reference the tests
+// hold the SHA-extension kernel to.
 #pragma once
 
 #include <array>
@@ -20,6 +26,21 @@ using Sha256Digest = std::array<std::uint8_t, 32>;
 /// Incremental SHA-256 hasher.
 class Sha256 {
  public:
+  /// A compression kernel: folds `count` consecutive 64-byte blocks into
+  /// `state` (FIPS 180-4 §6.2.2 per block). `blocks` needs no alignment.
+  using Kernel = void (*)(std::uint32_t* state, const std::uint8_t* blocks,
+                          std::size_t count) noexcept;
+
+  /// The plain C++ kernel: runs on every CPU.
+  static void portableKernel(std::uint32_t* state, const std::uint8_t* blocks,
+                             std::size_t count) noexcept;
+  /// The x86 SHA-extension kernel, or nullptr when this CPU lacks SHA,
+  /// SSSE3 or SSE4.1.
+  [[nodiscard]] static Kernel shaExtensionKernel() noexcept;
+  /// Name of the kernel every hasher in this process uses: "sha-ni" or
+  /// "portable".
+  [[nodiscard]] static const char* kernelName() noexcept;
+
   Sha256() noexcept;
 
   void update(std::span<const std::uint8_t> data) noexcept;
@@ -33,8 +54,6 @@ class Sha256 {
   [[nodiscard]] static Sha256Digest hash(std::string_view data) noexcept;
 
  private:
-  void processBlock(const std::uint8_t* block) noexcept;
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t bufferLen_ = 0;

@@ -272,8 +272,20 @@ TEST_F(SpectordDaemonTest, DashboardMirrorReconstructsDaemonStateExactly) {
   late.subscribe(Topic::Loss);
   late.subscribe(Topic::Progress);
 
-  ASSERT_TRUE(early.waitForRuns(4, 10000ms));
-  ASSERT_TRUE(late.waitForRuns(4, 10000ms));
+  // Each run reaches a subscriber as Totals, Loss and Progress frames in
+  // that order, and a late subscriber's snapshots come in the same order:
+  // wait until every topic compared below has folded all four runs.
+  const auto accounts = daemon->pipeline().lossAccounts();
+  for (DashboardClient* dashboard : {&early, &late}) {
+    ASSERT_TRUE(dashboard->waitUntil(
+        [&] {
+          const DashboardMirror& mirror = dashboard->mirror();
+          return dashboard->snapshotsReceived(Topic::Progress) > 0 &&
+                 mirror.totals.runsFolded == 4 && mirror.runsFolded == 4 &&
+                 mirror.accounts.size() == accounts.size();
+        },
+        10000ms));
+  }
 
   const auto reference = daemon->rollingTotals();
   for (const DashboardClient* dashboard : {&early, &late}) {
@@ -286,7 +298,6 @@ TEST_F(SpectordDaemonTest, DashboardMirrorReconstructsDaemonStateExactly) {
     EXPECT_EQ(mirror.totals.bytesByLibCategory, reference.bytesByLibCategory);
     EXPECT_EQ(mirror.totals.bytesByApp, reference.bytesByApp);
     // Loss topic: exact per-apk accounts.
-    const auto accounts = daemon->pipeline().lossAccounts();
     ASSERT_EQ(mirror.accounts.size(), accounts.size());
     for (const auto& [sha, account] : mirror.accounts) {
       ASSERT_TRUE(accounts.contains(sha));
