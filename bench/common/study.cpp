@@ -1,6 +1,8 @@
 #include "common/study.hpp"
 
 #include <cstdlib>
+#include <cstring>
+#include <optional>
 
 #include "orch/study.hpp"
 #include "util/strings.hpp"
@@ -8,9 +10,22 @@
 namespace libspector::bench {
 
 StudyOptions optionsFromArgs(int argc, char** argv, StudyOptions defaults) {
-  if (argc > 1) defaults.appCount = std::strtoul(argv[1], nullptr, 10);
-  if (const char* seed = std::getenv("LIBSPECTOR_SEED"))
-    defaults.seed = std::strtoull(seed, nullptr, 10);
+  std::optional<std::uint64_t> apps = defaults.appCount;
+  std::optional<std::uint64_t> seed = defaults.seed;
+  if (argc > 1) apps = util::parseWholeNumber(argv[1]);
+  if (const char* text = std::getenv("LIBSPECTOR_SEED"))
+    seed = util::parseWholeNumber(text);
+  if (argc > 2 || !apps || *apps == 0 || !seed) {
+    const char* name = argc > 0 ? argv[0] : "bench";
+    if (const char* slash = std::strrchr(name, '/')) name = slash + 1;
+    std::fprintf(stderr,
+                 "usage: %s [apps>0]   (environment: LIBSPECTOR_SEED=<whole "
+                 "number> sets the store seed)\n",
+                 name);
+    std::exit(2);
+  }
+  defaults.appCount = static_cast<std::size_t>(*apps);
+  defaults.seed = *seed;
   return defaults;
 }
 

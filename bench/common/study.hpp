@@ -24,7 +24,11 @@ struct StudyOptions {
   rt::ScenarioConfig scenarios;
 };
 
-/// Parse `argv[1]` as an app count override (the only knob benches take).
+/// Parse `argv[1]` as an app count override (the only knob benches take)
+/// and the `LIBSPECTOR_SEED` environment variable as a seed override. Each
+/// must be a whole decimal number (apps >= 1) with nothing after it; on a
+/// bad value or a second argument, prints `usage: <name> [apps>0] ...` and
+/// exits with status 2.
 [[nodiscard]] StudyOptions optionsFromArgs(int argc, char** argv,
                                            StudyOptions defaults = {});
 

@@ -2,7 +2,7 @@
 // dictionary-compressed report wire format, measured against the legacy
 // string pipeline and the self-contained v1/v2 framing.
 //
-// Two headline numbers, written to BENCH_wire.json:
+// Three headline numbers, written to BENCH_wire.json:
 //
 //   - wire bytes per reported socket, v2 framing vs v3 dictionary framing,
 //     over a run with realistic smali signatures (60-90 chars) and stack
@@ -15,10 +15,16 @@
 //     std::string per flow field, string-keyed aggregation) vs the symbol
 //     pipeline (u32-id FlowColumns batches folded through the dense
 //     StudyAggregator::addAppColumns), counted with a global operator new
-//     hook: >= 5x fewer.
+//     hook: >= 5x fewer;
+//
+//   - util::crc32 throughput in MB/s (1 MB = 10^6 bytes), one thread, the
+//     median of 5 passes over an 8 MiB buffer of random bytes: every
+//     report frame, spectord frame and .spab bundle is checksummed with it.
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -35,6 +41,7 @@
 #include "orch/emulator.hpp"
 #include "radar/corpus.hpp"
 #include "store/generator.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 #include "vtsim/categorizer.hpp"
 
@@ -281,6 +288,44 @@ std::uint64_t countAllocations(const std::function<std::size_t()>& fn,
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
+// ---------------------------------------------------------------------------
+// Part 3: crc32 throughput.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kCrcBufferBytes = std::size_t{8} << 20;
+constexpr std::size_t kCrcRepetitions = 5;
+
+struct CrcRate {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+  std::uint32_t checksum = 0;  // printed, so no pass can be optimized away
+};
+
+/// util::crc32 over one random buffer on one thread, kCrcRepetitions
+/// times: the median MB/s with min and max.
+CrcRate measureCrc32() {
+  util::Rng rng(0xc4c32b5eULL);
+  std::vector<std::uint8_t> buffer(kCrcBufferBytes);
+  for (auto& byte : buffer) byte = static_cast<std::uint8_t>(rng.next());
+  const double megabytes = static_cast<double>(buffer.size()) / 1e6;
+  CrcRate rate;
+  std::vector<double> samples;
+  for (std::size_t r = 0; r < kCrcRepetitions; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    rate.checksum = util::crc32(buffer);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    samples.push_back(megabytes / seconds);
+  }
+  std::sort(samples.begin(), samples.end());
+  rate.median = samples[samples.size() / 2];
+  rate.min = samples.front();
+  rate.max = samples.back();
+  return rate;
+}
+
 }  // namespace
 
 int main() {
@@ -298,6 +343,13 @@ int main() {
   std::printf("v3 dictionary: %8llu bytes  (%.1f bytes/socket)\n",
               static_cast<unsigned long long>(wire.v3Bytes), v3PerSocket);
   std::printf("wire reduction: %.1fx\n\n", wireReduction);
+
+  // ---- crc32 ---------------------------------------------------------------
+  const CrcRate crc = measureCrc32();
+  std::printf("=== crc32: %zu bytes, one thread, median of %zu ===\n",
+              kCrcBufferBytes, kCrcRepetitions);
+  std::printf("crc32: %8.1f MB/s  (min %.1f, max %.1f; crc 0x%08x)\n\n",
+              crc.median, crc.min, crc.max, crc.checksum);
 
   // ---- allocations ---------------------------------------------------------
   const StudyWorld world;
@@ -366,6 +418,11 @@ int main() {
                  "  \"legacy_allocations_per_10k_flows\": %.1f,\n"
                  "  \"symbol_allocations_per_10k_flows\": %.1f,\n"
                  "  \"allocation_reduction\": %.3f,\n"
+                 "  \"crc32_buffer_bytes\": %zu,\n"
+                 "  \"crc32_repetitions\": %zu,\n"
+                 "  \"crc32_mb_per_sec\": %.2f,\n"
+                 "  \"crc32_mb_per_sec_min\": %.2f,\n"
+                 "  \"crc32_mb_per_sec_max\": %.2f,\n"
                  "  \"peak_rss_kb\": %ld\n"
                  "}\n",
                  wire.sockets, wire.distinctSignatures,
@@ -374,7 +431,9 @@ int main() {
                  v3PerSocket, wireReduction, kStudyApps, symbolFlows,
                  static_cast<unsigned long long>(legacyAllocs),
                  static_cast<unsigned long long>(symbolAllocs), legacyPer10k,
-                 symbolPer10k, allocReduction, usage.ru_maxrss);
+                 symbolPer10k, allocReduction, kCrcBufferBytes,
+                 kCrcRepetitions, crc.median, crc.min, crc.max,
+                 usage.ru_maxrss);
     std::fclose(json);
     std::printf("wrote BENCH_wire.json\n");
   }

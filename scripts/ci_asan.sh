@@ -6,10 +6,11 @@
 # hands out pointers into chunked storage; the supervisor's frame index
 # borrows string views from the apk and the monitor's coverage set from
 # the trace; the SHA-extension digest kernel makes 16-byte loads from
-# caller buffers at any alignment; the method tracer keeps per-id slots
-# and views into its own map; and the attribution, fold and ingest suites
-# drive the dense id-indexed accumulators, where an out-of-range id is a
-# silent heap overrun in a release build.
+# caller buffers at any alignment; the slicing-by-8 crc32 kernel reads
+# eight bytes per step up to the end of its buffer; the method tracer
+# keeps per-id slots and views into its own map; and the attribution,
+# fold and ingest suites drive the dense id-indexed accumulators, where an
+# out-of-range id is a silent heap overrun in a release build.
 #
 # Usage: scripts/ci_asan.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -28,6 +29,7 @@ cmake -B "$BUILD_DIR" -S . \
 
 TARGETS=(
   sha256_test
+  bytes_test
   tracer_test
   interpreter_test
   fuzz_decoders_test

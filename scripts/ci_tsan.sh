@@ -4,9 +4,11 @@
 # pipeline, chaos channel, v3 dictionary path), the dispatcher fleet (whose
 # workers call their job source concurrently: the study's and the spectord
 # collector's cursor claims, the collector's jobLimit under concurrent
-# claims), the lock-free-read symbol pool, the shared
-# compiled attribution program + columnar fold that concurrent shard
-# workers run through, and the spectord daemon (event loop vs. client
+# claims), the checkpoint recovery scan (bundle-decode threads claiming
+# paths from one cursor, each writing its own verdict slot, joined before
+# the verdicts are applied in path order), the lock-free-read symbol pool,
+# the shared compiled attribution program + columnar fold that concurrent
+# shard workers run through, and the spectord daemon (event loop vs. client
 # threads vs. shard consumers, plus the multi-collector runCollector path
 # and the resilient client tier — reconnect/resume under BreakerEndpoint kills
 # runs client threads against breaker pump threads against the daemon

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 
 #include "orch/recovery.hpp"
 #include "util/bytes.hpp"
@@ -80,13 +79,7 @@ ResultDatabase::LoadReport ResultDatabase::loadFromDirectory(
 
   for (const auto& path : paths) {
     try {
-      std::ifstream in(path, std::ios::binary);
-      if (!in)
-        throw std::runtime_error("ResultDatabase: cannot read " +
-                                 path.string());
-      const std::vector<std::uint8_t> bytes(
-          (std::istreambuf_iterator<char>(in)),
-          std::istreambuf_iterator<char>());
+      const std::vector<std::uint8_t> bytes = readFileBytes(path);
       core::RunArtifacts artifacts =
           core::SpabEnvelope::looksFramed(bytes)
               ? core::SpabEnvelope::decode(bytes).artifacts

@@ -1,8 +1,12 @@
 #include "orch/recovery.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -39,6 +43,22 @@ void writeSpabAtomic(const fs::path& directory, const std::string& apkSha256,
   // never a prefix.
   fs::rename(tmpPath, finalPath);
   if (probe) probe("bundle-renamed");
+}
+
+std::vector<std::uint8_t> readFileBytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open " + path.string());
+  std::error_code ec;
+  const std::uintmax_t size = fs::file_size(path, ec);
+  if (ec)
+    throw std::runtime_error("cannot size " + path.string() + ": " +
+                             ec.message());
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  in.read(reinterpret_cast<char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  if (static_cast<std::uintmax_t>(in.gcount()) != size)
+    throw std::runtime_error("short read of " + path.string());
+  return bytes;
 }
 
 CheckpointWriter::CheckpointWriter(std::string directory, KillProbe probe)
@@ -100,16 +120,20 @@ struct ManifestEntry {
 /// torn (the bundle files stay authoritative either way).
 void parseManifest(const fs::path& path, std::vector<ManifestEntry>& entries,
                    std::size_t& torn) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return;
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
+  std::vector<std::uint8_t> bytes;
+  try {
+    bytes = readFileBytes(path);
+  } catch (const std::runtime_error&) {
+    return;  // no manifest (batch saves write none): it lists nothing
+  }
+  const std::string_view content(reinterpret_cast<const char*>(bytes.data()),
+                                 bytes.size());
   std::size_t start = 0;
   while (start < content.size()) {
     const std::size_t newline = content.find('\n', start);
-    const bool terminated = newline != std::string::npos;
-    const std::string line = content.substr(
-        start, (terminated ? newline : content.size()) - start);
+    const bool terminated = newline != std::string_view::npos;
+    const std::string line(content.substr(
+        start, (terminated ? newline : content.size()) - start));
     start = terminated ? newline + 1 : content.size();
     if (line.empty()) continue;
 
@@ -150,10 +174,12 @@ std::size_t compactCheckpointDirectory(const std::string& directory) {
   // exactly the valid indexed ones, sorted by job index.
   std::vector<ManifestEntry> kept;
   for (const auto& path : bundles) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) continue;
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    std::vector<std::uint8_t> bytes;
+    try {
+      bytes = readFileBytes(path);
+    } catch (const std::runtime_error&) {
+      continue;  // unreadable: StudyRecovery::scan quarantines it
+    }
     if (!core::SpabEnvelope::looksFramed(bytes)) continue;
     try {
       core::SpabEnvelope envelope = core::SpabEnvelope::decode(bytes);
@@ -193,6 +219,71 @@ std::size_t compactCheckpointDirectory(const std::string& directory) {
   return removed;
 }
 
+namespace {
+
+/// What reading and decoding one bundle found. A worker fills it in; the
+/// scan applies it later, in path order.
+struct BundleVerdict {
+  std::optional<std::string> rejected;  // why it goes to quarantine
+  bool indexed = false;  // false: valid but unindexed (legacy, batch save)
+  core::SpabEnvelope envelope;
+  std::exception_ptr escaped;  // anything else thrown: rethrown in order
+};
+
+BundleVerdict decodeBundle(const fs::path& path) {
+  BundleVerdict verdict;
+  std::vector<std::uint8_t> bytes;
+  try {
+    bytes = readFileBytes(path);
+  } catch (const std::exception& error) {
+    verdict.rejected = error.what();
+    return verdict;
+  }
+  try {
+    if (!core::SpabEnvelope::looksFramed(bytes)) {
+      // A legacy (pre-envelope) bundle that still decodes is valid data,
+      // just not replayable: it carries no job index. Leave it in place.
+      (void)core::RunArtifacts::deserialize(bytes);
+      return verdict;
+    }
+    verdict.envelope = core::SpabEnvelope::decode(bytes);
+    verdict.indexed =
+        verdict.envelope.jobIndex != core::SpabEnvelope::kNoJobIndex;
+  } catch (const util::DecodeError& error) {
+    verdict.rejected = error.what();
+  }
+  return verdict;
+}
+
+/// Reads and decodes every bundle on min(hardware threads, bundles)
+/// threads claiming paths from one cursor; verdicts[i] belongs to
+/// bundles[i]. No exception leaves a worker.
+std::vector<BundleVerdict> decodeBundles(const std::vector<fs::path>& bundles) {
+  std::vector<BundleVerdict> verdicts(bundles.size());
+  std::atomic<std::size_t> cursor{0};
+  const auto claimLoop = [&] {
+    for (std::size_t i = cursor.fetch_add(1); i < bundles.size();
+         i = cursor.fetch_add(1)) {
+      try {
+        verdicts[i] = decodeBundle(bundles[i]);
+      } catch (...) {
+        verdicts[i].escaped = std::current_exception();
+      }
+    }
+  };
+  const std::size_t threads = std::min<std::size_t>(
+      std::max<std::size_t>(1, std::thread::hardware_concurrency()),
+      bundles.size());
+  {
+    std::vector<std::jthread> workers;
+    workers.reserve(threads);
+    for (std::size_t t = 0; t < threads; ++t) workers.emplace_back(claimLoop);
+  }  // jthreads join here
+  return verdicts;
+}
+
+}  // namespace
+
 RecoveryReport StudyRecovery::scan(const std::string& directory) {
   RecoveryReport report;
   const fs::path root(directory);
@@ -230,51 +321,31 @@ RecoveryReport StudyRecovery::scan(const std::string& directory) {
                   path.filename().string().c_str(), error.c_str());
   };
 
+  // Decoding is per-bundle work and runs in parallel; deciding what each
+  // bundle means (and renaming, logging, spotting a repeated job index)
+  // runs here, one bundle at a time in path order.
+  std::vector<BundleVerdict> verdicts = decodeBundles(bundles);
   std::unordered_set<std::string> validShas;
   std::unordered_set<std::size_t> seenIndices;
-  for (const auto& path : bundles) {
-    std::vector<std::uint8_t> bytes;
-    try {
-      std::ifstream in(path, std::ios::binary);
-      if (!in) throw std::runtime_error("cannot open");
-      bytes.assign((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-    } catch (const std::exception& error) {
-      quarantine(path, error.what());
+  for (std::size_t i = 0; i < bundles.size(); ++i) {
+    BundleVerdict& verdict = verdicts[i];
+    if (verdict.escaped) std::rethrow_exception(verdict.escaped);
+    if (verdict.rejected) {
+      quarantine(bundles[i], *verdict.rejected);
       continue;
     }
-
-    if (!core::SpabEnvelope::looksFramed(bytes)) {
-      // A legacy (pre-envelope) bundle that still decodes is valid data,
-      // just not replayable: it carries no job index. Leave it in place.
-      try {
-        (void)core::RunArtifacts::deserialize(bytes);
-        ++report.unindexedBundles;
-      } catch (const util::DecodeError& error) {
-        quarantine(path, error.what());
-      }
-      continue;
-    }
-
-    core::SpabEnvelope envelope;
-    try {
-      envelope = core::SpabEnvelope::decode(bytes);
-    } catch (const util::DecodeError& error) {
-      quarantine(path, error.what());
-      continue;
-    }
-    if (envelope.jobIndex == core::SpabEnvelope::kNoJobIndex) {
+    if (!verdict.indexed) {
       ++report.unindexedBundles;
       continue;
     }
-    const auto jobIndex = static_cast<std::size_t>(envelope.jobIndex);
+    const auto jobIndex = static_cast<std::size_t>(verdict.envelope.jobIndex);
     if (!seenIndices.insert(jobIndex).second) {
-      quarantine(path, "duplicate job index " + std::to_string(jobIndex));
+      quarantine(bundles[i], "duplicate job index " + std::to_string(jobIndex));
       continue;
     }
-    validShas.insert(envelope.artifacts.apkSha256);
-    report.runs.push_back({jobIndex, envelope.account,
-                           std::move(envelope.artifacts)});
+    validShas.insert(verdict.envelope.artifacts.apkSha256);
+    report.runs.push_back({jobIndex, verdict.envelope.account,
+                           std::move(verdict.envelope.artifacts)});
   }
   std::sort(report.runs.begin(), report.runs.end(),
             [](const RecoveredRun& a, const RecoveredRun& b) {

@@ -70,6 +70,14 @@ void writeSpabAtomic(const std::filesystem::path& directory,
                      std::span<const std::uint8_t> envelopeBytes,
                      const KillProbe& probe = {});
 
+/// The whole of `path` in one sized read: open, take the file's size, one
+/// `read` into a buffer of that size. Throws std::runtime_error when the
+/// file cannot be opened or sized or yields fewer bytes than its size.
+/// Every reader of a checkpoint directory (bundles, manifest, batch loads)
+/// goes through it.
+[[nodiscard]] std::vector<std::uint8_t> readFileBytes(
+    const std::filesystem::path& path);
+
 /// Incremental checkpointer for a running study. Thread-safe: shards call
 /// checkpoint() concurrently as runs finalize; bundle writes are
 /// per-sha-file and the manifest append is serialized.
@@ -136,8 +144,14 @@ std::size_t compactCheckpointDirectory(const std::string& directory);
 
 /// Post-crash scan of a checkpoint directory. Quarantines instead of
 /// throwing: a single corrupt bundle must never abandon the recovery the
-/// way ResultDatabase::loadFromDirectory once did. Deterministic: files
-/// are visited in sorted path order.
+/// way ResultDatabase::loadFromDirectory once did. Bundles are read and
+/// decoded on min(hardware threads, bundle count) threads; the verdicts
+/// (quarantine, duplicate index, unindexed, survivor) are then applied one
+/// at a time in sorted path order, so the report, the quarantine directory
+/// and the log are deterministic. An exception other than a read failure
+/// or a DecodeError is rethrown on the calling thread after every worker
+/// has joined: the first such exception in path order, once the verdicts
+/// of the bundles before it are applied.
 class StudyRecovery {
  public:
   static constexpr std::string_view kQuarantineDir = "quarantine";

@@ -6,15 +6,36 @@ namespace libspector::util {
 
 namespace {
 
-std::array<std::uint32_t, 256> makeCrc32Table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables for the reflected IEEE polynomial, built at compile
+/// time. kCrc32Tables[0] is the classic one-byte table; kCrc32Tables[k][b]
+/// is the crc of byte b followed by k zero bytes, so eight lookups advance
+/// the crc over eight input bytes at once.
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr Crc32Tables makeCrc32Tables() {
+  Crc32Tables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit)
       crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      tables[k][i] =
+          (tables[k - 1][i] >> 8) ^ tables[0][tables[k - 1][i] & 0xFFu];
+  return tables;
+}
+
+constexpr Crc32Tables kCrc32Tables = makeCrc32Tables();
+static_assert(kCrc32Tables[0][128] == 0xEDB88320u,
+              "one-byte table holds the reflected polynomial");
+
+/// Little-endian u32 from four bytes at any alignment, on any host byte
+/// order (compilers turn it into one load where that is legal).
+std::uint32_t loadLe32(const std::uint8_t* p) noexcept {
+  return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+         std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
 }
 
 }  // namespace
@@ -28,10 +49,18 @@ std::uint32_t checkedU32(std::uint64_t value, const char* what) {
 }
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept {
-  static const std::array<std::uint32_t, 256> kTable = makeCrc32Table();
+  const auto& t = kCrc32Tables;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const std::uint8_t byte : data)
-    crc = (crc >> 8) ^ kTable[(crc ^ byte) & 0xFFu];
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = loadLe32(p) ^ crc;
+    const std::uint32_t hi = loadLe32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFFu];
   return crc ^ 0xFFFFFFFFu;
 }
 

@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/export.hpp"
@@ -86,6 +88,21 @@ TEST(RecoveryTest, CheckpointScanRoundTrip) {
   EXPECT_TRUE(report.quarantined.empty());
   EXPECT_EQ(report.tmpFilesRemoved, 0u);
   EXPECT_EQ(report.manifestMissingBundles, 0u);
+}
+
+TEST(RecoveryTest, ReadFileBytesReadsTheWholeFileOrThrows) {
+  const fs::path dir = freshDir("readbytes");
+  fs::create_directories(dir);
+  const std::vector<std::uint8_t> bytes = {0x00, 0xff, '\n', 0x1a, 0x00, 7};
+  {
+    std::ofstream out(dir / "bytes.bin", std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    std::ofstream empty(dir / "empty.bin", std::ios::binary);
+  }
+  EXPECT_EQ(readFileBytes(dir / "bytes.bin"), bytes);
+  EXPECT_TRUE(readFileBytes(dir / "empty.bin").empty());
+  EXPECT_THROW((void)readFileBytes(dir / "missing.bin"), std::runtime_error);
 }
 
 TEST(RecoveryTest, ScanOfMissingDirectoryIsEmptyNotFatal) {
@@ -188,15 +205,19 @@ TEST_P(RecoverySweep, KillPointSweepYieldsByteIdenticalStudy) {
 
       // Spot-check the recovery accounting against what this kill point
       // must have left on disk.
-      if (killPoint == "tmp-partial")
+      if (killPoint == "tmp-partial") {
         EXPECT_EQ(resumed.recovery.tmpFilesRemoved, 1u) << tag;
-      if (killPoint == "manifest-partial")
+      }
+      if (killPoint == "manifest-partial") {
         EXPECT_GE(resumed.recovery.manifestTornLines, 1u) << tag;
-      if (killPoint == "done")
+      }
+      if (killPoint == "done") {
         EXPECT_EQ(resumed.output.appsReplayed, crashAt + 1) << tag;
+      }
       if (killPoint == "begin" || killPoint == "tmp-partial" ||
-          killPoint == "tmp-complete")
+          killPoint == "tmp-complete") {
         EXPECT_EQ(resumed.output.appsReplayed, crashAt) << tag;
+      }
     }
   }
 }
@@ -241,6 +262,122 @@ TEST(RecoveryTest, CorruptBundlesAreQuarantinedAndReRun) {
   for (const auto& entry : resumed.recovery.quarantined)
     EXPECT_TRUE(fs::exists(fs::path(crashed.artifactsDirectory) /
                            StudyRecovery::kQuarantineDir / entry.file));
+}
+
+std::vector<fs::path> sortedBundles(const fs::path& directory) {
+  std::vector<fs::path> bundles;
+  for (const auto& entry : fs::directory_iterator(directory))
+    if (entry.path().extension() == ".spab") bundles.push_back(entry.path());
+  std::sort(bundles.begin(), bundles.end());
+  return bundles;
+}
+
+void expectSameRuns(const std::vector<RecoveredRun>& actual,
+                    const std::vector<RecoveredRun>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].jobIndex, expected[i].jobIndex) << i;
+    EXPECT_EQ(actual[i].account, expected[i].account) << i;
+    EXPECT_EQ(actual[i].artifacts.serialize(), expected[i].artifacts.serialize())
+        << i;
+  }
+}
+
+// The scan decodes bundles on several threads and decides in name order.
+// Under mixed damage over more bundles than twice the hardware threads,
+// it must quarantine exactly what a one-at-a-time scan would, in name
+// order, keep the intact runs, and report the same on every copy of the
+// same bytes.
+TEST(RecoveryTest, MixedCorruptionScanIsDeterministicAcrossThreads) {
+  const std::size_t hardware =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  auto config = recoveryConfig();
+  config.store.appCount = 2 * hardware + 6;
+  config.artifactsDirectory = freshDir("mixed_gt");
+  ASSERT_EQ(runStudy(config).appsProcessed, config.store.appCount);
+  const auto intact = StudyRecovery::scan(config.artifactsDirectory);
+  ASSERT_EQ(intact.runs.size(), config.store.appCount);
+
+  const fs::path damaged = freshDir("mixed");
+  fs::copy(config.artifactsDirectory, damaged, fs::copy_options::recursive);
+  const std::vector<fs::path> bundles = sortedBundles(damaged);
+  ASSERT_GT(bundles.size(), 2 * hardware);
+
+  std::set<std::uint64_t> damagedIndices;
+  for (std::size_t i = 0; i < 5; ++i)
+    damagedIndices.insert(
+        core::SpabEnvelope::decode(readFileBytes(bundles[i])).jobIndex);
+  {
+    std::fstream flip(bundles[0],
+                      std::ios::binary | std::ios::in | std::ios::out);
+    flip.seekg(20);
+    const char byte = static_cast<char>(flip.get());
+    flip.seekp(20);
+    flip.put(static_cast<char>(byte ^ 0x40));
+  }
+  fs::resize_file(bundles[1], fs::file_size(bundles[1]) / 2);
+  fs::resize_file(bundles[2], 0);
+  fs::resize_file(bundles[3], 40);
+  {
+    std::ofstream garbage(bundles[4], std::ios::binary | std::ios::trunc);
+    for (int i = 0; i < 20; ++i) garbage << "not a bundle at all\n";
+  }
+  // A valid bundle under a second name that sorts after every sha: its
+  // job index repeats, so the later name is the one quarantined.
+  const auto duplicateIndex =
+      core::SpabEnvelope::decode(readFileBytes(bundles[5])).jobIndex;
+  fs::copy_file(bundles[5], damaged / "zz-copy.spab");
+  // Valid but unindexed: a legacy unframed bundle and a batch save.
+  const core::RunArtifacts& sample = intact.runs[0].artifacts;
+  {
+    std::ofstream legacy(damaged / "legacy.spab",
+                         std::ios::binary | std::ios::trunc);
+    const auto bytes = sample.serialize();
+    legacy.write(reinterpret_cast<const char*>(bytes.data()),
+                 static_cast<std::streamsize>(bytes.size()));
+  }
+  writeSpabAtomic(damaged, "unindexed",
+                  core::SpabEnvelope::encode(core::SpabEnvelope::kNoJobIndex,
+                                             {}, sample));
+  std::ofstream(damaged / "torn.spab.tmp") << "torn";
+
+  const fs::path twin = freshDir("mixed_twin");
+  fs::copy(damaged, twin, fs::copy_options::recursive);
+  const auto report = StudyRecovery::scan(damaged.string());
+  const auto twinReport = StudyRecovery::scan(twin.string());
+
+  const std::vector<std::pair<std::string, std::string>> expectedQuarantine = {
+      {bundles[0].filename().string(), "SpabEnvelope: checksum mismatch"},
+      {bundles[1].filename().string(), "SpabEnvelope: checksum mismatch"},
+      {bundles[2].filename().string(), "ByteReader: truncated input"},
+      {bundles[3].filename().string(), "SpabEnvelope: checksum mismatch"},
+      {bundles[4].filename().string(), "RunArtifacts: bad magic"},
+      {"zz-copy.spab",
+       "duplicate job index " + std::to_string(duplicateIndex)},
+  };
+  for (const auto* scanned : {&report, &twinReport}) {
+    ASSERT_EQ(scanned->quarantined.size(), expectedQuarantine.size());
+    for (std::size_t i = 0; i < expectedQuarantine.size(); ++i) {
+      EXPECT_EQ(scanned->quarantined[i].file, expectedQuarantine[i].first);
+      EXPECT_EQ(scanned->quarantined[i].error, expectedQuarantine[i].second)
+          << expectedQuarantine[i].first;
+    }
+    EXPECT_EQ(scanned->unindexedBundles, 2u);
+    EXPECT_EQ(scanned->tmpFilesRemoved, 1u);
+    EXPECT_EQ(scanned->manifestEntries, config.store.appCount);
+    EXPECT_EQ(scanned->manifestMissingBundles, damagedIndices.size());
+  }
+  for (const auto& entry : expectedQuarantine) {
+    EXPECT_TRUE(fs::exists(damaged / StudyRecovery::kQuarantineDir /
+                           entry.first));
+    EXPECT_FALSE(fs::exists(damaged / entry.first));
+  }
+
+  std::vector<RecoveredRun> survivors;
+  for (const auto& run : intact.runs)
+    if (!damagedIndices.contains(run.jobIndex)) survivors.push_back(run);
+  expectSameRuns(report.runs, survivors);
+  expectSameRuns(twinReport.runs, report.runs);
 }
 
 TEST(RecoveryTest, LossyChannelReplayPreservesLossAccounts) {

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace libspector::util {
 namespace {
@@ -112,6 +118,73 @@ TEST(BytesTest, LittleEndianLayout) {
   w.u32(0x01020304);
   EXPECT_EQ(w.data()[0], 0x04);
   EXPECT_EQ(w.data()[3], 0x01);
+}
+
+/// The CRC-32 definition, one bit at a time with no table: the reference
+/// the slicing-by-8 kernel must equal on every input.
+std::uint32_t bitwiseCrc32(std::span<const std::uint8_t> data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit)
+      crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t crc32Of(std::string_view text) {
+  return crc32(std::span(reinterpret_cast<const std::uint8_t*>(text.data()),
+                         text.size()));
+}
+
+std::vector<std::uint8_t> randomBytes(Rng& rng, std::size_t length) {
+  std::vector<std::uint8_t> bytes(length);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
+  return bytes;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  EXPECT_EQ(crc32({}), 0x00000000u);
+  EXPECT_EQ(crc32Of("123456789"), 0xCBF43926u);  // the catalogue check value
+  EXPECT_EQ(crc32Of("a"), 0xE8B7BE43u);
+  EXPECT_EQ(crc32Of("abc"), 0x352441C2u);
+  EXPECT_EQ(crc32Of("The quick brown fox jumps over the lazy dog"),
+            0x414FA339u);
+  EXPECT_EQ(crc32(std::vector<std::uint8_t>(32, 0x00)), 0x190A55ADu);
+  EXPECT_EQ(crc32(std::vector<std::uint8_t>(32, 0xFF)), 0xFF6CAB0Bu);
+  std::vector<std::uint8_t> ramp(256);
+  for (std::size_t i = 0; i < ramp.size(); ++i)
+    ramp[i] = static_cast<std::uint8_t>(i);
+  EXPECT_EQ(crc32(ramp), 0x29058C73u);
+}
+
+// Every length from 0 to 1,100 at offsets 0-7: every split between the
+// eight-byte steps and the byte tail, at every alignment. Each input ends
+// exactly at the end of its allocation, so a read past the span is a heap
+// overflow under ASan.
+TEST(Crc32Test, MatchesTheBitwiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(0xc4c32ULL);
+  for (std::size_t length = 0; length <= 1100; ++length) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const std::vector<std::uint8_t> storage =
+          randomBytes(rng, offset + length);
+      const auto message = std::span(storage).subspan(offset);
+      ASSERT_EQ(crc32(message), bitwiseCrc32(message))
+          << "length " << length << " offset " << offset;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesTheBitwiseReferenceOn1000RandomBuffers) {
+  Rng rng(0x5eedc4cULL);
+  for (int round = 0; round < 1000; ++round) {
+    const auto offset = static_cast<std::size_t>(rng.uniform(0, 7));
+    const auto length = static_cast<std::size_t>(rng.uniform(0, 65536));
+    const std::vector<std::uint8_t> storage = randomBytes(rng, offset + length);
+    const auto message = std::span(storage).subspan(offset);
+    ASSERT_EQ(crc32(message), bitwiseCrc32(message))
+        << "round " << round << " length " << length;
+  }
 }
 
 }  // namespace
