@@ -46,7 +46,7 @@ struct RequestWorld {
     for (const auto& method : program.methods)
       cls.methods.push_back({method.signature});
     dexFile.classes.push_back(cls);
-    apk.dexFiles.push_back(dexFile);
+    apk.setDex(dex::writeDexFiles({dexFile}));
   }
 
   net::ServerFarm farm;

@@ -1,19 +1,21 @@
 // App-store generation throughput: the per-app work a dispatcher worker
 // does before it emulates.
 //
-// Two axes:
-//   - job expansion: makeJob + streaming apk sha256, on 1 thread and on
-//     every hardware thread, the threads claiming corpus indices from one
-//     atomic cursor as the dispatcher's workers do;
-//   - hashing: ApkFile::sha256() as one streaming serialization walk vs
-//     materializing serialize() and hashing the buffer.
+// Three axes:
+//   - job expansion: makeJob + apk sha256, on 1 thread and on every
+//     hardware thread, the threads claiming corpus indices from one atomic
+//     cursor as the dispatcher's workers do;
+//   - hashing: ApkFile::sha256(), the header and then the dex image in one
+//     update;
+//   - heap allocations per makeJob, counted on one thread by the global
+//     operator new replacement in common/alloc_counter.cpp.
 //
 // The headline expands a fixed corpus kRepetitions times per thread count,
-// prints the median apps/s with its min and max, times the streaming hash
-// alone in serialized MB/s (1 MB = 10^6 bytes) on the kernel the process
-// selected, and writes BENCH_store.json (gated by
+// prints the median apps/s with its min and max, times the hash alone in
+// serialized MB/s (1 MB = 10^6 bytes) on the kernel the process selected,
+// counts makeJob's allocations, and writes BENCH_store.json (gated by
 // scripts/check_bench_floor.py). The google-benchmark microbenchmarks
-// after it isolate the hash path and report bytes per second; pass
+// after it isolate the hash and the expansion; pass
 // --benchmark_filter='^$' to run the headline alone.
 #include <benchmark/benchmark.h>
 
@@ -26,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/alloc_counter.hpp"
 #include "store/generator.hpp"
 #include "util/sha256.hpp"
 
@@ -48,7 +51,7 @@ const store::AppStoreGenerator& benchGenerator() {
   return kGenerator;
 }
 
-/// Expands the whole corpus (makeJob + streaming sha256) on `threads`
+/// Expands the whole corpus (makeJob + sha256) on `threads`
 /// threads that claim indices from one cursor; returns apps/s.
 double expandCorpus(std::size_t threads) {
   std::atomic<std::size_t> cursor{0};
@@ -110,11 +113,20 @@ Rate measureHash() {
   });
 }
 
+/// Heap allocations per makeJob over the whole corpus, on this thread.
+double makeJobAllocationsPerApp() {
+  const std::uint64_t before = bench::allocationCount();
+  for (std::size_t i = 0; i < kApps; ++i)
+    benchmark::DoNotOptimize(benchGenerator().makeJob(i));
+  return static_cast<double>(bench::allocationCount() - before) /
+         static_cast<double>(kApps);
+}
+
 void runHeadline() {
   (void)benchGenerator();  // world build is set-up, not generation
   const std::size_t hardware =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  std::printf("=== store generation: %zu apps, makeJob + streaming sha256, "
+  std::printf("=== store generation: %zu apps, makeJob + sha256, "
               "median of %zu ===\n",
               kApps, kRepetitions);
   const Rate one = measure(1);
@@ -125,6 +137,8 @@ void runHeadline() {
   const Rate hash = measureHash();
   std::printf("sha256 (%s kernel): %8.1f MB/s  (min %.1f, max %.1f)\n",
               util::Sha256::kernelName(), hash.median, hash.min, hash.max);
+  const double allocations = makeJobAllocationsPerApp();
+  std::printf("makeJob: %.0f heap allocations per app\n", allocations);
   std::printf("\n");
 
   if (std::FILE* json = std::fopen("BENCH_store.json", "w")) {
@@ -145,6 +159,8 @@ void runHeadline() {
                  "  \"sha256_mb_per_sec_min\": %.2f,\n"
                  "  \"sha256_mb_per_sec_max\": %.2f,\n",
                  util::Sha256::kernelName(), hash.median, hash.min, hash.max);
+    std::fprintf(json, "  \"make_job_allocs_per_app\": %.1f,\n",
+                 allocations);
     std::fprintf(json, "  \"threads\": [1, %zu]\n}\n", hardware);
     std::fclose(json);
     std::printf("wrote BENCH_store.json\n\n");
@@ -155,8 +171,7 @@ void runHeadline() {
 // Microbenchmarks: the hash path in isolation.
 // ---------------------------------------------------------------------------
 
-void BM_Sha256Streaming(benchmark::State& state) {
-  // The production path: one serialization walk feeding the hasher.
+void BM_Sha256(benchmark::State& state) {
   const auto job = benchGenerator().makeJob(0);
   const std::size_t bytes = job.apk.serialize().size();
   for (auto _ : state) benchmark::DoNotOptimize(job.apk.sha256());
@@ -164,22 +179,7 @@ void BM_Sha256Streaming(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(bytes));
 }
-BENCHMARK(BM_Sha256Streaming)->Unit(benchmark::kMicrosecond);
-
-void BM_Sha256Buffered(benchmark::State& state) {
-  // Materialize the serialized apk, then hash the buffer.
-  const auto job = benchGenerator().makeJob(0);
-  const std::size_t bytes = job.apk.serialize().size();
-  for (auto _ : state) {
-    const auto buffer = job.apk.serialize();
-    benchmark::DoNotOptimize(
-        util::Sha256::hash(std::span(buffer.data(), buffer.size())));
-  }
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(bytes));
-}
-BENCHMARK(BM_Sha256Buffered)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Sha256)->Unit(benchmark::kMicrosecond);
 
 void BM_MakeJob(benchmark::State& state) {
   // Expansion alone (no hashing).

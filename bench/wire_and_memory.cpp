@@ -14,8 +14,8 @@
 //     a faithful replica of the pre-interning string pipeline (one
 //     std::string per flow field, string-keyed aggregation) vs the symbol
 //     pipeline (u32-id FlowColumns batches folded through the dense
-//     StudyAggregator::addAppColumns), counted with a global operator new
-//     hook: >= 5x fewer;
+//     StudyAggregator::addAppColumns), counted with the global operator
+//     new replacement in common/alloc_counter.cpp: >= 5x fewer;
 //
 //   - util::crc32 throughput in MB/s (1 MB = 10^6 bytes), one thread, the
 //     median of 5 passes over an 8 MiB buffer of random bytes: every
@@ -23,18 +23,16 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "common/alloc_counter.hpp"
 #include "core/analysis.hpp"
 #include "core/attribution.hpp"
 #include "core/report.hpp"
@@ -44,48 +42,6 @@
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 #include "vtsim/categorizer.hpp"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter: every operator new in the process ticks it.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1)))
-    return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -283,9 +239,9 @@ std::size_t symbolRecordAndFold(const StudyWorld& world,
 
 std::uint64_t countAllocations(const std::function<std::size_t()>& fn,
                                std::size_t& flows) {
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = bench::allocationCount();
   flows = fn();
-  return g_allocations.load(std::memory_order_relaxed) - before;
+  return bench::allocationCount() - before;
 }
 
 // ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   std::printf("app:        %s\n", plan.packageName.c_str());
   std::printf("category:   %s\n", plan.appCategory.c_str());
   std::printf("dex:        %zu methods in %zu dex file(s)\n",
-              job.apk.totalMethodCount(), job.apk.dexFiles.size());
+              job.apk.totalMethodCount(), job.apk.dexCount());
   std::printf("version:    %u (dexTimestamp %llu, vtScanDate %llu)\n",
               job.apk.versionCode,
               static_cast<unsigned long long>(job.apk.dexTimestamp),

@@ -12,8 +12,9 @@ JSON next to the cwd:
   bench/store_generation       -> BENCH_store.json
 
 This script fails when any gated metric regresses below its recorded
-floor, so an accidental slow-down on a hot path turns a green lane red
-instead of silently eroding a ROADMAP target.
+floor, or above its recorded ceiling for a cost, so an accidental
+slow-down on a hot path turns a green lane red instead of silently
+eroding a ROADMAP target.
 
 Ratio floors (speedups, reductions) sit below the measured numbers to
 absorb machine noise but at or above the ROADMAP acceptance bars.
@@ -30,7 +31,8 @@ Usage: scripts/check_bench_floor.py [BENCH_file.json ...]
        directory is checked (at least one must exist). Explicitly named
        files must exist.
 
-Exit status: 0 when every gated metric meets its floor, 1 otherwise.
+Exit status: 0 when every gated metric meets its floor or ceiling, 1
+otherwise.
 """
 
 import json
@@ -90,7 +92,7 @@ FLOORS = {
         "scenario_apps_per_sec": (15.0, "/s"),
     },
     "BENCH_store.json": {
-        # makeJob + streaming sha256 over a 96-app corpus, median of 5,
+        # makeJob + sha256 over a 96-app corpus, median of 5,
         # the threads claiming indices from one cursor as dispatcher
         # workers do. Measured ~150-165 apps/s on 1 thread and ~600-710
         # on 4 threads of a 4-thread box. The all-threads floor matches the
@@ -107,13 +109,26 @@ FLOORS = {
 }
 
 
+# path -> {key: (ceiling, unit)}: costs, where higher is worse.
+CEILINGS = {
+    "BENCH_store.json": {
+        # Heap allocations per makeJob over the bench's 96-app corpus, one
+        # thread. Measured 34,810 when each apk stored its signatures as
+        # separate strings in nested class vectors, and 4,134 with the dex
+        # written once into one image: the ceiling catches a return to a
+        # string per signature.
+        "make_job_allocs_per_app": (10000.0, " allocs"),
+    },
+}
+
+
 def fmt(value, unit):
     if unit.endswith("/s"):
         return f"{value:,.0f}{unit}"
     return f"{value:g}{unit}"
 
 
-def check_file(path, floors, failures):
+def check_file(path, floors, ceilings, failures):
     try:
         with open(path, encoding="utf-8") as fh:
             bench = json.load(fh)
@@ -127,40 +142,49 @@ def check_file(path, floors, failures):
         failures.append(f"{path}: invalid JSON")
         return
 
-    for key, (floor, unit) in sorted(floors.items()):
+    gates = [(key, bound, unit, "floor") for key, (bound, unit)
+             in floors.items()]
+    gates += [(key, bound, unit, "ceiling") for key, (bound, unit)
+              in ceilings.items()]
+    for key, bound, unit, kind in sorted(gates):
         value = bench.get(key)
         if not isinstance(value, (int, float)):
             failures.append(
-                f"{path}: {key} missing (floor {fmt(floor, unit)})")
+                f"{path}: {key} missing ({kind} {fmt(bound, unit)})")
             continue
-        status = "ok" if value >= floor else "REGRESSION"
+        passed = value >= bound if kind == "floor" else value <= bound
+        status = "ok" if passed else "REGRESSION"
         print(f"{path}: {key}: {fmt(value, unit)}"
-              f" (floor {fmt(floor, unit)}) {status}")
-        if value < floor:
+              f" ({kind} {fmt(bound, unit)}) {status}")
+        if not passed:
+            relation = "<" if kind == "floor" else ">"
             failures.append(
                 f"{path}: {key}: {fmt(value, unit)}"
-                f" < floor {fmt(floor, unit)}")
+                f" {relation} {kind} {fmt(bound, unit)}")
 
 
 def main(argv):
     failures = []
+    known = sorted(set(FLOORS) | set(CEILINGS))
     if len(argv) > 1:
         for path in argv[1:]:
-            floors = FLOORS.get(os.path.basename(path))
-            if floors is None:
+            name = os.path.basename(path)
+            if name not in known:
                 print(f"check_bench_floor: no floors defined for {path}",
                       file=sys.stderr)
                 return 1
-            check_file(path, floors, failures)
+            check_file(path, FLOORS.get(name, {}), CEILINGS.get(name, {}),
+                       failures)
     else:
-        present = [path for path in sorted(FLOORS) if os.path.exists(path)]
+        present = [path for path in known if os.path.exists(path)]
         if not present:
             print("check_bench_floor: no BENCH_*.json files found in the "
                   "current directory (run the bench binaries first)",
                   file=sys.stderr)
             return 1
         for path in present:
-            check_file(path, FLOORS[path], failures)
+            check_file(path, FLOORS.get(path, {}), CEILINGS.get(path, {}),
+                       failures)
 
     if failures:
         print("check_bench_floor: FAIL", file=sys.stderr)

@@ -3,9 +3,10 @@
 # suites with AddressSanitizer and UndefinedBehaviorSanitizer and run them.
 # The fuzzers feed the wire, .spab and elision decoders hostile bytes; the
 # recovery sweep truncates and corrupts bundles mid-write; the symbol pool
-# hands out pointers into chunked storage; the supervisor's frame index
-# borrows string views from the apk and the monitor's coverage set from
-# the trace; the SHA-extension digest kernel makes 16-byte loads from
+# hands out pointers into chunked storage; an apk's dex content is one byte
+# image read through tables of offsets, which the writer, the generator,
+# the supervisor's frame index and the monitor's coverage all do
+# arithmetic on; the SHA-extension digest kernel makes 16-byte loads from
 # caller buffers at any alignment; the slicing-by-8 crc32 kernel reads
 # eight bytes per step up to the end of its buffer; the method tracer
 # keeps per-id slots and views into its own map; and the attribution,
@@ -39,6 +40,8 @@ TARGETS=(
   ingest_router_test
   recovery_test
   symbol_pool_test
+  apk_test
+  generator_test
   attribution_test
   analysis_test
   export_test

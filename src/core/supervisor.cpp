@@ -32,8 +32,8 @@ void SocketSupervisor::primeApkContext(std::string apkSha256) {
 
 void SocketSupervisor::onAppLoaded(rt::Interpreter& runtime,
                                    const dex::ApkFile& apk) {
-  // Digest memoization: reuse the host's streaming hash when primed, so
-  // one app load hashes the apk at most once across emulator + supervisor.
+  // Digest memoization: reuse the host's hash when primed, so one app
+  // load hashes the apk at most once across emulator + supervisor.
   std::string sha = pendingApkSha256_.empty() ? util::toHex(apk.sha256())
                                               : std::move(pendingApkSha256_);
   pendingApkSha256_.clear();

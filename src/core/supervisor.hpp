@@ -39,11 +39,11 @@ class SocketSupervisor final : public hook::XposedModule {
   /// supervisor re-serializes the apk to hash it.
   void primeApkContext(std::string apkSha256);
 
-  /// Installs the post-hook on java.net.Socket.connect; indexes the apk's
-  /// frame -> signature translations in place and resolves the apk
+  /// Installs the post-hook on java.net.Socket.connect; translates frames
+  /// to signatures through `apk`'s class index and resolves the apk
   /// checksum the reports will carry (from primeApkContext when available).
-  /// The index borrows `apk`'s strings: the apk must outlive the hooks,
-  /// as the emulator's does for the whole run.
+  /// The translation table reads `apk`: the apk must outlive the hooks, as
+  /// the emulator's does for the whole run.
   void onAppLoaded(rt::Interpreter& runtime, const dex::ApkFile& apk) override;
 
   [[nodiscard]] std::size_t reportsSent() const noexcept { return reportsSent_; }

@@ -1,6 +1,10 @@
 #include "dex/apk.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <tuple>
 
 #include "util/bytes.hpp"
 
@@ -10,13 +14,13 @@ namespace {
 constexpr std::uint32_t kMagic = 0x4b504153;  // "SAPK"
 constexpr std::uint16_t kVersion = 1;
 
-/// The single serialization walk, shared by serialize() (Writer =
-/// ByteWriter, materializes the bytes) and sha256() (Writer =
-/// Sha256Writer, streams the same encoding straight into the digest with
-/// no buffer). Keeping one walk is what guarantees the two stay the same
-/// byte stream.
-template <class Writer>
-void writeApk(const ApkFile& apk, Writer& w) {
+/// Everything serialize() writes before the dex image.
+std::vector<std::uint8_t> header(const ApkFile& apk, std::size_t extra) {
+  std::size_t size = 4 + 2 + 4 + apk.packageName.size() + 4 +
+                     apk.appCategory.size() + 4 + 8 + 8 + 4;
+  for (const auto& abi : apk.abis) size += 4 + abi.size();
+  util::ByteWriter w;
+  w.reserve(size + extra);
   w.u32(kMagic);
   w.u16(kVersion);
   w.str(apk.packageName);
@@ -26,28 +30,54 @@ void writeApk(const ApkFile& apk, Writer& w) {
   w.u64(apk.vtScanDate);
   w.u32(static_cast<std::uint32_t>(apk.abis.size()));
   for (const auto& abi : apk.abis) w.str(abi);
-  w.u32(static_cast<std::uint32_t>(apk.dexFiles.size()));
-  for (const auto& dex : apk.dexFiles) {
-    w.u32(static_cast<std::uint32_t>(dex.classes.size()));
-    for (const auto& cls : dex.classes) {
-      w.str(cls.dottedName);
-      w.u32(static_cast<std::uint32_t>(cls.methods.size()));
-      for (const auto& m : cls.methods) w.str(m.signature);
-    }
-  }
+  return w.take();
 }
 }  // namespace
 
-std::size_t DexFile::methodCount() const noexcept {
-  std::size_t n = 0;
-  for (const auto& cls : classes) n += cls.methods.size();
-  return n;
+void ApkFile::setDex(DexWriter&& writer) {
+  ApkFile& written = writer.apk_;
+  std::sort(written.classIndex_.begin(), written.classIndex_.end(),
+            [](const ClassKey& a, const ClassKey& b) {
+              return std::tie(a.hash, a.cls) < std::tie(b.hash, b.cls);
+            });
+  image_ = std::move(written.image_);
+  dexes_ = std::move(written.dexes_);
+  classes_ = std::move(written.classes_);
+  methods_ = std::move(written.methods_);
+  classIndex_ = std::move(written.classIndex_);
+  strays_ = std::move(written.strays_);
 }
 
-std::size_t ApkFile::totalMethodCount() const noexcept {
-  std::size_t n = 0;
-  for (const auto& dex : dexFiles) n += dex.methodCount();
-  return n;
+ApkFile::IndexRange ApkFile::dexClasses(std::size_t dex) const {
+  const DexEntry& entry = dexes_[dex];
+  return IndexRange(entry.firstClass,
+                    std::size_t{entry.firstClass} + entry.classCount);
+}
+
+std::string_view ApkFile::className(std::size_t cls) const {
+  const ClassEntry& entry = classes_[cls];
+  return {reinterpret_cast<const char*>(image_.data()) + entry.nameOffset,
+          entry.nameSize};
+}
+
+ApkFile::IndexRange ApkFile::classMethods(std::size_t cls) const {
+  const ClassEntry& entry = classes_[cls];
+  return IndexRange(entry.firstMethod,
+                    std::size_t{entry.firstMethod} + entry.methodCount);
+}
+
+std::string_view ApkFile::signature(std::size_t method) const {
+  const MethodEntry& entry = methods_[method];
+  return {reinterpret_cast<const char*>(image_.data()) + entry.offset,
+          entry.size};
+}
+
+std::span<const ApkFile::ClassKey> ApkFile::classesWithHash(
+    std::uint64_t hash) const noexcept {
+  const auto [begin, end] = std::equal_range(
+      classIndex_.begin(), classIndex_.end(), ClassKey{hash, 0},
+      [](const ClassKey& a, const ClassKey& b) { return a.hash < b.hash; });
+  return {begin, end};
 }
 
 bool ApkFile::isX86Compatible() const noexcept {
@@ -58,9 +88,9 @@ bool ApkFile::isX86Compatible() const noexcept {
 }
 
 std::vector<std::uint8_t> ApkFile::serialize() const {
-  util::ByteWriter w;
-  writeApk(*this, w);
-  return w.take();
+  auto bytes = header(*this, image_.size());
+  bytes.insert(bytes.end(), image_.begin(), image_.end());
+  return bytes;
 }
 
 ApkFile ApkFile::deserialize(std::span<const std::uint8_t> bytes) {
@@ -76,31 +106,150 @@ ApkFile ApkFile::deserialize(std::span<const std::uint8_t> bytes) {
   const std::uint32_t abiCount = r.countCheck(r.u32(), 4);
   apk.abis.reserve(abiCount);
   for (std::uint32_t i = 0; i < abiCount; ++i) apk.abis.push_back(r.str());
+
+  // The rest is the dex image: each byte is copied once, through the
+  // writer, which rebuilds the tables as it goes.
+  if (r.remaining() > std::numeric_limits<std::uint32_t>::max())
+    throw util::DecodeError("ApkFile: dex image past 4 GiB");
+  const auto text = [&r] {
+    const std::uint32_t size = r.u32();
+    const auto view = r.view(size);
+    return std::string_view(reinterpret_cast<const char*>(view.data()),
+                            view.size());
+  };
+  DexWriter writer;
+  writer.reserve(r.remaining(), 0, 0);
   const std::uint32_t dexCount = r.countCheck(r.u32(), 4);
-  apk.dexFiles.reserve(dexCount);
   for (std::uint32_t i = 0; i < dexCount; ++i) {
-    DexFile dex;
+    writer.beginDex();
     const std::uint32_t classCount = r.countCheck(r.u32(), 8);
-    dex.classes.reserve(classCount);
     for (std::uint32_t c = 0; c < classCount; ++c) {
-      ClassDef cls;
-      cls.dottedName = r.str();
+      writer.beginClass(text());
       const std::uint32_t methodCount = r.countCheck(r.u32(), 4);
-      cls.methods.reserve(methodCount);
       for (std::uint32_t m = 0; m < methodCount; ++m)
-        cls.methods.push_back({r.str()});
-      dex.classes.push_back(std::move(cls));
+        writer.addMethod(text());
     }
-    apk.dexFiles.push_back(std::move(dex));
   }
   if (!r.atEnd()) throw util::DecodeError("ApkFile: trailing bytes");
+  apk.setDex(std::move(writer));
   return apk;
 }
 
 util::Sha256Digest ApkFile::sha256() const {
-  util::Sha256Writer w;
-  writeApk(*this, w);
-  return w.finish();
+  util::Sha256 hash;
+  hash.update(header(*this, 0));
+  hash.update(image_);
+  return hash.finish();
+}
+
+bool ApkFile::operator==(const ApkFile& other) const {
+  return packageName == other.packageName &&
+         appCategory == other.appCategory &&
+         versionCode == other.versionCode &&
+         dexTimestamp == other.dexTimestamp &&
+         vtScanDate == other.vtScanDate && abis == other.abis &&
+         image_ == other.image_;
+}
+
+// ---------------------------------------------------------------------------
+// DexWriter
+// ---------------------------------------------------------------------------
+
+void DexWriter::reserve(std::size_t imageBytes, std::size_t classes,
+                        std::size_t methods) {
+  apk_.image_.reserve(imageBytes);
+  apk_.classes_.reserve(classes);
+  apk_.methods_.reserve(methods);
+}
+
+void DexWriter::appendU32(std::uint32_t v) {
+  const std::uint8_t bytes[4] = {
+      static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
+      static_cast<std::uint8_t>(v >> 16), static_cast<std::uint8_t>(v >> 24)};
+  apk_.image_.insert(apk_.image_.end(), bytes, bytes + 4);
+}
+
+void DexWriter::appendBytes(std::string_view bytes) {
+  const auto* data = reinterpret_cast<const std::uint8_t*>(bytes.data());
+  apk_.image_.insert(apk_.image_.end(), data, data + bytes.size());
+}
+
+void DexWriter::patchU32(std::size_t offset, std::uint32_t v) noexcept {
+  std::uint8_t* p = apk_.image_.data() + offset;
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+void DexWriter::beginDex() {
+  auto& dexes = apk_.dexes_;
+  dexes.push_back({static_cast<std::uint32_t>(apk_.classes_.size()), 0});
+  patchU32(0, static_cast<std::uint32_t>(dexes.size()));
+  dexCountOffset_ = apk_.image_.size();
+  appendU32(0);
+}
+
+void DexWriter::beginClass(std::string_view dottedName) {
+  if (apk_.dexes_.empty())
+    throw std::logic_error("DexWriter: class before the first dex");
+  auto& image = apk_.image_;
+  // Offsets are u32: the whole entry must end inside 4 GiB.
+  (void)util::checkedU32(image.size() + 8 + dottedName.size(),
+                         "DexWriter: dex image");
+  const auto nameOffset = static_cast<std::uint32_t>(image.size() + 4);
+  const auto nameSize = static_cast<std::uint32_t>(dottedName.size());
+  appendU32(nameSize);
+  appendBytes(dottedName);
+  appendU32(0);  // method count, patched as methods arrive
+
+  const auto cls = static_cast<std::uint32_t>(apk_.classes_.size());
+  apk_.classes_.push_back(
+      {nameOffset, nameSize, static_cast<std::uint32_t>(apk_.methods_.size()),
+       0});
+  patchU32(dexCountOffset_, ++apk_.dexes_.back().classCount);
+
+  std::uint64_t hash = kClassHashSeed;
+  indexable_ = true;
+  ownPrefix_.assign(1, 'L');
+  for (const char c : dottedName) {
+    hash = classHashStep(hash, c);
+    indexable_ = indexable_ && c != '/' && c != ';';
+    ownPrefix_ += c == '.' ? '/' : c;
+  }
+  ownPrefix_ += ";->";
+  if (indexable_) apk_.classIndex_.push_back({hash, cls});
+}
+
+void DexWriter::addMethod(std::initializer_list<std::string_view> pieces) {
+  if (apk_.dexes_.empty() || apk_.dexes_.back().classCount == 0)
+    throw std::logic_error("DexWriter: method outside a class");
+  auto& image = apk_.image_;
+  std::size_t total = 0;
+  for (const std::string_view piece : pieces) total += piece.size();
+  (void)util::checkedU32(image.size() + 4 + total, "DexWriter: dex image");
+  const auto offset = static_cast<std::uint32_t>(image.size() + 4);
+  const auto size = static_cast<std::uint32_t>(total);
+  appendU32(size);
+  for (const std::string_view piece : pieces) appendBytes(piece);
+
+  const auto method = static_cast<std::uint32_t>(apk_.methods_.size());
+  apk_.methods_.push_back({offset, size});
+  ApkFile::ClassEntry& cls = apk_.classes_.back();
+  patchU32(std::size_t{cls.nameOffset} + cls.nameSize, ++cls.methodCount);
+  const bool own = size >= ownPrefix_.size() &&
+                   std::memcmp(image.data() + offset, ownPrefix_.data(),
+                               ownPrefix_.size()) == 0;
+  if (!indexable_ || !own) apk_.strays_.push_back(method);
+}
+
+DexWriter writeDexFiles(const std::vector<DexFile>& dexFiles) {
+  DexWriter writer;
+  for (const auto& dex : dexFiles) {
+    writer.beginDex();
+    for (const auto& cls : dex.classes) {
+      writer.beginClass(cls.dottedName);
+      for (const auto& m : cls.methods) writer.addMethod(m.signature);
+    }
+  }
+  return writer;
 }
 
 }  // namespace libspector::dex

@@ -1,56 +1,32 @@
 #include "dex/disassembler.hpp"
 
 #include <algorithm>
+#include <unordered_set>
 
 namespace libspector::dex {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-[[nodiscard]] constexpr std::uint64_t fnvStep(std::uint64_t hash,
-                                              char c) noexcept {
-  return (hash ^ static_cast<unsigned char>(c)) * kFnvPrime;
-}
-
 [[nodiscard]] constexpr char dotted(char c) noexcept {
   return c == '/' ? '.' : c;
 }
 
-/// FNV-1a of the dotted frame name "<class, '/' read as '.'>.<method>",
-/// equal to the hash of that name spelled out.
-[[nodiscard]] std::uint64_t frameHash(std::string_view slashedClass,
-                                      std::string_view methodName) noexcept {
-  std::uint64_t hash = kFnvOffset;
-  for (const char c : slashedClass) hash = fnvStep(hash, dotted(c));
-  hash = fnvStep(hash, '.');
-  for (const char c : methodName) hash = fnvStep(hash, c);
-  return hash;
+/// True when `slashedClass` with '/' read as '.' spells `dottedName`.
+[[nodiscard]] bool dotsTo(std::string_view slashedClass,
+                          std::string_view dottedName) noexcept {
+  return slashedClass.size() == dottedName.size() &&
+         std::equal(slashedClass.begin(), slashedClass.end(),
+                    dottedName.begin(),
+                    [](char s, char d) { return dotted(s) == d; });
 }
 
-/// Character `i` of the dotted frame name of (slashedClass, methodName).
-[[nodiscard]] char dottedAt(std::string_view slashedClass,
-                            std::string_view methodName,
-                            std::size_t i) noexcept {
-  if (i < slashedClass.size()) return dotted(slashedClass[i]);
-  if (i == slashedClass.size()) return '.';
-  return methodName[i - slashedClass.size() - 1];
-}
-
-/// Three-way comparison of two dotted frame names, neither built.
-[[nodiscard]] int compareDotted(std::string_view classA,
-                                std::string_view methodA,
-                                std::string_view classB,
-                                std::string_view methodB) noexcept {
-  const std::size_t sizeA = classA.size() + 1 + methodA.size();
-  const std::size_t sizeB = classB.size() + 1 + methodB.size();
-  for (std::size_t i = 0; i < std::min(sizeA, sizeB); ++i) {
-    const auto a = static_cast<unsigned char>(dottedAt(classA, methodA, i));
-    const auto b = static_cast<unsigned char>(dottedAt(classB, methodB, i));
-    if (a != b) return a < b ? -1 : 1;
-  }
-  return sizeA < sizeB ? -1 : (sizeA > sizeB ? 1 : 0);
+/// True when `slashedClass` is `dottedName` with every '.' written as '/'.
+[[nodiscard]] bool isSlashedForm(std::string_view slashedClass,
+                                 std::string_view dottedName) noexcept {
+  return slashedClass.size() == dottedName.size() &&
+         std::equal(slashedClass.begin(), slashedClass.end(),
+                    dottedName.begin(),
+                    [](char s, char d) { return s == (d == '.' ? '/' : d); });
 }
 
 }  // namespace
@@ -58,76 +34,67 @@ constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 std::vector<std::string> allMethodSignatures(const ApkFile& apk) {
   std::vector<std::string> out;
   out.reserve(apk.totalMethodCount());
-  for (const auto& dex : apk.dexFiles)
-    for (const auto& cls : dex.classes)
-      for (const auto& m : cls.methods) out.push_back(m.signature);
+  for (std::size_t m = 0; m < apk.totalMethodCount(); ++m)
+    out.emplace_back(apk.signature(m));
   return out;
 }
 
-FrameTranslationTable::FrameTranslationTable(const ApkFile& apk) {
-  struct Indexed {
-    Frame frame;
-    std::string_view signature;
-  };
-  const auto compare = [](const Frame& a, const Frame& b) {
-    if (a.hash != b.hash) return a.hash < b.hash ? -1 : 1;
-    return compareDotted(a.slashedClass, a.methodName, b.slashedClass,
-                         b.methodName);
-  };
-
-  std::vector<Indexed> indexed;
-  indexed.reserve(apk.totalMethodCount());
-  for (const auto& dex : apk.dexFiles) {
-    for (const auto& cls : dex.classes) {
-      for (const auto& m : cls.methods) {
-        const auto view = parseSignatureView(m.signature);
-        if (!view) continue;  // tolerate malformed entries like real dex tools
-        indexed.push_back({{frameHash(view->slashedClass, view->methodName),
-                            view->slashedClass, view->methodName},
-                           m.signature});
+std::vector<std::string_view> FrameTranslationTable::lookup(
+    std::string_view frameName) const {
+  const ApkFile& apk = *apk_;
+  std::vector<std::uint32_t> hits;
+  // Every '.' may end the class part: probe the class index with the
+  // hash of the prefix before it. An indexable class's own methods all
+  // have that class part spelled with '/' for '.', so a method matches
+  // when its name is the rest of the frame name; its strays (another
+  // class part) are left to the stray pass below.
+  std::uint64_t hash = kClassHashSeed;
+  for (std::size_t dot = 0; dot < frameName.size(); ++dot) {
+    if (frameName[dot] == '.') {
+      const std::string_view cls = frameName.substr(0, dot);
+      const std::string_view method = frameName.substr(dot + 1);
+      for (const auto& key : apk.classesWithHash(hash)) {
+        if (apk.className(key.cls) != cls) continue;
+        for (const std::size_t m : apk.classMethods(key.cls)) {
+          const auto view = parseSignatureView(apk.signature(m));
+          if (view && view->methodName == method &&
+              isSlashedForm(view->slashedClass, cls))
+            hits.push_back(static_cast<std::uint32_t>(m));
+        }
       }
     }
+    hash = classHashStep(hash, frameName[dot]);
   }
-  // Stable: overloads of one frame name keep dex order.
-  std::stable_sort(indexed.begin(), indexed.end(),
-                   [&compare](const Indexed& a, const Indexed& b) {
-                     return compare(a.frame, b.frame) < 0;
-                   });
+  for (const std::uint32_t m : apk.strays()) {
+    const auto view = parseSignatureView(apk.signature(m));
+    if (!view) continue;  // tolerate malformed entries like real dex tools
+    const std::size_t classSize = view->slashedClass.size();
+    if (frameName.size() == classSize + 1 + view->methodName.size() &&
+        dotsTo(view->slashedClass, frameName.substr(0, classSize)) &&
+        frameName[classSize] == '.' &&
+        frameName.substr(classSize + 1) == view->methodName)
+      hits.push_back(m);
+  }
+  std::sort(hits.begin(), hits.end());  // dex order across classes
 
-  frames_.reserve(indexed.size());
-  signatures_.reserve(indexed.size());
-  for (const auto& [frame, signature] : indexed) {
-    if (frames_.empty() || compare(frames_.back(), frame) != 0) ++frameCount_;
-    frames_.push_back(frame);
-    signatures_.push_back(signature);
-  }
+  std::vector<std::string_view> out;
+  out.reserve(hits.size());
+  for (const std::uint32_t m : hits) out.push_back(apk.signature(m));
+  return out;
 }
 
-std::span<const std::string_view> FrameTranslationTable::lookup(
-    std::string_view frameName) const {
-  std::uint64_t hash = kFnvOffset;
-  for (const char c : frameName) hash = fnvStep(hash, c);
-  const auto names = [frameName](const Frame& frame) {
-    const std::size_t classSize = frame.slashedClass.size();
-    if (frameName.size() != classSize + 1 + frame.methodName.size())
-      return false;
-    for (std::size_t i = 0; i < classSize; ++i)
-      if (frameName[i] != dotted(frame.slashedClass[i])) return false;
-    return frameName[classSize] == '.' &&
-           frameName.substr(classSize + 1) == frame.methodName;
-  };
-
-  auto begin = std::lower_bound(
-      frames_.begin(), frames_.end(), hash,
-      [](const Frame& frame, std::uint64_t h) { return frame.hash < h; });
-  // Distinct names that collide on the hash sit in one hash run, each as
-  // its own contiguous group.
-  while (begin != frames_.end() && begin->hash == hash && !names(*begin))
-    ++begin;
-  auto end = begin;
-  while (end != frames_.end() && end->hash == hash && names(*end)) ++end;
-  return {signatures_.data() + (begin - frames_.begin()),
-          static_cast<std::size_t>(end - begin)};
+std::size_t FrameTranslationTable::size() const {
+  std::unordered_set<std::string> frames;
+  for (std::size_t m = 0; m < apk_->totalMethodCount(); ++m) {
+    const auto view = parseSignatureView(apk_->signature(m));
+    if (!view) continue;
+    std::string frame(view->slashedClass);
+    std::replace(frame.begin(), frame.end(), '/', '.');
+    frame += '.';
+    frame += view->methodName;
+    frames.insert(std::move(frame));
+  }
+  return frames.size();
 }
 
 }  // namespace libspector::dex

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,41 +22,29 @@ namespace libspector::dex {
 /// overloads, as a Java stack frame does not carry parameter types.
 /// Signatures for one frame name keep dex order.
 ///
-/// The table is a per-run index, not a copy: it holds views into the
-/// apk's own signature strings, so the apk must outlive it and must not
-/// change while it lives (the supervisor builds one per app load, from the
-/// ApkFile the emulator holds for the whole run). Frame names are never
-/// built: each signature is split with parseSignatureView, and the dotted
-/// name is hashed and compared straight off the slashed class part.
+/// The table is a view of the apk, not a copy: it reads the apk's class
+/// index, so the apk must outlive it and must not change while it lives
+/// (the supervisor builds one per app load, from the ApkFile the emulator
+/// holds for the whole run). Building it touches no signature; a lookup
+/// parses only the signatures of the classes the frame name names, plus
+/// the apk's strays.
 class FrameTranslationTable {
  public:
-  explicit FrameTranslationTable(const ApkFile& apk);
-  /// A temporary apk would leave the table's views dangling.
+  explicit FrameTranslationTable(const ApkFile& apk) noexcept : apk_(&apk) {}
+  /// A temporary apk would leave the table dangling.
   FrameTranslationTable(ApkFile&&) = delete;
 
-  /// Signatures of all overloads behind a frame name; empty when the frame
-  /// does not belong to the apk (e.g. a framework method).
-  [[nodiscard]] std::span<const std::string_view> lookup(
+  /// Signatures of all overloads behind a frame name, in dex order; empty
+  /// when the frame does not belong to the apk (e.g. a framework method).
+  /// The views point into the apk.
+  [[nodiscard]] std::vector<std::string_view> lookup(
       std::string_view frameName) const;
 
-  /// Number of distinct frame names.
-  [[nodiscard]] std::size_t size() const noexcept { return frameCount_; }
+  /// Number of distinct frame names, counted on demand.
+  [[nodiscard]] std::size_t size() const;
 
  private:
-  /// One parseable signature's frame name, as the two views it is dotted
-  /// from ("com/foo/Bar" + '.' + "baz").
-  struct Frame {
-    std::uint64_t hash = 0;
-    std::string_view slashedClass;
-    std::string_view methodName;
-  };
-
-  /// Sorted by (hash, dotted name, dex order), so every frame name's
-  /// overloads are one contiguous dex-ordered run; signatures_[i] is
-  /// frames_[i]'s signature.
-  std::vector<Frame> frames_;
-  std::vector<std::string_view> signatures_;
-  std::size_t frameCount_ = 0;
+  const ApkFile* apk_;
 };
 
 }  // namespace libspector::dex

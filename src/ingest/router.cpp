@@ -97,7 +97,7 @@ void ShardedIngest::submitRun(std::size_t jobIndex,
   const std::size_t shard = shardOf(artifacts.apkSha256);
   Item item;
   item.run = std::make_unique<RunTask>(
-      RunTask{jobIndex, std::move(artifacts)});
+      RunTask{jobIndex, std::move(artifacts), /*replay=*/false, {}});
   item.enqueuedAt = Clock::now();
   enqueue(*shards_[shard], std::move(item), /*droppable=*/false);
 }

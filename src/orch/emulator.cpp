@@ -48,9 +48,9 @@ core::RunArtifacts EmulatorInstance::run(const dex::ApkFile& apk,
   runtime.setScenario(config_.scenario);
 
   // Apk identity, computed at most once per run: the job source's digest
-  // when present, one streaming serialization walk otherwise. The
-  // supervisor is primed with the same string so it never re-serializes
-  // the apk; its frame index borrows from `apk`, which outlives the run.
+  // when present, one hash of the apk's image otherwise. The supervisor is
+  // primed with the same string so it never hashes the apk again; its
+  // frame translation table reads `apk`, which outlives the run.
   const std::string apkSha256 = config_.apkSha256.empty()
                                     ? util::toHex(apk.sha256())
                                     : config_.apkSha256;

@@ -166,15 +166,14 @@ void LibraryCorpus::saveCsv(const std::string& path) const {
 }
 
 std::vector<LibraryEntry> LibraryCorpus::detect(const dex::ApkFile& apk) const {
-  // Class packages as views into the (stable) dotted class names: an apk
-  // repeats each package across many classes, so dedupe before matching.
+  // Class packages as views into the apk's class names: an apk repeats
+  // each package across many classes, so dedupe before matching.
   std::unordered_set<std::string_view> packages;
-  for (const auto& dexFile : apk.dexFiles) {
-    for (const auto& cls : dexFile.classes) {
-      const std::size_t lastDot = cls.dottedName.rfind('.');
-      if (lastDot == std::string::npos) continue;
-      packages.insert(std::string_view(cls.dottedName).substr(0, lastDot));
-    }
+  for (std::size_t cls = 0; cls < apk.classCount(); ++cls) {
+    const std::string_view name = apk.className(cls);
+    const std::size_t lastDot = name.rfind('.');
+    if (lastDot == std::string_view::npos) continue;
+    packages.insert(name.substr(0, lastDot));
   }
   // Longest-prefix match each package straight off the election table (one
   // hash probe per ancestor) and collect the election nodes themselves:

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -37,11 +38,16 @@ struct AppProgram {
   /// Append a method; returns its id. The frame name is derived from the
   /// signature (throws std::invalid_argument on a malformed signature).
   MethodId addMethod(std::string signature, std::vector<Action> body) {
-    auto parsed = dex::TypeSignature::parse(signature);
-    if (!parsed)
+    const auto view = dex::parseSignatureView(signature);
+    if (!view)
       throw std::invalid_argument("AppProgram: bad signature " + signature);
+    std::string frameName;
+    frameName.reserve(view->slashedClass.size() + 1 + view->methodName.size());
+    for (const char c : view->slashedClass) frameName += c == '/' ? '.' : c;
+    frameName += '.';
+    frameName += view->methodName;
     methods.push_back(
-        {std::move(signature), parsed->frameName(), std::move(body)});
+        {std::move(signature), std::move(frameName), std::move(body)});
     return static_cast<MethodId>(methods.size() - 1);
   }
 

@@ -1,6 +1,7 @@
 #include "store/generator.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <stdexcept>
 #include <unordered_set>
@@ -14,24 +15,33 @@ namespace {
 constexpr double kAntFreeFraction = 0.10;
 constexpr double kAntOnlyFraction = 0.34;
 
-std::string slashed(std::string_view dotted) {
-  std::string out(dotted);
-  std::replace(out.begin(), out.end(), '.', '/');
-  return out;
+/// Appends `dotted` with every '.' written as '/'.
+void appendSlashed(std::string& out, std::string_view dotted) {
+  for (const char c : dotted) out += c == '.' ? '/' : c;
 }
 
 /// Smali signature builder.
 std::string makeSignature(std::string_view dottedClass, std::string_view method,
                           std::string_view params = "", std::string_view ret = "V") {
-  std::string out = "L";
-  out += slashed(dottedClass);
+  std::string out;
+  out.reserve(dottedClass.size() + method.size() + params.size() +
+              ret.size() + 6);
+  out += 'L';
+  appendSlashed(out, dottedClass);
   out += ";->";
   out += method;
-  out += "(";
+  out += '(';
   out += params;
-  out += ")";
+  out += ')';
   out += ret;
   return out;
+}
+
+/// Decimal digits of `n`.
+std::size_t decimalDigits(std::size_t n) {
+  std::size_t digits = 1;
+  for (; n >= 10; n /= 10) ++digits;
+  return digits;
 }
 
 std::string sanitizeSlug(std::string_view prefix) {
@@ -44,15 +54,6 @@ std::string sanitizeSlug(std::string_view prefix) {
   std::string out(body);
   std::replace(out.begin(), out.end(), '.', '-');
   return out;
-}
-
-std::string_view drawCategory(
-    const std::vector<std::pair<std::string_view, double>>& mix,
-    util::Rng& rng) {
-  // Mixes are byte shares (Fig. 9); requests are drawn deflated by each
-  // category's mean response size so byte totals land on the mix.
-  const auto weights = requestWeightsFromByteMix(mix);
-  return mix[rng.weightedIndex(weights)].first;
 }
 
 bool isAntCategory(std::string_view radarCategory) {
@@ -428,16 +429,20 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
   const auto& profiles = libraryProfiles();
 
   rt::AppProgram program;
-  // All program-method signatures also go into the dex, grouped by class.
-  std::vector<std::pair<std::string, std::string>> dexEntries;  // (class, sig)
+  // Every program method also goes into the dex, in its class. The class
+  // names pile up in one arena, (offset, size) per method id, so the dex
+  // assembly can key classes by views that no later append moves.
+  std::string classNames;
+  std::vector<std::pair<std::size_t, std::size_t>> programClasses;
   const auto addProgramMethod = [&](const std::string& dottedClass,
                                     const std::string& method,
                                     std::vector<rt::Action> body,
                                     std::string_view params = "",
                                     std::string_view ret = "V") {
-    std::string signature = makeSignature(dottedClass, method, params, ret);
-    dexEntries.emplace_back(dottedClass, signature);
-    return program.addMethod(std::move(signature), std::move(body));
+    programClasses.emplace_back(classNames.size(), dottedClass.size());
+    classNames += dottedClass;
+    return program.addMethod(makeSignature(dottedClass, method, params, ret),
+                             std::move(body));
   };
 
   // --- Traffic sources: helper -> task -> enqueue chains -------------------
@@ -762,22 +767,24 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
   apk.vtScanDate = version.vtScanDate;
   apk.abis = version.abis;
 
-  // Group program methods into classes.
-  std::unordered_map<std::string, std::vector<std::string>> byClass;
-  for (auto& [cls, signature] : dexEntries)
-    byClass[cls].push_back(std::move(signature));
+  // Bulk (cold) library code: classes of up to 16 methods "m<k>(I)I".
+  struct BulkClass {
+    std::size_t nameOffset = 0;  // into classNames
+    std::size_t nameSize = 0;
+    std::size_t methods = 0;
+  };
+  std::vector<BulkClass> bulkClasses;
   std::size_t methodCount = program.methods.size();
-
-  // Bulk (cold) library code.
   const auto addBulk = [&](const std::string& package, std::size_t count) {
     std::size_t made = 0;
     int classIndex = 0;
     while (made < count) {
-      const std::string cls = package + ".a" + std::to_string(classIndex++);
-      auto& methods = byClass[cls];
+      const std::size_t offset = classNames.size();
+      classNames += package;
+      classNames += ".a";
+      classNames += std::to_string(classIndex++);
       const std::size_t inClass = std::min<std::size_t>(16, count - made);
-      for (std::size_t m = 0; m < inClass; ++m)
-        methods.push_back(makeSignature(cls, "m" + std::to_string(m), "I", "I"));
+      bulkClasses.push_back({offset, classNames.size() - offset, inClass});
       made += inClass;
     }
     methodCount += count;
@@ -792,22 +799,95 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
   if (methodCount < plan.totalMethods)
     addBulk(plan.packageName + ".gen", plan.totalMethods - methodCount);
 
-  // Multi-dex: respect the 64k method-reference limit per dex file.
+  // Group methods into classes. Entry e < programCount is program method
+  // e; entry programCount + b is bulk class b. A class keeps its entries
+  // in a chain (first, next..., last) in the order they arrived.
+  //
+  // The dex's class order is this map's iteration order, and every apk
+  // digest depends on it. It is the order of the
+  // std::unordered_map<std::string, ...> this assembly always used,
+  // because the key hash is the same (std::hash<std::string_view> equals
+  // std::hash<std::string>), the keys arrive in the same sequence (program
+  // methods in id order, then bulk classes) and neither map reserves.
+  struct ClassEntries {
+    std::uint32_t first = 0;
+    std::uint32_t last = 0;
+    std::size_t methods = 0;
+  };
+  constexpr std::uint32_t kEndOfClass = ~std::uint32_t{0};
+  const std::size_t programCount = program.methods.size();
+  std::unordered_map<std::string_view, std::uint32_t> classOf;
+  std::vector<ClassEntries> classes;
+  std::vector<std::uint32_t> nextEntry(programCount + bulkClasses.size(),
+                                       kEndOfClass);
+  std::size_t imageBytes = 4;
+  const auto place = [&](std::size_t nameOffset, std::size_t nameSize,
+                         std::uint32_t entry, std::size_t methods) {
+    const std::string_view name(classNames.data() + nameOffset, nameSize);
+    const auto [it, fresh] =
+        classOf.try_emplace(name, static_cast<std::uint32_t>(classes.size()));
+    if (fresh) {
+      classes.push_back({entry, entry, 0});
+      imageBytes += 4 + nameSize + 4;
+    } else {
+      nextEntry[classes[it->second].last] = entry;
+      classes[it->second].last = entry;
+    }
+    classes[it->second].methods += methods;
+  };
+  for (std::size_t id = 0; id < programCount; ++id) {
+    place(programClasses[id].first, programClasses[id].second,
+          static_cast<std::uint32_t>(id), 1);
+    imageBytes += 4 + program.methods[id].signature.size();
+  }
+  for (std::size_t b = 0; b < bulkClasses.size(); ++b) {
+    const BulkClass& bulk = bulkClasses[b];
+    place(bulk.nameOffset, bulk.nameSize,
+          static_cast<std::uint32_t>(programCount + b), bulk.methods);
+    // "L<class>;->m<k>(I)I": 'L', the class, ";->m", the digits, "(I)I".
+    for (std::size_t k = 0; k < bulk.methods; ++k)
+      imageBytes += 4 + bulk.nameSize + 9 + decimalDigits(k);
+  }
+
+  // Multi-dex: respect the 64k method-reference limit per dex file. Each
+  // signature is written once, straight into the apk's dex image.
   constexpr std::size_t kDexMethodLimit = 65536;
-  apk.dexFiles.emplace_back();
+  dex::DexWriter dex;
+  // Each dex file adds its class count; splits are rare, so this is a hint.
+  dex.reserve(imageBytes + 4 * (2 + methodCount / kDexMethodLimit),
+              classes.size(), methodCount);
+  dex.beginDex();
   std::size_t inCurrentDex = 0;
-  for (auto& [cls, methods] : byClass) {
-    if (inCurrentDex + methods.size() > kDexMethodLimit) {
-      apk.dexFiles.emplace_back();
+  std::string ownPrefix;  // "L<bulk class, '.' as '/'>;->"
+  char digits[20];
+  for (const auto& [name, index] : classOf) {
+    const ClassEntries& cls = classes[index];
+    if (inCurrentDex + cls.methods > kDexMethodLimit) {
+      dex.beginDex();
       inCurrentDex = 0;
     }
-    dex::ClassDef classDef;
-    classDef.dottedName = cls;
-    classDef.methods.reserve(methods.size());
-    for (auto& signature : methods) classDef.methods.push_back({std::move(signature)});
-    inCurrentDex += classDef.methods.size();
-    apk.dexFiles.back().classes.push_back(std::move(classDef));
+    inCurrentDex += cls.methods;
+    dex.beginClass(name);
+    for (std::uint32_t entry = cls.first; entry != kEndOfClass;
+         entry = nextEntry[entry]) {
+      if (entry < programCount) {
+        dex.addMethod(program.methods[entry].signature);
+        continue;
+      }
+      ownPrefix.assign(1, 'L');
+      appendSlashed(ownPrefix, name);
+      ownPrefix += ";->";
+      for (std::size_t k = 0; k < bulkClasses[entry - programCount].methods;
+           ++k) {
+        const auto end = std::to_chars(digits, digits + sizeof digits, k).ptr;
+        dex.addMethod({ownPrefix, "m",
+                       std::string_view(digits, static_cast<std::size_t>(
+                                                    end - digits)),
+                       "(I)I"});
+      }
+    }
   }
+  apk.setDex(std::move(dex));
 
   return Job{std::move(apk), std::move(program)};
 }

@@ -28,6 +28,7 @@ class ByteWriter {
   /// Length-prefixed (u32) byte string.
   void str(std::string_view s);
   void raw(std::span<const std::uint8_t> data);
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
 
   [[nodiscard]] const std::vector<std::uint8_t>& data() const noexcept { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take() noexcept { return std::move(buf_); }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "util/bytes.hpp"
-
 #if defined(__x86_64__) || defined(__i386__)
 #include <cpuid.h>
 #include <immintrin.h>
@@ -244,37 +242,6 @@ Sha256Digest Sha256::hash(std::string_view data) noexcept {
   Sha256 h;
   h.update(data);
   return h.finish();
-}
-
-void Sha256Writer::u8(std::uint8_t v) noexcept {
-  hash_.update(std::span(&v, 1));
-}
-
-void Sha256Writer::u16(std::uint16_t v) noexcept {
-  const std::array<std::uint8_t, 2> bytes{static_cast<std::uint8_t>(v),
-                                          static_cast<std::uint8_t>(v >> 8)};
-  hash_.update(std::span(bytes.data(), bytes.size()));
-}
-
-void Sha256Writer::u32(std::uint32_t v) noexcept {
-  std::array<std::uint8_t, 4> bytes;
-  for (int i = 0; i < 4; ++i) bytes[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * i));
-  hash_.update(std::span(bytes.data(), bytes.size()));
-}
-
-void Sha256Writer::u64(std::uint64_t v) noexcept {
-  std::array<std::uint8_t, 8> bytes;
-  for (int i = 0; i < 8; ++i) bytes[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * i));
-  hash_.update(std::span(bytes.data(), bytes.size()));
-}
-
-void Sha256Writer::str(std::string_view s) {
-  u32(checkedU32(s.size(), "Sha256Writer::str"));
-  hash_.update(s);
-}
-
-void Sha256Writer::raw(std::span<const std::uint8_t> data) noexcept {
-  hash_.update(data);
 }
 
 std::string toHex(const Sha256Digest& digest) {

@@ -63,30 +63,4 @@ class Sha256 {
 /// Lowercase hex rendering of a digest.
 [[nodiscard]] std::string toHex(const Sha256Digest& digest);
 
-/// ByteWriter-compatible encoder that hashes instead of materializing.
-///
-/// Fields stream straight into an incremental Sha256 in the exact wire
-/// encoding util::ByteWriter produces (little-endian integers, u32
-/// length-prefixed strings), so `Sha256::hash(serialize(x))` collapses to a
-/// single serialization walk with O(1) memory. dex::ApkFile::sha256() runs
-/// every apk of a study through this; tests/util/sha256_test.cpp pins the
-/// encoding equivalence against ByteWriter.
-class Sha256Writer {
- public:
-  void u8(std::uint8_t v) noexcept;
-  void u16(std::uint16_t v) noexcept;
-  void u32(std::uint32_t v) noexcept;
-  void u64(std::uint64_t v) noexcept;
-  /// Length-prefixed (u32) byte string; throws std::length_error past 4 GiB
-  /// exactly like ByteWriter::str.
-  void str(std::string_view s);
-  void raw(std::span<const std::uint8_t> data) noexcept;
-
-  /// Finalize; the writer must not be reused afterwards.
-  [[nodiscard]] Sha256Digest finish() noexcept { return hash_.finish(); }
-
- private:
-  Sha256 hash_;
-};
-
 }  // namespace libspector::util

@@ -12,7 +12,7 @@ dex::ApkFile apkWithMethods(const std::vector<std::string>& signatures) {
   cls.dottedName = "x";
   for (const auto& signature : signatures) cls.methods.push_back({signature});
   dexFile.classes.push_back(cls);
-  apk.dexFiles.push_back(dexFile);
+  apk.setDex(dex::writeDexFiles({dexFile}));
   return apk;
 }
 

@@ -43,7 +43,7 @@ class SupervisorTest : public ::testing::Test {
     for (const auto& method : program_.methods)
       cls.methods.push_back({method.signature});
     dexFile.classes.push_back(cls);
-    apk_.dexFiles.push_back(dexFile);
+    apk_.setDex(dex::writeDexFiles({dexFile}));
   }
 
   net::ServerFarm farm_;

@@ -4,23 +4,25 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "core/monitor.hpp"
 #include "store/generator.hpp"
+#include "util/rng.hpp"
+#include "util/sha256.hpp"
 
 namespace libspector::dex {
 namespace {
 
-// The table holds views into the apk's strings, so it must never be built
+// The table reads the apk it was built from, so it must never be built
 // from a temporary apk.
 static_assert(!std::is_constructible_v<FrameTranslationTable, ApkFile&&>);
 static_assert(std::is_constructible_v<FrameTranslationTable, const ApkFile&>);
 
-ApkFile apkWithOverloads() {
-  ApkFile apk;
-  apk.packageName = "com.example";
+DexFile overloadsDex() {
   DexFile dex;
   ClassDef bar;
   bar.dottedName = "com.example.Bar";
@@ -33,7 +35,13 @@ ApkFile apkWithOverloads() {
   second.dottedName = "com.example.net.Client";
   second.methods = {{"Lcom/example/net/Client;->connect()Z"}};
   dex.classes.push_back(second);
-  apk.dexFiles.push_back(dex);
+  return dex;
+}
+
+ApkFile apkWithOverloads() {
+  ApkFile apk;
+  apk.packageName = "com.example";
+  apk.setDex(writeDexFiles({overloadsDex()}));
   return apk;
 }
 
@@ -91,11 +99,9 @@ using Reference = std::map<std::string, std::vector<std::string>>;
 /// dex order.
 Reference referenceTable(const ApkFile& apk) {
   Reference reference;
-  for (const auto& dex : apk.dexFiles)
-    for (const auto& cls : dex.classes)
-      for (const auto& m : cls.methods)
-        if (const auto sig = TypeSignature::parse(m.signature))
-          reference[sig->frameName()].push_back(m.signature);
+  for (std::size_t m = 0; m < apk.totalMethodCount(); ++m)
+    if (const auto sig = TypeSignature::parse(apk.signature(m)))
+      reference[sig->frameName()].emplace_back(apk.signature(m));
   return reference;
 }
 
@@ -127,14 +133,18 @@ void expectMatchesReference(const ApkFile& apk) {
   }
 }
 
-ApkFile apkWithSignatures(const std::vector<std::string>& signatures) {
-  ApkFile apk;
+DexFile dexWithSignatures(const std::vector<std::string>& signatures) {
   DexFile dex;
   ClassDef cls;
   cls.dottedName = "mixed";
   for (const auto& signature : signatures) cls.methods.push_back({signature});
   dex.classes.push_back(cls);
-  apk.dexFiles.push_back(dex);
+  return dex;
+}
+
+ApkFile apkWithSignatures(const std::vector<std::string>& signatures) {
+  ApkFile apk;
+  apk.setDex(writeDexFiles({dexWithSignatures(signatures)}));
   return apk;
 }
 
@@ -156,10 +166,10 @@ TEST(FrameTableDifferentialTest, GeneratedApksAtTwoSeeds) {
 }
 
 TEST(FrameTableDifferentialTest, OverloadsAcrossDexFilesKeepDexOrder) {
-  ApkFile apk = apkWithOverloads();
-  apk.dexFiles.push_back(apkWithSignatures({"Lcom/example/Bar;->m(Z)V",
-                                            "Lcom/example/Bar;->other(I)V"})
-                             .dexFiles.front());
+  ApkFile apk;
+  apk.setDex(writeDexFiles(
+      {overloadsDex(), dexWithSignatures({"Lcom/example/Bar;->m(Z)V",
+                                          "Lcom/example/Bar;->other(I)V"})}));
   expectMatchesReference(apk);
   EXPECT_EQ(lookedUp(FrameTranslationTable(apk), "com.example.Bar.m"),
             (std::vector<std::string>{"Lcom/example/Bar;->m(I)V",
@@ -216,6 +226,169 @@ TEST(FrameTableDifferentialTest, EmptyApk) {
   const FrameTranslationTable table(apk);
   EXPECT_TRUE(table.lookup("").empty());
   EXPECT_TRUE(table.lookup("com.example.Bar.m").empty());
+}
+
+// ---- Randomized tier: adversarial apks against the reference -------------
+
+/// The apk under test, built from literal dex content.
+ApkFile apkOf(const std::vector<DexFile>& dexFiles) {
+  ApkFile apk;
+  apk.packageName = "com.random";
+  apk.setDex(writeDexFiles(dexFiles));
+  return apk;
+}
+
+/// Every literal method signature, in dex order.
+std::vector<std::string> literalSignatures(
+    const std::vector<DexFile>& dexFiles) {
+  std::vector<std::string> out;
+  for (const auto& dex : dexFiles)
+    for (const auto& cls : dex.classes)
+      for (const auto& m : cls.methods) out.push_back(m.signature);
+  return out;
+}
+
+/// A name from a tiny alphabet, so names collide across classes and
+/// frames: components (possibly empty) joined mostly by '.', sometimes by
+/// '/' or ';'.
+std::string randomName(util::Rng& rng, std::size_t maxParts) {
+  static const std::vector<std::string> kComponents = {"a", "b", "ab",
+                                                       "com", ""};
+  std::string out;
+  const std::uint64_t parts = rng.uniform(1, maxParts);
+  for (std::uint64_t p = 0; p < parts; ++p) {
+    if (p != 0) out += rng.chance(0.8) ? '.' : (rng.chance(0.5) ? '/' : ';');
+    out += rng.pick(kComponents);
+  }
+  return out;
+}
+
+std::string slashedName(std::string name) {
+  std::replace(name.begin(), name.end(), '.', '/');
+  return name;
+}
+
+/// A signature for a method of class `className`: mostly its own, but also
+/// with a foreign or dot-spelled class part, dotted and slashed method
+/// names, malformed text, and repeats of signatures written before (in
+/// this dex or an earlier one).
+std::string randomSignature(util::Rng& rng, const std::string& className,
+                            const std::vector<std::string>& written) {
+  static const std::vector<std::string> kMethods = {"m", "n", "a.b", "a/b",
+                                                    "<init>", "ab"};
+  static const std::vector<std::string> kParams = {"", "I", "J",
+                                                   "Ljava/lang/String;", "[I"};
+  static const std::vector<std::string> kReturns = {"V", "I", "Z"};
+  static const std::vector<std::string> kMalformed = {
+      "", "L", "L;->m()V", "Lcom/Foo;->m(", "Lcom/Foo;->()V", "a.m",
+      "java.net.Socket.connect", "La;->m()Q", "La;->m(Q)V", "La;->m()VV"};
+  const double draw = rng.uniform01();
+  if (draw < 0.12 && !written.empty()) return rng.pick(written);
+  if (draw < 0.22) return rng.pick(kMalformed);
+  std::string classPart = slashedName(className);
+  if (draw < 0.32) classPart = slashedName(randomName(rng, 3));
+  else if (draw < 0.40) classPart = className;
+  return "L" + classPart + ";->" + rng.pick(kMethods) + "(" +
+         rng.pick(kParams) + ")" + rng.pick(kReturns);
+}
+
+std::vector<DexFile> randomDexFiles(util::Rng& rng) {
+  std::vector<DexFile> dexFiles(rng.uniform(0, 3));
+  std::vector<std::string> written;
+  for (auto& dex : dexFiles) {
+    dex.classes.resize(rng.uniform(0, 6));
+    for (auto& cls : dex.classes) {
+      cls.dottedName = randomName(rng, 3);
+      cls.methods.resize(rng.uniform(0, 6));
+      for (auto& m : cls.methods) {
+        m.signature = randomSignature(rng, cls.dottedName, written);
+        written.push_back(m.signature);
+      }
+    }
+  }
+  return dexFiles;
+}
+
+TEST(RandomizedApkTest, FramesResolveAsTheReferenceDoes) {
+  util::Rng rng(20200629);
+  std::size_t lookups = 0;
+  std::size_t hits = 0;
+  for (int round = 0; round < 600; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const auto dexFiles = randomDexFiles(rng);
+    const ApkFile apk = apkOf(dexFiles);
+    Reference reference;
+    for (const auto& signature : literalSignatures(dexFiles))
+      if (const auto sig = TypeSignature::parse(signature))
+        reference[sig->frameName()].push_back(signature);
+
+    const FrameTranslationTable table(apk);
+    EXPECT_EQ(table.size(), reference.size());
+    const auto expect = [&](const std::string& frameName) {
+      const auto it = reference.find(frameName);
+      const auto expected =
+          it == reference.end() ? std::vector<std::string>{} : it->second;
+      EXPECT_EQ(lookedUp(table, frameName), expected) << frameName;
+      ++lookups;
+      hits += expected.empty() ? 0 : 1;
+    };
+    for (const auto& [frameName, signatures] : reference) {
+      expect(frameName);
+      expect(frameName.substr(0, frameName.size() - 1));
+      expect(frameName + "x");
+      expect(frameName + ".");
+      expect(slashedName(frameName));
+    }
+    for (int probe = 0; probe < 20; ++probe) expect(randomName(rng, 5));
+  }
+  // The alphabet is small enough that the draws are not all misses.
+  EXPECT_GT(hits, lookups / 10);
+}
+
+TEST(RandomizedApkTest, CoverageIsTraceMembershipInTheDex) {
+  util::Rng rng(5);
+  for (int round = 0; round < 600; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const auto dexFiles = randomDexFiles(rng);
+    const ApkFile apk = apkOf(dexFiles);
+    const auto signatures = literalSignatures(dexFiles);
+    const std::set<std::string> inDex(signatures.begin(), signatures.end());
+
+    std::vector<std::string> trace(rng.uniform(0, 30));
+    for (auto& entry : trace) {
+      const double draw = rng.uniform01();
+      if (draw < 0.4 && !signatures.empty()) {
+        entry = rng.pick(signatures);
+      } else if (draw < 0.5 && !trace.empty()) {
+        entry = rng.pick(trace);  // repeats (possibly still empty)
+      } else if (draw < 0.6 && !signatures.empty()) {
+        entry = rng.pick(signatures) + "x";
+      } else {
+        entry = randomSignature(rng, randomName(rng, 3), {});
+      }
+    }
+    std::size_t covered = 0;
+    for (const auto& entry : trace) covered += inDex.contains(entry) ? 1 : 0;
+
+    const auto coverage = core::MethodMonitor::computeCoverage(trace, apk);
+    EXPECT_EQ(coverage.coveredMethods, covered);
+    EXPECT_EQ(coverage.totalMethods, signatures.size());
+    EXPECT_EQ(coverage.traceEntries, trace.size());
+  }
+}
+
+TEST(RandomizedApkTest, ApksRoundTrip) {
+  util::Rng rng(77);
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const auto dexFiles = randomDexFiles(rng);
+    const ApkFile apk = apkOf(dexFiles);
+    const auto bytes = apk.serialize();
+    EXPECT_EQ(ApkFile::deserialize(bytes), apk);
+    EXPECT_EQ(apk.sha256(), util::Sha256::hash(bytes));
+    EXPECT_EQ(allMethodSignatures(apk), literalSignatures(dexFiles));
+    EXPECT_EQ(apk.totalMethodCount(), literalSignatures(dexFiles).size());
+  }
 }
 
 }  // namespace

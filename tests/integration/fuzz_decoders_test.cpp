@@ -31,7 +31,7 @@ std::vector<std::uint8_t> sampleApkBytes() {
   cls.dottedName = "com.fuzz.app.Main";
   cls.methods = {{"Lcom/fuzz/app/Main;->m()V"}};
   dexFile.classes.push_back(cls);
-  apk.dexFiles.push_back(dexFile);
+  apk.setDex(dex::writeDexFiles({dexFile}));
   return apk.serialize();
 }
 

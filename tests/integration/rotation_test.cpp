@@ -53,7 +53,8 @@ class RotationTest : public ::testing::Test {
     cls.dottedName = "x";
     for (const auto& method : program_.methods)
       cls.methods.push_back({method.signature});
-    apk_.dexFiles.push_back({{cls}});
+    dexFile.classes.push_back(cls);
+    apk_.setDex(dex::writeDexFiles({dexFile}));
   }
 
   net::ServerFarm farm_;

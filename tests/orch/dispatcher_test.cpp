@@ -35,7 +35,7 @@ class DispatcherTest : public ::testing::Test {
     cls.dottedName = "com.app.H";
     cls.methods.push_back({job.program.methods[0].signature});
     dexFile.classes.push_back(cls);
-    job.apk.dexFiles.push_back(dexFile);
+    job.apk.setDex(dex::writeDexFiles({dexFile}));
     return job;
   }
 

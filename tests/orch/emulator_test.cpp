@@ -46,7 +46,7 @@ class EmulatorTest : public ::testing::Test {
       cold.methods.push_back(
           {"Lcom/example/app/Cold;->m" + std::to_string(i) + "()V"});
     dexFile.classes.push_back(cold);
-    apk_.dexFiles.push_back(std::move(dexFile));
+    apk_.setDex(dex::writeDexFiles({dexFile}));
   }
 
   EmulatorConfig config(std::uint32_t events = 50) {

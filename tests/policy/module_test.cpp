@@ -75,7 +75,9 @@ TEST_F(PolicyModuleTest, BlocksBlacklistedLibraryTrafficOnly) {
   // No packets to the blocked domain at all (the veto fires pre-connect,
   // before even DNS for that connection).
   for (const auto& pkt : stack.capture().packets()) {
-    if (pkt.isDns()) EXPECT_NE(pkt.dnsQname, "config.unityads.com");
+    if (pkt.isDns()) {
+      EXPECT_NE(pkt.dnsQname, "config.unityads.com");
+    }
   }
 }
 

@@ -128,7 +128,7 @@ TEST(CorpusTest, DetectFindsBundledLibraries) {
   appClass.dottedName = "com.myapp.Main";
   appClass.methods = {{"Lcom/myapp/Main;->onCreate()V"}};
   dexFile.classes = {adsClass, appClass};
-  apk.dexFiles.push_back(dexFile);
+  apk.setDex(dex::writeDexFiles({dexFile}));
 
   const auto detected = corpus.detect(apk);
   ASSERT_EQ(detected.size(), 1u);
@@ -197,7 +197,7 @@ TEST(CorpusTest, DetectMatchesPerClassPredictions) {
     classDef.dottedName = name;
     dexFile.classes.push_back(classDef);
   }
-  apk.dexFiles.push_back(dexFile);
+  apk.setDex(dex::writeDexFiles({dexFile}));
 
   const auto detected = corpus.detect(apk);
   ASSERT_EQ(detected.size(), 2u);

@@ -173,7 +173,7 @@ TEST(SpectordProtocolTest, AdminAndErrorAndByeRoundTrip) {
 TEST(SpectordProtocolTest, TruncatedTypedBodyThrowsDecodeError) {
   auto body = HelloAckMsg{}.encode();
   body.pop_back();
-  EXPECT_THROW(HelloAckMsg::decode(body), util::DecodeError);
+  EXPECT_THROW((void)HelloAckMsg::decode(body), util::DecodeError);
   EXPECT_THROW(SnapshotMsg::decode(std::vector<std::uint8_t>{1, 2}),
                util::DecodeError);
 }

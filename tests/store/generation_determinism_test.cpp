@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/export.hpp"
+#include "dex/apk.hpp"
 #include "orch/study.hpp"
 #include "util/bytes.hpp"
 #include "util/sha256.hpp"
@@ -80,6 +81,73 @@ TEST_P(CorpusDeterminism, ThreadCountDoesNotChangeACorpusByte) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CorpusDeterminism, ::testing::Values(5, 77));
+
+// The apk bytes themselves. The study and checkpoint pins hash what runs
+// produced, which carries no apk digest, so they cannot see an apk byte
+// move. Each world pins, over its apps in index order, the FNV-64 of
+// "<hex sha256> <serialized size>\n" and the sum of the serialized sizes.
+// The values were recorded while ApkFile still stored nested class
+// vectors, and must hold for any layout that keeps the apk format.
+struct ApkPin {
+  const char* name;
+  std::uint64_t seed;
+  std::size_t apps;
+  double methodScale;
+  bool scenarios;
+  std::size_t totalBytes;
+  std::uint64_t digest;
+
+  friend void PrintTo(const ApkPin& pin, std::ostream* out) {
+    *out << pin.name;
+  }
+};
+
+class CorpusApkPin : public ::testing::TestWithParam<ApkPin> {};
+
+TEST_P(CorpusApkPin, NoApkByteMoves) {
+  const ApkPin& pin = GetParam();
+  StoreConfig config = storeConfig(pin.seed, pin.apps);
+  config.methodScale = pin.methodScale;
+  if (pin.scenarios)
+    config.scenarios = {.keepAliveReuse = true,
+                        .adversarialApps = true,
+                        .backgroundSync = true};
+  const AppStoreGenerator generator(config);
+  std::string fingerprint;
+  std::size_t totalBytes = 0;
+  std::size_t pastOneDex = 0;
+  for (std::size_t i = 0; i < generator.appCount(); ++i) {
+    const auto job = generator.makeJob(i);
+    const auto bytes = job.apk.serialize();
+    EXPECT_EQ(job.apk.sha256(), util::Sha256::hash(bytes)) << "app " << i;
+    EXPECT_EQ(dex::ApkFile::deserialize(bytes), job.apk) << "app " << i;
+    fingerprint += util::toHex(job.apk.sha256()) + ' ' +
+                   std::to_string(bytes.size()) + '\n';
+    totalBytes += bytes.size();
+    if (job.apk.totalMethodCount() > 65536) ++pastOneDex;
+  }
+  EXPECT_EQ(totalBytes, pin.totalBytes);
+  EXPECT_EQ(util::fnv1a64(fingerprint), pin.digest);
+  // The large world exists to take the multi-dex split.
+  if (pin.methodScale > 1.0) {
+    EXPECT_GT(pastOneDex, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Worlds, CorpusApkPin,
+    ::testing::Values(
+        ApkPin{"Seed5", 5, 20, 0.05, false, 2360146, 0x2bf534653c0f60f1ULL},
+        ApkPin{"Seed5Scenarios", 5, 20, 0.05, true, 2361846,
+               0x5a086ba9b3d26967ULL},
+        ApkPin{"Seed77", 77, 20, 0.05, false, 2674496, 0x85cd9f769c40e164ULL},
+        ApkPin{"Seed77Scenarios", 77, 20, 0.05, true, 2681154,
+               0x19428c0db31cf795ULL},
+        ApkPin{"MultiDex", 5, 10, 2.0, false, 40018776,
+               0x5b1178ce229fe21bULL}),
+    [](const ::testing::TestParamInfo<ApkPin>& info) {
+      return std::string(info.param.name);
+    });
 
 /// Render every figure dataset plus the markdown report into one string:
 /// if two studies agree on all of it byte for byte, they are the same

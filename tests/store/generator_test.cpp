@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "dex/disassembler.hpp"
+#include "dex/type_signature.hpp"
 #include "radar/ant.hpp"
 #include "util/sha256.hpp"
 
@@ -55,6 +56,44 @@ TEST(GeneratorTest, ProgramMethodsAreInDex) {
                                                     dexSignatures.end());
   for (const auto& method : job.program.methods)
     EXPECT_TRUE(dexSet.contains(method.signature)) << method.signature;
+}
+
+TEST(GeneratorTest, ProgramFrameNamesAreTheParsedSignatures) {
+  // AppProgram::addMethod derives each frame name from a view of the
+  // signature; it must be the name TypeSignature spells out, for every
+  // class shape the generator writes (scenario classes included).
+  StoreConfig config = smallConfig(12);
+  config.scenarios = {.keepAliveReuse = true,
+                      .adversarialApps = true,
+                      .backgroundSync = true};
+  for (const StoreConfig& world : {smallConfig(12), config}) {
+    const AppStoreGenerator generator(world);
+    for (std::size_t i = 0; i < generator.appCount(); ++i) {
+      for (const auto& method : generator.makeJob(i).program.methods) {
+        const auto parsed = dex::TypeSignature::parse(method.signature);
+        ASSERT_TRUE(parsed.has_value()) << method.signature;
+        EXPECT_EQ(method.frameName, parsed->frameName()) << method.signature;
+      }
+    }
+  }
+}
+
+TEST(GeneratorTest, AddMethodRejectsMalformedSignatures) {
+  // The malformed list of FrameTableDifferentialTest: addMethod accepts
+  // exactly what TypeSignature::parse accepts.
+  for (const char* bad :
+       {"", "L", "Lcom/Foo;", "Lcom/Foo;->", "Lcom/Foo;->m", "Lcom/Foo;->m(",
+        "Lcom/Foo;->m()", "Lcom/Foo;->m()Q", "Lcom/Foo;->m(Q)V",
+        "Lcom/Foo;->m(Ljava/lang/String)V", "Lcom/Foo;->m()VV",
+        "com/Foo;->m()V", "L;->m()V", "Lcom/Foo;->()V", "Lcom/Foo;->m([)V"}) {
+    ASSERT_FALSE(dex::TypeSignature::parse(bad).has_value()) << bad;
+    rt::AppProgram program;
+    EXPECT_THROW(program.addMethod(bad, {}), std::invalid_argument) << bad;
+    EXPECT_TRUE(program.methods.empty()) << bad;
+  }
+  rt::AppProgram program;
+  EXPECT_EQ(program.addMethod("Lcom/Foo;->ok(I)V", {}), 0u);
+  EXPECT_EQ(program.method(0).frameName, "com.Foo.ok");
 }
 
 TEST(GeneratorTest, PlannedDomainsResolveInFarm) {
@@ -164,9 +203,13 @@ TEST(GeneratorTest, MultiDexSplitRespectsMethodLimit) {
   bool sawMultiDex = false;
   for (std::size_t i = 0; i < generator.appCount() && !sawMultiDex; i += 10) {
     const auto job = generator.makeJob(i);
-    for (const auto& dexFile : job.apk.dexFiles)
-      EXPECT_LE(dexFile.methodCount(), 65536u);
-    if (job.apk.dexFiles.size() > 1) sawMultiDex = true;
+    for (std::size_t d = 0; d < job.apk.dexCount(); ++d) {
+      std::size_t methods = 0;
+      for (const std::size_t cls : job.apk.dexClasses(d))
+        methods += job.apk.classMethods(cls).size();
+      EXPECT_LE(methods, 65536u);
+    }
+    if (job.apk.dexCount() > 1) sawMultiDex = true;
   }
   EXPECT_TRUE(sawMultiDex);
 }

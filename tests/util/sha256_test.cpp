@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace libspector::util {
@@ -277,80 +276,6 @@ TEST(Sha256KernelTest, UpdateAtRandomSplitsMatchesThePortableReference) {
     ASSERT_EQ(chunked.finish(),
               digestWith(&Sha256::portableKernel, pad(message, offset)))
         << "round " << round << " length " << length;
-  }
-}
-
-// Sha256Writer must produce the digest of exactly the byte stream
-// ByteWriter materializes — field for field, including the u32 length
-// prefixes on strings. ApkFile::sha256() depends on this equivalence to
-// hash in one serialization walk.
-TEST(Sha256WriterTest, MatchesByteWriterEncoding) {
-  ByteWriter materialized;
-  Sha256Writer streamed;
-  const auto both = [&](auto&& op) {
-    op(materialized);
-    op(streamed);
-  };
-  both([](auto& w) { w.u8(0x42); });
-  both([](auto& w) { w.u16(0xBEEF); });
-  both([](auto& w) { w.u32(0xDEADBEEF); });
-  both([](auto& w) { w.u64(0x0123456789ABCDEFULL); });
-  both([](auto& w) { w.str(""); });
-  both([](auto& w) { w.str("com.example.app"); });
-  both([](auto& w) { w.str(std::string_view("\x00\xff\x7f", 3)); });
-  const std::vector<std::uint8_t> blob{1, 2, 3, 250, 251, 252};
-  both([&blob](auto& w) { w.raw(std::span(blob.data(), blob.size())); });
-
-  const auto bytes = materialized.take();
-  EXPECT_EQ(streamed.finish(),
-            Sha256::hash(std::span(bytes.data(), bytes.size())));
-}
-
-TEST(Sha256WriterTest, RandomFieldSequencesMatchByteWriter) {
-  Rng rng(20260805);
-  for (int round = 0; round < 200; ++round) {
-    ByteWriter materialized;
-    Sha256Writer streamed;
-    const auto fields = rng.uniform(0, 40);
-    for (std::uint64_t f = 0; f < fields; ++f) {
-      switch (rng.uniform(0, 4)) {
-        case 0: {
-          const auto v = static_cast<std::uint8_t>(rng.next());
-          materialized.u8(v);
-          streamed.u8(v);
-          break;
-        }
-        case 1: {
-          const auto v = static_cast<std::uint16_t>(rng.next());
-          materialized.u16(v);
-          streamed.u16(v);
-          break;
-        }
-        case 2: {
-          const auto v = static_cast<std::uint32_t>(rng.next());
-          materialized.u32(v);
-          streamed.u32(v);
-          break;
-        }
-        case 3: {
-          const std::uint64_t v = rng.next();
-          materialized.u64(v);
-          streamed.u64(v);
-          break;
-        }
-        default: {
-          std::string s(static_cast<std::size_t>(rng.uniform(0, 90)), '\0');
-          for (auto& c : s) c = static_cast<char>(rng.uniform(0, 255));
-          materialized.str(s);
-          streamed.str(s);
-          break;
-        }
-      }
-    }
-    const auto bytes = materialized.take();
-    ASSERT_EQ(streamed.finish(),
-              Sha256::hash(std::span(bytes.data(), bytes.size())))
-        << "round " << round;
   }
 }
 
