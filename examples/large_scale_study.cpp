@@ -6,9 +6,12 @@
 // Usage: large_scale_study [apps] [workers] [methodScale] [csvDir]
 //   large_scale_study 25000 0 1.0          # full population, full-size dex
 //   large_scale_study 2500 0 0.15 out/     # also export figure CSVs
+// A csvDir that cannot be written prints `large_scale_study: <reason>` and
+// exits 1.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <optional>
 
 #include "core/analysis.hpp"
@@ -126,8 +129,13 @@ int main(int argc, char** argv) {
                 estimate.usdPerHour, 100.0 * estimate.batteryFraction);
   }
   if (csvDir != nullptr) {
-    const std::size_t files = core::exportStudyCsv(study, csvDir);
-    std::printf("\nwrote %zu figure CSVs to %s\n", files, csvDir);
+    try {
+      const std::size_t files = core::exportStudyCsv(study, csvDir);
+      std::printf("\nwrote %zu figure CSVs to %s\n", files, csvDir);
+    } catch (const std::exception& error) {
+      std::fprintf(stderr, "large_scale_study: %s\n", error.what());
+      return 1;
+    }
   }
   return 0;
 }

@@ -1,26 +1,38 @@
 // spectorctl — command-line front end for the Libspector pipeline.
 //
 //   spectorctl run --apps N [--seed S] [--workers W] --out DIR
-//       Run a study; persist every app's artifact bundle (.spab), a world
-//       manifest (domains.csv with the VT-categorizer ground truth), and
-//       the figure CSVs into DIR.
+//       Measure a study with orch::runStudy, which checkpoints every app's
+//       artifact bundle (<sha>.spab) and a manifest into DIR as its run
+//       completes and writes the world manifest (domains.csv, with the
+//       VT-categorizer ground truth) at the end. The checkpoint manifest is
+//       then compacted into job-index order, so DIR holds the same bytes at
+//       any --workers. Runs add to whatever DIR already holds.
 //
-//   spectorctl analyze --in DIR [--csv SUBDIR]
-//       Re-run the offline pipeline over previously persisted artifacts —
+//   spectorctl analyze --in DIR [--csv SUBDIR] [--report FILE]
+//       Re-run the offline pipeline over a directory that `run` wrote —
 //       measurement once, analysis many times, as with the paper's central
-//       database of pcaps and trace files.
+//       database of pcaps and trace files. Runs fold in job-index order,
+//       so the figures are those of the study that measured DIR.
 //
 //   spectorctl inspect --in DIR --sha PREFIX
-//       Dump one app's context reports and attributed flows.
+//       Dump the context reports and attributed flows of the lowest-indexed
+//       app whose sha256 starts with PREFIX.
 //
 //   spectorctl policy --apps N [--seed S] --block PREFIX [--block ...]
 //       Enforcement dry-run: measure with the given library blacklist.
 //
+// analyze and inspect read DIR with orch::StudyRecovery::scan, as
+// resumeStudy does: they move corrupt bundles into DIR/quarantine/, each
+// named in a `[WARN] recovery:` line on stderr, and delete torn .tmp files.
+//
 // A bad command line (--help, an unknown subcommand or option, an option
 // without its value, a malformed number or 0 apps) prints the usage text
-// and exits 2.
+// and exits 2. An --in that is no directory, or a file or directory that
+// cannot be written, prints `spectorctl: <reason>` and exits 1.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -35,8 +47,8 @@
 #include "core/export.hpp"
 #include "hook/xposed.hpp"
 #include "monkey/monkey.hpp"
-#include "orch/database.hpp"
-#include "orch/dispatcher.hpp"
+#include "orch/recovery.hpp"
+#include "orch/study.hpp"
 #include "policy/module.hpp"
 #include "radar/corpus.hpp"
 #include "rt/tracer.hpp"
@@ -60,6 +72,12 @@ int usage(const char* why = nullptr) {
   if (why != nullptr) std::fprintf(stderr, "spectorctl: %s\n", why);
   std::fputs(kUsage, stderr);
   return 2;
+}
+
+/// Prints `why`; returns the exit status 1.
+int fail(const std::string& why) {
+  std::fprintf(stderr, "spectorctl: %s\n", why.c_str());
+  return 1;
 }
 
 struct Args {
@@ -143,74 +161,61 @@ int cmdRun(const Args& args) {
   config.seed = *seed;
   const store::AppStoreGenerator generator(config);
 
-  orch::ResultDatabase db;
   orch::DispatcherConfig dispatcherConfig;
   dispatcherConfig.workers = *workers;
-  orch::Dispatcher dispatcher(generator.farm(), nullptr, dispatcherConfig);
-  std::size_t next = 0;
-  dispatcher.run(
-      [&]() -> std::optional<orch::Dispatcher::Job> {
-        if (next >= generator.appCount()) return std::nullopt;
-        const std::size_t index = next++;
-        auto job = generator.makeJob(index);
-        return orch::Dispatcher::Job{.apk = std::move(job.apk),
-                                     .program = std::move(job.program),
-                                     .index = index};
-      },
-      [&](core::RunArtifacts&& artifacts) { db.store(std::move(artifacts)); });
-
-  const std::size_t saved = db.saveToDirectory(outDir);
-
-  // World manifest: the domain ground truth the VT-simulator needs when the
-  // artifacts are analyzed later (the paper scrapes VirusTotal once and
-  // caches verdicts per domain).
-  std::ofstream manifest(std::filesystem::path(outDir) / "domains.csv");
-  manifest << "domain,truth\n";
-  for (const auto& domain : generator.farm().allDomains())
-    manifest << core::csvField(domain) << ','
-             << core::csvField(generator.domainTruth(domain)) << '\n';
-
-  std::printf("saved %zu artifact bundles + domains.csv to %s\n", saved,
-              outDir.c_str());
+  const orch::StudyOutput output =
+      orch::runStudy(generator, dispatcherConfig, outDir);
+  // Shards append manifest lines as runs complete; sorting them by job
+  // index leaves the same bytes at any worker count.
+  orch::compactCheckpointDirectory(outDir);
+  std::printf("saved %zu artifact bundles + domains.csv to %s\n",
+              output.appsProcessed, outDir.c_str());
   return 0;
 }
 
-std::map<std::string, std::string> loadDomainManifest(const std::string& dir) {
-  std::map<std::string, std::string> truth;
-  std::ifstream in(std::filesystem::path(dir) / "domains.csv");
-  std::string line;
-  std::getline(in, line);  // header
-  while (std::getline(in, line)) {
-    const auto comma = line.rfind(',');
-    if (comma == std::string::npos) continue;
-    truth[line.substr(0, comma)] = line.substr(comma + 1);
+/// Attribution as `run` measured it: the builtin library corpus and the
+/// domain ground truth `run` saved in `dir`/domains.csv.
+struct SavedWorldAttributor {
+  explicit SavedWorldAttributor(const std::string& dir) {
+    std::ifstream in(std::filesystem::path(dir) / "domains.csv");
+    std::string line;
+    std::getline(in, line);  // header
+    while (std::getline(in, line)) {
+      const auto comma = line.rfind(',');
+      if (comma == std::string::npos) continue;
+      truth[line.substr(0, comma)] = line.substr(comma + 1);
+    }
   }
-  return truth;
-}
+  // The categorizer reads `truth` through `this`.
+  SavedWorldAttributor(const SavedWorldAttributor&) = delete;
+  SavedWorldAttributor& operator=(const SavedWorldAttributor&) = delete;
+
+  std::map<std::string, std::string> truth;
+  radar::LibraryCorpus corpus = radar::LibraryCorpus::builtin();
+  vtsim::DomainCategorizer categorizer{
+      vtsim::defaultVendorPanel(), [this](const std::string& domain) {
+        const auto it = truth.find(domain);
+        return it == truth.end() ? std::string("unknown") : it->second;
+      }};
+  core::TrafficAttributor attributor{corpus, categorizer};
+};
 
 int cmdAnalyze(const Args& args) {
   const std::string inDir = optStr(args, "in");
   if (inDir.empty()) return usage("analyze: --in DIR is required");
-  orch::ResultDatabase db;
-  const auto load = db.loadFromDirectory(inDir);
-  std::printf("loaded %zu artifact bundles from %s (%zu replaced)\n",
-              load.loaded, inDir.c_str(), load.replaced);
-  for (const auto& failure : load.failures)
-    std::fprintf(stderr, "analyze: skipped corrupt bundle %s: %s\n",
-                 failure.path.c_str(), failure.error.c_str());
+  // A scan reads a missing directory as an empty study.
+  if (!std::filesystem::is_directory(inDir))
+    return fail("analyze: no directory " + inDir);
+  const orch::RecoveryReport stored = orch::StudyRecovery::scan(inDir);
+  std::printf("loaded %zu artifact bundles from %s (%zu quarantined)\n",
+              stored.runs.size(), inDir.c_str(), stored.quarantined.size());
 
-  const auto truth = loadDomainManifest(inDir);
-  const radar::LibraryCorpus corpus = radar::LibraryCorpus::builtin();
-  vtsim::DomainCategorizer categorizer(
-      vtsim::defaultVendorPanel(), [&truth](const std::string& domain) {
-        const auto it = truth.find(domain);
-        return it == truth.end() ? std::string("unknown") : it->second;
-      });
-  core::TrafficAttributor attributor(corpus, categorizer);
+  const SavedWorldAttributor world(inDir);
+  // runStudy folds in job-index order too, so this is its study.
   core::StudyAggregator study;
-  db.forEach([&](const core::RunArtifacts& artifacts) {
-    study.addAppColumns(artifacts, attributor.attributeColumns(artifacts));
-  });
+  for (const auto& run : stored.runs)
+    study.addAppColumns(run.artifacts,
+                        world.attributor.attributeColumns(run.artifacts));
   printStudySummary(study);
 
   const std::string csvDir = optStr(args, "csv");
@@ -222,6 +227,9 @@ int cmdAnalyze(const Args& args) {
   if (!reportPath.empty()) {
     std::ofstream report(reportPath, std::ios::trunc);
     core::writeStudyReport(study, report);
+    report.close();
+    if (!report)
+      return fail("analyze: cannot write study report to " + reportPath);
     std::printf("wrote study report to %s\n", reportPath.c_str());
   }
   return 0;
@@ -232,34 +240,24 @@ int cmdInspect(const Args& args) {
   const std::string shaPrefix = optStr(args, "sha");
   if (inDir.empty() || shaPrefix.empty())
     return usage("inspect: --in DIR and --sha PREFIX are required");
-  orch::ResultDatabase db;
-  const auto load = db.loadFromDirectory(inDir);
-  for (const auto& failure : load.failures)
-    std::fprintf(stderr, "inspect: skipped corrupt bundle %s: %s\n",
-                 failure.path.c_str(), failure.error.c_str());
-  std::optional<core::RunArtifacts> found;
-  db.forEach([&](const core::RunArtifacts& artifacts) {
-    if (!found && artifacts.apkSha256.starts_with(shaPrefix))
-      found = artifacts;
-  });
-  if (!found) {
-    std::fprintf(stderr, "inspect: no bundle matching sha prefix %s\n",
-                 shaPrefix.c_str());
-    return 1;
-  }
-  std::printf("%s (%s, %s): %zu packets, %zu reports, coverage %.2f%%\n",
-              found->apkSha256.c_str(), found->packageName.c_str(),
-              found->appCategory.c_str(), found->capture.size(),
-              found->reports.size(), 100.0 * found->coverage.ratio());
-  const auto truth = loadDomainManifest(inDir);
-  const radar::LibraryCorpus corpus = radar::LibraryCorpus::builtin();
-  vtsim::DomainCategorizer categorizer(
-      vtsim::defaultVendorPanel(), [&truth](const std::string& domain) {
-        const auto it = truth.find(domain);
-        return it == truth.end() ? std::string("unknown") : it->second;
+  if (!std::filesystem::is_directory(inDir))
+    return fail("inspect: no directory " + inDir);
+  const orch::RecoveryReport stored = orch::StudyRecovery::scan(inDir);
+  // Runs come in job-index order: the lowest-indexed match wins.
+  const auto match = std::find_if(
+      stored.runs.begin(), stored.runs.end(),
+      [&](const orch::RecoveredRun& run) {
+        return run.artifacts.apkSha256.starts_with(shaPrefix);
       });
-  core::TrafficAttributor attributor(corpus, categorizer);
-  for (const auto& flow : attributor.attribute(*found)) {
+  if (match == stored.runs.end())
+    return fail("inspect: no bundle matching sha prefix " + shaPrefix);
+  const core::RunArtifacts& found = match->artifacts;
+  std::printf("%s (%s, %s): %zu packets, %zu reports, coverage %.2f%%\n",
+              found.apkSha256.c_str(), found.packageName.c_str(),
+              found.appCategory.c_str(), found.capture.size(),
+              found.reports.size(), 100.0 * found.coverage.ratio());
+  const SavedWorldAttributor world(inDir);
+  for (const auto& flow : world.attributor.attribute(found)) {
     std::printf("  %-44s %-16s %-26s %9s/%9s\n", flow.originLibrary.str().c_str(),
                 flow.libraryCategory.str().c_str(),
                 flow.domain.empty() ? "(unresolved)" : flow.domain.str().c_str(),
@@ -318,8 +316,14 @@ int cmdPolicy(const Args& args) {
 int main(int argc, char** argv) {
   const std::optional<Args> args = parseArgs(argc, argv);
   if (!args) return usage();
-  if (args->command == "run") return cmdRun(*args);
-  if (args->command == "analyze") return cmdAnalyze(*args);
-  if (args->command == "inspect") return cmdInspect(*args);
-  return cmdPolicy(*args);
+  // A filesystem error (an --out or --csv under a regular file, an
+  // unreadable --in) is reported, not left to abort the process.
+  try {
+    if (args->command == "run") return cmdRun(*args);
+    if (args->command == "analyze") return cmdAnalyze(*args);
+    if (args->command == "inspect") return cmdInspect(*args);
+    return cmdPolicy(*args);
+  } catch (const std::exception& error) {
+    return fail(error.what());
+  }
 }

@@ -2,11 +2,13 @@
 # ASan + UBSan CI lane: build the decoder, crash-recovery and attribution
 # suites with AddressSanitizer and UndefinedBehaviorSanitizer and run them.
 # The fuzzers feed the wire, .spab and elision decoders hostile bytes; the
-# recovery sweep truncates and corrupts bundles mid-write; the symbol pool
-# hands out pointers into chunked storage; an apk's dex content is one byte
-# image read through tables of offsets, which the writer, the generator,
-# the supervisor's frame index and the monitor's coverage all do
-# arithmetic on; the SHA-extension digest kernel makes 16-byte loads from
+# envelope decoder, the one reader of bundles on disk, has its own
+# round-trip and corruption suite; the recovery sweep truncates and
+# corrupts bundles mid-write; the symbol pool hands out pointers into
+# chunked storage; an apk's dex content is one byte image read through
+# tables of offsets, which the writer, the generator, the supervisor's
+# frame index and the monitor's coverage all do arithmetic on; the
+# SHA-extension digest kernel makes 16-byte loads from
 # caller buffers at any alignment; the slicing-by-8 crc32 kernel reads
 # eight bytes per step up to the end of its buffer; the method tracer
 # keeps per-id slots and views into its own map; and the attribution,
@@ -38,6 +40,7 @@ TARGETS=(
   fuzz_elision_test
   report_test
   ingest_router_test
+  artifacts_test
   recovery_test
   symbol_pool_test
   apk_test

@@ -38,7 +38,6 @@ TARGETS=(
   dispatcher_test
   study_test
   recovery_test
-  database_test
   generation_determinism_test
   symbol_pool_test
   attribution_program_test
@@ -58,6 +57,6 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TARGETS[@]}"
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)" \
-  -R 'Ingest|Dispatcher|StudyRunner|Recovery|Database|Determinism|Symbol|Interning|AttributionProgram|FlowColumns|Spectord|Reconnector|ScenarioMatrix')
+  -R 'Ingest|Dispatcher|StudyRunner|Recovery|Determinism|Symbol|Interning|AttributionProgram|FlowColumns|Spectord|Reconnector|ScenarioMatrix')
 
 echo "TSan lane: OK"

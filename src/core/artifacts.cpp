@@ -168,11 +168,4 @@ SpabEnvelope SpabEnvelope::decode(std::span<const std::uint8_t> bytes) {
   return envelope;
 }
 
-bool SpabEnvelope::looksFramed(std::span<const std::uint8_t> bytes) noexcept {
-  if (bytes.size() < 4) return false;
-  std::uint32_t magic = 0;
-  for (int i = 0; i < 4; ++i) magic |= std::uint32_t{bytes[i]} << (8 * i);
-  return magic == kEnvelopeMagic;
-}
-
 }  // namespace libspector::core

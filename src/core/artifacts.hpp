@@ -1,7 +1,7 @@
 // Everything one app run produces (paper §III-B): the packet capture, the
 // Socket Supervisor's UDP reports, the method trace file and coverage, plus
-// identifying metadata. Workers upload this bundle to the result database;
-// the offline pipeline consumes it.
+// identifying metadata. Each run's bundle is checkpointed into the study's
+// artifact store (orch/recovery.hpp); the offline pipeline reads it back.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +57,8 @@ struct ApkLossAccount {
   std::uint64_t outOfOrder = 0;
   std::uint64_t lost = 0;             // emitted - uniqueDelivered
 
-  /// Account for a bundle whose channel history is gone (batch-saved
-  /// databases): whatever survived in `reports` counts as delivered.
+  /// Account for a run whose channel history is gone or was never kept:
+  /// whatever survived in `reports` counts as delivered.
   [[nodiscard]] static ApkLossAccount fromArtifacts(const RunArtifacts& a);
 
   [[nodiscard]] bool operator==(const ApkLossAccount&) const = default;
@@ -76,16 +76,13 @@ struct ApkLossAccount {
 ///        | payloadSize (u64) | payload (RunArtifacts::serialize bytes)
 ///
 /// - `jobIndex` is the run's dispatch index, which is what recovery needs
-///   to replay bundles deterministically and re-run only the gaps;
-///   kNoJobIndex marks bundles saved outside a checkpointed study.
+///   to replay bundles deterministically and re-run only the gaps.
 /// - the crc32 covers the whole body, so truncation and bit flips are
 ///   rejected (quarantined) instead of mis-attributed.
 struct SpabEnvelope {
   static constexpr std::uint16_t kVersion = 1;
-  /// jobIndex sentinel for bundles persisted without a dispatch index.
-  static constexpr std::uint64_t kNoJobIndex = ~0ULL;
 
-  std::uint64_t jobIndex = kNoJobIndex;
+  std::uint64_t jobIndex = 0;
   ApkLossAccount account;
   RunArtifacts artifacts;
 
@@ -98,11 +95,6 @@ struct SpabEnvelope {
   /// Validates magic, version, checksum and payload length; throws
   /// util::DecodeError on any corruption or truncation.
   [[nodiscard]] static SpabEnvelope decode(std::span<const std::uint8_t> bytes);
-
-  /// True when `bytes` starts with the envelope magic (cheap dispatch
-  /// between framed and legacy raw bundles).
-  [[nodiscard]] static bool looksFramed(
-      std::span<const std::uint8_t> bytes) noexcept;
 };
 
 }  // namespace libspector::core

@@ -210,8 +210,11 @@ std::size_t exportStudyCsv(const StudyAggregator& study,
   fs::create_directories(directory);
   const auto write = [&](const char* name, const auto& writer) {
     std::ofstream out(fs::path(directory) / name, std::ios::trunc);
-    if (!out) throw std::runtime_error(std::string("exportStudyCsv: cannot write ") + name);
     writer(out);
+    // Checked after close: a write the disk refused must not pass for a
+    // complete figure.
+    out.close();
+    if (!out) throw std::runtime_error(std::string("exportStudyCsv: cannot write ") + name);
   };
   write("fig2_categories.csv", [&](std::ostream& o) { writeFig2Csv(study, o); });
   write("fig3_top_libraries.csv",

@@ -34,6 +34,8 @@ void writeStudyReport(const StudyAggregator& study, std::ostream& out);
 /// fig2_categories.csv, fig3_top_libraries.csv, fig4_cdf.csv,
 /// fig5_ratios.csv, fig6_ant_shares.csv, fig7_category_averages.csv,
 /// fig9_heatmap.csv, fig10_coverage.csv. Returns the number of files.
+/// Throws std::filesystem::filesystem_error when the directory cannot be
+/// created and std::runtime_error when a file cannot be opened or written.
 std::size_t exportStudyCsv(const StudyAggregator& study,
                            const std::string& directory);
 

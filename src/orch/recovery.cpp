@@ -124,7 +124,7 @@ void parseManifest(const fs::path& path, std::vector<ManifestEntry>& entries,
   try {
     bytes = readFileBytes(path);
   } catch (const std::runtime_error&) {
-    return;  // no manifest (batch saves write none): it lists nothing
+    return;  // no manifest: it lists nothing
   }
   const std::string_view content(reinterpret_cast<const char*>(bytes.data()),
                                  bytes.size());
@@ -171,7 +171,7 @@ std::size_t compactCheckpointDirectory(const std::string& directory) {
   std::sort(bundles.begin(), bundles.end());
 
   // The bundles on disk are authoritative; the rebuilt manifest lists
-  // exactly the valid indexed ones, sorted by job index.
+  // exactly the valid ones, sorted by job index.
   std::vector<ManifestEntry> kept;
   for (const auto& path : bundles) {
     std::vector<std::uint8_t> bytes;
@@ -180,10 +180,8 @@ std::size_t compactCheckpointDirectory(const std::string& directory) {
     } catch (const std::runtime_error&) {
       continue;  // unreadable: StudyRecovery::scan quarantines it
     }
-    if (!core::SpabEnvelope::looksFramed(bytes)) continue;
     try {
       core::SpabEnvelope envelope = core::SpabEnvelope::decode(bytes);
-      if (envelope.jobIndex == core::SpabEnvelope::kNoJobIndex) continue;
       kept.push_back({envelope.jobIndex, envelope.artifacts.apkSha256});
     } catch (const util::DecodeError&) {
       // Corrupt bundle: StudyRecovery::scan quarantines; compaction only
@@ -225,7 +223,6 @@ namespace {
 /// scan applies it later, in path order.
 struct BundleVerdict {
   std::optional<std::string> rejected;  // why it goes to quarantine
-  bool indexed = false;  // false: valid but unindexed (legacy, batch save)
   core::SpabEnvelope envelope;
   std::exception_ptr escaped;  // anything else thrown: rethrown in order
 };
@@ -240,15 +237,7 @@ BundleVerdict decodeBundle(const fs::path& path) {
     return verdict;
   }
   try {
-    if (!core::SpabEnvelope::looksFramed(bytes)) {
-      // A legacy (pre-envelope) bundle that still decodes is valid data,
-      // just not replayable: it carries no job index. Leave it in place.
-      (void)core::RunArtifacts::deserialize(bytes);
-      return verdict;
-    }
     verdict.envelope = core::SpabEnvelope::decode(bytes);
-    verdict.indexed =
-        verdict.envelope.jobIndex != core::SpabEnvelope::kNoJobIndex;
   } catch (const util::DecodeError& error) {
     verdict.rejected = error.what();
   }
@@ -332,10 +321,6 @@ RecoveryReport StudyRecovery::scan(const std::string& directory) {
     if (verdict.escaped) std::rethrow_exception(verdict.escaped);
     if (verdict.rejected) {
       quarantine(bundles[i], *verdict.rejected);
-      continue;
-    }
-    if (!verdict.indexed) {
-      ++report.unindexedBundles;
       continue;
     }
     const auto jobIndex = static_cast<std::size_t>(verdict.envelope.jobIndex);

@@ -73,8 +73,8 @@ void writeSpabAtomic(const std::filesystem::path& directory,
 /// The whole of `path` in one sized read: open, take the file's size, one
 /// `read` into a buffer of that size. Throws std::runtime_error when the
 /// file cannot be opened or sized or yields fewer bytes than its size.
-/// Every reader of a checkpoint directory (bundles, manifest, batch loads)
-/// goes through it.
+/// Every reader of a checkpoint directory (bundles, manifest) goes
+/// through it.
 [[nodiscard]] std::vector<std::uint8_t> readFileBytes(
     const std::filesystem::path& path);
 
@@ -125,8 +125,6 @@ struct RecoveryReport {
   std::vector<Quarantined> quarantined;
 
   std::size_t tmpFilesRemoved = 0;   // torn mid-write temp files deleted
-  std::size_t unindexedBundles = 0;  // valid but not replayable (no job
-                                     // index: batch saves, legacy format)
   std::size_t manifestEntries = 0;       // well-formed manifest lines
   std::size_t manifestTornLines = 0;     // torn/malformed lines tolerated
   std::size_t manifestMissingBundles = 0;  // listed sha with no valid bundle
@@ -136,18 +134,19 @@ struct RecoveryReport {
 /// `compact` op). The manifest is append-only, so resumed studies and
 /// re-checkpointed apks accumulate duplicate and dangling lines over
 /// time. Compaction rewrites the manifest atomically (tmp + rename) with
-/// exactly one `<jobIndex> <sha> ok` line per valid indexed bundle on
-/// disk, sorted by job index, and deletes torn `.tmp` files. Corrupt
+/// exactly one `<jobIndex> <sha> ok` line per valid bundle on disk,
+/// sorted by job index, and deletes torn `.tmp` files. Corrupt
 /// bundles are left for StudyRecovery::scan to quarantine. Returns the
 /// number of stale items removed (dropped manifest lines + tmp files).
 std::size_t compactCheckpointDirectory(const std::string& directory);
 
-/// Post-crash scan of a checkpoint directory. Quarantines instead of
-/// throwing: a single corrupt bundle must never abandon the recovery the
-/// way ResultDatabase::loadFromDirectory once did. Bundles are read and
+/// Post-crash scan of a checkpoint directory, and the one reader of a
+/// study's bundles. Quarantines instead of throwing: a single corrupt
+/// bundle must never abandon the rest of a study's data. Files other than
+/// `.spab` bundles and `.tmp` leftovers are ignored. Bundles are read and
 /// decoded on min(hardware threads, bundle count) threads; the verdicts
-/// (quarantine, duplicate index, unindexed, survivor) are then applied one
-/// at a time in sorted path order, so the report, the quarantine directory
+/// (quarantine, duplicate index, survivor) are then applied one at a time
+/// in sorted path order, so the report, the quarantine directory
 /// and the log are deterministic. An exception other than a read failure
 /// or a DecodeError is rethrown on the calling thread after every worker
 /// has joined: the first such exception in path order, once the verdicts

@@ -144,18 +144,10 @@ TEST(ArtifactsTest, LossAccountFromArtifacts) {
 TEST(ArtifactsTest, EnvelopeRoundTripsIndexAccountAndArtifacts) {
   const RunArtifacts original = sampleArtifacts();
   const auto bytes = SpabEnvelope::encode(42, sampleAccount(), original);
-  ASSERT_TRUE(SpabEnvelope::looksFramed(bytes));
-
   const SpabEnvelope decoded = SpabEnvelope::decode(bytes);
   EXPECT_EQ(decoded.jobIndex, 42u);
   EXPECT_EQ(decoded.account, sampleAccount());
   EXPECT_EQ(decoded.artifacts.serialize(), original.serialize());
-}
-
-TEST(ArtifactsTest, EnvelopeCarriesNoJobIndexSentinel) {
-  const auto bytes = SpabEnvelope::encode(SpabEnvelope::kNoJobIndex,
-                                          sampleAccount(), sampleArtifacts());
-  EXPECT_EQ(SpabEnvelope::decode(bytes).jobIndex, SpabEnvelope::kNoJobIndex);
 }
 
 TEST(ArtifactsTest, EnvelopeRejectsCorruption) {
@@ -177,11 +169,6 @@ TEST(ArtifactsTest, EnvelopeRejectsCorruption) {
   auto padded = good;
   padded.push_back(0);
   EXPECT_THROW((void)SpabEnvelope::decode(padded), util::DecodeError);
-}
-
-TEST(ArtifactsTest, LegacyBundleIsNotMistakenForEnvelope) {
-  EXPECT_FALSE(SpabEnvelope::looksFramed(sampleArtifacts().serialize()));
-  EXPECT_FALSE(SpabEnvelope::looksFramed({}));
 }
 
 }  // namespace

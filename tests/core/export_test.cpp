@@ -114,6 +114,20 @@ TEST(ExportTest, DirectoryExportWritesAllFiles) {
   EXPECT_EQ(files, 8u);
 }
 
+TEST(ExportTest, DirectoryExportThrowsWhenAWriteFails) {
+  // /dev/full opens and then refuses every write with ENOSPC, as a full
+  // disk does.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::filesystem::path dir =
+      ::testing::TempDir() + "/spector_csv_full_" +
+      std::to_string(::testing::UnitTest::GetInstance()->random_seed());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::filesystem::create_symlink("/dev/full", dir / "fig4_cdf.csv");
+  EXPECT_THROW((void)exportStudyCsv(sampleStudy(), dir.string()),
+               std::runtime_error);
+}
+
 TEST(ReportTest, MarkdownReportCoversEverySection) {
   std::ostringstream out;
   writeStudyReport(sampleStudy(), out);

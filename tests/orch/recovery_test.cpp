@@ -76,6 +76,8 @@ TEST(RecoveryTest, CheckpointScanRoundTrip) {
   CheckpointWriter writer(dir);
   writer.checkpoint(5, account, b);  // out of index order on purpose
   writer.checkpoint(2, {}, a);
+  // A file that is no bundle is neither returned nor quarantined.
+  std::ofstream(fs::path(dir) / "notes.txt") << "not a bundle";
 
   const auto report = StudyRecovery::scan(dir);
   ASSERT_EQ(report.runs.size(), 2u);
@@ -88,6 +90,7 @@ TEST(RecoveryTest, CheckpointScanRoundTrip) {
   EXPECT_TRUE(report.quarantined.empty());
   EXPECT_EQ(report.tmpFilesRemoved, 0u);
   EXPECT_EQ(report.manifestMissingBundles, 0u);
+  EXPECT_TRUE(fs::exists(fs::path(dir) / "notes.txt"));
 }
 
 TEST(RecoveryTest, ReadFileBytesReadsTheWholeFileOrThrows) {
@@ -327,18 +330,15 @@ TEST(RecoveryTest, MixedCorruptionScanIsDeterministicAcrossThreads) {
   const auto duplicateIndex =
       core::SpabEnvelope::decode(readFileBytes(bundles[5])).jobIndex;
   fs::copy_file(bundles[5], damaged / "zz-copy.spab");
-  // Valid but unindexed: a legacy unframed bundle and a batch save.
-  const core::RunArtifacts& sample = intact.runs[0].artifacts;
+  // Run artifacts without the envelope (the pre-envelope bundle format):
+  // no magic, so quarantined like any other undecodable bundle.
   {
     std::ofstream legacy(damaged / "legacy.spab",
                          std::ios::binary | std::ios::trunc);
-    const auto bytes = sample.serialize();
+    const auto bytes = intact.runs[0].artifacts.serialize();
     legacy.write(reinterpret_cast<const char*>(bytes.data()),
                  static_cast<std::streamsize>(bytes.size()));
   }
-  writeSpabAtomic(damaged, "unindexed",
-                  core::SpabEnvelope::encode(core::SpabEnvelope::kNoJobIndex,
-                                             {}, sample));
   std::ofstream(damaged / "torn.spab.tmp") << "torn";
 
   const fs::path twin = freshDir("mixed_twin");
@@ -351,7 +351,8 @@ TEST(RecoveryTest, MixedCorruptionScanIsDeterministicAcrossThreads) {
       {bundles[1].filename().string(), "SpabEnvelope: checksum mismatch"},
       {bundles[2].filename().string(), "ByteReader: truncated input"},
       {bundles[3].filename().string(), "SpabEnvelope: checksum mismatch"},
-      {bundles[4].filename().string(), "RunArtifacts: bad magic"},
+      {bundles[4].filename().string(), "SpabEnvelope: bad magic"},
+      {"legacy.spab", "SpabEnvelope: bad magic"},
       {"zz-copy.spab",
        "duplicate job index " + std::to_string(duplicateIndex)},
   };
@@ -362,7 +363,6 @@ TEST(RecoveryTest, MixedCorruptionScanIsDeterministicAcrossThreads) {
       EXPECT_EQ(scanned->quarantined[i].error, expectedQuarantine[i].second)
           << expectedQuarantine[i].first;
     }
-    EXPECT_EQ(scanned->unindexedBundles, 2u);
     EXPECT_EQ(scanned->tmpFilesRemoved, 1u);
     EXPECT_EQ(scanned->manifestEntries, config.store.appCount);
     EXPECT_EQ(scanned->manifestMissingBundles, damagedIndices.size());

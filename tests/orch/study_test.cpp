@@ -9,7 +9,6 @@
 
 #include "core/attribution.hpp"
 #include "core/export.hpp"
-#include "orch/database.hpp"
 #include "radar/corpus.hpp"
 #include "util/bytes.hpp"
 #include "vtsim/categorizer.hpp"
@@ -211,8 +210,11 @@ TEST(StudyRunnerTest, PersistsArtifactsAndManifest) {
   const auto output = runStudy(config);
   EXPECT_EQ(output.appsProcessed, 25u);
 
-  ResultDatabase restored;
-  EXPECT_EQ(restored.loadFromDirectory(config.artifactsDirectory).loaded, 25u);
+  const RecoveryReport restored = StudyRecovery::scan(config.artifactsDirectory);
+  ASSERT_EQ(restored.runs.size(), 25u);
+  for (std::size_t i = 0; i < restored.runs.size(); ++i)
+    EXPECT_EQ(restored.runs[i].jobIndex, i);
+  EXPECT_TRUE(restored.quarantined.empty());
   EXPECT_TRUE(std::filesystem::exists(
       std::filesystem::path(config.artifactsDirectory) / "domains.csv"));
 }
