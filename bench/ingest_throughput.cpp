@@ -2,8 +2,8 @@
 // and end-to-end fold latency, tracked from PR 2 onward.
 //
 // Two axes:
-//   - framing cost: encode/decode/peek of the versioned report frame
-//     (crc32 over the body is the dominant term);
+//   - framing cost: encode/decode/peek of the report frame in its steady
+//     state, ids only (crc32 over the body is the dominant term);
 //   - sharding: 1 shard vs one per hardware thread, many producer threads
 //     pushing framed datagrams through bounded queues.
 //
@@ -47,17 +47,17 @@ core::UdpReport benchReport(const std::string& sha, std::uint64_t seq) {
 }
 
 /// One datagram corpus, framed once and reused by every configuration: the
-/// routers are what gets measured, not the encoder.
+/// routers are what gets measured, not the encoder. Each app's frames come
+/// from one encoder, as a supervisor sends them: the first defines the
+/// signatures, the rest carry ids.
 struct Corpus {
   Corpus() {
     datagrams.reserve(kApps * kFramesPerApp);
     for (std::size_t app = 0; app < kApps; ++app) {
       const std::string sha = "benchapp" + std::to_string(app);
+      core::DictFrameEncoder encoder(static_cast<std::uint32_t>(app));
       for (std::uint64_t seq = 0; seq < kFramesPerApp; ++seq)
-        datagrams.push_back(
-            core::ReportFrame{static_cast<std::uint32_t>(app), seq,
-                              benchReport(sha, seq)}
-                .encode());
+        datagrams.push_back(encoder.encode(seq, benchReport(sha, seq)));
     }
   }
   std::vector<std::vector<std::uint8_t>> datagrams;
@@ -154,16 +154,27 @@ void runHeadlineComparison() {
 // Microbenchmarks: the framing layer in isolation.
 // ---------------------------------------------------------------------------
 
+/// A run's encoder after its first frame: every signature is defined, so
+/// each later frame carries ids only, as all but a run's first frames do.
+core::DictFrameEncoder warmEncoder() {
+  core::DictFrameEncoder encoder(1);
+  (void)encoder.encode(0, benchReport("benchapp0", 0));
+  return encoder;
+}
+
 void BM_FrameEncode(benchmark::State& state) {
-  const core::ReportFrame frame{1, 7, benchReport("benchapp0", 7)};
-  for (auto _ : state) benchmark::DoNotOptimize(frame.encode());
+  core::DictFrameEncoder encoder = warmEncoder();
+  const auto report = benchReport("benchapp0", 7);
+  std::uint64_t seq = 1;
+  for (auto _ : state) benchmark::DoNotOptimize(encoder.encode(seq++, report));
   state.SetBytesProcessed(static_cast<std::int64_t>(
-      state.iterations() * static_cast<std::int64_t>(frame.encode().size())));
+      state.iterations() *
+      static_cast<std::int64_t>(encoder.encode(seq, report).size())));
 }
 BENCHMARK(BM_FrameEncode);
 
 void BM_FrameDecode(benchmark::State& state) {
-  const auto bytes = core::ReportFrame{1, 7, benchReport("benchapp0", 7)}.encode();
+  const auto bytes = warmEncoder().encode(7, benchReport("benchapp0", 7));
   for (auto _ : state)
     benchmark::DoNotOptimize(core::ReportFrame::decode(bytes));
   state.SetBytesProcessed(static_cast<std::int64_t>(
@@ -172,7 +183,7 @@ void BM_FrameDecode(benchmark::State& state) {
 BENCHMARK(BM_FrameDecode);
 
 void BM_FramePeek(benchmark::State& state) {
-  const auto bytes = core::ReportFrame{1, 7, benchReport("benchapp0", 7)}.encode();
+  const auto bytes = warmEncoder().encode(7, benchReport("benchapp0", 7));
   for (auto _ : state)
     benchmark::DoNotOptimize(core::ReportFrame::peek(bytes));
   state.SetBytesProcessed(static_cast<std::int64_t>(

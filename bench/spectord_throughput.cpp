@@ -43,18 +43,17 @@ core::UdpReport benchReport(const std::string& sha, std::uint64_t seq) {
 
 /// Datagrams grouped per app: each app's ordered sequence must flow over
 /// one client connection so the daemon's loss accounting sees a clean
-/// stream (as it would from one emulator worker).
+/// stream (as it would from one emulator worker). Each app's frames come
+/// from one encoder, as a supervisor sends them.
 struct Corpus {
   Corpus() {
     perApp.resize(kApps);
     for (std::size_t app = 0; app < kApps; ++app) {
       perApp[app].reserve(kFramesPerApp);
       const std::string sha = "benchapp" + std::to_string(app);
+      core::DictFrameEncoder encoder(static_cast<std::uint32_t>(app));
       for (std::uint64_t seq = 0; seq < kFramesPerApp; ++seq)
-        perApp[app].push_back(
-            core::ReportFrame{static_cast<std::uint32_t>(app), seq,
-                              benchReport(sha, seq)}
-                .encode());
+        perApp[app].push_back(encoder.encode(seq, benchReport(sha, seq)));
     }
   }
   std::vector<std::vector<std::vector<std::uint8_t>>> perApp;

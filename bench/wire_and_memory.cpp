@@ -1,21 +1,17 @@
-// ISSUE 5 acceptance bench: the symbol-interned flow pipeline and the
-// dictionary-compressed report wire format, measured against the legacy
-// string pipeline and the self-contained v1/v2 framing.
+// The report wire and the flow record stage, in absolute numbers.
 //
 // Three headline numbers, written to BENCH_wire.json:
 //
-//   - wire bytes per reported socket, v2 framing vs v3 dictionary framing,
-//     over a run with realistic smali signatures (60-90 chars) and stack
-//     depths (8-16): a supervisor re-sends the same handful of signatures
-//     on every socket, so sending each distinct signature once per run and
-//     u32 ids afterwards should cut steady-state datagrams by >= 3x;
+//   - wire bytes per reported socket of the dictionary-compressed report
+//     frame, over a run with realistic smali signatures (60-90 chars) and
+//     stack depths (8-16): a supervisor re-sends the same handful of
+//     signatures on every socket, and the frame sends each distinct one
+//     once per run and u32 ids afterwards;
 //
-//   - heap allocations per 10k attributed flows in the record + fold stage,
-//     a faithful replica of the pre-interning string pipeline (one
-//     std::string per flow field, string-keyed aggregation) vs the symbol
-//     pipeline (u32-id FlowColumns batches folded through the dense
+//   - heap allocations per 10k attributed flows in the record + fold stage
+//     (u32-id FlowColumns batches folded through the dense
 //     StudyAggregator::addAppColumns), counted with the global operator
-//     new replacement in common/alloc_counter.cpp: >= 5x fewer;
+//     new replacement in common/alloc_counter.cpp;
 //
 //   - util::crc32 throughput in MB/s (1 MB = 10^6 bytes), one thread, the
 //     median of 5 passes over an 8 MiB buffer of random bytes: every
@@ -26,8 +22,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,7 +42,7 @@ namespace {
 using namespace libspector;
 
 // ---------------------------------------------------------------------------
-// Part 1: wire bytes per socket, v2 vs v3.
+// Part 1: wire bytes per socket.
 // ---------------------------------------------------------------------------
 
 /// Realistic smali type signatures in the 60-90 character band the paper's
@@ -80,11 +74,10 @@ std::vector<std::string> signaturePool() {
 struct WireNumbers {
   std::size_t sockets = 0;
   std::size_t distinctSignatures = 0;
-  std::uint64_t v2Bytes = 0;
   std::uint64_t v3Bytes = 0;
 };
 
-/// One run's worth of supervisor datagrams, encoded both ways.
+/// One run's worth of supervisor datagrams from one encoder.
 WireNumbers measureWire(std::size_t sockets) {
   const auto pool = signaturePool();
   util::Rng rng(0x11b59ec705ULL);
@@ -105,11 +98,6 @@ WireNumbers measureWire(std::size_t sockets) {
     const std::size_t base = rng.uniform(0, pool.size() - 1);
     for (std::size_t i = 0; i < depth; ++i)
       report.stackSignatures.push_back(pool[(base + i) % pool.size()]);
-
-    // v2 is a wire alias of the v1 layout: identical bytes, version patched.
-    auto legacy = core::ReportFrame{7, seq, report}.encode();
-    legacy[4] = 2;
-    numbers.v2Bytes += legacy.size();
     numbers.v3Bytes += encoder.encode(seq, report).size();
   }
   return numbers;
@@ -121,8 +109,8 @@ WireNumbers measureWire(std::size_t sockets) {
 
 constexpr std::size_t kStudyApps = 60;
 
-/// Pre-emulated study world: emulation runs once, the measured passes only
-/// attribute and aggregate.
+/// Pre-emulated study world: emulation runs once, outside the measured
+/// pass.
 struct StudyWorld {
   StudyWorld() {
     store::StoreConfig storeConfig;
@@ -151,83 +139,10 @@ struct StudyWorld {
   std::vector<core::RunArtifacts> runs;
 };
 
-/// The seed's per-flow record: one heap string per field. Attribution used
-/// to hand a vector of these to a string-keyed aggregator.
-struct LegacyFlowRecord {
-  std::string apkSha256;
-  std::string appPackage;
-  std::string appCategory;
-  std::string originLibrary;
-  std::string originSignature;
-  std::string twoLevelLibrary;
-  std::string libraryCategory;
-  std::string domain;
-  std::string domainCategory;
-  std::uint64_t sentBytes = 0;
-  std::uint64_t recvBytes = 0;
-};
-
-struct LegacyAgg {
-  std::uint64_t sent = 0;
-  std::uint64_t recv = 0;
-  std::string category;
-};
-
-/// Replica of the seed's per-run record stage: materialize one string per
-/// flow field (exactly what the pre-interning FlowRecord held), then fold
-/// into string-keyed study maps. The symbol pipeline replaced this stage,
-/// so it is what the allocation headline isolates — attribution proper
-/// (capture-index build, stack walks) is identical on both sides and is
-/// benched separately in BENCH_attribution.json.
-std::size_t legacyRecordAndFold(
-    const StudyWorld& world,
-    const std::vector<std::vector<core::FlowRecord>>& flowsPerRun) {
-  std::map<std::string, LegacyAgg> libraries;
-  std::map<std::string, LegacyAgg> twoLevel;
-  std::map<std::string, LegacyAgg> domains;
-  std::size_t flowCount = 0;
-  for (std::size_t i = 0; i < world.runs.size(); ++i) {
-    std::vector<LegacyFlowRecord> materialized;
-    materialized.reserve(flowsPerRun[i].size());
-    for (const auto& flow : flowsPerRun[i]) {
-      LegacyFlowRecord legacy;
-      legacy.apkSha256 = flow.apkSha256.str();
-      legacy.appPackage = flow.appPackage.str();
-      legacy.appCategory = flow.appCategory.str();
-      legacy.originLibrary = flow.originLibrary.str();
-      legacy.originSignature = flow.originSignature.str();
-      legacy.twoLevelLibrary = flow.twoLevelLibrary.str();
-      legacy.libraryCategory = flow.libraryCategory.str();
-      legacy.domain = flow.domain.str();
-      legacy.domainCategory = flow.domainCategory.str();
-      legacy.sentBytes = flow.sentBytes;
-      legacy.recvBytes = flow.recvBytes;
-      materialized.push_back(std::move(legacy));
-    }
-    for (const auto& flow : materialized) {
-      auto& lib = libraries[flow.originLibrary];
-      lib.sent += flow.sentBytes;
-      lib.recv += flow.recvBytes;
-      lib.category = flow.libraryCategory;
-      auto& two = twoLevel[flow.twoLevelLibrary];
-      two.sent += flow.sentBytes;
-      two.recv += flow.recvBytes;
-      if (!flow.domain.empty()) {
-        auto& dom = domains[flow.domain];
-        dom.sent += flow.sentBytes;
-        dom.recv += flow.recvBytes;
-        dom.category = flow.domainCategory;
-      }
-    }
-    flowCount += flowsPerRun[i].size();
-  }
-  return flowCount;
-}
-
-/// The record stage as it now stands: each run's flows are one u32-id
-/// FlowColumns batch, folded through the dense StudyAggregator entry point.
-std::size_t symbolRecordAndFold(const StudyWorld& world,
-                                const std::vector<core::FlowColumns>& batches) {
+/// The record stage: each run's flows are one u32-id FlowColumns batch,
+/// folded through the dense StudyAggregator entry point.
+std::size_t recordAndFold(const StudyWorld& world,
+                          const std::vector<core::FlowColumns>& batches) {
   core::StudyAggregator study;
   std::size_t flowCount = 0;
   for (std::size_t i = 0; i < world.runs.size(); ++i) {
@@ -235,13 +150,6 @@ std::size_t symbolRecordAndFold(const StudyWorld& world,
     flowCount += batches[i].size();
   }
   return flowCount;
-}
-
-std::uint64_t countAllocations(const std::function<std::size_t()>& fn,
-                               std::size_t& flows) {
-  const std::uint64_t before = bench::allocationCount();
-  flows = fn();
-  return bench::allocationCount() - before;
 }
 
 // ---------------------------------------------------------------------------
@@ -287,18 +195,12 @@ CrcRate measureCrc32() {
 int main() {
   // ---- wire format ---------------------------------------------------------
   const WireNumbers wire = measureWire(4000);
-  const double v2PerSocket =
-      static_cast<double>(wire.v2Bytes) / static_cast<double>(wire.sockets);
   const double v3PerSocket =
       static_cast<double>(wire.v3Bytes) / static_cast<double>(wire.sockets);
-  const double wireReduction = v3PerSocket > 0 ? v2PerSocket / v3PerSocket : 0;
   std::printf("=== report wire format: %zu sockets, %zu distinct signatures ===\n",
               wire.sockets, wire.distinctSignatures);
-  std::printf("v2 framing:  %10llu bytes  (%.1f bytes/socket)\n",
-              static_cast<unsigned long long>(wire.v2Bytes), v2PerSocket);
-  std::printf("v3 dictionary: %8llu bytes  (%.1f bytes/socket)\n",
+  std::printf("v3 dictionary: %8llu bytes  (%.1f bytes/socket)\n\n",
               static_cast<unsigned long long>(wire.v3Bytes), v3PerSocket);
-  std::printf("wire reduction: %.1fx\n\n", wireReduction);
 
   // ---- crc32 ---------------------------------------------------------------
   const CrcRate crc = measureCrc32();
@@ -309,52 +211,31 @@ int main() {
 
   // ---- allocations ---------------------------------------------------------
   const StudyWorld world;
-  // Attribute the study once; the record-stage comparison below replays
-  // the exact same flows through both folds. The attributor stays alive so
-  // the flow symbols and batch ids remain valid.
+  // Attribute the study once; the measured pass only folds. The attributor
+  // stays alive so the batches' symbol pool remains valid.
   const core::TrafficAttributor attributor(world.corpus, *world.categorizer);
-  std::vector<std::vector<core::FlowRecord>> flowsPerRun;
   std::vector<core::FlowColumns> batches;
-  flowsPerRun.reserve(world.runs.size());
   batches.reserve(world.runs.size());
-  for (const auto& run : world.runs) {
-    flowsPerRun.push_back(attributor.attribute(run));
-    batches.push_back(
-        core::FlowColumns::fromRows(flowsPerRun.back(), attributor.symbols()));
-  }
+  for (const auto& run : world.runs)
+    batches.push_back(attributor.attributeColumns(run));
 
-  // Warm both paths once so the measured passes compare steady-state
-  // per-flow cost, not first-touch setup.
-  (void)legacyRecordAndFold(world, flowsPerRun);
-  (void)symbolRecordAndFold(world, batches);
-
-  std::size_t legacyFlows = 0;
-  std::size_t symbolFlows = 0;
-  const std::uint64_t legacyAllocs = countAllocations(
-      [&] { return legacyRecordAndFold(world, flowsPerRun); }, legacyFlows);
-  const std::uint64_t symbolAllocs = countAllocations(
-      [&] { return symbolRecordAndFold(world, batches); }, symbolFlows);
-
-  const double legacyPer10k = legacyFlows > 0
-                                  ? 10000.0 * static_cast<double>(legacyAllocs) /
-                                        static_cast<double>(legacyFlows)
+  // Warm the fold once so the measured pass counts steady-state per-flow
+  // cost, not first-touch setup.
+  (void)recordAndFold(world, batches);
+  const std::uint64_t before = bench::allocationCount();
+  const std::size_t flows = recordAndFold(world, batches);
+  const std::uint64_t allocations = bench::allocationCount() - before;
+  const double per10k = flows > 0 ? 10000.0 * static_cast<double>(allocations) /
+                                        static_cast<double>(flows)
                                   : 0;
-  const double symbolPer10k = symbolFlows > 0
-                                  ? 10000.0 * static_cast<double>(symbolAllocs) /
-                                        static_cast<double>(symbolFlows)
-                                  : 0;
-  const double allocReduction = symbolPer10k > 0 ? legacyPer10k / symbolPer10k : 0;
 
   struct rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
 
   std::printf("=== record+fold allocations: %zu-app study, %zu flows ===\n",
-              kStudyApps, symbolFlows);
-  std::printf("legacy string records: %10llu allocations  (%.0f per 10k flows)\n",
-              static_cast<unsigned long long>(legacyAllocs), legacyPer10k);
-  std::printf("symbol records:        %10llu allocations  (%.0f per 10k flows)\n",
-              static_cast<unsigned long long>(symbolAllocs), symbolPer10k);
-  std::printf("allocation reduction: %.1fx\n", allocReduction);
+              kStudyApps, flows);
+  std::printf("symbol records: %10llu allocations  (%.0f per 10k flows)\n",
+              static_cast<unsigned long long>(allocations), per10k);
   std::printf("peak RSS: %ld KB\n\n", usage.ru_maxrss);
 
   if (std::FILE* json = std::fopen("BENCH_wire.json", "w")) {
@@ -362,18 +243,12 @@ int main() {
                  "{\n"
                  "  \"sockets\": %zu,\n"
                  "  \"distinct_signatures\": %zu,\n"
-                 "  \"v2_wire_bytes\": %llu,\n"
                  "  \"v3_wire_bytes\": %llu,\n"
-                 "  \"v2_bytes_per_socket\": %.2f,\n"
                  "  \"v3_bytes_per_socket\": %.2f,\n"
-                 "  \"wire_reduction\": %.3f,\n"
                  "  \"study_apps\": %zu,\n"
                  "  \"flows\": %zu,\n"
-                 "  \"legacy_allocations\": %llu,\n"
                  "  \"symbol_allocations\": %llu,\n"
-                 "  \"legacy_allocations_per_10k_flows\": %.1f,\n"
                  "  \"symbol_allocations_per_10k_flows\": %.1f,\n"
-                 "  \"allocation_reduction\": %.3f,\n"
                  "  \"crc32_buffer_bytes\": %zu,\n"
                  "  \"crc32_repetitions\": %zu,\n"
                  "  \"crc32_mb_per_sec\": %.2f,\n"
@@ -382,14 +257,10 @@ int main() {
                  "  \"peak_rss_kb\": %ld\n"
                  "}\n",
                  wire.sockets, wire.distinctSignatures,
-                 static_cast<unsigned long long>(wire.v2Bytes),
-                 static_cast<unsigned long long>(wire.v3Bytes), v2PerSocket,
-                 v3PerSocket, wireReduction, kStudyApps, symbolFlows,
-                 static_cast<unsigned long long>(legacyAllocs),
-                 static_cast<unsigned long long>(symbolAllocs), legacyPer10k,
-                 symbolPer10k, allocReduction, kCrcBufferBytes,
-                 kCrcRepetitions, crc.median, crc.min, crc.max,
-                 usage.ru_maxrss);
+                 static_cast<unsigned long long>(wire.v3Bytes), v3PerSocket,
+                 kStudyApps, flows, static_cast<unsigned long long>(allocations),
+                 per10k, kCrcBufferBytes, kCrcRepetitions, crc.median,
+                 crc.min, crc.max, usage.ru_maxrss);
     std::fclose(json);
     std::printf("wrote BENCH_wire.json\n");
   }

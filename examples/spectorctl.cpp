@@ -6,7 +6,8 @@
 //       completes and writes the world manifest (domains.csv, with the
 //       VT-categorizer ground truth) at the end. The checkpoint manifest is
 //       then compacted into job-index order, so DIR holds the same bytes at
-//       any --workers. Runs add to whatever DIR already holds.
+//       any --workers. DIR must not hold a study yet (a .spab bundle or a
+//       manifest): a second world written into it would mix with the first.
 //
 //   spectorctl analyze --in DIR [--csv SUBDIR] [--report FILE]
 //       Re-run the offline pipeline over a directory that `run` wrote —
@@ -27,8 +28,9 @@
 //
 // A bad command line (--help, an unknown subcommand or option, an option
 // without its value, a malformed number or 0 apps) prints the usage text
-// and exits 2. An --in that is no directory, or a file or directory that
-// cannot be written, prints `spectorctl: <reason>` and exits 1.
+// and exits 2. An --in that is no directory, a run --out that already
+// holds a study, or a file or directory that cannot be written (a
+// checkpoint write included) prints `spectorctl: <reason>` and exits 1.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -78,6 +80,18 @@ int usage(const char* why = nullptr) {
 int fail(const std::string& why) {
   std::fprintf(stderr, "spectorctl: %s\n", why.c_str());
   return 1;
+}
+
+/// True when `dir` holds a study `run` wrote: a bundle or a manifest. A
+/// path that is no directory holds none.
+bool holdsStudy(const std::filesystem::path& dir) {
+  std::error_code error;
+  if (!std::filesystem::is_directory(dir, error)) return false;
+  if (std::filesystem::exists(dir / orch::CheckpointWriter::kManifestName))
+    return true;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    if (entry.path().extension() == ".spab") return true;
+  return false;
 }
 
 struct Args {
@@ -156,6 +170,8 @@ int cmdRun(const Args& args) {
   if (!apps || *apps == 0 || !seed || !workers)
     return usage("run: --apps needs a whole number > 0, --seed and "
                  "--workers whole numbers");
+  if (holdsStudy(outDir))
+    return fail("run: " + outDir + " already holds a study");
   store::StoreConfig config;
   config.appCount = *apps;
   config.seed = *seed;

@@ -11,9 +11,11 @@
 # SHA-extension digest kernel makes 16-byte loads from
 # caller buffers at any alignment; the slicing-by-8 crc32 kernel reads
 # eight bytes per step up to the end of its buffer; the method tracer
-# keeps per-id slots and views into its own map; and the attribution,
-# fold and ingest suites drive the dense id-indexed accumulators, where an
-# out-of-range id is a silent heap overrun in a release build.
+# keeps per-id slots and views into its own map; the attribution, fold
+# and ingest suites drive the dense id-indexed accumulators, where an
+# out-of-range id is a silent heap overrun in a release build; and the
+# router's one fold path parks frames whose signature ids are not yet
+# defined and repairs them later (ingest_dict_test).
 #
 # Usage: scripts/ci_asan.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -40,6 +42,7 @@ TARGETS=(
   fuzz_elision_test
   report_test
   ingest_router_test
+  ingest_dict_test
   artifacts_test
   recovery_test
   symbol_pool_test

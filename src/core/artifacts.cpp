@@ -8,9 +8,10 @@ namespace {
 constexpr std::uint32_t kMagic = 0x54524153;  // "SART"
 // v2 appends reportsEmitted (the sender-side report count behind the
 // ingest tier's loss accounting); v3 appends the request-boundary records
-// of the keep-alive scenario. Both tails are version-gated, a bundle is
-// written at the lowest version that can carry it, and v1/v2 bundles are
-// still readable.
+// of the keep-alive scenario. A bundle is written at the lowest version
+// that can carry it, so both are read. v1 never reached an envelope (the
+// envelope postdates v2) and is rejected.
+constexpr std::uint16_t kMinVersion = 2;
 constexpr std::uint16_t kVersion = 3;
 
 constexpr std::uint32_t kEnvelopeMagic = 0x42415053;  // "SPAB"
@@ -21,7 +22,7 @@ std::vector<std::uint8_t> RunArtifacts::serialize() const {
   w.u32(kMagic);
   // Lowest version that can carry the bundle: scenario-off runs have no
   // boundaries and keep emitting the exact v2 bytes.
-  w.u16(requestBoundaries.empty() ? std::uint16_t{2} : kVersion);
+  w.u16(requestBoundaries.empty() ? kMinVersion : kVersion);
   w.str(apkSha256);
   w.str(packageName);
   w.str(appCategory);
@@ -62,7 +63,7 @@ RunArtifacts RunArtifacts::deserialize(std::span<const std::uint8_t> bytes) {
   util::ByteReader r(bytes);
   if (r.u32() != kMagic) throw util::DecodeError("RunArtifacts: bad magic");
   const std::uint16_t version = r.u16();
-  if (version < 1 || version > kVersion)
+  if (version < kMinVersion || version > kVersion)
     throw util::DecodeError("RunArtifacts: unsupported version");
 
   RunArtifacts artifacts;
@@ -90,9 +91,7 @@ RunArtifacts RunArtifacts::deserialize(std::span<const std::uint8_t> bytes) {
   artifacts.coverage.traceEntries = r.u64();
   artifacts.monkeyEventsInjected = r.u32();
   artifacts.runDurationMs = r.u64();
-  // v1 predates loss accounting: assume every delivered report was emitted.
-  artifacts.reportsEmitted =
-      version >= 2 ? r.u64() : artifacts.reports.size();
+  artifacts.reportsEmitted = r.u64();
   if (version >= 3) {
     const std::uint32_t boundaryCount = r.countCheck(r.u32(), 20);
     artifacts.requestBoundaries.reserve(boundaryCount);

@@ -9,31 +9,17 @@ constexpr std::uint32_t kMagic = 0x52505355;       // "USPR"
 constexpr std::uint32_t kFrameMagic = 0x4652534C;  // "LSRF"
 
 /// Shared prefix validation for decode() and peek(): checks magic, version
-/// (1, 2 and 3 share this header layout) and checksum, then positions a
-/// reader at the body start.
-util::ByteReader openFrameBody(std::span<const std::uint8_t> datagram,
-                               std::uint8_t& version) {
+/// and checksum, then positions a reader at the body start.
+util::ByteReader openFrameBody(std::span<const std::uint8_t> datagram) {
   util::ByteReader r(datagram);
   if (r.u32() != kFrameMagic) throw util::DecodeError("ReportFrame: bad magic");
-  version = r.u8();
-  if (version < ReportFrame::kVersion || version > ReportFrame::kMaxVersion)
+  if (r.u8() != ReportFrame::kVersion)
     throw util::DecodeError("ReportFrame: unsupported version");
   const std::uint32_t checksum = r.u32();
   const std::span<const std::uint8_t> body = datagram.subspan(4 + 1 + 4);
   if (util::crc32(body) != checksum)
     throw util::DecodeError("ReportFrame: checksum mismatch");
   return r;
-}
-
-/// Wrap a finished body as a framed datagram.
-std::vector<std::uint8_t> sealFrame(std::uint8_t version,
-                                    const util::ByteWriter& body) {
-  util::ByteWriter w;
-  w.u32(kFrameMagic);
-  w.u8(version);
-  w.u32(util::crc32(body.data()));
-  w.raw(body.data());
-  return w.take();
 }
 
 }  // namespace
@@ -55,8 +41,8 @@ std::vector<std::uint8_t> UdpReport::encode() const {
   return w.take();
 }
 
-UdpReport UdpReport::decode(std::span<const std::uint8_t> datagram) {
-  util::ByteReader r(datagram);
+UdpReport UdpReport::decode(std::span<const std::uint8_t> record) {
+  util::ByteReader r(record);
   if (r.u32() != kMagic) throw util::DecodeError("UdpReport: bad magic");
   UdpReport report;
   report.apkSha256 = r.str();
@@ -78,24 +64,8 @@ std::vector<std::uint8_t> ReportFrame::encode() const {
   util::ByteWriter body;
   body.u32(workerId);
   body.u64(sequence);
-  body.u64(util::fnv1a64(report.apkSha256));
-  const auto payload = report.encode();
-  body.str({reinterpret_cast<const char*>(payload.data()), payload.size()});
-
-  util::ByteWriter w;
-  w.u32(kFrameMagic);
-  w.u8(kVersion);
-  w.u32(util::crc32(body.data()));
-  w.raw(body.data());
-  return w.take();
-}
-
-std::vector<std::uint8_t> DictReportFrame::encode() const {
-  util::ByteWriter body;
-  body.u32(workerId);
-  body.u64(sequence);
   body.u64(util::fnv1a64(apkSha256));
-  body.u32(util::checkedU32(defs.size(), "DictReportFrame: defs"));
+  body.u32(util::checkedU32(defs.size(), "ReportFrame: defs"));
   for (const auto& [id, signature] : defs) {
     body.u32(id);
     body.str(signature);
@@ -106,21 +76,23 @@ std::vector<std::uint8_t> DictReportFrame::encode() const {
   body.u32(socketPair.dst.ip.value());
   body.u16(socketPair.dst.port);
   body.u64(timestampMs);
-  body.u32(util::checkedU32(signatureIds.size(), "DictReportFrame: frames"));
+  body.u32(util::checkedU32(signatureIds.size(), "ReportFrame: frames"));
   for (const std::uint32_t id : signatureIds) body.u32(id);
   // Optional trailing field (see UdpReport::encode): zero keeps the legacy
-  // v3 bytes; the crc32 in sealFrame covers it when present.
+  // v3 bytes; the crc32 covers it when present.
   if (requestOrdinal != 0) body.u32(requestOrdinal);
-  return sealFrame(ReportFrame::kDictVersion, body);
+
+  util::ByteWriter w;
+  w.u32(kFrameMagic);
+  w.u8(kVersion);
+  w.u32(util::crc32(body.data()));
+  w.raw(body.data());
+  return w.take();
 }
 
-DictReportFrame DictReportFrame::decode(
-    std::span<const std::uint8_t> datagram) {
-  std::uint8_t version = 0;
-  util::ByteReader r = openFrameBody(datagram, version);
-  if (version != ReportFrame::kDictVersion)
-    throw util::DecodeError("DictReportFrame: not a v3 frame");
-  DictReportFrame frame;
+ReportFrame ReportFrame::decode(std::span<const std::uint8_t> datagram) {
+  util::ByteReader r = openFrameBody(datagram);
+  ReportFrame frame;
   frame.workerId = r.u32();
   frame.sequence = r.u64();
   const std::uint64_t shaKey = r.u64();
@@ -140,16 +112,24 @@ DictReportFrame DictReportFrame::decode(
   frame.signatureIds.reserve(frames);
   for (std::uint32_t i = 0; i < frames; ++i) frame.signatureIds.push_back(r.u32());
   if (!r.atEnd()) frame.requestOrdinal = r.u32();
-  if (!r.atEnd()) throw util::DecodeError("DictReportFrame: trailing bytes");
+  if (!r.atEnd()) throw util::DecodeError("ReportFrame: trailing bytes");
   if (shaKey != util::fnv1a64(frame.apkSha256))
-    throw util::DecodeError(
-        "DictReportFrame: routing key does not match payload");
+    throw util::DecodeError("ReportFrame: routing key does not match payload");
   return frame;
+}
+
+ReportFrame::Header ReportFrame::peek(std::span<const std::uint8_t> datagram) {
+  Header header;
+  util::ByteReader r = openFrameBody(datagram);
+  header.workerId = r.u32();
+  header.sequence = r.u64();
+  header.shaKey = r.u64();
+  return header;
 }
 
 std::vector<std::uint8_t> DictFrameEncoder::encode(std::uint64_t sequence,
                                                    const UdpReport& report) {
-  DictReportFrame frame;
+  ReportFrame frame;
   frame.workerId = workerId_;
   frame.sequence = sequence;
   frame.apkSha256 = report.apkSha256;
@@ -170,11 +150,7 @@ std::vector<std::uint8_t> DictFrameEncoder::encode(std::uint64_t sequence,
 }
 
 UdpReport ReportStreamDecoder::decode(std::span<const std::uint8_t> datagram) {
-  if (!ReportFrame::looksFramed(datagram)) return UdpReport::decode(datagram);
-  const ReportFrame::Header header = ReportFrame::peek(datagram);
-  if (header.version != ReportFrame::kDictVersion)
-    return ReportFrame::decode(datagram).report;
-  const DictReportFrame frame = DictReportFrame::decode(datagram);
+  const ReportFrame frame = ReportFrame::decode(datagram);
   auto& dict = dictByWorker_[frame.workerId];
   for (const auto& [id, signature] : frame.defs) dict[id] = signature;
   UdpReport report;
@@ -191,40 +167,6 @@ UdpReport ReportStreamDecoder::decode(std::span<const std::uint8_t> datagram) {
     report.stackSignatures.push_back(it->second);
   }
   return report;
-}
-
-ReportFrame ReportFrame::decode(std::span<const std::uint8_t> datagram) {
-  std::uint8_t version = 0;
-  util::ByteReader r = openFrameBody(datagram, version);
-  if (version == kDictVersion)
-    throw util::DecodeError(
-        "ReportFrame: v3 frame needs dictionary state (DictReportFrame)");
-  ReportFrame frame;
-  frame.workerId = r.u32();
-  frame.sequence = r.u64();
-  const std::uint64_t shaKey = r.u64();
-  const std::uint32_t payloadSize = r.u32();
-  frame.report = UdpReport::decode(r.view(payloadSize));
-  if (!r.atEnd()) throw util::DecodeError("ReportFrame: trailing bytes");
-  if (shaKey != util::fnv1a64(frame.report.apkSha256))
-    throw util::DecodeError("ReportFrame: routing key does not match payload");
-  return frame;
-}
-
-ReportFrame::Header ReportFrame::peek(std::span<const std::uint8_t> datagram) {
-  Header header;
-  util::ByteReader r = openFrameBody(datagram, header.version);
-  header.workerId = r.u32();
-  header.sequence = r.u64();
-  header.shaKey = r.u64();
-  return header;
-}
-
-bool ReportFrame::looksFramed(std::span<const std::uint8_t> datagram) noexcept {
-  if (datagram.size() < 4) return false;
-  std::uint32_t magic = 0;
-  for (int i = 0; i < 4; ++i) magic |= std::uint32_t{datagram[i]} << (8 * i);
-  return magic == kFrameMagic;
 }
 
 }  // namespace libspector::core

@@ -31,25 +31,36 @@ struct UdpReport {
   /// connect report (one report per socket, the legacy world), >= 1 for
   /// each keep-alive reuse boundary. Encoded as an *optional trailing*
   /// field — a zero ordinal emits the exact legacy bytes, and legacy
-  /// datagrams decode with ordinal 0 — so the wire format stays
-  /// byte-identical whenever the keep-alive scenario is off.
+  /// records decode with ordinal 0 — so the bytes stay identical whenever
+  /// the keep-alive scenario is off.
   std::uint32_t requestOrdinal = 0;
 
+  /// The per-report record inside a RunArtifacts bundle; the wire carries
+  /// ReportFrame instead.
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  [[nodiscard]] static UdpReport decode(std::span<const std::uint8_t> datagram);
+  /// Throws util::DecodeError.
+  [[nodiscard]] static UdpReport decode(std::span<const std::uint8_t> record);
 
   [[nodiscard]] bool operator==(const UdpReport&) const = default;
 };
 
-/// Versioned framed wire format for supervisor report datagrams.
+/// The wire format of supervisor report datagrams: a checksummed,
+/// dictionary-compressed frame.
 ///
-/// The raw UdpReport encoding assumes a lossless, pre-framed channel; real
-/// collection happens over UDP, where datagrams are lost, duplicated,
+/// Collection happens over UDP, where datagrams are lost, duplicated,
 /// reordered and occasionally corrupted. The frame adds what the ingest
-/// tier needs to detect and *account* for all four:
+/// tier needs to detect and *account* for all four, and sends each
+/// distinct smali type signature once per run: the frame that first
+/// references a signature carries its definition (id, text); every frame
+/// thereafter carries just the u32 id.
 ///
-///   magic (u32) | version (u8) | crc32 (u32) | body
-///   body = workerId (u32) | sequence (u64) | shaKey (u64) | payload (str)
+///   magic (u32) | version=3 (u8) | crc32 (u32) | body
+///   body = workerId (u32) | sequence (u64) | shaKey (u64)
+///        | defCount (u32) | defCount × (id (u32) | signature (str))
+///        | apkSha256 (str) | src ip (u32) | src port (u16)
+///        | dst ip (u32) | dst port (u16) | timestampMs (u64)
+///        | frameCount (u32) | frameCount × id (u32)
+///        [| requestOrdinal (u32)]
 ///
 /// - `workerId` identifies the sending run (the dispatcher uses the job
 ///   index, so ids are unique per study) and `sequence` counts that run's
@@ -59,66 +70,17 @@ struct UdpReport {
 ///   peek()ing the header, without decoding the payload.
 /// - `crc32` covers the whole body, so a bit flip anywhere (header fields
 ///   included) is rejected instead of mis-attributed.
+/// - apkSha256 stays inline (not dictionary-encoded) so every delivered
+///   frame self-identifies its apk even when the defining frame was lost;
+///   only signature text can be missing, and the ingest router accounts
+///   for that exactly (holes heal from duplicate defs or from the complete
+///   artifact replay — see ShardedIngest).
+///
+/// Version 3 is the only version: the self-contained v1 layout and its v2
+/// alias are rejected like any other unknown version.
 struct ReportFrame {
-  static constexpr std::uint8_t kVersion = 1;
-  /// Highest frame version this build understands. v2 is a wire alias of
-  /// the v1 layout (the PR 2 accounting upgrade changed artifacts, not the
-  /// frame); v3 is the dictionary-compressed layout (DictReportFrame).
-  static constexpr std::uint8_t kMaxVersion = 3;
-  static constexpr std::uint8_t kDictVersion = 3;
+  static constexpr std::uint8_t kVersion = 3;
 
-  std::uint32_t workerId = 0;
-  std::uint64_t sequence = 0;
-  UdpReport report;
-
-  [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  /// Full decode of a v1/v2 frame: validates magic, version, checksum,
-  /// payload, and that shaKey matches the payload's apk checksum. v3
-  /// frames throw (use DictReportFrame::decode or ReportStreamDecoder).
-  /// Throws util::DecodeError.
-  [[nodiscard]] static ReportFrame decode(std::span<const std::uint8_t> datagram);
-
-  /// Header-only view, enough to route the datagram to a shard. The body
-  /// prefix (workerId | sequence | shaKey) is shared by every version, so
-  /// routing never needs the dictionary.
-  struct Header {
-    std::uint8_t version = kVersion;
-    std::uint32_t workerId = 0;
-    std::uint64_t sequence = 0;
-    std::uint64_t shaKey = 0;
-  };
-  /// Validates magic, version and checksum (an O(n) scan but no
-  /// allocation) and returns the routing header. Throws util::DecodeError.
-  [[nodiscard]] static Header peek(std::span<const std::uint8_t> datagram);
-
-  /// True when `datagram` starts with the frame magic (cheap dispatch
-  /// between framed and legacy raw-report datagrams).
-  [[nodiscard]] static bool looksFramed(
-      std::span<const std::uint8_t> datagram) noexcept;
-
-  [[nodiscard]] bool operator==(const ReportFrame&) const = default;
-};
-
-/// ReportFrame v3: the dictionary-compressed report frame.
-///
-/// A supervisor re-transmits the same handful of smali type signatures on
-/// every socket its app opens. v3 sends each distinct signature once per
-/// run — the frame that first references a signature carries its
-/// definition (id, text); every frame thereafter carries just the u32 id.
-///
-///   magic (u32) | version=3 (u8) | crc32 (u32) | body
-///   body = workerId (u32) | sequence (u64) | shaKey (u64)
-///        | defCount (u32) | defCount × (id (u32) | signature (str))
-///        | apkSha256 (str) | src ip (u32) | src port (u16)
-///        | dst ip (u32) | dst port (u16) | timestampMs (u64)
-///        | frameCount (u32) | frameCount × id (u32)
-///
-/// apkSha256 stays inline (not dictionary-encoded) so every delivered
-/// frame self-identifies its apk even when the defining frame was lost;
-/// only signature text can be missing, and the ingest router accounts for
-/// that exactly (holes heal from duplicate defs or from the complete
-/// artifact replay — see ShardedIngest).
-struct DictReportFrame {
   std::uint32_t workerId = 0;
   std::uint64_t sequence = 0;
   std::string apkSha256;            // lowercase hex, inline
@@ -135,10 +97,21 @@ struct DictReportFrame {
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   /// Validates magic, version, checksum, and that shaKey matches the
   /// inline apk checksum. Throws util::DecodeError.
-  [[nodiscard]] static DictReportFrame decode(
+  [[nodiscard]] static ReportFrame decode(
       std::span<const std::uint8_t> datagram);
 
-  [[nodiscard]] bool operator==(const DictReportFrame&) const = default;
+  /// Header-only view, enough to route the datagram to a shard without
+  /// the dictionary.
+  struct Header {
+    std::uint32_t workerId = 0;
+    std::uint64_t sequence = 0;
+    std::uint64_t shaKey = 0;
+  };
+  /// Validates magic, version and checksum (an O(n) scan but no
+  /// allocation) and returns the routing header. Throws util::DecodeError.
+  [[nodiscard]] static Header peek(std::span<const std::uint8_t> datagram);
+
+  [[nodiscard]] bool operator==(const ReportFrame&) const = default;
 };
 
 /// Sender-side dictionary state for one run: assigns dense u32 ids to
@@ -149,8 +122,8 @@ class DictFrameEncoder {
  public:
   explicit DictFrameEncoder(std::uint32_t workerId) : workerId_(workerId) {}
 
-  /// Frame `report` as a v3 datagram, folding unseen signatures into the
-  /// run dictionary.
+  /// Frame `report` as a datagram, folding unseen signatures into the run
+  /// dictionary.
   [[nodiscard]] std::vector<std::uint8_t> encode(std::uint64_t sequence,
                                                  const UdpReport& report);
 
@@ -167,16 +140,16 @@ class DictFrameEncoder {
 };
 
 /// Stateful receiver for a *reliable, in-order* report stream (such as the
-/// emulator's local sink): folds v3 dictionary
-/// definitions per worker and resolves ids back to signature text, and
-/// passes raw / v1 / v2 datagrams through unchanged. On an in-order
-/// stream a definition always precedes its first reference, so an
-/// unresolvable id means corruption — it throws util::DecodeError. The
-/// lossy UDP path does NOT use this class; ShardedIngest keeps its own
-/// per-apk dictionaries with exact hole accounting.
+/// emulator's local sink): folds dictionary definitions per worker and
+/// resolves ids back to signature text. On an in-order stream a definition
+/// always precedes its first reference, so an unresolvable id means
+/// corruption — it throws util::DecodeError, as does anything that is not
+/// a ReportFrame. The lossy UDP path does NOT use this class;
+/// ShardedIngest keeps its own per-apk dictionaries with exact hole
+/// accounting.
 class ReportStreamDecoder {
  public:
-  /// Decode any supported datagram format into a full report.
+  /// Decode one report frame into a full report.
   [[nodiscard]] UdpReport decode(std::span<const std::uint8_t> datagram);
 
  private:

@@ -37,7 +37,6 @@ std::string IngestMetrics::toJson() const {
   appendKv(out, "frames_dropped", framesDropped);
   appendKv(out, "duplicated", duplicated);
   appendKv(out, "out_of_order", outOfOrder);
-  appendKv(out, "dict_frames", dictFrames);
   appendKv(out, "dict_holes", dictHoles);
   appendKv(out, "dict_repaired", dictRepaired);
   appendKv(out, "dict_dropped", dictDropped);
@@ -68,7 +67,6 @@ std::string IngestMetrics::toJson() const {
     appendKv(out, "frames_dropped", s.framesDropped);
     appendKv(out, "duplicated", s.duplicated);
     appendKv(out, "out_of_order", s.outOfOrder);
-    appendKv(out, "dict_frames", s.dictFrames);
     appendKv(out, "dict_holes", s.dictHoles);
     appendKv(out, "dict_repaired", s.dictRepaired);
     appendKv(out, "dict_dropped", s.dictDropped);

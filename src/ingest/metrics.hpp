@@ -21,9 +21,8 @@ struct ShardMetrics {
   std::uint64_t duplicated = 0;       // (workerId, sequence) already seen
   std::uint64_t outOfOrder = 0;       // arrived below the worker's max seq
 
-  // Dictionary-compressed (v3) frame path.
-  std::uint64_t dictFrames = 0;    // v3 frames folded
-  std::uint64_t dictHoles = 0;     // v3 frames parked awaiting a definition
+  // Signature dictionary.
+  std::uint64_t dictHoles = 0;     // frames parked awaiting a definition
   std::uint64_t dictRepaired = 0;  // holes healed (late defs or finalize repair)
   std::uint64_t dictDropped = 0;   // holes never resolved (counted lost)
 
@@ -60,7 +59,6 @@ struct IngestMetrics {
   std::uint64_t framesDropped = 0;
   std::uint64_t duplicated = 0;
   std::uint64_t outOfOrder = 0;
-  std::uint64_t dictFrames = 0;
   std::uint64_t dictHoles = 0;
   std::uint64_t dictRepaired = 0;
   std::uint64_t dictDropped = 0;

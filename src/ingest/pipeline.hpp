@@ -111,6 +111,9 @@ class IngestPipeline final : public ReportSink {
   }
 
   /// Block until all submitted work is folded (producers must be done).
+  /// Rethrows the first exception a hook threw, as ShardedIngest::drain
+  /// does; a run whose checkpoint threw reaches neither the run hook nor
+  /// the accumulator.
   void drain();
 
   [[nodiscard]] RollingTotals rollingTotals() const;

@@ -13,6 +13,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Per-shard ingest latency samples kept for the metrics percentiles (a
+/// sliding window).
+constexpr std::size_t kLatencyWindow = 8192;
+
 [[nodiscard]] double millisBetween(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
@@ -28,7 +32,6 @@ ShardedIngest::ShardedIngest(IngestConfig config, RunCallback onRun)
     : config_(config), onRun_(std::move(onRun)), startedAt_(Clock::now()) {
   config_.queueCapacity = std::max<std::size_t>(1, config_.queueCapacity);
   config_.maxPendingApks = std::max<std::size_t>(1, config_.maxPendingApks);
-  config_.latencyWindow = std::max<std::size_t>(1, config_.latencyWindow);
   const std::size_t shardCount = resolveShardCount(config_.shards);
   shards_.reserve(shardCount);
   for (std::size_t i = 0; i < shardCount; ++i) {
@@ -86,7 +89,6 @@ void ShardedIngest::submitDatagram(std::span<const std::uint8_t> payload) {
   }
   Item item;
   item.frameBytes.assign(payload.begin(), payload.end());
-  item.header = header;
   item.enqueuedAt = Clock::now();
   enqueue(*shards_[header.shaKey % shards_.size()], std::move(item),
           /*droppable=*/true);
@@ -130,20 +132,28 @@ void ShardedIngest::consumeLoop(std::stop_token stop, Shard& shard) {
     }
     const auto startedAt = Clock::now();
     if (item.run != nullptr) {
-      finalizeRun(shard, std::move(*item.run));
+      // An exception escaping this thread would end the process: keep the
+      // first one a run callback throws (a checkpoint write that failed)
+      // for drain() and go on consuming.
+      try {
+        finalizeRun(shard, std::move(*item.run));
+      } catch (...) {
+        const std::scoped_lock lock(runErrorMutex_);
+        if (runError_ == nullptr) runError_ = std::current_exception();
+      }
     } else {
-      foldFrame(shard, item);
+      foldFrame(shard, item.frameBytes);
     }
     const auto finishedAt = Clock::now();
     {
       const std::scoped_lock lock(shard.mutex);
       shard.busyMs += millisBetween(startedAt, finishedAt);
       const double latency = millisBetween(item.enqueuedAt, finishedAt);
-      if (shard.latencyMs.size() < config_.latencyWindow) {
+      if (shard.latencyMs.size() < kLatencyWindow) {
         shard.latencyMs.push_back(latency);
       } else {
         shard.latencyMs[shard.latencyNext] = latency;
-        shard.latencyNext = (shard.latencyNext + 1) % config_.latencyWindow;
+        shard.latencyNext = (shard.latencyNext + 1) % kLatencyWindow;
       }
       ++shard.latencyTotal;
       shard.busy = false;
@@ -152,63 +162,16 @@ void ShardedIngest::consumeLoop(std::stop_token stop, Shard& shard) {
   }
 }
 
-bool ShardedIngest::recordArrivalLocked(Shard& shard, PendingApk& apk,
-                                        std::uint32_t workerId,
-                                        std::uint64_t sequence) {
-  ++apk.framesDelivered;
-  const auto key = std::make_pair(workerId, sequence);
-  if (apk.reports.contains(key) || apk.holes.contains(key)) {
-    ++apk.duplicated;
-    ++shard.counters.duplicated;
-    return false;
-  }
-  WorkerSeq& seq = apk.workers[workerId];
-  if (seq.any && sequence < seq.maxSeq) {
-    ++apk.outOfOrder;
-    ++shard.counters.outOfOrder;
-  }
-  seq.maxSeq = seq.any ? std::max(seq.maxSeq, sequence) : sequence;
-  seq.any = true;
-  return true;
-}
-
-void ShardedIngest::foldFrame(Shard& shard, const Item& item) {
-  if (item.header.version == core::ReportFrame::kDictVersion) {
-    foldDictFrame(shard, item);
-    return;
-  }
+void ShardedIngest::foldFrame(Shard& shard,
+                              std::span<const std::uint8_t> frameBytes) {
   core::ReportFrame frame;
   try {
-    frame = core::ReportFrame::decode(item.frameBytes);
+    frame = core::ReportFrame::decode(frameBytes);
   } catch (const util::DecodeError& err) {
     // peek() validated the checksum, so this only fires on payloads that
     // are self-inconsistent end to end; still data, not an error.
     malformed_.fetch_add(1, std::memory_order_relaxed);
     util::logWarn("ingest: dropping undecodable frame: %s", err.what());
-    return;
-  }
-
-  const std::scoped_lock lock(shard.mutex);
-  auto [it, created] = shard.pending.try_emplace(frame.report.apkSha256);
-  PendingApk& apk = it->second;
-  if (created) {
-    apk.orderIt = shard.order.insert(shard.order.end(), it->first);
-    evictIfOverCapacityLocked(shard);
-  }
-  if (recordArrivalLocked(shard, apk, frame.workerId, frame.sequence)) {
-    apk.reports.emplace(std::make_pair(frame.workerId, frame.sequence),
-                        std::move(frame.report));
-  }
-  ++shard.counters.framesFolded;
-}
-
-void ShardedIngest::foldDictFrame(Shard& shard, const Item& item) {
-  core::DictReportFrame frame;
-  try {
-    frame = core::DictReportFrame::decode(item.frameBytes);
-  } catch (const util::DecodeError& err) {
-    malformed_.fetch_add(1, std::memory_order_relaxed);
-    util::logWarn("ingest: dropping undecodable dict frame: %s", err.what());
     return;
   }
 
@@ -219,7 +182,6 @@ void ShardedIngest::foldDictFrame(Shard& shard, const Item& item) {
     apk.orderIt = shard.order.insert(shard.order.end(), it->first);
     evictIfOverCapacityLocked(shard);
   }
-  ++shard.counters.dictFrames;
 
   // Fold definitions before the dedup check: a duplicated datagram is
   // redundant as a *report* but its defs still heal the dictionary when
@@ -229,7 +191,21 @@ void ShardedIngest::foldDictFrame(Shard& shard, const Item& item) {
   for (auto& [id, signature] : frame.defs)
     newDefs = dict.try_emplace(id, std::move(signature)).second || newDefs;
 
-  if (recordArrivalLocked(shard, apk, frame.workerId, frame.sequence)) {
+  ++apk.framesDelivered;
+  const auto key = std::make_pair(frame.workerId, frame.sequence);
+  if (apk.reports.contains(key) || apk.holes.contains(key)) {
+    ++apk.duplicated;
+    ++shard.counters.duplicated;
+  } else {
+    WorkerSeq& seq = apk.workers[frame.workerId];
+    if (seq.any && frame.sequence < seq.maxSeq) {
+      ++apk.outOfOrder;
+      ++shard.counters.outOfOrder;
+    }
+    seq.maxSeq =
+        seq.any ? std::max(seq.maxSeq, frame.sequence) : frame.sequence;
+    seq.any = true;
+
     std::vector<std::string> stack;
     stack.reserve(frame.signatureIds.size());
     bool complete = true;
@@ -246,7 +222,6 @@ void ShardedIngest::foldDictFrame(Shard& shard, const Item& item) {
     report.socketPair = frame.socketPair;
     report.timestampMs = frame.timestampMs;
     report.requestOrdinal = frame.requestOrdinal;
-    const auto key = std::make_pair(frame.workerId, frame.sequence);
     if (complete) {
       report.stackSignatures = std::move(stack);
       apk.reports.emplace(key, std::move(report));
@@ -410,6 +385,12 @@ void ShardedIngest::drain() {
     shard->drained.wait(lock,
                         [&] { return shard->queue.empty() && !shard->busy; });
   }
+  std::exception_ptr error;
+  {
+    const std::scoped_lock lock(runErrorMutex_);
+    error = std::exchange(runError_, nullptr);
+  }
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 std::vector<core::UdpReport> ShardedIngest::takeReports(
@@ -466,7 +447,6 @@ IngestMetrics ShardedIngest::metrics() const {
     out.framesDropped += m.framesDropped;
     out.duplicated += m.duplicated;
     out.outOfOrder += m.outOfOrder;
-    out.dictFrames += m.dictFrames;
     out.dictHoles += m.dictHoles;
     out.dictRepaired += m.dictRepaired;
     out.dictDropped += m.dictDropped;

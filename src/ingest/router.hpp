@@ -6,8 +6,9 @@
 // flight. ShardedIngest is the collection tier instead:
 //
 //  - every datagram carries the core::ReportFrame framing (worker id,
-//    per-run sequence number, crc32), so loss, duplication, reordering and
-//    corruption are *detected and accounted per apk* instead of vanishing;
+//    per-run sequence number, crc32, signature dictionary), so loss,
+//    duplication, reordering and corruption are *detected and accounted
+//    per apk* instead of vanishing;
 //  - datagrams are routed to a shard by the frame header's apk routing key
 //    (no payload decode on the producer path) and enqueued on a bounded
 //    per-shard queue with an explicit backpressure policy;
@@ -23,6 +24,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <list>
 #include <map>
@@ -55,9 +57,6 @@ struct IngestConfig {
   /// must not accumulate forever); the oldest pending apk is evicted and
   /// counted when exceeded.
   std::size_t maxPendingApks = 4096;
-  /// Sliding window of per-shard ingest latency samples kept for the
-  /// metrics percentiles.
-  std::size_t latencyWindow = 8192;
 };
 
 /// Exact per-apk delivery account over the best-effort channel (lives in
@@ -80,7 +79,9 @@ class ShardedIngest final : public ReportSink {
  public:
   /// Invoked on the owning shard's consumer thread for each finalized run;
   /// heavy work here (attribution) is the intended use — it parallelizes
-  /// across shards and backpressures producers via the bounded queue.
+  /// across shards and backpressures producers via the bounded queue. An
+  /// exception it throws (a checkpoint write that failed) does not stop
+  /// the shard: the first one is kept for drain() to rethrow.
   using RunCallback = std::function<void(RunDelivery&&)>;
 
   explicit ShardedIngest(IngestConfig config = {}, RunCallback onRun = {});
@@ -110,6 +111,8 @@ class ShardedIngest final : public ReportSink {
 
   /// Block until every queued item has been consumed and all run callbacks
   /// have returned. Call after producers quiesce, before reading results.
+  /// Rethrows, once, the first exception a run callback threw since the
+  /// last drain().
   void drain();
 
   /// Remove and return the pending (unclaimed-by-a-run) reports for an apk,
@@ -140,7 +143,6 @@ class ShardedIngest final : public ReportSink {
   struct Item {
     // Exactly one of frameBytes / run is set.
     std::vector<std::uint8_t> frameBytes;
-    core::ReportFrame::Header header;
     std::unique_ptr<RunTask> run;
     std::chrono::steady_clock::time_point enqueuedAt;
   };
@@ -150,7 +152,7 @@ class ShardedIngest final : public ReportSink {
     bool any = false;
   };
 
-  /// A delivered v3 frame whose signature ids are not all defined yet
+  /// A delivered frame whose signature ids are not all defined yet
   /// (the frame carrying the definition was lost or reordered behind it).
   /// Everything but the stack is known; the id list waits for defs.
   struct CompactReport {
@@ -162,10 +164,10 @@ class ShardedIngest final : public ReportSink {
     /// Delivered reports keyed (workerId, sequence): the map both
     /// deduplicates and restores send order.
     std::map<std::pair<std::uint32_t, std::uint64_t>, core::UdpReport> reports;
-    /// v3 frames parked until their dictionary entries arrive. Disjoint
-    /// from `reports`; dedup spans both.
+    /// Frames parked until their dictionary entries arrive. Disjoint from
+    /// `reports`; dedup spans both.
     std::map<std::pair<std::uint32_t, std::uint64_t>, CompactReport> holes;
-    /// Per-worker signature dictionary folded from v3 frame defs.
+    /// Per-worker signature dictionary folded from frame defs.
     std::unordered_map<std::uint32_t,
                        std::unordered_map<std::uint32_t, std::string>>
         dicts;
@@ -198,14 +200,8 @@ class ShardedIngest final : public ReportSink {
 
   void enqueue(Shard& shard, Item&& item, bool droppable);
   void consumeLoop(std::stop_token stop, Shard& shard);
-  void foldFrame(Shard& shard, const Item& item);
-  void foldDictFrame(Shard& shard, const Item& item);
+  void foldFrame(Shard& shard, std::span<const std::uint8_t> frameBytes);
   void finalizeRun(Shard& shard, RunTask&& task);
-  /// Dedup + worker-sequence bookkeeping shared by the v1 and v3 fold
-  /// paths. Returns false when (workerId, sequence) was already delivered
-  /// (as a report or a hole). Requires shard.mutex held.
-  bool recordArrivalLocked(Shard& shard, PendingApk& apk,
-                           std::uint32_t workerId, std::uint64_t sequence);
   /// Resolve any of `workerId`'s parked frames the dictionary now covers.
   /// Requires shard.mutex held.
   void resolveHolesLocked(Shard& shard, PendingApk& apk,
@@ -223,6 +219,8 @@ class ShardedIngest final : public ReportSink {
   RunCallback onRun_;
   std::atomic<std::uint64_t> received_{0};
   std::atomic<std::uint64_t> malformed_{0};
+  std::mutex runErrorMutex_;
+  std::exception_ptr runError_;  // first exception a run callback threw
   std::chrono::steady_clock::time_point startedAt_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };

@@ -46,7 +46,9 @@ struct StudyConfig {
   /// When non-empty, every run is incrementally checkpointed here as its
   /// shard finalizes it (one crc32-framed .spab per app plus a manifest),
   /// and the domains.csv world manifest is written at the end. The same
-  /// directory is what resumeStudy() recovers from after a crash.
+  /// directory is what resumeStudy() recovers from after a crash. A
+  /// checkpoint write that fails makes runStudy and resumeStudy throw its
+  /// error once the fleet has finished.
   std::string artifactsDirectory;
 };
 

@@ -2,9 +2,11 @@
 
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <utility>
 
 #include "util/bytes.hpp"
+#include "util/log.hpp"
 
 namespace libspector::spectord {
 
@@ -93,7 +95,15 @@ void SpectorDaemon::shutdown() {
     const std::scoped_lock lock(acceptMutex_);
     acceptingClosed_ = true;
   }
-  if (!shutdownStarted_.exchange(true)) pipeline_.drain();
+  // Shutdown also runs from the destructor, so a run that failed to
+  // checkpoint is logged here, never thrown.
+  if (!shutdownStarted_.exchange(true)) {
+    try {
+      pipeline_.drain();
+    } catch (const std::exception& error) {
+      util::logWarn("spectord: shutdown: %s", error.what());
+    }
+  }
   {
     const std::scoped_lock lock(wakeMutex_);
     stopRequested_ = true;
@@ -428,7 +438,7 @@ void SpectorDaemon::handleAdmin(Connection& conn, const AdminMsg& msg) {
     case AdminOp::Drain: {
       // Blocks the loop; an admin barrier is allowed to. The shard
       // consumers do the draining, so this cannot deadlock on the loop.
-      pipeline_.drain();
+      if (!drainForAdmin(ack)) break;
       // Drain is the operator's housekeeping barrier: sweep sessions whose
       // client is gone so the table does not grow with every crashed
       // worker across a long-lived study.
@@ -476,7 +486,7 @@ void SpectorDaemon::handleAdmin(Connection& conn, const AdminMsg& msg) {
       for (auto& run : report.runs)
         pipeline_.replayRun(run.jobIndex, std::move(run.artifacts),
                             run.account);
-      pipeline_.drain();
+      if (!drainForAdmin(ack)) break;
       char buf[96];
       std::snprintf(buf, sizeof(buf),
                     "replayed %zu runs, quarantined %zu bundles",
@@ -493,16 +503,27 @@ void SpectorDaemon::handleAdmin(Connection& conn, const AdminMsg& msg) {
         const std::scoped_lock lock(acceptMutex_);
         acceptingClosed_ = true;
       }
-      if (!shutdownStarted_.exchange(true)) pipeline_.drain();
+      ack.info = "shutting down";
+      if (!shutdownStarted_.exchange(true)) (void)drainForAdmin(ack);
       {
         const std::scoped_lock lock(wakeMutex_);
         stopRequested_ = true;
       }
-      ack.info = "shutting down";
       break;
     }
   }
   conn.sendControl(FrameType::AdminAck, ack.encode());
+}
+
+bool SpectorDaemon::drainForAdmin(AdminAckMsg& ack) {
+  try {
+    pipeline_.drain();
+    return true;
+  } catch (const std::exception& error) {
+    ack.ok = false;
+    ack.info = error.what();
+    return false;
+  }
 }
 
 void SpectorDaemon::sendError(Connection& conn, std::uint16_t code,

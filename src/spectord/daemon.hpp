@@ -124,12 +124,14 @@ class SpectorDaemon {
 
   /// Block until everything submitted so far is folded, checkpointed and
   /// published. Callable from any thread except the event loop's clients'
-  /// frame handlers (the admin Drain op is how clients reach it).
+  /// frame handlers (the admin Drain op is how clients reach it). Throws
+  /// what a failed checkpoint write threw (see ShardedIngest::drain).
   void drain();
 
   /// Graceful shutdown: drain the pipeline (flushing `.spab`
   /// checkpoints), Bye every client, close every channel, stop the loop.
-  /// Idempotent; also run by the destructor.
+  /// Idempotent; also run by the destructor, so it never throws: a failed
+  /// checkpoint write is logged.
   void shutdown();
 
   [[nodiscard]] bool running() const;
@@ -190,6 +192,9 @@ class SpectorDaemon {
   void handleFrame(Connection& conn, Frame&& frame);
   void handleHello(Connection& conn, const Frame& frame);
   void handleAdmin(Connection& conn, const AdminMsg& msg);
+  /// Drain the pipeline for an admin op. A run that failed to checkpoint
+  /// answers the op with ok = false and the reason; returns false then.
+  bool drainForAdmin(AdminAckMsg& ack);
   void sendError(Connection& conn, std::uint16_t code, std::string_view what);
 
   /// Loop-thread only: the open, handshaken connection attached as

@@ -18,7 +18,7 @@
 // frame grammar:
 //
 //  - report ingest: Hello/HelloAck session handshake with sequence resume,
-//    Report frames carrying ReportFrame v1/v2/v3 datagram bytes verbatim,
+//    Report frames carrying core::ReportFrame datagram bytes verbatim,
 //    RunComplete frames carrying core::SpabEnvelope bytes (the checkpoint
 //    format reused as the upload format), cumulative ReportAck flow.
 //  - dashboard subscriptions: Subscribe(topic), full Snapshot on
@@ -168,9 +168,9 @@ struct HelloAckMsg {
   [[nodiscard]] static HelloAckMsg decode(std::span<const std::uint8_t> body);
 };
 
-/// Report frames carry the ReportFrame datagram bytes verbatim as their
-/// body — no re-encoding, so v1/v2/v3 all pass through and the router's
-/// loss accounting applies unchanged. No typed struct needed.
+/// Report frames carry the core::ReportFrame datagram bytes verbatim as
+/// their body — no re-encoding, so the router's loss accounting applies
+/// unchanged. No typed struct needed.
 
 struct ReportAckMsg {
   std::uint64_t ackedFrames = 0;  // cumulative per client

@@ -79,12 +79,37 @@ TEST(ReportTest, OrdinalZeroAddsNoWireBytes) {
   EXPECT_EQ(UdpReport::decode(legacy).requestOrdinal, 0u);
 }
 
-// ---- v3 dictionary wire format -------------------------------------------
+// ---- the report frame: v3 dictionary wire format --------------------------
 
 constexpr std::uint32_t kFrameMagicOnTheWire = 0x4652534C;  // "LSRF"
 
+std::vector<std::uint8_t> sealTestFrame(std::uint8_t version,
+                                        const util::ByteWriter& body) {
+  util::ByteWriter w;
+  w.u32(kFrameMagicOnTheWire);
+  w.u8(version);
+  w.u32(util::crc32(body.data()));
+  w.raw(body.data());
+  return w.take();
+}
+
+/// The retired v1 layout, byte by byte: the whole report record rides in
+/// every frame. v2 was a wire alias of it (only the version byte differs).
+std::vector<std::uint8_t> legacyLayoutFrame(std::uint8_t version,
+                                            std::uint32_t workerId,
+                                            std::uint64_t sequence,
+                                            const UdpReport& report) {
+  util::ByteWriter body;
+  body.u32(workerId);
+  body.u64(sequence);
+  body.u64(util::fnv1a64(report.apkSha256));  // shaKey
+  const auto payload = report.encode();
+  body.str({reinterpret_cast<const char*>(payload.data()), payload.size()});
+  return sealTestFrame(version, body);
+}
+
 TEST(ReportTest, DictFrameRoundTripsExactly) {
-  DictReportFrame frame;
+  ReportFrame frame;
   frame.workerId = 9;
   frame.sequence = 17;
   frame.apkSha256 = "deadbeef00";
@@ -92,11 +117,11 @@ TEST(ReportTest, DictFrameRoundTripsExactly) {
   frame.timestampMs = 5555;
   frame.defs = {{0, "java.net.Socket.connect"}, {1, "Lcom/a/b;->c()V"}};
   frame.signatureIds = {1, 0, 1};
-  EXPECT_EQ(DictReportFrame::decode(frame.encode()), frame);
+  EXPECT_EQ(ReportFrame::decode(frame.encode()), frame);
 }
 
 TEST(ReportTest, DictFrameCarriesTheOrdinalOnlyWhenNonZero) {
-  DictReportFrame frame;
+  ReportFrame frame;
   frame.workerId = 2;
   frame.sequence = 5;
   frame.apkSha256 = "deadbeef00";
@@ -105,12 +130,12 @@ TEST(ReportTest, DictFrameCarriesTheOrdinalOnlyWhenNonZero) {
   frame.defs = {{0, "java.net.Socket.connect"}};
   frame.signatureIds = {0};
   const auto legacy = frame.encode();
-  ASSERT_EQ(DictReportFrame::decode(legacy).requestOrdinal, 0u);
+  ASSERT_EQ(ReportFrame::decode(legacy).requestOrdinal, 0u);
 
   frame.requestOrdinal = 7;
   const auto tagged = frame.encode();
   EXPECT_EQ(tagged.size(), legacy.size() + 4);
-  EXPECT_EQ(DictReportFrame::decode(tagged), frame);
+  EXPECT_EQ(ReportFrame::decode(tagged), frame);
 
   // Ordinals survive the encoder/stream-decoder path end to end.
   UdpReport viaStream = sampleReport();
@@ -123,8 +148,8 @@ TEST(ReportTest, DictFrameCarriesTheOrdinalOnlyWhenNonZero) {
 TEST(ReportTest, DictEncoderDefinesEachSignatureExactlyOnce) {
   const UdpReport report = sampleReport();
   DictFrameEncoder encoder(7);
-  const auto first = DictReportFrame::decode(encoder.encode(0, report));
-  const auto second = DictReportFrame::decode(encoder.encode(1, report));
+  const auto first = ReportFrame::decode(encoder.encode(0, report));
+  const auto second = ReportFrame::decode(encoder.encode(1, report));
 
   // The first referencing frame carries every definition, in id order.
   ASSERT_EQ(first.defs.size(), report.stackSignatures.size());
@@ -135,15 +160,6 @@ TEST(ReportTest, DictEncoderDefinesEachSignatureExactlyOnce) {
   EXPECT_TRUE(second.defs.empty());
   EXPECT_EQ(second.signatureIds, first.signatureIds);
   EXPECT_EQ(encoder.dictionarySize(), report.stackSignatures.size());
-}
-
-TEST(ReportTest, SteadyStateDictFrameIsAFractionOfTheLegacyFrame) {
-  const UdpReport report = sampleReport();
-  DictFrameEncoder encoder(7);
-  (void)encoder.encode(0, report);  // definitions paid here, once per run
-  const auto steady = encoder.encode(1, report);
-  const auto legacy = ReportFrame{7, 1, report}.encode();
-  EXPECT_LT(steady.size() * 3, legacy.size());
 }
 
 TEST(ReportTest, StreamDecoderRoundTripsADictStream) {
@@ -162,10 +178,13 @@ TEST(ReportTest, StreamDecoderRoundTripsADictStream) {
 TEST(ReportTest, StreamDecoderHandlesEveryWireFormatInOneStream) {
   const UdpReport report = sampleReport();
   ReportStreamDecoder decoder;
-  EXPECT_EQ(decoder.decode(report.encode()), report);  // legacy raw
-  EXPECT_EQ(decoder.decode(ReportFrame{1, 0, report}.encode()), report);
   DictFrameEncoder encoder(2);
   EXPECT_EQ(decoder.decode(encoder.encode(0, report)), report);
+  // The stream carries report frames only: a raw report record and a
+  // retired v1-layout frame are rejected, and leave its dictionary intact.
+  EXPECT_THROW((void)decoder.decode(report.encode()), util::DecodeError);
+  EXPECT_THROW((void)decoder.decode(legacyLayoutFrame(1, 2, 1, report)),
+               util::DecodeError);
   EXPECT_EQ(decoder.decode(encoder.encode(1, report)), report);
 }
 
@@ -185,24 +204,10 @@ TEST(ReportTest, StreamDecoderKeepsWorkerDictionariesSeparate) {
   EXPECT_EQ(decoder.decode(encoderB.encode(1, b)), b);
 }
 
-TEST(ReportTest, StatelessDecodersRejectDictFrames) {
-  DictFrameEncoder encoder(1);
-  const auto datagram = encoder.encode(0, sampleReport());
-  EXPECT_THROW((void)ReportFrame::decode(datagram), util::DecodeError);
-
-  // ...but the routing header stays version-agnostic: a shard router can
-  // place a v3 datagram without dictionary state.
-  const auto header = ReportFrame::peek(datagram);
-  EXPECT_EQ(header.version, ReportFrame::kDictVersion);
-  EXPECT_EQ(header.workerId, 1u);
-  EXPECT_EQ(header.sequence, 0u);
-  EXPECT_EQ(header.shaKey, util::fnv1a64(sampleReport().apkSha256));
-}
-
 TEST(ReportTest, StreamDecoderRejectsUndefinedIdOnInOrderStream) {
   // On a reliable in-order stream a definition always precedes its first
   // reference, so an unresolved id is corruption, not loss.
-  DictReportFrame frame;
+  ReportFrame frame;
   frame.workerId = 4;
   frame.apkSha256 = "deadbeef00";
   frame.socketPair = sampleReport().socketPair;
@@ -218,56 +223,32 @@ TEST(ReportTest, DictFrameChecksumRejectsEveryBitFlip) {
     for (int bit = 0; bit < 8; ++bit) {
       auto flipped = valid;
       flipped[pos] ^= static_cast<std::uint8_t>(1u << bit);
-      EXPECT_THROW((void)DictReportFrame::decode(flipped), util::DecodeError)
+      EXPECT_THROW((void)ReportFrame::decode(flipped), util::DecodeError)
           << "byte " << pos << " bit " << bit;
     }
   }
 }
 
-// ---- frozen wire layouts (backward-compat byte vectors) ------------------
+// ---- frozen wire layouts --------------------------------------------------
 //
-// These rebuild each version's datagram byte by byte from the documented
-// layout. If an encoder change breaks them, it broke every deployed decoder.
+// These rebuild datagrams byte by byte from the documented layouts. If an
+// encoder change breaks the v3 vector, it broke every deployed decoder; the
+// retired v1 layout (and its v2 alias) must stay rejected.
 
-std::vector<std::uint8_t> sealTestFrame(std::uint8_t version,
-                                        const util::ByteWriter& body) {
-  util::ByteWriter w;
-  w.u32(kFrameMagicOnTheWire);
-  w.u8(version);
-  w.u32(util::crc32(body.data()));
-  w.raw(body.data());
-  return w.take();
-}
-
-TEST(ReportTest, V1WireLayoutIsFrozen) {
-  const UdpReport report = sampleReport();
-  util::ByteWriter body;
-  body.u32(7);                              // workerId
-  body.u64(42);                             // sequence
-  body.u64(util::fnv1a64(report.apkSha256));  // shaKey
-  const auto payload = report.encode();
-  body.str({reinterpret_cast<const char*>(payload.data()), payload.size()});
-  const auto bytes = sealTestFrame(1, body);
-
-  EXPECT_EQ(bytes, (ReportFrame{7, 42, report}.encode()));
-  EXPECT_EQ(ReportFrame::decode(bytes), (ReportFrame{7, 42, report}));
-}
-
-TEST(ReportTest, V2AliasDatagramStillDecodes) {
-  // v2 is a wire alias of the v1 layout (the accounting upgrade changed
-  // artifacts, not the frame): only the version byte differs, and the crc
-  // covers the body alone.
-  const UdpReport report = sampleReport();
-  auto bytes = ReportFrame{7, 42, report}.encode();
-  bytes[4] = 2;  // version byte: magic (4 bytes) | version | crc | body
-  EXPECT_EQ(ReportFrame::peek(bytes).version, 2);
-  EXPECT_EQ(ReportFrame::decode(bytes).report, report);
-  ReportStreamDecoder stream;
-  EXPECT_EQ(stream.decode(bytes), report);
+TEST(ReportTest, V1AndV2DatagramsAreRejected) {
+  // Both are well-formed, correctly checksummed datagrams of a layout no
+  // sender emits any more: every reader must refuse them by version.
+  for (const std::uint8_t version : {1, 2}) {
+    const auto bytes = legacyLayoutFrame(version, 7, 42, sampleReport());
+    EXPECT_THROW((void)ReportFrame::peek(bytes), util::DecodeError);
+    EXPECT_THROW((void)ReportFrame::decode(bytes), util::DecodeError);
+    ReportStreamDecoder stream;
+    EXPECT_THROW((void)stream.decode(bytes), util::DecodeError);
+  }
 }
 
 TEST(ReportTest, V3WireLayoutIsFrozen) {
-  DictReportFrame frame;
+  ReportFrame frame;
   frame.workerId = 11;
   frame.sequence = 3;
   frame.apkSha256 = "deadbeef00";
@@ -295,7 +276,7 @@ TEST(ReportTest, V3WireLayoutIsFrozen) {
   const auto bytes = sealTestFrame(3, body);
 
   EXPECT_EQ(bytes, frame.encode());
-  EXPECT_EQ(DictReportFrame::decode(bytes), frame);
+  EXPECT_EQ(ReportFrame::decode(bytes), frame);
 }
 
 TEST(ReportTest, DictFrameRejectsMismatchedRoutingKey) {
@@ -313,7 +294,7 @@ TEST(ReportTest, DictFrameRejectsMismatchedRoutingKey) {
   body.u16(0);
   body.u64(0);
   body.u32(0);                               // frameCount
-  EXPECT_THROW((void)DictReportFrame::decode(sealTestFrame(3, body)),
+  EXPECT_THROW((void)ReportFrame::decode(sealTestFrame(3, body)),
                util::DecodeError);
 }
 

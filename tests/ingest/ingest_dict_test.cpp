@@ -1,11 +1,13 @@
-// v3 dictionary frames through ShardedIngest: under seeded loss /
-// duplication / reordering the dictionary path must deliver the same run —
-// reports and loss account — as the self-contained v1 framing, with holes
-// (frames whose defining datagram is lost or late) healed by later defs or
-// by the finalize-time repair from the locally recorded report list, and
-// every unhealable hole counted, never silently dropped.
+// Dictionary frames through ShardedIngest: under seeded loss /
+// duplication / reordering the router must deliver exactly the run the
+// channel let through — the sender's reports at every delivered sequence,
+// and the loss account that delivery implies — with holes (frames whose
+// defining datagram is lost or late) healed by later defs or by the
+// finalize-time repair from the locally recorded report list, and every
+// unhealable hole counted, never silently dropped.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -57,16 +59,30 @@ core::RunArtifacts artifactsFor(const std::string& sha, std::uint64_t emitted,
   return artifacts;
 }
 
+/// Passes every datagram through to `downstream`, recording the sequence
+/// each one carries in arrival order.
+class SequenceRecorder final : public ReportSink {
+ public:
+  explicit SequenceRecorder(ReportSink& downstream) : downstream_(downstream) {}
+  void submitDatagram(std::span<const std::uint8_t> payload) override {
+    arrivals.push_back(core::ReportFrame::peek(payload).sequence);
+    downstream_.submitDatagram(payload);
+  }
+  std::vector<std::uint64_t> arrivals;
+
+ private:
+  ReportSink& downstream_;
+};
+
 struct ChaosOutcome {
   std::vector<RunDelivery> deliveries;
   IngestMetrics metrics;
+  std::vector<std::uint64_t> arrivals;  // sequences the channel delivered
 };
 
-/// One run of `count` reports pushed through a seeded ChaosChannel into a
-/// single-shard ingest, framed v1 or v3. Identical chaos seeds make the
-/// loss/dup/reorder schedule identical across the two framings — the
-/// channel draws once per submitted datagram, in submission order.
-ChaosOutcome runUnderChaos(bool dictionary, const ChaosConfig& chaosConfig,
+/// One run of `count` reports from one encoder, pushed through a seeded
+/// ChaosChannel into a single-shard ingest.
+ChaosOutcome runUnderChaos(const ChaosConfig& chaosConfig,
                            std::uint64_t count) {
   ChaosOutcome outcome;
   IngestConfig config;
@@ -74,24 +90,22 @@ ChaosOutcome runUnderChaos(bool dictionary, const ChaosConfig& chaosConfig,
   ShardedIngest ingest(config, [&](RunDelivery&& delivery) {
     outcome.deliveries.push_back(std::move(delivery));
   });
+  SequenceRecorder recorder(ingest);
   {
-    ChaosChannel chaos(ingest, chaosConfig);
+    ChaosChannel chaos(recorder, chaosConfig);
     core::DictFrameEncoder encoder(7);
-    for (std::uint64_t seq = 0; seq < count; ++seq) {
-      const core::UdpReport report = runReport("chaotic", seq);
-      chaos.submitDatagram(dictionary
-                               ? encoder.encode(seq, report)
-                               : core::ReportFrame{7, seq, report}.encode());
-    }
+    for (std::uint64_t seq = 0; seq < count; ++seq)
+      chaos.submitDatagram(encoder.encode(seq, runReport("chaotic", seq)));
     chaos.flush();
   }
   ingest.submitRun(0, artifactsFor("chaotic", count, true));
   ingest.drain();
   outcome.metrics = ingest.metrics();
+  outcome.arrivals = std::move(recorder.arrivals);
   return outcome;
 }
 
-TEST(IngestDictTest, V3DeliversTheSameRunAsV1UnderChaos) {
+TEST(IngestDictTest, V3DeliversTheSentRunUnderChaos) {
   const ChaosConfig schedules[] = {
       {.lossProb = 0.0, .dupProb = 0.0, .reorderWindow = 0, .seed = 1},
       {.lossProb = 0.3, .dupProb = 0.0, .reorderWindow = 0, .seed = 42},
@@ -99,32 +113,49 @@ TEST(IngestDictTest, V3DeliversTheSameRunAsV1UnderChaos) {
       {.lossProb = 0.0, .dupProb = 0.0, .reorderWindow = 6, .seed = 9},
       {.lossProb = 0.25, .dupProb = 0.25, .reorderWindow = 5, .seed = 99},
   };
+  constexpr std::uint64_t kCount = 40;
   for (const auto& schedule : schedules) {
-    const auto v1 = runUnderChaos(false, schedule, 40);
-    const auto v3 = runUnderChaos(true, schedule, 40);
-    ASSERT_EQ(v1.deliveries.size(), 1u);
-    ASSERT_EQ(v3.deliveries.size(), 1u);
-    EXPECT_EQ(v3.deliveries[0].artifacts.reports,
-              v1.deliveries[0].artifacts.reports)
+    const auto outcome = runUnderChaos(schedule, kCount);
+    ASSERT_EQ(outcome.deliveries.size(), 1u);
+
+    // What the channel delivered implies the run: the sender's reports at
+    // the distinct delivered sequences, in send order, and an account
+    // that replays the arrival order.
+    core::ApkLossAccount expected;
+    expected.reportsEmitted = kCount;
+    std::set<std::uint64_t> seen;
+    for (const std::uint64_t seq : outcome.arrivals) {
+      ++expected.framesDelivered;
+      if (!seen.empty() && seq < *seen.rbegin() && !seen.contains(seq))
+        ++expected.outOfOrder;
+      if (!seen.insert(seq).second) ++expected.duplicated;
+    }
+    expected.uniqueDelivered = seen.size();
+    expected.lost = kCount - seen.size();
+    std::vector<core::UdpReport> expectedReports;
+    for (const std::uint64_t seq : seen)
+      expectedReports.push_back(runReport("chaotic", seq));
+
+    EXPECT_EQ(outcome.deliveries[0].artifacts.reports, expectedReports)
         << "loss=" << schedule.lossProb << " dup=" << schedule.dupProb
         << " reorder=" << schedule.reorderWindow;
-    EXPECT_EQ(v3.deliveries[0].account, v1.deliveries[0].account)
+    EXPECT_EQ(outcome.deliveries[0].account, expected)
         << "loss=" << schedule.lossProb << " dup=" << schedule.dupProb
         << " reorder=" << schedule.reorderWindow;
     // Every hole the schedule opened was healed or counted, never leaked.
-    EXPECT_EQ(v3.metrics.dictHoles,
-              v3.metrics.dictRepaired + v3.metrics.dictDropped);
+    EXPECT_EQ(outcome.metrics.dictHoles,
+              outcome.metrics.dictRepaired + outcome.metrics.dictDropped);
   }
 }
 
 TEST(IngestDictTest, ZeroChaosV3RunIsLossless) {
   const ChaosConfig clean{.lossProb = 0, .dupProb = 0, .reorderWindow = 0};
-  const auto outcome = runUnderChaos(true, clean, 25);
+  const auto outcome = runUnderChaos(clean, 25);
   ASSERT_EQ(outcome.deliveries.size(), 1u);
   const auto& account = outcome.deliveries[0].account;
   EXPECT_EQ(account.uniqueDelivered, 25u);
   EXPECT_EQ(account.lost, 0u);
-  EXPECT_EQ(outcome.metrics.dictFrames, 25u);
+  EXPECT_EQ(outcome.metrics.framesFolded, 25u);
   EXPECT_EQ(outcome.metrics.dictHoles, 0u);
   // With zero loss the delivered set is the emulator's local list exactly.
   EXPECT_EQ(outcome.deliveries[0].artifacts.reports,
@@ -254,7 +285,6 @@ TEST(IngestDictTest, MetricsJsonCarriesDictionaryCounters) {
   ingest.submitDatagram(encoder.encode(1, runReport("json", 1)));
   ingest.drain();
   const std::string json = ingest.metrics().toJson();
-  EXPECT_NE(json.find("\"dict_frames\""), std::string::npos);
   EXPECT_NE(json.find("\"dict_holes\""), std::string::npos);
   EXPECT_NE(json.find("\"dict_repaired\""), std::string::npos);
   EXPECT_NE(json.find("\"dict_dropped\""), std::string::npos);

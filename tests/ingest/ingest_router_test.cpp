@@ -8,6 +8,7 @@
 #include <future>
 #include <numeric>
 #include <random>
+#include <stdexcept>
 
 #include "util/bytes.hpp"
 
@@ -26,10 +27,13 @@ core::UdpReport sampleReport(const std::string& sha, std::uint64_t seq) {
   return report;
 }
 
+/// A frame that stands alone: a fresh encoder defines every signature id
+/// the frame references, and a worker's stacks are identical, so each
+/// frame's ids agree with every other frame's of the same worker.
 std::vector<std::uint8_t> frameBytes(const std::string& sha,
                                      std::uint32_t workerId,
                                      std::uint64_t seq) {
-  return core::ReportFrame{workerId, seq, sampleReport(sha, seq)}.encode();
+  return core::DictFrameEncoder(workerId).encode(seq, sampleReport(sha, seq));
 }
 
 core::RunArtifacts runFor(const std::string& sha, std::uint64_t emitted) {
@@ -41,10 +45,14 @@ core::RunArtifacts runFor(const std::string& sha, std::uint64_t emitted) {
 }
 
 TEST(ReportFrameTest, RoundTripsThroughWire) {
-  const core::ReportFrame frame{7, 42, sampleReport("aaa", 42)};
-  const auto bytes = frame.encode();
-  EXPECT_TRUE(core::ReportFrame::looksFramed(bytes));
-  EXPECT_EQ(core::ReportFrame::decode(bytes), frame);
+  const auto bytes = frameBytes("aaa", 7, 42);
+  const auto frame = core::ReportFrame::decode(bytes);
+  EXPECT_EQ(frame.encode(), bytes);
+  EXPECT_EQ(frame.workerId, 7u);
+  EXPECT_EQ(frame.sequence, 42u);
+  EXPECT_EQ(frame.apkSha256, "aaa");
+  core::ReportStreamDecoder decoder;
+  EXPECT_EQ(decoder.decode(bytes), sampleReport("aaa", 42));
 
   const auto header = core::ReportFrame::peek(bytes);
   EXPECT_EQ(header.workerId, 7u);
@@ -54,10 +62,10 @@ TEST(ReportFrameTest, RoundTripsThroughWire) {
 
 TEST(ReportFrameTest, RawReportIsNotMistakenForAFrame) {
   const auto raw = sampleReport("aaa", 0).encode();
-  EXPECT_FALSE(core::ReportFrame::looksFramed(raw));
-  // The stream decoder handles both encodings.
+  EXPECT_THROW((void)core::ReportFrame::peek(raw), util::DecodeError);
+  EXPECT_THROW((void)core::ReportFrame::decode(raw), util::DecodeError);
   core::ReportStreamDecoder decoder;
-  EXPECT_EQ(decoder.decode(raw), sampleReport("aaa", 0));
+  EXPECT_THROW((void)decoder.decode(raw), util::DecodeError);
   EXPECT_EQ(decoder.decode(frameBytes("aaa", 1, 5)), sampleReport("aaa", 5));
 }
 
@@ -123,7 +131,7 @@ TEST(ShardedIngestTest, ZeroLossReproducesTheSenderReportListExactly) {
   std::vector<core::UdpReport> sent;
   for (std::uint64_t seq = 0; seq < 6; ++seq) {
     sent.push_back(sampleReport("clean", seq));
-    ingest.submitDatagram(core::ReportFrame{1, seq, sent.back()}.encode());
+    ingest.submitDatagram(frameBytes("clean", 1, seq));
   }
   ingest.submitRun(3, runFor("clean", 6));
   ingest.drain();
@@ -255,12 +263,53 @@ TEST(ShardedIngestTest, MalformedDatagramsAreCountedNotFatal) {
   // Raw (unframed) report encodings are rejected on the sharded path: the
   // router needs the header to route without decoding payloads.
   ingest.submitDatagram(sampleReport("mal", 0).encode());
+  // So is a checksummed datagram in the retired v1 layout, which carried
+  // the whole report record in every frame: no sender emits it.
+  const auto record = sampleReport("mal", 2).encode();
+  util::ByteWriter body;
+  body.u32(1);                       // workerId
+  body.u64(2);                       // sequence
+  body.u64(util::fnv1a64("mal"));    // shaKey
+  body.str({reinterpret_cast<const char*>(record.data()), record.size()});
+  util::ByteWriter v1;
+  v1.u32(0x4652534C);                // "LSRF"
+  v1.u8(1);                          // version
+  v1.u32(util::crc32(body.data()));
+  v1.raw(body.data());
+  ingest.submitDatagram(v1.data());
   ingest.submitDatagram(frameBytes("mal", 1, 1));
   ingest.drain();
   const auto metrics = ingest.metrics();
-  EXPECT_EQ(metrics.datagramsReceived, 5u);
-  EXPECT_EQ(metrics.datagramsMalformed, 4u);
+  EXPECT_EQ(metrics.datagramsReceived, 6u);
+  EXPECT_EQ(metrics.datagramsMalformed, 5u);
   EXPECT_EQ(metrics.framesFolded, 1u);
+}
+
+TEST(ShardedIngestTest, RunCallbackExceptionIsRethrownByDrain) {
+  // A run callback that throws (a checkpoint write that failed) runs on a
+  // shard's consumer thread: the consumer must keep going, and drain()
+  // hands the first error to its caller, once.
+  std::vector<std::size_t> finalized;
+  IngestConfig config;
+  config.shards = 1;
+  ShardedIngest ingest(config, [&](RunDelivery&& d) {
+    if (d.jobIndex == 1 || d.jobIndex == 2)
+      throw std::runtime_error("cannot write run " +
+                               std::to_string(d.jobIndex));
+    finalized.push_back(d.jobIndex);
+  });
+  for (std::size_t i = 0; i < 4; ++i)
+    ingest.submitRun(i, runFor("app" + std::to_string(i), 0));
+
+  try {
+    ingest.drain();
+    ADD_FAILURE() << "drain() did not rethrow the callback's exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "cannot write run 1");
+  }
+  EXPECT_EQ(finalized, (std::vector<std::size_t>{0, 3}));
+  EXPECT_EQ(ingest.metrics().runsCompleted, 4u);
+  EXPECT_NO_THROW(ingest.drain());
 }
 
 TEST(ShardedIngestTest, MetricsExportAsWellFormedJson) {

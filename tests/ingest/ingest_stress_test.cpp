@@ -27,10 +27,12 @@ core::UdpReport stressReport(const std::string& sha, std::uint64_t seq) {
   return report;
 }
 
+/// A fresh encoder per frame: every frame defines the one signature id it
+/// references, so no frame depends on another's arrival.
 std::vector<std::uint8_t> stressFrame(const std::string& sha,
                                       std::uint32_t workerId,
                                       std::uint64_t seq) {
-  return core::ReportFrame{workerId, seq, stressReport(sha, seq)}.encode();
+  return core::DictFrameEncoder(workerId).encode(seq, stressReport(sha, seq));
 }
 
 TEST(IngestStressTest, ProducersConsumersAndTakersRaceCleanly) {

@@ -121,43 +121,22 @@ TEST(FuzzDecodersTest, RunArtifactsSurviveMutation) {
               404);
 }
 
-core::ReportFrame sampleFrame(std::uint64_t seq = 5) {
-  return core::ReportFrame{3, seq,
-                           core::UdpReport::decode(sampleReportBytes())};
+core::UdpReport sampleReport(std::uint64_t timestampMs = 0) {
+  auto report = core::UdpReport::decode(sampleReportBytes());
+  report.timestampMs = timestampMs;
+  return report;
 }
 
-TEST(FuzzDecodersTest, ReportFrameSurvivesMutation) {
-  fuzzDecoder(sampleFrame().encode(),
-              [](const std::vector<std::uint8_t>& bytes) {
-                (void)core::ReportFrame::decode(bytes);
-              },
-              505);
-}
-
-TEST(FuzzDecodersTest, FrameChecksumMakesSilentMisParseImpossible) {
-  // Unlike the other decoders, a frame that decodes at all must equal the
-  // original: the crc32 covers every body byte, so a mutation either leaves
-  // the frame byte-identical or gets rejected (a 2^-32 collision aside).
-  const auto frame = sampleFrame();
-  const auto valid = frame.encode();
-  util::Rng rng(606);
-  for (int round = 0; round < 400; ++round) {
-    std::vector<std::uint8_t> mutated = valid;
-    const int mutations = static_cast<int>(rng.uniform(1, 4));
-    for (int m = 0; m < mutations; ++m) {
-      const std::size_t pos = rng.uniform(0, mutated.size() - 1);
-      mutated[pos] = static_cast<std::uint8_t>(rng.uniform(0, 255));
-    }
-    try {
-      EXPECT_EQ(core::ReportFrame::decode(mutated), frame);
-    } catch (const util::DecodeError&) {
-      // the overwhelmingly common outcome for a real mutation
-    }
-  }
+/// A report frame that stands alone: a fresh encoder defines every
+/// signature id the frame references, and every sample report has the same
+/// stack, so each frame's ids agree with every other's.
+std::vector<std::uint8_t> sampleFrame(std::uint64_t seq,
+                                      const core::UdpReport& report) {
+  return core::DictFrameEncoder(3).encode(seq, report);
 }
 
 TEST(FuzzDecodersTest, FramePeekNeverCrashesAndAgreesWithDecode) {
-  const auto valid = sampleFrame().encode();
+  const auto valid = sampleFrame(5, sampleReport());
   util::Rng rng(707);
   for (int round = 0; round < 400; ++round) {
     std::vector<std::uint8_t> mutated = valid;
@@ -169,57 +148,10 @@ TEST(FuzzDecodersTest, FramePeekNeverCrashesAndAgreesWithDecode) {
       const auto frame = core::ReportFrame::decode(mutated);
       EXPECT_EQ(header.workerId, frame.workerId);
       EXPECT_EQ(header.sequence, frame.sequence);
-      EXPECT_EQ(header.shaKey, util::fnv1a64(frame.report.apkSha256));
+      EXPECT_EQ(header.shaKey, util::fnv1a64(frame.apkSha256));
     } catch (const util::DecodeError&) {
     }
   }
-}
-
-TEST(FuzzDecodersTest, ShardedIngestSurvivesHostileDatagrams) {
-  // The router faces the wire directly: mutated, truncated, duplicated and
-  // reordered datagrams must never crash it — and must never mis-attribute
-  // (a report landing under an apk key it does not carry).
-  ingest::IngestConfig config;
-  config.shards = 2;
-  ingest::ShardedIngest ingest(config);
-  util::Rng rng(808);
-
-  std::vector<core::UdpReport> sent;
-  std::vector<std::vector<std::uint8_t>> wire;
-  for (std::uint64_t seq = 0; seq < 20; ++seq) {
-    auto frame = sampleFrame(seq);
-    frame.report.timestampMs = seq;
-    sent.push_back(frame.report);
-    wire.push_back(frame.encode());
-  }
-  // Hostile schedule: originals interleaved with mutations, duplicates and
-  // pure garbage, in shuffled order.
-  std::vector<std::vector<std::uint8_t>> schedule = wire;
-  for (const auto& bytes : wire) {
-    auto mutated = bytes;
-    mutated[rng.uniform(0, mutated.size() - 1)] ^= 0x40;
-    schedule.push_back(std::move(mutated));
-    if (rng.chance(0.5)) schedule.push_back(bytes);  // duplicate
-    std::vector<std::uint8_t> garbage(rng.uniform(0, 64));
-    for (auto& byte : garbage)
-      byte = static_cast<std::uint8_t>(rng.uniform(0, 255));
-    schedule.push_back(std::move(garbage));
-  }
-  for (std::size_t i = schedule.size(); i > 1; --i)
-    std::swap(schedule[i - 1], schedule[rng.uniform(0, i - 1)]);
-
-  for (const auto& datagram : schedule) ingest.submitDatagram(datagram);
-  ingest.drain();
-
-  // Every surviving report is one of the originals, deduplicated, in send
-  // order, under the right apk key.
-  const auto reports = ingest.takeReports(sent[0].apkSha256);
-  ASSERT_EQ(reports.size(), sent.size());
-  EXPECT_EQ(reports, sent);
-  const auto metrics = ingest.metrics();
-  EXPECT_GT(metrics.datagramsMalformed, 0u);
-  EXPECT_EQ(metrics.framesFolded + metrics.datagramsMalformed,
-            metrics.datagramsReceived);
 }
 
 TEST(FuzzDecodersTest, ChaosChannelDamageNeverCorruptsContent) {
@@ -235,10 +167,8 @@ TEST(FuzzDecodersTest, ChaosChannelDamageNeverCorruptsContent) {
 
   std::vector<core::UdpReport> sent;
   for (std::uint64_t seq = 0; seq < 50; ++seq) {
-    auto frame = sampleFrame(seq);
-    frame.report.timestampMs = seq;
-    sent.push_back(frame.report);
-    chaos.submitDatagram(frame.encode());
+    sent.push_back(sampleReport(seq));
+    chaos.submitDatagram(sampleFrame(seq, sent.back()));
   }
   chaos.flush();
   ingest.drain();
@@ -265,15 +195,18 @@ std::vector<std::uint8_t> sampleDictFrameBytes(std::uint64_t seq = 5) {
   return bytes;
 }
 
-TEST(FuzzDecodersTest, DictReportFrameSurvivesMutation) {
-  fuzzDecoder(sampleDictFrameBytes(4),
+TEST(FuzzDecodersTest, ReportFrameSurvivesMutation) {
+  fuzzDecoder(sampleDictFrameBytes(4),  // first frame: carries its defs
               [](const std::vector<std::uint8_t>& bytes) {
-                (void)core::DictReportFrame::decode(bytes);
+                (void)core::ReportFrame::decode(bytes);
               },
               1212);
+}
+
+TEST(FuzzDecodersTest, DictReportFrameSurvivesMutation) {
   fuzzDecoder(sampleDictFrameBytes(5),  // steady-state (defs elsewhere)
               [](const std::vector<std::uint8_t>& bytes) {
-                (void)core::DictReportFrame::decode(bytes);
+                (void)core::ReportFrame::decode(bytes);
               },
               1313);
 }
@@ -288,18 +221,15 @@ TEST(FuzzDecodersTest, ReportStreamDecoderSurvivesMutation) {
                 (void)decoder.decode(bytes);
               },
               1414);
-  fuzzDecoder(sampleFrame().encode(),
-              [&decoder](const std::vector<std::uint8_t>& bytes) {
-                (void)decoder.decode(bytes);
-              },
-              1515);
 }
 
 TEST(FuzzDecodersTest, DictFrameChecksumMakesSilentMisParseImpossible) {
-  // Same guarantee as the v1 frame: a v3 datagram that decodes at all is
-  // byte-identical to what was sent — ids, defs and metadata alike.
+  // Unlike the other decoders, a frame that decodes at all must equal the
+  // original — ids, defs and metadata alike: the crc32 covers every body
+  // byte, so a mutation either leaves the frame byte-identical or gets
+  // rejected (a 2^-32 collision aside).
   const auto valid = sampleDictFrameBytes(4);
-  const auto reference = core::DictReportFrame::decode(valid);
+  const auto reference = core::ReportFrame::decode(valid);
   util::Rng rng(1616);
   for (int round = 0; round < 400; ++round) {
     std::vector<std::uint8_t> mutated = valid;
@@ -309,7 +239,7 @@ TEST(FuzzDecodersTest, DictFrameChecksumMakesSilentMisParseImpossible) {
       mutated[pos] = static_cast<std::uint8_t>(rng.uniform(0, 255));
     }
     try {
-      EXPECT_EQ(core::DictReportFrame::decode(mutated), reference);
+      EXPECT_EQ(core::ReportFrame::decode(mutated), reference);
     } catch (const util::DecodeError&) {
       // the overwhelmingly common outcome for a real mutation
     }
@@ -317,9 +247,10 @@ TEST(FuzzDecodersTest, DictFrameChecksumMakesSilentMisParseImpossible) {
 }
 
 TEST(FuzzDecodersTest, ShardedIngestSurvivesHostileDictDatagrams) {
-  // The hostile-wire test again, with the v3 dictionary framing: parked
-  // holes, healing defs and mutated dictionary opcodes must never crash
-  // the router or mis-attribute a report.
+  // The router faces the wire directly: mutated, truncated, duplicated and
+  // reordered datagrams, parked holes, healing defs and mutated dictionary
+  // opcodes must never crash it — and must never mis-attribute (a report
+  // landing under an apk key it does not carry).
   ingest::IngestConfig config;
   config.shards = 2;
   ingest::ShardedIngest ingest(config);
@@ -359,6 +290,8 @@ TEST(FuzzDecodersTest, ShardedIngestSurvivesHostileDictDatagrams) {
   EXPECT_EQ(reports, sent);
   const auto metrics = ingest.metrics();
   EXPECT_GT(metrics.datagramsMalformed, 0u);
+  EXPECT_EQ(metrics.framesFolded + metrics.datagramsMalformed,
+            metrics.datagramsReceived);
   EXPECT_EQ(metrics.dictHoles, metrics.dictRepaired + metrics.dictDropped);
 }
 

@@ -14,6 +14,7 @@
 // splits single sockets across origin libraries via request ordinals, and
 // adversarial apps attribute identically to their un-laundered twins.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -85,8 +86,11 @@ std::uint64_t fnv1a(const std::string& bytes) {
   return hash;
 }
 
+/// A fresh directory under the test temp dir, named per process: two test
+/// runs (ctest and a sanitizer lane, say) may overlap.
 std::filesystem::path freshDir(const std::string& name) {
-  const auto dir = std::filesystem::temp_directory_path() / name;
+  const auto dir = std::filesystem::path(::testing::TempDir()) /
+                   (name + "_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   return dir;
 }

@@ -9,8 +9,9 @@
 //     size, FNV-64 and UDP byte counts were recorded while the v1 emitter
 //     still existed.
 //
-// The v1/v2/v3 codec golden vectors live in tests/core/report_test.cpp,
-// and the wire-size reduction is gated by bench/wire_and_memory.
+// The frame's golden vector and the retired v1/v2 layouts it rejects live
+// in tests/core/report_test.cpp, and bench/wire_and_memory gates the wire
+// bytes per socket.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -57,7 +58,7 @@ class V3OnlySink final : public ingest::ReportSink {
  public:
   void submitDatagram(std::span<const std::uint8_t> payload) override {
     ++datagrams;
-    EXPECT_NO_THROW((void)core::DictReportFrame::decode(payload));
+    EXPECT_NO_THROW((void)core::ReportFrame::decode(payload));
   }
   std::size_t datagrams = 0;
 };

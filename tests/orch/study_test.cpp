@@ -6,11 +6,13 @@
 #include <filesystem>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/attribution.hpp"
 #include "core/export.hpp"
 #include "radar/corpus.hpp"
 #include "util/bytes.hpp"
+#include "util/sha256.hpp"
 #include "vtsim/categorizer.hpp"
 
 namespace libspector::orch {
@@ -217,6 +219,38 @@ TEST(StudyRunnerTest, PersistsArtifactsAndManifest) {
   EXPECT_TRUE(restored.quarantined.empty());
   EXPECT_TRUE(std::filesystem::exists(
       std::filesystem::path(config.artifactsDirectory) / "domains.csv"));
+}
+
+TEST(StudyRunnerTest, CheckpointWriteFailureIsReportedNotFatal) {
+  // Checkpoints are written on the ingest shards' consumer threads. One
+  // that cannot be written must reach runStudy's caller as an exception,
+  // not end the process, and the other apps' checkpoints still land.
+  namespace fs = std::filesystem;
+  auto config = smallConfig();
+  config.store.appCount = 4;
+  const fs::path dir =
+      fs::path(::testing::TempDir()) /
+      ("spector_unwritable_" +
+       std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  fs::remove_all(dir);
+  config.artifactsDirectory = dir.string();
+
+  // A directory where app 0's temporary bundle goes: its write cannot open
+  // the file.
+  const store::AppStoreGenerator generator(config.store);
+  const std::string sha = util::toHex(generator.makeJob(0).apk.sha256());
+  fs::create_directories(dir / (sha + ".spab.tmp"));
+
+  try {
+    (void)runStudy(config);
+    ADD_FAILURE() << "runStudy did not report the failed checkpoint write";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("recovery: cannot write"), std::string::npos) << what;
+    EXPECT_NE(what.find(sha + ".spab.tmp"), std::string::npos) << what;
+  }
+  EXPECT_EQ(StudyRecovery::scan(dir.string()).runs.size(), 3u);
+  fs::remove_all(dir);
 }
 
 TEST(StudyRunnerTest, UdpReportLossLeavesUnattributedTraffic) {

@@ -8,6 +8,7 @@
 #include "spectord/cluster.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <sstream>
@@ -47,8 +48,11 @@ std::string renderStudy(const core::StudyAggregator& study) {
   return out.str();
 }
 
+/// A fresh directory under the test temp dir, named per process: two test
+/// runs (ctest and a sanitizer lane, say) may overlap.
 std::filesystem::path freshDir(const std::string& name) {
-  const auto dir = std::filesystem::temp_directory_path() / name;
+  const auto dir = std::filesystem::path(::testing::TempDir()) /
+                   (name + "_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   return dir;
 }

@@ -7,6 +7,7 @@
 #include "spectord/daemon.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
@@ -22,6 +23,7 @@
 #include "radar/corpus.hpp"
 #include "spectord/client.hpp"
 #include "store/generator.hpp"
+#include "util/sha256.hpp"
 #include "vtsim/categorizer.hpp"
 
 namespace libspector::spectord {
@@ -411,8 +413,11 @@ TEST_F(SpectordDaemonTest, AdminStatusDrainAndEvict) {
 }
 
 TEST_F(SpectordDaemonTest, AdminResumeReplaysCheckpointsAndShutdownStops) {
+  // Named per process: two test runs (ctest and a sanitizer lane, say) may
+  // overlap.
   const auto directory =
-      std::filesystem::temp_directory_path() / "spectord_admin_resume";
+      std::filesystem::path(::testing::TempDir()) /
+      ("spectord_admin_resume_" + std::to_string(::getpid()));
   std::filesystem::remove_all(directory);
 
   ingest::RollingTotals before;
@@ -462,6 +467,61 @@ TEST_F(SpectordDaemonTest, AdminResumeReplaysCheckpointsAndShutdownStops) {
     auto endpoint = daemon->connect();
     EXPECT_TRUE(endpoint.peerClosed() || endpoint.writeClosed());
   }
+  std::filesystem::remove_all(directory);
+}
+
+TEST_F(SpectordDaemonTest, AdminOpsReportAFailedCheckpointWrite) {
+  // A checkpoint write that fails runs on a shard thread. The admin op
+  // that drains next answers ok = false with the reason, once; the daemon
+  // keeps serving, and shutdown() logs such a failure instead of throwing.
+  const auto directory =
+      std::filesystem::path(::testing::TempDir()) /
+      ("spectord_admin_unwritable_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(directory);
+  // A directory where an app's temporary bundle goes: its checkpoint write
+  // cannot open the file. Apps 0, 2 and 3 fail; app 1 checkpoints.
+  for (const std::size_t index : {0, 2, 3}) {
+    const std::string sha =
+        util::toHex(generator_.makeJob(index).apk.sha256());
+    std::filesystem::create_directories(directory / (sha + ".spab.tmp"));
+  }
+  auto config = daemonConfig();
+  config.checkpointDirectory = directory.string();
+  const auto complete = [&](IngestClient& client, std::size_t index) {
+    const auto artifacts = runApp(index, &client);
+    ASSERT_TRUE(client.completeRun(index, artifacts).accepted);
+  };
+
+  {
+    auto daemon = makeDaemon(config);
+    AdminClient admin(daemon->connect(), /*clientId=*/302);
+    IngestClient client(daemon->connect(), /*clientId=*/8);
+    complete(client, 0);
+    complete(client, 1);
+    const AdminAckMsg drained = admin.request(AdminOp::Drain);
+    EXPECT_FALSE(drained.ok);
+    EXPECT_NE(drained.info.find("recovery: cannot write"), std::string::npos)
+        << drained.info;
+    EXPECT_TRUE(admin.request(AdminOp::Drain).ok);
+    EXPECT_TRUE(admin.request(AdminOp::Status).ok);
+
+    complete(client, 2);
+    const AdminAckMsg bye = admin.request(AdminOp::Shutdown);
+    EXPECT_FALSE(bye.ok);
+    EXPECT_NE(bye.info.find("recovery: cannot write"), std::string::npos)
+        << bye.info;
+    for (int i = 0; i < 200 && daemon->running(); ++i)
+      std::this_thread::sleep_for(10ms);
+    EXPECT_FALSE(daemon->running());
+  }
+  {
+    auto daemon = makeDaemon(config);
+    IngestClient client(daemon->connect(), /*clientId=*/9);
+    complete(client, 3);
+    client.bye();
+    EXPECT_NO_THROW(daemon->shutdown());
+  }
+  EXPECT_EQ(orch::StudyRecovery::scan(directory.string()).runs.size(), 1u);
   std::filesystem::remove_all(directory);
 }
 
