@@ -2,12 +2,12 @@
 //
 //   spectorctl run --apps N [--seed S] [--workers W] --out DIR
 //       Measure a study with orch::runStudy, which checkpoints every app's
-//       artifact bundle (<sha>.spab) and a manifest into DIR as its run
-//       completes and writes the world manifest (domains.csv, with the
-//       VT-categorizer ground truth) at the end. The checkpoint manifest is
-//       then compacted into job-index order, so DIR holds the same bytes at
-//       any --workers. DIR must not hold a study yet (a .spab bundle or a
-//       manifest): a second world written into it would mix with the first.
+//       artifact bundle (<sha>.spab) into DIR as its run completes and
+//       writes the world manifest (domains.csv, with the VT-categorizer
+//       ground truth) at the end. Each bundle is a pure function of its job
+//       and is named by its sha, so DIR holds the same bytes at any
+//       --workers. DIR must not hold a study yet (a .spab bundle): a second
+//       world written into it would mix with the first.
 //
 //   spectorctl analyze --in DIR [--csv SUBDIR] [--report FILE]
 //       Re-run the offline pipeline over a directory that `run` wrote —
@@ -82,13 +82,11 @@ int fail(const std::string& why) {
   return 1;
 }
 
-/// True when `dir` holds a study `run` wrote: a bundle or a manifest. A
-/// path that is no directory holds none.
+/// True when `dir` holds a study `run` wrote: a bundle. A path that is no
+/// directory holds none.
 bool holdsStudy(const std::filesystem::path& dir) {
   std::error_code error;
   if (!std::filesystem::is_directory(dir, error)) return false;
-  if (std::filesystem::exists(dir / orch::CheckpointWriter::kManifestName))
-    return true;
   for (const auto& entry : std::filesystem::directory_iterator(dir))
     if (entry.path().extension() == ".spab") return true;
   return false;
@@ -181,9 +179,6 @@ int cmdRun(const Args& args) {
   dispatcherConfig.workers = *workers;
   const orch::StudyOutput output =
       orch::runStudy(generator, dispatcherConfig, outDir);
-  // Shards append manifest lines as runs complete; sorting them by job
-  // index leaves the same bytes at any worker count.
-  orch::compactCheckpointDirectory(outDir);
   std::printf("saved %zu artifact bundles + domains.csv to %s\n",
               output.appsProcessed, outDir.c_str());
   return 0;

@@ -3,9 +3,10 @@
 # shard's consumer thread; an exception left uncaught there aborts the
 # process without that line.
 #
-# A first run learns app 0's sha from its manifest. A second run, into a
-# fresh directory, finds a directory planted where app 0's temporary
-# bundle (<sha>.spab.tmp) goes, so that one write cannot open its file.
+# A first run learns both apps' shas from the names of its bundles. A
+# second run, into a fresh directory, finds a directory planted where each
+# app's temporary bundle (<sha>.spab.tmp) goes, so no write can open its
+# file.
 #
 # Usage: cmake -DSPECTORCTL=<spectorctl> -DWORK=<scratch dir>
 #              -P spectorctl_fails_unwritable_checkpoint.cmake
@@ -19,20 +20,22 @@ if(NOT status EQUAL 0)
   message(FATAL_ERROR "first run: exit ${status}")
 endif()
 
-# The compacted manifest holds one "<job index> <sha> ok" line per app.
-file(STRINGS ${WORK}/first/manifest.spmf entry REGEX "^0 [0-9a-f]+ ok$")
-string(REGEX REPLACE "^0 ([0-9a-f]+) ok$" "\\1" sha "${entry}")
-if(NOT sha MATCHES "^[0-9a-f]+$")
-  message(FATAL_ERROR "no job 0 in ${WORK}/first/manifest.spmf")
+# One <sha>.spab per app.
+file(GLOB bundles RELATIVE ${WORK}/first ${WORK}/first/*.spab)
+list(LENGTH bundles count)
+if(NOT count EQUAL 2)
+  message(FATAL_ERROR "first run wrote ${count} bundles, expected 2")
 endif()
+foreach(bundle IN LISTS bundles)
+  file(MAKE_DIRECTORY ${WORK}/second/${bundle}.tmp)
+endforeach()
 
-file(MAKE_DIRECTORY ${WORK}/second/${sha}.spab.tmp)
 execute_process(
   COMMAND ${SPECTORCTL} run --apps 2 --workers 1 --out ${WORK}/second
   RESULT_VARIABLE status OUTPUT_QUIET ERROR_VARIABLE errors)
 if(NOT status EQUAL 1)
   message(FATAL_ERROR "second run: exit ${status}, expected 1\n${errors}")
 endif()
-if(NOT errors MATCHES "spectorctl: recovery: cannot write [^\n]*${sha}\\.spab\\.tmp")
-  message(FATAL_ERROR "second run: no error line for ${sha}\n${errors}")
+if(NOT errors MATCHES "spectorctl: recovery: cannot write [^\n]*[0-9a-f]\\.spab\\.tmp")
+  message(FATAL_ERROR "second run: no checkpoint error line\n${errors}")
 endif()

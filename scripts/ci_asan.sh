@@ -13,9 +13,11 @@
 # eight bytes per step up to the end of its buffer; the method tracer
 # keeps per-id slots and views into its own map; the attribution, fold
 # and ingest suites drive the dense id-indexed accumulators, where an
-# out-of-range id is a silent heap overrun in a release build; and the
+# out-of-range id is a silent heap overrun in a release build; the
 # router's one fold path parks frames whose signature ids are not yet
-# defined and repairs them later (ingest_dict_test).
+# defined and repairs them later (ingest_dict_test); and the cluster
+# suites drive the checkpoint protocol's kill points through
+# mergeStudies (spectord_cluster_test, spectord_chaos_cluster_test).
 #
 # Usage: scripts/ci_asan.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -66,6 +68,8 @@ TARGETS=(
   ingest_stress_test
   spectord_daemon_test
   spectord_resilient_test
+  spectord_cluster_test
+  spectord_chaos_cluster_test
   pipeline_test
   scenario_matrix_test
 )

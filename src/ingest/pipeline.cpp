@@ -58,6 +58,11 @@ void IngestPipeline::onRun(RunDelivery&& delivery) {
   const std::uint64_t unattributed =
       core::unattributedTcpPayload(delivery.artifacts, columns);
 
+  // Durable before aggregated: a run that is checkpointed but not yet
+  // folded is replayed on recovery; the reverse order would lose it. A
+  // checkpoint that throws leaves the run out of every view below.
+  if (checkpoint_ && !delivery.replayed) checkpoint_(delivery);
+
   const bool publish = static_cast<bool>(runHook_);
   RunDigest digest;
   {
@@ -107,9 +112,6 @@ void IngestPipeline::onRun(RunDelivery&& delivery) {
     }
   }
 
-  // Durable before aggregated: a run that is checkpointed but not yet
-  // folded is replayed on recovery; the reverse order would lose it.
-  if (checkpoint_ && !delivery.replayed) checkpoint_(delivery);
   // Durable before published: observers only ever see checkpointed runs.
   if (publish) runHook_(digest);
 

@@ -64,10 +64,10 @@ class IngestPipeline final : public ReportSink {
 
   /// Incremental checkpoint hook: invoked on the shard consumer thread for
   /// every freshly finalized run (never for replays), after attribution
-  /// and before the run is folded into the accumulator — durable first, so
-  /// a crash between the two replays the run instead of losing it. The
-  /// callee must be thread-safe; orch::CheckpointWriter is the intended
-  /// implementation.
+  /// and before the run is folded into the rolling view, the loss accounts
+  /// or the accumulator — durable first, so a crash between the two
+  /// replays the run instead of losing it. The callee must be thread-safe;
+  /// orch::CheckpointWriter is the intended implementation.
   using CheckpointFn = std::function<void(const RunDelivery&)>;
 
   /// Live-observer hook: invoked on the shard consumer thread for every
@@ -112,9 +112,13 @@ class IngestPipeline final : public ReportSink {
 
   /// Block until all submitted work is folded (producers must be done).
   /// Rethrows the first exception a hook threw, as ShardedIngest::drain
-  /// does; a run whose checkpoint threw reaches neither the run hook nor
-  /// the accumulator.
+  /// does; a run whose checkpoint threw is folded nowhere: not into the
+  /// rolling view or the loss accounts, the run hook or the accumulator.
   void drain();
+
+  /// True once a hook has thrown since the last drain()
+  /// (ShardedIngest::failed).
+  [[nodiscard]] bool failed() const { return router_.failed(); }
 
   [[nodiscard]] RollingTotals rollingTotals() const;
   [[nodiscard]] std::unordered_map<std::string, ApkLossAccount> lossAccounts()

@@ -393,6 +393,11 @@ void ShardedIngest::drain() {
   if (error != nullptr) std::rethrow_exception(error);
 }
 
+bool ShardedIngest::failed() const {
+  const std::scoped_lock lock(runErrorMutex_);
+  return runError_ != nullptr;
+}
+
 std::vector<core::UdpReport> ShardedIngest::takeReports(
     const std::string& apkSha256) {
   Shard& shard = *shards_[shardOf(apkSha256)];

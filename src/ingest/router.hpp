@@ -115,6 +115,11 @@ class ShardedIngest final : public ReportSink {
   /// last drain().
   void drain();
 
+  /// True once a run callback has thrown since the last drain() (any
+  /// thread). A job source polls it to stop dispatching work whose
+  /// results the failed study cannot keep.
+  [[nodiscard]] bool failed() const;
+
   /// Remove and return the pending (unclaimed-by-a-run) reports for an apk,
   /// deduplicated and sequence-ordered. Only frames already consumed are
   /// visible — drain() first for a complete view.
@@ -219,7 +224,7 @@ class ShardedIngest final : public ReportSink {
   RunCallback onRun_;
   std::atomic<std::uint64_t> received_{0};
   std::atomic<std::uint64_t> malformed_{0};
-  std::mutex runErrorMutex_;
+  mutable std::mutex runErrorMutex_;
   std::exception_ptr runError_;  // first exception a run callback threw
   std::chrono::steady_clock::time_point startedAt_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -5,9 +5,7 @@
 #include <exception>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "util/bytes.hpp"
@@ -42,7 +40,6 @@ void writeSpabAtomic(const fs::path& directory, const std::string& apkSha256,
   // Atomic on POSIX: readers see either the old bundle or the new one,
   // never a prefix.
   fs::rename(tmpPath, finalPath);
-  if (probe) probe("bundle-renamed");
 }
 
 std::vector<std::uint8_t> readFileBytes(const fs::path& path) {
@@ -64,21 +61,6 @@ std::vector<std::uint8_t> readFileBytes(const fs::path& path) {
 CheckpointWriter::CheckpointWriter(std::string directory, KillProbe probe)
     : directory_(std::move(directory)), probe_(std::move(probe)) {
   fs::create_directories(directory_);
-  // Repair a torn manifest tail: without the trailing newline, the next
-  // append would merge into the torn line and corrupt a second entry.
-  const fs::path manifestPath = fs::path(directory_) / kManifestName;
-  std::error_code ec;
-  const auto size = fs::file_size(manifestPath, ec);
-  if (!ec && size > 0) {
-    std::ifstream in(manifestPath, std::ios::binary);
-    in.seekg(static_cast<std::streamoff>(size) - 1);
-    char last = '\n';
-    in.get(last);
-    if (last != '\n') {
-      std::ofstream out(manifestPath, std::ios::binary | std::ios::app);
-      out << '\n';
-    }
-  }
 }
 
 void CheckpointWriter::probe(std::string_view point) const {
@@ -91,130 +73,7 @@ void CheckpointWriter::checkpoint(std::uint64_t jobIndex,
   probe("begin");
   const auto bytes = core::SpabEnvelope::encode(jobIndex, account, artifacts);
   writeSpabAtomic(directory_, artifacts.apkSha256, bytes, probe_);
-  {
-    const std::scoped_lock lock(manifestMutex_);
-    std::ofstream manifest(fs::path(directory_) / kManifestName,
-                           std::ios::binary | std::ios::app);
-    if (!manifest)
-      throw std::runtime_error("recovery: cannot append manifest in " +
-                               directory_);
-    // The line lands in two flushes with a kill point between them; the
-    // trailing "ok" token is the completeness marker a torn line lacks.
-    manifest << jobIndex << ' ' << artifacts.apkSha256 << ' ';
-    manifest.flush();
-    probe("manifest-partial");
-    manifest << "ok\n";
-  }
   probe("done");
-}
-
-namespace {
-
-struct ManifestEntry {
-  std::uint64_t jobIndex = 0;
-  std::string sha;
-};
-
-/// Parse the manifest, tolerating a torn tail: a well-formed line is
-/// `<jobIndex> <sha> ok` and newline-terminated; anything else counts as
-/// torn (the bundle files stay authoritative either way).
-void parseManifest(const fs::path& path, std::vector<ManifestEntry>& entries,
-                   std::size_t& torn) {
-  std::vector<std::uint8_t> bytes;
-  try {
-    bytes = readFileBytes(path);
-  } catch (const std::runtime_error&) {
-    return;  // no manifest: it lists nothing
-  }
-  const std::string_view content(reinterpret_cast<const char*>(bytes.data()),
-                                 bytes.size());
-  std::size_t start = 0;
-  while (start < content.size()) {
-    const std::size_t newline = content.find('\n', start);
-    const bool terminated = newline != std::string_view::npos;
-    const std::string line(content.substr(
-        start, (terminated ? newline : content.size()) - start));
-    start = terminated ? newline + 1 : content.size();
-    if (line.empty()) continue;
-
-    ManifestEntry entry;
-    std::string marker, extra;
-    std::istringstream fields(line);
-    if (terminated && (fields >> entry.jobIndex >> entry.sha >> marker) &&
-        marker == "ok" && !(fields >> extra)) {
-      entries.push_back(std::move(entry));
-    } else {
-      ++torn;
-    }
-  }
-}
-
-}  // namespace
-
-std::size_t compactCheckpointDirectory(const std::string& directory) {
-  const fs::path root(directory);
-  if (!fs::exists(root)) return 0;
-
-  std::size_t removed = 0;
-  std::vector<fs::path> bundles;
-  for (const auto& entry : fs::directory_iterator(root)) {
-    if (!entry.is_regular_file()) continue;
-    const auto extension = entry.path().extension();
-    if (extension == ".tmp") {
-      std::error_code ec;
-      fs::remove(entry.path(), ec);
-      if (!ec) ++removed;
-    } else if (extension == ".spab") {
-      bundles.push_back(entry.path());
-    }
-  }
-  std::sort(bundles.begin(), bundles.end());
-
-  // The bundles on disk are authoritative; the rebuilt manifest lists
-  // exactly the valid ones, sorted by job index.
-  std::vector<ManifestEntry> kept;
-  for (const auto& path : bundles) {
-    std::vector<std::uint8_t> bytes;
-    try {
-      bytes = readFileBytes(path);
-    } catch (const std::runtime_error&) {
-      continue;  // unreadable: StudyRecovery::scan quarantines it
-    }
-    try {
-      core::SpabEnvelope envelope = core::SpabEnvelope::decode(bytes);
-      kept.push_back({envelope.jobIndex, envelope.artifacts.apkSha256});
-    } catch (const util::DecodeError&) {
-      // Corrupt bundle: StudyRecovery::scan quarantines; compaction only
-      // drops its manifest line.
-    }
-  }
-  std::sort(kept.begin(), kept.end(),
-            [](const ManifestEntry& a, const ManifestEntry& b) {
-              return a.jobIndex < b.jobIndex;
-            });
-
-  std::vector<ManifestEntry> oldEntries;
-  std::size_t torn = 0;
-  const fs::path manifestPath = root / CheckpointWriter::kManifestName;
-  parseManifest(manifestPath, oldEntries, torn);
-  const std::size_t oldLines = oldEntries.size() + torn;
-  removed += oldLines > kept.size() ? oldLines - kept.size() : 0;
-
-  const fs::path tmpManifest = root / "manifest.spmf.compact.tmp";
-  {
-    std::ofstream out(tmpManifest, std::ios::binary | std::ios::trunc);
-    if (!out)
-      throw std::runtime_error("recovery: cannot write " +
-                               tmpManifest.string());
-    for (const auto& entry : kept)
-      out << entry.jobIndex << ' ' << entry.sha << " ok\n";
-  }
-  fs::rename(tmpManifest, manifestPath);
-
-  util::logInfo("recovery: compacted %s -> %zu manifest lines, %zu stale "
-                "items removed",
-                directory.c_str(), kept.size(), removed);
-  return removed;
 }
 
 namespace {
@@ -314,7 +173,6 @@ RecoveryReport StudyRecovery::scan(const std::string& directory) {
   // bundle means (and renaming, logging, spotting a repeated job index)
   // runs here, one bundle at a time in path order.
   std::vector<BundleVerdict> verdicts = decodeBundles(bundles);
-  std::unordered_set<std::string> validShas;
   std::unordered_set<std::size_t> seenIndices;
   for (std::size_t i = 0; i < bundles.size(); ++i) {
     BundleVerdict& verdict = verdicts[i];
@@ -328,7 +186,6 @@ RecoveryReport StudyRecovery::scan(const std::string& directory) {
       quarantine(bundles[i], "duplicate job index " + std::to_string(jobIndex));
       continue;
     }
-    validShas.insert(verdict.envelope.artifacts.apkSha256);
     report.runs.push_back({jobIndex, verdict.envelope.account,
                            std::move(verdict.envelope.artifacts)});
   }
@@ -337,19 +194,11 @@ RecoveryReport StudyRecovery::scan(const std::string& directory) {
               return a.jobIndex < b.jobIndex;
             });
 
-  std::vector<ManifestEntry> entries;
-  parseManifest(root / CheckpointWriter::kManifestName, entries,
-                report.manifestTornLines);
-  report.manifestEntries = entries.size();
-  for (const auto& entry : entries)
-    if (!validShas.contains(entry.sha)) ++report.manifestMissingBundles;
-
   util::logInfo(
       "recovery: %s -> %zu runs replayable, %zu quarantined, %zu torn tmp "
-      "removed, manifest %zu entries (%zu torn, %zu missing bundles)",
+      "removed",
       directory.c_str(), report.runs.size(), report.quarantined.size(),
-      report.tmpFilesRemoved, report.manifestEntries,
-      report.manifestTornLines, report.manifestMissingBundles);
+      report.tmpFilesRemoved);
   return report;
 }
 

@@ -6,15 +6,15 @@
 // *will* die mid-study, and the artifact store must make that survivable:
 //
 //  - CheckpointWriter persists each run the moment its shard finalizes it:
-//    envelope-framed (crc32) bundle, written to a temp file and atomically
-//    renamed, then recorded in an append-only manifest. Every step of the
-//    protocol exposes a kill point so tests can sweep simulated crashes
-//    over every persistence call site.
+//    one envelope-framed (crc32) bundle, written to a temp file and
+//    atomically renamed. The bundle is the run's only record. Every step
+//    of the protocol exposes a kill point so tests can sweep simulated
+//    crashes over every persistence call site.
 //  - StudyRecovery scans a checkpoint directory after a crash: torn temp
 //    files are deleted, corrupt or truncated bundles are quarantined with
-//    per-file error accounting (never fatal), the manifest's torn tail is
-//    tolerated, and the surviving runs come back sorted by job index,
-//    ready to replay through ingest::IngestPipeline.
+//    per-file error accounting (never fatal), and the surviving runs come
+//    back sorted by job index, ready to replay through
+//    ingest::IngestPipeline.
 //
 // orch::resumeStudy (study.hpp) ties the two together: replay survivors,
 // re-run the gaps under their original job indices, and produce a
@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
-#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -37,9 +36,9 @@ namespace libspector::orch {
 
 /// Thrown by a crash-injection probe to abandon the persistence protocol
 /// mid-flight. Unwinding here leaves the directory exactly as a process
-/// death at that point would (torn temp files, renamed-but-unmanifested
-/// bundles, torn manifest lines); tests catch it where a real deployment
-/// would restart the collector.
+/// death at that point would (a torn or complete but unrenamed temp
+/// file); tests catch it where a real deployment would restart the
+/// collector.
 class SimulatedCrash : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -53,12 +52,10 @@ using KillProbe = std::function<void(std::string_view point)>;
 /// Every kill point of one checkpoint() call, in protocol order — the
 /// crash-injection sweep enumerates these.
 inline constexpr std::string_view kCheckpointKillPoints[] = {
-    "begin",            // nothing written yet
-    "tmp-partial",      // temp file torn mid-write
-    "tmp-complete",     // temp file complete, not yet renamed
-    "bundle-renamed",   // bundle durable, manifest not yet appended
-    "manifest-partial", // manifest line torn mid-append
-    "done",             // bundle + manifest entry both durable
+    "begin",         // nothing written yet
+    "tmp-partial",   // temp file torn mid-write
+    "tmp-complete",  // temp file complete, not yet renamed
+    "done",          // bundle renamed into place: durable
 };
 
 /// Atomically persist one envelope-framed bundle as `<sha>.spab` in
@@ -73,24 +70,19 @@ void writeSpabAtomic(const std::filesystem::path& directory,
 /// The whole of `path` in one sized read: open, take the file's size, one
 /// `read` into a buffer of that size. Throws std::runtime_error when the
 /// file cannot be opened or sized or yields fewer bytes than its size.
-/// Every reader of a checkpoint directory (bundles, manifest) goes
-/// through it.
+/// Every reader of a checkpoint bundle goes through it.
 [[nodiscard]] std::vector<std::uint8_t> readFileBytes(
     const std::filesystem::path& path);
 
 /// Incremental checkpointer for a running study. Thread-safe: shards call
-/// checkpoint() concurrently as runs finalize; bundle writes are
-/// per-sha-file and the manifest append is serialized.
+/// checkpoint() concurrently as runs finalize, and every write goes to its
+/// own sha-named file.
 class CheckpointWriter {
  public:
-  static constexpr std::string_view kManifestName = "manifest.spmf";
-
-  /// Creates `directory` if missing and repairs a torn manifest tail left
-  /// by a previous crash (so appends never merge into a torn line).
+  /// Creates `directory` if missing.
   explicit CheckpointWriter(std::string directory, KillProbe probe = {});
 
-  /// Persist one finalized run: atomic bundle write, then a
-  /// `<jobIndex> <sha> ok` manifest line.
+  /// Persist one finalized run as `<sha>.spab` (writeSpabAtomic).
   void checkpoint(std::uint64_t jobIndex, const core::ApkLossAccount& account,
                   const core::RunArtifacts& artifacts);
 
@@ -103,7 +95,6 @@ class CheckpointWriter {
 
   std::string directory_;
   KillProbe probe_;
-  std::mutex manifestMutex_;
 };
 
 /// One bundle that survived the crash, ready to replay.
@@ -124,21 +115,8 @@ struct RecoveryReport {
   /// Corrupt/truncated bundles, moved to <dir>/quarantine/ — never fatal.
   std::vector<Quarantined> quarantined;
 
-  std::size_t tmpFilesRemoved = 0;   // torn mid-write temp files deleted
-  std::size_t manifestEntries = 0;       // well-formed manifest lines
-  std::size_t manifestTornLines = 0;     // torn/malformed lines tolerated
-  std::size_t manifestMissingBundles = 0;  // listed sha with no valid bundle
+  std::size_t tmpFilesRemoved = 0;  // torn mid-write temp files deleted
 };
-
-/// Housekeeping for long-lived checkpoint directories (spectord's admin
-/// `compact` op). The manifest is append-only, so resumed studies and
-/// re-checkpointed apks accumulate duplicate and dangling lines over
-/// time. Compaction rewrites the manifest atomically (tmp + rename) with
-/// exactly one `<jobIndex> <sha> ok` line per valid bundle on disk,
-/// sorted by job index, and deletes torn `.tmp` files. Corrupt
-/// bundles are left for StudyRecovery::scan to quarantine. Returns the
-/// number of stale items removed (dropped manifest lines + tmp files).
-std::size_t compactCheckpointDirectory(const std::string& directory);
 
 /// Post-crash scan of a checkpoint directory, and the one reader of a
 /// study's bundles. Quarantines instead of throwing: a single corrupt

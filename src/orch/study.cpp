@@ -96,6 +96,8 @@ StudyOutput runPipeline(const store::AppStoreGenerator& generator,
     // run) and expands it itself: makeJob is a pure function of the index,
     // so the job is the same whichever worker claims it. Resumed studies
     // see only the gaps here, still pinned to their original indices.
+    // Once a checkpoint write has failed the study will throw, so no
+    // further job is handed out; runs in flight still finish.
     std::vector<std::size_t> gaps;
     gaps.reserve(appCount);
     for (std::size_t i = 0; i < appCount; ++i)
@@ -105,6 +107,7 @@ StudyOutput runPipeline(const store::AppStoreGenerator& generator,
     Dispatcher dispatcher(generator.farm(), &pipeline, dispatcherConfig);
     dispatcher.runConcurrent(
         [&]() -> std::optional<Dispatcher::Job> {
+          if (pipeline.failed()) return std::nullopt;
           const std::size_t claim = cursor.fetch_add(1);
           if (claim >= gaps.size()) return std::nullopt;
           auto job = generator.makeJob(gaps[claim]);

@@ -15,8 +15,8 @@
 // byte-identical to a single-worker batch run at any shard count.
 //
 // When artifactsDirectory is set, every run is checkpointed the moment its
-// shard finalizes it (crc32-framed bundle, atomic rename, manifest entry —
-// see orch/recovery.hpp), so a collector that dies mid-study can
+// shard finalizes it (one crc32-framed bundle, atomically renamed into
+// place — see orch/recovery.hpp), so a collector that dies mid-study can
 // resumeStudy(): survivors replay through ingest without re-running their
 // emulators, the gaps re-run under their original job indices, and the
 // output is byte-identical to the uninterrupted run.
@@ -44,11 +44,11 @@ struct StudyConfig {
   /// study output (the accumulator restores dispatch order).
   ingest::IngestConfig ingest{.shards = 0};
   /// When non-empty, every run is incrementally checkpointed here as its
-  /// shard finalizes it (one crc32-framed .spab per app plus a manifest),
-  /// and the domains.csv world manifest is written at the end. The same
-  /// directory is what resumeStudy() recovers from after a crash. A
-  /// checkpoint write that fails makes runStudy and resumeStudy throw its
-  /// error once the fleet has finished.
+  /// shard finalizes it (one crc32-framed .spab per app, nothing else per
+  /// run), and the domains.csv world manifest is written at the end. The
+  /// same directory is what resumeStudy() recovers from after a crash. A
+  /// checkpoint write that fails stops the dispatch of further jobs (runs
+  /// in flight still finish), and runStudy and resumeStudy throw its error.
   std::string artifactsDirectory;
 };
 
@@ -81,7 +81,7 @@ struct StudyOutput {
 struct ResumeOutput {
   StudyOutput output;
   /// What the recovery scan found (runs are consumed by the resume and
-  /// cleared here; quarantine/manifest accounting is preserved).
+  /// cleared here; quarantine and tmp accounting is preserved).
   RecoveryReport recovery;
 };
 
@@ -103,7 +103,7 @@ struct ResumeOutput {
 struct MergeOutput {
   StudyOutput output;
   /// One recovery report per checkpoint directory, in argument order
-  /// (runs are consumed by the merge and cleared; quarantine/manifest
+  /// (runs are consumed by the merge and cleared; quarantine and tmp
   /// accounting is preserved).
   std::vector<RecoveryReport> recoveries;
 };

@@ -86,7 +86,8 @@ CollectorResult runCollector(const orch::StudyConfig& config,
     // expansion, so every collector expands the whole corpus (minus what
     // it replayed) and keeps its owned share. Non-owned expansion is
     // wasted generation, not wasted emulation; the emulator tier only ever
-    // sees owned jobs.
+    // sees owned jobs. Once a checkpoint write has failed, the drain below
+    // throws, so no further job is handed out; runs in flight still finish.
     std::atomic<std::size_t> cursor{0};
     std::mutex limitMutex;  // guards the jobLimit check and both counters
 
@@ -95,6 +96,7 @@ CollectorResult runCollector(const orch::StudyConfig& config,
     dispatcher.runConcurrent(
         [&]() -> std::optional<orch::Dispatcher::Job> {
           while (true) {
+            if (daemon.pipeline().failed()) return std::nullopt;
             const std::size_t index = cursor.fetch_add(1);
             if (index >= appCount) return std::nullopt;
             if (done[index]) continue;  // replayed on resume

@@ -63,7 +63,9 @@ struct CollectorResult {
 
 /// Run collector `options.index`'s share of `config` against a live
 /// daemon. The whole corpus is generated to learn each apk's sha (the
-/// digest is what ownership hashes); only owned jobs run emulators.
+/// digest is what ownership hashes); only owned jobs run emulators. A
+/// checkpoint write that fails stops the dispatch of further jobs (runs
+/// in flight still finish, as with jobLimit) and runCollector throws it.
 [[nodiscard]] CollectorResult runCollector(const orch::StudyConfig& config,
                                            const CollectorOptions& options);
 

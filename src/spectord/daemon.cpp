@@ -451,25 +451,6 @@ void SpectorDaemon::handleAdmin(Connection& conn, const AdminMsg& msg) {
       counters_.sessionsExpired += expired;
       break;
     }
-    case AdminOp::Compact: {
-      if (!checkpoints_) {
-        ack.ok = false;
-        ack.info = "no checkpoint directory";
-        break;
-      }
-      const std::size_t removed =
-          orch::compactCheckpointDirectory(checkpoints_->directory());
-      const std::size_t expired = expireStaleSessions();
-      char buf[96];
-      std::snprintf(buf, sizeof(buf),
-                    "compacted, %zu stale entries removed, %zu stale "
-                    "sessions expired",
-                    removed, expired);
-      ack.info = buf;
-      const std::scoped_lock lock(countersMutex_);
-      counters_.sessionsExpired += expired;
-      break;
-    }
     case AdminOp::EvictApk: {
       ack.ok = pipeline_.evictPending(msg.arg);
       ack.info = ack.ok ? "evicted" : "no pending state for apk";

@@ -90,7 +90,7 @@ struct DaemonConfig {
 struct DaemonCounters {
   std::uint64_t sessionsOpened = 0;
   std::uint64_t sessionsResumed = 0;
-  std::uint64_t sessionsExpired = 0;   // stale sessions swept on drain/compact
+  std::uint64_t sessionsExpired = 0;   // stale sessions swept on drain
   std::uint64_t attachRefusals = 0;    // Hello while the session is live
   std::uint64_t duplicateRunUploads = 0;  // RunComplete re-uploads deduped
   std::uint64_t deltasSent = 0;
@@ -170,8 +170,8 @@ class SpectorDaemon {
   /// Hello for a live session is refused (a client that reconnected
   /// because *it* saw a hangup races the daemon reaping the old
   /// connection, so an attach whose previous connection is peer-gone is
-  /// adopted, not refused). Sessions with no live attach are swept on the
-  /// admin Drain/Compact housekeeping ops.
+  /// adopted, not refused). Sessions with no live attach are swept by the
+  /// admin Drain op.
   struct SessionRecord {
     std::uint64_t token = 0;
     ClientKind kind = ClientKind::Ingest;

@@ -398,7 +398,8 @@ AdminMsg AdminMsg::decode(std::span<const std::uint8_t> body) {
   AdminMsg msg;
   const std::uint8_t op = r.u8();
   if (op < static_cast<std::uint8_t>(AdminOp::Drain) ||
-      op > static_cast<std::uint8_t>(AdminOp::Shutdown))
+      op > static_cast<std::uint8_t>(AdminOp::Shutdown) ||
+      op == 2)  // unassigned (see AdminOp)
     throw util::DecodeError("spectord Admin: unknown op");
   msg.op = static_cast<AdminOp>(op);
   msg.arg = r.str();

@@ -23,7 +23,7 @@
 //    format reused as the upload format), cumulative ReportAck flow.
 //  - dashboard subscriptions: Subscribe(topic), full Snapshot on
 //    subscribe, incremental Delta frames per finalized run.
-//  - admin ops: Admin(op, arg) / AdminAck — drain, compact, evict-apk,
+//  - admin ops: Admin(op, arg) / AdminAck — drain, evict-apk,
 //    resume-from-checkpoint, status, shutdown.
 #pragma once
 
@@ -79,10 +79,9 @@ enum class Topic : std::uint8_t {
   Progress = 3,  // study progress (runs folded vs expected)
 };
 
-/// Admin operations.
+/// Admin operations. Value 2 is unassigned: AdminMsg::decode rejects it.
 enum class AdminOp : std::uint8_t {
   Drain = 1,     // block until everything submitted is folded + checkpointed
-  Compact = 2,   // compact the checkpoint manifest
   EvictApk = 3,  // drop one apk's pending (unclaimed) ingest state
   Resume = 4,    // scan the checkpoint directory and replay survivors
   Status = 5,    // JSON status document

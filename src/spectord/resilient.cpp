@@ -139,7 +139,7 @@ bool ResilientIngestClient::ensureConnectedLocked() {
     ++connections_;
     if (!fresh->resumed()) {
       // Fresh session: the first attach, or the daemon expired ours (an
-      // admin drain/compact swept it while we were down). Its ack stream
+      // admin drain swept it while we were down). Its ack stream
       // restarts at zero for the tail we are about to replay, so rebase
       // the absolute accounting around tailBase_ — carrying the old
       // absolute indices would make pruning impossible and the tail grow

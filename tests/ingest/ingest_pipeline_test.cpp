@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "core/attribution.hpp"
 #include "ingest/chaos.hpp"
 #include "orch/emulator.hpp"
@@ -190,6 +193,35 @@ TEST_F(IngestPipelineTest, PublishesRollingTotalsAfterEveryRun) {
   for (const auto& [library, bytes] : rolling.bytesByLibrary)
     byLibrary += bytes;
   EXPECT_EQ(byLibrary, rolling.attributedBytes);
+}
+
+TEST_F(IngestPipelineTest, RunWhoseCheckpointThrowsIsNotFolded) {
+  // A run is checkpointed before it is folded anywhere. One whose
+  // checkpoint write throws must not show in the rolling view, the loss
+  // accounts or the published digests: an observer would otherwise count
+  // a run that no recovery can replay.
+  IngestConfig ingestConfig;
+  ingestConfig.shards = 1;
+  IngestPipeline pipeline(
+      ingestConfig,
+      [this](const core::RunArtifacts& artifacts) {
+        return attributor_.attributeColumns(artifacts);
+      },
+      /*accumulator=*/nullptr, [](const RunDelivery& delivery) {
+        if (delivery.jobIndex == 0)
+          throw std::runtime_error("cannot write run 0");
+      });
+  std::vector<std::size_t> published;  // one shard: one consumer thread
+  pipeline.setRunHook([&published](const RunDigest& digest) {
+    published.push_back(digest.jobIndex);
+  });
+  for (std::size_t i = 0; i < 2; ++i)
+    pipeline.submitRun(i, runApp(i, &pipeline));
+  EXPECT_THROW(pipeline.drain(), std::runtime_error);
+
+  EXPECT_EQ(pipeline.rollingTotals().runsFolded, 1u);
+  EXPECT_EQ(pipeline.lossAccounts().size(), 1u);
+  EXPECT_EQ(published, std::vector<std::size_t>{1});
 }
 
 }  // namespace

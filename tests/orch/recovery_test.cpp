@@ -85,11 +85,8 @@ TEST(RecoveryTest, CheckpointScanRoundTrip) {
   EXPECT_EQ(report.runs[0].artifacts.packageName, "com.app.a");
   EXPECT_EQ(report.runs[1].jobIndex, 5u);
   EXPECT_EQ(report.runs[1].account, account);
-  EXPECT_EQ(report.manifestEntries, 2u);
-  EXPECT_EQ(report.manifestTornLines, 0u);
   EXPECT_TRUE(report.quarantined.empty());
   EXPECT_EQ(report.tmpFilesRemoved, 0u);
-  EXPECT_EQ(report.manifestMissingBundles, 0u);
   EXPECT_TRUE(fs::exists(fs::path(dir) / "notes.txt"));
 }
 
@@ -112,32 +109,6 @@ TEST(RecoveryTest, ScanOfMissingDirectoryIsEmptyNotFatal) {
   const auto report = StudyRecovery::scan(freshDir("missing"));
   EXPECT_TRUE(report.runs.empty());
   EXPECT_TRUE(report.quarantined.empty());
-}
-
-TEST(RecoveryTest, TornManifestTailIsRepairedOnNextWriter) {
-  const std::string dir = freshDir("torntail");
-  core::RunArtifacts a;
-  a.apkSha256 = "aaa";
-  {
-    CheckpointWriter writer(dir);
-    writer.checkpoint(0, {}, a);
-    // Simulate a crash mid-append: a torn line with no newline.
-    std::ofstream manifest(fs::path(dir) / CheckpointWriter::kManifestName,
-                           std::ios::binary | std::ios::app);
-    manifest << "1 bb";
-  }
-  // A new writer must repair the tail so its appends don't merge into the
-  // torn line; the torn line itself stays tolerated, never fatal.
-  core::RunArtifacts c;
-  c.apkSha256 = "ccc";
-  CheckpointWriter writer(dir);
-  writer.checkpoint(2, {}, c);
-
-  const auto report = StudyRecovery::scan(dir);
-  EXPECT_EQ(report.manifestEntries, 2u);
-  EXPECT_EQ(report.manifestTornLines, 1u);
-  ASSERT_EQ(report.runs.size(), 2u);
-  EXPECT_EQ(report.runs[1].jobIndex, 2u);
 }
 
 // The sweep runs under several worker counts: resumeStudy hands only the
@@ -210,9 +181,6 @@ TEST_P(RecoverySweep, KillPointSweepYieldsByteIdenticalStudy) {
       // must have left on disk.
       if (killPoint == "tmp-partial") {
         EXPECT_EQ(resumed.recovery.tmpFilesRemoved, 1u) << tag;
-      }
-      if (killPoint == "manifest-partial") {
-        EXPECT_GE(resumed.recovery.manifestTornLines, 1u) << tag;
       }
       if (killPoint == "done") {
         EXPECT_EQ(resumed.output.appsReplayed, crashAt + 1) << tag;
@@ -364,8 +332,6 @@ TEST(RecoveryTest, MixedCorruptionScanIsDeterministicAcrossThreads) {
           << expectedQuarantine[i].first;
     }
     EXPECT_EQ(scanned->tmpFilesRemoved, 1u);
-    EXPECT_EQ(scanned->manifestEntries, config.store.appCount);
-    EXPECT_EQ(scanned->manifestMissingBundles, damagedIndices.size());
   }
   for (const auto& entry : expectedQuarantine) {
     EXPECT_TRUE(fs::exists(damaged / StudyRecovery::kQuarantineDir /

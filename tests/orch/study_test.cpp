@@ -7,6 +7,8 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/attribution.hpp"
 #include "core/export.hpp"
@@ -204,42 +206,65 @@ TEST(StudyRunnerTest, DeterministicAcrossCalls) {
   EXPECT_EQ(a.study.transferByLibCategory(), b.study.transferByLibCategory());
 }
 
-TEST(StudyRunnerTest, PersistsArtifactsAndManifest) {
+TEST(StudyRunnerTest, PersistsOneBundlePerApp) {
+  // The checkpoint directory is the study's one record: a bundle per app
+  // plus the world's domains.csv, and nothing else.
+  namespace fs = std::filesystem;
   auto config = smallConfig();
-  config.artifactsDirectory =
-      ::testing::TempDir() + "/spector_study_" +
-      std::to_string(::testing::UnitTest::GetInstance()->random_seed());
+  const fs::path dir =
+      fs::path(::testing::TempDir()) /
+      ("spector_study_" +
+       std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  fs::remove_all(dir);
+  config.artifactsDirectory = dir.string();
   const auto output = runStudy(config);
   EXPECT_EQ(output.appsProcessed, 25u);
 
-  const RecoveryReport restored = StudyRecovery::scan(config.artifactsDirectory);
+  std::size_t bundles = 0;
+  std::vector<std::string> others;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.is_regular_file() && entry.path().extension() == ".spab")
+      ++bundles;
+    else
+      others.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(bundles, 25u);
+  EXPECT_EQ(others, std::vector<std::string>{"domains.csv"});
+
+  const RecoveryReport restored = StudyRecovery::scan(dir.string());
   ASSERT_EQ(restored.runs.size(), 25u);
   for (std::size_t i = 0; i < restored.runs.size(); ++i)
     EXPECT_EQ(restored.runs[i].jobIndex, i);
   EXPECT_TRUE(restored.quarantined.empty());
-  EXPECT_TRUE(std::filesystem::exists(
-      std::filesystem::path(config.artifactsDirectory) / "domains.csv"));
+  fs::remove_all(dir);
+}
+
+/// A fresh checkpoint directory for `config` in which app 0's temporary
+/// bundle path is a directory, so that app's checkpoint write cannot open
+/// its file. Returns app 0's sha.
+std::string blockAppZeroCheckpoint(StudyConfig& config,
+                                   const std::string& tag) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::path(::testing::TempDir()) /
+      ("spector_" + tag + "_" +
+       std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  fs::remove_all(dir);
+  config.artifactsDirectory = dir.string();
+  const store::AppStoreGenerator generator(config.store);
+  const std::string sha = util::toHex(generator.makeJob(0).apk.sha256());
+  fs::create_directories(dir / (sha + ".spab.tmp"));
+  return sha;
 }
 
 TEST(StudyRunnerTest, CheckpointWriteFailureIsReportedNotFatal) {
   // Checkpoints are written on the ingest shards' consumer threads. One
   // that cannot be written must reach runStudy's caller as an exception,
-  // not end the process, and the other apps' checkpoints still land.
-  namespace fs = std::filesystem;
+  // not end the process; the runs already in flight may still checkpoint,
+  // and none of them lands torn.
   auto config = smallConfig();
   config.store.appCount = 4;
-  const fs::path dir =
-      fs::path(::testing::TempDir()) /
-      ("spector_unwritable_" +
-       std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
-  fs::remove_all(dir);
-  config.artifactsDirectory = dir.string();
-
-  // A directory where app 0's temporary bundle goes: its write cannot open
-  // the file.
-  const store::AppStoreGenerator generator(config.store);
-  const std::string sha = util::toHex(generator.makeJob(0).apk.sha256());
-  fs::create_directories(dir / (sha + ".spab.tmp"));
+  const std::string sha = blockAppZeroCheckpoint(config, "unwritable");
 
   try {
     (void)runStudy(config);
@@ -249,8 +274,28 @@ TEST(StudyRunnerTest, CheckpointWriteFailureIsReportedNotFatal) {
     EXPECT_NE(what.find("recovery: cannot write"), std::string::npos) << what;
     EXPECT_NE(what.find(sha + ".spab.tmp"), std::string::npos) << what;
   }
-  EXPECT_EQ(StudyRecovery::scan(dir.string()).runs.size(), 3u);
-  fs::remove_all(dir);
+  const RecoveryReport landed = StudyRecovery::scan(config.artifactsDirectory);
+  EXPECT_LE(landed.runs.size(), 3u);
+  EXPECT_TRUE(landed.quarantined.empty());
+  std::filesystem::remove_all(config.artifactsDirectory);
+}
+
+TEST(StudyRunnerTest, CheckpointWriteFailureStopsDispatch) {
+  // A study whose checkpoint write failed will throw, so the fleet stops
+  // handing out jobs instead of emulating and checkpointing the rest of
+  // the corpus first. One worker and one shard: app 0 fails while the
+  // worker runs the next app or two, far short of the 39 left.
+  auto config = smallConfig();
+  config.store.appCount = 40;
+  config.dispatcher.workers = 1;
+  config.ingest.shards = 1;
+  (void)blockAppZeroCheckpoint(config, "stops_dispatch");
+
+  EXPECT_THROW((void)runStudy(config), std::runtime_error);
+  const RecoveryReport landed = StudyRecovery::scan(config.artifactsDirectory);
+  EXPECT_LT(landed.runs.size(), 20u);
+  EXPECT_TRUE(landed.quarantined.empty());
+  std::filesystem::remove_all(config.artifactsDirectory);
 }
 
 TEST(StudyRunnerTest, UdpReportLossLeavesUnattributedTraffic) {

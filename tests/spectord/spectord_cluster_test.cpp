@@ -175,9 +175,9 @@ TEST(SpectordClusterTest, CrashAtEveryCheckpointKillPointStillMerges) {
 
   // Re-drive the persistence protocol for collector 0's directory with a
   // crash injected at every kill point of its *last* checkpoint: whatever
-  // state the crash leaves (torn tmp, unmanifested bundle, torn manifest
-  // line), the merge must quarantine/ignore/recover it and still
-  // reproduce the reference study byte for byte.
+  // state the crash leaves (a torn or complete but unrenamed tmp), the
+  // merge must quarantine/ignore/recover it and still reproduce the
+  // reference study byte for byte.
   for (const std::string_view point : orch::kCheckpointKillPoints) {
     const auto dirK =
         freshDir(std::string("spectord_sweep_kill_") + std::string(point));

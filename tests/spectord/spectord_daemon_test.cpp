@@ -112,6 +112,36 @@ TEST_F(SpectordDaemonTest, WrongSurfaceFrameIsRejected) {
   EXPECT_EQ(ErrorMsg::decode(frame->body).code, 2u);
 }
 
+TEST_F(SpectordDaemonTest, UnassignedAdminOpIsAnsweredWithError) {
+  // Admin op byte 2 names no operation: the body does not decode, which
+  // the daemon answers with Error code 4, and the connection stays usable.
+  auto daemon = makeDaemon(daemonConfig());
+  ClientChannel channel(daemon->connect());
+  HelloMsg hello;
+  hello.clientId = 79;
+  hello.kind = ClientKind::Admin;
+  ASSERT_TRUE(channel.send(FrameType::Hello, hello.encode()));
+  const auto ack = channel.read(5000ms);
+  ASSERT_TRUE(ack.has_value());
+  ASSERT_EQ(ack->type, FrameType::HelloAck);
+
+  AdminMsg unassigned;
+  unassigned.op = static_cast<AdminOp>(2);
+  ASSERT_TRUE(channel.send(FrameType::Admin, unassigned.encode()));
+  const auto frame = channel.read(5000ms);
+  ASSERT_TRUE(frame.has_value());
+  ASSERT_EQ(frame->type, FrameType::Error);
+  EXPECT_EQ(ErrorMsg::decode(frame->body).code, 4u);
+
+  AdminMsg status;
+  status.op = AdminOp::Status;
+  ASSERT_TRUE(channel.send(FrameType::Admin, status.encode()));
+  const auto answer = channel.read(5000ms);
+  ASSERT_TRUE(answer.has_value());
+  ASSERT_EQ(answer->type, FrameType::AdminAck);
+  EXPECT_TRUE(AdminAckMsg::decode(answer->body).ok);
+}
+
 TEST_F(SpectordDaemonTest, WireIngestMatchesInProcessPipeline) {
   // Daemon side: datagrams and run uploads cross the framed protocol.
   auto daemon = makeDaemon(daemonConfig());
@@ -442,9 +472,6 @@ TEST_F(SpectordDaemonTest, AdminResumeReplaysCheckpointsAndShutdownStops) {
     config.checkpointDirectory = directory.string();
     auto daemon = makeDaemon(std::move(config));
     AdminClient admin(daemon->connect(), /*clientId=*/301);
-
-    const AdminAckMsg compacted = admin.request(AdminOp::Compact);
-    EXPECT_TRUE(compacted.ok);
 
     const AdminAckMsg resumed = admin.request(AdminOp::Resume);
     EXPECT_TRUE(resumed.ok);

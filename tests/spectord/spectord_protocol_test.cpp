@@ -170,6 +170,17 @@ TEST(SpectordProtocolTest, AdminAndErrorAndByeRoundTrip) {
   EXPECT_EQ(byeBack.reason, "draining");
 }
 
+TEST(SpectordProtocolTest, UnassignedAdminOpIsRejected) {
+  // Op byte 2 names no operation; the daemon answers a body that does not
+  // decode with Error code 4, like any other.
+  for (const int op : {0, 2, 7}) {
+    AdminMsg admin;
+    admin.op = static_cast<AdminOp>(op);
+    EXPECT_THROW((void)AdminMsg::decode(admin.encode()), util::DecodeError)
+        << op;
+  }
+}
+
 TEST(SpectordProtocolTest, TruncatedTypedBodyThrowsDecodeError) {
   auto body = HelloAckMsg{}.encode();
   body.pop_back();
