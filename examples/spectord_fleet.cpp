@@ -2,8 +2,10 @@
 // collector daemon, exercising all three protocol surfaces:
 //
 //   1. ingest: every worker's report datagrams and run bundles cross the
-//      framed wire protocol into the daemon (IngestClient is a drop-in
-//      ingest::ReportSink for the dispatcher fleet);
+//      framed wire protocol into the daemon (ResilientIngestClient is a
+//      drop-in ingest::ReportSink for the dispatcher fleet; workers upload
+//      each run without waiting for its verdict, then one flush collects
+//      them all);
 //   2. dashboard: a subscriber watches the study land live — snapshot on
 //      subscribe, one delta per folded run, mirror == daemon state;
 //   3. admin: status, drain and graceful shutdown (flushing `.spab`
@@ -27,6 +29,7 @@
 #include "radar/corpus.hpp"
 #include "spectord/client.hpp"
 #include "spectord/daemon.hpp"
+#include "spectord/resilient.hpp"
 #include "store/generator.hpp"
 #include "util/strings.hpp"
 #include "vtsim/categorizer.hpp"
@@ -83,11 +86,11 @@ int main(int argc, char** argv) {
                   dashboard.mirror().totals.runsFolded));
 
   // --- ingest surface: the emulator fleet, reports over the wire -------
-  spectord::IngestClient sink(daemon.connect(), /*clientId=*/2);
+  spectord::ResilientIngestClient sink(
+      [&daemon](std::size_t) { return daemon.connect(); }, /*clientId=*/2);
   {
     // Each worker claims the next corpus index and expands the job itself.
     std::atomic<std::size_t> cursor{0};
-    std::atomic<std::uint64_t> accepted{0};
     orch::Dispatcher dispatcher(generator.farm(), &sink, config.dispatcher);
     dispatcher.runConcurrent(
         [&]() -> std::optional<orch::Dispatcher::Job> {
@@ -99,16 +102,22 @@ int main(int argc, char** argv) {
                                        .index = index};
         },
         [&](std::size_t index, core::RunArtifacts&& artifacts) {
-          if (sink.completeRun(index, artifacts).accepted)
-            accepted.fetch_add(1, std::memory_order_relaxed);
+          sink.uploadRun(index, artifacts);
         },
         [&](std::size_t index, const orch::Dispatcher::FailedJob&) {
           daemon.pipeline().skip(index);
         });
+    (void)sink.flush();
     std::printf("fleet: %llu runs uploaded and accepted, %llu report "
                 "frames acked\n",
-                static_cast<unsigned long long>(accepted.load()),
+                static_cast<unsigned long long>(sink.runsAccepted()),
                 static_cast<unsigned long long>(sink.ackedFrames()));
+    if (sink.runsAccepted() != generator.appCount()) {
+      std::fprintf(stderr, "spectord_fleet: %llu of %llu runs accepted\n",
+                   static_cast<unsigned long long>(sink.runsAccepted()),
+                   static_cast<unsigned long long>(generator.appCount()));
+      return 1;
+    }
   }
 
   // --- watch the study land -------------------------------------------

@@ -25,11 +25,20 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-asan}"
 
+# A fresh build directory gets Ninja when it is installed: the Makefile
+# generator's top-level Makefile is .NOTPARALLEL, so `--target a b c`
+# would compile the test targets one at a time. An existing directory
+# keeps the generator it was configured with.
+GENERATOR=()
+if [[ ! -f "$BUILD_DIR/CMakeCache.txt" ]] && command -v ninja >/dev/null; then
+  GENERATOR=(-G Ninja)
+fi
+
 # LIBSPECTOR_SANITIZE=address enables both -fsanitize=address and
 # -fsanitize=undefined (see CMakeLists.txt). _GLIBCXX_ASSERTIONS adds
 # bounds checks to standard containers, which catch an out-of-range index
 # that still lands inside a vector's capacity, where ASan sees no overrun.
-cmake -B "$BUILD_DIR" -S . \
+cmake -B "$BUILD_DIR" -S . "${GENERATOR[@]}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DLIBSPECTOR_SANITIZE=address \
   -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS

@@ -24,7 +24,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-tsan}"
 
-cmake -B "$BUILD_DIR" -S . \
+# A fresh build directory gets Ninja when it is installed: the Makefile
+# generator's top-level Makefile is .NOTPARALLEL, so `--target a b c`
+# would compile the test targets one at a time. An existing directory
+# keeps the generator it was configured with.
+GENERATOR=()
+if [[ ! -f "$BUILD_DIR/CMakeCache.txt" ]] && command -v ninja >/dev/null; then
+  GENERATOR=(-G Ninja)
+fi
+
+cmake -B "$BUILD_DIR" -S . "${GENERATOR[@]}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DLIBSPECTOR_SANITIZE=thread
 

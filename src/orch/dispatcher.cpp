@@ -81,7 +81,6 @@ void Dispatcher::runConcurrent(const JobSource& source,
       // Job indices are unique per study, so (workerId, sequence) uniquely
       // identifies every framed report the fleet emits.
       emulatorConfig.workerId = static_cast<std::uint32_t>(index);
-      emulatorConfig.apkSha256 = std::move(job->apkSha256);
       EmulatorInstance emulator(farm_, collector_, emulatorConfig);
       const auto jobStart = Clock::now();
       try {

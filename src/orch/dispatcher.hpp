@@ -52,9 +52,6 @@ class Dispatcher {
     /// studies re-run gap jobs under their original identities and
     /// reproduce the uninterrupted run byte for byte.
     std::size_t index = 0;
-    /// Precomputed hex sha256 of `apk` (empty = the emulator hashes it).
-    /// A source that hashes anyway (to test ownership) passes it on.
-    std::string apkSha256 = {};
   };
   /// Returns the next job or std::nullopt once the worker should stop.
   /// runConcurrent calls it from every worker at once.

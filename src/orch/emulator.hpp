@@ -36,9 +36,8 @@ struct EmulatorConfig {
   /// index, which is unique per study.
   std::uint32_t workerId = 0;
   /// Precomputed hex sha256 of the apk under test (empty = hash at run
-  /// start). A job source that already hashed the apk (the spectord
-  /// collector does, to test ownership) passes it on; either way the
-  /// digest is computed at most once per run and shared with the
+  /// start). A caller that already hashed the apk passes it on; either
+  /// way the digest is computed at most once per run and shared with the
   /// supervisor.
   std::string apkSha256;
   /// Workload-scenario switches (§14). All off (the default) pins the

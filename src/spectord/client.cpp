@@ -1,6 +1,7 @@
 #include "spectord/client.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace libspector::spectord {
 
@@ -70,6 +71,13 @@ HelloAckMsg handshake(ClientChannel& channel, std::uint64_t clientId,
 
 // --- IngestClient ----------------------------------------------------------
 
+std::vector<std::uint8_t> encodeRunUpload(std::uint64_t jobIndex,
+                                          const core::RunArtifacts& artifacts) {
+  return encodeFrame(
+      FrameType::RunComplete,
+      core::SpabEnvelope::encode(jobIndex, core::ApkLossAccount{}, artifacts));
+}
+
 IngestClient::IngestClient(ChannelEndpoint endpoint, std::uint64_t clientId,
                            std::uint64_t resumeSession,
                            std::chrono::milliseconds handshakeTimeout)
@@ -98,7 +106,7 @@ void IngestClient::handleLocked(const Frame& frame) {
       if (ack.accepted && !ack.duplicate &&
           countedRuns_.insert(ack.jobIndex).second)
         ++ackedRuns_;
-      runAcks_.insert_or_assign(ack.jobIndex, std::move(ack));
+      runAcks_.push_back(std::move(ack));
       return;
     }
     default:
@@ -122,33 +130,48 @@ void IngestClient::submitDatagram(std::span<const std::uint8_t> payload) {
   pumpLocked();
 }
 
+bool IngestClient::uploadRun(std::span<const std::uint8_t> frame) {
+  const std::scoped_lock lock(mutex_);
+  pumpLocked();
+  if (channel_.sendEncoded(frame)) return true;
+  sendFailed_ = true;
+  return false;
+}
+
+std::vector<RunAckMsg> IngestClient::takeRunAcks(
+    std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (true) {
+    {
+      const std::scoped_lock lock(mutex_);
+      pumpLocked();
+      if (!runAcks_.empty() || channel_.peerClosed() ||
+          std::chrono::steady_clock::now() >= deadline)
+        return std::exchange(runAcks_, {});
+    }
+    // Wait outside the lock: a submitDatagram on another thread must not
+    // queue behind a caller waiting for a verdict.
+    channel_.waitReadable(std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now()));
+  }
+}
+
 RunAckMsg IngestClient::completeRun(std::uint64_t jobIndex,
                                     const core::RunArtifacts& artifacts,
                                     std::chrono::milliseconds timeout) {
-  const std::scoped_lock lock(mutex_);
-  pumpLocked();
-  const auto envelope =
-      core::SpabEnvelope::encode(jobIndex, core::ApkLossAccount{}, artifacts);
-  if (!channel_.send(FrameType::RunComplete, envelope)) {
-    sendFailed_ = true;
+  if (!uploadRun(encodeRunUpload(jobIndex, artifacts)))
     throw std::runtime_error("spectord client: daemon closed during upload");
-  }
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   while (true) {
-    const auto it = runAcks_.find(jobIndex);
-    if (it != runAcks_.end()) {
-      RunAckMsg ack = std::move(it->second);
-      runAcks_.erase(it);
-      return ack;
-    }
     const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline)
+    for (RunAckMsg& ack : takeRunAcks(
+             std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
+                                                                   now)))
+      if (ack.jobIndex == jobIndex) return std::move(ack);
+    if (std::chrono::steady_clock::now() >= deadline)
       throw std::runtime_error("spectord client: RunAck timeout");
-    auto frame = channel_.read(
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now));
-    if (!frame)
+    if (channel_.peerClosed())
       throw std::runtime_error("spectord client: no RunAck before hangup");
-    handleLocked(*frame);
   }
 }
 

@@ -49,12 +49,22 @@ class ClientChannel {
 
   /// Blocking whole-frame write; false when the daemon closed the channel.
   bool send(FrameType type, std::span<const std::uint8_t> body);
+  /// The same for a frame encodeFrame already built.
+  bool sendEncoded(std::span<const std::uint8_t> frame) {
+    return endpoint_.writeAll(frame);
+  }
 
   /// Non-blocking: drain whatever the daemon wrote, return the next frame.
   [[nodiscard]] std::optional<Frame> tryRead();
 
   /// Blocking read with a deadline; nullopt on timeout or EOF.
   [[nodiscard]] std::optional<Frame> read(std::chrono::milliseconds timeout);
+
+  /// Block until the daemon's bytes are readable, EOF, or the timeout.
+  /// Touches only the thread-safe pipe, never the parser.
+  void waitReadable(std::chrono::milliseconds timeout) const {
+    endpoint_.waitReadable(timeout);
+  }
 
   void close() { endpoint_.close(); }
   [[nodiscard]] bool peerClosed() const { return endpoint_.peerClosed(); }
@@ -64,6 +74,11 @@ class ClientChannel {
   FrameParser parser_;
   std::vector<std::uint8_t> scratch_;
 };
+
+/// One RunComplete frame: the run's SpabEnvelope, framed for the wire.
+/// Uploaders build it once, outside any client lock, and re-send it as is.
+[[nodiscard]] std::vector<std::uint8_t> encodeRunUpload(
+    std::uint64_t jobIndex, const core::RunArtifacts& artifacts);
 
 /// Report-ingest client. Construction performs the Hello handshake and
 /// blocks for the HelloAck (throws std::runtime_error if the daemon hangs
@@ -82,7 +97,21 @@ class IngestClient final : public ingest::ReportSink {
   /// daemon pushed back. Thread-safe.
   void submitDatagram(std::span<const std::uint8_t> payload) override;
 
-  /// Upload a finished run and block for the daemon's verdict. Thread-safe.
+  /// Send one run upload (encodeRunUpload's frame) and return without
+  /// waiting for its verdict; false when the transport is dead.
+  /// Thread-safe.
+  bool uploadRun(std::span<const std::uint8_t> frame);
+
+  /// Hand over every RunAck folded since the last call, first waiting up
+  /// to `timeout` (with the lock released) for one when none is held.
+  /// Empty on timeout or hangup. Thread-safe.
+  [[nodiscard]] std::vector<RunAckMsg> takeRunAcks(
+      std::chrono::milliseconds timeout = std::chrono::milliseconds(0));
+
+  /// Upload a finished run and block for the daemon's verdict: uploadRun,
+  /// then takeRunAcks until this job's ack arrives. RunAcks for other jobs
+  /// that arrive meanwhile are dropped, so one caller uploads at a time;
+  /// a fleet sharing one connection uses ResilientIngestClient.
   RunAckMsg completeRun(std::uint64_t jobIndex,
                         const core::RunArtifacts& artifacts,
                         std::chrono::milliseconds timeout =
@@ -108,6 +137,8 @@ class IngestClient final : public ingest::ReportSink {
 
   /// Polite goodbye + close.
   void bye();
+  /// Hard close, as when the process gives up on a connection.
+  void close() { channel_.close(); }
 
  private:
   /// Fold one daemon frame into client state. Locked by caller.
@@ -122,8 +153,9 @@ class IngestClient final : public ingest::ReportSink {
   std::uint64_t ackedRuns_ = 0;
   std::uint64_t framesSent_ = 0;
   bool sendFailed_ = false;
-  /// RunAcks that arrived while waiting for something else.
-  std::map<std::uint64_t, RunAckMsg> runAcks_;
+  /// RunAcks folded but not yet handed over by takeRunAcks, in arrival
+  /// order.
+  std::vector<RunAckMsg> runAcks_;
   /// Job indices whose accepted ack was already counted into ackedRuns_
   /// (dedupe against re-delivered acks).
   std::set<std::uint64_t> countedRuns_;

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,7 +14,6 @@
 #include "radar/corpus.hpp"
 #include "spectord/client.hpp"
 #include "util/log.hpp"
-#include "util/sha256.hpp"
 #include "vtsim/categorizer.hpp"
 
 namespace libspector::spectord {
@@ -81,17 +82,16 @@ CollectorResult runCollector(const orch::StudyConfig& config,
   result.sessionToken = client.sessionToken();
 
   {
-    // Workers claim corpus indices from one cursor and expand them
-    // themselves. Ownership hashes the apk digest, which only exists after
-    // expansion, so every collector expands the whole corpus (minus what
-    // it replayed) and keeps its owned share. Non-owned expansion is
-    // wasted generation, not wasted emulation; the emulator tier only ever
-    // sees owned jobs. Once a checkpoint write has failed, the drain below
-    // throws, so no further job is handed out; runs in flight still finish.
+    // Workers claim corpus indices from one cursor. Ownership hashes the
+    // package name, which the plan knows before expansion, so a worker
+    // expands (makeJob) only the jobs its collector owns: N collectors
+    // expand each app once between them. Once a checkpoint write has
+    // failed, the drain below throws, so no further job is handed out;
+    // runs in flight still finish.
     std::atomic<std::size_t> cursor{0};
+    std::atomic<std::uint64_t> expanded{0};
     std::mutex limitMutex;  // guards the jobLimit check and both counters
 
-    std::atomic<std::uint64_t> accepted{0};
     orch::Dispatcher dispatcher(generator.farm(), &client, config.dispatcher);
     dispatcher.runConcurrent(
         [&]() -> std::optional<orch::Dispatcher::Job> {
@@ -100,9 +100,7 @@ CollectorResult runCollector(const orch::StudyConfig& config,
             const std::size_t index = cursor.fetch_add(1);
             if (index >= appCount) return std::nullopt;
             if (done[index]) continue;  // replayed on resume
-            auto job = generator.makeJob(index);
-            std::string sha = util::toHex(job.apk.sha256());
-            if (!assignment.owns(sha)) continue;
+            if (!assignment.owns(generator.plan(index).packageName)) continue;
             {
               const std::scoped_lock lock(limitMutex);
               if (result.jobsDispatched >= options.jobLimit)
@@ -113,20 +111,35 @@ CollectorResult runCollector(const orch::StudyConfig& config,
               ++result.jobsOwned;
               ++result.jobsDispatched;
             }
+            expanded.fetch_add(1, std::memory_order_relaxed);
+            auto job = generator.makeJob(index);
             return orch::Dispatcher::Job{std::move(job.apk),
-                                         std::move(job.program), index,
-                                         std::move(sha)};
+                                         std::move(job.program), index};
           }
         },
+        // Pipelined: the upload returns once sent, and its verdict is
+        // folded by a later client call; the flush below waits for all.
         [&](std::size_t index, core::RunArtifacts&& artifacts) {
-          const RunAckMsg ack = client.completeRun(index, artifacts);
-          if (ack.accepted) accepted.fetch_add(1, std::memory_order_relaxed);
+          client.uploadRun(index, artifacts);
         },
         [&](std::size_t index, const orch::Dispatcher::FailedJob&) {
           daemon.pipeline().skip(index);
         });
-    result.runsAccepted = accepted.load();
+    result.jobsExpanded = expanded.load();
   }
+
+  // Only a RunAck proves the daemon has read every frame sent before its
+  // run, so every verdict is in before the drain. This collector uploads
+  // only what its own assignment owns: a refusal means the client and the
+  // daemon disagree on ownership, and the study would silently miss runs.
+  const std::vector<RunAckMsg> refused = client.flush();
+  result.runsAccepted = client.runsAccepted();
+  if (!refused.empty())
+    throw std::runtime_error(
+        "runCollector: collector " + std::to_string(options.index) + "/" +
+        std::to_string(options.count) + "'s daemon refused job " +
+        std::to_string(refused.front().jobIndex) + " (" +
+        refused.front().reason + "): client and daemon disagree on ownership");
 
   daemon.drain();
   result.metrics = daemon.metrics();

@@ -1,10 +1,11 @@
 // Multi-collector operation: N spectord daemons, each owning a contiguous
-// slice of sha space, together covering one study.
+// slice of package-name hash space, together covering one study.
 //
 // runCollector drives one collector's share of a study *through the wire
 // protocol*: the emulator fleet's datagrams flow as Report frames into a
 // live daemon (which attributes, accounts loss and checkpoints each run),
-// and run completions are uploaded as RunComplete envelopes. The daemon's
+// and run completions are uploaded as pipelined RunComplete envelopes
+// (the worker moves on; the verdicts are flushed at the end). The daemon's
 // checkpoint directory is the collector's entire output — there is no
 // in-process accumulator — which is what makes the cluster crash-safe and
 // mergeable: orch::mergeStudies scans every collector's directory and
@@ -52,6 +53,7 @@ struct CollectorResult {
   std::uint64_t jobsOwned = 0;      // owned jobs needing work this run
                                     // (resume-restored jobs excluded)
   std::uint64_t jobsDispatched = 0; // owned jobs actually run this time
+  std::uint64_t jobsExpanded = 0;   // makeJob calls (owned jobs only)
   std::uint64_t runsAccepted = 0;   // RunComplete uploads the daemon took
   std::uint64_t runsReplayed = 0;   // restored from checkpoints (resume)
   std::uint64_t reconnects = 0;     // ingest connections re-opened
@@ -62,10 +64,14 @@ struct CollectorResult {
 };
 
 /// Run collector `options.index`'s share of `config` against a live
-/// daemon. The whole corpus is generated to learn each apk's sha (the
-/// digest is what ownership hashes); only owned jobs run emulators. A
-/// checkpoint write that fails stops the dispatch of further jobs (runs
-/// in flight still finish, as with jobLimit) and runCollector throws it.
+/// daemon. Ownership hashes each app's package name, which the store's
+/// plan knows, so only owned jobs are expanded and run; the emulator
+/// fleet shares one resilient client, uploads each run without waiting
+/// for its verdict, and flushes every verdict before the daemon drains.
+/// A refused upload (client and daemon disagree on ownership) throws,
+/// naming the job. A checkpoint write that fails stops the dispatch of
+/// further jobs (runs in flight still finish, as with jobLimit) and
+/// runCollector throws it.
 [[nodiscard]] CollectorResult runCollector(const orch::StudyConfig& config,
                                            const CollectorOptions& options);
 

@@ -22,12 +22,13 @@ constexpr Topic kTopics[] = {Topic::Totals, Topic::Loss, Topic::Progress};
 
 }  // namespace
 
-std::uint32_t CollectorAssignment::ownerOf(const std::string& apkSha256) const {
+std::uint32_t CollectorAssignment::ownerOf(
+    const std::string& packageName) const {
   if (count <= 1) return 0;
   // Fixed-point range map: (h * count) >> 64 sends the i-th contiguous
   // slice of the hash space to collector i, with slice widths within one
   // of each other.
-  const std::uint64_t h = util::fnv1a64(apkSha256);
+  const std::uint64_t h = util::fnv1a64(packageName);
   return static_cast<std::uint32_t>(
       (static_cast<unsigned __int128>(h) * count) >> 64);
 }
@@ -314,11 +315,11 @@ void SpectorDaemon::handleFrame(Connection& conn, Frame&& frame) {
         RunAckMsg ack;
         ack.jobIndex = env.jobIndex;
         SessionRecord& sess = sessions_[conn.clientId];
-        if (!config_.assignment.owns(env.artifacts.apkSha256)) {
+        if (!config_.assignment.owns(env.artifacts.packageName)) {
           ack.accepted = false;
           char buf[64];
           std::snprintf(buf, sizeof(buf), "apk owned by collector %u",
-                        config_.assignment.ownerOf(env.artifacts.apkSha256));
+                        config_.assignment.ownerOf(env.artifacts.packageName));
           ack.reason = buf;
           const std::scoped_lock lock(countersMutex_);
           ++counters_.runsRefused;
@@ -560,7 +561,10 @@ void SpectorDaemon::publishDigest(const ingest::RunDigest& digest) {
 
   for (auto& connPtr : conns_) {
     Connection& conn = *connPtr;
-    if (conn.closed() || !conn.helloDone || conn.kind != ClientKind::Dashboard)
+    // A subscriber already cut loose waits only for its Bye to flush; a
+    // second digest in the same pump cycle must not count it again.
+    if (conn.closed() || conn.disconnectAfterFlush || !conn.helloDone ||
+        conn.kind != ClientKind::Dashboard)
       continue;
     for (const Topic topic : kTopics) {
       const std::size_t i = topicIndex(topic);

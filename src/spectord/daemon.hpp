@@ -26,10 +26,10 @@
 // boundary, no missed runs) — the dashboard tests pin this.
 //
 // Multi-collector mode: each daemon owns a contiguous slice of the 64-bit
-// fnv1a hash of apk-sha space (CollectorAssignment). RunComplete uploads
-// for apks outside the slice are refused, so N collectors partition a
-// study; orch::mergeStudies proves the merged result byte-identical to a
-// single collector.
+// fnv1a hash of package-name space (CollectorAssignment). RunComplete
+// uploads for apps outside the slice are refused, so N collectors
+// partition a study; orch::mergeStudies proves the merged result
+// byte-identical to a single collector.
 #pragma once
 
 #include <atomic>
@@ -53,17 +53,22 @@
 
 namespace libspector::spectord {
 
-/// Which slice of sha-space one collector owns: collector `i` of `count`
-/// owns the apks whose fnv1a64(sha256) falls in the i-th contiguous range
-/// of the 64-bit hash space. Contiguous ranges (not modulo) so growing
-/// the collector count splits ranges instead of reshuffling every apk.
+/// Which slice of the store one collector owns: collector `i` of `count`
+/// owns the apps whose fnv1a64(package name) falls in the i-th contiguous
+/// range of the 64-bit hash space. The key is the package name because
+/// the plan knows it before the app is expanded (`AppStoreGenerator::plan`),
+/// so a collector expands only what it owns; a world's package names are
+/// unique (each ends in `.app<index>`), and `RunArtifacts::packageName`
+/// carries the key to the daemon. Contiguous ranges (not modulo) so
+/// growing the collector count splits ranges instead of reshuffling
+/// every app.
 struct CollectorAssignment {
   std::uint32_t index = 0;
   std::uint32_t count = 1;
 
-  [[nodiscard]] std::uint32_t ownerOf(const std::string& apkSha256) const;
-  [[nodiscard]] bool owns(const std::string& apkSha256) const {
-    return ownerOf(apkSha256) == index;
+  [[nodiscard]] std::uint32_t ownerOf(const std::string& packageName) const;
+  [[nodiscard]] bool owns(const std::string& packageName) const {
+    return ownerOf(packageName) == index;
   }
 };
 

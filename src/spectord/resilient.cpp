@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace libspector::spectord {
 
@@ -108,6 +109,15 @@ void BreakerEndpoint::pumpToClient() {
 
 // --- ResilientIngestClient -------------------------------------------------
 
+namespace {
+
+/// Longest sleep of a caller waiting for verdicts. It sleeps on the
+/// connection, so a RunAck wakes it at once; but another caller may fold
+/// that RunAck first, and the slice bounds how late the sleeper notices.
+constexpr std::chrono::milliseconds kVerdictPollSlice{5};
+
+}  // namespace
+
 ResilientIngestClient::ResilientIngestClient(ConnectFn connect,
                                              std::uint64_t clientId,
                                              ResilientClientConfig config)
@@ -121,16 +131,16 @@ ResilientIngestClient::ResilientIngestClient(ConnectFn connect,
 
 bool ResilientIngestClient::ensureConnectedLocked() {
   if (client_ && !client_->down()) return false;
-  client_.reset();
+  if (client_) abandonConnectionLocked();
   bool first = connections_ == 0 && reconnector_.attempt() == 0;
   while (true) {
     // First-ever attempt goes immediately; every retry waits out the
     // backoff schedule (which throws once the budget is exhausted).
     if (!first) std::this_thread::sleep_for(reconnector_.nextDelay());
     first = false;
-    std::unique_ptr<IngestClient> fresh;
+    std::shared_ptr<IngestClient> fresh;
     try {
-      fresh = std::make_unique<IngestClient>(connect_(connectCalls_++),
+      fresh = std::make_shared<IngestClient>(connect_(connectCalls_++),
                                              clientId_, session_,
                                              config_.handshakeTimeout);
     } catch (const std::exception&) {
@@ -153,7 +163,8 @@ bool ResilientIngestClient::ensureConnectedLocked() {
     client_ = std::move(fresh);
     // Resume: the HelloAck's cumulative ack is an exact prefix of what we
     // offered (in-order transport), so drop that prefix and replay the
-    // unacked tail verbatim.
+    // unacked tail verbatim. Runs go after the frames: a run's reports
+    // reach the daemon before the run that finalizes them.
     pruneAckedLocked();
     bool died = false;
     std::uint64_t index = tailBase_;
@@ -166,8 +177,12 @@ bool ResilientIngestClient::ensureConnectedLocked() {
         break;
       }
     }
+    for (auto run = runTail_.begin(); !died && run != runTail_.end(); ++run) {
+      sendRunLocked(*run);
+      died = client_->down();
+    }
     if (died || client_->down()) {
-      client_.reset();
+      abandonConnectionLocked();
       continue;
     }
     reconnector_.reset();
@@ -181,6 +196,91 @@ void ResilientIngestClient::pruneAckedLocked() {
   while (tailBase_ < acked && !tail_.empty()) {
     tail_.pop_front();
     ++tailBase_;
+  }
+}
+
+void ResilientIngestClient::sendRunLocked(PendingRun& run) {
+  ++run.sends;
+  run.connection = connections_;
+  run.deadline = std::chrono::steady_clock::now() + config_.runAckTimeout;
+  client_->uploadRun(run.frame);
+}
+
+void ResilientIngestClient::abandonConnectionLocked() {
+  for (auto run = runTail_.begin(); run != runTail_.end();) {
+    if (run->connection != connections_) {
+      ++run;  // never reached this connection: nothing to charge
+      continue;
+    }
+    ++runsResent_;
+    // Fail loudly once the attempt budget is spent: a reachable daemon
+    // that never acks resets the reconnect budget on every re-attach,
+    // so without this cap a stuck pipeline retries forever.
+    if (run->sends < config_.runUploadAttempts) {
+      ++run;
+      continue;
+    }
+    std::string failure =
+        "spectord reconnect: run upload budget exhausted after " +
+        std::to_string(run->sends) + " attempts (jobIndex " +
+        std::to_string(run->jobIndex) + ")";
+    if (run->awaited)
+      verdicts_[run->jobIndex].failure = std::move(failure);
+    else if (failure_.empty())
+      failure_ = std::move(failure);
+    run = runTail_.erase(run);
+  }
+  // Close before dropping: a caller sleeping on this connection holds a
+  // reference, and must wake now rather than at the end of its slice.
+  client_->close();
+  client_.reset();
+}
+
+void ResilientIngestClient::applyRunAcksLocked(std::vector<RunAckMsg> acks) {
+  for (RunAckMsg& ack : acks) {
+    const auto run = std::find_if(
+        runTail_.begin(), runTail_.end(),
+        [&](const PendingRun& r) { return r.jobIndex == ack.jobIndex; });
+    // No pending upload: a re-delivered ack for a verdict already folded.
+    if (run == runTail_.end()) continue;
+    ++(ack.accepted ? runsAccepted_ : runsRefused_);
+    if (run->awaited)
+      verdicts_[ack.jobIndex].ack = std::move(ack);
+    else if (!ack.accepted)
+      refusals_.push_back(std::move(ack));
+    runTail_.erase(run);
+  }
+}
+
+void ResilientIngestClient::collectLocked() {
+  if (!client_) return;
+  applyRunAcksLocked(client_->takeRunAcks());
+  pruneAckedLocked();
+  // Uploads are sent in order, so the oldest deadline is the front's. A
+  // connection that leaves it overdue is silent: drop it, and the next
+  // attach re-sends every pending upload.
+  if (!runTail_.empty() &&
+      std::chrono::steady_clock::now() >= runTail_.front().deadline)
+    abandonConnectionLocked();
+}
+
+void ResilientIngestClient::awaitLocked(std::unique_lock<std::mutex>& lock,
+                                        const std::function<bool()>& done) {
+  while (true) {
+    collectLocked();
+    if (done()) return;
+    // A re-attach replays the run tail; fold and re-check before sleeping.
+    if (ensureConnectedLocked()) continue;
+    auto slice = kVerdictPollSlice;
+    if (!runTail_.empty())
+      slice = std::min(slice, std::chrono::ceil<std::chrono::milliseconds>(
+                                  runTail_.front().deadline -
+                                  std::chrono::steady_clock::now()));
+    const std::shared_ptr<IngestClient> live = client_;
+    lock.unlock();
+    std::vector<RunAckMsg> acks = live->takeRunAcks(slice);
+    lock.lock();
+    applyRunAcksLocked(std::move(acks));
   }
 }
 
@@ -199,35 +299,49 @@ void ResilientIngestClient::submitDatagram(
     // A failed send leaves the frame in the tail; reconnect replays it.
     if (client_->down()) ensureConnectedLocked();
   }
-  pruneAckedLocked();
+  collectLocked();
+}
+
+void ResilientIngestClient::uploadRunLocked(PendingRun run) {
+  runTail_.push_back(std::move(run));
+  // As with a report frame: a transport dead at entry replays the whole
+  // run tail, this upload included.
+  if (!ensureConnectedLocked()) {
+    sendRunLocked(runTail_.back());
+    if (client_->down()) ensureConnectedLocked();
+  }
+  collectLocked();
+}
+
+void ResilientIngestClient::uploadRun(std::uint64_t jobIndex,
+                                      const core::RunArtifacts& artifacts) {
+  PendingRun run;
+  run.jobIndex = jobIndex;
+  run.frame = encodeRunUpload(jobIndex, artifacts);
+  const std::scoped_lock lock(mutex_);
+  uploadRunLocked(std::move(run));
+}
+
+std::vector<RunAckMsg> ResilientIngestClient::flush() {
+  std::unique_lock lock(mutex_);
+  awaitLocked(lock, [this] { return runTail_.empty(); });
+  if (!failure_.empty())
+    throw std::runtime_error(std::exchange(failure_, std::string()));
+  return std::exchange(refusals_, {});
 }
 
 RunAckMsg ResilientIngestClient::completeRun(
     std::uint64_t jobIndex, const core::RunArtifacts& artifacts) {
-  const std::scoped_lock lock(mutex_);
-  for (std::size_t attempt = 1;; ++attempt) {
-    ensureConnectedLocked();
-    try {
-      RunAckMsg ack =
-          client_->completeRun(jobIndex, artifacts, config_.runAckTimeout);
-      pruneAckedLocked();
-      return ack;
-    } catch (const std::exception&) {
-      // Death (or silence) mid-upload: tear down and re-send on a resumed
-      // session. If the daemon had already folded the job, the re-upload
-      // comes back accepted with `duplicate` set — still one ack per call.
-      client_.reset();
-      ++runsResent_;
-      // Fail loudly once the attempt budget is spent: a reachable daemon
-      // that never acks resets the reconnect budget on every re-attach,
-      // so without this cap a stuck pipeline retries forever.
-      if (attempt >= config_.runUploadAttempts)
-        throw std::runtime_error(
-            "spectord reconnect: run upload budget exhausted after " +
-            std::to_string(attempt) + " attempts (jobIndex " +
-            std::to_string(jobIndex) + ")");
-    }
-  }
+  PendingRun run;
+  run.jobIndex = jobIndex;
+  run.frame = encodeRunUpload(jobIndex, artifacts);
+  run.awaited = true;
+  std::unique_lock lock(mutex_);
+  uploadRunLocked(std::move(run));
+  awaitLocked(lock, [&] { return verdicts_.contains(jobIndex); });
+  Verdict verdict = std::move(verdicts_.extract(jobIndex).mapped());
+  if (!verdict.failure.empty()) throw std::runtime_error(verdict.failure);
+  return std::move(verdict.ack);
 }
 
 bool ResilientIngestClient::waitAckedFrames(std::uint64_t frames,
@@ -244,10 +358,9 @@ bool ResilientIngestClient::waitAckedFrames(std::uint64_t frames,
     const auto slice = std::min(
         std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now),
         std::chrono::milliseconds(100));
-    if (client_->waitAckedFrames(target, slice)) {
-      pruneAckedLocked();
-      return true;
-    }
+    const bool acked = client_->waitAckedFrames(target, slice);
+    collectLocked();
+    if (acked) return true;
     // Fell through: slice elapsed or the channel died; the loop
     // re-attaches (a no-op while the transport is still live).
   }
@@ -281,6 +394,16 @@ std::uint64_t ResilientIngestClient::framesResent() const {
 std::uint64_t ResilientIngestClient::runsResent() const {
   const std::scoped_lock lock(mutex_);
   return runsResent_;
+}
+
+std::uint64_t ResilientIngestClient::runsAccepted() const {
+  const std::scoped_lock lock(mutex_);
+  return runsAccepted_;
+}
+
+std::uint64_t ResilientIngestClient::runsRefused() const {
+  const std::scoped_lock lock(mutex_);
+  return runsRefused_;
 }
 
 std::uint64_t ResilientIngestClient::resumesRefused() const {

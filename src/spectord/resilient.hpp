@@ -8,11 +8,16 @@
 //    thundering herd of collectors de-synchronizes without tests losing
 //    reproducibility.
 //  - ResilientIngestClient wraps IngestClient behind a connect factory.
-//    It remembers the session token and every unacked report frame; on
-//    hangup it reconnects with backoff, re-handshakes with the saved
-//    token, drops the prefix the daemon's HelloAck acks, and re-sends
-//    only the tail. Run uploads retry until a RunAck arrives — the
-//    daemon's per-session completed-job dedupe makes the re-upload safe.
+//    It remembers the session token, every unacked report frame and
+//    every run upload still waiting for its RunAck; on hangup it
+//    reconnects with backoff, re-handshakes with the saved token, drops
+//    the prefix the daemon's HelloAck acks, and re-sends the frame tail,
+//    then the run tail. Uploads are pipelined: a call encodes its run
+//    outside the lock, sends it and returns, and every later call folds
+//    whatever RunAcks have arrived, so no worker waits on another
+//    worker's verdict. An upload whose verdict is overdue is re-sent
+//    until its attempt budget is spent — the daemon's per-session
+//    completed-job dedupe makes the re-upload safe.
 //  - ResilientDashboardClient reconnects and re-subscribes its recorded
 //    topics; the fresh snapshot the daemon sends on subscribe restores
 //    mirror exactness.
@@ -30,8 +35,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -134,11 +141,12 @@ using ConnectFn = std::function<ChannelEndpoint(std::size_t attempt)>;
 struct ResilientClientConfig {
   ReconnectorConfig reconnect;
   std::chrono::milliseconds handshakeTimeout{10000};
-  /// Per-attempt RunAck wait; on expiry the connection is torn down and
-  /// the upload retried on a fresh attach.
+  /// Per-send RunAck wait for each upload; once an upload's verdict is
+  /// overdue the connection is torn down and every pending upload re-sent
+  /// on a fresh attach.
   std::chrono::milliseconds runAckTimeout{60000};
-  /// Total completeRun attempts before failing loudly. A daemon that
-  /// stays reachable but never acks would otherwise retry forever: every
+  /// Sends per upload before it fails loudly. A daemon that stays
+  /// reachable but never acks would otherwise retry forever: every
   /// re-attach succeeds and resets the reconnect budget, so the upload
   /// needs its own.
   std::size_t runUploadAttempts = 8;
@@ -147,7 +155,9 @@ struct ResilientClientConfig {
 /// IngestClient that survives connection death. Thread-safe like the
 /// client it wraps; a reconnect (backoff sleep included) happens under
 /// the lock, so concurrent emulator workers stall rather than interleave
-/// with a half-restored session.
+/// with a half-restored session. Nothing waits for a verdict under the
+/// lock: uploads are pipelined, and completeRun and flush wait with the
+/// lock released.
 class ResilientIngestClient final : public ingest::ReportSink {
  public:
   ResilientIngestClient(ConnectFn connect, std::uint64_t clientId,
@@ -157,9 +167,21 @@ class ResilientIngestClient final : public ingest::ReportSink {
   /// transport: reconnect, resume, replay the tail (this frame included).
   void submitDatagram(std::span<const std::uint8_t> payload) override;
 
-  /// Upload a finished run, retrying across connection deaths until the
-  /// daemon acks. A retry of an already-folded upload comes back
-  /// accepted with `duplicate` set — still one ack per call.
+  /// Upload a finished run and return without waiting for its verdict.
+  /// The frame is encoded outside the lock, kept in the run tail until
+  /// its RunAck arrives and re-sent after every reconnect; a later call
+  /// folds the verdict, and flush() waits for all of them.
+  void uploadRun(std::uint64_t jobIndex, const core::RunArtifacts& artifacts);
+
+  /// Wait until every upload has its verdict, reconnecting and re-sending
+  /// as needed. Throws if an upload spent its attempt budget. Returns the
+  /// refusals among uploadRun's verdicts not returned by an earlier flush.
+  std::vector<RunAckMsg> flush();
+
+  /// uploadRun, then wait for this job's verdict with the lock released.
+  /// A retry of an already-folded upload comes back accepted with
+  /// `duplicate` set — still one verdict per upload. Throws once the
+  /// upload spent its attempt budget. One upload per job at a time.
   RunAckMsg completeRun(std::uint64_t jobIndex,
                         const core::RunArtifacts& artifacts);
 
@@ -175,8 +197,13 @@ class ResilientIngestClient final : public ingest::ReportSink {
   [[nodiscard]] std::uint64_t reconnects() const;
   /// Tail frames re-sent on resumed sessions.
   [[nodiscard]] std::uint64_t framesResent() const;
-  /// Run uploads retried after a death mid-upload.
+  /// Sends of a run upload whose connection died or went silent before
+  /// its verdict (each is re-sent unless its budget is spent).
   [[nodiscard]] std::uint64_t runsResent() const;
+  /// Verdicts folded: uploads the daemon accepted (duplicates included)
+  /// and uploads it refused.
+  [[nodiscard]] std::uint64_t runsAccepted() const;
+  [[nodiscard]] std::uint64_t runsRefused() const;
   /// Resume requests the daemon answered with a fresh session (our old
   /// one was expired, e.g. by an admin drain while we were down).
   [[nodiscard]] std::uint64_t resumesRefused() const;
@@ -184,19 +211,51 @@ class ResilientIngestClient final : public ingest::ReportSink {
   void bye();
 
  private:
+  /// A run upload waiting for its verdict.
+  struct PendingRun {
+    std::uint64_t jobIndex = 0;
+    std::vector<std::uint8_t> frame;  // encodeRunUpload, built once
+    bool awaited = false;        // a completeRun caller waits for it
+    std::size_t sends = 0;
+    std::size_t connection = 0;  // the attach it was last sent on
+    std::chrono::steady_clock::time_point deadline;
+  };
+  /// The outcome of an awaited upload: its RunAck, or why it failed.
+  struct Verdict {
+    RunAckMsg ack;
+    std::string failure;
+  };
+
   /// Attach (or re-attach) until the transport is live and the unacked
-  /// tail replayed; throws once the backoff budget is exhausted. Returns
-  /// true when it performed an attach (and therefore already re-sent
-  /// every tail frame), false when the transport was live all along.
+  /// tails replayed (frames, then runs); throws once the backoff budget
+  /// is exhausted. Returns true when it performed an attach (and
+  /// therefore already re-sent every tail frame and run), false when the
+  /// transport was live all along.
   bool ensureConnectedLocked();
   void pruneAckedLocked();
+  /// Append to the run tail and send (or replay on a fresh attach).
+  void uploadRunLocked(PendingRun run);
+  void sendRunLocked(PendingRun& run);
+  /// Fold the live connection's acks; abandon it if the oldest upload's
+  /// verdict is overdue.
+  void collectLocked();
+  void applyRunAcksLocked(std::vector<RunAckMsg> acks);
+  /// The connection died or went silent: charge every upload sent on it
+  /// one attempt, fail those out of budget, and close it.
+  void abandonConnectionLocked();
+  /// Fold acks and re-attach until `done()` holds, sleeping on the
+  /// connection with the lock released.
+  void awaitLocked(std::unique_lock<std::mutex>& lock,
+                   const std::function<bool()>& done);
 
   mutable std::mutex mutex_;
   ConnectFn connect_;
   const std::uint64_t clientId_;
   ResilientClientConfig config_;
   Reconnector reconnector_;
-  std::unique_ptr<IngestClient> client_;
+  /// Shared so a caller waiting for verdicts with the lock released keeps
+  /// the connection it sleeps on alive across a reconnect.
+  std::shared_ptr<IngestClient> client_;
   std::uint64_t session_ = 0;
   std::size_t connectCalls_ = 0;  // factory invocations (ordinal source)
   std::size_t connections_ = 0;   // attempts that completed the handshake
@@ -214,7 +273,15 @@ class ResilientIngestClient final : public ingest::ReportSink {
   std::uint64_t sentHigh_ = 0;
   std::uint64_t framesOffered_ = 0;
   std::uint64_t framesResent_ = 0;
+  /// Unacked run tail in send order (so deadlines ascend); pruned as
+  /// RunAcks arrive. Bounded by the channel's backpressure.
+  std::deque<PendingRun> runTail_;
+  std::map<std::uint64_t, Verdict> verdicts_;  // awaited, by jobIndex
+  std::vector<RunAckMsg> refusals_;  // un-awaited, for the next flush
+  std::string failure_;  // first un-awaited upload that spent its budget
   std::uint64_t runsResent_ = 0;
+  std::uint64_t runsAccepted_ = 0;
+  std::uint64_t runsRefused_ = 0;
   std::uint64_t resumesRefused_ = 0;
 };
 

@@ -92,6 +92,41 @@ TEST(SpectordClusterTest, AnyCollectorCountMergesByteIdenticalToRunStudy) {
   }
 }
 
+TEST(SpectordClusterTest, CollectorsPartitionByPackageName) {
+  // Ownership hashes the package name, which the plan knows before the
+  // app is expanded: a collector expands exactly the jobs it owns, and
+  // every bundle it checkpoints is one its assignment owns.
+  const auto config = smallConfig();
+  for (const std::uint32_t count : {2u, 4u}) {
+    std::uint64_t expanded = 0;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      CollectorOptions options;
+      options.index = i;
+      options.count = count;
+      options.checkpointDirectory =
+          freshDir("spectord_partition_" + std::to_string(count) + "_" +
+                   std::to_string(i))
+              .string();
+      const CollectorResult result = runCollector(config, options);
+      EXPECT_EQ(result.jobsExpanded, result.jobsOwned)
+          << "collector " << i << "/" << count;
+      expanded += result.jobsExpanded;
+
+      const CollectorAssignment assignment{i, count};
+      const orch::RecoveryReport report =
+          orch::StudyRecovery::scan(options.checkpointDirectory);
+      EXPECT_EQ(report.runs.size(), result.jobsOwned);
+      for (const auto& run : report.runs)
+        EXPECT_TRUE(assignment.owns(run.artifacts.packageName))
+            << run.artifacts.packageName << " checkpointed by collector " << i
+            << "/" << count;
+      std::filesystem::remove_all(options.checkpointDirectory);
+    }
+    // N collectors expand each app once between them.
+    EXPECT_EQ(expanded, config.store.appCount) << "count=" << count;
+  }
+}
+
 TEST(SpectordClusterTest, CollectorKillAndResumeStaysByteIdentical) {
   const auto config = smallConfig();
   const auto reference = orch::runStudy(config);

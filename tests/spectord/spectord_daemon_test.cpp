@@ -566,7 +566,7 @@ TEST_F(SpectordDaemonTest, RunCompleteOutsideOwnedSliceIsRefused) {
         });
     for (std::size_t i = 0; i < generator_.appCount(); ++i) {
       runs.push_back(runApp(i, &scratch));
-      if (probe.owns(runs.back().apkSha256)) {
+      if (probe.owns(runs.back().packageName)) {
         if (!ownedIndex) ownedIndex = i;
       } else if (!foreignIndex) {
         foreignIndex = i;

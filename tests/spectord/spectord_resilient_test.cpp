@@ -2,8 +2,9 @@
 // that survive scripted connection kills (BreakerEndpoint) by resuming
 // their session and re-sending only the unacked tail, the daemon's
 // hardened session table (one live attach per clientId, stale-session
-// expiry on drain), and the ack-path dedupe fixes (duplicate RunAcks,
-// duplicate RunComplete uploads, pre-ack handshake frames).
+// expiry on drain), the ack-path dedupe fixes (duplicate RunAcks,
+// duplicate RunComplete uploads, pre-ack handshake frames), and the
+// pipelined run uploads (one verdict per upload, no wait under the lock).
 #include "spectord/resilient.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -408,6 +410,140 @@ TEST(SpectordResilientBudgetTest, CompleteRunFailsLoudlyWhenDaemonNeverAcks) {
   }
   for (auto& server : servers) server.join();
   EXPECT_EQ(servers.size(), 3u);
+}
+
+TEST_F(SpectordResilientTest, PendingRunAckDoesNotHoldBackReports) {
+  // A worker waiting for its RunAck must not hold the client's lock: the
+  // fake daemon withholds job 0's verdict until it has read one Report
+  // frame, which only another worker's submitDatagram can send.
+  std::vector<std::thread> servers;
+  std::atomic<bool> sawRunComplete{false};
+  ResilientClientConfig config;
+  config.reconnect = testBackoff();
+  config.runAckTimeout = 2000ms;
+  config.runUploadAttempts = 1;
+  {
+    ResilientIngestClient client(
+        [&](std::size_t) {
+          ChannelPair pair = makeChannel(64 * 1024);
+          servers.emplace_back([endpoint = pair.server,
+                                &sawRunComplete]() mutable {
+            FrameParser parser;
+            std::vector<std::uint8_t> buf;
+            bool withheld = false;
+            while (!endpoint.peerClosed()) {
+              buf.clear();
+              if (endpoint.readSome(buf) == 0) {
+                endpoint.waitReadable(20ms);
+                continue;
+              }
+              parser.feed(buf);
+              while (auto frame = parser.next()) {
+                if (frame->type == FrameType::Hello) {
+                  HelloAckMsg ack;
+                  ack.session = 1;
+                  endpoint.writeAll(
+                      encodeFrame(FrameType::HelloAck, ack.encode()));
+                } else if (frame->type == FrameType::RunComplete) {
+                  withheld = true;
+                  sawRunComplete.store(true);
+                } else if (frame->type == FrameType::Report && withheld) {
+                  RunAckMsg ack;
+                  ack.jobIndex = 0;
+                  ack.accepted = true;
+                  endpoint.writeAll(
+                      encodeFrame(FrameType::RunAck, ack.encode()));
+                  withheld = false;
+                }
+              }
+            }
+            endpoint.close();
+          });
+          return pair.client;
+        },
+        /*clientId=*/5, config);
+
+    std::optional<RunAckMsg> verdict;
+    std::string error;
+    std::thread uploader([&] {
+      core::RunArtifacts artifacts;  // content irrelevant to the fake
+      try {
+        verdict = client.completeRun(0, artifacts);
+      } catch (const std::exception& e) {
+        error = e.what();
+      }
+    });
+    const auto deadline = std::chrono::steady_clock::now() + 5000ms;
+    while (!sawRunComplete.load() &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(1ms);
+    EXPECT_TRUE(sawRunComplete.load());
+    std::atomic<bool> reported{false};
+    std::thread reporter([&] {
+      const std::vector<std::uint8_t> payload = {1, 2, 3, 4};
+      client.submitDatagram(payload);
+      reported.store(true);
+    });
+    reporter.join();
+    uploader.join();
+    EXPECT_TRUE(reported.load());
+    EXPECT_TRUE(error.empty()) << error;
+    // No ASSERT before the joins below: the server threads must be joined.
+    EXPECT_TRUE(verdict.has_value() && verdict->accepted);
+    EXPECT_EQ(client.runsResent(), 0u);
+    client.bye();
+  }
+  for (auto& server : servers) server.join();
+  EXPECT_EQ(servers.size(), 1u);
+}
+
+TEST_F(SpectordResilientTest, FlushFoldsOneVerdictPerUpload) {
+  // Pipelined uploads each get exactly one verdict, accepted or refused,
+  // and flush hands back the refusals: one app this daemon owns and one
+  // it does not.
+  const CollectorAssignment assignment{0, 4};
+  std::optional<std::size_t> owned, foreign;
+  for (std::size_t i = 0; i < generator_.appCount(); ++i) {
+    const bool mine = assignment.owns(generator_.plan(i).packageName);
+    if (mine && !owned) owned = i;
+    if (!mine && !foreign) foreign = i;
+  }
+  ASSERT_TRUE(owned.has_value());
+  ASSERT_TRUE(foreign.has_value());
+
+  DaemonConfig daemonConfig;
+  daemonConfig.ingest.shards = 2;
+  daemonConfig.assignment = assignment;
+  SpectorDaemon daemon(daemonConfig,
+                       [this](const core::RunArtifacts& artifacts) {
+                         return attributor_.attributeColumns(artifacts);
+                       });
+  ResilientClientConfig config;
+  config.reconnect = testBackoff();
+  ResilientIngestClient client([&](std::size_t) { return daemon.connect(); },
+                               /*clientId=*/9, config);
+  // The foreign app's reports went elsewhere, as from a misconfigured
+  // fleet; only its upload reaches this daemon.
+  struct DiscardSink final : ingest::ReportSink {
+    void submitDatagram(std::span<const std::uint8_t>) override {}
+  } elsewhere;
+  client.uploadRun(*owned, runApp(*owned, &client));
+  client.uploadRun(*foreign, runApp(*foreign, &elsewhere));
+  const std::vector<RunAckMsg> refused = client.flush();
+  EXPECT_EQ(client.runsAccepted(), 1u);
+  EXPECT_EQ(client.runsRefused(), 1u);
+  ASSERT_EQ(refused.size(), 1u);
+  EXPECT_EQ(refused.front().jobIndex, *foreign);
+  EXPECT_NE(refused.front().reason.find("owned by collector"),
+            std::string::npos);
+  // A second flush has nothing left to hand back.
+  EXPECT_TRUE(client.flush().empty());
+
+  daemon.drain();
+  EXPECT_EQ(daemon.counters().runsRefused, 1u);
+  EXPECT_EQ(daemon.rollingTotals().runsFolded, 1u);
+  client.bye();
+  daemon.shutdown();
 }
 
 TEST(SpectordResilientDashboardTest, ReconnectDoesNotDuplicateSubscribes) {
