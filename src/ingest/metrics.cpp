@@ -34,7 +34,6 @@ std::string IngestMetrics::toJson() const {
   appendKv(out, "datagrams_received", datagramsReceived);
   appendKv(out, "datagrams_malformed", datagramsMalformed);
   appendKv(out, "frames_folded", framesFolded);
-  appendKv(out, "frames_dropped", framesDropped);
   appendKv(out, "duplicated", duplicated);
   appendKv(out, "out_of_order", outOfOrder);
   appendKv(out, "dict_holes", dictHoles);
@@ -54,7 +53,6 @@ std::string IngestMetrics::toJson() const {
   appendKv(out, "subscriber_deltas_sent", subscriberDeltasSent);
   appendKv(out, "subscriber_deltas_dropped", subscriberDeltasDropped);
   appendKv(out, "subscriber_snapshots_resent", subscriberSnapshotsResent);
-  appendKv(out, "subscribers_disconnected", subscribersDisconnected);
   appendKv(out, "protocol_garbage_bytes", protocolGarbageBytes);
   appendKv(out, "protocol_rejected_frames", protocolRejectedFrames);
   out += "\"per_shard\": [";
@@ -64,7 +62,6 @@ std::string IngestMetrics::toJson() const {
     appendKv(out, "shard", static_cast<std::uint64_t>(s.shard));
     appendKv(out, "frames_routed", s.framesRouted);
     appendKv(out, "frames_folded", s.framesFolded);
-    appendKv(out, "frames_dropped", s.framesDropped);
     appendKv(out, "duplicated", s.duplicated);
     appendKv(out, "out_of_order", s.outOfOrder);
     appendKv(out, "dict_holes", s.dictHoles);

@@ -17,7 +17,6 @@ struct ShardMetrics {
   // Datagram path.
   std::uint64_t framesRouted = 0;     // accepted into this shard's queue
   std::uint64_t framesFolded = 0;     // consumed and folded into state
-  std::uint64_t framesDropped = 0;    // rejected by backpressure policy
   std::uint64_t duplicated = 0;       // (workerId, sequence) already seen
   std::uint64_t outOfOrder = 0;       // arrived below the worker's max seq
 
@@ -56,7 +55,6 @@ struct IngestMetrics {
 
   // Aggregates over perShard (filled by ShardedIngest::metrics()).
   std::uint64_t framesFolded = 0;
-  std::uint64_t framesDropped = 0;
   std::uint64_t duplicated = 0;
   std::uint64_t outOfOrder = 0;
   std::uint64_t dictHoles = 0;
@@ -79,7 +77,6 @@ struct IngestMetrics {
   std::uint64_t subscriberDeltasSent = 0;
   std::uint64_t subscriberDeltasDropped = 0;    // slow-subscriber drops
   std::uint64_t subscriberSnapshotsResent = 0;  // resyncs after drops
-  std::uint64_t subscribersDisconnected = 0;    // Disconnect-policy kills
   std::uint64_t protocolGarbageBytes = 0;       // bytes skipped resyncing
   std::uint64_t protocolRejectedFrames = 0;     // bad crc/version/length
 

@@ -1,6 +1,6 @@
 #include "ingest/pipeline.hpp"
 
-#include <string_view>
+#include <algorithm>
 #include <utility>
 
 namespace libspector::ingest {
@@ -38,97 +38,64 @@ void IngestPipeline::drain() { router_.drain(); }
 
 namespace {
 
-// std::map::try_emplace has no heterogeneous overload, so the string-view
-// keyed bump goes through lower_bound + emplace_hint to only allocate a
-// key string on first sight.
-void bumpBytes(std::map<std::string, std::uint64_t, std::less<>>& map,
-               std::string_view key, std::uint64_t bytes) {
-  auto it = map.lower_bound(key);
-  if (it == map.end() || it->first != key)
-    it = map.emplace_hint(it, std::string(key), 0);
-  it->second += bytes;
+/// Byte sums by the pool ids of one id column, in first-flow order (the
+/// order a Delta lists them in). A run touches few distinct libraries or
+/// categories, so a linear probe over the sums is enough.
+std::vector<std::pair<std::string, std::uint64_t>> bytesById(
+    const core::FlowColumns& columns, const std::vector<std::uint32_t>& ids) {
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> sums;
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    const std::uint64_t bytes = columns.sentBytes[i] + columns.recvBytes[i];
+    const auto it = std::find_if(sums.begin(), sums.end(), [&](const auto& s) {
+      return s.first == ids[i];
+    });
+    if (it == sums.end())
+      sums.emplace_back(ids[i], bytes);
+    else
+      it->second += bytes;
+  }
+  std::vector<std::pair<std::string, std::uint64_t>> named;
+  named.reserve(sums.size());
+  for (const auto& [id, bytes] : sums)
+    named.emplace_back(std::string(columns.pool->at(id).view()), bytes);
+  return named;
+}
+
+RunDigest digestOf(const RunDelivery& delivery,
+                   const core::FlowColumns& columns) {
+  RunDigest digest;
+  digest.jobIndex = delivery.jobIndex;
+  digest.apkSha256 = delivery.artifacts.apkSha256;
+  digest.replayed = delivery.replayed;
+  digest.flowCount = columns.size();
+  for (std::size_t i = 0; i < columns.size(); ++i)
+    digest.attributedBytes += columns.sentBytes[i] + columns.recvBytes[i];
+  digest.unattributedBytes =
+      core::unattributedTcpPayload(delivery.artifacts, columns);
+  digest.bytesByLibrary = bytesById(columns, columns.originLibrary);
+  digest.bytesByLibCategory = bytesById(columns, columns.libraryCategory);
+  digest.account = delivery.account;
+  return digest;
 }
 
 }  // namespace
 
 void IngestPipeline::onRun(RunDelivery&& delivery) {
-  // Attribution (the heavy stage) stays on the shard consumer thread,
-  // unlocked; only the fold below takes the pipeline mutex.
+  // Attribution (the heavy stage) runs on the shard consumer thread. The
+  // pipeline keeps no state across runs, so it takes no lock here; the
+  // hooks and the accumulator guard their own.
   core::FlowColumns columns = attribute_(delivery.artifacts);
-  const std::uint64_t unattributed =
-      core::unattributedTcpPayload(delivery.artifacts, columns);
 
-  // Durable before aggregated: a run that is checkpointed but not yet
-  // folded is replayed on recovery; the reverse order would lose it. A
-  // checkpoint that throws leaves the run out of every view below.
+  // Durable before published or folded: a run that is checkpointed but
+  // not yet folded is replayed on recovery; the reverse order would lose
+  // it. A checkpoint that throws leaves the run out of everything below.
   if (checkpoint_ && !delivery.replayed) checkpoint_(delivery);
 
-  const bool publish = static_cast<bool>(runHook_);
-  RunDigest digest;
-  {
-    const std::scoped_lock lock(mutex_);
-    ++rolling_.runsFolded;
-    rolling_.flowCount += columns.size();
-    rolling_.unattributedBytes += unattributed;
-    // Sum per distinct id first (array adds), then one sorted-map bump per
-    // distinct library/category this run instead of one per flow.
-    std::uint64_t attributed = 0;
-    for (std::size_t i = 0; i < columns.size(); ++i) {
-      const std::uint64_t bytes = columns.sentBytes[i] + columns.recvBytes[i];
-      attributed += bytes;
-      libSums_.bump(columns.originLibrary[i], bytes);
-      catSums_.bump(columns.libraryCategory[i], bytes);
-    }
-    const auto flush =
-        [&](IdSums& sums,
-            std::map<std::string, std::uint64_t, std::less<>>& map,
-            std::vector<std::pair<std::string, std::uint64_t>>* runDelta) {
-          for (const std::uint32_t id : sums.touched) {
-            bumpBytes(map, columns.pool->at(id).view(), sums.bytes.at(id));
-            if (runDelta != nullptr)
-              runDelta->emplace_back(std::string(columns.pool->at(id).view()),
-                                     sums.bytes.at(id));
-            sums.bytes[id] = 0;
-            sums.seen[id] = 0;
-          }
-          sums.touched.clear();
-        };
-    flush(libSums_, rolling_.bytesByLibrary,
-          publish ? &digest.bytesByLibrary : nullptr);
-    flush(catSums_, rolling_.bytesByLibCategory,
-          publish ? &digest.bytesByLibCategory : nullptr);
-    rolling_.attributedBytes += attributed;
-    rolling_.bytesByApp[delivery.artifacts.apkSha256] += attributed;
-    accounts_[delivery.artifacts.apkSha256] = delivery.account;
-    if (publish) {
-      digest.jobIndex = delivery.jobIndex;
-      digest.apkSha256 = delivery.artifacts.apkSha256;
-      digest.replayed = delivery.replayed;
-      digest.flowCount = columns.size();
-      digest.attributedBytes = attributed;
-      digest.unattributedBytes = unattributed;
-      digest.account = delivery.account;
-      digest.runsFolded = rolling_.runsFolded;
-    }
-  }
-
-  // Durable before published: observers only ever see checkpointed runs.
-  if (publish) runHook_(digest);
+  if (runHook_) runHook_(digestOf(delivery, columns));
 
   if (accumulator_ != nullptr)
     accumulator_->addColumns(delivery.jobIndex, std::move(delivery.artifacts),
                              std::move(columns));
-}
-
-RollingTotals IngestPipeline::rollingTotals() const {
-  const std::scoped_lock lock(mutex_);
-  return rolling_;
-}
-
-std::unordered_map<std::string, ApkLossAccount> IngestPipeline::lossAccounts()
-    const {
-  const std::scoped_lock lock(mutex_);
-  return accounts_;
 }
 
 }  // namespace libspector::ingest

@@ -60,16 +60,10 @@ std::size_t ShardedIngest::shardOf(const std::string& apkSha256) const {
   return util::fnv1a64(apkSha256) % shards_.size();
 }
 
-void ShardedIngest::enqueue(Shard& shard, Item&& item, bool droppable) {
+void ShardedIngest::enqueue(Shard& shard, Item&& item) {
   std::unique_lock lock(shard.mutex);
-  if (shard.queue.size() >= config_.queueCapacity) {
-    if (droppable && config_.backpressure == IngestConfig::Backpressure::DropNewest) {
-      ++shard.counters.framesDropped;
-      return;
-    }
-    shard.notFull.wait(lock,
-                       [&] { return shard.queue.size() < config_.queueCapacity; });
-  }
+  shard.notFull.wait(
+      lock, [&] { return shard.queue.size() < config_.queueCapacity; });
   if (item.run == nullptr) ++shard.counters.framesRouted;
   shard.queue.push_back(std::move(item));
   shard.counters.queueDepthPeak =
@@ -90,8 +84,7 @@ void ShardedIngest::submitDatagram(std::span<const std::uint8_t> payload) {
   Item item;
   item.frameBytes.assign(payload.begin(), payload.end());
   item.enqueuedAt = Clock::now();
-  enqueue(*shards_[header.shaKey % shards_.size()], std::move(item),
-          /*droppable=*/true);
+  enqueue(*shards_[header.shaKey % shards_.size()], std::move(item));
 }
 
 void ShardedIngest::submitRun(std::size_t jobIndex,
@@ -101,7 +94,7 @@ void ShardedIngest::submitRun(std::size_t jobIndex,
   item.run = std::make_unique<RunTask>(
       RunTask{jobIndex, std::move(artifacts), /*replay=*/false, {}});
   item.enqueuedAt = Clock::now();
-  enqueue(*shards_[shard], std::move(item), /*droppable=*/false);
+  enqueue(*shards_[shard], std::move(item));
 }
 
 void ShardedIngest::submitReplay(std::size_t jobIndex,
@@ -112,7 +105,7 @@ void ShardedIngest::submitReplay(std::size_t jobIndex,
   item.run = std::make_unique<RunTask>(
       RunTask{jobIndex, std::move(artifacts), /*replay=*/true, account});
   item.enqueuedAt = Clock::now();
-  enqueue(*shards_[shard], std::move(item), /*droppable=*/false);
+  enqueue(*shards_[shard], std::move(item));
 }
 
 void ShardedIngest::consumeLoop(std::stop_token stop, Shard& shard) {
@@ -449,7 +442,6 @@ IngestMetrics ShardedIngest::metrics() const {
                           shard->latencyMs.end());
     }
     out.framesFolded += m.framesFolded;
-    out.framesDropped += m.framesDropped;
     out.duplicated += m.duplicated;
     out.outOfOrder += m.outOfOrder;
     out.dictHoles += m.dictHoles;
@@ -467,7 +459,7 @@ IngestMetrics ShardedIngest::metrics() const {
   }
   // Read the producer-side atomics *after* the shard counters: a datagram
   // increments received_ before it can ever fold, so this order keeps the
-  // snapshot invariant framesFolded + framesDropped <= datagramsReceived.
+  // snapshot invariant framesFolded <= datagramsReceived.
   out.datagramsReceived = received_.load(std::memory_order_relaxed);
   out.datagramsMalformed = malformed_.load(std::memory_order_relaxed);
   return out;

@@ -11,7 +11,8 @@
 //    per apk* instead of vanishing;
 //  - datagrams are routed to a shard by the frame header's apk routing key
 //    (no payload decode on the producer path) and enqueued on a bounded
-//    per-shard queue with an explicit backpressure policy;
+//    per-shard queue; a full queue blocks the producer, so nothing the
+//    router accepted is ever shed;
 //  - a consumer thread per shard decodes, deduplicates and folds frames
 //    into per-apk state, and finalizes runs as their artifacts arrive —
 //    because routing is by apk checksum, a run's datagrams and its
@@ -46,13 +47,9 @@ namespace libspector::ingest {
 struct IngestConfig {
   /// 0 = one shard per hardware thread.
   std::size_t shards = 1;
-  /// Bounded per-shard queue capacity (items).
+  /// Bounded per-shard queue capacity (items). A producer whose shard
+  /// queue is full blocks until the consumer makes room.
   std::size_t queueCapacity = 4096;
-  /// What a producer does when its shard queue is full. Block applies
-  /// backpressure to the caller; DropNewest sheds the datagram and counts
-  /// it (run completions are never shed — they block in either mode).
-  enum class Backpressure { Block, DropNewest };
-  Backpressure backpressure = Backpressure::Block;
   /// Cap on per-shard pending apks (datagrams for apks no run ever claims
   /// must not accumulate forever); the oldest pending apk is evicted and
   /// counted when exceeded.
@@ -203,7 +200,7 @@ class ShardedIngest final : public ReportSink {
     std::jthread consumer;  // last: joins before the rest is destroyed
   };
 
-  void enqueue(Shard& shard, Item&& item, bool droppable);
+  void enqueue(Shard& shard, Item&& item);
   void consumeLoop(std::stop_token stop, Shard& shard);
   void foldFrame(Shard& shard, std::span<const std::uint8_t> frameBytes);
   void finalizeRun(Shard& shard, RunTask&& task);

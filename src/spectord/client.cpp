@@ -219,60 +219,11 @@ void IngestClient::bye() {
 
 // --- DashboardClient -------------------------------------------------------
 
-void DashboardMirror::applySnapshot(const SnapshotMsg& snapshot) {
-  switch (snapshot.topic) {
-    case Topic::Totals:
-      totals = snapshot.totals;
-      break;
-    case Topic::Loss:
-      accounts.clear();
-      for (const auto& [sha, account] : snapshot.accounts)
-        accounts[sha] = account;
-      break;
-    case Topic::Progress:
-      break;
-  }
-  runsFolded = snapshot.runsFolded;
-  expectedRuns = snapshot.expectedRuns;
-  reportsDelivered = snapshot.reportsDelivered;
-  reportsLost = snapshot.reportsLost;
-}
-
-void DashboardMirror::applyDelta(const DeltaMsg& delta) {
-  switch (delta.topic) {
-    case Topic::Totals: {
-      ++totals.runsFolded;
-      totals.flowCount += delta.flowCount;
-      totals.attributedBytes += delta.attributedBytes;
-      totals.unattributedBytes += delta.unattributedBytes;
-      for (const auto& [lib, bytes] : delta.bytesByLibrary)
-        totals.bytesByLibrary[lib] += bytes;
-      for (const auto& [cat, bytes] : delta.bytesByLibCategory)
-        totals.bytesByLibCategory[cat] += bytes;
-      totals.bytesByApp[delta.apkSha256] += delta.attributedBytes;
-      break;
-    }
-    case Topic::Loss:
-      accounts[delta.apkSha256] = delta.account;
-      break;
-    case Topic::Progress:
-      // Cumulative-as-of-that-run values, emitted in order: replace.
-      runsFolded = delta.runsFolded;
-      expectedRuns = delta.expectedRuns;
-      reportsDelivered = delta.reportsDelivered;
-      reportsLost = delta.reportsLost;
-      break;
-  }
-}
-
 DashboardClient::DashboardClient(ChannelEndpoint endpoint,
                                  std::uint64_t clientId,
-                                 std::uint64_t resumeSession,
                                  std::chrono::milliseconds handshakeTimeout)
     : channel_(std::move(endpoint)) {
-  session_ = handshake(channel_, clientId, ClientKind::Dashboard,
-                       resumeSession, handshakeTimeout)
-                 .session;
+  handshake(channel_, clientId, ClientKind::Dashboard, 0, handshakeTimeout);
 }
 
 void DashboardClient::subscribe(Topic topic) {
@@ -281,67 +232,40 @@ void DashboardClient::subscribe(Topic topic) {
   channel_.send(FrameType::Subscribe, msg.encode());
 }
 
-std::size_t DashboardClient::poll(std::chrono::milliseconds timeout) {
-  return pollUntil(timeout, [] { return false; });
-}
-
-std::size_t DashboardClient::pollUntil(std::chrono::milliseconds timeout,
-                                       const std::function<bool()>& done) {
+bool DashboardClient::waitUntil(const std::function<bool()>& done,
+                                std::chrono::milliseconds timeout) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
-  std::size_t folded = 0;
-  while (true) {
+  while (!done()) {
     std::optional<Frame> frame = channel_.tryRead();
     if (!frame) {
       const auto now = std::chrono::steady_clock::now();
-      if (timeout.count() == 0 || now >= deadline || channel_.peerClosed())
-        break;
+      if (now >= deadline || channel_.peerClosed()) return false;
       frame = channel_.read(
           std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
                                                                 now));
-      if (!frame) break;
+      if (!frame) return false;
     }
-    // Only frames folded into the mirror count toward the return value:
-    // Bye and unrecognized frames would skew waitForSnapshot-style callers
-    // that treat the count as mirror progress.
     switch (frame->type) {
       case FrameType::Snapshot: {
         const SnapshotMsg snapshot = SnapshotMsg::decode(frame->body);
         mirror_.applySnapshot(snapshot);
         ++snapshots_[static_cast<std::size_t>(snapshot.topic)];
-        ++folded;
         break;
       }
-      case FrameType::Delta: {
+      case FrameType::Delta:
         mirror_.applyDelta(DeltaMsg::decode(frame->body));
         ++deltas_;
-        ++folded;
-        break;
-      }
-      case FrameType::Bye:
-        bye_ = true;
         break;
       default:
-        break;
+        break;  // Bye (shutdown): nothing to fold
     }
-    if (done()) break;
   }
-  return folded;
-}
-
-bool DashboardClient::waitUntil(const std::function<bool()>& done,
-                                std::chrono::milliseconds timeout) {
-  if (!done()) pollUntil(timeout, done);
-  return done();
+  return true;
 }
 
 bool DashboardClient::waitForSnapshot(Topic topic,
                                       std::chrono::milliseconds timeout) {
   return waitUntil([&] { return snapshotsReceived(topic) > 0; }, timeout);
-}
-
-bool DashboardClient::waitForRuns(std::uint64_t runs,
-                                  std::chrono::milliseconds timeout) {
-  return waitUntil([&] { return mirror_.totals.runsFolded >= runs; }, timeout);
 }
 
 // --- AdminClient -----------------------------------------------------------

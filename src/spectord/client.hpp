@@ -5,10 +5,15 @@
 //    becomes a RunComplete upload (SpabEnvelope bytes), and the session
 //    handshake + cumulative acks give it reconnect-and-resume semantics.
 //    Thread-safe like the in-process sinks it substitutes for (emulator
-//    workers share one collector), by serializing frame writes.
+//    workers share one collector), by serializing frame writes. A fleet
+//    that must survive connection death wraps it in ResilientIngestClient
+//    (resilient.hpp).
 //  - DashboardClient subscribes to topics and folds snapshots + deltas
-//    into a local mirror; the protocol's consistency contract says the
-//    mirror equals the daemon's published state exactly once drained.
+//    into a DashboardMirror, the same fold the daemon keeps its own view
+//    with: once drained, a subscriber to every topic holds a mirror equal
+//    to SpectorDaemon::dashboard(). It is the one dashboard client: a
+//    dashboard whose connection dies opens a new one, whose subscribes
+//    bring snapshots that make its mirror whole.
 //  - AdminClient is a simple request/response wrapper over Admin frames.
 #pragma once
 
@@ -16,7 +21,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -24,7 +28,6 @@
 #include <vector>
 
 #include "core/artifacts.hpp"
-#include "ingest/pipeline.hpp"
 #include "ingest/sink.hpp"
 #include "spectord/channel.hpp"
 #include "spectord/protocol.hpp"
@@ -111,7 +114,8 @@ class IngestClient final : public ingest::ReportSink {
   /// Upload a finished run and block for the daemon's verdict: uploadRun,
   /// then takeRunAcks until this job's ack arrives. RunAcks for other jobs
   /// that arrive meanwhile are dropped, so one caller uploads at a time;
-  /// a fleet sharing one connection uses ResilientIngestClient.
+  /// a fleet sharing one connection uses ResilientIngestClient's uploadRun
+  /// and flush.
   RunAckMsg completeRun(std::uint64_t jobIndex,
                         const core::RunArtifacts& artifacts,
                         std::chrono::milliseconds timeout =
@@ -161,51 +165,25 @@ class IngestClient final : public ingest::ReportSink {
   std::set<std::uint64_t> countedRuns_;
 };
 
-/// Local reconstruction of the daemon's published dashboard state:
-/// snapshots replace, deltas increment. The daemon's single-writer
-/// protocol guarantees mirror == daemon state after a drain.
-struct DashboardMirror {
-  ingest::RollingTotals totals;
-  std::map<std::string, core::ApkLossAccount> accounts;
-  std::uint64_t runsFolded = 0;
-  std::uint64_t expectedRuns = 0;
-  std::uint64_t reportsDelivered = 0;
-  std::uint64_t reportsLost = 0;
-
-  void applySnapshot(const SnapshotMsg& snapshot);
-  void applyDelta(const DeltaMsg& delta);
-};
-
 class DashboardClient {
  public:
   DashboardClient(ChannelEndpoint endpoint, std::uint64_t clientId,
-                  std::uint64_t resumeSession = 0,
                   std::chrono::milliseconds handshakeTimeout =
                       std::chrono::milliseconds(10000));
 
   void subscribe(Topic topic);
 
-  /// Process daemon frames until the deadline (0 = only what is already
-  /// buffered). Returns the number of frames folded.
-  std::size_t poll(std::chrono::milliseconds timeout =
-                       std::chrono::milliseconds(0));
-
-  /// Poll until `done()` holds, checking it after every folded frame, or
-  /// until the timeout; returns whether it holds. A caller that compares
-  /// the mirror afterwards must wait for a condition that every frame it
-  /// compares has landed.
+  /// Fold daemon frames until `done()` holds, checking it after every
+  /// folded frame, or until the timeout; returns whether it holds. A
+  /// caller that compares the mirror afterwards must wait for a condition
+  /// that every frame it compares has landed.
   bool waitUntil(const std::function<bool()>& done,
                  std::chrono::milliseconds timeout);
-  /// Poll until the mirror has folded a snapshot for `topic`.
+  /// Wait until the mirror has folded a snapshot for `topic`.
   bool waitForSnapshot(Topic topic, std::chrono::milliseconds timeout);
-  /// Poll until the mirror's Totals view has seen `runs` runs.
-  bool waitForRuns(std::uint64_t runs, std::chrono::milliseconds timeout);
 
   [[nodiscard]] const DashboardMirror& mirror() const noexcept {
     return mirror_;
-  }
-  [[nodiscard]] std::uint64_t sessionToken() const noexcept {
-    return session_;
   }
   [[nodiscard]] std::uint64_t snapshotsReceived(Topic topic) const {
     return snapshots_[static_cast<std::size_t>(topic)];
@@ -213,22 +191,14 @@ class DashboardClient {
   [[nodiscard]] std::uint64_t deltasReceived() const noexcept {
     return deltas_;
   }
-  [[nodiscard]] bool byeReceived() const noexcept { return bye_; }
-  [[nodiscard]] bool peerClosed() const { return channel_.peerClosed(); }
 
   void close() { channel_.close(); }
 
  private:
-  /// poll(), returning early once a folded frame makes `done()` hold.
-  std::size_t pollUntil(std::chrono::milliseconds timeout,
-                        const std::function<bool()>& done);
-
   ClientChannel channel_;
   DashboardMirror mirror_;
-  std::uint64_t session_ = 0;
   std::array<std::uint64_t, 4> snapshots_{};
   std::uint64_t deltas_ = 0;
-  bool bye_ = false;
 };
 
 class AdminClient {

@@ -21,16 +21,9 @@ void Connection::sendControl(FrameType type,
 bool Connection::sendDelta(std::span<const std::uint8_t> body) {
   if (closed_) return false;
   auto frame = encodeFrame(FrameType::Delta, body);
-  if (queuedBytes_ + frame.size() > writeQueueBudget_) {
-    if (policy_ == SlowSubscriberPolicy::Disconnect) {
-      disconnectAfterFlush = true;
-    }
-    ++stats.deltasDropped;
-    return false;
-  }
+  if (queuedBytes_ + frame.size() > writeQueueBudget_) return false;
   queuedBytes_ += frame.size();
   queue_.push_back(std::move(frame));
-  ++stats.deltasSent;
   return true;
 }
 

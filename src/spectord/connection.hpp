@@ -1,6 +1,6 @@
 // Server-side per-connection state: the async-server idiom of a read
 // buffer feeding an incremental parser, plus a bounded write queue with
-// partial-write continuation and slow-consumer policy.
+// partial-write continuation.
 //
 // A Connection is owned and driven exclusively by the daemon's event-loop
 // thread — it is a single-threaded state machine; the only concurrency is
@@ -10,10 +10,10 @@
 //  - control frames (acks, snapshots, admin replies, errors, bye) are
 //    always queued — they are small, bounded in number, and the protocol
 //    is meaningless without them;
-//  - delta frames are droppable: when the queue is over budget the
-//    slow-subscriber policy applies (drop the delta and schedule a
-//    snapshot-resync, or disconnect the client). Ingest never blocks on a
-//    slow dashboard.
+//  - delta frames are droppable: when the queue is over budget the delta
+//    is dropped and the daemon schedules a snapshot-resync for its topic.
+//    Ingest never blocks on a slow dashboard, and a slow dashboard is
+//    never cut off for lagging.
 #pragma once
 
 #include <array>
@@ -27,35 +27,13 @@
 
 namespace libspector::spectord {
 
-/// What to do with a subscriber whose write queue is over budget.
-enum class SlowSubscriberPolicy : std::uint8_t {
-  /// Drop delta frames; once the queue drains, re-send a full snapshot so
-  /// the subscriber's mirror converges again.
-  DropAndResync = 0,
-  /// Treat a full queue as a fatal lag: Bye + close.
-  Disconnect = 1,
-};
-
-/// Per-connection protocol counters, folded into the session registry on
-/// disconnect so they survive reconnects.
-struct ConnectionStats {
-  std::uint64_t framesParsed = 0;
-  std::uint64_t reportFrames = 0;
-  std::uint64_t runFrames = 0;
-  std::uint64_t deltasSent = 0;
-  std::uint64_t deltasDropped = 0;
-  std::uint64_t snapshotsSent = 0;
-  std::uint64_t errorsSent = 0;
-};
-
 class Connection {
  public:
   Connection(std::uint64_t id, ChannelEndpoint endpoint,
-             std::size_t writeQueueBudget, SlowSubscriberPolicy policy)
+             std::size_t writeQueueBudget)
       : id_(id),
         endpoint_(std::move(endpoint)),
-        writeQueueBudget_(writeQueueBudget),
-        policy_(policy) {}
+        writeQueueBudget_(writeQueueBudget) {}
 
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
 
@@ -85,8 +63,8 @@ class Connection {
   void sendControl(FrameType type, std::span<const std::uint8_t> body);
 
   /// Queue a delta frame, honouring the write budget. Returns true when
-  /// queued; false means the frame was dropped (DropAndResync) or the
-  /// connection was marked for disconnect (Disconnect).
+  /// queued; false means the frame was dropped (the caller owes the topic
+  /// a resync snapshot).
   bool sendDelta(std::span<const std::uint8_t> body);
 
   /// Push queued bytes into the channel as far as it will accept them.
@@ -126,16 +104,13 @@ class Connection {
   /// Parser counters already folded into the daemon aggregates.
   std::uint64_t garbageFolded = 0;
   std::uint64_t rejectedFolded = 0;
-  /// Set by sendDelta under Disconnect policy, or by the daemon to end a
-  /// connection after its queue drains.
+  /// Set by the daemon to end a connection after its queue drains.
   bool disconnectAfterFlush = false;
-  ConnectionStats stats;
 
  private:
   const std::uint64_t id_;
   ChannelEndpoint endpoint_;
   const std::size_t writeQueueBudget_;
-  const SlowSubscriberPolicy policy_;
   FrameParser parser_;
   std::vector<std::uint8_t> readScratch_;
   std::deque<std::vector<std::uint8_t>> queue_;

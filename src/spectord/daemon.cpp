@@ -48,12 +48,13 @@ SpectorDaemon::SpectorDaemon(DaemonConfig config,
   if (!config_.checkpointDirectory.empty())
     checkpoints_.emplace(config_.checkpointDirectory,
                          std::move(checkpointProbe));
+  dashboard_.expectedRuns = config_.expectedRuns;
   // Shard consumer threads only hand the loop a digest; everything that
-  // touches connections happens on the loop thread.
-  pipeline_.setRunHook([this](const ingest::RunDigest& digest) {
+  // touches connections or the dashboard happens on the loop thread.
+  pipeline_.setRunHook([this](ingest::RunDigest&& digest) {
     {
       const std::scoped_lock lock(publishMutex_);
-      publishQueue_.push_back(digest);
+      publishQueue_.push_back(std::move(digest));
     }
     pendingPublishes_.fetch_add(1, std::memory_order_release);
     wake();
@@ -73,8 +74,7 @@ ChannelEndpoint SpectorDaemon::connect() {
       return pair.client;
     }
     accepted_.push_back(std::make_unique<Connection>(
-        nextConnId_++, pair.server, config_.subscriberQueueBytes,
-        config_.slowSubscriberPolicy));
+        nextConnId_++, pair.server, config_.subscriberQueueBytes));
   }
   wake();
   return pair.client;
@@ -146,7 +146,6 @@ ingest::IngestMetrics SpectorDaemon::metrics() const {
   m.subscriberDeltasSent = c.deltasSent;
   m.subscriberDeltasDropped = c.deltasDropped;
   m.subscriberSnapshotsResent = c.snapshotsResent;
-  m.subscribersDisconnected = c.subscribersDisconnected;
   m.protocolGarbageBytes = c.garbageBytes;
   m.protocolRejectedFrames = c.rejectedFrames;
   return m;
@@ -155,6 +154,11 @@ ingest::IngestMetrics SpectorDaemon::metrics() const {
 DaemonCounters SpectorDaemon::counters() const {
   const std::scoped_lock lock(countersMutex_);
   return counters_;
+}
+
+DashboardMirror SpectorDaemon::dashboard() const {
+  const std::scoped_lock lock(dashboardMutex_);
+  return dashboard_;
 }
 
 void SpectorDaemon::wake() {
@@ -243,16 +247,15 @@ bool SpectorDaemon::pumpOnce() {
     }
   }
 
-  // Publish finalized runs: apply to the loop-owned mirror, fan out.
+  // Publish finalized runs: fold into the mirror, fan out.
   std::deque<ingest::RunDigest> digests;
   {
     const std::scoped_lock lock(publishMutex_);
     digests.swap(publishQueue_);
   }
-  for (const auto& digest : digests) {
+  for (auto& digest : digests) {
     worked = true;
-    applyDigest(digest);
-    publishDigest(digest);
+    publishRun(std::move(digest));
     pendingPublishes_.fetch_sub(1, std::memory_order_release);
   }
 
@@ -301,7 +304,6 @@ void SpectorDaemon::handleFrame(Connection& conn, Frame&& frame) {
           return;
         }
         pipeline_.submitDatagram(frame.body);
-        ++conn.stats.reportFrames;
         ++sessions_[conn.clientId].ackedFrames;
         conn.ackOwed = true;
         return;
@@ -335,7 +337,6 @@ void SpectorDaemon::handleFrame(Connection& conn, Frame&& frame) {
           pipeline_.submitRun(static_cast<std::size_t>(env.jobIndex),
                               std::move(env.artifacts));
           ack.accepted = true;
-          ++conn.stats.runFrames;
           ++sess.ackedRuns;
         }
         conn.sendControl(FrameType::RunAck, ack.encode());
@@ -514,46 +515,41 @@ void SpectorDaemon::sendError(Connection& conn, std::uint16_t code,
   err.code = code;
   err.message = std::string(what);
   conn.sendControl(FrameType::Error, err.encode());
-  ++conn.stats.errorsSent;
 }
 
-void SpectorDaemon::applyDigest(const ingest::RunDigest& digest) {
-  ingest::RollingTotals& totals = dash_.totals;
-  ++totals.runsFolded;
-  totals.flowCount += digest.flowCount;
-  totals.attributedBytes += digest.attributedBytes;
-  totals.unattributedBytes += digest.unattributedBytes;
-  for (const auto& [lib, bytes] : digest.bytesByLibrary)
-    totals.bytesByLibrary[lib] += bytes;
-  for (const auto& [cat, bytes] : digest.bytesByLibCategory)
-    totals.bytesByLibCategory[cat] += bytes;
-  totals.bytesByApp[digest.apkSha256] += digest.attributedBytes;
-  dash_.accounts[digest.apkSha256] = digest.account;
-  dash_.reportsDelivered += digest.account.uniqueDelivered;
-  dash_.reportsLost += digest.account.lost;
-}
+void SpectorDaemon::publishRun(ingest::RunDigest&& digest) {
+  // One message carries every topic's payload: the daemon folds it into
+  // its own mirror topic by topic, exactly as a subscriber to all three
+  // topics folds it, and sends each subscribed topic the same message.
+  DeltaMsg delta;
+  delta.jobIndex = digest.jobIndex;
+  delta.apkSha256 = std::move(digest.apkSha256);
+  delta.replayed = digest.replayed;
+  delta.flowCount = digest.flowCount;
+  delta.attributedBytes = digest.attributedBytes;
+  delta.unattributedBytes = digest.unattributedBytes;
+  delta.bytesByLibrary = std::move(digest.bytesByLibrary);
+  delta.bytesByLibCategory = std::move(digest.bytesByLibCategory);
+  delta.account = digest.account;
+  delta.runsFolded = dashboard_.runsFolded + 1;
+  delta.expectedRuns = config_.expectedRuns;
+  delta.reportsDelivered =
+      dashboard_.reportsDelivered + digest.account.uniqueDelivered;
+  delta.reportsLost = dashboard_.reportsLost + digest.account.lost;
+  {
+    const std::scoped_lock lock(dashboardMutex_);
+    for (const Topic topic : kTopics) {
+      delta.topic = topic;
+      dashboard_.applyDelta(delta);
+    }
+  }
 
-void SpectorDaemon::publishDigest(const ingest::RunDigest& digest) {
   // Encode each topic's delta at most once, shared across subscribers.
   std::array<std::vector<std::uint8_t>, 4> bodies;
   const auto bodyFor = [&](Topic topic) -> const std::vector<std::uint8_t>& {
     std::vector<std::uint8_t>& body = bodies[topicIndex(topic)];
     if (body.empty()) {
-      DeltaMsg delta;
       delta.topic = topic;
-      delta.jobIndex = digest.jobIndex;
-      delta.apkSha256 = digest.apkSha256;
-      delta.replayed = digest.replayed;
-      delta.flowCount = digest.flowCount;
-      delta.attributedBytes = digest.attributedBytes;
-      delta.unattributedBytes = digest.unattributedBytes;
-      delta.bytesByLibrary = digest.bytesByLibrary;
-      delta.bytesByLibCategory = digest.bytesByLibCategory;
-      delta.account = digest.account;
-      delta.runsFolded = dash_.totals.runsFolded;
-      delta.expectedRuns = config_.expectedRuns;
-      delta.reportsDelivered = dash_.reportsDelivered;
-      delta.reportsLost = dash_.reportsLost;
       body = delta.encode();
     }
     return body;
@@ -561,8 +557,6 @@ void SpectorDaemon::publishDigest(const ingest::RunDigest& digest) {
 
   for (auto& connPtr : conns_) {
     Connection& conn = *connPtr;
-    // A subscriber already cut loose waits only for its Bye to flush; a
-    // second digest in the same pump cycle must not count it again.
     if (conn.closed() || conn.disconnectAfterFlush || !conn.helloDone ||
         conn.kind != ClientKind::Dashboard)
       continue;
@@ -571,24 +565,16 @@ void SpectorDaemon::publishDigest(const ingest::RunDigest& digest) {
       // A connection awaiting a snapshot skips deltas: the runs they carry
       // are already inside the snapshot it will get.
       if (!conn.subscribed[i] || conn.needsSnapshot[i]) continue;
-      if (conn.sendDelta(bodyFor(topic))) {
-        const std::scoped_lock lock(countersMutex_);
-        ++counters_.deltasSent;
-        continue;
-      }
+      const bool sent = conn.sendDelta(bodyFor(topic));
       {
         const std::scoped_lock lock(countersMutex_);
-        ++counters_.deltasDropped;
+        ++(sent ? counters_.deltasSent : counters_.deltasDropped);
       }
-      if (config_.slowSubscriberPolicy == SlowSubscriberPolicy::DropAndResync) {
+      if (!sent) {
+        // Dropped: the topic resyncs from a snapshot once the laggard has
+        // drained its queue.
         conn.needsSnapshot[i] = true;
         conn.resyncSnapshot[i] = true;
-      } else {
-        conn.sendControl(FrameType::Bye, ByeMsg{"slow subscriber"}.encode());
-        conn.disconnectAfterFlush = true;
-        const std::scoped_lock lock(countersMutex_);
-        ++counters_.subscribersDisconnected;
-        break;
       }
     }
   }
@@ -603,7 +589,6 @@ void SpectorDaemon::sendSnapshots(Connection& conn) {
     // snapshot behind a full queue would grow it without bound.
     if (conn.resyncSnapshot[i] && !conn.writeQueueEmpty()) continue;
     conn.sendControl(FrameType::Snapshot, buildSnapshot(topic).encode());
-    ++conn.stats.snapshotsSent;
     if (conn.resyncSnapshot[i]) {
       const std::scoped_lock lock(countersMutex_);
       ++counters_.snapshotsResent;
@@ -618,20 +603,21 @@ SnapshotMsg SpectorDaemon::buildSnapshot(Topic topic) const {
   snap.topic = topic;
   switch (topic) {
     case Topic::Totals:
-      snap.totals = dash_.totals;
+      snap.totals = dashboard_.totals;
       break;
     case Topic::Loss:
-      snap.accounts.assign(dash_.accounts.begin(), dash_.accounts.end());
+      snap.accounts.assign(dashboard_.accounts.begin(),
+                           dashboard_.accounts.end());
       break;
     case Topic::Progress:
       break;
   }
   // Progress counters ride along on every snapshot (they are cheap and
   // make any snapshot self-describing about how far the study is).
-  snap.runsFolded = dash_.totals.runsFolded;
-  snap.expectedRuns = config_.expectedRuns;
-  snap.reportsDelivered = dash_.reportsDelivered;
-  snap.reportsLost = dash_.reportsLost;
+  snap.runsFolded = dashboard_.runsFolded;
+  snap.expectedRuns = dashboard_.expectedRuns;
+  snap.reportsDelivered = dashboard_.reportsDelivered;
+  snap.reportsLost = dashboard_.reportsLost;
   return snap;
 }
 
@@ -644,8 +630,8 @@ std::string SpectorDaemon::statusJson() const {
       "\"expected_runs\": %llu, \"checkpointing\": %s}",
       config_.assignment.index, config_.assignment.count, conns_.size(),
       sessions_.size(),
-      static_cast<unsigned long long>(dash_.totals.runsFolded),
-      static_cast<unsigned long long>(config_.expectedRuns),
+      static_cast<unsigned long long>(dashboard_.runsFolded),
+      static_cast<unsigned long long>(dashboard_.expectedRuns),
       checkpoints_ ? "true" : "false");
   return buf;
 }

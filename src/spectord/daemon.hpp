@@ -12,18 +12,22 @@
 //    (snapshot-on-subscribe + per-run delta frames) and admin ops;
 //  - one event-loop thread owns every connection (the async-server
 //    idiom): it pumps reads into incremental parsers, dispatches frames,
-//    applies run digests to a loop-owned dashboard mirror, fans deltas
-//    out to subscribers through bounded write queues, and enforces the
-//    slow-subscriber policy — ingest never blocks on a dashboard;
+//    turns each run digest into one DeltaMsg, folds it into the daemon's
+//    DashboardMirror with the subscribers' own applyDelta, and fans the
+//    same message out through bounded write queues — a lagging
+//    subscriber has deltas dropped and resyncs from a snapshot, so
+//    ingest never blocks on a dashboard;
 //  - heavy work stays where PR 2 put it: shard consumer threads attribute
-//    and fold runs inside the pipeline; they only hand the loop a
-//    ingest::RunDigest through a queue.
+//    runs inside the pipeline; they only hand the loop an
+//    ingest::RunDigest through a queue. The loop's mirror is the only
+//    live view of the study: each run is folded into it once.
 //
 // Consistency contract of the dashboard surface: snapshots and deltas for
 // one connection are emitted by the same thread from the same mirror, so
 // a subscriber that folds every delta into its snapshot reconstructs the
-// daemon's state *exactly* (no double counting across the subscribe
-// boundary, no missed runs) — the dashboard tests pin this.
+// daemon's mirror *exactly* (no double counting across the subscribe
+// boundary, no missed runs): after drain(), a subscriber to all three
+// topics holds a mirror == dashboard() — the dashboard tests pin this.
 //
 // Multi-collector mode: each daemon owns a contiguous slice of the 64-bit
 // fnv1a hash of package-name space (CollectorAssignment). RunComplete
@@ -84,11 +88,10 @@ struct DaemonConfig {
   /// Per-direction byte capacity of each client channel (the simulated
   /// kernel buffer).
   std::size_t channelCapacity = 64 * 1024;
-  /// Write-queue budget per connection before the slow-subscriber policy
-  /// applies to delta frames.
+  /// Write-queue budget per connection: a delta frame that would exceed
+  /// it is dropped, and its topic resyncs from a snapshot once the
+  /// subscriber has drained its queue.
   std::size_t subscriberQueueBytes = 256 * 1024;
-  SlowSubscriberPolicy slowSubscriberPolicy =
-      SlowSubscriberPolicy::DropAndResync;
 };
 
 /// Daemon-level counters (merged into IngestMetrics by metrics()).
@@ -101,7 +104,6 @@ struct DaemonCounters {
   std::uint64_t deltasSent = 0;
   std::uint64_t deltasDropped = 0;
   std::uint64_t snapshotsResent = 0;
-  std::uint64_t subscribersDisconnected = 0;
   std::uint64_t garbageBytes = 0;
   std::uint64_t rejectedFrames = 0;
   std::uint64_t runsRefused = 0;  // RunComplete outside the owned slice
@@ -141,9 +143,9 @@ class SpectorDaemon {
 
   [[nodiscard]] bool running() const;
 
-  [[nodiscard]] ingest::RollingTotals rollingTotals() const {
-    return pipeline_.rollingTotals();
-  }
+  /// A copy of the daemon's dashboard view (any thread): every run
+  /// published so far, as a subscriber to all three topics mirrors it.
+  [[nodiscard]] DashboardMirror dashboard() const;
   /// Pipeline metrics with the daemon's service counters merged in.
   [[nodiscard]] ingest::IngestMetrics metrics() const;
   [[nodiscard]] DaemonCounters counters() const;
@@ -158,17 +160,6 @@ class SpectorDaemon {
   }
 
  private:
-  /// Loop-owned mirror of the publishable state. Snapshots are built from
-  /// this (never from the pipeline directly) so that snapshot + later
-  /// deltas is an exact reconstruction — the pipeline's own rolling view
-  /// may already include runs whose digests are still queued.
-  struct DashboardState {
-    ingest::RollingTotals totals;
-    std::map<std::string, core::ApkLossAccount> accounts;  // sha-sorted
-    std::uint64_t reportsDelivered = 0;
-    std::uint64_t reportsLost = 0;
-  };
-
   /// Cross-connection client session: survives disconnects so a
   /// reconnecting client can resume and re-send only its unacked tail.
   /// Exactly one live connection may be attached at a time — a second
@@ -210,8 +201,8 @@ class SpectorDaemon {
   /// number swept (counted into sessionsExpired by the caller).
   std::size_t expireStaleSessions();
 
-  void applyDigest(const ingest::RunDigest& digest);
-  void publishDigest(const ingest::RunDigest& digest);
+  /// Loop-thread only: fold one run into the mirror and fan its delta out.
+  void publishRun(ingest::RunDigest&& digest);
   void sendSnapshots(Connection& conn);
   [[nodiscard]] SnapshotMsg buildSnapshot(Topic topic) const;
   [[nodiscard]] std::string statusJson() const;
@@ -247,9 +238,14 @@ class SpectorDaemon {
 
   // Loop-owned state (no lock: only loopMain touches these).
   std::vector<std::unique_ptr<Connection>> conns_;
-  DashboardState dash_;
   std::map<std::uint64_t, SessionRecord> sessions_;  // by clientId
   std::uint64_t nextSessionToken_ = 1;
+
+  // The live view. Only the loop writes it, under dashboardMutex_ while
+  // it applies a run; the loop reads it unlocked, other threads through
+  // dashboard().
+  mutable std::mutex dashboardMutex_;
+  DashboardMirror dashboard_;
 
   mutable std::mutex countersMutex_;
   DaemonCounters counters_;

@@ -386,6 +386,56 @@ DeltaMsg DeltaMsg::decode(std::span<const std::uint8_t> body) {
   return msg;
 }
 
+// ---------------------------------------------------------------------------
+// Dashboard mirror.
+// ---------------------------------------------------------------------------
+
+void DashboardMirror::applySnapshot(const SnapshotMsg& snapshot) {
+  switch (snapshot.topic) {
+    case Topic::Totals:
+      totals = snapshot.totals;
+      break;
+    case Topic::Loss:
+      accounts.clear();
+      for (const auto& [sha, account] : snapshot.accounts)
+        accounts[sha] = account;
+      break;
+    case Topic::Progress:
+      break;
+  }
+  runsFolded = snapshot.runsFolded;
+  expectedRuns = snapshot.expectedRuns;
+  reportsDelivered = snapshot.reportsDelivered;
+  reportsLost = snapshot.reportsLost;
+}
+
+void DashboardMirror::applyDelta(const DeltaMsg& delta) {
+  switch (delta.topic) {
+    case Topic::Totals: {
+      ++totals.runsFolded;
+      totals.flowCount += delta.flowCount;
+      totals.attributedBytes += delta.attributedBytes;
+      totals.unattributedBytes += delta.unattributedBytes;
+      for (const auto& [lib, bytes] : delta.bytesByLibrary)
+        totals.bytesByLibrary[lib] += bytes;
+      for (const auto& [cat, bytes] : delta.bytesByLibCategory)
+        totals.bytesByLibCategory[cat] += bytes;
+      totals.bytesByApp[delta.apkSha256] += delta.attributedBytes;
+      break;
+    }
+    case Topic::Loss:
+      accounts[delta.apkSha256] = delta.account;
+      break;
+    case Topic::Progress:
+      // Counters as of that run, emitted in fold order: replace.
+      runsFolded = delta.runsFolded;
+      expectedRuns = delta.expectedRuns;
+      reportsDelivered = delta.reportsDelivered;
+      reportsLost = delta.reportsLost;
+      break;
+  }
+}
+
 std::vector<std::uint8_t> AdminMsg::encode() const {
   util::ByteWriter w;
   w.u8(static_cast<std::uint8_t>(op));

@@ -22,13 +22,14 @@
 //    RunComplete frames carrying core::SpabEnvelope bytes (the checkpoint
 //    format reused as the upload format), cumulative ReportAck flow.
 //  - dashboard subscriptions: Subscribe(topic), full Snapshot on
-//    subscribe, incremental Delta frames per finalized run.
+//    subscribe, incremental Delta frames per finalized run, both folded
+//    by DashboardMirror (the daemon keeps its own view as one, too).
 //  - admin ops: Admin(op, arg) / AdminAck — drain, evict-apk,
 //    resume-from-checkpoint, status, shutdown.
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <functional>
 #include <map>
 #include <optional>
 #include <span>
@@ -37,7 +38,6 @@
 #include <vector>
 
 #include "core/artifacts.hpp"
-#include "ingest/pipeline.hpp"
 
 namespace libspector::spectord {
 
@@ -203,11 +203,26 @@ struct SubscribeMsg {
   [[nodiscard]] static SubscribeMsg decode(std::span<const std::uint8_t> body);
 };
 
+/// The Totals topic's study-so-far view: what every run folded so far
+/// adds up to.
+struct RollingTotals {
+  std::uint64_t runsFolded = 0;
+  std::uint64_t flowCount = 0;
+  std::uint64_t attributedBytes = 0;    // sent + recv across flows
+  std::uint64_t unattributedBytes = 0;  // TCP payload lost context covers
+  // Keyed by origin library, library category and apk sha256.
+  std::map<std::string, std::uint64_t, std::less<>> bytesByLibrary;
+  std::map<std::string, std::uint64_t, std::less<>> bytesByLibCategory;
+  std::map<std::string, std::uint64_t, std::less<>> bytesByApp;
+
+  [[nodiscard]] bool operator==(const RollingTotals&) const = default;
+};
+
 /// Full state of one topic (sent on subscribe, and re-sent after a slow
 /// subscriber has had deltas dropped — snapshot-resync).
 struct SnapshotMsg {
   Topic topic = Topic::Totals;
-  ingest::RollingTotals totals;  // Topic::Totals
+  RollingTotals totals;  // Topic::Totals
   std::vector<std::pair<std::string, core::ApkLossAccount>>
       accounts;  // Topic::Loss, sha-sorted
   // Topic::Progress.
@@ -220,9 +235,12 @@ struct SnapshotMsg {
   [[nodiscard]] static SnapshotMsg decode(std::span<const std::uint8_t> body);
 };
 
-/// One finalized run's increment, the unit of dashboard streaming. A
-/// subscriber that folds every delta into its snapshot mirror reconstructs
-/// the daemon's rolling state exactly (the dashboard tests pin this).
+/// One finalized run's increment, the unit of dashboard streaming. The
+/// daemon builds one per run with every topic's payload filled in, folds
+/// it into its own mirror once per topic and sends each subscribed topic
+/// the same message; a subscriber that folds every delta into its
+/// snapshot mirror reconstructs the daemon's view exactly (the dashboard
+/// tests pin this).
 struct DeltaMsg {
   Topic topic = Topic::Totals;
   std::uint64_t jobIndex = 0;
@@ -236,9 +254,9 @@ struct DeltaMsg {
   std::vector<std::pair<std::string, std::uint64_t>> bytesByLibCategory;
   // Topic::Loss payload.
   core::ApkLossAccount account;
-  // Topic::Progress payload (cumulative counters, not increments: progress
-  // deltas may be applied out of order across shards, so the mirror keeps
-  // the max).
+  // Topic::Progress payload: the counters as of this run, not increments.
+  // The daemon's one loop emits runs in fold order, so a mirror replaces
+  // its counters with these.
   std::uint64_t runsFolded = 0;
   std::uint64_t expectedRuns = 0;
   std::uint64_t reportsDelivered = 0;
@@ -246,6 +264,23 @@ struct DeltaMsg {
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   [[nodiscard]] static DeltaMsg decode(std::span<const std::uint8_t> body);
+};
+
+/// The dashboard view: snapshots replace a topic, deltas fold one run into
+/// it. The daemon's own view is one of these, fed every topic of every
+/// run's delta, so a subscriber to all three topics ends equal to it.
+struct DashboardMirror {
+  RollingTotals totals;
+  std::map<std::string, core::ApkLossAccount> accounts;  // sha-sorted
+  std::uint64_t runsFolded = 0;
+  std::uint64_t expectedRuns = 0;
+  std::uint64_t reportsDelivered = 0;
+  std::uint64_t reportsLost = 0;
+
+  void applySnapshot(const SnapshotMsg& snapshot);
+  void applyDelta(const DeltaMsg& delta);
+
+  [[nodiscard]] bool operator==(const DashboardMirror&) const = default;
 };
 
 struct AdminMsg {

@@ -220,14 +220,10 @@ void ResilientIngestClient::abandonConnectionLocked() {
       ++run;
       continue;
     }
-    std::string failure =
-        "spectord reconnect: run upload budget exhausted after " +
-        std::to_string(run->sends) + " attempts (jobIndex " +
-        std::to_string(run->jobIndex) + ")";
-    if (run->awaited)
-      verdicts_[run->jobIndex].failure = std::move(failure);
-    else if (failure_.empty())
-      failure_ = std::move(failure);
+    if (failure_.empty())
+      failure_ = "spectord reconnect: run upload budget exhausted after " +
+                 std::to_string(run->sends) + " attempts (jobIndex " +
+                 std::to_string(run->jobIndex) + ")";
     run = runTail_.erase(run);
   }
   // Close before dropping: a caller sleeping on this connection holds a
@@ -244,10 +240,7 @@ void ResilientIngestClient::applyRunAcksLocked(std::vector<RunAckMsg> acks) {
     // No pending upload: a re-delivered ack for a verdict already folded.
     if (run == runTail_.end()) continue;
     ++(ack.accepted ? runsAccepted_ : runsRefused_);
-    if (run->awaited)
-      verdicts_[ack.jobIndex].ack = std::move(ack);
-    else if (!ack.accepted)
-      refusals_.push_back(std::move(ack));
+    if (!ack.accepted) refusals_.push_back(std::move(ack));
     runTail_.erase(run);
   }
 }
@@ -262,26 +255,6 @@ void ResilientIngestClient::collectLocked() {
   if (!runTail_.empty() &&
       std::chrono::steady_clock::now() >= runTail_.front().deadline)
     abandonConnectionLocked();
-}
-
-void ResilientIngestClient::awaitLocked(std::unique_lock<std::mutex>& lock,
-                                        const std::function<bool()>& done) {
-  while (true) {
-    collectLocked();
-    if (done()) return;
-    // A re-attach replays the run tail; fold and re-check before sleeping.
-    if (ensureConnectedLocked()) continue;
-    auto slice = kVerdictPollSlice;
-    if (!runTail_.empty())
-      slice = std::min(slice, std::chrono::ceil<std::chrono::milliseconds>(
-                                  runTail_.front().deadline -
-                                  std::chrono::steady_clock::now()));
-    const std::shared_ptr<IngestClient> live = client_;
-    lock.unlock();
-    std::vector<RunAckMsg> acks = live->takeRunAcks(slice);
-    lock.lock();
-    applyRunAcksLocked(std::move(acks));
-  }
 }
 
 void ResilientIngestClient::submitDatagram(
@@ -302,7 +275,12 @@ void ResilientIngestClient::submitDatagram(
   collectLocked();
 }
 
-void ResilientIngestClient::uploadRunLocked(PendingRun run) {
+void ResilientIngestClient::uploadRun(std::uint64_t jobIndex,
+                                      const core::RunArtifacts& artifacts) {
+  PendingRun run;
+  run.jobIndex = jobIndex;
+  run.frame = encodeRunUpload(jobIndex, artifacts);
+  const std::scoped_lock lock(mutex_);
   runTail_.push_back(std::move(run));
   // As with a report frame: a transport dead at entry replays the whole
   // run tail, this upload included.
@@ -313,35 +291,28 @@ void ResilientIngestClient::uploadRunLocked(PendingRun run) {
   collectLocked();
 }
 
-void ResilientIngestClient::uploadRun(std::uint64_t jobIndex,
-                                      const core::RunArtifacts& artifacts) {
-  PendingRun run;
-  run.jobIndex = jobIndex;
-  run.frame = encodeRunUpload(jobIndex, artifacts);
-  const std::scoped_lock lock(mutex_);
-  uploadRunLocked(std::move(run));
-}
-
 std::vector<RunAckMsg> ResilientIngestClient::flush() {
   std::unique_lock lock(mutex_);
-  awaitLocked(lock, [this] { return runTail_.empty(); });
+  while (true) {
+    collectLocked();
+    if (runTail_.empty()) break;
+    // A re-attach replays the run tail; fold and re-check before sleeping.
+    if (ensureConnectedLocked()) continue;
+    const auto slice = std::min(
+        kVerdictPollSlice,
+        std::chrono::ceil<std::chrono::milliseconds>(
+            runTail_.front().deadline - std::chrono::steady_clock::now()));
+    // Sleep on the connection with the lock released, so other workers'
+    // reports and uploads go through meanwhile.
+    const std::shared_ptr<IngestClient> live = client_;
+    lock.unlock();
+    std::vector<RunAckMsg> acks = live->takeRunAcks(slice);
+    lock.lock();
+    applyRunAcksLocked(std::move(acks));
+  }
   if (!failure_.empty())
     throw std::runtime_error(std::exchange(failure_, std::string()));
   return std::exchange(refusals_, {});
-}
-
-RunAckMsg ResilientIngestClient::completeRun(
-    std::uint64_t jobIndex, const core::RunArtifacts& artifacts) {
-  PendingRun run;
-  run.jobIndex = jobIndex;
-  run.frame = encodeRunUpload(jobIndex, artifacts);
-  run.awaited = true;
-  std::unique_lock lock(mutex_);
-  uploadRunLocked(std::move(run));
-  awaitLocked(lock, [&] { return verdicts_.contains(jobIndex); });
-  Verdict verdict = std::move(verdicts_.extract(jobIndex).mapped());
-  if (!verdict.failure.empty()) throw std::runtime_error(verdict.failure);
-  return std::move(verdict.ack);
 }
 
 bool ResilientIngestClient::waitAckedFrames(std::uint64_t frames,
@@ -415,121 +386,6 @@ void ResilientIngestClient::bye() {
   const std::scoped_lock lock(mutex_);
   if (client_) client_->bye();
   client_.reset();
-}
-
-// --- ResilientDashboardClient ----------------------------------------------
-
-ResilientDashboardClient::ResilientDashboardClient(ConnectFn connect,
-                                                   std::uint64_t clientId,
-                                                   ResilientClientConfig config)
-    : connect_(std::move(connect)),
-      clientId_(clientId),
-      config_(config),
-      reconnector_(config.reconnect) {
-  ensureConnected();
-}
-
-void ResilientDashboardClient::foldCountersFromDead() {
-  if (!client_) return;
-  for (std::size_t i = 0; i < snapshotsBase_.size(); ++i)
-    snapshotsBase_[i] += client_->snapshotsReceived(static_cast<Topic>(i));
-  deltasBase_ += client_->deltasReceived();
-  lastMirror_ = client_->mirror();
-  client_.reset();
-}
-
-bool ResilientDashboardClient::ensureConnected() {
-  if (client_ && !client_->peerClosed()) return false;
-  // An orderly Bye means the daemon is going away for good — stay down
-  // instead of hammering a stopped service with the full backoff budget.
-  if (client_ && client_->byeReceived()) return false;
-  foldCountersFromDead();
-  bool first = connections_ == 0 && reconnector_.attempt() == 0;
-  while (true) {
-    if (!first) std::this_thread::sleep_for(reconnector_.nextDelay());
-    first = false;
-    std::unique_ptr<DashboardClient> fresh;
-    try {
-      fresh = std::make_unique<DashboardClient>(connect_(connectCalls_++),
-                                                clientId_, session_,
-                                                config_.handshakeTimeout);
-    } catch (const std::exception&) {
-      continue;
-    }
-    if (connections_ > 0) ++reconnects_;
-    ++connections_;
-    session_ = fresh->sessionToken();
-    client_ = std::move(fresh);
-    // Re-subscribing triggers fresh snapshots, which replace wholesale —
-    // that is what restores mirror exactness after missed deltas.
-    for (Topic topic : topics_) client_->subscribe(topic);
-    reconnector_.reset();
-    return true;
-  }
-}
-
-void ResilientDashboardClient::subscribe(Topic topic) {
-  const bool reattached = ensureConnected();
-  const bool known =
-      std::find(topics_.begin(), topics_.end(), topic) != topics_.end();
-  // A reconnect already re-subscribed every recorded topic; sending the
-  // request again would trigger a duplicate snapshot and skew the
-  // snapshotsReceived counters.
-  if (client_ && !(reattached && known)) client_->subscribe(topic);
-  if (!known) topics_.push_back(topic);
-}
-
-std::size_t ResilientDashboardClient::poll(std::chrono::milliseconds timeout) {
-  ensureConnected();
-  if (!client_) return 0;
-  const std::size_t folded = client_->poll(timeout);
-  // Hangup mid-poll: re-attach now so the next poll starts on the fresh
-  // snapshot instead of burning its whole timeout on a dead channel.
-  if (client_->peerClosed() && !client_->byeReceived()) ensureConnected();
-  return folded;
-}
-
-bool ResilientDashboardClient::waitForSnapshot(
-    Topic topic, std::chrono::milliseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (snapshotsReceived(topic) == 0) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return false;
-    poll(std::min(
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now),
-        std::chrono::milliseconds(100)));
-  }
-  return true;
-}
-
-bool ResilientDashboardClient::waitForRuns(std::uint64_t runs,
-                                           std::chrono::milliseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (mirror().totals.runsFolded < runs) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return false;
-    poll(std::min(
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now),
-        std::chrono::milliseconds(100)));
-  }
-  return true;
-}
-
-const DashboardMirror& ResilientDashboardClient::mirror() const {
-  return client_ ? client_->mirror() : lastMirror_;
-}
-
-std::uint64_t ResilientDashboardClient::snapshotsReceived(Topic topic) const {
-  const std::size_t i = static_cast<std::size_t>(topic);
-  return snapshotsBase_[i] + (client_ ? client_->snapshotsReceived(topic) : 0);
-}
-
-std::uint64_t ResilientDashboardClient::deltasReceived() const {
-  return deltasBase_ + (client_ ? client_->deltasReceived() : 0);
-}
-
-void ResilientDashboardClient::close() {
-  if (client_) client_->close();
 }
 
 }  // namespace libspector::spectord

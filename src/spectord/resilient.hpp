@@ -12,15 +12,13 @@
 //    every run upload still waiting for its RunAck; on hangup it
 //    reconnects with backoff, re-handshakes with the saved token, drops
 //    the prefix the daemon's HelloAck acks, and re-sends the frame tail,
-//    then the run tail. Uploads are pipelined: a call encodes its run
+//    then the run tail. Uploads are pipelined: uploadRun encodes its run
 //    outside the lock, sends it and returns, and every later call folds
 //    whatever RunAcks have arrived, so no worker waits on another
 //    worker's verdict. An upload whose verdict is overdue is re-sent
 //    until its attempt budget is spent — the daemon's per-session
-//    completed-job dedupe makes the re-upload safe.
-//  - ResilientDashboardClient reconnects and re-subscribes its recorded
-//    topics; the fresh snapshot the daemon sends on subscribe restores
-//    mirror exactness.
+//    completed-job dedupe makes the re-upload safe. flush() is the one
+//    place a verdict or a spent budget reaches the caller.
 //  - BreakerEndpoint is the matching fault injector: a man-in-the-middle
 //    proxy that severs, stalls or truncates the byte stream at a scripted
 //    client->daemon byte offset (deliberately mid-frame). Every fault
@@ -29,13 +27,11 @@
 //    invariant that makes cumulative-ack resume exact.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -156,8 +152,7 @@ struct ResilientClientConfig {
 /// client it wraps; a reconnect (backoff sleep included) happens under
 /// the lock, so concurrent emulator workers stall rather than interleave
 /// with a half-restored session. Nothing waits for a verdict under the
-/// lock: uploads are pipelined, and completeRun and flush wait with the
-/// lock released.
+/// lock: uploads are pipelined, and flush waits with the lock released.
 class ResilientIngestClient final : public ingest::ReportSink {
  public:
   ResilientIngestClient(ConnectFn connect, std::uint64_t clientId,
@@ -174,16 +169,11 @@ class ResilientIngestClient final : public ingest::ReportSink {
   void uploadRun(std::uint64_t jobIndex, const core::RunArtifacts& artifacts);
 
   /// Wait until every upload has its verdict, reconnecting and re-sending
-  /// as needed. Throws if an upload spent its attempt budget. Returns the
-  /// refusals among uploadRun's verdicts not returned by an earlier flush.
+  /// as needed. A retry of an already-folded upload comes back accepted
+  /// with `duplicate` set — still one verdict per upload. Throws if an
+  /// upload spent its attempt budget. Returns the refusals among
+  /// uploadRun's verdicts not returned by an earlier flush.
   std::vector<RunAckMsg> flush();
-
-  /// uploadRun, then wait for this job's verdict with the lock released.
-  /// A retry of an already-folded upload comes back accepted with
-  /// `duplicate` set — still one verdict per upload. Throws once the
-  /// upload spent its attempt budget. One upload per job at a time.
-  RunAckMsg completeRun(std::uint64_t jobIndex,
-                        const core::RunArtifacts& artifacts);
 
   /// Wait until the daemon has acked `frames` cumulative report frames,
   /// reconnecting as needed.
@@ -215,17 +205,10 @@ class ResilientIngestClient final : public ingest::ReportSink {
   struct PendingRun {
     std::uint64_t jobIndex = 0;
     std::vector<std::uint8_t> frame;  // encodeRunUpload, built once
-    bool awaited = false;        // a completeRun caller waits for it
     std::size_t sends = 0;
     std::size_t connection = 0;  // the attach it was last sent on
     std::chrono::steady_clock::time_point deadline;
   };
-  /// The outcome of an awaited upload: its RunAck, or why it failed.
-  struct Verdict {
-    RunAckMsg ack;
-    std::string failure;
-  };
-
   /// Attach (or re-attach) until the transport is live and the unacked
   /// tails replayed (frames, then runs); throws once the backoff budget
   /// is exhausted. Returns true when it performed an attach (and
@@ -233,8 +216,6 @@ class ResilientIngestClient final : public ingest::ReportSink {
   /// transport was live all along.
   bool ensureConnectedLocked();
   void pruneAckedLocked();
-  /// Append to the run tail and send (or replay on a fresh attach).
-  void uploadRunLocked(PendingRun run);
   void sendRunLocked(PendingRun& run);
   /// Fold the live connection's acks; abandon it if the oldest upload's
   /// verdict is overdue.
@@ -243,10 +224,6 @@ class ResilientIngestClient final : public ingest::ReportSink {
   /// The connection died or went silent: charge every upload sent on it
   /// one attempt, fail those out of budget, and close it.
   void abandonConnectionLocked();
-  /// Fold acks and re-attach until `done()` holds, sleeping on the
-  /// connection with the lock released.
-  void awaitLocked(std::unique_lock<std::mutex>& lock,
-                   const std::function<bool()>& done);
 
   mutable std::mutex mutex_;
   ConnectFn connect_;
@@ -276,57 +253,12 @@ class ResilientIngestClient final : public ingest::ReportSink {
   /// Unacked run tail in send order (so deadlines ascend); pruned as
   /// RunAcks arrive. Bounded by the channel's backpressure.
   std::deque<PendingRun> runTail_;
-  std::map<std::uint64_t, Verdict> verdicts_;  // awaited, by jobIndex
-  std::vector<RunAckMsg> refusals_;  // un-awaited, for the next flush
-  std::string failure_;  // first un-awaited upload that spent its budget
+  std::vector<RunAckMsg> refusals_;  // for the next flush
+  std::string failure_;  // first upload that spent its budget
   std::uint64_t runsResent_ = 0;
   std::uint64_t runsAccepted_ = 0;
   std::uint64_t runsRefused_ = 0;
   std::uint64_t resumesRefused_ = 0;
-};
-
-/// DashboardClient that survives connection death. Single-threaded like
-/// the client it wraps. Counters aggregate across incarnations.
-class ResilientDashboardClient {
- public:
-  ResilientDashboardClient(ConnectFn connect, std::uint64_t clientId,
-                           ResilientClientConfig config = {});
-
-  void subscribe(Topic topic);
-  std::size_t poll(std::chrono::milliseconds timeout =
-                       std::chrono::milliseconds(0));
-  bool waitForSnapshot(Topic topic, std::chrono::milliseconds timeout);
-  bool waitForRuns(std::uint64_t runs, std::chrono::milliseconds timeout);
-
-  [[nodiscard]] const DashboardMirror& mirror() const;
-  [[nodiscard]] std::uint64_t sessionToken() const { return session_; }
-  [[nodiscard]] std::uint64_t reconnects() const { return reconnects_; }
-  [[nodiscard]] std::uint64_t snapshotsReceived(Topic topic) const;
-  [[nodiscard]] std::uint64_t deltasReceived() const;
-
-  void close();
-
- private:
-  /// Returns true when it performed an attach (which re-subscribed every
-  /// recorded topic), false when the transport was live or stays down
-  /// after an orderly Bye.
-  bool ensureConnected();
-  void foldCountersFromDead();
-
-  ConnectFn connect_;
-  const std::uint64_t clientId_;
-  ResilientClientConfig config_;
-  Reconnector reconnector_;
-  std::unique_ptr<DashboardClient> client_;
-  std::uint64_t session_ = 0;
-  std::size_t connectCalls_ = 0;
-  std::size_t connections_ = 0;
-  std::uint64_t reconnects_ = 0;
-  std::vector<Topic> topics_;  // re-subscribed on every fresh attach
-  /// Counter/mirror state carried over from dead incarnations.
-  std::array<std::uint64_t, 4> snapshotsBase_{};
-  std::uint64_t deltasBase_ = 0;
-  DashboardMirror lastMirror_;
 };
 
 }  // namespace libspector::spectord

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/attribution.hpp"
@@ -63,6 +66,12 @@ TEST_F(IngestPipelineTest, AccountsAFaultyChannelExactlyPerApk) {
                           [this](const core::RunArtifacts& artifacts) {
                             return attributor_.attributeColumns(artifacts);
                           });
+  std::mutex accountsMutex;  // the hook runs on every shard's consumer
+  std::map<std::string, ApkLossAccount> accounts;
+  pipeline.setRunHook([&](RunDigest&& digest) {
+    const std::scoped_lock lock(accountsMutex);
+    accounts[digest.apkSha256] = digest.account;
+  });
   ChaosConfig chaosConfig;
   chaosConfig.lossProb = 0.05;
   chaosConfig.dupProb = 0.05;
@@ -95,7 +104,6 @@ TEST_F(IngestPipelineTest, AccountsAFaultyChannelExactlyPerApk) {
     pipeline.drain();  // finalize before the next run reuses the channel
   }
 
-  const auto accounts = pipeline.lossAccounts();
   ASSERT_EQ(accounts.size(), expected.size());
   std::uint64_t totalLost = 0;
   bool anyDamage = false;
@@ -172,34 +180,50 @@ TEST_F(IngestPipelineTest, PublishesRollingTotalsAfterEveryRun) {
                           [this](const core::RunArtifacts& artifacts) {
                             return attributor_.attributeColumns(artifacts);
                           });
+  std::vector<RunDigest> digests;  // one shard: one consumer thread
+  pipeline.setRunHook(
+      [&digests](RunDigest&& digest) { digests.push_back(std::move(digest)); });
 
-  std::uint64_t lastRuns = 0;
   for (std::size_t i = 0; i < 4; ++i) {
     auto artifacts = runApp(i, &pipeline);
+    const std::string sha = artifacts.apkSha256;
     pipeline.submitRun(i, std::move(artifacts));
     pipeline.drain();
-    const auto rolling = pipeline.rollingTotals();
-    EXPECT_EQ(rolling.runsFolded, lastRuns + 1);  // grows run by run
-    lastRuns = rolling.runsFolded;
+    // One digest per run, published as the run lands.
+    ASSERT_EQ(digests.size(), i + 1);
+    EXPECT_EQ(digests.back().jobIndex, i);
+    EXPECT_EQ(digests.back().apkSha256, sha);
+    EXPECT_FALSE(digests.back().replayed);
   }
-  const auto rolling = pipeline.rollingTotals();
-  EXPECT_EQ(rolling.runsFolded, 4u);
-  EXPECT_EQ(rolling.bytesByApp.size(), 4u);
-  EXPECT_GT(rolling.flowCount, 0u);
-  EXPECT_GT(rolling.attributedBytes, 0u);
-  // Zero loss: every reported socket keeps its context.
-  EXPECT_EQ(rolling.unattributedBytes, 0u);
-  std::uint64_t byLibrary = 0;
-  for (const auto& [library, bytes] : rolling.bytesByLibrary)
-    byLibrary += bytes;
-  EXPECT_EQ(byLibrary, rolling.attributedBytes);
+  std::uint64_t flows = 0;
+  std::uint64_t attributed = 0;
+  for (const RunDigest& digest : digests) {
+    flows += digest.flowCount;
+    attributed += digest.attributedBytes;
+    // Zero loss: every reported socket keeps its context.
+    EXPECT_EQ(digest.unattributedBytes, 0u);
+    EXPECT_EQ(digest.account.lost, 0u);
+    // The per-library and per-category sums split the run's bytes.
+    std::uint64_t byLibrary = 0;
+    for (const auto& [library, bytes] : digest.bytesByLibrary)
+      byLibrary += bytes;
+    EXPECT_EQ(byLibrary, digest.attributedBytes);
+    std::uint64_t byCategory = 0;
+    for (const auto& [category, bytes] : digest.bytesByLibCategory)
+      byCategory += bytes;
+    EXPECT_EQ(byCategory, digest.attributedBytes);
+  }
+  EXPECT_GT(flows, 0u);
+  EXPECT_GT(attributed, 0u);
 }
 
 TEST_F(IngestPipelineTest, RunWhoseCheckpointThrowsIsNotFolded) {
   // A run is checkpointed before it is folded anywhere. One whose
-  // checkpoint write throws must not show in the rolling view, the loss
-  // accounts or the published digests: an observer would otherwise count
-  // a run that no recovery can replay.
+  // checkpoint write throws must reach neither the published digests nor
+  // the accumulator: an observer would otherwise count a run that no
+  // recovery can replay.
+  core::StudyAggregator study;
+  core::StudyAccumulator accumulator(study);
   IngestConfig ingestConfig;
   ingestConfig.shards = 1;
   IngestPipeline pipeline(
@@ -207,21 +231,24 @@ TEST_F(IngestPipelineTest, RunWhoseCheckpointThrowsIsNotFolded) {
       [this](const core::RunArtifacts& artifacts) {
         return attributor_.attributeColumns(artifacts);
       },
-      /*accumulator=*/nullptr, [](const RunDelivery& delivery) {
+      &accumulator, [](const RunDelivery& delivery) {
         if (delivery.jobIndex == 0)
           throw std::runtime_error("cannot write run 0");
       });
-  std::vector<std::size_t> published;  // one shard: one consumer thread
-  pipeline.setRunHook([&published](const RunDigest& digest) {
-    published.push_back(digest.jobIndex);
+  std::vector<RunDigest> published;  // one shard: one consumer thread
+  pipeline.setRunHook([&published](RunDigest&& digest) {
+    published.push_back(std::move(digest));
   });
   for (std::size_t i = 0; i < 2; ++i)
     pipeline.submitRun(i, runApp(i, &pipeline));
   EXPECT_THROW(pipeline.drain(), std::runtime_error);
 
-  EXPECT_EQ(pipeline.rollingTotals().runsFolded, 1u);
-  EXPECT_EQ(pipeline.lossAccounts().size(), 1u);
-  EXPECT_EQ(published, std::vector<std::size_t>{1});
+  // Only run 1, with its loss account, was published and folded.
+  ASSERT_EQ(published.size(), 1u);
+  EXPECT_EQ(published.front().jobIndex, 1u);
+  EXPECT_GT(published.front().account.reportsEmitted, 0u);
+  accumulator.finish();
+  EXPECT_EQ(study.totals().appCount, 1u);
 }
 
 }  // namespace

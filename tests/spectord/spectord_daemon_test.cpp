@@ -1,9 +1,9 @@
 // The spectord daemon end to end over simulated duplex channels: session
 // handshake + resume, wire ingest equal to the in-process pipeline, exact
-// loss accounting through a chaos channel, dashboard mirrors that
-// reconstruct daemon state byte-for-byte from snapshot + deltas, bounded
-// slow-subscriber handling under both policies, and the admin surface
-// (status, evict, drain, resume-from-checkpoint, shutdown).
+// loss accounting through a chaos channel, dashboard mirrors equal to the
+// daemon's own view (early, mid-study and resynced subscribers), bounded
+// slow-subscriber handling (drop deltas, resync from a snapshot), and the
+// admin surface (status, evict, drain, resume-from-checkpoint, shutdown).
 #include "spectord/daemon.hpp"
 
 #include <gtest/gtest.h>
@@ -13,11 +13,13 @@
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/attribution.hpp"
+#include "core/export.hpp"
 #include "ingest/chaos.hpp"
 #include "orch/emulator.hpp"
 #include "radar/corpus.hpp"
@@ -56,11 +58,14 @@ class SpectordDaemonTest : public ::testing::Test {
     return config;
   }
 
-  std::unique_ptr<SpectorDaemon> makeDaemon(DaemonConfig config) {
+  std::unique_ptr<SpectorDaemon> makeDaemon(
+      DaemonConfig config, core::StudyAccumulator* accumulator = nullptr) {
     return std::make_unique<SpectorDaemon>(
-        std::move(config), [this](const core::RunArtifacts& artifacts) {
+        std::move(config),
+        [this](const core::RunArtifacts& artifacts) {
           return attributor_.attributeColumns(artifacts);
-        });
+        },
+        accumulator);
   }
 
   core::RunArtifacts runApp(std::size_t index, ingest::ReportSink* collector) {
@@ -144,7 +149,9 @@ TEST_F(SpectordDaemonTest, UnassignedAdminOpIsAnsweredWithError) {
 
 TEST_F(SpectordDaemonTest, WireIngestMatchesInProcessPipeline) {
   // Daemon side: datagrams and run uploads cross the framed protocol.
-  auto daemon = makeDaemon(daemonConfig());
+  core::StudyAggregator wireStudy;
+  core::StudyAccumulator wireAccumulator(wireStudy);
+  auto daemon = makeDaemon(daemonConfig(), &wireAccumulator);
   {
     IngestClient client(daemon->connect(), /*clientId=*/1);
     for (std::size_t i = 0; i < 4; ++i) {
@@ -158,25 +165,37 @@ TEST_F(SpectordDaemonTest, WireIngestMatchesInProcessPipeline) {
   daemon->drain();
 
   // Reference side: the same runs submitted straight into a pipeline.
+  core::StudyAggregator directStudy;
+  core::StudyAccumulator directAccumulator(directStudy);
   ingest::IngestPipeline pipeline(
-      daemonConfig().ingest, [this](const core::RunArtifacts& artifacts) {
+      daemonConfig().ingest,
+      [this](const core::RunArtifacts& artifacts) {
         return attributor_.attributeColumns(artifacts);
-      });
+      },
+      &directAccumulator);
   for (std::size_t i = 0; i < 4; ++i) {
     auto artifacts = runApp(i, &pipeline);
     pipeline.submitRun(i, std::move(artifacts));
   }
   pipeline.drain();
 
-  const auto wire = daemon->rollingTotals();
-  const auto direct = pipeline.rollingTotals();
-  EXPECT_EQ(wire.runsFolded, direct.runsFolded);
+  // Both sides folded the same four runs into the same study.
+  wireAccumulator.finish();
+  directAccumulator.finish();
+  const auto wire = wireStudy.totals();
+  const auto direct = directStudy.totals();
+  EXPECT_EQ(wire.appCount, 4u);
+  EXPECT_EQ(wire.appCount, direct.appCount);
   EXPECT_EQ(wire.flowCount, direct.flowCount);
-  EXPECT_EQ(wire.attributedBytes, direct.attributedBytes);
+  EXPECT_EQ(wire.totalBytes, direct.totalBytes);
   EXPECT_EQ(wire.unattributedBytes, direct.unattributedBytes);
-  EXPECT_EQ(wire.bytesByLibrary, direct.bytesByLibrary);
-  EXPECT_EQ(wire.bytesByLibCategory, direct.bytesByLibCategory);
-  EXPECT_EQ(wire.bytesByApp, direct.bytesByApp);
+  EXPECT_EQ(wireStudy.transferByLibCategory(),
+            directStudy.transferByLibCategory());
+  std::ostringstream wireReport;
+  std::ostringstream directReport;
+  core::writeStudyReport(wireStudy, wireReport);
+  core::writeStudyReport(directStudy, directReport);
+  EXPECT_EQ(wireReport.str(), directReport.str());
 
   const auto metrics = daemon->metrics();
   EXPECT_EQ(metrics.runsCompleted, 4u);
@@ -220,7 +239,7 @@ TEST_F(SpectordDaemonTest, ChaosChannelDamageIsAccountedExactly) {
 
   // The daemon survived the damaged stream and reconstructed the channel's
   // exact per-apk damage from sequence accounting alone.
-  const auto accounts = daemon->pipeline().lossAccounts();
+  const auto accounts = daemon->dashboard().accounts;
   ASSERT_EQ(accounts.size(), expected.size());
   bool anyDamage = false;
   for (const auto& e : expected) {
@@ -277,67 +296,71 @@ TEST_F(SpectordDaemonTest, SessionResumesAcrossReconnect) {
 }
 
 TEST_F(SpectordDaemonTest, DashboardMirrorReconstructsDaemonStateExactly) {
-  auto daemon = makeDaemon(daemonConfig());
+  auto config = daemonConfig();
+  config.expectedRuns = 4;
+  auto daemon = makeDaemon(std::move(config));
 
   // First subscriber sees an empty snapshot, then every run as a delta.
   DashboardClient early(daemon->connect(), /*clientId=*/100);
   early.subscribe(Topic::Totals);
   early.subscribe(Topic::Loss);
   early.subscribe(Topic::Progress);
-  ASSERT_TRUE(early.waitForSnapshot(Topic::Totals, 5000ms));
+  ASSERT_TRUE(early.waitForSnapshot(Topic::Progress, 5000ms));
+
+  // Another thread reads the daemon's view while runs land: every copy is
+  // one whole run boundary, never half a run.
+  std::uint64_t reads = 0;
+  std::jthread reader([&](std::stop_token landed) {
+    std::uint64_t last = 0;
+    while (!landed.stop_requested()) {
+      const DashboardMirror view = daemon->dashboard();
+      EXPECT_EQ(view.totals.runsFolded, view.runsFolded);
+      EXPECT_LE(view.accounts.size(), view.runsFolded);
+      EXPECT_GE(view.runsFolded, last);
+      last = view.runsFolded;
+      ++reads;
+      std::this_thread::yield();
+    }
+  });
 
   IngestClient client(daemon->connect(), /*clientId=*/2);
+  std::optional<DashboardClient> mid;
   for (std::size_t i = 0; i < 4; ++i) {
     auto artifacts = runApp(i, &client);
     client.completeRun(i, artifacts);
     if (i == 1) {
-      // Second subscriber joins mid-study: snapshot + remaining deltas
-      // must land on the same final state (no double count across the
-      // subscribe boundary, no missed run).
+      // A subscriber joining mid-study: its snapshots + the remaining
+      // deltas must land on the same final state (no double count across
+      // the subscribe boundary, no missed run).
       daemon->drain();
+      mid.emplace(daemon->connect(), /*clientId=*/102);
+      mid->subscribe(Topic::Totals);
+      mid->subscribe(Topic::Loss);
+      mid->subscribe(Topic::Progress);
     }
   }
   daemon->drain();
+  reader.request_stop();
+  reader.join();
+  EXPECT_GT(reads, 0u);
 
   DashboardClient late(daemon->connect(), /*clientId=*/101);
   late.subscribe(Topic::Totals);
   late.subscribe(Topic::Loss);
   late.subscribe(Topic::Progress);
 
-  // Each run reaches a subscriber as Totals, Loss and Progress frames in
-  // that order, and a late subscriber's snapshots come in the same order:
-  // wait until every topic compared below has folded all four runs.
-  const auto accounts = daemon->pipeline().lossAccounts();
-  for (DashboardClient* dashboard : {&early, &late}) {
-    ASSERT_TRUE(dashboard->waitUntil(
-        [&] {
-          const DashboardMirror& mirror = dashboard->mirror();
-          return dashboard->snapshotsReceived(Topic::Progress) > 0 &&
-                 mirror.totals.runsFolded == 4 && mirror.runsFolded == 4 &&
-                 mirror.accounts.size() == accounts.size();
-        },
-        10000ms));
-  }
-
-  const auto reference = daemon->rollingTotals();
-  for (const DashboardClient* dashboard : {&early, &late}) {
-    const DashboardMirror& mirror = dashboard->mirror();
-    EXPECT_EQ(mirror.totals.runsFolded, reference.runsFolded);
-    EXPECT_EQ(mirror.totals.flowCount, reference.flowCount);
-    EXPECT_EQ(mirror.totals.attributedBytes, reference.attributedBytes);
-    EXPECT_EQ(mirror.totals.unattributedBytes, reference.unattributedBytes);
-    EXPECT_EQ(mirror.totals.bytesByLibrary, reference.bytesByLibrary);
-    EXPECT_EQ(mirror.totals.bytesByLibCategory, reference.bytesByLibCategory);
-    EXPECT_EQ(mirror.totals.bytesByApp, reference.bytesByApp);
-    // Loss topic: exact per-apk accounts.
-    ASSERT_EQ(mirror.accounts.size(), accounts.size());
-    for (const auto& [sha, account] : mirror.accounts) {
-      ASSERT_TRUE(accounts.contains(sha));
-      EXPECT_EQ(account, accounts.at(sha));
-    }
-    // Progress topic.
-    EXPECT_EQ(mirror.runsFolded, 4u);
-  }
+  const DashboardMirror reference = daemon->dashboard();
+  EXPECT_EQ(reference.runsFolded, 4u);
+  EXPECT_EQ(reference.totals.runsFolded, 4u);
+  EXPECT_EQ(reference.expectedRuns, 4u);
+  EXPECT_EQ(reference.accounts.size(), 4u);
+  EXPECT_EQ(reference.totals.bytesByApp.size(), 4u);
+  EXPECT_GT(reference.totals.attributedBytes, 0u);
+  EXPECT_GT(reference.reportsDelivered, 0u);
+  // Each subscriber's mirror converges to the daemon's view as a whole.
+  for (DashboardClient* dashboard : {&early, &*mid, &late})
+    EXPECT_TRUE(dashboard->waitUntil(
+        [&] { return dashboard->mirror() == reference; }, 10000ms));
   EXPECT_GT(early.deltasReceived(), 0u);
   EXPECT_GT(daemon->metrics().subscriberDeltasSent, 0u);
   EXPECT_EQ(daemon->metrics().subscriberDeltasDropped, 0u);
@@ -348,12 +371,13 @@ TEST_F(SpectordDaemonTest, SlowSubscriberIsBoundedAndResyncsWithoutStallingInges
   auto config = daemonConfig();
   // A budget small enough that a non-polling subscriber overflows fast.
   config.subscriberQueueBytes = 256;
-  config.slowSubscriberPolicy = SlowSubscriberPolicy::DropAndResync;
   auto daemon = makeDaemon(std::move(config));
 
   DashboardClient dashboard(daemon->connect(), /*clientId=*/200);
   dashboard.subscribe(Topic::Totals);
-  ASSERT_TRUE(dashboard.waitForSnapshot(Topic::Totals, 5000ms));
+  dashboard.subscribe(Topic::Loss);
+  dashboard.subscribe(Topic::Progress);
+  ASSERT_TRUE(dashboard.waitForSnapshot(Topic::Progress, 5000ms));
 
   // The subscriber goes silent; ingest must finish regardless.
   IngestClient client(daemon->connect(), /*clientId=*/3);
@@ -363,53 +387,27 @@ TEST_F(SpectordDaemonTest, SlowSubscriberIsBoundedAndResyncsWithoutStallingInges
     ASSERT_TRUE(ack.accepted);
   }
   daemon->drain();
-  EXPECT_EQ(daemon->rollingTotals().runsFolded, generator_.appCount());
+  EXPECT_EQ(daemon->dashboard().runsFolded, generator_.appCount());
 
-  // With a 256-byte budget and a silent reader the policy kicked in: at
-  // least one delta was dropped (arming the resync), and once armed the
-  // remaining runs ride the pending snapshot instead of the delta stream,
-  // so attempts never exceed one per run for the one subscribed topic.
+  // With a 256-byte budget and a silent reader deltas were dropped
+  // (arming a resync), and once a topic is armed the remaining runs ride
+  // its pending snapshot instead of the delta stream, so attempts never
+  // exceed one per run per subscribed topic.
   const auto metrics = daemon->metrics();
   EXPECT_GT(metrics.subscriberDeltasDropped, 0u);
   EXPECT_LE(metrics.subscriberDeltasSent + metrics.subscriberDeltasDropped,
-            generator_.appCount());
-  EXPECT_EQ(metrics.subscribersDisconnected, 0u);
+            3 * generator_.appCount());
 
-  // Once the subscriber drains, the resync snapshot restores exactness.
-  ASSERT_TRUE(dashboard.waitForRuns(generator_.appCount(), 10000ms));
+  // Once the subscriber drains, the resync snapshots restore exactness on
+  // every topic: the whole mirror equals the daemon's view.
+  const DashboardMirror reference = daemon->dashboard();
+  EXPECT_TRUE(dashboard.waitUntil(
+      [&] { return dashboard.mirror() == reference; }, 10000ms));
+  // A Totals delta alone outgrows the budget, and a Loss delta leaves no
+  // room for the Progress delta behind it: both topics resynced.
   EXPECT_GE(dashboard.snapshotsReceived(Topic::Totals), 2u);
-  const auto reference = daemon->rollingTotals();
-  EXPECT_EQ(dashboard.mirror().totals.bytesByApp, reference.bytesByApp);
-  EXPECT_EQ(dashboard.mirror().totals.attributedBytes,
-            reference.attributedBytes);
+  EXPECT_GE(dashboard.snapshotsReceived(Topic::Progress), 2u);
   EXPECT_GT(daemon->metrics().subscriberSnapshotsResent, 0u);
-  client.bye();
-}
-
-TEST_F(SpectordDaemonTest, SlowSubscriberDisconnectPolicyCutsTheClient) {
-  auto config = daemonConfig();
-  config.subscriberQueueBytes = 256;
-  config.slowSubscriberPolicy = SlowSubscriberPolicy::Disconnect;
-  auto daemon = makeDaemon(std::move(config));
-
-  DashboardClient dashboard(daemon->connect(), /*clientId=*/201);
-  dashboard.subscribe(Topic::Totals);
-  ASSERT_TRUE(dashboard.waitForSnapshot(Topic::Totals, 5000ms));
-
-  IngestClient client(daemon->connect(), /*clientId=*/4);
-  for (std::size_t i = 0; i < generator_.appCount(); ++i) {
-    auto artifacts = runApp(i, &client);
-    ASSERT_TRUE(client.completeRun(i, artifacts).accepted);
-  }
-  daemon->drain();
-
-  // Ingest finished at full exactness; the slow dashboard was cut loose.
-  EXPECT_EQ(daemon->rollingTotals().runsFolded, generator_.appCount());
-  EXPECT_EQ(daemon->metrics().subscribersDisconnected, 1u);
-
-  // The client observes the Bye (or the close racing it).
-  dashboard.poll(2000ms);
-  EXPECT_TRUE(dashboard.byeReceived() || dashboard.peerClosed());
   client.bye();
 }
 
@@ -450,7 +448,7 @@ TEST_F(SpectordDaemonTest, AdminResumeReplaysCheckpointsAndShutdownStops) {
       ("spectord_admin_resume_" + std::to_string(::getpid()));
   std::filesystem::remove_all(directory);
 
-  ingest::RollingTotals before;
+  DashboardMirror before;
   {
     auto config = daemonConfig();
     config.checkpointDirectory = directory.string();
@@ -461,7 +459,8 @@ TEST_F(SpectordDaemonTest, AdminResumeReplaysCheckpointsAndShutdownStops) {
       ASSERT_TRUE(client.completeRun(i, artifacts).accepted);
     }
     daemon->drain();
-    before = daemon->rollingTotals();
+    before = daemon->dashboard();
+    EXPECT_EQ(before.runsFolded, 3u);
     client.bye();
     daemon->shutdown();
     EXPECT_FALSE(daemon->running());
@@ -478,11 +477,10 @@ TEST_F(SpectordDaemonTest, AdminResumeReplaysCheckpointsAndShutdownStops) {
     EXPECT_NE(resumed.info.find("replayed 3 runs"), std::string::npos)
         << resumed.info;
 
-    const auto after = daemon->rollingTotals();
-    EXPECT_EQ(after.runsFolded, before.runsFolded);
-    EXPECT_EQ(after.attributedBytes, before.attributedBytes);
-    EXPECT_EQ(after.bytesByApp, before.bytesByApp);
-    EXPECT_EQ(after.bytesByLibrary, before.bytesByLibrary);
+    // The replayed runs rebuild the whole view: totals, the persisted
+    // loss accounts and the progress counters.
+    daemon->drain();
+    EXPECT_TRUE(daemon->dashboard() == before);
 
     // Graceful shutdown over the wire: the daemon stops and further
     // connects come back closed.
@@ -593,7 +591,7 @@ TEST_F(SpectordDaemonTest, RunCompleteOutsideOwnedSliceIsRefused) {
 
   daemon->drain();
   EXPECT_EQ(daemon->counters().runsRefused, 1u);
-  EXPECT_EQ(daemon->rollingTotals().runsFolded, 1u);
+  EXPECT_EQ(daemon->dashboard().runsFolded, 1u);
   client.bye();
 }
 

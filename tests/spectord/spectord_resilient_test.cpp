@@ -1,15 +1,15 @@
-// The resilient client tier: deterministic backoff schedules, clients
-// that survive scripted connection kills (BreakerEndpoint) by resuming
-// their session and re-sending only the unacked tail, the daemon's
+// The resilient ingest client: deterministic backoff schedules, a client
+// that survives scripted connection kills (BreakerEndpoint) by resuming
+// its session and re-sending only the unacked tail, the daemon's
 // hardened session table (one live attach per clientId, stale-session
 // expiry on drain), the ack-path dedupe fixes (duplicate RunAcks,
 // duplicate RunComplete uploads, pre-ack handshake frames), and the
-// pipelined run uploads (one verdict per upload, no wait under the lock).
+// pipelined run uploads (one verdict per upload, collected by flush
+// without waiting under the lock).
 #include "spectord/resilient.hpp"
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -286,11 +286,10 @@ TEST_F(SpectordResilientTest, IngestClientSurvivesSeverAndLosesNothing) {
       },
       /*clientId=*/9, config);
 
-  for (std::size_t i = 0; i < 4; ++i) {
-    const auto artifacts = runApp(i, &client);
-    const RunAckMsg ack = client.completeRun(i, artifacts);
-    EXPECT_TRUE(ack.accepted) << ack.reason;
-  }
+  for (std::size_t i = 0; i < 4; ++i) client.uploadRun(i, runApp(i, &client));
+  const std::vector<RunAckMsg> refused = client.flush();
+  EXPECT_TRUE(refused.empty());
+  EXPECT_EQ(client.runsAccepted(), 4u);
   ASSERT_TRUE(client.waitAckedFrames(client.framesOffered(), 10000ms));
   EXPECT_EQ(client.reconnects(), 2u);
   EXPECT_GT(client.framesResent(), 0u);
@@ -372,7 +371,7 @@ TEST_F(SpectordResilientTest, RefusedResumeRebasesAckAccounting) {
   daemon->shutdown();
 }
 
-TEST(SpectordResilientBudgetTest, CompleteRunFailsLoudlyWhenDaemonNeverAcks) {
+TEST(SpectordResilientBudgetTest, FlushFailsLoudlyWhenDaemonNeverAcks) {
   // A daemon that stays reachable but never acks resets the reconnect
   // budget on every re-attach; the upload must have its own fail-loud
   // budget instead of retrying forever.
@@ -403,8 +402,9 @@ TEST(SpectordResilientBudgetTest, CompleteRunFailsLoudlyWhenDaemonNeverAcks) {
           return pair.client;
         },
         /*clientId=*/5, config);
-    core::RunArtifacts artifacts;  // content irrelevant: never acked
-    EXPECT_THROW((void)client.completeRun(0, artifacts), std::runtime_error);
+    // Content irrelevant: the upload is never acked.
+    client.uploadRun(0, core::RunArtifacts{});
+    EXPECT_THROW((void)client.flush(), std::runtime_error);
     EXPECT_EQ(client.runsResent(), 3u);
     client.bye();
   }
@@ -413,9 +413,9 @@ TEST(SpectordResilientBudgetTest, CompleteRunFailsLoudlyWhenDaemonNeverAcks) {
 }
 
 TEST_F(SpectordResilientTest, PendingRunAckDoesNotHoldBackReports) {
-  // A worker waiting for its RunAck must not hold the client's lock: the
-  // fake daemon withholds job 0's verdict until it has read one Report
-  // frame, which only another worker's submitDatagram can send.
+  // A worker whose flush waits for a RunAck must not hold the client's
+  // lock: the fake daemon withholds job 0's verdict until it has read one
+  // Report frame, which only another worker's submitDatagram can send.
   std::vector<std::thread> servers;
   std::atomic<bool> sawRunComplete{false};
   ResilientClientConfig config;
@@ -463,12 +463,12 @@ TEST_F(SpectordResilientTest, PendingRunAckDoesNotHoldBackReports) {
         },
         /*clientId=*/5, config);
 
-    std::optional<RunAckMsg> verdict;
+    std::optional<std::vector<RunAckMsg>> refused;
     std::string error;
     std::thread uploader([&] {
-      core::RunArtifacts artifacts;  // content irrelevant to the fake
       try {
-        verdict = client.completeRun(0, artifacts);
+        client.uploadRun(0, core::RunArtifacts{});  // content irrelevant
+        refused = client.flush();
       } catch (const std::exception& e) {
         error = e.what();
       }
@@ -489,7 +489,8 @@ TEST_F(SpectordResilientTest, PendingRunAckDoesNotHoldBackReports) {
     EXPECT_TRUE(reported.load());
     EXPECT_TRUE(error.empty()) << error;
     // No ASSERT before the joins below: the server threads must be joined.
-    EXPECT_TRUE(verdict.has_value() && verdict->accepted);
+    EXPECT_TRUE(refused.has_value() && refused->empty());
+    EXPECT_EQ(client.runsAccepted(), 1u);
     EXPECT_EQ(client.runsResent(), 0u);
     client.bye();
   }
@@ -541,127 +542,9 @@ TEST_F(SpectordResilientTest, FlushFoldsOneVerdictPerUpload) {
 
   daemon.drain();
   EXPECT_EQ(daemon.counters().runsRefused, 1u);
-  EXPECT_EQ(daemon.rollingTotals().runsFolded, 1u);
+  EXPECT_EQ(daemon.dashboard().runsFolded, 1u);
   client.bye();
   daemon.shutdown();
-}
-
-TEST(SpectordResilientDashboardTest, ReconnectDoesNotDuplicateSubscribes) {
-  // Count the Subscribe frames each fake-server connection receives: a
-  // reconnect re-subscribes the recorded topics, and subscribe() must not
-  // send the requested topic a second time on top of that.
-  std::vector<std::thread> servers;
-  std::array<std::atomic<int>, 4> subscribes{};
-  std::atomic<bool> firstConnClosed{false};
-  ResilientClientConfig config;
-  config.reconnect = testBackoff();
-  {
-    ResilientDashboardClient dashboard(
-        [&](std::size_t ordinal) {
-          ChannelPair pair = makeChannel(64 * 1024);
-          servers.emplace_back([endpoint = pair.server, &subscribes,
-                                &firstConnClosed, ordinal]() mutable {
-            FrameParser parser;
-            std::vector<std::uint8_t> buf;
-            while (!endpoint.peerClosed()) {
-              buf.clear();
-              if (endpoint.readSome(buf) == 0) {
-                endpoint.waitReadable(20ms);
-                continue;
-              }
-              parser.feed(buf);
-              while (auto frame = parser.next()) {
-                if (frame->type == FrameType::Hello) {
-                  HelloAckMsg ack;
-                  ack.session = ordinal + 1;
-                  endpoint.writeAll(
-                      encodeFrame(FrameType::HelloAck, ack.encode()));
-                } else if (frame->type == FrameType::Subscribe) {
-                  ++subscribes[ordinal];
-                  if (ordinal == 0) {
-                    // Kill the first connection right after its initial
-                    // subscribe landed.
-                    endpoint.close();
-                    firstConnClosed.store(true);
-                    return;
-                  }
-                }
-              }
-            }
-            endpoint.close();
-          });
-          return pair.client;
-        },
-        /*clientId=*/7, config);
-
-    dashboard.subscribe(Topic::Totals);
-    while (!firstConnClosed.load()) std::this_thread::sleep_for(1ms);
-
-    // Re-asserting the same subscription on a dead transport reconnects;
-    // the reconnect path already re-subscribes Totals, so exactly one
-    // Subscribe may reach the second connection here.
-    dashboard.subscribe(Topic::Totals);
-    // A genuinely new topic on the live connection still goes out.
-    dashboard.subscribe(Topic::Loss);
-    const auto deadline = std::chrono::steady_clock::now() + 2000ms;
-    while (subscribes[1].load() < 2 &&
-           std::chrono::steady_clock::now() < deadline)
-      std::this_thread::sleep_for(1ms);
-    std::this_thread::sleep_for(50ms);  // would catch a late duplicate
-    EXPECT_EQ(subscribes[0].load(), 1);
-    EXPECT_EQ(subscribes[1].load(), 2);
-    EXPECT_EQ(dashboard.reconnects(), 1u);
-    dashboard.close();
-  }
-  for (auto& server : servers) server.join();
-}
-
-TEST_F(SpectordResilientTest, DashboardClientReconnectsAndResubscribes) {
-  auto daemon = makeDaemon();
-  std::vector<std::unique_ptr<BreakerEndpoint>> breakers;
-  ResilientClientConfig config;
-  config.reconnect = testBackoff();
-
-  // Size the kill so the Hello lands but the first Subscribe is torn.
-  HelloMsg hello;
-  hello.clientId = 77;
-  hello.kind = ClientKind::Dashboard;
-  const std::size_t helloBytes =
-      encodeFrame(FrameType::Hello, hello.encode()).size();
-  SubscribeMsg sub;
-  const std::size_t subBytes =
-      encodeFrame(FrameType::Subscribe, sub.encode()).size();
-
-  ResilientDashboardClient dashboard(
-      [&](std::size_t ordinal) {
-        BreakerEndpoint::Fault fault;
-        if (ordinal == 0) {
-          fault.kind = BreakerEndpoint::FaultKind::Sever;
-          fault.afterClientBytes = helloBytes + subBytes / 2;
-        }
-        breakers.push_back(
-            std::make_unique<BreakerEndpoint>(daemon->connect(), fault));
-        return breakers.back()->clientEnd();
-      },
-      /*clientId=*/77, config);
-  dashboard.subscribe(Topic::Totals);
-
-  IngestClient ingest(daemon->connect(), /*clientId=*/9);
-  for (std::size_t i = 0; i < 3; ++i) {
-    const auto artifacts = runApp(i, &ingest);
-    EXPECT_TRUE(ingest.completeRun(i, artifacts).accepted);
-  }
-  daemon->drain();
-
-  // The poll loop detects the hangup, reconnects, re-subscribes, and the
-  // fresh snapshot catches the mirror up on everything it missed.
-  ASSERT_TRUE(dashboard.waitForRuns(3, 10000ms));
-  EXPECT_EQ(dashboard.reconnects(), 1u);
-  EXPECT_EQ(dashboard.mirror().totals.runsFolded, 3u);
-  EXPECT_GE(dashboard.snapshotsReceived(Topic::Totals), 1u);
-  ingest.bye();
-  dashboard.close();
-  daemon->shutdown();
 }
 
 }  // namespace
