@@ -133,7 +133,6 @@ StormStats streamStorm(std::size_t clients, std::uint64_t killEveryBytes) {
         spectord::ResilientClientConfig clientConfig;
         clientConfig.reconnect.initialDelay = std::chrono::milliseconds(1);
         clientConfig.reconnect.maxDelay = std::chrono::milliseconds(10);
-        clientConfig.reconnect.seed = 100 + c;
         spectord::ResilientIngestClient client(
             [&daemon, &breakers, killEveryBytes](std::size_t) {
               spectord::BreakerEndpoint::Fault fault;

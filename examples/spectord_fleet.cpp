@@ -103,9 +103,6 @@ int main(int argc, char** argv) {
         },
         [&](std::size_t index, core::RunArtifacts&& artifacts) {
           sink.uploadRun(index, artifacts);
-        },
-        [&](std::size_t index, const orch::Dispatcher::FailedJob&) {
-          daemon.pipeline().skip(index);
         });
     (void)sink.flush();
     std::printf("fleet: %llu runs uploaded and accepted, %llu report "

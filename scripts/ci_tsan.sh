@@ -1,20 +1,22 @@
 #!/usr/bin/env bash
 # TSan CI lane: build the concurrent subsystems under ThreadSanitizer and
-# run the tests that exercise them — the ingest tier (sharded router,
-# pipeline, chaos channel, v3 dictionary path), the dispatcher fleet (whose
-# workers call their job source concurrently: the study's and the spectord
-# collector's cursor claims, the collector's jobLimit under concurrent
-# claims), the checkpoint recovery scan (bundle-decode threads claiming
-# paths from one cursor, each writing its own verdict slot, joined before
-# the verdicts are applied in path order), the lock-free-read symbol pool,
-# the shared compiled attribution program + columnar fold that concurrent
-# shard workers run through, and the spectord daemon (event loop vs. client
-# threads vs. shard consumers vs. a thread copying the daemon's dashboard
-# view while runs land, plus the multi-collector runCollector path and the
-# resilient ingest client — reconnect/resume under BreakerEndpoint kills
-# runs client threads against breaker pump threads against the daemon
-# loop, and flush waits for verdicts with the client lock released while
-# other threads report), and the scenario conformance matrix
+# run the tests that exercise them — the ingest tier (the sharded router,
+# its checkpoint hook and the run callbacks that attribute on every
+# shard's thread, chaos channel, v3 dictionary path), the dispatcher fleet
+# (whose workers call their job source concurrently: the study's and the
+# spectord collector's cursor claims, the collector's jobLimit under
+# concurrent claims), the checkpoint recovery scan (bundle-decode threads
+# claiming paths from one cursor, each writing its own verdict slot,
+# joined before the verdicts are applied in path order), the
+# lock-free-read symbol pool, the shared compiled attribution program +
+# columnar fold that concurrent shard workers run through, and the
+# spectord daemon (event loop vs. client threads vs. shard consumers
+# building each run's delta vs. a thread copying the daemon's dashboard
+# view while runs land, plus the multi-collector runCollector path and
+# the resilient ingest client — reconnect/resume under BreakerEndpoint
+# kills runs client threads against breaker pump threads against the
+# daemon loop, and flush waits for verdicts with the client lock released
+# while other threads report), and the scenario conformance matrix
 # (golden-pinned studies at 0/1/2/8 workers and 1/2/4 collectors with the
 # keep-alive/adversarial/background-sync flags on). A data race here
 # corrupts studies silently, so this lane gates every change to the

@@ -492,12 +492,8 @@ double StudyAggregator::meanBytesPerRun(const std::string& libCategory) const {
   return static_cast<double>(it->second) / static_cast<double>(apps_.size());
 }
 
-StudyAccumulator::StudyAccumulator(StudyAggregator& study, FoldHook onFolded)
-    : study_(study), onFolded_(std::move(onFolded)) {}
-
 void StudyAccumulator::foldLocked(PendingApp&& app) {
   study_.addAppColumns(app.run, app.columns);
-  if (onFolded_) onFolded_(std::move(app.run));
   ++folded_;
 }
 

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -266,11 +265,7 @@ class StudyAggregator {
 /// prefix.
 class StudyAccumulator {
  public:
-  /// Called, in index order, with each folded app's artifacts — the hook
-  /// the orchestrator uses to persist bundles deterministically.
-  using FoldHook = std::function<void(RunArtifacts&&)>;
-
-  explicit StudyAccumulator(StudyAggregator& study, FoldHook onFolded = {});
+  explicit StudyAccumulator(StudyAggregator& study) : study_(study) {}
 
   /// Deliver app `jobIndex` and its flow batch (folded through
   /// StudyAggregator::addAppColumns). Thread-safe; folds eagerly when
@@ -304,7 +299,6 @@ class StudyAccumulator {
 
   mutable std::mutex mutex_;
   StudyAggregator& study_;
-  FoldHook onFolded_;
   std::size_t next_ = 0;          // lowest index not yet folded or skipped
   std::size_t folded_ = 0;
   std::map<std::size_t, std::optional<PendingApp>> pending_;  // nullopt = skipped

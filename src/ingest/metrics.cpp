@@ -45,16 +45,18 @@ std::string IngestMetrics::toJson() const {
   appendKv(out, "latency_p50_ms", latencyP50Ms);
   appendKv(out, "latency_p90_ms", latencyP90Ms);
   appendKv(out, "latency_p99_ms", latencyP99Ms);
-  appendKv(out, "sessions_opened", sessionsOpened);
-  appendKv(out, "sessions_resumed", sessionsResumed);
-  appendKv(out, "sessions_expired", sessionsExpired);
-  appendKv(out, "session_attach_refusals", sessionAttachRefusals);
-  appendKv(out, "duplicate_run_uploads", duplicateRunUploads);
-  appendKv(out, "subscriber_deltas_sent", subscriberDeltasSent);
-  appendKv(out, "subscriber_deltas_dropped", subscriberDeltasDropped);
-  appendKv(out, "subscriber_snapshots_resent", subscriberSnapshotsResent);
-  appendKv(out, "protocol_garbage_bytes", protocolGarbageBytes);
-  appendKv(out, "protocol_rejected_frames", protocolRejectedFrames);
+  appendKv(out, "sessions_opened", service.sessionsOpened);
+  appendKv(out, "sessions_resumed", service.sessionsResumed);
+  appendKv(out, "sessions_expired", service.sessionsExpired);
+  appendKv(out, "session_attach_refusals", service.sessionAttachRefusals);
+  appendKv(out, "duplicate_run_uploads", service.duplicateRunUploads);
+  appendKv(out, "runs_refused", service.runsRefused);
+  appendKv(out, "subscriber_deltas_sent", service.subscriberDeltasSent);
+  appendKv(out, "subscriber_deltas_dropped", service.subscriberDeltasDropped);
+  appendKv(out, "subscriber_snapshots_resent",
+           service.subscriberSnapshotsResent);
+  appendKv(out, "protocol_garbage_bytes", service.protocolGarbageBytes);
+  appendKv(out, "protocol_rejected_frames", service.protocolRejectedFrames);
   out += "\"per_shard\": [";
   for (std::size_t i = 0; i < perShard.size(); ++i) {
     const ShardMetrics& s = perShard[i];

@@ -47,6 +47,22 @@ struct ShardMetrics {
   std::size_t latencySamples = 0;
 };
 
+/// Service counters: filled in by spectord's daemon when the router runs
+/// behind it, zero when it is driven in-process.
+struct ServiceCounters {
+  std::uint64_t sessionsOpened = 0;
+  std::uint64_t sessionsResumed = 0;
+  std::uint64_t sessionsExpired = 0;        // stale sessions swept on drain
+  std::uint64_t sessionAttachRefusals = 0;  // second live attach refused
+  std::uint64_t duplicateRunUploads = 0;    // resume re-uploads deduped
+  std::uint64_t runsRefused = 0;  // RunComplete outside the owned slice
+  std::uint64_t subscriberDeltasSent = 0;
+  std::uint64_t subscriberDeltasDropped = 0;    // slow-subscriber drops
+  std::uint64_t subscriberSnapshotsResent = 0;  // resyncs after drops
+  std::uint64_t protocolGarbageBytes = 0;       // bytes skipped resyncing
+  std::uint64_t protocolRejectedFrames = 0;     // bad crc/version/length
+};
+
 struct IngestMetrics {
   std::size_t shards = 0;
   std::uint64_t datagramsReceived = 0;   // every submitDatagram call
@@ -67,18 +83,7 @@ struct IngestMetrics {
   double latencyP90Ms = 0.0;
   double latencyP99Ms = 0.0;
 
-  // Service surface (filled in by spectord when the pipeline runs behind
-  // the daemon; zero when driven in-process).
-  std::uint64_t sessionsOpened = 0;
-  std::uint64_t sessionsResumed = 0;
-  std::uint64_t sessionsExpired = 0;        // stale sessions swept on drain
-  std::uint64_t sessionAttachRefusals = 0;  // second live attach refused
-  std::uint64_t duplicateRunUploads = 0;    // resume re-uploads deduped
-  std::uint64_t subscriberDeltasSent = 0;
-  std::uint64_t subscriberDeltasDropped = 0;    // slow-subscriber drops
-  std::uint64_t subscriberSnapshotsResent = 0;  // resyncs after drops
-  std::uint64_t protocolGarbageBytes = 0;       // bytes skipped resyncing
-  std::uint64_t protocolRejectedFrames = 0;     // bad crc/version/length
+  ServiceCounters service;
 
   /// Machine-readable export (stable key order, valid JSON).
   [[nodiscard]] std::string toJson() const;

@@ -28,8 +28,12 @@ constexpr std::size_t kLatencyWindow = 8192;
 
 }  // namespace
 
-ShardedIngest::ShardedIngest(IngestConfig config, RunCallback onRun)
-    : config_(config), onRun_(std::move(onRun)), startedAt_(Clock::now()) {
+ShardedIngest::ShardedIngest(IngestConfig config, RunCallback onRun,
+                             CheckpointFn checkpoint)
+    : config_(config),
+      onRun_(std::move(onRun)),
+      checkpoint_(std::move(checkpoint)),
+      startedAt_(Clock::now()) {
   config_.queueCapacity = std::max<std::size_t>(1, config_.queueCapacity);
   config_.maxPendingApks = std::max<std::size_t>(1, config_.maxPendingApks);
   const std::size_t shardCount = resolveShardCount(config_.shards);
@@ -91,8 +95,8 @@ void ShardedIngest::submitRun(std::size_t jobIndex,
                               core::RunArtifacts&& artifacts) {
   const std::size_t shard = shardOf(artifacts.apkSha256);
   Item item;
-  item.run = std::make_unique<RunTask>(
-      RunTask{jobIndex, std::move(artifacts), /*replay=*/false, {}});
+  item.run = std::make_unique<RunDelivery>(
+      RunDelivery{jobIndex, std::move(artifacts), {}, /*replayed=*/false});
   item.enqueuedAt = Clock::now();
   enqueue(*shards_[shard], std::move(item));
 }
@@ -102,8 +106,8 @@ void ShardedIngest::submitReplay(std::size_t jobIndex,
                                  const ApkLossAccount& account) {
   const std::size_t shard = shardOf(artifacts.apkSha256);
   Item item;
-  item.run = std::make_unique<RunTask>(
-      RunTask{jobIndex, std::move(artifacts), /*replay=*/true, account});
+  item.run = std::make_unique<RunDelivery>(
+      RunDelivery{jobIndex, std::move(artifacts), account, /*replayed=*/true});
   item.enqueuedAt = Clock::now();
   enqueue(*shards_[shard], std::move(item));
 }
@@ -126,8 +130,8 @@ void ShardedIngest::consumeLoop(std::stop_token stop, Shard& shard) {
     const auto startedAt = Clock::now();
     if (item.run != nullptr) {
       // An exception escaping this thread would end the process: keep the
-      // first one a run callback throws (a checkpoint write that failed)
-      // for drain() and go on consuming.
+      // first one a checkpoint hook or run callback throws (a checkpoint
+      // write that failed) for drain() and go on consuming.
       try {
         finalizeRun(shard, std::move(*item.run));
       } catch (...) {
@@ -148,7 +152,6 @@ void ShardedIngest::consumeLoop(std::stop_token stop, Shard& shard) {
         shard.latencyMs[shard.latencyNext] = latency;
         shard.latencyNext = (shard.latencyNext + 1) % kLatencyWindow;
       }
-      ++shard.latencyTotal;
       shard.busy = false;
       if (shard.queue.empty()) shard.drained.notify_all();
     }
@@ -293,18 +296,13 @@ void ShardedIngest::repairHolesFromLocalLocked(
   }
 }
 
-void ShardedIngest::finalizeRun(Shard& shard, RunTask&& task) {
-  RunDelivery delivery;
-  delivery.jobIndex = task.jobIndex;
-  delivery.artifacts = std::move(task.artifacts);
-
-  if (task.replay) {
+void ShardedIngest::finalizeRun(Shard& shard, RunDelivery&& delivery) {
+  if (delivery.replayed) {
     // The bundle already went through finalization once; its reports are
     // the delivered set and its persisted account is authoritative. Fold
     // the original numbers into the counters so a recovered study's
-    // delivery/loss totals match the uninterrupted run exactly.
-    delivery.account = task.account;
-    delivery.replayed = true;
+    // delivery/loss totals match the uninterrupted run exactly. It is
+    // durable already, so it skips the checkpoint hook.
     {
       const std::scoped_lock lock(shard.mutex);
       ++shard.counters.runsCompleted;
@@ -353,8 +351,12 @@ void ShardedIngest::finalizeRun(Shard& shard, RunTask&& task) {
   // emitted nothing and routed nothing keeps its (empty) list untouched.
   if (channelLive) delivery.artifacts.reports = std::move(deliveredReports);
 
-  // Callback outside the lock: attribution is heavy, and producers must be
-  // able to keep feeding the queue while it runs.
+  // Hook and callback outside the lock: attribution is heavy, and
+  // producers must be able to keep feeding the queue while it runs.
+  // Durable before aggregated: a run that is checkpointed but not yet
+  // folded is replayed on recovery, the reverse order would lose it, and a
+  // checkpoint that throws keeps the run out of the callback.
+  if (checkpoint_) checkpoint_(delivery);
   if (onRun_) onRun_(std::move(delivery));
 }
 

@@ -1,5 +1,7 @@
 // Sharded streaming ingest router (the scale path the ROADMAP's
-// "heavy traffic from millions of users" goal demands).
+// "heavy traffic from millions of users" goal demands), and the one ingest
+// class: every owner (orch::runStudy, spectord's daemon) builds one and
+// attributes each run in its own run callback.
 //
 // A single mutex-guarded collection map would funnel every emulator worker
 // through one lock and silently absorb whatever UDP did to the datagrams in
@@ -17,7 +19,12 @@
 //    into per-apk state, and finalizes runs as their artifacts arrive —
 //    because routing is by apk checksum, a run's datagrams and its
 //    completion serialize through the same shard queue, so no cross-shard
-//    coordination is ever needed.
+//    coordination is ever needed;
+//  - a finalized fresh run is made durable first (the checkpoint hook)
+//    and only then handed to the run callback, on the same shard thread:
+//    a crash between the two replays the run instead of losing it, and a
+//    run whose checkpoint throws reaches no callback. Replays
+//    (submitReplay) are already durable and skip the hook.
 #pragma once
 
 #include <atomic>
@@ -74,14 +81,23 @@ struct RunDelivery {
 
 class ShardedIngest final : public ReportSink {
  public:
-  /// Invoked on the owning shard's consumer thread for each finalized run;
-  /// heavy work here (attribution) is the intended use — it parallelizes
-  /// across shards and backpressures producers via the bounded queue. An
-  /// exception it throws (a checkpoint write that failed) does not stop
-  /// the shard: the first one is kept for drain() to rethrow.
+  /// Invoked on the owning shard's consumer thread for each finalized run,
+  /// fresh and replayed; heavy work here (attribution) is the intended use
+  /// — it parallelizes across shards and backpressures producers via the
+  /// bounded queue. Must be thread-safe across shards.
   using RunCallback = std::function<void(RunDelivery&&)>;
+  /// Invoked on the shard consumer thread for every fresh run (never for a
+  /// replay), and returns before the run callback starts: durable before
+  /// aggregated. Must be thread-safe; orch::CheckpointWriter is the
+  /// intended implementation.
+  using CheckpointFn = std::function<void(const RunDelivery&)>;
 
-  explicit ShardedIngest(IngestConfig config = {}, RunCallback onRun = {});
+  /// An exception the checkpoint hook or the run callback throws (a
+  /// checkpoint write that failed) does not stop the shard: the first one
+  /// is kept for drain() to rethrow, and a run whose checkpoint threw
+  /// never reaches the callback.
+  explicit ShardedIngest(IngestConfig config = {}, RunCallback onRun = {},
+                         CheckpointFn checkpoint = {});
   /// Drains the queues and joins the consumers. Producers must have
   /// quiesced (a producer blocked on a full queue would never wake).
   ~ShardedIngest() override;
@@ -94,27 +110,27 @@ class ShardedIngest final : public ReportSink {
   void submitDatagram(std::span<const std::uint8_t> payload) override;
 
   /// Mark `artifacts`'s run complete (any thread). The shard folds the
-  /// delivered reports into the artifacts, computes the loss account and
-  /// hands the RunDelivery to the run callback.
+  /// delivered reports into the artifacts, computes the loss account,
+  /// checkpoints the RunDelivery and hands it to the run callback.
   void submitRun(std::size_t jobIndex, core::RunArtifacts&& artifacts);
 
   /// Re-inject a recovered run (any thread): the bundle's reports are
   /// already the finalized delivered set and `account` is its persisted
-  /// loss account, so the shard skips report folding and hands the run —
-  /// flagged replayed — straight to the run callback, preserving the
-  /// original delivery/loss numbers in the shard counters.
+  /// loss account, so the shard skips report folding and checkpointing and
+  /// hands the run — flagged replayed — straight to the run callback,
+  /// preserving the original delivery/loss numbers in the shard counters.
   void submitReplay(std::size_t jobIndex, core::RunArtifacts&& artifacts,
                     const ApkLossAccount& account);
 
   /// Block until every queued item has been consumed and all run callbacks
   /// have returned. Call after producers quiesce, before reading results.
-  /// Rethrows, once, the first exception a run callback threw since the
-  /// last drain().
+  /// Rethrows, once, the first exception a checkpoint hook or run callback
+  /// threw since the last drain().
   void drain();
 
-  /// True once a run callback has thrown since the last drain() (any
-  /// thread). A job source polls it to stop dispatching work whose
-  /// results the failed study cannot keep.
+  /// True once a checkpoint hook or run callback has thrown since the last
+  /// drain() (any thread). A job source polls it to stop dispatching work
+  /// whose results the failed study cannot keep.
   [[nodiscard]] bool failed() const;
 
   /// Remove and return the pending (unclaimed-by-a-run) reports for an apk,
@@ -135,17 +151,11 @@ class ShardedIngest final : public ReportSink {
   [[nodiscard]] std::size_t shardOf(const std::string& apkSha256) const;
 
  private:
-  struct RunTask {
-    std::size_t jobIndex = 0;
-    core::RunArtifacts artifacts;
-    bool replay = false;
-    ApkLossAccount account;  // only meaningful when replay is set
-  };
-
   struct Item {
-    // Exactly one of frameBytes / run is set.
+    // Exactly one of frameBytes / run is set. A fresh run's account is
+    // filled in at finalization; a replay's is the persisted one.
     std::vector<std::uint8_t> frameBytes;
-    std::unique_ptr<RunTask> run;
+    std::unique_ptr<RunDelivery> run;
     std::chrono::steady_clock::time_point enqueuedAt;
   };
 
@@ -194,7 +204,6 @@ class ShardedIngest final : public ReportSink {
     ShardMetrics counters;
     std::vector<double> latencyMs;  // ring buffer
     std::size_t latencyNext = 0;
-    std::uint64_t latencyTotal = 0;
     double busyMs = 0.0;
 
     std::jthread consumer;  // last: joins before the rest is destroyed
@@ -203,7 +212,7 @@ class ShardedIngest final : public ReportSink {
   void enqueue(Shard& shard, Item&& item);
   void consumeLoop(std::stop_token stop, Shard& shard);
   void foldFrame(Shard& shard, std::span<const std::uint8_t> frameBytes);
-  void finalizeRun(Shard& shard, RunTask&& task);
+  void finalizeRun(Shard& shard, RunDelivery&& delivery);
   /// Resolve any of `workerId`'s parked frames the dictionary now covers.
   /// Requires shard.mutex held.
   void resolveHolesLocked(Shard& shard, PendingApk& apk,
@@ -219,10 +228,11 @@ class ShardedIngest final : public ReportSink {
 
   IngestConfig config_;
   RunCallback onRun_;
+  CheckpointFn checkpoint_;
   std::atomic<std::uint64_t> received_{0};
   std::atomic<std::uint64_t> malformed_{0};
   mutable std::mutex runErrorMutex_;
-  std::exception_ptr runError_;  // first exception a run callback threw
+  std::exception_ptr runError_;  // first exception a hook or callback threw
   std::chrono::steady_clock::time_point startedAt_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };

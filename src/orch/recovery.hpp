@@ -5,16 +5,17 @@
 // database before offline attribution; at app-store scale the collector
 // *will* die mid-study, and the artifact store must make that survivable:
 //
-//  - CheckpointWriter persists each run the moment its shard finalizes it:
-//    one envelope-framed (crc32) bundle, written to a temp file and
-//    atomically renamed. The bundle is the run's only record. Every step
-//    of the protocol exposes a kill point so tests can sweep simulated
-//    crashes over every persistence call site.
+//  - CheckpointWriter persists each run the moment its shard finalizes it
+//    (it is the ingest::ShardedIngest checkpoint hook, called before the
+//    run callback): one envelope-framed (crc32) bundle, written to a temp
+//    file and atomically renamed. The bundle is the run's only record.
+//    Every step of the protocol exposes a kill point so tests can sweep
+//    simulated crashes over every persistence call site.
 //  - StudyRecovery scans a checkpoint directory after a crash: torn temp
 //    files are deleted, corrupt or truncated bundles are quarantined with
 //    per-file error accounting (never fatal), and the surviving runs come
 //    back sorted by job index, ready to replay through
-//    ingest::IngestPipeline.
+//    ingest::ShardedIngest::submitReplay.
 //
 // orch::resumeStudy (study.hpp) ties the two together: replay survivors,
 // re-run the gaps under their original job indices, and produce a

@@ -65,29 +65,32 @@ StudyOutput runPipeline(const store::AppStoreGenerator& generator,
     std::optional<CheckpointWriter> checkpointer;
     if (persist) checkpointer.emplace(artifactsDirectory);
 
-    // Supervisor datagrams stream framed into the pipeline while the run is
+    // Supervisor datagrams stream framed into the router while the run is
     // live; the run-completion submit routes to the same shard as the
     // datagrams (both hash the apk checksum), so each shard finalizes,
-    // attributes and folds with no cross-shard coordination.
-    ingest::IngestPipeline pipeline(
+    // checkpoints, attributes and folds with no cross-shard coordination.
+    ingest::ShardedIngest router(
         ingestConfig,
-        [&attributor](const core::RunArtifacts& artifacts) {
-          return attributor.attributeColumns(artifacts);
+        [&attributor, &accumulator](ingest::RunDelivery&& delivery) {
+          core::FlowColumns columns =
+              attributor.attributeColumns(delivery.artifacts);
+          accumulator.addColumns(delivery.jobIndex,
+                                 std::move(delivery.artifacts),
+                                 std::move(columns));
         },
-        &accumulator,
-        persist ? ingest::IngestPipeline::CheckpointFn(
+        persist ? ingest::ShardedIngest::CheckpointFn(
                       [&checkpointer](const ingest::RunDelivery& delivery) {
                         checkpointer->checkpoint(delivery.jobIndex,
                                                  delivery.account,
                                                  delivery.artifacts);
                       })
-                : ingest::IngestPipeline::CheckpointFn{});
+                : ingest::ShardedIngest::CheckpointFn{});
 
     if (replays != nullptr) {
       for (auto& run : *replays) {
         if (run.jobIndex >= appCount) continue;
-        pipeline.replayRun(run.jobIndex, std::move(run.artifacts),
-                           run.account);
+        router.submitReplay(run.jobIndex, std::move(run.artifacts),
+                            run.account);
       }
       replays->clear();
     }
@@ -104,10 +107,10 @@ StudyOutput runPipeline(const store::AppStoreGenerator& generator,
       if (!done[i]) gaps.push_back(i);
     std::atomic<std::size_t> cursor{0};
 
-    Dispatcher dispatcher(generator.farm(), &pipeline, dispatcherConfig);
+    Dispatcher dispatcher(generator.farm(), &router, dispatcherConfig);
     dispatcher.runConcurrent(
         [&]() -> std::optional<Dispatcher::Job> {
-          if (pipeline.failed()) return std::nullopt;
+          if (router.failed()) return std::nullopt;
           const std::size_t claim = cursor.fetch_add(1);
           if (claim >= gaps.size()) return std::nullopt;
           auto job = generator.makeJob(gaps[claim]);
@@ -116,14 +119,14 @@ StudyOutput runPipeline(const store::AppStoreGenerator& generator,
                                  .index = gaps[claim]};
         },
         [&](std::size_t index, core::RunArtifacts&& artifacts) {
-          pipeline.submitRun(index, std::move(artifacts));
+          router.submitRun(index, std::move(artifacts));
         },
         [&](std::size_t index, const Dispatcher::FailedJob&) {
-          pipeline.skip(index);
+          accumulator.skip(index);
         });
-    pipeline.drain();
+    router.drain();
     accumulator.finish();
-    output.ingestMetrics = pipeline.metrics();
+    output.ingestMetrics = router.metrics();
     output.appsProcessed = dispatcher.appsProcessed() + output.appsReplayed;
     output.appsFailed = dispatcher.failures().size();
     output.dispatcherStats = dispatcher.stats();

@@ -10,9 +10,10 @@
 //
 // Since the ingest subsystem landed, runStudy is the batch pipeline
 // *re-expressed over streaming ingest*: supervisor datagrams flow framed
-// into an ingest::IngestPipeline, shards attribute each run as it
-// completes, and an order-restoring accumulator keeps the study output
-// byte-identical to a single-worker batch run at any shard count.
+// into an ingest::ShardedIngest, whose run callback attributes each run on
+// its shard as it completes and folds it into an order-restoring
+// accumulator, which keeps the study output byte-identical to a
+// single-worker batch run at any shard count.
 //
 // When artifactsDirectory is set, every run is checkpointed the moment its
 // shard finalizes it (one crc32-framed bundle, atomically renamed into
@@ -22,13 +23,13 @@
 // output is byte-identical to the uninterrupted run.
 //
 // Downstream users who bring their own corpus can use the lower-level
-// pieces directly (Dispatcher + IngestPipeline + StudyAggregator).
+// pieces directly (Dispatcher + ShardedIngest + StudyAccumulator).
 #pragma once
 
 #include <string>
 
 #include "core/analysis.hpp"
-#include "ingest/pipeline.hpp"
+#include "ingest/router.hpp"
 #include "orch/dispatcher.hpp"
 #include "orch/recovery.hpp"
 #include "store/generator.hpp"

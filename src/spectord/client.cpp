@@ -37,20 +37,24 @@ std::optional<Frame> ClientChannel::read(std::chrono::milliseconds timeout) {
 
 namespace {
 
+/// How long a client waits for the HelloAck.
+constexpr auto kHandshakeTimeout = 10000ms;
+/// How long a blocking RunComplete or admin op waits for its ack.
+constexpr auto kAckTimeout = 60000ms;
+
 /// Hello -> HelloAck, throwing on refusal, hangup or timeout. A resumed
 /// connection can carry frames queued for the old attach (ReportAck, Delta,
 /// a racing Bye) ahead of the HelloAck; they are skipped, bounded by the
 /// deadline — only an explicit Error refusal aborts the handshake.
 HelloAckMsg handshake(ClientChannel& channel, std::uint64_t clientId,
-                      ClientKind kind, std::uint64_t resumeSession,
-                      std::chrono::milliseconds timeout) {
+                      ClientKind kind, std::uint64_t resumeSession = 0) {
   HelloMsg hello;
   hello.clientId = clientId;
   hello.kind = kind;
   hello.resumeSession = resumeSession;
   if (!channel.send(FrameType::Hello, hello.encode()))
     throw std::runtime_error("spectord client: daemon closed during Hello");
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  const auto deadline = std::chrono::steady_clock::now() + kHandshakeTimeout;
   while (true) {
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline)
@@ -79,11 +83,10 @@ std::vector<std::uint8_t> encodeRunUpload(std::uint64_t jobIndex,
 }
 
 IngestClient::IngestClient(ChannelEndpoint endpoint, std::uint64_t clientId,
-                           std::uint64_t resumeSession,
-                           std::chrono::milliseconds handshakeTimeout)
+                           std::uint64_t resumeSession)
     : channel_(std::move(endpoint)) {
-  const HelloAckMsg ack = handshake(channel_, clientId, ClientKind::Ingest,
-                                    resumeSession, handshakeTimeout);
+  const HelloAckMsg ack =
+      handshake(channel_, clientId, ClientKind::Ingest, resumeSession);
   session_ = ack.session;
   resumed_ = ack.resumed;
   ackedFrames_ = ack.ackedFrames;
@@ -157,11 +160,10 @@ std::vector<RunAckMsg> IngestClient::takeRunAcks(
 }
 
 RunAckMsg IngestClient::completeRun(std::uint64_t jobIndex,
-                                    const core::RunArtifacts& artifacts,
-                                    std::chrono::milliseconds timeout) {
+                                    const core::RunArtifacts& artifacts) {
   if (!uploadRun(encodeRunUpload(jobIndex, artifacts)))
     throw std::runtime_error("spectord client: daemon closed during upload");
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  const auto deadline = std::chrono::steady_clock::now() + kAckTimeout;
   while (true) {
     const auto now = std::chrono::steady_clock::now();
     for (RunAckMsg& ack : takeRunAcks(
@@ -220,10 +222,9 @@ void IngestClient::bye() {
 // --- DashboardClient -------------------------------------------------------
 
 DashboardClient::DashboardClient(ChannelEndpoint endpoint,
-                                 std::uint64_t clientId,
-                                 std::chrono::milliseconds handshakeTimeout)
+                                 std::uint64_t clientId)
     : channel_(std::move(endpoint)) {
-  handshake(channel_, clientId, ClientKind::Dashboard, 0, handshakeTimeout);
+  handshake(channel_, clientId, ClientKind::Dashboard);
 }
 
 void DashboardClient::subscribe(Topic topic) {
@@ -270,20 +271,18 @@ bool DashboardClient::waitForSnapshot(Topic topic,
 
 // --- AdminClient -----------------------------------------------------------
 
-AdminClient::AdminClient(ChannelEndpoint endpoint, std::uint64_t clientId,
-                         std::chrono::milliseconds handshakeTimeout)
+AdminClient::AdminClient(ChannelEndpoint endpoint, std::uint64_t clientId)
     : channel_(std::move(endpoint)) {
-  handshake(channel_, clientId, ClientKind::Admin, 0, handshakeTimeout);
+  handshake(channel_, clientId, ClientKind::Admin);
 }
 
-AdminAckMsg AdminClient::request(AdminOp op, std::string arg,
-                                 std::chrono::milliseconds timeout) {
+AdminAckMsg AdminClient::request(AdminOp op, std::string arg) {
   AdminMsg msg;
   msg.op = op;
   msg.arg = std::move(arg);
   if (!channel_.send(FrameType::Admin, msg.encode()))
     throw std::runtime_error("spectord admin: daemon closed");
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  const auto deadline = std::chrono::steady_clock::now() + kAckTimeout;
   while (true) {
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline)

@@ -84,16 +84,15 @@ class ClientChannel {
     std::uint64_t jobIndex, const core::RunArtifacts& artifacts);
 
 /// Report-ingest client. Construction performs the Hello handshake and
-/// blocks for the HelloAck (throws std::runtime_error if the daemon hangs
-/// up instead). Pass the session token of a previous incarnation to
-/// resume: ackedFrames()/ackedRuns() then report what the daemon already
-/// has, so the caller re-sends only its unacked tail.
+/// blocks for the HelloAck, up to 10 s (throws std::runtime_error if the
+/// daemon hangs up instead or the ack is late). Pass the session token of
+/// a previous incarnation to resume: ackedFrames()/ackedRuns() then report
+/// what the daemon already has, so the caller re-sends only its unacked
+/// tail.
 class IngestClient final : public ingest::ReportSink {
  public:
   IngestClient(ChannelEndpoint endpoint, std::uint64_t clientId,
-               std::uint64_t resumeSession = 0,
-               std::chrono::milliseconds handshakeTimeout =
-                   std::chrono::milliseconds(10000));
+               std::uint64_t resumeSession = 0);
 
   /// Frame and send one report datagram. Blocks on channel backpressure
   /// (the socket write would too); opportunistically folds any acks the
@@ -112,14 +111,12 @@ class IngestClient final : public ingest::ReportSink {
       std::chrono::milliseconds timeout = std::chrono::milliseconds(0));
 
   /// Upload a finished run and block for the daemon's verdict: uploadRun,
-  /// then takeRunAcks until this job's ack arrives. RunAcks for other jobs
-  /// that arrive meanwhile are dropped, so one caller uploads at a time;
-  /// a fleet sharing one connection uses ResilientIngestClient's uploadRun
-  /// and flush.
+  /// then takeRunAcks until this job's ack arrives, for up to 60 s (then
+  /// it throws). RunAcks for other jobs that arrive meanwhile are dropped,
+  /// so one caller uploads at a time; a fleet sharing one connection uses
+  /// ResilientIngestClient's uploadRun and flush.
   RunAckMsg completeRun(std::uint64_t jobIndex,
-                        const core::RunArtifacts& artifacts,
-                        std::chrono::milliseconds timeout =
-                            std::chrono::milliseconds(60000));
+                        const core::RunArtifacts& artifacts);
 
   /// Wait until the daemon has acked at least `frames` report frames.
   bool waitAckedFrames(std::uint64_t frames, std::chrono::milliseconds timeout);
@@ -167,9 +164,7 @@ class IngestClient final : public ingest::ReportSink {
 
 class DashboardClient {
  public:
-  DashboardClient(ChannelEndpoint endpoint, std::uint64_t clientId,
-                  std::chrono::milliseconds handshakeTimeout =
-                      std::chrono::milliseconds(10000));
+  DashboardClient(ChannelEndpoint endpoint, std::uint64_t clientId);
 
   void subscribe(Topic topic);
 
@@ -203,15 +198,11 @@ class DashboardClient {
 
 class AdminClient {
  public:
-  AdminClient(ChannelEndpoint endpoint, std::uint64_t clientId,
-              std::chrono::milliseconds handshakeTimeout =
-                  std::chrono::milliseconds(10000));
+  AdminClient(ChannelEndpoint endpoint, std::uint64_t clientId);
 
   /// Send one admin op and block for its ack. Throws std::runtime_error
-  /// on timeout or hangup.
-  AdminAckMsg request(AdminOp op, std::string arg = {},
-                      std::chrono::milliseconds timeout =
-                          std::chrono::milliseconds(60000));
+  /// on hangup or when no ack arrives within 60 s.
+  AdminAckMsg request(AdminOp op, std::string arg = {});
 
   void close() { channel_.close(); }
 

@@ -46,10 +46,10 @@ CollectorResult runCollector(const orch::StudyConfig& config,
   CollectorResult result;
   const std::size_t appCount = generator.appCount();
 
-  // Resume path: re-inject this directory's survivors straight through the
-  // pipeline (replayRun preserves the persisted loss accounts; uploading
-  // them as RunComplete frames would make the daemon recompute accounts
-  // from datagrams it never saw). The admin Resume op is the remote
+  // Resume path: re-inject this directory's survivors straight into the
+  // daemon's router (submitReplay preserves the persisted loss accounts;
+  // uploading them as RunComplete frames would make the daemon recompute
+  // accounts from datagrams it never saw). The admin Resume op is the remote
   // equivalent for an already-running daemon.
   std::vector<bool> done(appCount, false);
   if (options.resume) {
@@ -58,11 +58,11 @@ CollectorResult runCollector(const orch::StudyConfig& config,
     for (auto& run : report.runs) {
       if (run.jobIndex >= appCount || done[run.jobIndex]) continue;
       done[run.jobIndex] = true;
-      daemon.pipeline().replayRun(run.jobIndex, std::move(run.artifacts),
-                                  run.account);
+      daemon.ingest().submitReplay(run.jobIndex, std::move(run.artifacts),
+                                   run.account);
       ++result.runsReplayed;
     }
-    daemon.pipeline().drain();
+    daemon.ingest().drain();
   }
 
   // The resilient client survives connection death: it reconnects with
@@ -96,7 +96,7 @@ CollectorResult runCollector(const orch::StudyConfig& config,
     dispatcher.runConcurrent(
         [&]() -> std::optional<orch::Dispatcher::Job> {
           while (true) {
-            if (daemon.pipeline().failed()) return std::nullopt;
+            if (daemon.ingest().failed()) return std::nullopt;
             const std::size_t index = cursor.fetch_add(1);
             if (index >= appCount) return std::nullopt;
             if (done[index]) continue;  // replayed on resume
@@ -121,9 +121,6 @@ CollectorResult runCollector(const orch::StudyConfig& config,
         // folded by a later client call; the flush below waits for all.
         [&](std::size_t index, core::RunArtifacts&& artifacts) {
           client.uploadRun(index, artifacts);
-        },
-        [&](std::size_t index, const orch::Dispatcher::FailedJob&) {
-          daemon.pipeline().skip(index);
         });
     result.jobsExpanded = expanded.load();
   }

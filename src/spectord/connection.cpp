@@ -20,8 +20,14 @@ void Connection::sendControl(FrameType type,
 
 bool Connection::sendDelta(std::span<const std::uint8_t> body) {
   if (closed_) return false;
+  // The budget counts what the subscriber's channel has not accepted yet,
+  // so hand it what it will take first (the queue stays in order). A
+  // subscriber that keeps up always has an empty queue here, and a delta
+  // into an empty queue is never dropped, however large.
+  flushWrites();
   auto frame = encodeFrame(FrameType::Delta, body);
-  if (queuedBytes_ + frame.size() > writeQueueBudget_) return false;
+  if (!queue_.empty() && queuedBytes_ + frame.size() > writeQueueBudget_)
+    return false;
   queuedBytes_ += frame.size();
   queue_.push_back(std::move(frame));
   return true;

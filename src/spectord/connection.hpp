@@ -10,10 +10,11 @@
 //  - control frames (acks, snapshots, admin replies, errors, bye) are
 //    always queued — they are small, bounded in number, and the protocol
 //    is meaningless without them;
-//  - delta frames are droppable: when the queue is over budget the delta
-//    is dropped and the daemon schedules a snapshot-resync for its topic.
-//    Ingest never blocks on a slow dashboard, and a slow dashboard is
-//    never cut off for lagging.
+//  - delta frames are droppable: when the bytes the channel has not
+//    accepted would exceed the budget the delta is dropped and the daemon
+//    schedules a snapshot-resync for its topic; a delta into an empty
+//    queue is always accepted. Ingest never blocks on a slow dashboard,
+//    and a slow dashboard is never cut off for lagging.
 #pragma once
 
 #include <array>
@@ -62,9 +63,11 @@ class Connection {
   /// these — the count of control frames per event is bounded).
   void sendControl(FrameType type, std::span<const std::uint8_t> body);
 
-  /// Queue a delta frame, honouring the write budget. Returns true when
-  /// queued; false means the frame was dropped (the caller owes the topic
-  /// a resync snapshot).
+  /// Queue a delta frame, honouring the write budget: queued bytes are
+  /// flushed into the channel first, and the frame is dropped only when
+  /// what is still queued plus the frame would exceed the budget. Returns
+  /// true when queued; false means the frame was dropped (the caller owes
+  /// the topic a resync snapshot).
   bool sendDelta(std::span<const std::uint8_t> body);
 
   /// Push queued bytes into the channel as far as it will accept them.

@@ -1,10 +1,12 @@
 #include "spectord/daemon.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <exception>
 #include <utility>
 
+#include "core/attribution.hpp"
 #include "util/bytes.hpp"
 #include "util/log.hpp"
 
@@ -20,6 +22,49 @@ constexpr std::size_t topicIndex(Topic topic) noexcept {
 
 constexpr Topic kTopics[] = {Topic::Totals, Topic::Loss, Topic::Progress};
 
+/// Byte sums by the pool ids of one id column, in first-flow order (the
+/// order a Delta lists them in). A run touches few distinct libraries or
+/// categories, so a linear probe over the sums is enough.
+std::vector<std::pair<std::string, std::uint64_t>> bytesById(
+    const core::FlowColumns& columns, const std::vector<std::uint32_t>& ids) {
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> sums;
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    const std::uint64_t bytes = columns.sentBytes[i] + columns.recvBytes[i];
+    const auto it = std::find_if(sums.begin(), sums.end(), [&](const auto& s) {
+      return s.first == ids[i];
+    });
+    if (it == sums.end())
+      sums.emplace_back(ids[i], bytes);
+    else
+      it->second += bytes;
+  }
+  std::vector<std::pair<std::string, std::uint64_t>> named;
+  named.reserve(sums.size());
+  for (const auto& [id, bytes] : sums)
+    named.emplace_back(std::string(columns.pool->at(id).view()), bytes);
+  return named;
+}
+
+/// One run's increment to every topic: its byte sums, per library and
+/// library category, and its exact loss account. The Progress counters
+/// are the loop's to fill in, in fold order.
+DeltaMsg deltaOf(const ingest::RunDelivery& delivery,
+                 const core::FlowColumns& columns) {
+  DeltaMsg delta;
+  delta.jobIndex = delivery.jobIndex;
+  delta.apkSha256 = delivery.artifacts.apkSha256;
+  delta.replayed = delivery.replayed;
+  delta.flowCount = columns.size();
+  for (std::size_t i = 0; i < columns.size(); ++i)
+    delta.attributedBytes += columns.sentBytes[i] + columns.recvBytes[i];
+  delta.unattributedBytes =
+      core::unattributedTcpPayload(delivery.artifacts, columns);
+  delta.bytesByLibrary = bytesById(columns, columns.originLibrary);
+  delta.bytesByLibCategory = bytesById(columns, columns.libraryCategory);
+  delta.account = delivery.account;
+  return delta;
+}
+
 }  // namespace
 
 std::uint32_t CollectorAssignment::ownerOf(
@@ -33,32 +78,24 @@ std::uint32_t CollectorAssignment::ownerOf(
       (static_cast<unsigned __int128>(h) * count) >> 64);
 }
 
-SpectorDaemon::SpectorDaemon(DaemonConfig config,
-                             ingest::IngestPipeline::AttributeFn attribute,
-                             core::StudyAccumulator* accumulator,
-                             orch::KillProbe checkpointProbe)
+SpectorDaemon::SpectorDaemon(DaemonConfig config, AttributeFn attribute,
+                             core::StudyAccumulator* accumulator)
     : config_(std::move(config)),
-      pipeline_(config_.ingest, std::move(attribute), accumulator,
-                [this](const ingest::RunDelivery& delivery) {
-                  if (checkpoints_)
-                    checkpoints_->checkpoint(delivery.jobIndex,
-                                             delivery.account,
-                                             delivery.artifacts);
-                }) {
+      attribute_(std::move(attribute)),
+      accumulator_(accumulator),
+      ingest_(config_.ingest,
+              [this](ingest::RunDelivery&& delivery) {
+                onRun(std::move(delivery));
+              },
+              [this](const ingest::RunDelivery& delivery) {
+                if (checkpoints_)
+                  checkpoints_->checkpoint(delivery.jobIndex,
+                                           delivery.account,
+                                           delivery.artifacts);
+              }) {
   if (!config_.checkpointDirectory.empty())
-    checkpoints_.emplace(config_.checkpointDirectory,
-                         std::move(checkpointProbe));
+    checkpoints_.emplace(config_.checkpointDirectory);
   dashboard_.expectedRuns = config_.expectedRuns;
-  // Shard consumer threads only hand the loop a digest; everything that
-  // touches connections or the dashboard happens on the loop thread.
-  pipeline_.setRunHook([this](ingest::RunDigest&& digest) {
-    {
-      const std::scoped_lock lock(publishMutex_);
-      publishQueue_.push_back(std::move(digest));
-    }
-    pendingPublishes_.fetch_add(1, std::memory_order_release);
-    wake();
-  });
   loop_ = std::thread([this] { loopMain(); });
 }
 
@@ -80,10 +117,27 @@ ChannelEndpoint SpectorDaemon::connect() {
   return pair.client;
 }
 
+void SpectorDaemon::onRun(ingest::RunDelivery&& delivery) {
+  // Shard consumer thread, after the router checkpointed a fresh run:
+  // attribution and the run's delta happen here; everything that touches
+  // connections or the dashboard happens on the loop thread.
+  core::FlowColumns columns = attribute_(delivery.artifacts);
+  DeltaMsg delta = deltaOf(delivery, columns);
+  {
+    const std::scoped_lock lock(publishMutex_);
+    publishQueue_.push_back(std::move(delta));
+  }
+  pendingPublishes_.fetch_add(1, std::memory_order_release);
+  wake();
+  if (accumulator_ != nullptr)
+    accumulator_->addColumns(delivery.jobIndex, std::move(delivery.artifacts),
+                             std::move(columns));
+}
+
 void SpectorDaemon::drain() {
-  pipeline_.drain();
+  ingest_.drain();
   // Folded is not yet published: wait for the loop to apply and fan out
-  // every queued digest, so callers observe snapshot == sum of deltas.
+  // every queued delta, so callers observe snapshot == sum of deltas.
   while (pendingPublishes_.load(std::memory_order_acquire) != 0 &&
          !loopExited_.load(std::memory_order_acquire)) {
     wake();
@@ -100,7 +154,7 @@ void SpectorDaemon::shutdown() {
   // checkpoint is logged here, never thrown.
   if (!shutdownStarted_.exchange(true)) {
     try {
-      pipeline_.drain();
+      ingest_.drain();
     } catch (const std::exception& error) {
       util::logWarn("spectord: shutdown: %s", error.what());
     }
@@ -136,24 +190,10 @@ bool SpectorDaemon::running() const {
 }
 
 ingest::IngestMetrics SpectorDaemon::metrics() const {
-  ingest::IngestMetrics m = pipeline_.metrics();
-  const DaemonCounters c = counters();
-  m.sessionsOpened = c.sessionsOpened;
-  m.sessionsResumed = c.sessionsResumed;
-  m.sessionsExpired = c.sessionsExpired;
-  m.sessionAttachRefusals = c.attachRefusals;
-  m.duplicateRunUploads = c.duplicateRunUploads;
-  m.subscriberDeltasSent = c.deltasSent;
-  m.subscriberDeltasDropped = c.deltasDropped;
-  m.subscriberSnapshotsResent = c.snapshotsResent;
-  m.protocolGarbageBytes = c.garbageBytes;
-  m.protocolRejectedFrames = c.rejectedFrames;
-  return m;
-}
-
-DaemonCounters SpectorDaemon::counters() const {
+  ingest::IngestMetrics m = ingest_.metrics();
   const std::scoped_lock lock(countersMutex_);
-  return counters_;
+  m.service = counters_;
+  return m;
 }
 
 DashboardMirror SpectorDaemon::dashboard() const {
@@ -232,8 +272,9 @@ bool SpectorDaemon::pumpOnce() {
       if (parser.garbageBytes() != conn.garbageFolded ||
           parser.rejectedFrames() != conn.rejectedFolded) {
         const std::scoped_lock lock(countersMutex_);
-        counters_.garbageBytes += parser.garbageBytes() - conn.garbageFolded;
-        counters_.rejectedFrames +=
+        counters_.protocolGarbageBytes +=
+            parser.garbageBytes() - conn.garbageFolded;
+        counters_.protocolRejectedFrames +=
             parser.rejectedFrames() - conn.rejectedFolded;
         conn.garbageFolded = parser.garbageBytes();
         conn.rejectedFolded = parser.rejectedFrames();
@@ -248,14 +289,14 @@ bool SpectorDaemon::pumpOnce() {
   }
 
   // Publish finalized runs: fold into the mirror, fan out.
-  std::deque<ingest::RunDigest> digests;
+  std::deque<DeltaMsg> deltas;
   {
     const std::scoped_lock lock(publishMutex_);
-    digests.swap(publishQueue_);
+    deltas.swap(publishQueue_);
   }
-  for (auto& digest : digests) {
+  for (auto& delta : deltas) {
     worked = true;
-    publishRun(std::move(digest));
+    publishRun(std::move(delta));
     pendingPublishes_.fetch_sub(1, std::memory_order_release);
   }
 
@@ -303,7 +344,7 @@ void SpectorDaemon::handleFrame(Connection& conn, Frame&& frame) {
           sendError(conn, 2, "Report on a non-ingest connection");
           return;
         }
-        pipeline_.submitDatagram(frame.body);
+        ingest_.submitDatagram(frame.body);
         ++sessions_[conn.clientId].ackedFrames;
         conn.ackOwed = true;
         return;
@@ -334,8 +375,8 @@ void SpectorDaemon::handleFrame(Connection& conn, Frame&& frame) {
           const std::scoped_lock lock(countersMutex_);
           ++counters_.duplicateRunUploads;
         } else {
-          pipeline_.submitRun(static_cast<std::size_t>(env.jobIndex),
-                              std::move(env.artifacts));
+          ingest_.submitRun(static_cast<std::size_t>(env.jobIndex),
+                            std::move(env.artifacts));
           ack.accepted = true;
           ++sess.ackedRuns;
         }
@@ -406,7 +447,7 @@ void SpectorDaemon::handleHello(Connection& conn, const Frame& frame) {
     sendError(conn, 5, "clientId already attached on a live connection");
     conn.disconnectAfterFlush = true;
     const std::scoped_lock lock(countersMutex_);
-    ++counters_.attachRefusals;
+    ++counters_.sessionAttachRefusals;
     return;
   }
   conn.helloDone = true;
@@ -454,7 +495,7 @@ void SpectorDaemon::handleAdmin(Connection& conn, const AdminMsg& msg) {
       break;
     }
     case AdminOp::EvictApk: {
-      ack.ok = pipeline_.evictPending(msg.arg);
+      ack.ok = ingest_.evictPending(msg.arg);
       ack.info = ack.ok ? "evicted" : "no pending state for apk";
       break;
     }
@@ -467,8 +508,8 @@ void SpectorDaemon::handleAdmin(Connection& conn, const AdminMsg& msg) {
       orch::RecoveryReport report =
           orch::StudyRecovery::scan(checkpoints_->directory());
       for (auto& run : report.runs)
-        pipeline_.replayRun(run.jobIndex, std::move(run.artifacts),
-                            run.account);
+        ingest_.submitReplay(run.jobIndex, std::move(run.artifacts),
+                             run.account);
       if (!drainForAdmin(ack)) break;
       char buf[96];
       std::snprintf(buf, sizeof(buf),
@@ -500,7 +541,7 @@ void SpectorDaemon::handleAdmin(Connection& conn, const AdminMsg& msg) {
 
 bool SpectorDaemon::drainForAdmin(AdminAckMsg& ack) {
   try {
-    pipeline_.drain();
+    ingest_.drain();
     return true;
   } catch (const std::exception& error) {
     ack.ok = false;
@@ -517,25 +558,17 @@ void SpectorDaemon::sendError(Connection& conn, std::uint16_t code,
   conn.sendControl(FrameType::Error, err.encode());
 }
 
-void SpectorDaemon::publishRun(ingest::RunDigest&& digest) {
+void SpectorDaemon::publishRun(DeltaMsg&& delta) {
   // One message carries every topic's payload: the daemon folds it into
   // its own mirror topic by topic, exactly as a subscriber to all three
   // topics folds it, and sends each subscribed topic the same message.
-  DeltaMsg delta;
-  delta.jobIndex = digest.jobIndex;
-  delta.apkSha256 = std::move(digest.apkSha256);
-  delta.replayed = digest.replayed;
-  delta.flowCount = digest.flowCount;
-  delta.attributedBytes = digest.attributedBytes;
-  delta.unattributedBytes = digest.unattributedBytes;
-  delta.bytesByLibrary = std::move(digest.bytesByLibrary);
-  delta.bytesByLibCategory = std::move(digest.bytesByLibCategory);
-  delta.account = digest.account;
+  // Only the Progress counters are the loop's: they are as of this run,
+  // in fold order.
   delta.runsFolded = dashboard_.runsFolded + 1;
   delta.expectedRuns = config_.expectedRuns;
   delta.reportsDelivered =
-      dashboard_.reportsDelivered + digest.account.uniqueDelivered;
-  delta.reportsLost = dashboard_.reportsLost + digest.account.lost;
+      dashboard_.reportsDelivered + delta.account.uniqueDelivered;
+  delta.reportsLost = dashboard_.reportsLost + delta.account.lost;
   {
     const std::scoped_lock lock(dashboardMutex_);
     for (const Topic topic : kTopics) {
@@ -568,7 +601,8 @@ void SpectorDaemon::publishRun(ingest::RunDigest&& digest) {
       const bool sent = conn.sendDelta(bodyFor(topic));
       {
         const std::scoped_lock lock(countersMutex_);
-        ++(sent ? counters_.deltasSent : counters_.deltasDropped);
+        ++(sent ? counters_.subscriberDeltasSent
+                : counters_.subscriberDeltasDropped);
       }
       if (!sent) {
         // Dropped: the topic resyncs from a snapshot once the laggard has
@@ -591,7 +625,7 @@ void SpectorDaemon::sendSnapshots(Connection& conn) {
     conn.sendControl(FrameType::Snapshot, buildSnapshot(topic).encode());
     if (conn.resyncSnapshot[i]) {
       const std::scoped_lock lock(countersMutex_);
-      ++counters_.snapshotsResent;
+      ++counters_.subscriberSnapshotsResent;
     }
     conn.needsSnapshot[i] = false;
     conn.resyncSnapshot[i] = false;

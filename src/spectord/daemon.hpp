@@ -4,7 +4,7 @@
 // paper's Libspector is a *service* — a fleet of instrumented emulators
 // streams reports at a collector that aggregates continuously and answers
 // live queries. SpectorDaemon is that service shape, layered over
-// ingest::IngestPipeline:
+// ingest::ShardedIngest:
 //
 //  - clients connect over simulated duplex channels and speak the framed
 //    protocol (protocol.hpp) on three surfaces: report ingest (with
@@ -12,15 +12,17 @@
 //    (snapshot-on-subscribe + per-run delta frames) and admin ops;
 //  - one event-loop thread owns every connection (the async-server
 //    idiom): it pumps reads into incremental parsers, dispatches frames,
-//    turns each run digest into one DeltaMsg, folds it into the daemon's
-//    DashboardMirror with the subscribers' own applyDelta, and fans the
-//    same message out through bounded write queues — a lagging
-//    subscriber has deltas dropped and resyncs from a snapshot, so
-//    ingest never blocks on a dashboard;
-//  - heavy work stays where PR 2 put it: shard consumer threads attribute
-//    runs inside the pipeline; they only hand the loop an
-//    ingest::RunDigest through a queue. The loop's mirror is the only
-//    live view of the study: each run is folded into it once.
+//    fills in each run's Progress counters, folds the run's DeltaMsg into
+//    the daemon's DashboardMirror with the subscribers' own applyDelta,
+//    and fans the same message out through bounded write queues — a
+//    lagging subscriber has deltas dropped and resyncs from a snapshot,
+//    so ingest never blocks on a dashboard;
+//  - heavy work stays on the router's shard consumer threads: the
+//    daemon's run callback attributes each run there (after the router
+//    checkpointed it), builds its DeltaMsg from the delivery and its
+//    flow columns, queues it for the loop and folds the optional
+//    accumulator. The loop's mirror is the only live view of the study:
+//    each run is folded into it once.
 //
 // Consistency contract of the dashboard surface: snapshots and deltas for
 // one connection are emitted by the same thread from the same mirror, so
@@ -40,6 +42,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -50,7 +53,7 @@
 #include <vector>
 
 #include "core/analysis.hpp"
-#include "ingest/pipeline.hpp"
+#include "ingest/router.hpp"
 #include "orch/recovery.hpp"
 #include "spectord/connection.hpp"
 #include "spectord/protocol.hpp"
@@ -88,37 +91,28 @@ struct DaemonConfig {
   /// Per-direction byte capacity of each client channel (the simulated
   /// kernel buffer).
   std::size_t channelCapacity = 64 * 1024;
-  /// Write-queue budget per connection: a delta frame that would exceed
-  /// it is dropped, and its topic resyncs from a snapshot once the
-  /// subscriber has drained its queue.
+  /// Write-queue budget per connection, counted against the bytes the
+  /// subscriber's channel has not accepted yet: a delta frame that would
+  /// exceed it behind a non-empty queue is dropped, and its topic resyncs
+  /// from a snapshot once the subscriber has drained its queue. A delta
+  /// into an empty queue is always accepted.
   std::size_t subscriberQueueBytes = 256 * 1024;
-};
-
-/// Daemon-level counters (merged into IngestMetrics by metrics()).
-struct DaemonCounters {
-  std::uint64_t sessionsOpened = 0;
-  std::uint64_t sessionsResumed = 0;
-  std::uint64_t sessionsExpired = 0;   // stale sessions swept on drain
-  std::uint64_t attachRefusals = 0;    // Hello while the session is live
-  std::uint64_t duplicateRunUploads = 0;  // RunComplete re-uploads deduped
-  std::uint64_t deltasSent = 0;
-  std::uint64_t deltasDropped = 0;
-  std::uint64_t snapshotsResent = 0;
-  std::uint64_t garbageBytes = 0;
-  std::uint64_t rejectedFrames = 0;
-  std::uint64_t runsRefused = 0;  // RunComplete outside the owned slice
 };
 
 class SpectorDaemon {
  public:
-  /// `attribute` / `accumulator` are the pipeline's usual wiring
-  /// (pipeline.hpp). When `config.checkpointDirectory` is set the daemon
-  /// owns an orch::CheckpointWriter and persists every fresh run before it
-  /// is published; `checkpointProbe` is the crash-injection hook for it.
-  explicit SpectorDaemon(DaemonConfig config,
-                         ingest::IngestPipeline::AttributeFn attribute,
-                         core::StudyAccumulator* accumulator = nullptr,
-                         orch::KillProbe checkpointProbe = {});
+  /// Produces one run's attributed flows
+  /// (core::TrafficAttributor::attributeColumns in production).
+  using AttributeFn =
+      std::function<core::FlowColumns(const core::RunArtifacts&)>;
+
+  /// `attribute` runs on the shard consumer threads; `accumulator`
+  /// (optional) receives every run under its job index, the deterministic
+  /// batch view. When `config.checkpointDirectory` is set the daemon owns
+  /// an orch::CheckpointWriter, the router's checkpoint hook, so every
+  /// fresh run is durable before it is published.
+  explicit SpectorDaemon(DaemonConfig config, AttributeFn attribute,
+                         core::StudyAccumulator* accumulator = nullptr);
   ~SpectorDaemon();
 
   SpectorDaemon(const SpectorDaemon&) = delete;
@@ -135,7 +129,7 @@ class SpectorDaemon {
   /// what a failed checkpoint write threw (see ShardedIngest::drain).
   void drain();
 
-  /// Graceful shutdown: drain the pipeline (flushing `.spab`
+  /// Graceful shutdown: drain the router (flushing `.spab`
   /// checkpoints), Bye every client, close every channel, stop the loop.
   /// Idempotent; also run by the destructor, so it never throws: a failed
   /// checkpoint write is logged.
@@ -146,15 +140,12 @@ class SpectorDaemon {
   /// A copy of the daemon's dashboard view (any thread): every run
   /// published so far, as a subscriber to all three topics mirrors it.
   [[nodiscard]] DashboardMirror dashboard() const;
-  /// Pipeline metrics with the daemon's service counters merged in.
+  /// Router metrics with the daemon's service counters in `service`.
   [[nodiscard]] ingest::IngestMetrics metrics() const;
-  [[nodiscard]] DaemonCounters counters() const;
 
-  /// Direct pipeline access for in-process producers (the cluster driver
-  /// replays recovered runs through this).
-  [[nodiscard]] ingest::IngestPipeline& pipeline() noexcept {
-    return pipeline_;
-  }
+  /// Direct router access for in-process producers (the cluster driver
+  /// replays recovered runs through submitReplay).
+  [[nodiscard]] ingest::ShardedIngest& ingest() noexcept { return ingest_; }
   [[nodiscard]] const DaemonConfig& config() const noexcept {
     return config_;
   }
@@ -188,7 +179,7 @@ class SpectorDaemon {
   void handleFrame(Connection& conn, Frame&& frame);
   void handleHello(Connection& conn, const Frame& frame);
   void handleAdmin(Connection& conn, const AdminMsg& msg);
-  /// Drain the pipeline for an admin op. A run that failed to checkpoint
+  /// Drain the router for an admin op. A run that failed to checkpoint
   /// answers the op with ok = false and the reason; returns false then.
   bool drainForAdmin(AdminAckMsg& ack);
   void sendError(Connection& conn, std::uint16_t code, std::string_view what);
@@ -201,15 +192,20 @@ class SpectorDaemon {
   /// number swept (counted into sessionsExpired by the caller).
   std::size_t expireStaleSessions();
 
-  /// Loop-thread only: fold one run into the mirror and fan its delta out.
-  void publishRun(ingest::RunDigest&& digest);
+  /// Shard-thread run callback: attribute, queue the run's DeltaMsg for
+  /// the loop, fold the accumulator.
+  void onRun(ingest::RunDelivery&& delivery);
+  /// Loop-thread only: fill in the Progress counters, fold the run into
+  /// the mirror and fan its delta out.
+  void publishRun(DeltaMsg&& delta);
   void sendSnapshots(Connection& conn);
   [[nodiscard]] SnapshotMsg buildSnapshot(Topic topic) const;
   [[nodiscard]] std::string statusJson() const;
 
   DaemonConfig config_;
+  AttributeFn attribute_;
+  core::StudyAccumulator* accumulator_;
   std::optional<orch::CheckpointWriter> checkpoints_;
-  ingest::IngestPipeline pipeline_;
 
   // Event-loop wake machinery (channel activity, publishes, connects).
   std::mutex wakeMutex_;
@@ -218,7 +214,7 @@ class SpectorDaemon {
   bool stopRequested_ = false;
   std::atomic<bool> shutdownStarted_{false};
   std::atomic<bool> loopExited_{false};
-  /// Digests enqueued but not yet fanned out (drain() waits on zero).
+  /// Deltas enqueued but not yet fanned out (drain() waits on zero).
   std::atomic<std::uint64_t> pendingPublishes_{0};
 
   // New connections parked until the loop adopts them. Every channel
@@ -232,9 +228,9 @@ class SpectorDaemon {
   std::uint64_t nextConnId_ = 1;
   bool acceptingClosed_ = false;
 
-  // Digests queued by shard consumer threads for the loop to publish.
+  // Deltas queued by shard consumer threads for the loop to publish.
   std::mutex publishMutex_;
-  std::deque<ingest::RunDigest> publishQueue_;
+  std::deque<DeltaMsg> publishQueue_;
 
   // Loop-owned state (no lock: only loopMain touches these).
   std::vector<std::unique_ptr<Connection>> conns_;
@@ -248,8 +244,11 @@ class SpectorDaemon {
   DashboardMirror dashboard_;
 
   mutable std::mutex countersMutex_;
-  DaemonCounters counters_;
+  ingest::ServiceCounters counters_;
 
+  // After everything the run callback touches: its destructor joins the
+  // shard threads, which finish any run still queued.
+  ingest::ShardedIngest ingest_;
   std::thread loop_;  // last-ish: joined in shutdown()
 };
 

@@ -11,8 +11,8 @@ using namespace std::chrono_literals;
 
 // --- Reconnector -----------------------------------------------------------
 
-Reconnector::Reconnector(ReconnectorConfig config)
-    : config_(config), rng_(config.seed) {}
+Reconnector::Reconnector(ReconnectorConfig config, std::uint64_t seed)
+    : config_(config), rng_(seed) {}
 
 std::chrono::milliseconds Reconnector::nextDelay() {
   if (attempt_ >= config_.maxAttempts)
@@ -32,10 +32,9 @@ std::chrono::milliseconds Reconnector::nextDelay() {
 
 // --- BreakerEndpoint -------------------------------------------------------
 
-BreakerEndpoint::BreakerEndpoint(ChannelEndpoint upstream, Fault fault,
-                                 std::size_t capacity)
+BreakerEndpoint::BreakerEndpoint(ChannelEndpoint upstream, Fault fault)
     : upstream_(std::move(upstream)), fault_(fault) {
-  ChannelPair pair = makeChannel(capacity);
+  ChannelPair pair = makeChannel(64 * 1024);
   proxySide_ = pair.server;
   clientEnd_ = pair.client;
   toDaemon_ = std::thread([this] { pumpToDaemon(); });
@@ -124,7 +123,7 @@ ResilientIngestClient::ResilientIngestClient(ConnectFn connect,
     : connect_(std::move(connect)),
       clientId_(clientId),
       config_(config),
-      reconnector_(config.reconnect) {
+      reconnector_(config.reconnect, clientId) {
   const std::scoped_lock lock(mutex_);
   ensureConnectedLocked();
 }
@@ -141,8 +140,7 @@ bool ResilientIngestClient::ensureConnectedLocked() {
     std::shared_ptr<IngestClient> fresh;
     try {
       fresh = std::make_shared<IngestClient>(connect_(connectCalls_++),
-                                             clientId_, session_,
-                                             config_.handshakeTimeout);
+                                             clientId_, session_);
     } catch (const std::exception&) {
       continue;  // daemon unreachable or handshake refused: back off
     }

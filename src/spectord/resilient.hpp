@@ -4,7 +4,8 @@
 // and simply go `down()` when it dies. This layer makes them survivable:
 //
 //  - Reconnector is the backoff policy: capped exponential delays with
-//    deterministic seeded jitter and a consecutive-failure budget, so a
+//    deterministic seeded jitter and a consecutive-failure budget. Each
+//    ResilientIngestClient seeds its Reconnector from its clientId, so a
 //    thundering herd of collectors de-synchronizes without tests losing
 //    reproducibility.
 //  - ResilientIngestClient wraps IngestClient behind a connect factory.
@@ -50,17 +51,18 @@ struct ReconnectorConfig {
   std::chrono::milliseconds maxDelay{2000};
   double multiplier = 2.0;
   /// Each delay is scaled by a factor drawn uniformly from
-  /// [1 - jitter, 1 + jitter]; deterministic given the seed.
+  /// [1 - jitter, 1 + jitter]; deterministic given the Reconnector's seed.
   double jitter = 0.25;
   /// Consecutive failed attempts before giving up; a successful attach
   /// resets the count.
   std::size_t maxAttempts = 10;
-  std::uint64_t seed = 0x5bec011ULL;
 };
 
 class Reconnector {
  public:
-  explicit Reconnector(ReconnectorConfig config = {});
+  /// `seed` drives the jitter stream: clients with different seeds draw
+  /// different schedules.
+  Reconnector(ReconnectorConfig config, std::uint64_t seed);
 
   /// Delay to sleep before the next attempt, advancing the schedule.
   /// Throws std::runtime_error once the attempt budget is exhausted.
@@ -100,8 +102,8 @@ class BreakerEndpoint {
     std::chrono::milliseconds stall{0};
   };
 
-  BreakerEndpoint(ChannelEndpoint upstream, Fault fault,
-                  std::size_t capacity = 64 * 1024);
+  /// The client-facing channel holds 64 KiB per direction.
+  BreakerEndpoint(ChannelEndpoint upstream, Fault fault);
   ~BreakerEndpoint();
   BreakerEndpoint(const BreakerEndpoint&) = delete;
   BreakerEndpoint& operator=(const BreakerEndpoint&) = delete;
@@ -135,8 +137,8 @@ class BreakerEndpoint {
 using ConnectFn = std::function<ChannelEndpoint(std::size_t attempt)>;
 
 struct ResilientClientConfig {
+  /// The backoff shape; the jitter is seeded from the client's clientId.
   ReconnectorConfig reconnect;
-  std::chrono::milliseconds handshakeTimeout{10000};
   /// Per-send RunAck wait for each upload; once an upload's verdict is
   /// overdue the connection is torn down and every pending upload re-sent
   /// on a fresh attach.

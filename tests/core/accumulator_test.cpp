@@ -33,11 +33,23 @@ FlowColumns flowsFor(std::size_t i) {
   flow.originLibrary = sym("com.lib.l" + std::to_string(i % 3));
   flow.twoLevelLibrary = sym("com.lib");
   flow.libraryCategory = sym(i % 3 == 0 ? "Advertisement" : "Utility");
-  flow.domain = sym("d" + std::to_string(i) + ".example.com");
+  flow.domain =
+      sym(std::string("d").append(std::to_string(i)).append(".example.com"));
   flow.domainCategory = sym("cdn");
   flow.sentBytes = 100 * (i + 1);
   flow.recvBytes = 1000 * (i + 1);
   return FlowColumns::fromRows({&flow, 1}, testPool());
+}
+
+/// The packages a study folded, in fold order: the study lists per-app
+/// totals in the order it folded the apps, and flowsFor(i) sends
+/// 100 * (i + 1) bytes, which names the app.
+std::vector<std::string> foldOrder(const StudyAggregator& study) {
+  std::vector<std::string> order;
+  for (const double sent : study.sentTotals(StudyAggregator::Entity::App))
+    order.push_back("com.app.n" +
+                    std::to_string(static_cast<std::size_t>(sent) / 100 - 1));
+  return order;
 }
 
 TEST(StudyAccumulatorTest, OutOfOrderDeliveryMatchesSequentialFold) {
@@ -48,10 +60,7 @@ TEST(StudyAccumulatorTest, OutOfOrderDeliveryMatchesSequentialFold) {
     sequential.addAppColumns(runFor(i), flowsFor(i));
 
   StudyAggregator reordered;
-  std::vector<std::string> foldOrder;
-  StudyAccumulator accumulator(reordered, [&](RunArtifacts&& run) {
-    foldOrder.push_back(run.packageName);
-  });
+  StudyAccumulator accumulator(reordered);
   // Completion order a 4-worker fleet could produce: nothing folds until
   // index 0 lands, then the contiguous prefix drains at once.
   for (const std::size_t index : {3u, 1u, 6u, 0u, 2u, 5u, 4u})
@@ -60,9 +69,10 @@ TEST(StudyAccumulatorTest, OutOfOrderDeliveryMatchesSequentialFold) {
   accumulator.finish();
 
   EXPECT_EQ(accumulator.appsFolded(), kApps);
-  ASSERT_EQ(foldOrder.size(), kApps);
+  const std::vector<std::string> order = foldOrder(reordered);
+  ASSERT_EQ(order.size(), kApps);
   for (std::size_t i = 0; i < kApps; ++i)
-    EXPECT_EQ(foldOrder[i], "com.app.n" + std::to_string(i));
+    EXPECT_EQ(order[i], "com.app.n" + std::to_string(i));
 
   EXPECT_EQ(sequential.totals().totalBytes, reordered.totals().totalBytes);
   EXPECT_EQ(sequential.totals().flowCount, reordered.totals().flowCount);
@@ -75,10 +85,7 @@ TEST(StudyAccumulatorTest, OutOfOrderDeliveryMatchesSequentialFold) {
 
 TEST(StudyAccumulatorTest, SkippedIndicesDoNotStallTheFold) {
   StudyAggregator study;
-  std::vector<std::string> foldOrder;
-  StudyAccumulator accumulator(study, [&](RunArtifacts&& run) {
-    foldOrder.push_back(run.packageName);
-  });
+  StudyAccumulator accumulator(study);
   accumulator.addColumns(2, runFor(2), flowsFor(2));
   EXPECT_EQ(accumulator.appsFolded(), 0u);  // waiting on 0 and 1
   accumulator.skip(0);                      // failed job releases the prefix
@@ -87,9 +94,10 @@ TEST(StudyAccumulatorTest, SkippedIndicesDoNotStallTheFold) {
   EXPECT_EQ(accumulator.appsFolded(), 2u);
   EXPECT_EQ(accumulator.pendingCount(), 0u);
   accumulator.finish();
-  ASSERT_EQ(foldOrder.size(), 2u);
-  EXPECT_EQ(foldOrder[0], "com.app.n1");
-  EXPECT_EQ(foldOrder[1], "com.app.n2");
+  const std::vector<std::string> order = foldOrder(study);
+  ASSERT_EQ(order.size(), 2u);
+  EXPECT_EQ(order[0], "com.app.n1");
+  EXPECT_EQ(order[1], "com.app.n2");
   EXPECT_EQ(study.totals().appCount, 2u);
 }
 
@@ -97,18 +105,16 @@ TEST(StudyAccumulatorTest, FinishFoldsStragglersInIndexOrder) {
   // A gap that never resolves (worker died without reporting) must not
   // drop the apps that did arrive.
   StudyAggregator study;
-  std::vector<std::string> foldOrder;
-  StudyAccumulator accumulator(study, [&](RunArtifacts&& run) {
-    foldOrder.push_back(run.packageName);
-  });
+  StudyAccumulator accumulator(study);
   accumulator.addColumns(4, runFor(4), flowsFor(4));
   accumulator.addColumns(2, runFor(2), flowsFor(2));
   EXPECT_EQ(accumulator.appsFolded(), 0u);
   accumulator.finish();
   EXPECT_EQ(accumulator.appsFolded(), 2u);
-  ASSERT_EQ(foldOrder.size(), 2u);
-  EXPECT_EQ(foldOrder[0], "com.app.n2");
-  EXPECT_EQ(foldOrder[1], "com.app.n4");
+  const std::vector<std::string> order = foldOrder(study);
+  ASSERT_EQ(order.size(), 2u);
+  EXPECT_EQ(order[0], "com.app.n2");
+  EXPECT_EQ(order[1], "com.app.n4");
 }
 
 }  // namespace

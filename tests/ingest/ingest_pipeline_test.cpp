@@ -1,9 +1,11 @@
 // End-to-end acceptance of the streaming ingest tier: real emulator runs
 // whose framed supervisor datagrams cross a seeded lossy/duplicating/
-// reordering channel into an IngestPipeline. The pipeline must account the
-// channel's damage *exactly* per apk, and attribution of what was delivered
-// must match the batch pipeline run over the same delivered reports.
-#include "ingest/pipeline.hpp"
+// reordering channel into a ShardedIngest whose run callback attributes
+// each run on its shard, as orch::runStudy's and spectord's do. The router
+// must account the channel's damage *exactly* per apk, attribution of what
+// was delivered must match the batch pipeline run over the same delivered
+// reports, and a run whose checkpoint throws must be folded nowhere.
+#include "ingest/router.hpp"
 
 #include <gtest/gtest.h>
 
@@ -11,8 +13,10 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/analysis.hpp"
 #include "core/attribution.hpp"
 #include "ingest/chaos.hpp"
 #include "orch/emulator.hpp"
@@ -62,22 +66,19 @@ class IngestPipelineTest : public ::testing::Test {
 TEST_F(IngestPipelineTest, AccountsAFaultyChannelExactlyPerApk) {
   IngestConfig ingestConfig;
   ingestConfig.shards = 3;
-  IngestPipeline pipeline(ingestConfig,
-                          [this](const core::RunArtifacts& artifacts) {
-                            return attributor_.attributeColumns(artifacts);
-                          });
-  std::mutex accountsMutex;  // the hook runs on every shard's consumer
+  std::mutex accountsMutex;  // the callback runs on every shard's consumer
   std::map<std::string, ApkLossAccount> accounts;
-  pipeline.setRunHook([&](RunDigest&& digest) {
+  ShardedIngest ingest(ingestConfig, [&](RunDelivery&& delivery) {
+    (void)attributor_.attributeColumns(delivery.artifacts);
     const std::scoped_lock lock(accountsMutex);
-    accounts[digest.apkSha256] = digest.account;
+    accounts[delivery.artifacts.apkSha256] = delivery.account;
   });
   ChaosConfig chaosConfig;
   chaosConfig.lossProb = 0.05;
   chaosConfig.dupProb = 0.05;
   chaosConfig.reorderWindow = 4;
   chaosConfig.seed = 7;
-  ChaosChannel chaos(pipeline, chaosConfig);
+  ChaosChannel chaos(ingest, chaosConfig);
 
   struct Expected {
     std::string sha;
@@ -100,8 +101,8 @@ TEST_F(IngestPipelineTest, AccountsAFaultyChannelExactlyPerApk) {
     e.duplicated = chaos.duplicated() - duplicatedBefore;
     totalEmitted += e.emitted;
     expected.push_back(e);
-    pipeline.submitRun(i, std::move(artifacts));
-    pipeline.drain();  // finalize before the next run reuses the channel
+    ingest.submitRun(i, std::move(artifacts));
+    ingest.drain();  // finalize before the next run reuses the channel
   }
 
   ASSERT_EQ(accounts.size(), expected.size());
@@ -122,48 +123,54 @@ TEST_F(IngestPipelineTest, AccountsAFaultyChannelExactlyPerApk) {
   }
   EXPECT_TRUE(anyDamage) << "chaos config injected no faults; test is vacuous";
 
-  const auto metrics = pipeline.metrics();
+  const auto metrics = ingest.metrics();
   EXPECT_EQ(metrics.runsCompleted, expected.size());
   EXPECT_EQ(metrics.reportsLost, totalLost);
   EXPECT_EQ(metrics.reportsDelivered, totalEmitted - totalLost);
 }
 
 TEST_F(IngestPipelineTest, StreamingAttributionMatchesBatchOverDeliveredReports) {
-  // Streaming side: runs fold through the pipeline into an order-restoring
-  // accumulator; the fold hook captures each run's post-delivery artifacts.
+  // Streaming side: each run is attributed on its shard and folds into an
+  // order-restoring accumulator; the callback keeps a copy of each run's
+  // post-delivery artifacts.
   core::StudyAggregator streaming;
-  std::vector<core::RunArtifacts> delivered;
-  core::StudyAccumulator accumulator(
-      streaming, [&delivered](core::RunArtifacts&& artifacts) {
-        delivered.push_back(std::move(artifacts));
-      });
+  core::StudyAccumulator accumulator(streaming);
+  std::mutex deliveredMutex;  // the callback runs on every shard's consumer
+  std::map<std::size_t, core::RunArtifacts> delivered;
   IngestConfig ingestConfig;
   ingestConfig.shards = 2;
-  const auto attribute = [this](const core::RunArtifacts& artifacts) {
-    return attributor_.attributeColumns(artifacts);
-  };
 
   {
-    IngestPipeline pipeline(ingestConfig, attribute, &accumulator);
+    ShardedIngest ingest(ingestConfig, [&](RunDelivery&& delivery) {
+      core::FlowColumns columns =
+          attributor_.attributeColumns(delivery.artifacts);
+      {
+        const std::scoped_lock lock(deliveredMutex);
+        delivered.emplace(delivery.jobIndex, delivery.artifacts);
+      }
+      accumulator.addColumns(delivery.jobIndex, std::move(delivery.artifacts),
+                             std::move(columns));
+    });
     ChaosConfig chaosConfig;
     chaosConfig.lossProb = 0.05;
     chaosConfig.dupProb = 0.05;
     chaosConfig.reorderWindow = 4;
     chaosConfig.seed = 11;
-    ChaosChannel chaos(pipeline, chaosConfig);
+    ChaosChannel chaos(ingest, chaosConfig);
     for (std::size_t i = 0; i < generator_.appCount(); ++i) {
       auto artifacts = runApp(i, &chaos);
       chaos.flush();
-      pipeline.submitRun(i, std::move(artifacts));
-      pipeline.drain();
+      ingest.submitRun(i, std::move(artifacts));
+      ingest.drain();
     }
   }
   accumulator.finish();
   ASSERT_EQ(delivered.size(), generator_.appCount());
 
-  // Batch side: the classic offline pass over exactly those artifacts.
+  // Batch side: the classic offline pass over exactly those artifacts, in
+  // job-index order.
   core::StudyAggregator batch;
-  for (const auto& artifacts : delivered)
+  for (const auto& [index, artifacts] : delivered)
     batch.addAppColumns(artifacts, attributor_.attributeColumns(artifacts));
 
   EXPECT_EQ(streaming.totals().totalBytes, batch.totals().totalBytes);
@@ -173,80 +180,40 @@ TEST_F(IngestPipelineTest, StreamingAttributionMatchesBatchOverDeliveredReports)
   EXPECT_EQ(streaming.transferByLibCategory(), batch.transferByLibCategory());
 }
 
-TEST_F(IngestPipelineTest, PublishesRollingTotalsAfterEveryRun) {
-  IngestConfig ingestConfig;
-  ingestConfig.shards = 1;
-  IngestPipeline pipeline(ingestConfig,
-                          [this](const core::RunArtifacts& artifacts) {
-                            return attributor_.attributeColumns(artifacts);
-                          });
-  std::vector<RunDigest> digests;  // one shard: one consumer thread
-  pipeline.setRunHook(
-      [&digests](RunDigest&& digest) { digests.push_back(std::move(digest)); });
-
-  for (std::size_t i = 0; i < 4; ++i) {
-    auto artifacts = runApp(i, &pipeline);
-    const std::string sha = artifacts.apkSha256;
-    pipeline.submitRun(i, std::move(artifacts));
-    pipeline.drain();
-    // One digest per run, published as the run lands.
-    ASSERT_EQ(digests.size(), i + 1);
-    EXPECT_EQ(digests.back().jobIndex, i);
-    EXPECT_EQ(digests.back().apkSha256, sha);
-    EXPECT_FALSE(digests.back().replayed);
-  }
-  std::uint64_t flows = 0;
-  std::uint64_t attributed = 0;
-  for (const RunDigest& digest : digests) {
-    flows += digest.flowCount;
-    attributed += digest.attributedBytes;
-    // Zero loss: every reported socket keeps its context.
-    EXPECT_EQ(digest.unattributedBytes, 0u);
-    EXPECT_EQ(digest.account.lost, 0u);
-    // The per-library and per-category sums split the run's bytes.
-    std::uint64_t byLibrary = 0;
-    for (const auto& [library, bytes] : digest.bytesByLibrary)
-      byLibrary += bytes;
-    EXPECT_EQ(byLibrary, digest.attributedBytes);
-    std::uint64_t byCategory = 0;
-    for (const auto& [category, bytes] : digest.bytesByLibCategory)
-      byCategory += bytes;
-    EXPECT_EQ(byCategory, digest.attributedBytes);
-  }
-  EXPECT_GT(flows, 0u);
-  EXPECT_GT(attributed, 0u);
-}
-
 TEST_F(IngestPipelineTest, RunWhoseCheckpointThrowsIsNotFolded) {
-  // A run is checkpointed before it is folded anywhere. One whose
-  // checkpoint write throws must reach neither the published digests nor
-  // the accumulator: an observer would otherwise count a run that no
-  // recovery can replay.
+  // The router checkpoints a run before its callback attributes and folds
+  // it. One whose checkpoint write throws must reach neither the callback
+  // nor, through it, the accumulator: an observer would otherwise count a
+  // run that no recovery can replay.
   core::StudyAggregator study;
   core::StudyAccumulator accumulator(study);
   IngestConfig ingestConfig;
   ingestConfig.shards = 1;
-  IngestPipeline pipeline(
+  // Job index and loss account of each run the callback saw (one shard:
+  // one consumer thread).
+  std::vector<std::pair<std::size_t, ApkLossAccount>> published;
+  ShardedIngest ingest(
       ingestConfig,
-      [this](const core::RunArtifacts& artifacts) {
-        return attributor_.attributeColumns(artifacts);
+      [&](RunDelivery&& delivery) {
+        core::FlowColumns columns =
+            attributor_.attributeColumns(delivery.artifacts);
+        published.emplace_back(delivery.jobIndex, delivery.account);
+        accumulator.addColumns(delivery.jobIndex,
+                               std::move(delivery.artifacts),
+                               std::move(columns));
       },
-      &accumulator, [](const RunDelivery& delivery) {
+      [](const RunDelivery& delivery) {
         if (delivery.jobIndex == 0)
           throw std::runtime_error("cannot write run 0");
       });
-  std::vector<RunDigest> published;  // one shard: one consumer thread
-  pipeline.setRunHook([&published](RunDigest&& digest) {
-    published.push_back(std::move(digest));
-  });
   for (std::size_t i = 0; i < 2; ++i)
-    pipeline.submitRun(i, runApp(i, &pipeline));
-  EXPECT_THROW(pipeline.drain(), std::runtime_error);
+    ingest.submitRun(i, runApp(i, &ingest));
+  EXPECT_THROW(ingest.drain(), std::runtime_error);
 
   // Only run 1, with its loss account, was published and folded.
   ASSERT_EQ(published.size(), 1u);
-  EXPECT_EQ(published.front().jobIndex, 1u);
-  EXPECT_GT(published.front().account.reportsEmitted, 0u);
+  EXPECT_EQ(published.front().first, 1u);
+  EXPECT_GT(published.front().second.reportsEmitted, 0u);
   accumulator.finish();
   EXPECT_EQ(study.totals().appCount, 1u);
 }

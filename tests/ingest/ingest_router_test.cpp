@@ -278,6 +278,49 @@ TEST(ShardedIngestTest, RunCallbackExceptionIsRethrownByDrain) {
   EXPECT_NO_THROW(ingest.drain());
 }
 
+TEST(ShardedIngestTest, CheckpointsEachFreshRunBeforeItsCallbackAndNoReplay) {
+  // Durable before aggregated: a fresh run's checkpoint returns before its
+  // callback starts, a replay reaches the callback with no checkpoint, and
+  // a run whose checkpoint throws reaches no callback while later runs
+  // still do; drain() rethrows that error once.
+  std::vector<std::string> events;  // one shard: one consumer thread
+  IngestConfig config;
+  config.shards = 1;
+  ShardedIngest ingest(
+      config,
+      [&](RunDelivery&& d) {
+        events.push_back("callback " + std::to_string(d.jobIndex) +
+                         (d.replayed ? " replayed" : ""));
+      },
+      [&](const RunDelivery& d) {
+        events.push_back("checkpoint " + std::to_string(d.jobIndex));
+        if (d.jobIndex == 1) throw std::runtime_error("cannot write run 1");
+        events.push_back("checkpointed " + std::to_string(d.jobIndex));
+      });
+  ingest.submitRun(0, runFor("fresh0", 0));
+  ingest.submitRun(1, runFor("fresh1", 0));
+  core::RunArtifacts recovered;
+  recovered.apkSha256 = "replayed2";
+  ApkLossAccount account;
+  account.reportsEmitted = 3;
+  account.uniqueDelivered = 3;
+  ingest.submitReplay(2, std::move(recovered), account);
+  ingest.submitRun(3, runFor("fresh3", 0));
+
+  try {
+    ingest.drain();
+    ADD_FAILURE() << "drain() did not rethrow the checkpoint's exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "cannot write run 1");
+  }
+  EXPECT_NO_THROW(ingest.drain());
+  EXPECT_EQ(events, (std::vector<std::string>{
+                        "checkpoint 0", "checkpointed 0", "callback 0",
+                        "checkpoint 1", "callback 2 replayed", "checkpoint 3",
+                        "checkpointed 3", "callback 3"}));
+  EXPECT_EQ(ingest.metrics().runsCompleted, 4u);
+}
+
 TEST(ShardedIngestTest, MetricsExportAsWellFormedJson) {
   IngestConfig config;
   config.shards = 2;
@@ -295,6 +338,7 @@ TEST(ShardedIngestTest, MetricsExportAsWellFormedJson) {
         "\"frames_folded\"", "\"duplicated\"",
         "\"out_of_order\"", "\"runs_completed\"", "\"reports_delivered\"",
         "\"reports_lost\"", "\"latency_p50_ms\"", "\"latency_p99_ms\"",
+        "\"runs_refused\"",
         "\"per_shard\"", "\"queue_depth_peak\"", "\"utilization\""})
     EXPECT_NE(json.find(key), std::string::npos) << key;
 }

@@ -12,7 +12,7 @@
 #include <string>
 #include <thread>
 
-#include "ingest/pipeline.hpp"
+#include "core/analysis.hpp"
 #include "ingest/router.hpp"
 
 namespace libspector::ingest {
@@ -143,47 +143,45 @@ TEST(IngestStressTest, ProducersConsumersAndTakersRaceCleanly) {
 }
 
 TEST(IngestStressTest, ConcurrentRunSubmissionsThroughThePipeline) {
-  // The pipeline's run hook and accumulator fold must stay coherent when
-  // many threads complete runs at once.
+  // A run callback that attributes, records and folds must stay coherent
+  // when many threads complete runs at once.
   constexpr std::size_t kRuns = 24;
   core::StudyAggregator study;
   core::StudyAccumulator accumulator(study);
   IngestConfig config;
   config.shards = 3;
-  std::mutex digestsMutex;  // the hook runs on every shard's consumer
+  std::mutex accountsMutex;  // the callback runs on every shard's consumer
   std::map<std::string, ApkLossAccount> accounts;
   std::size_t published = 0;
   {
-    IngestPipeline pipeline(
-        config,
-        [](const core::RunArtifacts&) {
-          return core::FlowColumns{};
-        },
-        &accumulator);
-    pipeline.setRunHook([&](RunDigest&& digest) {
-      const std::scoped_lock lock(digestsMutex);
-      ++published;
-      accounts[digest.apkSha256] = digest.account;
+    ShardedIngest ingest(config, [&](RunDelivery&& delivery) {
+      {
+        const std::scoped_lock lock(accountsMutex);
+        ++published;
+        accounts[delivery.artifacts.apkSha256] = delivery.account;
+      }
+      accumulator.addColumns(delivery.jobIndex, std::move(delivery.artifacts),
+                             core::FlowColumns{});
     });
     {
       std::vector<std::jthread> threads;
       for (std::size_t t = 0; t < 4; ++t) {
-        threads.emplace_back([&pipeline, t] {
+        threads.emplace_back([&ingest, t] {
           for (std::size_t i = 0; i < kRuns / 4; ++i) {
             const std::size_t index = t * (kRuns / 4) + i;
             const std::string sha = "bulk_" + std::to_string(index);
             for (std::uint64_t seq = 0; seq < 5; ++seq)
-              pipeline.submitDatagram(
+              ingest.submitDatagram(
                   stressFrame(sha, static_cast<std::uint32_t>(index), seq));
             core::RunArtifacts artifacts;
             artifacts.apkSha256 = sha;
             artifacts.reportsEmitted = 5;
-            pipeline.submitRun(index, std::move(artifacts));
+            ingest.submitRun(index, std::move(artifacts));
           }
         });
       }
     }
-    pipeline.drain();
+    ingest.drain();
     EXPECT_EQ(published, kRuns);
     EXPECT_EQ(accounts.size(), kRuns);
     for (const auto& [sha, account] : accounts) {

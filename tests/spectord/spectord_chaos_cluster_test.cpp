@@ -63,7 +63,6 @@ ReconnectorConfig fastBackoff() {
   config.initialDelay = 1ms;
   config.maxDelay = 20ms;
   config.maxAttempts = 10;
-  config.seed = 11;
   return config;
 }
 
@@ -121,7 +120,7 @@ TEST(SpectordChaosClusterTest, EveryConnectionKilledStaysByteIdentical) {
     EXPECT_GT(result.framesResent + result.runsResent, 0u) << "kills=" << kills;
     EXPECT_EQ(result.runsAccepted, result.jobsDispatched);
     EXPECT_EQ(result.jobsDispatched, config.store.appCount);
-    EXPECT_EQ(result.metrics.sessionsResumed, kills);
+    EXPECT_EQ(result.metrics.service.sessionsResumed, kills);
     EXPECT_EQ(result.metrics.reportsLost, 0u);
 
     const orch::MergeOutput merged = orch::mergeStudies(config, {dir.string()});

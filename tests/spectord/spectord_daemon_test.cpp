@@ -1,9 +1,11 @@
 // The spectord daemon end to end over simulated duplex channels: session
-// handshake + resume, wire ingest equal to the in-process pipeline, exact
-// loss accounting through a chaos channel, dashboard mirrors equal to the
-// daemon's own view (early, mid-study and resynced subscribers), bounded
-// slow-subscriber handling (drop deltas, resync from a snapshot), and the
-// admin surface (status, evict, drain, resume-from-checkpoint, shutdown).
+// handshake + resume, wire ingest equal to an in-process router that
+// attributes and folds, exact loss accounting through a chaos channel, one
+// delta per run per topic built from the run's delivery and flows,
+// dashboard mirrors equal to the daemon's own view (early, mid-study,
+// prompt and resynced subscribers), bounded slow-subscriber handling (drop
+// deltas, resync from a snapshot), and the admin surface (status, evict,
+// drain, resume-from-checkpoint, shutdown).
 #include "spectord/daemon.hpp"
 
 #include <gtest/gtest.h>
@@ -164,20 +166,23 @@ TEST_F(SpectordDaemonTest, WireIngestMatchesInProcessPipeline) {
   }
   daemon->drain();
 
-  // Reference side: the same runs submitted straight into a pipeline.
+  // Reference side: the same runs submitted straight into a router whose
+  // run callback attributes and folds.
   core::StudyAggregator directStudy;
   core::StudyAccumulator directAccumulator(directStudy);
-  ingest::IngestPipeline pipeline(
-      daemonConfig().ingest,
-      [this](const core::RunArtifacts& artifacts) {
-        return attributor_.attributeColumns(artifacts);
-      },
-      &directAccumulator);
+  ingest::ShardedIngest router(
+      daemonConfig().ingest, [&](ingest::RunDelivery&& delivery) {
+        core::FlowColumns columns =
+            attributor_.attributeColumns(delivery.artifacts);
+        directAccumulator.addColumns(delivery.jobIndex,
+                                     std::move(delivery.artifacts),
+                                     std::move(columns));
+      });
   for (std::size_t i = 0; i < 4; ++i) {
-    auto artifacts = runApp(i, &pipeline);
-    pipeline.submitRun(i, std::move(artifacts));
+    auto artifacts = runApp(i, &router);
+    router.submitRun(i, std::move(artifacts));
   }
-  pipeline.drain();
+  router.drain();
 
   // Both sides folded the same four runs into the same study.
   wireAccumulator.finish();
@@ -200,7 +205,7 @@ TEST_F(SpectordDaemonTest, WireIngestMatchesInProcessPipeline) {
   const auto metrics = daemon->metrics();
   EXPECT_EQ(metrics.runsCompleted, 4u);
   EXPECT_EQ(metrics.reportsLost, 0u);
-  EXPECT_EQ(metrics.sessionsOpened, 1u);
+  EXPECT_EQ(metrics.service.sessionsOpened, 1u);
 }
 
 TEST_F(SpectordDaemonTest, ChaosChannelDamageIsAccountedExactly) {
@@ -258,6 +263,78 @@ TEST_F(SpectordDaemonTest, ChaosChannelDamageIsAccountedExactly) {
   client.bye();
 }
 
+TEST_F(SpectordDaemonTest, PublishesOneDeltaPerRunPerTopic) {
+  // Each run's DeltaMsg is built on its shard thread from the delivery and
+  // its flow columns; the loop fans it out once per subscribed topic, as
+  // the run lands. A raw dashboard connection keeps every delta it reads.
+  auto daemon = makeDaemon(daemonConfig());
+  ClientChannel dashboard(daemon->connect());
+  HelloMsg hello;
+  hello.clientId = 400;
+  hello.kind = ClientKind::Dashboard;
+  ASSERT_TRUE(dashboard.send(FrameType::Hello, hello.encode()));
+  const auto helloAck = dashboard.read(5000ms);
+  ASSERT_TRUE(helloAck.has_value());
+  ASSERT_EQ(helloAck->type, FrameType::HelloAck);
+  constexpr Topic kAllTopics[] = {Topic::Totals, Topic::Loss, Topic::Progress};
+  for (const Topic topic : kAllTopics) {
+    SubscribeMsg subscribe;
+    subscribe.topic = topic;
+    ASSERT_TRUE(dashboard.send(FrameType::Subscribe, subscribe.encode()));
+  }
+  // The snapshots come first, so every run below arrives as deltas.
+  for (const Topic topic : kAllTopics) {
+    const auto frame = dashboard.read(5000ms);
+    ASSERT_TRUE(frame.has_value());
+    ASSERT_EQ(frame->type, FrameType::Snapshot);
+    EXPECT_EQ(SnapshotMsg::decode(frame->body).topic, topic);
+  }
+
+  IngestClient client(daemon->connect(), /*clientId=*/10);
+  constexpr std::size_t kRuns = 4;
+  std::uint64_t flows = 0;
+  std::uint64_t attributed = 0;
+  for (std::size_t i = 0; i < kRuns; ++i) {
+    auto artifacts = runApp(i, &client);
+    const std::string sha = artifacts.apkSha256;
+    ASSERT_TRUE(client.completeRun(i, artifacts).accepted);
+    daemon->drain();
+    // One delta per topic for this run, published as the run lands.
+    for (const Topic topic : kAllTopics) {
+      const auto frame = dashboard.read(10000ms);
+      ASSERT_TRUE(frame.has_value()) << "run " << i;
+      ASSERT_EQ(frame->type, FrameType::Delta) << "run " << i;
+      const DeltaMsg delta = DeltaMsg::decode(frame->body);
+      EXPECT_EQ(delta.topic, topic);
+      EXPECT_EQ(delta.jobIndex, i);
+      EXPECT_EQ(delta.apkSha256, sha);
+      EXPECT_FALSE(delta.replayed);
+      if (topic == Topic::Totals) {
+        flows += delta.flowCount;
+        attributed += delta.attributedBytes;
+        // Zero loss: every reported socket keeps its context.
+        EXPECT_EQ(delta.unattributedBytes, 0u);
+        // The per-library and per-category sums split the run's bytes.
+        std::uint64_t byLibrary = 0;
+        for (const auto& [library, bytes] : delta.bytesByLibrary)
+          byLibrary += bytes;
+        EXPECT_EQ(byLibrary, delta.attributedBytes);
+        std::uint64_t byCategory = 0;
+        for (const auto& [category, bytes] : delta.bytesByLibCategory)
+          byCategory += bytes;
+        EXPECT_EQ(byCategory, delta.attributedBytes);
+      } else if (topic == Topic::Loss) {
+        EXPECT_EQ(delta.account.lost, 0u);
+        EXPECT_GT(delta.account.reportsEmitted, 0u);
+      }
+    }
+  }
+  EXPECT_GT(flows, 0u);
+  EXPECT_GT(attributed, 0u);
+  EXPECT_EQ(daemon->metrics().service.subscriberDeltasSent, 3 * kRuns);
+  client.bye();
+}
+
 TEST_F(SpectordDaemonTest, SessionResumesAcrossReconnect) {
   auto daemon = makeDaemon(daemonConfig());
   std::uint64_t token = 0;
@@ -290,9 +367,9 @@ TEST_F(SpectordDaemonTest, SessionResumesAcrossReconnect) {
     EXPECT_FALSE(client.resumed());
     EXPECT_EQ(client.ackedFrames(), 0u);
   }
-  const auto counters = daemon->counters();
-  EXPECT_EQ(counters.sessionsResumed, 1u);
-  EXPECT_EQ(counters.sessionsOpened, 2u);
+  const auto service = daemon->metrics().service;
+  EXPECT_EQ(service.sessionsResumed, 1u);
+  EXPECT_EQ(service.sessionsOpened, 2u);
 }
 
 TEST_F(SpectordDaemonTest, DashboardMirrorReconstructsDaemonStateExactly) {
@@ -362,14 +439,54 @@ TEST_F(SpectordDaemonTest, DashboardMirrorReconstructsDaemonStateExactly) {
     EXPECT_TRUE(dashboard->waitUntil(
         [&] { return dashboard->mirror() == reference; }, 10000ms));
   EXPECT_GT(early.deltasReceived(), 0u);
-  EXPECT_GT(daemon->metrics().subscriberDeltasSent, 0u);
-  EXPECT_EQ(daemon->metrics().subscriberDeltasDropped, 0u);
+  EXPECT_GT(daemon->metrics().service.subscriberDeltasSent, 0u);
+  EXPECT_EQ(daemon->metrics().service.subscriberDeltasDropped, 0u);
+  client.bye();
+}
+
+TEST_F(SpectordDaemonTest, PromptSubscriberGetsEveryDeltaUnderATightBudget) {
+  // The budget counts what the subscriber's channel has not accepted, and
+  // a delta into an empty queue always goes out: a subscriber that reads
+  // after every run gets every delta of every topic, even with a budget
+  // smaller than one Totals delta, and never needs a resync.
+  constexpr std::size_t kRuns = 4;
+  auto config = daemonConfig();
+  config.subscriberQueueBytes = 256;
+  config.expectedRuns = kRuns;
+  auto daemon = makeDaemon(std::move(config));
+
+  DashboardClient dashboard(daemon->connect(), /*clientId=*/210);
+  dashboard.subscribe(Topic::Totals);
+  dashboard.subscribe(Topic::Loss);
+  dashboard.subscribe(Topic::Progress);
+  ASSERT_TRUE(dashboard.waitForSnapshot(Topic::Progress, 5000ms));
+
+  IngestClient client(daemon->connect(), /*clientId=*/11);
+  for (std::size_t i = 0; i < kRuns; ++i) {
+    auto artifacts = runApp(i, &client);
+    ASSERT_TRUE(client.completeRun(i, artifacts).accepted);
+    daemon->drain();
+    ASSERT_TRUE(dashboard.waitUntil(
+        [&] { return dashboard.deltasReceived() == 3 * (i + 1); }, 10000ms))
+        << "run " << i << ": " << dashboard.deltasReceived() << " deltas";
+  }
+
+  EXPECT_TRUE(dashboard.mirror() == daemon->dashboard());
+  for (const Topic topic : {Topic::Totals, Topic::Loss, Topic::Progress})
+    EXPECT_EQ(dashboard.snapshotsReceived(topic), 1u);
+  EXPECT_EQ(dashboard.deltasReceived(), 3 * kRuns);
+  const auto service = daemon->metrics().service;
+  EXPECT_EQ(service.subscriberDeltasDropped, 0u);
+  EXPECT_EQ(service.subscriberDeltasSent, 3 * kRuns);
+  EXPECT_EQ(service.subscriberSnapshotsResent, 0u);
   client.bye();
 }
 
 TEST_F(SpectordDaemonTest, SlowSubscriberIsBoundedAndResyncsWithoutStallingIngest) {
   auto config = daemonConfig();
-  // A budget small enough that a non-polling subscriber overflows fast.
+  // A channel a silent subscriber fills within a run or two, and a budget
+  // small enough that the deltas queued behind it overflow fast.
+  config.channelCapacity = 1024;
   config.subscriberQueueBytes = 256;
   auto daemon = makeDaemon(std::move(config));
 
@@ -389,13 +506,14 @@ TEST_F(SpectordDaemonTest, SlowSubscriberIsBoundedAndResyncsWithoutStallingInges
   daemon->drain();
   EXPECT_EQ(daemon->dashboard().runsFolded, generator_.appCount());
 
-  // With a 256-byte budget and a silent reader deltas were dropped
-  // (arming a resync), and once a topic is armed the remaining runs ride
-  // its pending snapshot instead of the delta stream, so attempts never
-  // exceed one per run per subscribed topic.
-  const auto metrics = daemon->metrics();
-  EXPECT_GT(metrics.subscriberDeltasDropped, 0u);
-  EXPECT_LE(metrics.subscriberDeltasSent + metrics.subscriberDeltasDropped,
+  // Once the silent reader's channel is full, deltas wait in its queue,
+  // and a delta that would take the queue past the 256-byte budget is
+  // dropped (arming a resync). Once a topic is armed the remaining runs
+  // ride its pending snapshot instead of the delta stream, so attempts
+  // never exceed one per run per subscribed topic.
+  const auto service = daemon->metrics().service;
+  EXPECT_GT(service.subscriberDeltasDropped, 0u);
+  EXPECT_LE(service.subscriberDeltasSent + service.subscriberDeltasDropped,
             3 * generator_.appCount());
 
   // Once the subscriber drains, the resync snapshots restore exactness on
@@ -403,11 +521,11 @@ TEST_F(SpectordDaemonTest, SlowSubscriberIsBoundedAndResyncsWithoutStallingInges
   const DashboardMirror reference = daemon->dashboard();
   EXPECT_TRUE(dashboard.waitUntil(
       [&] { return dashboard.mirror() == reference; }, 10000ms));
-  // A Totals delta alone outgrows the budget, and a Loss delta leaves no
-  // room for the Progress delta behind it: both topics resynced.
+  // With the channel full, every topic's next delta found the queue over
+  // budget: Totals and Progress both resynced.
   EXPECT_GE(dashboard.snapshotsReceived(Topic::Totals), 2u);
   EXPECT_GE(dashboard.snapshotsReceived(Topic::Progress), 2u);
-  EXPECT_GT(daemon->metrics().subscriberSnapshotsResent, 0u);
+  EXPECT_GT(daemon->metrics().service.subscriberSnapshotsResent, 0u);
   client.bye();
 }
 
@@ -558,10 +676,7 @@ TEST_F(SpectordDaemonTest, RunCompleteOutsideOwnedSliceIsRefused) {
   {
     // Hash the apks first (cheap single runs through a throwaway daemon's
     // client would also work, but the emulator needs *some* sink).
-    ingest::IngestPipeline scratch(
-        {.shards = 1}, [this](const core::RunArtifacts& artifacts) {
-          return attributor_.attributeColumns(artifacts);
-        });
+    ingest::ShardedIngest scratch({.shards = 1});
     for (std::size_t i = 0; i < generator_.appCount(); ++i) {
       runs.push_back(runApp(i, &scratch));
       if (probe.owns(runs.back().packageName)) {
@@ -590,7 +705,7 @@ TEST_F(SpectordDaemonTest, RunCompleteOutsideOwnedSliceIsRefused) {
       << refused.reason;
 
   daemon->drain();
-  EXPECT_EQ(daemon->counters().runsRefused, 1u);
+  EXPECT_EQ(daemon->metrics().service.runsRefused, 1u);
   EXPECT_EQ(daemon->dashboard().runsFolded, 1u);
   client.bye();
 }

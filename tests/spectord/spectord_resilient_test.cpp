@@ -35,7 +35,6 @@ ReconnectorConfig testBackoff() {
   config.initialDelay = 1ms;
   config.maxDelay = 20ms;
   config.maxAttempts = 10;
-  config.seed = 7;
   return config;
 }
 
@@ -93,12 +92,13 @@ TEST(ReconnectorTest, BackoffScheduleIsDeterministicWithPinnedJitter) {
   config.multiplier = 2.0;
   config.jitter = 0.25;
   config.maxAttempts = 6;
-  config.seed = 42;
+  constexpr std::uint64_t kSeed = 42;
 
-  // The whole schedule is a pure function of the config: exponential base
-  // 10,20,40,80,160,320 capped at 200, each scaled by seeded jitter in
-  // [0.75, 1.25]. Pinned so an accidental reseed or formula change shows.
-  Reconnector reconnector(config);
+  // The whole schedule is a pure function of the config and the seed:
+  // exponential base 10,20,40,80,160,320 capped at 200, each scaled by
+  // seeded jitter in [0.75, 1.25]. Pinned so an accidental reseed or
+  // formula change shows.
+  Reconnector reconnector(config, kSeed);
   const std::vector<std::int64_t> expected = {7, 18, 43, 96, 199, 226};
   for (std::size_t i = 0; i < expected.size(); ++i)
     EXPECT_EQ(reconnector.nextDelay().count(), expected[i]) << "attempt " << i;
@@ -106,13 +106,13 @@ TEST(ReconnectorTest, BackoffScheduleIsDeterministicWithPinnedJitter) {
   EXPECT_TRUE(reconnector.exhausted());
   EXPECT_THROW((void)reconnector.nextDelay(), std::runtime_error);
 
-  // Identical config replays the identical schedule.
-  Reconnector replay(config);
+  // Identical config and seed replay the identical schedule.
+  Reconnector replay(config, kSeed);
   for (const std::int64_t delay : expected)
     EXPECT_EQ(replay.nextDelay().count(), delay);
 
   // A successful attach resets the failure streak and the budget.
-  Reconnector resetting(config);
+  Reconnector resetting(config, kSeed);
   for (int i = 0; i < 3; ++i) (void)resetting.nextDelay();
   resetting.reset();
   EXPECT_EQ(resetting.attempt(), 0u);
@@ -126,8 +126,7 @@ TEST(ReconnectorTest, JitterStaysInsideTheConfiguredBand) {
   config.multiplier = 1.0;  // flat base isolates the jitter factor
   config.jitter = 0.5;
   config.maxAttempts = 200;
-  config.seed = 99;
-  Reconnector reconnector(config);
+  Reconnector reconnector(config, /*seed=*/99);
   for (int i = 0; i < 200; ++i) {
     const auto delay = reconnector.nextDelay().count();
     EXPECT_GE(delay, 50);
@@ -185,7 +184,7 @@ TEST_F(SpectordResilientTest, DuplicateRunUploadIsAckedOnceAndNotRefolded) {
 
   daemon->drain();
   EXPECT_EQ(daemon->metrics().runsCompleted, 1u);
-  EXPECT_EQ(daemon->counters().duplicateRunUploads, 1u);
+  EXPECT_EQ(daemon->metrics().service.duplicateRunUploads, 1u);
   client.bye();
   daemon->shutdown();
 }
@@ -199,7 +198,7 @@ TEST_F(SpectordResilientTest, SecondLiveAttachOnSameClientIdIsRefused) {
   // stream; while the first attach is live the second must be refused.
   EXPECT_THROW(IngestClient(daemon->connect(), /*clientId=*/9),
                std::runtime_error);
-  EXPECT_EQ(daemon->counters().attachRefusals, 1u);
+  EXPECT_EQ(daemon->metrics().service.sessionAttachRefusals, 1u);
 
   // The refused handshake must not have disturbed the live session.
   const auto artifacts = runApp(0, &live);
@@ -229,7 +228,7 @@ TEST_F(SpectordResilientTest, AdminDrainExpiresStaleSessions) {
   AdminClient admin(daemon->connect(), /*clientId=*/300);
   const AdminAckMsg drained = admin.request(AdminOp::Drain);
   EXPECT_TRUE(drained.ok);
-  EXPECT_GE(daemon->counters().sessionsExpired, 1u);
+  EXPECT_GE(daemon->metrics().service.sessionsExpired, 1u);
 
   // The old token no longer resumes: the daemon forgot the session, so
   // the client gets a fresh one with nothing acked.
@@ -307,7 +306,7 @@ TEST_F(SpectordResilientTest, IngestClientSurvivesSeverAndLosesNothing) {
   // double-delivered across the kill was deduped by (worker, sequence).
   EXPECT_EQ(metrics.runsCompleted, 4u);
   EXPECT_EQ(metrics.reportsLost, 0u);
-  EXPECT_EQ(daemon->counters().sessionsResumed, 2u);
+  EXPECT_EQ(daemon->metrics().service.sessionsResumed, 2u);
   client.bye();
   daemon->shutdown();
 }
@@ -366,7 +365,7 @@ TEST_F(SpectordResilientTest, RefusedResumeRebasesAckAccounting) {
   EXPECT_EQ(client.reconnects(), 1u);
   EXPECT_EQ(client.resumesRefused(), 1u);
   EXPECT_EQ(client.ackedFrames(), client.framesOffered());
-  EXPECT_GE(daemon->counters().sessionsExpired, 1u);
+  EXPECT_GE(daemon->metrics().service.sessionsExpired, 1u);
   client.bye();
   daemon->shutdown();
 }
@@ -541,7 +540,7 @@ TEST_F(SpectordResilientTest, FlushFoldsOneVerdictPerUpload) {
   EXPECT_TRUE(client.flush().empty());
 
   daemon.drain();
-  EXPECT_EQ(daemon.counters().runsRefused, 1u);
+  EXPECT_EQ(daemon.metrics().service.runsRefused, 1u);
   EXPECT_EQ(daemon.dashboard().runsFolded, 1u);
   client.bye();
   daemon.shutdown();
