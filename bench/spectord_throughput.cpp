@@ -4,6 +4,8 @@
 // daemon. The price of the service shape over in-process ingest is the
 // protocol layer; this benchmark reports frames/sec per collector so the
 // floor gate catches a regression in the daemon's event loop or parser.
+// Both legs run the one ingest client: the steady leg over connections
+// that never die, the storm leg over connections a BreakerEndpoint severs.
 //
 // Writes BENCH_spectord.json in the cwd.
 #include <algorithm>
@@ -82,15 +84,14 @@ double streamCorpus(std::size_t clients) {
     threads.reserve(clients);
     for (std::size_t c = 0; c < clients; ++c) {
       threads.emplace_back([&daemon, c, clients] {
-        spectord::IngestClient client(daemon.connect(),
-                                      /*clientId=*/100 + c);
-        std::uint64_t sent = 0;
+        spectord::IngestClient client(
+            [&daemon](std::size_t) { return daemon.connect(); },
+            /*clientId=*/100 + c);
         for (std::size_t app = c; app < kApps; app += clients)
-          for (const auto& datagram : corpus().perApp[app]) {
+          for (const auto& datagram : corpus().perApp[app])
             client.submitDatagram(datagram);
-            ++sent;
-          }
-        client.waitAckedFrames(sent, std::chrono::milliseconds(60000));
+        client.waitAckedFrames(client.framesOffered(),
+                               std::chrono::milliseconds(60000));
         client.bye();
       });
     }
@@ -130,10 +131,10 @@ StormStats streamStorm(std::size_t clients, std::uint64_t killEveryBytes) {
       threads.emplace_back([&daemon, &reconnects, c, clients,
                             killEveryBytes] {
         std::vector<std::unique_ptr<spectord::BreakerEndpoint>> breakers;
-        spectord::ResilientClientConfig clientConfig;
+        spectord::IngestClientConfig clientConfig;
         clientConfig.reconnect.initialDelay = std::chrono::milliseconds(1);
         clientConfig.reconnect.maxDelay = std::chrono::milliseconds(10);
-        spectord::ResilientIngestClient client(
+        spectord::IngestClient client(
             [&daemon, &breakers, killEveryBytes](std::size_t) {
               spectord::BreakerEndpoint::Fault fault;
               fault.kind = spectord::BreakerEndpoint::FaultKind::Sever;

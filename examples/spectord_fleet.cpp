@@ -2,16 +2,19 @@
 // collector daemon, exercising all three protocol surfaces:
 //
 //   1. ingest: every worker's report datagrams and run bundles cross the
-//      framed wire protocol into the daemon (ResilientIngestClient is a
-//      drop-in ingest::ReportSink for the dispatcher fleet; workers upload
-//      each run without waiting for its verdict, then one flush collects
-//      them all);
+//      framed wire protocol into the daemon (IngestClient is a drop-in
+//      ingest::ReportSink for the dispatcher fleet; workers upload each
+//      run without waiting for its verdict, then one flush collects them
+//      all);
 //   2. dashboard: a subscriber watches the study land live — snapshot on
 //      subscribe, one delta per folded run, mirror == daemon state;
 //   3. admin: status, drain and graceful shutdown (flushing `.spab`
-//      checkpoints to the collector's directory).
+//      checkpoints to a per-process directory under the system temp
+//      directory, removed at exit).
 //
 // Usage: spectord_fleet [apps] [workers]   (defaults: 12 apps, 3 workers)
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -29,7 +32,6 @@
 #include "radar/corpus.hpp"
 #include "spectord/client.hpp"
 #include "spectord/daemon.hpp"
-#include "spectord/resilient.hpp"
 #include "store/generator.hpp"
 #include "util/strings.hpp"
 #include "vtsim/categorizer.hpp"
@@ -53,8 +55,11 @@ int main(int argc, char** argv) {
   config.dispatcher.emulator.monkey.events = 100;
   config.dispatcher.emulator.monkey.throttleMs = 50;
 
+  // Named per process: a second run (another build tree, a sanitizer lane
+  // beside ctest) must not remove the directory this one checkpoints into.
   const auto checkpointDir =
-      std::filesystem::temp_directory_path() / "spectord_fleet_example";
+      std::filesystem::temp_directory_path() /
+      ("spectord_fleet_example_" + std::to_string(::getpid()));
   std::filesystem::remove_all(checkpointDir);
 
   // --- the collector daemon -------------------------------------------
@@ -86,7 +91,7 @@ int main(int argc, char** argv) {
                   dashboard.mirror().totals.runsFolded));
 
   // --- ingest surface: the emulator fleet, reports over the wire -------
-  spectord::ResilientIngestClient sink(
+  spectord::IngestClient sink(
       [&daemon](std::size_t) { return daemon.connect(); }, /*clientId=*/2);
   {
     // Each worker claims the next corpus index and expands the job itself.

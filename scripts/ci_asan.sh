@@ -17,7 +17,11 @@
 # router's one fold path parks frames whose signature ids are not yet
 # defined and repairs them later (ingest_dict_test); and the cluster
 # suites drive the checkpoint protocol's kill points through
-# mergeStudies (spectord_cluster_test, spectord_chaos_cluster_test).
+# mergeStudies (spectord_cluster_test, spectord_chaos_cluster_test); the
+# protocol suite round-trips and truncates every typed body, and the
+# daemon and ingest-client suites (spectord_daemon_test,
+# spectord_resilient_test) drive the one ingest client's frame and run
+# tails through scripted connection kills.
 #
 # Usage: scripts/ci_asan.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -50,6 +54,7 @@ TARGETS=(
   interpreter_test
   fuzz_decoders_test
   spectord_fuzz_test
+  spectord_protocol_test
   fuzz_elision_test
   report_test
   ingest_router_test

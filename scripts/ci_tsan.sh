@@ -13,10 +13,11 @@
 # spectord daemon (event loop vs. client threads vs. shard consumers
 # building each run's delta vs. a thread copying the daemon's dashboard
 # view while runs land, plus the multi-collector runCollector path and
-# the resilient ingest client — reconnect/resume under BreakerEndpoint
-# kills runs client threads against breaker pump threads against the
-# daemon loop, and flush waits for verdicts with the client lock released
-# while other threads report), and the scenario conformance matrix
+# the one ingest client — reconnect/resume under BreakerEndpoint kills
+# runs client threads against breaker pump threads against the daemon
+# loop, and flush and waitAckedFrames sleep on the connection with the
+# client lock released while other threads report), and the scenario
+# conformance matrix
 # (golden-pinned studies at 0/1/2/8 workers and 1/2/4 collectors with the
 # keep-alive/adversarial/background-sync flags on). A data race here
 # corrupts studies silently, so this lane gates every change to the

@@ -1,13 +1,18 @@
 // Client-side protocol speakers for the three spectord surfaces.
 //
-//  - IngestClient is an ingest::ReportSink over the wire: every datagram
-//    the emulator supervisor emits becomes a Report frame, run completion
-//    becomes a RunComplete upload (SpabEnvelope bytes), and the session
-//    handshake + cumulative acks give it reconnect-and-resume semantics.
-//    Thread-safe like the in-process sinks it substitutes for (emulator
-//    workers share one collector), by serializing frame writes. A fleet
-//    that must survive connection death wraps it in ResilientIngestClient
-//    (resilient.hpp).
+//  - IngestClient is an ingest::ReportSink over the wire that survives
+//    connection death: every datagram the emulator supervisor emits
+//    becomes a Report frame, and every finished run a RunComplete upload
+//    (SpabEnvelope bytes). It opens connections through a connect
+//    factory and keeps every report frame and run upload the daemon has
+//    not acked; on hangup it reconnects with backoff (Reconnector,
+//    resilient.hpp), resumes its session with the saved token, drops the
+//    prefix the HelloAck acks, and re-sends the frame tail, then the run
+//    tail. Uploads are pipelined: uploadRun sends and returns, later
+//    calls fold the RunAcks, and flush() is the one place a verdict
+//    reaches the caller. Emulator workers share one client behind one
+//    mutex; its two waits (flush, waitAckedFrames) sleep on the
+//    connection with the mutex released.
 //  - DashboardClient subscribes to topics and folds snapshots + deltas
 //    into a DashboardMirror, the same fold the daemon keeps its own view
 //    with: once drained, a subscriber to every topic holds a mirror equal
@@ -20,10 +25,10 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -31,6 +36,7 @@
 #include "ingest/sink.hpp"
 #include "spectord/channel.hpp"
 #include "spectord/protocol.hpp"
+#include "spectord/resilient.hpp"
 
 namespace libspector::spectord {
 
@@ -63,11 +69,10 @@ class ClientChannel {
   /// Blocking read with a deadline; nullopt on timeout or EOF.
   [[nodiscard]] std::optional<Frame> read(std::chrono::milliseconds timeout);
 
-  /// Block until the daemon's bytes are readable, EOF, or the timeout.
-  /// Touches only the thread-safe pipe, never the parser.
-  void waitReadable(std::chrono::milliseconds timeout) const {
-    endpoint_.waitReadable(timeout);
-  }
+  /// A handle on the connection's pipes, for a caller that sleeps on
+  /// them (ChannelEndpoint::waitReadable) without holding this channel:
+  /// the handle keeps the pipes alive, never the parser.
+  [[nodiscard]] ChannelEndpoint endpoint() const { return endpoint_; }
 
   void close() { endpoint_.close(); }
   [[nodiscard]] bool peerClosed() const { return endpoint_.peerClosed(); }
@@ -78,88 +83,149 @@ class ClientChannel {
   std::vector<std::uint8_t> scratch_;
 };
 
-/// One RunComplete frame: the run's SpabEnvelope, framed for the wire.
-/// Uploaders build it once, outside any client lock, and re-send it as is.
-[[nodiscard]] std::vector<std::uint8_t> encodeRunUpload(
-    std::uint64_t jobIndex, const core::RunArtifacts& artifacts);
+/// Factory for a fresh daemon connection; called on every (re)connect.
+/// `attempt` is the 0-based ordinal of the connection being opened, which
+/// fault-injection tests use to script per-connection breakage.
+using ConnectFn = std::function<ChannelEndpoint(std::size_t attempt)>;
 
-/// Report-ingest client. Construction performs the Hello handshake and
-/// blocks for the HelloAck, up to 10 s (throws std::runtime_error if the
-/// daemon hangs up instead or the ack is late). Pass the session token of
-/// a previous incarnation to resume: ackedFrames()/ackedRuns() then report
-/// what the daemon already has, so the caller re-sends only its unacked
-/// tail.
+struct IngestClientConfig {
+  /// The backoff shape; the jitter is seeded from the client's clientId.
+  ReconnectorConfig reconnect;
+  /// Per-send RunAck wait for each upload; once an upload's verdict is
+  /// overdue the connection is torn down and every pending upload re-sent
+  /// on a fresh attach.
+  std::chrono::milliseconds runAckTimeout{60000};
+  /// Sends per upload before it fails loudly. A daemon that stays
+  /// reachable but never acks would otherwise retry forever: every
+  /// re-attach succeeds and resets the reconnect budget, so the upload
+  /// needs its own.
+  std::size_t runUploadAttempts = 8;
+};
+
+/// Report-ingest client. Construction connects and completes the Hello
+/// handshake (backing off and retrying; throws once the reconnect budget
+/// is spent). Thread-safe: a reconnect (backoff sleep included) happens
+/// under the lock, so concurrent emulator workers stall rather than
+/// interleave with a half-restored session.
 class IngestClient final : public ingest::ReportSink {
  public:
-  IngestClient(ChannelEndpoint endpoint, std::uint64_t clientId,
-               std::uint64_t resumeSession = 0);
+  IngestClient(ConnectFn connect, std::uint64_t clientId,
+               IngestClientConfig config = {});
 
-  /// Frame and send one report datagram. Blocks on channel backpressure
-  /// (the socket write would too); opportunistically folds any acks the
-  /// daemon pushed back. Thread-safe.
+  /// Buffers the payload in the unacked tail, then sends. On a dead
+  /// transport: reconnect, resume, replay the tail (this frame included).
   void submitDatagram(std::span<const std::uint8_t> payload) override;
 
-  /// Send one run upload (encodeRunUpload's frame) and return without
-  /// waiting for its verdict; false when the transport is dead.
-  /// Thread-safe.
-  bool uploadRun(std::span<const std::uint8_t> frame);
+  /// Upload a finished run and return without waiting for its verdict.
+  /// The frame is encoded outside the lock, kept in the run tail until
+  /// its RunAck arrives and re-sent after every reconnect; a later call
+  /// folds the verdict, and flush() waits for all of them.
+  void uploadRun(std::uint64_t jobIndex, const core::RunArtifacts& artifacts);
 
-  /// Hand over every RunAck folded since the last call, first waiting up
-  /// to `timeout` (with the lock released) for one when none is held.
-  /// Empty on timeout or hangup. Thread-safe.
-  [[nodiscard]] std::vector<RunAckMsg> takeRunAcks(
-      std::chrono::milliseconds timeout = std::chrono::milliseconds(0));
+  /// Wait until every upload has its verdict, reconnecting and re-sending
+  /// as needed. A retry of an already-folded upload comes back accepted —
+  /// still one verdict per upload. Throws if an upload spent its attempt
+  /// budget. Returns the refusals among uploadRun's verdicts not returned
+  /// by an earlier flush.
+  std::vector<RunAckMsg> flush();
 
-  /// Upload a finished run and block for the daemon's verdict: uploadRun,
-  /// then takeRunAcks until this job's ack arrives, for up to 60 s (then
-  /// it throws). RunAcks for other jobs that arrive meanwhile are dropped,
-  /// so one caller uploads at a time; a fleet sharing one connection uses
-  /// ResilientIngestClient's uploadRun and flush.
-  RunAckMsg completeRun(std::uint64_t jobIndex,
-                        const core::RunArtifacts& artifacts);
-
-  /// Wait until the daemon has acked at least `frames` report frames.
+  /// Wait until the daemon has acked `frames` cumulative report frames,
+  /// reconnecting as needed.
   bool waitAckedFrames(std::uint64_t frames, std::chrono::milliseconds timeout);
 
-  [[nodiscard]] std::uint64_t sessionToken() const noexcept {
-    return session_;
-  }
-  [[nodiscard]] bool resumed() const noexcept { return resumed_; }
-  /// Daemon-acked cumulative report frames (across resumed sessions).
+  [[nodiscard]] std::uint64_t sessionToken() const;
+  /// Distinct report frames offered (retransmissions not re-counted).
+  [[nodiscard]] std::uint64_t framesOffered() const;
   [[nodiscard]] std::uint64_t ackedFrames() const;
-  [[nodiscard]] std::uint64_t ackedRuns() const;
-  /// Report frames this incarnation sent.
-  [[nodiscard]] std::uint64_t framesSent() const;
+  /// Successful attaches after the first.
+  [[nodiscard]] std::uint64_t reconnects() const;
+  /// Tail frames re-sent on resumed sessions.
+  [[nodiscard]] std::uint64_t framesResent() const;
+  /// Sends of a run upload whose connection died or went silent before
+  /// its verdict (each is re-sent unless its budget is spent).
+  [[nodiscard]] std::uint64_t runsResent() const;
+  /// Verdicts folded: uploads the daemon accepted (re-uploads included)
+  /// and uploads it refused.
+  [[nodiscard]] std::uint64_t runsAccepted() const;
+  [[nodiscard]] std::uint64_t runsRefused() const;
+  /// Resume requests the daemon answered with a fresh session (our old
+  /// one was expired, e.g. by an admin drain while we were down).
+  [[nodiscard]] std::uint64_t resumesRefused() const;
 
-  /// The transport is dead: a send failed or the daemon hung up. A down
-  /// client never recovers by itself — reconnect (ResilientIngestClient)
-  /// with the session token and re-send the unacked tail.
-  [[nodiscard]] bool down() const;
-
-  /// Polite goodbye + close.
+  /// Send Bye and return once the daemon has closed the connection (it
+  /// does after reading the Bye, so every byte sent before it has reached
+  /// the daemon), or after the handshake timeout. A dead connection gets
+  /// no Bye and no reconnect.
   void bye();
-  /// Hard close, as when the process gives up on a connection.
-  void close() { channel_.close(); }
 
  private:
-  /// Fold one daemon frame into client state. Locked by caller.
-  void handleLocked(const Frame& frame);
-  void pumpLocked();
+  /// A run upload waiting for its verdict.
+  struct PendingRun {
+    std::uint64_t jobIndex = 0;
+    /// The RunComplete frame (the run's SpabEnvelope), built once outside
+    /// the lock and re-sent as is.
+    std::vector<std::uint8_t> frame;
+    std::size_t sends = 0;
+    std::size_t connection = 0;  // the attach it was last sent on
+    std::chrono::steady_clock::time_point deadline;
+  };
+  /// Attach (or re-attach) until the transport is live and the unacked
+  /// tails replayed (frames, then runs); throws once the backoff budget
+  /// is exhausted. Returns true when it performed an attach (and
+  /// therefore already re-sent every tail frame and run), false when the
+  /// transport was live all along.
+  bool ensureConnectedLocked();
+  /// A send on the live connection failed: abandon it and re-attach,
+  /// which replays the tails.
+  void reattachLocked();
+  /// Drop the tail prefix the live session has acked.
+  void pruneAckedLocked(std::uint64_t sessionAcked);
+  /// Send (or re-send) an upload on the live connection.
+  bool sendRunLocked(PendingRun& run);
+  /// Fold one daemon frame: a ReportAck prunes the frame tail, a RunAck
+  /// settles its upload.
+  void foldLocked(const Frame& frame);
+  /// Fold the live connection's frames; abandon it if the oldest
+  /// upload's verdict is overdue.
+  void collectLocked();
+  /// The connection died or went silent: fold what it delivered, charge
+  /// every upload sent on it one attempt, fail those out of budget, and
+  /// close it.
+  void abandonConnectionLocked();
 
   mutable std::mutex mutex_;
-  ClientChannel channel_;
+  ConnectFn connect_;
+  const std::uint64_t clientId_;
+  IngestClientConfig config_;
+  Reconnector reconnector_;
+  /// The live connection; empty between an abandon and the next attach.
+  std::optional<ClientChannel> channel_;
   std::uint64_t session_ = 0;
-  bool resumed_ = false;
-  std::uint64_t ackedFrames_ = 0;
-  std::uint64_t ackedRuns_ = 0;
-  std::uint64_t framesSent_ = 0;
-  bool sendFailed_ = false;
-  /// RunAcks folded but not yet handed over by takeRunAcks, in arrival
-  /// order.
-  std::vector<RunAckMsg> runAcks_;
-  /// Job indices whose accepted ack was already counted into ackedRuns_
-  /// (dedupe against re-delivered acks).
-  std::set<std::uint64_t> countedRuns_;
+  std::size_t connectCalls_ = 0;  // factory invocations (ordinal source)
+  std::size_t connections_ = 0;   // attempts that completed the handshake
+  /// Unacked tail: frame payloads with cumulative indices
+  /// [tailBase_, tailBase_ + tail_.size()), so tailBase_ is the count of
+  /// frames acked; pruned as acks arrive.
+  std::deque<std::vector<std::uint8_t>> tail_;
+  std::uint64_t tailBase_ = 0;
+  /// Cumulative frame index the live session's ack 0 corresponds to.
+  /// Zero for the first session and every resumed one; rebased to
+  /// tailBase_ when the daemon refuses a resume (fresh session, acks
+  /// restart at zero for the tail we replay into it).
+  std::uint64_t ackBase_ = 0;
+  /// Cumulative frame indices [0, sentHigh_) have been transmitted at
+  /// least once; replaying below this line counts as a re-send.
+  std::uint64_t sentHigh_ = 0;
+  std::uint64_t framesResent_ = 0;
+  /// Unacked run tail in send order (so deadlines ascend); pruned as
+  /// RunAcks arrive. Bounded by the channel's backpressure.
+  std::deque<PendingRun> runTail_;
+  std::vector<RunAckMsg> refusals_;  // for the next flush
+  std::string failure_;  // first upload that spent its budget
+  std::uint64_t runsResent_ = 0;
+  std::uint64_t runsAccepted_ = 0;
+  std::uint64_t runsRefused_ = 0;
+  std::uint64_t resumesRefused_ = 0;
 };
 
 class DashboardClient {

@@ -65,13 +65,13 @@ CollectorResult runCollector(const orch::StudyConfig& config,
     daemon.ingest().drain();
   }
 
-  // The resilient client survives connection death: it reconnects with
-  // backoff, resumes its session and replays the unacked tail, so a
+  // The client survives connection death: it reconnects with backoff,
+  // resumes its session and replays the unacked tail, so a
   // channelWrapper killing every connection still yields the same
   // checkpoints as an unbroken run.
-  ResilientClientConfig clientConfig;
+  IngestClientConfig clientConfig;
   clientConfig.reconnect = options.reconnect;
-  ResilientIngestClient client(
+  IngestClient client(
       [&daemon, &options](std::size_t ordinal) {
         ChannelEndpoint endpoint = daemon.connect();
         if (options.channelWrapper)
@@ -79,7 +79,6 @@ CollectorResult runCollector(const orch::StudyConfig& config,
         return endpoint;
       },
       /*clientId=*/0x5bec0000ULL + options.index, clientConfig);
-  result.sessionToken = client.sessionToken();
 
   {
     // Workers claim corpus indices from one cursor. Ownership hashes the
@@ -143,6 +142,8 @@ CollectorResult runCollector(const orch::StudyConfig& config,
   result.reconnects = client.reconnects();
   result.framesResent = client.framesResent();
   result.runsResent = client.runsResent();
+  // bye() returns once the daemon has read the Bye and closed, so the
+  // shutdown below cannot cut it off.
   client.bye();
   daemon.shutdown();
 

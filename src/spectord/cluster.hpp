@@ -4,8 +4,11 @@
 // runCollector drives one collector's share of a study *through the wire
 // protocol*: the emulator fleet's datagrams flow as Report frames into a
 // live daemon (which attributes, accounts loss and checkpoints each run),
-// and run completions are uploaded as pipelined RunComplete envelopes
-// (the worker moves on; the verdicts are flushed at the end). The daemon's
+// and the fleet's one IngestClient uploads run completions as pipelined
+// RunComplete envelopes (the worker moves on; the verdicts are flushed at
+// the end). CollectorOptions takes the client's backoff policy and a
+// wrapper for its connections (a BreakerEndpoint, say; both come from
+// resilient.hpp). The daemon's
 // checkpoint directory is the collector's entire output — there is no
 // in-process accumulator — which is what makes the cluster crash-safe and
 // mergeable: orch::mergeStudies scans every collector's directory and
@@ -45,7 +48,7 @@ struct CollectorOptions {
   /// tests interpose a BreakerEndpoint here to kill connections mid-study.
   std::function<ChannelEndpoint(ChannelEndpoint endpoint, std::size_t ordinal)>
       channelWrapper;
-  /// Backoff policy for the resilient ingest client's reconnects.
+  /// Backoff policy for the ingest client's reconnects.
   ReconnectorConfig reconnect;
 };
 
@@ -59,15 +62,17 @@ struct CollectorResult {
   std::uint64_t reconnects = 0;     // ingest connections re-opened
   std::uint64_t framesResent = 0;   // unacked report frames replayed
   std::uint64_t runsResent = 0;     // run uploads retried after a death
-  std::uint64_t sessionToken = 0;
   ingest::IngestMetrics metrics;
 };
 
 /// Run collector `options.index`'s share of `config` against a live
 /// daemon. Ownership hashes each app's package name, which the store's
 /// plan knows, so only owned jobs are expanded and run; the emulator
-/// fleet shares one resilient client, uploads each run without waiting
-/// for its verdict, and flushes every verdict before the daemon drains.
+/// fleet shares one IngestClient, uploads each run without waiting for
+/// its verdict, and flushes every verdict before the daemon drains. The
+/// client's Bye has reached the daemon before it shuts down, so a proxy
+/// on the connection (channelWrapper) has forwarded every byte the
+/// client wrote by the time runCollector returns.
 /// A refused upload (client and daemon disagree on ownership) throws,
 /// naming the job. A checkpoint write that fails stops the dispatch of
 /// further jobs (runs in flight still finish, as with jobLimit) and

@@ -370,7 +370,6 @@ void SpectorDaemon::handleFrame(Connection& conn, Frame&& frame) {
           // A resumed client re-uploading a run whose ack was severed:
           // ack it (the client needs closure) without folding it again.
           ack.accepted = true;
-          ack.duplicate = true;
           ack.reason = "duplicate upload (already folded this session)";
           const std::scoped_lock lock(countersMutex_);
           ++counters_.duplicateRunUploads;
@@ -378,7 +377,6 @@ void SpectorDaemon::handleFrame(Connection& conn, Frame&& frame) {
           ingest_.submitRun(static_cast<std::size_t>(env.jobIndex),
                             std::move(env.artifacts));
           ack.accepted = true;
-          ++sess.ackedRuns;
         }
         conn.sendControl(FrameType::RunAck, ack.encode());
         return;
@@ -462,14 +460,12 @@ void SpectorDaemon::handleHello(Connection& conn, const Frame& frame) {
   } else {
     sess = SessionRecord{};
     sess.token = nextSessionToken_++;
-    sess.kind = msg.kind;
     const std::scoped_lock lock(countersMutex_);
     ++counters_.sessionsOpened;
   }
   conn.session = sess.token;
   ack.session = sess.token;
   ack.ackedFrames = sess.ackedFrames;
-  ack.ackedRuns = sess.ackedRuns;
   conn.sendControl(FrameType::HelloAck, ack.encode());
 }
 

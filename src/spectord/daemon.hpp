@@ -161,12 +161,10 @@ class SpectorDaemon {
   /// admin Drain op.
   struct SessionRecord {
     std::uint64_t token = 0;
-    ClientKind kind = ClientKind::Ingest;
     std::uint64_t ackedFrames = 0;  // report frames accepted, cumulative
-    std::uint64_t ackedRuns = 0;    // run bundles accepted, cumulative
     /// Job indices this session has accepted a RunComplete for: a resumed
-    /// client re-uploading a run whose ack was severed is acked
-    /// (duplicate=true) without folding the run a second time.
+    /// client re-uploading a run whose ack was severed is acked without
+    /// folding the run a second time.
     std::set<std::uint64_t> completedJobs;
   };
 

@@ -196,7 +196,6 @@ std::vector<std::uint8_t> HelloAckMsg::encode() const {
   util::ByteWriter w;
   w.u64(session);
   w.u64(ackedFrames);
-  w.u64(ackedRuns);
   w.u8(resumed ? 1 : 0);
   return w.take();
 }
@@ -206,7 +205,6 @@ HelloAckMsg HelloAckMsg::decode(std::span<const std::uint8_t> body) {
   HelloAckMsg msg;
   msg.session = r.u64();
   msg.ackedFrames = r.u64();
-  msg.ackedRuns = r.u64();
   msg.resumed = r.u8() != 0;
   return msg;
 }
@@ -228,7 +226,6 @@ std::vector<std::uint8_t> RunAckMsg::encode() const {
   util::ByteWriter w;
   w.u64(jobIndex);
   w.u8(accepted ? 1 : 0);
-  w.u8(duplicate ? 1 : 0);
   w.str(reason);
   return w.take();
 }
@@ -238,7 +235,6 @@ RunAckMsg RunAckMsg::decode(std::span<const std::uint8_t> body) {
   RunAckMsg msg;
   msg.jobIndex = r.u64();
   msg.accepted = r.u8() != 0;
-  msg.duplicate = r.u8() != 0;
   msg.reason = r.str();
   return msg;
 }

@@ -160,7 +160,6 @@ struct HelloMsg {
 struct HelloAckMsg {
   std::uint64_t session = 0;      // token to present on reconnect
   std::uint64_t ackedFrames = 0;  // report frames accepted across sessions
-  std::uint64_t ackedRuns = 0;    // run bundles accepted across sessions
   bool resumed = false;           // true when resumeSession matched
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
@@ -186,11 +185,10 @@ struct ReportAckMsg {
 struct RunAckMsg {
   std::uint64_t jobIndex = 0;
   bool accepted = false;  // false: outside this collector's shard range
-  /// The session already uploaded this jobIndex: the re-upload (a resumed
-  /// client re-sending a RunComplete whose ack was lost) was not folded
-  /// again, and the ack must not be counted again either.
-  bool duplicate = false;
-  std::string reason;  // empty when accepted and fresh
+  /// Empty when accepted and fresh; says why when refused, or when the
+  /// session already uploaded this jobIndex (a resumed client re-sending
+  /// a RunComplete whose ack was lost: accepted, not folded again).
+  std::string reason;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   [[nodiscard]] static RunAckMsg decode(std::span<const std::uint8_t> body);

@@ -1,11 +1,11 @@
 // The spectord daemon end to end over simulated duplex channels: session
-// handshake + resume, wire ingest equal to an in-process router that
-// attributes and folds, exact loss accounting through a chaos channel, one
-// delta per run per topic built from the run's delivery and flows,
-// dashboard mirrors equal to the daemon's own view (early, mid-study,
-// prompt and resynced subscribers), bounded slow-subscriber handling (drop
-// deltas, resync from a snapshot), and the admin surface (status, evict,
-// drain, resume-from-checkpoint, shutdown).
+// handshake + resume (spoken in raw frames), wire ingest equal to an
+// in-process router that attributes and folds, exact loss accounting
+// through a chaos channel, one delta per run per topic built from the
+// run's delivery and flows, dashboard mirrors equal to the daemon's own
+// view (early, mid-study, prompt and resynced subscribers), bounded
+// slow-subscriber handling (drop deltas, resync from a snapshot), and the
+// admin surface (status, evict, drain, resume-from-checkpoint, shutdown).
 #include "spectord/daemon.hpp"
 
 #include <gtest/gtest.h>
@@ -34,6 +34,24 @@ namespace libspector::spectord {
 namespace {
 
 using namespace std::chrono_literals;
+
+/// A connect factory that opens a plain connection to `daemon` each time.
+ConnectFn connectTo(SpectorDaemon& daemon) {
+  return [&daemon](std::size_t) { return daemon.connect(); };
+}
+
+/// Speak the handshake by hand: send Hello on a raw channel and return
+/// the daemon's reply (nullopt if none came).
+std::optional<Frame> helloReply(ClientChannel& channel, std::uint64_t clientId,
+                                ClientKind kind = ClientKind::Ingest,
+                                std::uint64_t resumeSession = 0) {
+  HelloMsg hello;
+  hello.clientId = clientId;
+  hello.kind = kind;
+  hello.resumeSession = resumeSession;
+  if (!channel.send(FrameType::Hello, hello.encode())) return std::nullopt;
+  return channel.read(5000ms);
+}
 
 class SpectordDaemonTest : public ::testing::Test {
  protected:
@@ -104,11 +122,7 @@ TEST_F(SpectordDaemonTest, WrongSurfaceFrameIsRejected) {
   // A dashboard connection must not be able to inject reports.
   // Reach under the client: open a second raw channel as Dashboard.
   ClientChannel channel(daemon->connect());
-  HelloMsg hello;
-  hello.clientId = 78;
-  hello.kind = ClientKind::Dashboard;
-  ASSERT_TRUE(channel.send(FrameType::Hello, hello.encode()));
-  auto ack = channel.read(5000ms);
+  const auto ack = helloReply(channel, /*clientId=*/78, ClientKind::Dashboard);
   ASSERT_TRUE(ack.has_value());
   ASSERT_EQ(ack->type, FrameType::HelloAck);
   const std::vector<std::uint8_t> payload = {9, 9};
@@ -124,11 +138,7 @@ TEST_F(SpectordDaemonTest, UnassignedAdminOpIsAnsweredWithError) {
   // the daemon answers with Error code 4, and the connection stays usable.
   auto daemon = makeDaemon(daemonConfig());
   ClientChannel channel(daemon->connect());
-  HelloMsg hello;
-  hello.clientId = 79;
-  hello.kind = ClientKind::Admin;
-  ASSERT_TRUE(channel.send(FrameType::Hello, hello.encode()));
-  const auto ack = channel.read(5000ms);
+  const auto ack = helloReply(channel, /*clientId=*/79, ClientKind::Admin);
   ASSERT_TRUE(ack.has_value());
   ASSERT_EQ(ack->type, FrameType::HelloAck);
 
@@ -155,13 +165,11 @@ TEST_F(SpectordDaemonTest, WireIngestMatchesInProcessPipeline) {
   core::StudyAccumulator wireAccumulator(wireStudy);
   auto daemon = makeDaemon(daemonConfig(), &wireAccumulator);
   {
-    IngestClient client(daemon->connect(), /*clientId=*/1);
-    for (std::size_t i = 0; i < 4; ++i) {
-      auto artifacts = runApp(i, &client);
-      const RunAckMsg ack = client.completeRun(i, artifacts);
-      EXPECT_TRUE(ack.accepted) << ack.reason;
-    }
-    EXPECT_TRUE(client.waitAckedFrames(client.framesSent(), 10000ms));
+    IngestClient client(connectTo(*daemon), /*clientId=*/1);
+    for (std::size_t i = 0; i < 4; ++i) client.uploadRun(i, runApp(i, &client));
+    EXPECT_TRUE(client.flush().empty());
+    EXPECT_EQ(client.runsAccepted(), 4u);
+    EXPECT_TRUE(client.waitAckedFrames(client.framesOffered(), 10000ms));
     client.bye();
   }
   daemon->drain();
@@ -210,7 +218,7 @@ TEST_F(SpectordDaemonTest, WireIngestMatchesInProcessPipeline) {
 
 TEST_F(SpectordDaemonTest, ChaosChannelDamageIsAccountedExactly) {
   auto daemon = makeDaemon(daemonConfig());
-  IngestClient client(daemon->connect(), /*clientId=*/5);
+  IngestClient client(connectTo(*daemon), /*clientId=*/5);
 
   ingest::ChaosConfig chaosConfig;
   chaosConfig.lossProb = 0.05;
@@ -237,9 +245,9 @@ TEST_F(SpectordDaemonTest, ChaosChannelDamageIsAccountedExactly) {
     e.dropped = chaos.dropped() - droppedBefore;
     e.duplicated = chaos.duplicated() - duplicatedBefore;
     expected.push_back(e);
-    const RunAckMsg ack = client.completeRun(i, artifacts);
-    EXPECT_TRUE(ack.accepted);
+    client.uploadRun(i, artifacts);
   }
+  EXPECT_TRUE(client.flush().empty());
   daemon->drain();
 
   // The daemon survived the damaged stream and reconstructed the channel's
@@ -259,7 +267,7 @@ TEST_F(SpectordDaemonTest, ChaosChannelDamageIsAccountedExactly) {
   EXPECT_TRUE(anyDamage) << "chaos injected no faults; test is vacuous";
 
   // Every frame the client actually put on the wire was acked.
-  EXPECT_TRUE(client.waitAckedFrames(client.framesSent(), 10000ms));
+  EXPECT_TRUE(client.waitAckedFrames(client.framesOffered(), 10000ms));
   client.bye();
 }
 
@@ -269,11 +277,8 @@ TEST_F(SpectordDaemonTest, PublishesOneDeltaPerRunPerTopic) {
   // the run lands. A raw dashboard connection keeps every delta it reads.
   auto daemon = makeDaemon(daemonConfig());
   ClientChannel dashboard(daemon->connect());
-  HelloMsg hello;
-  hello.clientId = 400;
-  hello.kind = ClientKind::Dashboard;
-  ASSERT_TRUE(dashboard.send(FrameType::Hello, hello.encode()));
-  const auto helloAck = dashboard.read(5000ms);
+  const auto helloAck =
+      helloReply(dashboard, /*clientId=*/400, ClientKind::Dashboard);
   ASSERT_TRUE(helloAck.has_value());
   ASSERT_EQ(helloAck->type, FrameType::HelloAck);
   constexpr Topic kAllTopics[] = {Topic::Totals, Topic::Loss, Topic::Progress};
@@ -290,14 +295,15 @@ TEST_F(SpectordDaemonTest, PublishesOneDeltaPerRunPerTopic) {
     EXPECT_EQ(SnapshotMsg::decode(frame->body).topic, topic);
   }
 
-  IngestClient client(daemon->connect(), /*clientId=*/10);
+  IngestClient client(connectTo(*daemon), /*clientId=*/10);
   constexpr std::size_t kRuns = 4;
   std::uint64_t flows = 0;
   std::uint64_t attributed = 0;
   for (std::size_t i = 0; i < kRuns; ++i) {
     auto artifacts = runApp(i, &client);
     const std::string sha = artifacts.apkSha256;
-    ASSERT_TRUE(client.completeRun(i, artifacts).accepted);
+    client.uploadRun(i, artifacts);
+    ASSERT_TRUE(client.flush().empty());
     daemon->drain();
     // One delta per topic for this run, published as the run lands.
     for (const Topic topic : kAllTopics) {
@@ -340,32 +346,41 @@ TEST_F(SpectordDaemonTest, SessionResumesAcrossReconnect) {
   std::uint64_t token = 0;
   std::uint64_t sent = 0;
   {
-    IngestClient client(daemon->connect(), /*clientId=*/9);
-    EXPECT_FALSE(client.resumed());
-    auto artifacts = runApp(0, &client);
-    const RunAckMsg ack = client.completeRun(0, artifacts);
-    EXPECT_TRUE(ack.accepted);
-    ASSERT_TRUE(client.waitAckedFrames(client.framesSent(), 10000ms));
+    IngestClient client(connectTo(*daemon), /*clientId=*/9);
+    client.uploadRun(0, runApp(0, &client));
+    EXPECT_TRUE(client.flush().empty());
+    ASSERT_TRUE(client.waitAckedFrames(client.framesOffered(), 10000ms));
     token = client.sessionToken();
-    sent = client.framesSent();
+    sent = client.framesOffered();
     // Drop the connection without a Bye: a crashed fleet worker.
   }
   daemon->drain();
 
+  // The daemon's side of resume, in raw frames.
   {
     // Same clientId + the session token: the daemon reports everything it
-    // already accepted, so the client re-sends only the unacked tail
-    // (here: nothing).
-    IngestClient client(daemon->connect(), /*clientId=*/9, token);
-    EXPECT_TRUE(client.resumed());
-    EXPECT_EQ(client.ackedFrames(), sent);
-    EXPECT_EQ(client.ackedRuns(), 1u);
+    // already accepted, so a client re-sends only the unacked tail (here:
+    // nothing).
+    ClientChannel channel(daemon->connect());
+    const auto reply =
+        helloReply(channel, /*clientId=*/9, ClientKind::Ingest, token);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, FrameType::HelloAck);
+    const HelloAckMsg ack = HelloAckMsg::decode(reply->body);
+    EXPECT_TRUE(ack.resumed);
+    EXPECT_EQ(ack.session, token);
+    EXPECT_EQ(ack.ackedFrames, sent);
   }
   {
     // Wrong token: fresh session, no inherited acks.
-    IngestClient client(daemon->connect(), /*clientId=*/9, token + 999);
-    EXPECT_FALSE(client.resumed());
-    EXPECT_EQ(client.ackedFrames(), 0u);
+    ClientChannel channel(daemon->connect());
+    const auto reply =
+        helloReply(channel, /*clientId=*/9, ClientKind::Ingest, token + 999);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, FrameType::HelloAck);
+    const HelloAckMsg ack = HelloAckMsg::decode(reply->body);
+    EXPECT_FALSE(ack.resumed);
+    EXPECT_EQ(ack.ackedFrames, 0u);
   }
   const auto service = daemon->metrics().service;
   EXPECT_EQ(service.sessionsResumed, 1u);
@@ -400,11 +415,11 @@ TEST_F(SpectordDaemonTest, DashboardMirrorReconstructsDaemonStateExactly) {
     }
   });
 
-  IngestClient client(daemon->connect(), /*clientId=*/2);
+  IngestClient client(connectTo(*daemon), /*clientId=*/2);
   std::optional<DashboardClient> mid;
   for (std::size_t i = 0; i < 4; ++i) {
-    auto artifacts = runApp(i, &client);
-    client.completeRun(i, artifacts);
+    client.uploadRun(i, runApp(i, &client));
+    EXPECT_TRUE(client.flush().empty());
     if (i == 1) {
       // A subscriber joining mid-study: its snapshots + the remaining
       // deltas must land on the same final state (no double count across
@@ -461,10 +476,10 @@ TEST_F(SpectordDaemonTest, PromptSubscriberGetsEveryDeltaUnderATightBudget) {
   dashboard.subscribe(Topic::Progress);
   ASSERT_TRUE(dashboard.waitForSnapshot(Topic::Progress, 5000ms));
 
-  IngestClient client(daemon->connect(), /*clientId=*/11);
+  IngestClient client(connectTo(*daemon), /*clientId=*/11);
   for (std::size_t i = 0; i < kRuns; ++i) {
-    auto artifacts = runApp(i, &client);
-    ASSERT_TRUE(client.completeRun(i, artifacts).accepted);
+    client.uploadRun(i, runApp(i, &client));
+    ASSERT_TRUE(client.flush().empty());
     daemon->drain();
     ASSERT_TRUE(dashboard.waitUntil(
         [&] { return dashboard.deltasReceived() == 3 * (i + 1); }, 10000ms))
@@ -497,12 +512,10 @@ TEST_F(SpectordDaemonTest, SlowSubscriberIsBoundedAndResyncsWithoutStallingInges
   ASSERT_TRUE(dashboard.waitForSnapshot(Topic::Progress, 5000ms));
 
   // The subscriber goes silent; ingest must finish regardless.
-  IngestClient client(daemon->connect(), /*clientId=*/3);
-  for (std::size_t i = 0; i < generator_.appCount(); ++i) {
-    auto artifacts = runApp(i, &client);
-    const RunAckMsg ack = client.completeRun(i, artifacts);
-    ASSERT_TRUE(ack.accepted);
-  }
+  IngestClient client(connectTo(*daemon), /*clientId=*/3);
+  for (std::size_t i = 0; i < generator_.appCount(); ++i)
+    client.uploadRun(i, runApp(i, &client));
+  ASSERT_TRUE(client.flush().empty());
   daemon->drain();
   EXPECT_EQ(daemon->dashboard().runsFolded, generator_.appCount());
 
@@ -538,9 +551,9 @@ TEST_F(SpectordDaemonTest, AdminStatusDrainAndEvict) {
   EXPECT_NE(status.info.find("\"runs_folded\""), std::string::npos);
 
   // Stream a run's datagrams but never complete the run: pending state.
-  IngestClient client(daemon->connect(), /*clientId=*/6);
+  IngestClient client(connectTo(*daemon), /*clientId=*/6);
   auto artifacts = runApp(0, &client);
-  ASSERT_TRUE(client.waitAckedFrames(client.framesSent(), 10000ms));
+  ASSERT_TRUE(client.waitAckedFrames(client.framesOffered(), 10000ms));
   const AdminAckMsg drained = admin.request(AdminOp::Drain);
   EXPECT_TRUE(drained.ok);
 
@@ -571,11 +584,9 @@ TEST_F(SpectordDaemonTest, AdminResumeReplaysCheckpointsAndShutdownStops) {
     auto config = daemonConfig();
     config.checkpointDirectory = directory.string();
     auto daemon = makeDaemon(std::move(config));
-    IngestClient client(daemon->connect(), /*clientId=*/7);
-    for (std::size_t i = 0; i < 3; ++i) {
-      auto artifacts = runApp(i, &client);
-      ASSERT_TRUE(client.completeRun(i, artifacts).accepted);
-    }
+    IngestClient client(connectTo(*daemon), /*clientId=*/7);
+    for (std::size_t i = 0; i < 3; ++i) client.uploadRun(i, runApp(i, &client));
+    ASSERT_TRUE(client.flush().empty());
     daemon->drain();
     before = daemon->dashboard();
     EXPECT_EQ(before.runsFolded, 3u);
@@ -631,14 +642,14 @@ TEST_F(SpectordDaemonTest, AdminOpsReportAFailedCheckpointWrite) {
   auto config = daemonConfig();
   config.checkpointDirectory = directory.string();
   const auto complete = [&](IngestClient& client, std::size_t index) {
-    const auto artifacts = runApp(index, &client);
-    ASSERT_TRUE(client.completeRun(index, artifacts).accepted);
+    client.uploadRun(index, runApp(index, &client));
+    ASSERT_TRUE(client.flush().empty());
   };
 
   {
     auto daemon = makeDaemon(config);
     AdminClient admin(daemon->connect(), /*clientId=*/302);
-    IngestClient client(daemon->connect(), /*clientId=*/8);
+    IngestClient client(connectTo(*daemon), /*clientId=*/8);
     complete(client, 0);
     complete(client, 1);
     const AdminAckMsg drained = admin.request(AdminOp::Drain);
@@ -659,7 +670,7 @@ TEST_F(SpectordDaemonTest, AdminOpsReportAFailedCheckpointWrite) {
   }
   {
     auto daemon = makeDaemon(config);
-    IngestClient client(daemon->connect(), /*clientId=*/9);
+    IngestClient client(connectTo(*daemon), /*clientId=*/9);
     complete(client, 3);
     client.bye();
     EXPECT_NO_THROW(daemon->shutdown());
@@ -693,16 +704,17 @@ TEST_F(SpectordDaemonTest, RunCompleteOutsideOwnedSliceIsRefused) {
   auto config = daemonConfig();
   config.assignment = probe;
   auto daemon = makeDaemon(std::move(config));
-  IngestClient client(daemon->connect(), /*clientId=*/8);
+  IngestClient client(connectTo(*daemon), /*clientId=*/8);
 
-  const RunAckMsg good = client.completeRun(*ownedIndex, runs[*ownedIndex]);
-  EXPECT_TRUE(good.accepted) << good.reason;
-
-  const RunAckMsg refused =
-      client.completeRun(*foreignIndex, runs[*foreignIndex]);
-  EXPECT_FALSE(refused.accepted);
-  EXPECT_NE(refused.reason.find("owned by collector"), std::string::npos)
-      << refused.reason;
+  client.uploadRun(*ownedIndex, runs[*ownedIndex]);
+  client.uploadRun(*foreignIndex, runs[*foreignIndex]);
+  const std::vector<RunAckMsg> refused = client.flush();
+  ASSERT_EQ(refused.size(), 1u);
+  EXPECT_EQ(refused.front().jobIndex, *foreignIndex);
+  EXPECT_FALSE(refused.front().accepted);
+  EXPECT_NE(refused.front().reason.find("owned by collector"),
+            std::string::npos)
+      << refused.front().reason;
 
   daemon->drain();
   EXPECT_EQ(daemon->metrics().service.runsRefused, 1u);

@@ -1,11 +1,12 @@
-// The resilient ingest client: deterministic backoff schedules, a client
-// that survives scripted connection kills (BreakerEndpoint) by resuming
-// its session and re-sending only the unacked tail, the daemon's
-// hardened session table (one live attach per clientId, stale-session
-// expiry on drain), the ack-path dedupe fixes (duplicate RunAcks,
-// duplicate RunComplete uploads, pre-ack handshake frames), and the
-// pipelined run uploads (one verdict per upload, collected by flush
-// without waiting under the lock).
+// The ingest client's reconnect tier: deterministic backoff schedules, a
+// client that survives scripted connection kills (BreakerEndpoint) by
+// resuming its session and re-sending only the unacked tail, the
+// daemon's hardened session table (one live attach per clientId,
+// stale-session expiry on drain, spoken in raw frames), the ack-path
+// dedupe (duplicate RunComplete uploads, pre-ack handshake frames), the
+// pipelined run uploads (one verdict per upload, collected by flush), a
+// Bye that reaches the daemon before bye() returns, and waits that never
+// hold the client's lock against another thread's reports.
 #include "spectord/resilient.hpp"
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "core/attribution.hpp"
 #include "orch/emulator.hpp"
 #include "radar/corpus.hpp"
+#include "spectord/client.hpp"
 #include "spectord/daemon.hpp"
 #include "store/generator.hpp"
 #include "vtsim/categorizer.hpp"
@@ -37,6 +39,36 @@ ReconnectorConfig testBackoff() {
   config.maxAttempts = 10;
   return config;
 }
+
+IngestClientConfig testConfig() {
+  IngestClientConfig config;
+  config.reconnect = testBackoff();
+  return config;
+}
+
+/// A connect factory that opens a plain connection to `daemon` each time.
+ConnectFn connectTo(SpectorDaemon& daemon) {
+  return [&daemon](std::size_t) { return daemon.connect(); };
+}
+
+/// Speak the ingest handshake by hand: send Hello on a raw channel and
+/// return the daemon's reply (nullopt if none came).
+std::optional<Frame> helloReply(ClientChannel& channel, std::uint64_t clientId,
+                                std::uint64_t resumeSession = 0) {
+  HelloMsg hello;
+  hello.clientId = clientId;
+  hello.resumeSession = resumeSession;
+  if (!channel.send(FrameType::Hello, hello.encode())) return std::nullopt;
+  return channel.read(5000ms);
+}
+
+/// Keeps every report datagram an emulator emits.
+struct CaptureSink final : ingest::ReportSink {
+  std::vector<std::vector<std::uint8_t>> frames;
+  void submitDatagram(std::span<const std::uint8_t> payload) override {
+    frames.emplace_back(payload.begin(), payload.end());
+  }
+};
 
 class SpectordResilientTest : public ::testing::Test {
  protected:
@@ -153,34 +185,30 @@ TEST(SpectordHandshakeTest, PreAckFramesAreSkippedNotFatal) {
     endpoint.writeAll(encodeFrame(FrameType::RunAck, run.encode()));
     HelloAckMsg ack;
     ack.session = 99;
-    ack.ackedFrames = 5;
-    ack.ackedRuns = 1;
-    ack.resumed = true;
     endpoint.writeAll(encodeFrame(FrameType::HelloAck, ack.encode()));
   });
-  IngestClient client(pair.client, /*clientId=*/1, /*resumeSession=*/42);
+  // No retry: a handshake the stale frames failed would throw here.
+  IngestClientConfig config = testConfig();
+  config.reconnect.maxAttempts = 0;
+  IngestClient client([&](std::size_t) { return pair.client; },
+                      /*clientId=*/1, config);
   server.join();
   EXPECT_EQ(client.sessionToken(), 99u);
-  EXPECT_TRUE(client.resumed());
-  EXPECT_EQ(client.ackedFrames(), 5u);
 }
 
 TEST_F(SpectordResilientTest, DuplicateRunUploadIsAckedOnceAndNotRefolded) {
   auto daemon = makeDaemon();
-  IngestClient client(daemon->connect(), /*clientId=*/9);
+  IngestClient client(connectTo(*daemon), /*clientId=*/9, testConfig());
   const auto artifacts = runApp(0, &client);
-
-  const RunAckMsg first = client.completeRun(0, artifacts);
-  EXPECT_TRUE(first.accepted);
-  EXPECT_FALSE(first.duplicate);
+  client.uploadRun(0, artifacts);
+  EXPECT_TRUE(client.flush().empty());
 
   // A resumed client whose RunAck was lost re-sends the upload. The
   // daemon must ack it (the client needs closure) without folding the
-  // run twice, and the client must not count the ack twice.
-  const RunAckMsg second = client.completeRun(0, artifacts);
-  EXPECT_TRUE(second.accepted);
-  EXPECT_TRUE(second.duplicate);
-  EXPECT_EQ(client.ackedRuns(), 1u);
+  // run twice: one verdict per upload.
+  client.uploadRun(0, artifacts);
+  EXPECT_TRUE(client.flush().empty());
+  EXPECT_EQ(client.runsAccepted(), 2u);
 
   daemon->drain();
   EXPECT_EQ(daemon->metrics().runsCompleted, 1u);
@@ -193,24 +221,34 @@ TEST_F(SpectordResilientTest, DuplicateRunUploadIsAckedOnceAndNotRefolded) {
 
 TEST_F(SpectordResilientTest, SecondLiveAttachOnSameClientIdIsRefused) {
   auto daemon = makeDaemon();
-  IngestClient live(daemon->connect(), /*clientId=*/9);
-  // Two workers sharing a clientId would corrupt the cumulative ack
-  // stream; while the first attach is live the second must be refused.
-  EXPECT_THROW(IngestClient(daemon->connect(), /*clientId=*/9),
-               std::runtime_error);
-  EXPECT_EQ(daemon->metrics().service.sessionAttachRefusals, 1u);
+  std::uint64_t token = 0;
+  {
+    IngestClient live(connectTo(*daemon), /*clientId=*/9, testConfig());
+    // Two workers sharing a clientId would corrupt the cumulative ack
+    // stream; while the first attach is live the second must be refused.
+    ClientChannel second(daemon->connect());
+    const auto refusal = helloReply(second, /*clientId=*/9);
+    ASSERT_TRUE(refusal.has_value());
+    ASSERT_EQ(refusal->type, FrameType::Error);
+    EXPECT_EQ(ErrorMsg::decode(refusal->body).code, 5u);
+    EXPECT_EQ(daemon->metrics().service.sessionAttachRefusals, 1u);
 
-  // The refused handshake must not have disturbed the live session.
-  const auto artifacts = runApp(0, &live);
-  EXPECT_TRUE(live.completeRun(0, artifacts).accepted);
-  const std::uint64_t token = live.sessionToken();
-  live.bye();
+    // The refused handshake must not have disturbed the live session.
+    live.uploadRun(0, runApp(0, &live));
+    EXPECT_TRUE(live.flush().empty());
+    EXPECT_EQ(live.runsAccepted(), 1u);
+    token = live.sessionToken();
+    // Destroyed without a Bye: the connection hangs up.
+  }
 
-  // Once the first connection hung up, the same clientId attaches fine —
-  // a dead-but-unreaped connection must not block its own replacement.
-  IngestClient replacement(daemon->connect(), /*clientId=*/9, token);
-  EXPECT_TRUE(replacement.resumed());
-  replacement.bye();
+  // Once the first connection hung up, the same clientId attaches at
+  // once — a dead-but-unreaped connection must not block its own
+  // replacement.
+  ClientChannel replacement(daemon->connect());
+  const auto reply = helloReply(replacement, /*clientId=*/9, token);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, FrameType::HelloAck);
+  EXPECT_TRUE(HelloAckMsg::decode(reply->body).resumed);
   daemon->shutdown();
 }
 
@@ -218,9 +256,9 @@ TEST_F(SpectordResilientTest, AdminDrainExpiresStaleSessions) {
   auto daemon = makeDaemon();
   std::uint64_t token = 0;
   {
-    IngestClient client(daemon->connect(), /*clientId=*/9);
-    const auto artifacts = runApp(0, &client);
-    EXPECT_TRUE(client.completeRun(0, artifacts).accepted);
+    IngestClient client(connectTo(*daemon), /*clientId=*/9, testConfig());
+    client.uploadRun(0, runApp(0, &client));
+    EXPECT_TRUE(client.flush().empty());
     token = client.sessionToken();
     client.bye();
   }
@@ -232,20 +270,22 @@ TEST_F(SpectordResilientTest, AdminDrainExpiresStaleSessions) {
 
   // The old token no longer resumes: the daemon forgot the session, so
   // the client gets a fresh one with nothing acked.
-  IngestClient comeback(daemon->connect(), /*clientId=*/9, token);
-  EXPECT_FALSE(comeback.resumed());
-  EXPECT_EQ(comeback.ackedFrames(), 0u);
-  comeback.bye();
+  ClientChannel comeback(daemon->connect());
+  const auto reply = helloReply(comeback, /*clientId=*/9, token);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, FrameType::HelloAck);
+  const HelloAckMsg ack = HelloAckMsg::decode(reply->body);
+  EXPECT_FALSE(ack.resumed);
+  EXPECT_NE(ack.session, token);
+  EXPECT_EQ(ack.ackedFrames, 0u);
   daemon->shutdown();
 }
 
-// --- Resilient clients under scripted kills --------------------------------
+// --- The client under scripted kills --------------------------------------
 
 TEST_F(SpectordResilientTest, IngestClientSurvivesSeverAndLosesNothing) {
   auto daemon = makeDaemon();
   std::vector<std::unique_ptr<BreakerEndpoint>> breakers;
-  ResilientClientConfig config;
-  config.reconnect = testBackoff();
 
   // Calibrate the first kill to land mid-report-stream: replay app 0
   // through a counting sink (the emulator is deterministic, so the real
@@ -267,7 +307,7 @@ TEST_F(SpectordResilientTest, IngestClientSurvivesSeverAndLosesNothing) {
       encodeFrame(FrameType::Hello, hello.encode()).size() +
       counter.wireBytes / 2;
 
-  ResilientIngestClient client(
+  IngestClient client(
       [&](std::size_t ordinal) {
         BreakerEndpoint::Fault fault;
         if (ordinal == 0) {
@@ -283,7 +323,7 @@ TEST_F(SpectordResilientTest, IngestClientSurvivesSeverAndLosesNothing) {
             std::make_unique<BreakerEndpoint>(daemon->connect(), fault));
         return breakers.back()->clientEnd();
       },
-      /*clientId=*/9, config);
+      /*clientId=*/9, testConfig());
 
   for (std::size_t i = 0; i < 4; ++i) client.uploadRun(i, runApp(i, &client));
   const std::vector<RunAckMsg> refused = client.flush();
@@ -314,17 +354,10 @@ TEST_F(SpectordResilientTest, IngestClientSurvivesSeverAndLosesNothing) {
 TEST_F(SpectordResilientTest, RefusedResumeRebasesAckAccounting) {
   auto daemon = makeDaemon();
   std::vector<std::unique_ptr<BreakerEndpoint>> breakers;
-  ResilientClientConfig config;
-  config.reconnect = testBackoff();
 
   // Capture a real report stream so the severed frames are genuine wire
   // payloads, then sever mid-way through the third frame.
-  struct CaptureSink final : ingest::ReportSink {
-    std::vector<std::vector<std::uint8_t>> frames;
-    void submitDatagram(std::span<const std::uint8_t> payload) override {
-      frames.emplace_back(payload.begin(), payload.end());
-    }
-  } capture;
+  CaptureSink capture;
   (void)runApp(0, &capture);
   ASSERT_GT(capture.frames.size(), 4u);
   HelloMsg hello;
@@ -335,7 +368,7 @@ TEST_F(SpectordResilientTest, RefusedResumeRebasesAckAccounting) {
     severAt += encodeFrame(FrameType::Report, capture.frames[i]).size();
   severAt += encodeFrame(FrameType::Report, capture.frames[2]).size() / 2;
 
-  ResilientIngestClient client(
+  IngestClient client(
       [&](std::size_t ordinal) {
         if (ordinal == 1) {
           // The daemon expired the session while the client was down: an
@@ -355,7 +388,7 @@ TEST_F(SpectordResilientTest, RefusedResumeRebasesAckAccounting) {
             std::make_unique<BreakerEndpoint>(daemon->connect(), fault));
         return breakers.back()->clientEnd();
       },
-      /*clientId=*/9, config);
+      /*clientId=*/9, testConfig());
 
   for (const auto& frame : capture.frames) client.submitDatagram(frame);
   // Without rebasing, the fresh session's from-zero acks can never reach
@@ -375,12 +408,11 @@ TEST(SpectordResilientBudgetTest, FlushFailsLoudlyWhenDaemonNeverAcks) {
   // budget on every re-attach; the upload must have its own fail-loud
   // budget instead of retrying forever.
   std::vector<std::thread> servers;
-  ResilientClientConfig config;
-  config.reconnect = testBackoff();
+  IngestClientConfig config = testConfig();
   config.runAckTimeout = 25ms;
   config.runUploadAttempts = 3;
   {
-    ResilientIngestClient client(
+    IngestClient client(
         [&](std::size_t) {
           ChannelPair pair = makeChannel(64 * 1024);
           servers.emplace_back([endpoint = pair.server]() mutable {
@@ -405,7 +437,6 @@ TEST(SpectordResilientBudgetTest, FlushFailsLoudlyWhenDaemonNeverAcks) {
     client.uploadRun(0, core::RunArtifacts{});
     EXPECT_THROW((void)client.flush(), std::runtime_error);
     EXPECT_EQ(client.runsResent(), 3u);
-    client.bye();
   }
   for (auto& server : servers) server.join();
   EXPECT_EQ(servers.size(), 3u);
@@ -417,12 +448,11 @@ TEST_F(SpectordResilientTest, PendingRunAckDoesNotHoldBackReports) {
   // Report frame, which only another worker's submitDatagram can send.
   std::vector<std::thread> servers;
   std::atomic<bool> sawRunComplete{false};
-  ResilientClientConfig config;
-  config.reconnect = testBackoff();
+  IngestClientConfig config = testConfig();
   config.runAckTimeout = 2000ms;
   config.runUploadAttempts = 1;
   {
-    ResilientIngestClient client(
+    IngestClient client(
         [&](std::size_t) {
           ChannelPair pair = makeChannel(64 * 1024);
           servers.emplace_back([endpoint = pair.server,
@@ -491,10 +521,83 @@ TEST_F(SpectordResilientTest, PendingRunAckDoesNotHoldBackReports) {
     EXPECT_TRUE(refused.has_value() && refused->empty());
     EXPECT_EQ(client.runsAccepted(), 1u);
     EXPECT_EQ(client.runsResent(), 0u);
-    client.bye();
   }
   for (auto& server : servers) server.join();
   EXPECT_EQ(servers.size(), 1u);
+}
+
+TEST_F(SpectordResilientTest, WaitingForAcksDoesNotHoldBackReports) {
+  // A thread waiting for acks must not hold the client's lock: the frame
+  // it waits for is one that another thread submits while it waits.
+  CaptureSink capture;
+  (void)runApp(0, &capture);
+  ASSERT_FALSE(capture.frames.empty());
+  auto daemon = makeDaemon();
+  IngestClient client(connectTo(*daemon), /*clientId=*/9, testConfig());
+
+  std::atomic<bool> acked{false};
+  std::atomic<std::int64_t> waitedMs{-1};
+  std::thread waiter([&] {
+    const auto start = std::chrono::steady_clock::now();
+    acked.store(client.waitAckedFrames(1, 2000ms));
+    waitedMs.store(std::chrono::duration_cast<std::chrono::milliseconds>(
+                       std::chrono::steady_clock::now() - start)
+                       .count());
+  });
+  std::this_thread::sleep_for(100ms);
+  const auto start = std::chrono::steady_clock::now();
+  client.submitDatagram(capture.frames.front());
+  const auto blocked = std::chrono::steady_clock::now() - start;
+  waiter.join();
+  // The report went straight out, and its ack ended the wait well before
+  // the waiter's 2 s timeout.
+  EXPECT_LT(blocked, 500ms);
+  EXPECT_TRUE(acked.load());
+  EXPECT_LT(waitedMs.load(), 1000);
+  client.bye();
+  daemon->shutdown();
+}
+
+TEST_F(SpectordResilientTest, ByeReachesTheDaemonBeforeItReturns) {
+  // bye() returns once the daemon has read the Bye and closed, so a
+  // daemon shut down right after cannot cut it off, and a proxy on the
+  // connection has counted every byte the client wrote. Here the client
+  // sits behind a slow hop that holds each client->daemon chunk for
+  // 50 ms, then hands it to a pass-through BreakerEndpoint.
+  auto daemon = makeDaemon();
+  BreakerEndpoint breaker(daemon->connect(), BreakerEndpoint::Fault{});
+  ChannelPair hop = makeChannel(64 * 1024);
+  const auto forward = [](ChannelEndpoint from, ChannelEndpoint to,
+                          std::chrono::milliseconds hold) {
+    std::vector<std::uint8_t> buf;
+    while (!from.peerClosed()) {
+      buf.clear();
+      if (from.readSome(buf) == 0) {
+        from.waitReadable(20ms);
+        continue;
+      }
+      std::this_thread::sleep_for(hold);
+      if (!to.writeAll(buf)) break;
+    }
+    to.close();
+  };
+  std::thread toDaemon(forward, hop.server, breaker.clientEnd(), 50ms);
+  std::thread toClient(forward, breaker.clientEnd(), hop.server, 0ms);
+  {
+    IngestClient client([&](std::size_t) { return hop.client; },
+                        /*clientId=*/9, testConfig());
+    client.bye();
+  }
+  daemon->shutdown();
+  toDaemon.join();
+  toClient.join();
+
+  HelloMsg hello;
+  hello.clientId = 9;
+  const std::uint64_t written =
+      encodeFrame(FrameType::Hello, hello.encode()).size() +
+      encodeFrame(FrameType::Bye, ByeMsg{"done"}.encode()).size();
+  EXPECT_EQ(breaker.forwardedToDaemon(), written);
 }
 
 TEST_F(SpectordResilientTest, FlushFoldsOneVerdictPerUpload) {
@@ -518,10 +621,7 @@ TEST_F(SpectordResilientTest, FlushFoldsOneVerdictPerUpload) {
                        [this](const core::RunArtifacts& artifacts) {
                          return attributor_.attributeColumns(artifacts);
                        });
-  ResilientClientConfig config;
-  config.reconnect = testBackoff();
-  ResilientIngestClient client([&](std::size_t) { return daemon.connect(); },
-                               /*clientId=*/9, config);
+  IngestClient client(connectTo(daemon), /*clientId=*/9, testConfig());
   // The foreign app's reports went elsewhere, as from a misconfigured
   // fleet; only its upload reaches this daemon.
   struct DiscardSink final : ingest::ReportSink {
