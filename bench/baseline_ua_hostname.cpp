@@ -9,6 +9,7 @@
 // insufficient for reliable traffic attribution."
 #include "common/study.hpp"
 
+#include <atomic>
 #include <mutex>
 #include <optional>
 
@@ -49,46 +50,50 @@ int main(int argc, char** argv) {
   core::BaselineScore hostScore;
   core::BaselineScore comboScore;
   std::size_t exchanges = 0;
+  std::mutex scoreMutex;
 
+  // Workers claim indices from one cursor and score their own run; only
+  // the sums are serialized.
   orch::Dispatcher dispatcher(generator.farm(), nullptr, {});
-  std::size_t next = 0;
-  dispatcher.run(
+  std::atomic<std::size_t> cursor{0};
+  dispatcher.runConcurrent(
       [&]() -> std::optional<orch::Dispatcher::Job> {
-        if (next >= generator.appCount()) return std::nullopt;
-        const std::size_t index = next++;
+        const std::size_t index = cursor.fetch_add(1);
+        if (index >= generator.appCount()) return std::nullopt;
         auto job = generator.makeJob(index);
         return orch::Dispatcher::Job{.apk = std::move(job.apk),
                                      .program = std::move(job.program),
                                      .index = index};
       },
-      [&](core::RunArtifacts&& artifacts) {
+      [&](std::size_t, core::RunArtifacts&& artifacts) {
         const auto flows = attributor.attribute(artifacts);
         const auto joined = core::joinExchangesToFlows(flows, artifacts.capture);
-        exchanges += joined.size();
-        const auto accumulate = [&](core::BaselineScore& total,
-                                    const core::BaselineScore& part) {
+        const auto ua = core::scoreBaseline(
+            joined, isAdTruth, [&](const core::JoinedExchange& e) {
+              return uaClassifier.isAdTraffic(*e.exchange);
+            });
+        const auto host = core::scoreBaseline(
+            joined, isAdTruth, [&](const core::JoinedExchange& e) {
+              return hostClassifier.isAdTraffic(e.exchange->host);
+            });
+        const auto combo = core::scoreBaseline(
+            joined, isAdTruth, [&](const core::JoinedExchange& e) {
+              return uaClassifier.isAdTraffic(*e.exchange) ||
+                     hostClassifier.isAdTraffic(e.exchange->host);
+            });
+        const auto accumulate = [](core::BaselineScore& total,
+                                   const core::BaselineScore& part) {
           total.truePositives += part.truePositives;
           total.falsePositives += part.falsePositives;
           total.falseNegatives += part.falseNegatives;
           total.trueNegatives += part.trueNegatives;
           total.missedBytes += part.missedBytes;
         };
-        accumulate(uaScore,
-                   core::scoreBaseline(joined, isAdTruth,
-                                       [&](const core::JoinedExchange& e) {
-                                         return uaClassifier.isAdTraffic(*e.exchange);
-                                       }));
-        accumulate(hostScore,
-                   core::scoreBaseline(joined, isAdTruth,
-                                       [&](const core::JoinedExchange& e) {
-                                         return hostClassifier.isAdTraffic(e.exchange->host);
-                                       }));
-        accumulate(comboScore,
-                   core::scoreBaseline(
-                       joined, isAdTruth, [&](const core::JoinedExchange& e) {
-                         return uaClassifier.isAdTraffic(*e.exchange) ||
-                                hostClassifier.isAdTraffic(e.exchange->host);
-                       }));
+        const std::scoped_lock lock(scoreMutex);
+        exchanges += joined.size();
+        accumulate(uaScore, ua);
+        accumulate(hostScore, host);
+        accumulate(comboScore, combo);
       });
 
   std::printf("HTTP exchanges joined to flows: %zu\n\n", exchanges);

@@ -8,6 +8,7 @@
 //
 // Usage: quickstart [apps] [workers]   (defaults: 300 apps, one worker per
 //        hardware thread)
+#include <atomic>
 #include <cstdio>
 #include <mutex>
 #include <optional>
@@ -54,21 +55,22 @@ int main(int argc, char** argv) {
   dispatcherConfig.workers = *workers;
   orch::Dispatcher dispatcher(generator.farm(), nullptr, dispatcherConfig);
 
-  std::size_t next = 0;
-  dispatcher.run(
+  // Each worker claims the next index, expands and emulates it, then
+  // attributes its own run; only the fold into the study is serialized.
+  std::atomic<std::size_t> cursor{0};
+  dispatcher.runConcurrent(
       [&]() -> std::optional<orch::Dispatcher::Job> {
-        if (next >= generator.appCount()) return std::nullopt;
-        const std::size_t index = next++;
+        const std::size_t index = cursor.fetch_add(1);
+        if (index >= generator.appCount()) return std::nullopt;
         auto job = generator.makeJob(index);
         return orch::Dispatcher::Job{.apk = std::move(job.apk),
                                      .program = std::move(job.program),
                                      .index = index};
       },
-      [&](core::RunArtifacts&& artifacts) {
-        // Workers already hold the dispatcher's sink lock; the categorizer
-        // cache still needs guarding against the attributor's writes.
+      [&](std::size_t, core::RunArtifacts&& artifacts) {
+        const core::FlowColumns flows = attributor.attributeColumns(artifacts);
         const std::scoped_lock lock(analysisMutex);
-        study.addAppColumns(artifacts, attributor.attributeColumns(artifacts));
+        study.addAppColumns(artifacts, flows);
       });
 
   // Headline numbers (§IV-A).

@@ -6,8 +6,10 @@
 //      ingest::ReportSink for the dispatcher fleet; workers upload each
 //      run without waiting for its verdict, then one flush collects them
 //      all);
-//   2. dashboard: a subscriber watches the study land live — snapshot on
-//      subscribe, one delta per folded run, mirror == daemon state;
+//   2. dashboard: a subscriber watches the study land live — the daemon's
+//      whole view as a snapshot after its Hello, then one delta per folded
+//      run; the example exits 1 unless the subscriber's mirror ends equal
+//      to the daemon's view;
 //   3. admin: status, drain and graceful shutdown (flushing `.spab`
 //      checkpoints to a per-process directory under the system temp
 //      directory, removed at exit).
@@ -61,6 +63,14 @@ int main(int argc, char** argv) {
       std::filesystem::temp_directory_path() /
       ("spectord_fleet_example_" + std::to_string(::getpid()));
   std::filesystem::remove_all(checkpointDir);
+  // Removed on every exit, after the daemon below is gone.
+  struct RemoveOnExit {
+    std::filesystem::path path;
+    ~RemoveOnExit() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  } cleanup{checkpointDir};
 
   // --- the collector daemon -------------------------------------------
   const store::AppStoreGenerator generator(config.store);
@@ -82,13 +92,13 @@ int main(int argc, char** argv) {
 
   // --- dashboard surface: subscribe before any run lands ---------------
   spectord::DashboardClient dashboard(daemon.connect(), /*clientId=*/1);
-  dashboard.subscribe(spectord::Topic::Totals);
-  dashboard.subscribe(spectord::Topic::Progress);
-  dashboard.waitForSnapshot(spectord::Topic::Totals,
-                            std::chrono::milliseconds(5000));
+  if (!dashboard.waitForSnapshot(std::chrono::milliseconds(5000))) {
+    std::fprintf(stderr, "spectord_fleet: no dashboard snapshot arrived\n");
+    return 1;
+  }
+  const spectord::DashboardMirror& mirror = dashboard.mirror();
   std::printf("dashboard: subscribed, %llu runs at snapshot\n",
-              static_cast<unsigned long long>(
-                  dashboard.mirror().totals.runsFolded));
+              static_cast<unsigned long long>(mirror.runsFolded));
 
   // --- ingest surface: the emulator fleet, reports over the wire -------
   spectord::IngestClient sink(
@@ -124,15 +134,18 @@ int main(int argc, char** argv) {
 
   // --- watch the study land -------------------------------------------
   daemon.drain();
-  // Each run lands as a Totals delta and then a Progress delta; the line
-  // below prints both.
-  const spectord::DashboardMirror& mirror = dashboard.mirror();
-  dashboard.waitUntil(
-      [&] {
-        return mirror.totals.runsFolded >= generator.appCount() &&
-               mirror.runsFolded >= generator.appCount();
-      },
-      std::chrono::milliseconds(5000));
+  // Every run is published now: the subscriber's mirror must reach the
+  // daemon's view, as a whole struct.
+  const spectord::DashboardMirror expected = daemon.dashboard();
+  if (!dashboard.waitUntil([&] { return mirror == expected; },
+                           std::chrono::milliseconds(5000))) {
+    std::fprintf(stderr,
+                 "spectord_fleet: dashboard mirror (%llu runs) differs from "
+                 "the daemon's view (%llu runs)\n",
+                 static_cast<unsigned long long>(mirror.runsFolded),
+                 static_cast<unsigned long long>(expected.runsFolded));
+    return 1;
+  }
   std::printf("dashboard: %llu/%llu runs, %llu flows, %llu attributed "
               "bytes, %llu deltas received\n",
               static_cast<unsigned long long>(mirror.runsFolded),
@@ -162,7 +175,5 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   std::printf("daemon running after shutdown: %s\n",
               daemon.running() ? "yes" : "no");
-
-  std::filesystem::remove_all(checkpointDir);
   return 0;
 }

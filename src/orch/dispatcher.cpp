@@ -24,42 +24,17 @@ Dispatcher::Dispatcher(const net::ServerFarm& farm,
                        ingest::ReportSink* collector, DispatcherConfig config)
     : farm_(farm), collector_(collector), config_(config) {}
 
-void Dispatcher::recordJob(double jobMs, double sinkMs, double blockedMs) {
+void Dispatcher::recordJob(double jobMs, double sinkMs) {
   const std::scoped_lock lock(statsMutex_);
   ++stats_.jobs;
   stats_.jobMsTotal += jobMs;
   stats_.jobMsMax = std::max(stats_.jobMsMax, jobMs);
   stats_.sinkMsTotal += sinkMs;
   stats_.sinkMsMax = std::max(stats_.sinkMsMax, sinkMs);
-  stats_.sinkBlockedMsTotal += blockedMs;
-}
-
-void Dispatcher::run(const JobSource& source, const ResultSink& sink) {
-  // Serialized delivery is the concurrent path plus one lock around the
-  // source and one around the sink; the sink lock-acquire wait is surfaced
-  // in stats() so the cost of funneling the fleet through a serialized
-  // sink stays measurable.
-  std::mutex sourceMutex;
-  std::mutex sinkMutex;
-  runConcurrent(
-      [&] {
-        const std::scoped_lock lock(sourceMutex);
-        return source();
-      },
-      [&](std::size_t, core::RunArtifacts&& artifacts) {
-        const auto blockedStart = Clock::now();
-        const std::scoped_lock lock(sinkMutex);
-        const double blockedMs = millisSince(blockedStart);
-        {
-          const std::scoped_lock statsLock(statsMutex_);
-          stats_.sinkBlockedMsTotal += blockedMs;
-        }
-        sink(std::move(artifacts));
-      });
 }
 
 void Dispatcher::runConcurrent(const JobSource& source,
-                               const IndexedResultSink& sink,
+                               const ArtifactSink& sink,
                                const FailureSink& onFailure) {
   const std::size_t workerCount =
       config_.workers != 0
@@ -88,7 +63,7 @@ void Dispatcher::runConcurrent(const JobSource& source,
         const double jobMs = millisSince(jobStart);
         const auto sinkStart = Clock::now();
         sink(index, std::move(artifacts));
-        recordJob(jobMs, millisSince(sinkStart), 0.0);
+        recordJob(jobMs, millisSince(sinkStart));
       } catch (const std::exception& error) {
         const FailedJob failure{job->apk.packageName, error.what()};
         {

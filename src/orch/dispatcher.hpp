@@ -7,16 +7,14 @@
 //
 // Every job carries its own index: it seeds the emulator and tags the
 // delivery, so artifacts depend on what a job is, never on which worker
-// pulled it or when. Two delivery modes:
-//  - run(): source pulls and result delivery are each serialized by the
-//    dispatcher, so sources and sinks need no locking of their own.
-//    Simple, but the whole fleet funnels through one source and one sink.
-//  - runConcurrent(): the source is called from every worker with no lock,
-//    so a source that expands jobs (makeJob + sha256 for a study) does it
-//    in parallel; results are delivered on the worker thread that produced
-//    them, tagged with the job index. Source and sink must be thread-safe;
-//    an order-restoring consumer (core::StudyAccumulator) keeps output
-//    deterministic.
+// pulled it or when. One delivery mode, runConcurrent(): the source is
+// called from every worker with no lock, so a source that expands jobs
+// (makeJob + sha256 for a study) does it in parallel, and results are
+// delivered on the worker thread that produced them, tagged with the job
+// index. Source and sink must be thread-safe — a source claims indices
+// from an atomic cursor, a sink locks what it shares — and an
+// order-restoring consumer (core::StudyAccumulator) keeps output
+// deterministic.
 #pragma once
 
 #include <cstdint>
@@ -56,11 +54,9 @@ class Dispatcher {
   /// Returns the next job or std::nullopt once the worker should stop.
   /// runConcurrent calls it from every worker at once.
   using JobSource = std::function<std::optional<Job>()>;
-  /// Receives each finished app's artifacts (serialized delivery).
-  using ResultSink = std::function<void(core::RunArtifacts&&)>;
-  /// Concurrent delivery: called on the producing worker thread with the
-  /// job's dispatch index. Must be thread-safe.
-  using IndexedResultSink =
+  /// Called on the producing worker thread with the job's index. Must be
+  /// thread-safe.
+  using ArtifactSink =
       std::function<void(std::size_t jobIndex, core::RunArtifacts&&)>;
 
   struct FailedJob {
@@ -68,17 +64,14 @@ class Dispatcher {
     std::string error;
   };
   /// Concurrent failure notification (same threading rules as
-  /// IndexedResultSink); lets order-restoring consumers release jobs that
+  /// ArtifactSink); lets order-restoring consumers release jobs that
   /// will never arrive.
   using FailureSink =
       std::function<void(std::size_t jobIndex, const FailedJob& failure)>;
 
-  /// Fleet throughput counters, cumulative across run() calls (like
-  /// appsProcessed). Job wall time covers the emulator run only; sink time
-  /// is what the worker spent inside the result sink, and blocked time is
-  /// what it spent waiting for the serialized sink lock (always 0 for
-  /// runConcurrent, which has no lock — that difference is the whole point
-  /// of the parallel attribution path).
+  /// Fleet throughput counters, cumulative across runConcurrent() calls
+  /// (like appsProcessed). Job wall time covers the emulator run only;
+  /// sink time is what the worker spent inside the result sink.
   struct Stats {
     std::size_t jobs = 0;
     double elapsedSeconds = 0.0;
@@ -86,7 +79,6 @@ class Dispatcher {
     double jobMsMax = 0.0;
     double sinkMsTotal = 0.0;
     double sinkMsMax = 0.0;
-    double sinkBlockedMsTotal = 0.0;
 
     [[nodiscard]] double jobsPerSecond() const noexcept {
       return elapsedSeconds > 0.0 ? static_cast<double>(jobs) / elapsedSeconds
@@ -103,16 +95,13 @@ class Dispatcher {
   Dispatcher(const net::ServerFarm& farm, ingest::ReportSink* collector,
              DispatcherConfig config);
 
-  /// Process every job; blocks until done. Callable multiple times.
-  /// A job whose emulator run throws is recorded as failed and skipped —
-  /// one broken apk must not take down the fleet (the paper's dispatcher
-  /// ran 25,000 heterogeneous Play-store apps).
-  void run(const JobSource& source, const ResultSink& sink);
-
-  /// Like run(), but the source is called concurrently and results are
-  /// delivered concurrently with their job indices. Both must be
-  /// thread-safe. `onFailure` is optional.
-  void runConcurrent(const JobSource& source, const IndexedResultSink& sink,
+  /// Process every job; blocks until done. Callable multiple times. The
+  /// source is called concurrently and results are delivered concurrently
+  /// with their job indices; both must be thread-safe. A job whose
+  /// emulator run throws is recorded as failed, reported to `onFailure`
+  /// (optional) and skipped — one broken apk must not take down the fleet
+  /// (the paper's dispatcher ran 25,000 heterogeneous Play-store apps).
+  void runConcurrent(const JobSource& source, const ArtifactSink& sink,
                      const FailureSink& onFailure = {});
 
   [[nodiscard]] std::size_t appsProcessed() const noexcept { return processed_; }
@@ -122,7 +111,7 @@ class Dispatcher {
   [[nodiscard]] Stats stats() const noexcept { return stats_; }
 
  private:
-  void recordJob(double jobMs, double sinkMs, double blockedMs);
+  void recordJob(double jobMs, double sinkMs);
 
   const net::ServerFarm& farm_;
   ingest::ReportSink* collector_;

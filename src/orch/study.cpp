@@ -176,24 +176,17 @@ StudyOutput runStudy(const store::AppStoreGenerator& generator,
 }
 
 ResumeOutput resumeStudy(const StudyConfig& config) {
-  const store::AppStoreGenerator generator(config.store);
-  return resumeStudy(generator, config.dispatcher, config.artifactsDirectory,
-                     config.ingest);
-}
-
-ResumeOutput resumeStudy(const store::AppStoreGenerator& generator,
-                         const DispatcherConfig& dispatcherConfig,
-                         const std::string& artifactsDirectory,
-                         const ingest::IngestConfig& ingestConfig) {
-  if (artifactsDirectory.empty())
+  if (config.artifactsDirectory.empty())
     throw std::invalid_argument(
         "resumeStudy: artifactsDirectory must name the checkpoint directory "
         "of the crashed run");
 
+  const store::AppStoreGenerator generator(config.store);
   ResumeOutput resume;
-  resume.recovery = StudyRecovery::scan(artifactsDirectory);
-  resume.output = runPipeline(generator, dispatcherConfig, artifactsDirectory,
-                              ingestConfig, &resume.recovery.runs);
+  resume.recovery = StudyRecovery::scan(config.artifactsDirectory);
+  resume.output = runPipeline(generator, config.dispatcher,
+                              config.artifactsDirectory, config.ingest,
+                              &resume.recovery.runs);
   return resume;
 }
 

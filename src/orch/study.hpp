@@ -94,13 +94,6 @@ struct ResumeOutput {
 /// `config.store`, which must match the crashed run's.
 [[nodiscard]] ResumeOutput resumeStudy(const StudyConfig& config);
 
-/// Resume against an existing world.
-[[nodiscard]] ResumeOutput resumeStudy(
-    const store::AppStoreGenerator& generator,
-    const DispatcherConfig& dispatcherConfig,
-    const std::string& artifactsDirectory,
-    const ingest::IngestConfig& ingestConfig = {.shards = 0});
-
 struct MergeOutput {
   StudyOutput output;
   /// One recovery report per checkpoint directory, in argument order

@@ -364,12 +364,6 @@ DashboardClient::DashboardClient(ChannelEndpoint endpoint,
   handshake(channel_, clientId, ClientKind::Dashboard);
 }
 
-void DashboardClient::subscribe(Topic topic) {
-  SubscribeMsg msg;
-  msg.topic = topic;
-  channel_.send(FrameType::Subscribe, msg.encode());
-}
-
 bool DashboardClient::waitUntil(const std::function<bool()>& done,
                                 std::chrono::milliseconds timeout) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
@@ -384,12 +378,10 @@ bool DashboardClient::waitUntil(const std::function<bool()>& done,
       if (!frame) return false;
     }
     switch (frame->type) {
-      case FrameType::Snapshot: {
-        const SnapshotMsg snapshot = SnapshotMsg::decode(frame->body);
-        mirror_.applySnapshot(snapshot);
-        ++snapshots_[static_cast<std::size_t>(snapshot.topic)];
+      case FrameType::Snapshot:
+        mirror_ = DashboardMirror::decode(frame->body);
+        ++snapshots_;
         break;
-      }
       case FrameType::Delta:
         mirror_.applyDelta(DeltaMsg::decode(frame->body));
         ++deltas_;
@@ -401,9 +393,8 @@ bool DashboardClient::waitUntil(const std::function<bool()>& done,
   return true;
 }
 
-bool DashboardClient::waitForSnapshot(Topic topic,
-                                      std::chrono::milliseconds timeout) {
-  return waitUntil([&] { return snapshotsReceived(topic) > 0; }, timeout);
+bool DashboardClient::waitForSnapshot(std::chrono::milliseconds timeout) {
+  return waitUntil([&] { return snapshots_ > 0; }, timeout);
 }
 
 // --- AdminClient -----------------------------------------------------------

@@ -13,16 +13,15 @@
 //    reaches the caller. Emulator workers share one client behind one
 //    mutex; its two waits (flush, waitAckedFrames) sleep on the
 //    connection with the mutex released.
-//  - DashboardClient subscribes to topics and folds snapshots + deltas
-//    into a DashboardMirror, the same fold the daemon keeps its own view
-//    with: once drained, a subscriber to every topic holds a mirror equal
-//    to SpectorDaemon::dashboard(). It is the one dashboard client: a
-//    dashboard whose connection dies opens a new one, whose subscribes
-//    bring snapshots that make its mirror whole.
+//  - DashboardClient subscribes by its Hello: a snapshot (the daemon's
+//    whole DashboardMirror) replaces its mirror, and each delta is folded
+//    with the applyDelta the daemon keeps its own view with, so once
+//    drained it holds a mirror equal to SpectorDaemon::dashboard(). It is
+//    the one dashboard client: a dashboard whose connection dies opens a
+//    new one, whose snapshot makes its mirror whole.
 //  - AdminClient is a simple request/response wrapper over Admin frames.
 #pragma once
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -230,9 +229,9 @@ class IngestClient final : public ingest::ReportSink {
 
 class DashboardClient {
  public:
+  /// Connects and subscribes: the daemon sends its whole view after the
+  /// HelloAck, then one delta per folded run.
   DashboardClient(ChannelEndpoint endpoint, std::uint64_t clientId);
-
-  void subscribe(Topic topic);
 
   /// Fold daemon frames until `done()` holds, checking it after every
   /// folded frame, or until the timeout; returns whether it holds. A
@@ -240,14 +239,14 @@ class DashboardClient {
   /// that every frame it compares has landed.
   bool waitUntil(const std::function<bool()>& done,
                  std::chrono::milliseconds timeout);
-  /// Wait until the mirror has folded a snapshot for `topic`.
-  bool waitForSnapshot(Topic topic, std::chrono::milliseconds timeout);
+  /// Wait until a snapshot has replaced the mirror.
+  bool waitForSnapshot(std::chrono::milliseconds timeout);
 
   [[nodiscard]] const DashboardMirror& mirror() const noexcept {
     return mirror_;
   }
-  [[nodiscard]] std::uint64_t snapshotsReceived(Topic topic) const {
-    return snapshots_[static_cast<std::size_t>(topic)];
+  [[nodiscard]] std::uint64_t snapshotsReceived() const noexcept {
+    return snapshots_;
   }
   [[nodiscard]] std::uint64_t deltasReceived() const noexcept {
     return deltas_;
@@ -258,7 +257,7 @@ class DashboardClient {
  private:
   ClientChannel channel_;
   DashboardMirror mirror_;
-  std::array<std::uint64_t, 4> snapshots_{};
+  std::uint64_t snapshots_ = 0;
   std::uint64_t deltas_ = 0;
 };
 

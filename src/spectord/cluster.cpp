@@ -10,7 +10,6 @@
 
 #include "core/attribution.hpp"
 #include "orch/dispatcher.hpp"
-#include "orch/recovery.hpp"
 #include "radar/corpus.hpp"
 #include "spectord/client.hpp"
 #include "util/log.hpp"
@@ -46,23 +45,18 @@ CollectorResult runCollector(const orch::StudyConfig& config,
   CollectorResult result;
   const std::size_t appCount = generator.appCount();
 
-  // Resume path: re-inject this directory's survivors straight into the
-  // daemon's router (submitReplay preserves the persisted loss accounts;
-  // uploading them as RunComplete frames would make the daemon recompute
-  // accounts from datagrams it never saw). The admin Resume op is the remote
-  // equivalent for an already-running daemon.
+  // Resume path: the daemon replays this directory's survivors itself
+  // (with their persisted loss accounts; uploading them as RunComplete
+  // frames would make the daemon recompute accounts from datagrams it
+  // never saw), exactly as the admin Resume op does, and the dispatcher
+  // skips what it replayed.
   std::vector<bool> done(appCount, false);
   if (options.resume) {
-    orch::RecoveryReport report =
-        orch::StudyRecovery::scan(options.checkpointDirectory);
-    for (auto& run : report.runs) {
-      if (run.jobIndex >= appCount || done[run.jobIndex]) continue;
-      done[run.jobIndex] = true;
-      daemon.ingest().submitReplay(run.jobIndex, std::move(run.artifacts),
-                                   run.account);
+    for (const std::uint64_t index : daemon.resumeFromCheckpoints().replayed) {
+      if (index >= appCount) continue;
+      done[index] = true;
       ++result.runsReplayed;
     }
-    daemon.ingest().drain();
   }
 
   // The client survives connection death: it reconnects with backoff,

@@ -15,7 +15,9 @@
 // replays the union through one order-restoring pipeline, producing study
 // output byte-identical to a single-collector orch::runStudy at any
 // collector count and through any kill/resume history (the cluster tests
-// sweep exactly that).
+// sweep exactly that). A resumed collector's daemon replays the
+// directory's survivors itself, as the admin Resume op does, and hands
+// the router each job index once.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +38,9 @@ struct CollectorOptions {
   /// Required: where this collector checkpoints its runs (one directory
   /// per collector; mergeStudies consumes them all).
   std::string checkpointDirectory;
-  /// Resume a previous incarnation first: replay the directory's
-  /// surviving runs through the daemon, then dispatch only the gaps.
+  /// Resume a previous incarnation first: the daemon replays the
+  /// directory's surviving runs (SpectorDaemon::resumeFromCheckpoints, the
+  /// admin Resume op's path), then only the gaps are dispatched.
   bool resume = false;
   /// Simulated mid-study kill: dispatch at most this many owned jobs,
   /// then stop (in-flight jobs still finish and checkpoint — a process

@@ -12,12 +12,11 @@
 //    is meaningless without them;
 //  - delta frames are droppable: when the bytes the channel has not
 //    accepted would exceed the budget the delta is dropped and the daemon
-//    schedules a snapshot-resync for its topic; a delta into an empty
-//    queue is always accepted. Ingest never blocks on a slow dashboard,
+//    owes the connection a snapshot-resync; a delta into an empty queue is
+//    always accepted. Ingest never blocks on a slow dashboard,
 //    and a slow dashboard is never cut off for lagging.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -67,7 +66,7 @@ class Connection {
   /// flushed into the channel first, and the frame is dropped only when
   /// what is still queued plus the frame would exceed the budget. Returns
   /// true when queued; false means the frame was dropped (the caller owes
-  /// the topic a resync snapshot).
+  /// the connection a resync snapshot).
   bool sendDelta(std::span<const std::uint8_t> body);
 
   /// Push queued bytes into the channel as far as it will accept them.
@@ -95,13 +94,9 @@ class Connection {
   ClientKind kind = ClientKind::Ingest;
   std::uint64_t clientId = 0;
   std::uint64_t session = 0;
-  /// Topic subscriptions, indexed by Topic value.
-  std::array<bool, 4> subscribed{};
-  /// Topics owed a fresh snapshot (on subscribe, or resync after drops).
-  std::array<bool, 4> needsSnapshot{};
-  /// Subset of needsSnapshot owed because deltas were dropped (counted as
-  /// resyncs, and deferred until the write queue drains).
-  std::array<bool, 4> resyncSnapshot{};
+  /// A dashboard connection that had a delta dropped: it gets no deltas
+  /// until the snapshot it is owed goes out, once its write queue drains.
+  bool resyncOwed = false;
   /// Report frames accepted since the last ReportAck went out.
   bool ackOwed = false;
   /// Parser counters already folded into the daemon aggregates.

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
+#include <stdexcept>
 #include <utility>
 
 #include "core/attribution.hpp"
@@ -15,12 +16,6 @@ namespace libspector::spectord {
 using namespace std::chrono_literals;
 
 namespace {
-
-constexpr std::size_t topicIndex(Topic topic) noexcept {
-  return static_cast<std::size_t>(topic);
-}
-
-constexpr Topic kTopics[] = {Topic::Totals, Topic::Loss, Topic::Progress};
 
 /// Byte sums by the pool ids of one id column, in first-flow order (the
 /// order a Delta lists them in). A run touches few distinct libraries or
@@ -45,9 +40,8 @@ std::vector<std::pair<std::string, std::uint64_t>> bytesById(
   return named;
 }
 
-/// One run's increment to every topic: its byte sums, per library and
-/// library category, and its exact loss account. The Progress counters
-/// are the loop's to fill in, in fold order.
+/// One run's increment to the dashboard: its byte sums, per library and
+/// library category, and its exact loss account.
 DeltaMsg deltaOf(const ingest::RunDelivery& delivery,
                  const core::FlowColumns& columns) {
   DeltaMsg delta;
@@ -88,10 +82,17 @@ SpectorDaemon::SpectorDaemon(DaemonConfig config, AttributeFn attribute,
                 onRun(std::move(delivery));
               },
               [this](const ingest::RunDelivery& delivery) {
-                if (checkpoints_)
+                if (!checkpoints_) return;
+                try {
                   checkpoints_->checkpoint(delivery.jobIndex,
                                            delivery.account,
                                            delivery.artifacts);
+                } catch (...) {
+                  // The run is folded nowhere: a later upload of its job
+                  // (a re-run) must not be taken for a duplicate.
+                  releaseJob(delivery.jobIndex);
+                  throw;
+                }
               }) {
   if (!config_.checkpointDirectory.empty())
     checkpoints_.emplace(config_.checkpointDirectory);
@@ -294,16 +295,15 @@ bool SpectorDaemon::pumpOnce() {
     const std::scoped_lock lock(publishMutex_);
     deltas.swap(publishQueue_);
   }
-  for (auto& delta : deltas) {
+  for (const auto& delta : deltas) {
     worked = true;
-    publishRun(std::move(delta));
+    publishRun(delta);
     pendingPublishes_.fetch_sub(1, std::memory_order_release);
   }
 
-  // Snapshots owed (initial subscribes now include everything published
-  // above; resyncs wait for the queue to drain).
+  // Resync snapshots owed to laggards whose queues have drained.
   for (auto& connPtr : conns_) {
-    if (!connPtr->closed()) sendSnapshots(*connPtr);
+    if (!connPtr->closed()) sendResync(*connPtr);
   }
 
   // Flush, disconnect, reap.
@@ -357,7 +357,6 @@ void SpectorDaemon::handleFrame(Connection& conn, Frame&& frame) {
         core::SpabEnvelope env = core::SpabEnvelope::decode(frame.body);
         RunAckMsg ack;
         ack.jobIndex = env.jobIndex;
-        SessionRecord& sess = sessions_[conn.clientId];
         if (!config_.assignment.owns(env.artifacts.packageName)) {
           ack.accepted = false;
           char buf[64];
@@ -366,11 +365,13 @@ void SpectorDaemon::handleFrame(Connection& conn, Frame&& frame) {
           ack.reason = buf;
           const std::scoped_lock lock(countersMutex_);
           ++counters_.runsRefused;
-        } else if (!sess.completedJobs.insert(env.jobIndex).second) {
-          // A resumed client re-uploading a run whose ack was severed:
-          // ack it (the client needs closure) without folding it again.
+        } else if (!claimJob(env.jobIndex)) {
+          // Already handed to the router: a run whose RunAck was lost,
+          // re-sent by a resumed or a fresh session, or one a Resume
+          // replayed. Ack it (the client needs closure) without folding it
+          // again.
           ack.accepted = true;
-          ack.reason = "duplicate upload (already folded this session)";
+          ack.reason = "duplicate upload (already folded)";
           const std::scoped_lock lock(countersMutex_);
           ++counters_.duplicateRunUploads;
         } else {
@@ -379,16 +380,6 @@ void SpectorDaemon::handleFrame(Connection& conn, Frame&& frame) {
           ack.accepted = true;
         }
         conn.sendControl(FrameType::RunAck, ack.encode());
-        return;
-      }
-      case FrameType::Subscribe: {
-        if (conn.kind != ClientKind::Dashboard) {
-          sendError(conn, 2, "Subscribe on a non-dashboard connection");
-          return;
-        }
-        const SubscribeMsg msg = SubscribeMsg::decode(frame.body);
-        conn.subscribed[topicIndex(msg.topic)] = true;
-        conn.needsSnapshot[topicIndex(msg.topic)] = true;
         return;
       }
       case FrameType::Admin: {
@@ -467,6 +458,11 @@ void SpectorDaemon::handleHello(Connection& conn, const Frame& frame) {
   ack.session = sess.token;
   ack.ackedFrames = sess.ackedFrames;
   conn.sendControl(FrameType::HelloAck, ack.encode());
+  // A dashboard connection subscribes by its Hello: the whole view now,
+  // every run folded after it as a delta (the publish step below runs
+  // after this dispatch, so no run is in both or in neither).
+  if (conn.kind == ClientKind::Dashboard)
+    conn.sendControl(FrameType::Snapshot, dashboard_.encode());
 }
 
 void SpectorDaemon::handleAdmin(Connection& conn, const AdminMsg& msg) {
@@ -496,22 +492,17 @@ void SpectorDaemon::handleAdmin(Connection& conn, const AdminMsg& msg) {
       break;
     }
     case AdminOp::Resume: {
-      if (!checkpoints_) {
+      try {
+        const ResumeResult resumed = resumeFromCheckpoints();
+        char buf[96];
+        std::snprintf(buf, sizeof(buf),
+                      "replayed %zu runs, quarantined %zu bundles",
+                      resumed.replayed.size(), resumed.quarantined);
+        ack.info = buf;
+      } catch (const std::exception& error) {
         ack.ok = false;
-        ack.info = "no checkpoint directory";
-        break;
+        ack.info = error.what();
       }
-      orch::RecoveryReport report =
-          orch::StudyRecovery::scan(checkpoints_->directory());
-      for (auto& run : report.runs)
-        ingest_.submitReplay(run.jobIndex, std::move(run.artifacts),
-                             run.account);
-      if (!drainForAdmin(ack)) break;
-      char buf[96];
-      std::snprintf(buf, sizeof(buf),
-                    "replayed %zu runs, quarantined %zu bundles",
-                    report.runs.size(), report.quarantined.size());
-      ack.info = buf;
       break;
     }
     case AdminOp::Status: {
@@ -535,6 +526,33 @@ void SpectorDaemon::handleAdmin(Connection& conn, const AdminMsg& msg) {
   conn.sendControl(FrameType::AdminAck, ack.encode());
 }
 
+SpectorDaemon::ResumeResult SpectorDaemon::resumeFromCheckpoints() {
+  if (!checkpoints_) throw std::runtime_error("no checkpoint directory");
+  orch::RecoveryReport report =
+      orch::StudyRecovery::scan(checkpoints_->directory());
+  ResumeResult result;
+  result.quarantined = report.quarantined.size();
+  // The scan leaves survivors in place, so a second resume (or one after
+  // live uploads) finds runs the router already has: skip them.
+  for (auto& run : report.runs) {
+    if (!claimJob(run.jobIndex)) continue;
+    result.replayed.push_back(run.jobIndex);
+    ingest_.submitReplay(run.jobIndex, std::move(run.artifacts), run.account);
+  }
+  ingest_.drain();
+  return result;
+}
+
+bool SpectorDaemon::claimJob(std::uint64_t jobIndex) {
+  const std::scoped_lock lock(foldedJobsMutex_);
+  return foldedJobs_.insert(jobIndex).second;
+}
+
+void SpectorDaemon::releaseJob(std::uint64_t jobIndex) {
+  const std::scoped_lock lock(foldedJobsMutex_);
+  foldedJobs_.erase(jobIndex);
+}
+
 bool SpectorDaemon::drainForAdmin(AdminAckMsg& ack) {
   try {
     ingest_.drain();
@@ -554,101 +572,42 @@ void SpectorDaemon::sendError(Connection& conn, std::uint16_t code,
   conn.sendControl(FrameType::Error, err.encode());
 }
 
-void SpectorDaemon::publishRun(DeltaMsg&& delta) {
-  // One message carries every topic's payload: the daemon folds it into
-  // its own mirror topic by topic, exactly as a subscriber to all three
-  // topics folds it, and sends each subscribed topic the same message.
-  // Only the Progress counters are the loop's: they are as of this run,
-  // in fold order.
-  delta.runsFolded = dashboard_.runsFolded + 1;
-  delta.expectedRuns = config_.expectedRuns;
-  delta.reportsDelivered =
-      dashboard_.reportsDelivered + delta.account.uniqueDelivered;
-  delta.reportsLost = dashboard_.reportsLost + delta.account.lost;
+void SpectorDaemon::publishRun(const DeltaMsg& delta) {
+  // The daemon folds the run into its own mirror exactly as a subscriber
+  // folds it, then sends every dashboard connection the same message.
   {
     const std::scoped_lock lock(dashboardMutex_);
-    for (const Topic topic : kTopics) {
-      delta.topic = topic;
-      dashboard_.applyDelta(delta);
-    }
+    dashboard_.applyDelta(delta);
   }
-
-  // Encode each topic's delta at most once, shared across subscribers.
-  std::array<std::vector<std::uint8_t>, 4> bodies;
-  const auto bodyFor = [&](Topic topic) -> const std::vector<std::uint8_t>& {
-    std::vector<std::uint8_t>& body = bodies[topicIndex(topic)];
-    if (body.empty()) {
-      delta.topic = topic;
-      body = delta.encode();
-    }
-    return body;
-  };
-
+  std::vector<std::uint8_t> body;  // encoded for the first subscriber
   for (auto& connPtr : conns_) {
     Connection& conn = *connPtr;
+    // A connection owed a resync skips deltas: the runs they carry are
+    // already inside the snapshot it will get.
     if (conn.closed() || conn.disconnectAfterFlush || !conn.helloDone ||
-        conn.kind != ClientKind::Dashboard)
+        conn.kind != ClientKind::Dashboard || conn.resyncOwed)
       continue;
-    for (const Topic topic : kTopics) {
-      const std::size_t i = topicIndex(topic);
-      // A connection awaiting a snapshot skips deltas: the runs they carry
-      // are already inside the snapshot it will get.
-      if (!conn.subscribed[i] || conn.needsSnapshot[i]) continue;
-      const bool sent = conn.sendDelta(bodyFor(topic));
-      {
-        const std::scoped_lock lock(countersMutex_);
-        ++(sent ? counters_.subscriberDeltasSent
-                : counters_.subscriberDeltasDropped);
-      }
-      if (!sent) {
-        // Dropped: the topic resyncs from a snapshot once the laggard has
-        // drained its queue.
-        conn.needsSnapshot[i] = true;
-        conn.resyncSnapshot[i] = true;
-      }
-    }
-  }
-}
-
-void SpectorDaemon::sendSnapshots(Connection& conn) {
-  if (!conn.helloDone || conn.kind != ClientKind::Dashboard) return;
-  for (const Topic topic : kTopics) {
-    const std::size_t i = topicIndex(topic);
-    if (!conn.subscribed[i] || !conn.needsSnapshot[i]) continue;
-    // A resync waits until the laggard drained its queue — re-queueing a
-    // snapshot behind a full queue would grow it without bound.
-    if (conn.resyncSnapshot[i] && !conn.writeQueueEmpty()) continue;
-    conn.sendControl(FrameType::Snapshot, buildSnapshot(topic).encode());
-    if (conn.resyncSnapshot[i]) {
+    if (body.empty()) body = delta.encode();
+    const bool sent = conn.sendDelta(body);
+    {
       const std::scoped_lock lock(countersMutex_);
-      ++counters_.subscriberSnapshotsResent;
+      ++(sent ? counters_.subscriberDeltasSent
+              : counters_.subscriberDeltasDropped);
     }
-    conn.needsSnapshot[i] = false;
-    conn.resyncSnapshot[i] = false;
+    // Dropped: the view resyncs from a snapshot once the laggard has
+    // drained its queue.
+    if (!sent) conn.resyncOwed = true;
   }
 }
 
-SnapshotMsg SpectorDaemon::buildSnapshot(Topic topic) const {
-  SnapshotMsg snap;
-  snap.topic = topic;
-  switch (topic) {
-    case Topic::Totals:
-      snap.totals = dashboard_.totals;
-      break;
-    case Topic::Loss:
-      snap.accounts.assign(dashboard_.accounts.begin(),
-                           dashboard_.accounts.end());
-      break;
-    case Topic::Progress:
-      break;
-  }
-  // Progress counters ride along on every snapshot (they are cheap and
-  // make any snapshot self-describing about how far the study is).
-  snap.runsFolded = dashboard_.runsFolded;
-  snap.expectedRuns = dashboard_.expectedRuns;
-  snap.reportsDelivered = dashboard_.reportsDelivered;
-  snap.reportsLost = dashboard_.reportsLost;
-  return snap;
+void SpectorDaemon::sendResync(Connection& conn) {
+  // A resync waits until the laggard drained its queue — re-queueing a
+  // snapshot behind a full queue would grow it without bound.
+  if (!conn.resyncOwed || !conn.writeQueueEmpty()) return;
+  conn.sendControl(FrameType::Snapshot, dashboard_.encode());
+  conn.resyncOwed = false;
+  const std::scoped_lock lock(countersMutex_);
+  ++counters_.subscriberSnapshotsResent;
 }
 
 std::string SpectorDaemon::statusJson() const {

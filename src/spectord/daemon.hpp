@@ -8,15 +8,15 @@
 //
 //  - clients connect over simulated duplex channels and speak the framed
 //    protocol (protocol.hpp) on three surfaces: report ingest (with
-//    session handshake + sequence resume), dashboard subscriptions
-//    (snapshot-on-subscribe + per-run delta frames) and admin ops;
+//    session handshake + sequence resume), dashboards (the whole view as
+//    a snapshot after the Hello, then one delta frame per run) and admin
+//    ops;
 //  - one event-loop thread owns every connection (the async-server
 //    idiom): it pumps reads into incremental parsers, dispatches frames,
-//    fills in each run's Progress counters, folds the run's DeltaMsg into
-//    the daemon's DashboardMirror with the subscribers' own applyDelta,
-//    and fans the same message out through bounded write queues — a
-//    lagging subscriber has deltas dropped and resyncs from a snapshot,
-//    so ingest never blocks on a dashboard;
+//    folds each run's DeltaMsg into the daemon's DashboardMirror with the
+//    subscribers' own applyDelta, and fans the same message out through
+//    bounded write queues — a lagging subscriber has deltas dropped and
+//    resyncs from a snapshot, so ingest never blocks on a dashboard;
 //  - heavy work stays on the router's shard consumer threads: the
 //    daemon's run callback attributes each run there (after the router
 //    checkpointed it), builds its DeltaMsg from the delivery and its
@@ -28,8 +28,14 @@
 // one connection are emitted by the same thread from the same mirror, so
 // a subscriber that folds every delta into its snapshot reconstructs the
 // daemon's mirror *exactly* (no double counting across the subscribe
-// boundary, no missed runs): after drain(), a subscriber to all three
-// topics holds a mirror == dashboard() — the dashboard tests pin this.
+// boundary, no missed runs): after drain(), every dashboard connection
+// holds a mirror == dashboard() — the dashboard tests pin this.
+//
+// Each job index reaches the router once: fresh uploads and checkpoint
+// replays share one daemon-wide set of the indices already handed over,
+// so a re-upload (from any session) or a second resume is acked or
+// skipped, never folded twice. A run whose checkpoint write fails is
+// folded nowhere and leaves the set, so a re-run of its job can land.
 //
 // Multi-collector mode: each daemon owns a contiguous slice of the 64-bit
 // fnv1a hash of package-name space (CollectorAssignment). RunComplete
@@ -81,8 +87,8 @@ struct CollectorAssignment {
 
 struct DaemonConfig {
   ingest::IngestConfig ingest;
-  /// Total runs this collector expects (its share of the study), for the
-  /// Progress topic. 0 = unknown.
+  /// Total runs this collector expects (its share of the study), carried
+  /// by the dashboard's snapshots. 0 = unknown.
   std::uint64_t expectedRuns = 0;
   /// Checkpoint directory for crash-safe `.spab` persistence; empty runs
   /// the daemon in-memory only (no checkpoints, no admin resume).
@@ -93,9 +99,9 @@ struct DaemonConfig {
   std::size_t channelCapacity = 64 * 1024;
   /// Write-queue budget per connection, counted against the bytes the
   /// subscriber's channel has not accepted yet: a delta frame that would
-  /// exceed it behind a non-empty queue is dropped, and its topic resyncs
-  /// from a snapshot once the subscriber has drained its queue. A delta
-  /// into an empty queue is always accepted.
+  /// exceed it behind a non-empty queue is dropped, and the subscriber
+  /// resyncs from a snapshot once it has drained its queue. A delta into
+  /// an empty queue is always accepted.
   std::size_t subscriberQueueBytes = 256 * 1024;
 };
 
@@ -138,13 +144,24 @@ class SpectorDaemon {
   [[nodiscard]] bool running() const;
 
   /// A copy of the daemon's dashboard view (any thread): every run
-  /// published so far, as a subscriber to all three topics mirrors it.
+  /// published so far, as every dashboard connection mirrors it.
   [[nodiscard]] DashboardMirror dashboard() const;
+
+  struct ResumeResult {
+    std::vector<std::uint64_t> replayed;  // job indices, in scan order
+    std::size_t quarantined = 0;          // bundles the scan quarantined
+  };
+  /// Scan the checkpoint directory, replay every surviving run whose job
+  /// index the router has not been handed yet (submitReplay keeps its
+  /// persisted loss account), and drain the router. Serves the admin
+  /// Resume op and runCollector's resume; any thread. Throws without a
+  /// checkpoint directory, and what the scan or the drain throws.
+  ResumeResult resumeFromCheckpoints();
   /// Router metrics with the daemon's service counters in `service`.
   [[nodiscard]] ingest::IngestMetrics metrics() const;
 
-  /// Direct router access for in-process producers (the cluster driver
-  /// replays recovered runs through submitReplay).
+  /// The router (runCollector stops dispatching once it failed()).
+  /// A run submitted straight into it bypasses the daemon's job set.
   [[nodiscard]] ingest::ShardedIngest& ingest() noexcept { return ingest_; }
   [[nodiscard]] const DaemonConfig& config() const noexcept {
     return config_;
@@ -162,10 +179,6 @@ class SpectorDaemon {
   struct SessionRecord {
     std::uint64_t token = 0;
     std::uint64_t ackedFrames = 0;  // report frames accepted, cumulative
-    /// Job indices this session has accepted a RunComplete for: a resumed
-    /// client re-uploading a run whose ack was severed is acked without
-    /// folding the run a second time.
-    std::set<std::uint64_t> completedJobs;
   };
 
   void loopMain();
@@ -177,6 +190,11 @@ class SpectorDaemon {
   void handleFrame(Connection& conn, Frame&& frame);
   void handleHello(Connection& conn, const Frame& frame);
   void handleAdmin(Connection& conn, const AdminMsg& msg);
+  /// Record `jobIndex` as handed to the router; false when it already
+  /// was (fresh or replayed). Any thread.
+  bool claimJob(std::uint64_t jobIndex);
+  /// Forget `jobIndex` after its checkpoint write failed (shard thread).
+  void releaseJob(std::uint64_t jobIndex);
   /// Drain the router for an admin op. A run that failed to checkpoint
   /// answers the op with ok = false and the reason; returns false then.
   bool drainForAdmin(AdminAckMsg& ack);
@@ -193,11 +211,11 @@ class SpectorDaemon {
   /// Shard-thread run callback: attribute, queue the run's DeltaMsg for
   /// the loop, fold the accumulator.
   void onRun(ingest::RunDelivery&& delivery);
-  /// Loop-thread only: fill in the Progress counters, fold the run into
-  /// the mirror and fan its delta out.
-  void publishRun(DeltaMsg&& delta);
-  void sendSnapshots(Connection& conn);
-  [[nodiscard]] SnapshotMsg buildSnapshot(Topic topic) const;
+  /// Loop-thread only: fold the run into the mirror and fan its delta out.
+  void publishRun(const DeltaMsg& delta);
+  /// Loop-thread only: the snapshot a laggard is owed, once its write
+  /// queue has drained.
+  void sendResync(Connection& conn);
   [[nodiscard]] std::string statusJson() const;
 
   DaemonConfig config_;
@@ -243,6 +261,12 @@ class SpectorDaemon {
 
   mutable std::mutex countersMutex_;
   ingest::ServiceCounters counters_;
+
+  // Job indices handed to the router, fresh or replayed, less those whose
+  // checkpoint write failed (loop, shard threads, resumeFromCheckpoints'
+  // caller).
+  std::mutex foldedJobsMutex_;
+  std::set<std::uint64_t> foldedJobs_;
 
   // After everything the run callback touches: its destructor joins the
   // shard threads, which finish any run still queued.

@@ -239,146 +239,32 @@ RunAckMsg RunAckMsg::decode(std::span<const std::uint8_t> body) {
   return msg;
 }
 
-std::vector<std::uint8_t> SubscribeMsg::encode() const {
-  util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(topic));
-  return w.take();
-}
-
-SubscribeMsg SubscribeMsg::decode(std::span<const std::uint8_t> body) {
-  util::ByteReader r(body);
-  SubscribeMsg msg;
-  const std::uint8_t topic = r.u8();
-  if (topic < static_cast<std::uint8_t>(Topic::Totals) ||
-      topic > static_cast<std::uint8_t>(Topic::Progress))
-    throw util::DecodeError("spectord Subscribe: unknown topic");
-  msg.topic = static_cast<Topic>(topic);
-  return msg;
-}
-
-std::vector<std::uint8_t> SnapshotMsg::encode() const {
-  util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(topic));
-  switch (topic) {
-    case Topic::Totals:
-      w.u64(totals.runsFolded);
-      w.u64(totals.flowCount);
-      w.u64(totals.attributedBytes);
-      w.u64(totals.unattributedBytes);
-      writeStrU64Map(w, totals.bytesByLibrary);
-      writeStrU64Map(w, totals.bytesByLibCategory);
-      writeStrU64Map(w, totals.bytesByApp);
-      break;
-    case Topic::Loss:
-      w.u32(util::checkedU32(accounts.size(), "spectord loss accounts"));
-      for (const auto& [sha, account] : accounts) {
-        w.str(sha);
-        writeAccount(w, account);
-      }
-      break;
-    case Topic::Progress:
-      w.u64(runsFolded);
-      w.u64(expectedRuns);
-      w.u64(reportsDelivered);
-      w.u64(reportsLost);
-      break;
-  }
-  return w.take();
-}
-
-SnapshotMsg SnapshotMsg::decode(std::span<const std::uint8_t> body) {
-  util::ByteReader r(body);
-  SnapshotMsg msg;
-  const std::uint8_t topic = r.u8();
-  if (topic < static_cast<std::uint8_t>(Topic::Totals) ||
-      topic > static_cast<std::uint8_t>(Topic::Progress))
-    throw util::DecodeError("spectord Snapshot: unknown topic");
-  msg.topic = static_cast<Topic>(topic);
-  switch (msg.topic) {
-    case Topic::Totals:
-      msg.totals.runsFolded = r.u64();
-      msg.totals.flowCount = r.u64();
-      msg.totals.attributedBytes = r.u64();
-      msg.totals.unattributedBytes = r.u64();
-      msg.totals.bytesByLibrary = readStrU64Map(r);
-      msg.totals.bytesByLibCategory = readStrU64Map(r);
-      msg.totals.bytesByApp = readStrU64Map(r);
-      break;
-    case Topic::Loss: {
-      const std::uint32_t n = r.countCheck(r.u32(), 4 + 48);
-      msg.accounts.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        std::string sha = r.str();
-        msg.accounts.emplace_back(std::move(sha), readAccount(r));
-      }
-      break;
-    }
-    case Topic::Progress:
-      msg.runsFolded = r.u64();
-      msg.expectedRuns = r.u64();
-      msg.reportsDelivered = r.u64();
-      msg.reportsLost = r.u64();
-      break;
-  }
-  return msg;
-}
-
 std::vector<std::uint8_t> DeltaMsg::encode() const {
   util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(topic));
   w.u64(jobIndex);
   w.str(apkSha256);
   w.u8(replayed ? 1 : 0);
-  switch (topic) {
-    case Topic::Totals:
-      w.u64(flowCount);
-      w.u64(attributedBytes);
-      w.u64(unattributedBytes);
-      writeStrU64Pairs(w, bytesByLibrary);
-      writeStrU64Pairs(w, bytesByLibCategory);
-      break;
-    case Topic::Loss:
-      writeAccount(w, account);
-      break;
-    case Topic::Progress:
-      w.u64(runsFolded);
-      w.u64(expectedRuns);
-      w.u64(reportsDelivered);
-      w.u64(reportsLost);
-      break;
-  }
+  w.u64(flowCount);
+  w.u64(attributedBytes);
+  w.u64(unattributedBytes);
+  writeStrU64Pairs(w, bytesByLibrary);
+  writeStrU64Pairs(w, bytesByLibCategory);
+  writeAccount(w, account);
   return w.take();
 }
 
 DeltaMsg DeltaMsg::decode(std::span<const std::uint8_t> body) {
   util::ByteReader r(body);
   DeltaMsg msg;
-  const std::uint8_t topic = r.u8();
-  if (topic < static_cast<std::uint8_t>(Topic::Totals) ||
-      topic > static_cast<std::uint8_t>(Topic::Progress))
-    throw util::DecodeError("spectord Delta: unknown topic");
-  msg.topic = static_cast<Topic>(topic);
   msg.jobIndex = r.u64();
   msg.apkSha256 = r.str();
   msg.replayed = r.u8() != 0;
-  switch (msg.topic) {
-    case Topic::Totals:
-      msg.flowCount = r.u64();
-      msg.attributedBytes = r.u64();
-      msg.unattributedBytes = r.u64();
-      msg.bytesByLibrary = readStrU64Pairs(r);
-      msg.bytesByLibCategory = readStrU64Pairs(r);
-      break;
-    case Topic::Loss:
-      msg.account = readAccount(r);
-      break;
-    case Topic::Progress:
-      msg.runsFolded = r.u64();
-      msg.expectedRuns = r.u64();
-      msg.reportsDelivered = r.u64();
-      msg.reportsLost = r.u64();
-      break;
-  }
+  msg.flowCount = r.u64();
+  msg.attributedBytes = r.u64();
+  msg.unattributedBytes = r.u64();
+  msg.bytesByLibrary = readStrU64Pairs(r);
+  msg.bytesByLibCategory = readStrU64Pairs(r);
+  msg.account = readAccount(r);
   return msg;
 }
 
@@ -386,50 +272,60 @@ DeltaMsg DeltaMsg::decode(std::span<const std::uint8_t> body) {
 // Dashboard mirror.
 // ---------------------------------------------------------------------------
 
-void DashboardMirror::applySnapshot(const SnapshotMsg& snapshot) {
-  switch (snapshot.topic) {
-    case Topic::Totals:
-      totals = snapshot.totals;
-      break;
-    case Topic::Loss:
-      accounts.clear();
-      for (const auto& [sha, account] : snapshot.accounts)
-        accounts[sha] = account;
-      break;
-    case Topic::Progress:
-      break;
-  }
-  runsFolded = snapshot.runsFolded;
-  expectedRuns = snapshot.expectedRuns;
-  reportsDelivered = snapshot.reportsDelivered;
-  reportsLost = snapshot.reportsLost;
+void DashboardMirror::applyDelta(const DeltaMsg& delta) {
+  totals.flowCount += delta.flowCount;
+  totals.attributedBytes += delta.attributedBytes;
+  totals.unattributedBytes += delta.unattributedBytes;
+  for (const auto& [lib, bytes] : delta.bytesByLibrary)
+    totals.bytesByLibrary[lib] += bytes;
+  for (const auto& [cat, bytes] : delta.bytesByLibCategory)
+    totals.bytesByLibCategory[cat] += bytes;
+  totals.bytesByApp[delta.apkSha256] += delta.attributedBytes;
+  accounts[delta.apkSha256] = delta.account;
+  ++runsFolded;
+  reportsDelivered += delta.account.uniqueDelivered;
+  reportsLost += delta.account.lost;
 }
 
-void DashboardMirror::applyDelta(const DeltaMsg& delta) {
-  switch (delta.topic) {
-    case Topic::Totals: {
-      ++totals.runsFolded;
-      totals.flowCount += delta.flowCount;
-      totals.attributedBytes += delta.attributedBytes;
-      totals.unattributedBytes += delta.unattributedBytes;
-      for (const auto& [lib, bytes] : delta.bytesByLibrary)
-        totals.bytesByLibrary[lib] += bytes;
-      for (const auto& [cat, bytes] : delta.bytesByLibCategory)
-        totals.bytesByLibCategory[cat] += bytes;
-      totals.bytesByApp[delta.apkSha256] += delta.attributedBytes;
-      break;
-    }
-    case Topic::Loss:
-      accounts[delta.apkSha256] = delta.account;
-      break;
-    case Topic::Progress:
-      // Counters as of that run, emitted in fold order: replace.
-      runsFolded = delta.runsFolded;
-      expectedRuns = delta.expectedRuns;
-      reportsDelivered = delta.reportsDelivered;
-      reportsLost = delta.reportsLost;
-      break;
+std::vector<std::uint8_t> DashboardMirror::encode() const {
+  util::ByteWriter w;
+  w.u64(runsFolded);
+  w.u64(expectedRuns);
+  w.u64(reportsDelivered);
+  w.u64(reportsLost);
+  w.u64(totals.flowCount);
+  w.u64(totals.attributedBytes);
+  w.u64(totals.unattributedBytes);
+  writeStrU64Map(w, totals.bytesByLibrary);
+  writeStrU64Map(w, totals.bytesByLibCategory);
+  writeStrU64Map(w, totals.bytesByApp);
+  w.u32(util::checkedU32(accounts.size(), "spectord loss accounts"));
+  for (const auto& [sha, account] : accounts) {
+    w.str(sha);
+    writeAccount(w, account);
   }
+  return w.take();
+}
+
+DashboardMirror DashboardMirror::decode(std::span<const std::uint8_t> body) {
+  util::ByteReader r(body);
+  DashboardMirror mirror;
+  mirror.runsFolded = r.u64();
+  mirror.expectedRuns = r.u64();
+  mirror.reportsDelivered = r.u64();
+  mirror.reportsLost = r.u64();
+  mirror.totals.flowCount = r.u64();
+  mirror.totals.attributedBytes = r.u64();
+  mirror.totals.unattributedBytes = r.u64();
+  mirror.totals.bytesByLibrary = readStrU64Map(r);
+  mirror.totals.bytesByLibCategory = readStrU64Map(r);
+  mirror.totals.bytesByApp = readStrU64Map(r);
+  const std::uint32_t n = r.countCheck(r.u32(), 4 + 48);  // str len + account
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::string sha = r.str();
+    mirror.accounts.emplace(std::move(sha), readAccount(r));
+  }
+  return mirror;
 }
 
 std::vector<std::uint8_t> AdminMsg::encode() const {

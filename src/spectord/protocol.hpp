@@ -21,9 +21,10 @@
 //    Report frames carrying core::ReportFrame datagram bytes verbatim,
 //    RunComplete frames carrying core::SpabEnvelope bytes (the checkpoint
 //    format reused as the upload format), cumulative ReportAck flow.
-//  - dashboard subscriptions: Subscribe(topic), full Snapshot on
-//    subscribe, incremental Delta frames per finalized run, both folded
-//    by DashboardMirror (the daemon keeps its own view as one, too).
+//  - dashboard: a Dashboard Hello subscribes; the daemon answers with a
+//    Snapshot whose body is its whole DashboardMirror, then one Delta per
+//    folded run, which the subscriber folds with the daemon's own
+//    DashboardMirror::applyDelta.
 //  - admin ops: Admin(op, arg) / AdminAck — drain, evict-apk,
 //    resume-from-checkpoint, status, shutdown.
 #pragma once
@@ -53,8 +54,8 @@ enum class FrameType : std::uint8_t {
   ReportAck = 5,
   RunComplete = 6,
   RunAck = 7,
-  // Dashboard surface.
-  Subscribe = 8,
+  // Dashboard surface. Value 8 is unassigned: the daemon answers it with
+  // Error code 3, like any frame type a client does not send.
   Snapshot = 9,
   Delta = 10,
   // Admin surface.
@@ -70,13 +71,6 @@ enum class ClientKind : std::uint8_t {
   Ingest = 1,
   Dashboard = 2,
   Admin = 3,
-};
-
-/// Dashboard subscription topics.
-enum class Topic : std::uint8_t {
-  Totals = 1,    // rolling per-apk / per-library byte totals
-  Loss = 2,      // exact per-apk loss accounts
-  Progress = 3,  // study progress (runs folded vs expected)
 };
 
 /// Admin operations. Value 2 is unassigned: AdminMsg::decode rejects it.
@@ -186,25 +180,16 @@ struct RunAckMsg {
   std::uint64_t jobIndex = 0;
   bool accepted = false;  // false: outside this collector's shard range
   /// Empty when accepted and fresh; says why when refused, or when the
-  /// session already uploaded this jobIndex (a resumed client re-sending
-  /// a RunComplete whose ack was lost: accepted, not folded again).
+  /// daemon already has this jobIndex (a client re-sending a RunComplete
+  /// whose ack was lost, from any session: accepted, not folded again).
   std::string reason;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   [[nodiscard]] static RunAckMsg decode(std::span<const std::uint8_t> body);
 };
 
-struct SubscribeMsg {
-  Topic topic = Topic::Totals;
-
-  [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  [[nodiscard]] static SubscribeMsg decode(std::span<const std::uint8_t> body);
-};
-
-/// The Totals topic's study-so-far view: what every run folded so far
-/// adds up to.
+/// The dashboard's byte totals: what every run folded so far adds up to.
 struct RollingTotals {
-  std::uint64_t runsFolded = 0;
   std::uint64_t flowCount = 0;
   std::uint64_t attributedBytes = 0;    // sent + recv across flows
   std::uint64_t unattributedBytes = 0;  // TCP payload lost context covers
@@ -216,67 +201,45 @@ struct RollingTotals {
   [[nodiscard]] bool operator==(const RollingTotals&) const = default;
 };
 
-/// Full state of one topic (sent on subscribe, and re-sent after a slow
-/// subscriber has had deltas dropped — snapshot-resync).
-struct SnapshotMsg {
-  Topic topic = Topic::Totals;
-  RollingTotals totals;  // Topic::Totals
-  std::vector<std::pair<std::string, core::ApkLossAccount>>
-      accounts;  // Topic::Loss, sha-sorted
-  // Topic::Progress.
-  std::uint64_t runsFolded = 0;
-  std::uint64_t expectedRuns = 0;
-  std::uint64_t reportsDelivered = 0;
-  std::uint64_t reportsLost = 0;
-
-  [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  [[nodiscard]] static SnapshotMsg decode(std::span<const std::uint8_t> body);
-};
-
 /// One finalized run's increment, the unit of dashboard streaming. The
-/// daemon builds one per run with every topic's payload filled in, folds
-/// it into its own mirror once per topic and sends each subscribed topic
-/// the same message; a subscriber that folds every delta into its
-/// snapshot mirror reconstructs the daemon's view exactly (the dashboard
-/// tests pin this).
+/// daemon builds one per run, folds it into its own mirror and sends every
+/// dashboard connection the same message; a subscriber that folds every
+/// delta into its snapshot reconstructs the daemon's view exactly (the
+/// dashboard tests pin this).
 struct DeltaMsg {
-  Topic topic = Topic::Totals;
   std::uint64_t jobIndex = 0;
   std::string apkSha256;
   bool replayed = false;
-  // Topic::Totals payload.
   std::uint64_t flowCount = 0;
   std::uint64_t attributedBytes = 0;
   std::uint64_t unattributedBytes = 0;
   std::vector<std::pair<std::string, std::uint64_t>> bytesByLibrary;
   std::vector<std::pair<std::string, std::uint64_t>> bytesByLibCategory;
-  // Topic::Loss payload.
   core::ApkLossAccount account;
-  // Topic::Progress payload: the counters as of this run, not increments.
-  // The daemon's one loop emits runs in fold order, so a mirror replaces
-  // its counters with these.
-  std::uint64_t runsFolded = 0;
-  std::uint64_t expectedRuns = 0;
-  std::uint64_t reportsDelivered = 0;
-  std::uint64_t reportsLost = 0;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   [[nodiscard]] static DeltaMsg decode(std::span<const std::uint8_t> body);
 };
 
-/// The dashboard view: snapshots replace a topic, deltas fold one run into
-/// it. The daemon's own view is one of these, fed every topic of every
-/// run's delta, so a subscriber to all three topics ends equal to it.
+/// The dashboard view. The daemon keeps its own as one of these and sends
+/// it whole as a Snapshot body; every run's delta is folded into it with
+/// applyDelta, by the daemon and by each subscriber alike, so a subscriber
+/// ends equal to the daemon's view.
 struct DashboardMirror {
   RollingTotals totals;
   std::map<std::string, core::ApkLossAccount> accounts;  // sha-sorted
   std::uint64_t runsFolded = 0;
-  std::uint64_t expectedRuns = 0;
+  std::uint64_t expectedRuns = 0;  // set by the daemon, carried by snapshots
   std::uint64_t reportsDelivered = 0;
   std::uint64_t reportsLost = 0;
 
-  void applySnapshot(const SnapshotMsg& snapshot);
+  /// Fold one run: its byte sums, its loss account, and the progress
+  /// counters (one more run, its delivered and lost reports).
   void applyDelta(const DeltaMsg& delta);
+
+  [[nodiscard]] std::vector<std::uint8_t> encode() const;
+  [[nodiscard]] static DashboardMirror decode(
+      std::span<const std::uint8_t> body);
 
   [[nodiscard]] bool operator==(const DashboardMirror&) const = default;
 };

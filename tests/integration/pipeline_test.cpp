@@ -3,6 +3,7 @@
 // seed — the paper's qualitative findings in miniature.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <mutex>
 
 #include "core/analysis.hpp"
@@ -38,18 +39,20 @@ StudyOutcome runStudy(std::size_t apps, std::uint64_t seed) {
   orch::DispatcherConfig config;
   config.workers = 4;
   orch::Dispatcher dispatcher(generator.farm(), nullptr, config);
-  std::size_t next = 0;
-  dispatcher.run(
+  std::atomic<std::size_t> cursor{0};
+  std::mutex foldMutex;
+  dispatcher.runConcurrent(
       [&]() -> std::optional<orch::Dispatcher::Job> {
-        if (next >= generator.appCount()) return std::nullopt;
-        const std::size_t index = next++;
+        const std::size_t index = cursor.fetch_add(1);
+        if (index >= generator.appCount()) return std::nullopt;
         auto job = generator.makeJob(index);
         return orch::Dispatcher::Job{.apk = std::move(job.apk),
                                      .program = std::move(job.program),
                                      .index = index};
       },
-      [&](core::RunArtifacts&& artifacts) {
+      [&](std::size_t, core::RunArtifacts&& artifacts) {
         const auto flows = attributor.attributeColumns(artifacts);
+        const std::scoped_lock lock(foldMutex);
         outcome.totalReports += artifacts.reports.size();
         outcome.totalFlows += flows.size();
         outcome.study.addAppColumns(artifacts, flows);

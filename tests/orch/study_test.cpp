@@ -195,8 +195,6 @@ TEST(StudyRunnerTest, ReportsDispatcherThroughput) {
   EXPECT_GT(output.dispatcherStats.elapsedSeconds, 0.0);
   EXPECT_GT(output.dispatcherStats.jobsPerSecond(), 0.0);
   EXPECT_GE(output.dispatcherStats.jobMsMax, output.dispatcherStats.jobMsMean());
-  // The concurrent path never waits on a serialized sink lock.
-  EXPECT_EQ(output.dispatcherStats.sinkBlockedMsTotal, 0.0);
 }
 
 TEST(StudyRunnerTest, DeterministicAcrossCalls) {

@@ -1,11 +1,12 @@
 // The spectord daemon end to end over simulated duplex channels: session
 // handshake + resume (spoken in raw frames), wire ingest equal to an
 // in-process router that attributes and folds, exact loss accounting
-// through a chaos channel, one delta per run per topic built from the
-// run's delivery and flows, dashboard mirrors equal to the daemon's own
-// view (early, mid-study, prompt and resynced subscribers), bounded
-// slow-subscriber handling (drop deltas, resync from a snapshot), and the
-// admin surface (status, evict, drain, resume-from-checkpoint, shutdown).
+// through a chaos channel, a snapshot of the whole view after a dashboard
+// Hello and one delta per run built from the run's delivery and flows,
+// dashboard mirrors equal to the daemon's own view (early, mid-study,
+// prompt and resynced subscribers), bounded slow-subscriber handling (drop
+// deltas, resync from a snapshot), and the admin surface (status, evict,
+// drain, resume-from-checkpoint, shutdown).
 #include "spectord/daemon.hpp"
 
 #include <gtest/gtest.h>
@@ -51,6 +52,18 @@ std::optional<Frame> helloReply(ClientChannel& channel, std::uint64_t clientId,
   hello.resumeSession = resumeSession;
   if (!channel.send(FrameType::Hello, hello.encode())) return std::nullopt;
   return channel.read(5000ms);
+}
+
+/// Open a raw dashboard connection by hand: its Hello subscribes, so the
+/// HelloAck is followed by a snapshot of the daemon's whole view. Returns
+/// that view (nullopt if the replies were not those two frames).
+std::optional<DashboardMirror> dashboardHello(ClientChannel& channel,
+                                              std::uint64_t clientId) {
+  const auto ack = helloReply(channel, clientId, ClientKind::Dashboard);
+  if (!ack || ack->type != FrameType::HelloAck) return std::nullopt;
+  const auto snapshot = channel.read(5000ms);
+  if (!snapshot || snapshot->type != FrameType::Snapshot) return std::nullopt;
+  return DashboardMirror::decode(snapshot->body);
 }
 
 class SpectordDaemonTest : public ::testing::Test {
@@ -122,15 +135,38 @@ TEST_F(SpectordDaemonTest, WrongSurfaceFrameIsRejected) {
   // A dashboard connection must not be able to inject reports.
   // Reach under the client: open a second raw channel as Dashboard.
   ClientChannel channel(daemon->connect());
-  const auto ack = helloReply(channel, /*clientId=*/78, ClientKind::Dashboard);
-  ASSERT_TRUE(ack.has_value());
-  ASSERT_EQ(ack->type, FrameType::HelloAck);
+  ASSERT_TRUE(dashboardHello(channel, /*clientId=*/78).has_value());
   const std::vector<std::uint8_t> payload = {9, 9};
   ASSERT_TRUE(channel.send(FrameType::Report, payload));
   const auto frame = channel.read(5000ms);
   ASSERT_TRUE(frame.has_value());
   ASSERT_EQ(frame->type, FrameType::Error);
   EXPECT_EQ(ErrorMsg::decode(frame->body).code, 2u);
+}
+
+TEST_F(SpectordDaemonTest, UnassignedFrameTypeIsAnsweredWithError) {
+  // Frame type 8 names no frame: the daemon answers it with Error code 3,
+  // like any frame type a client does not send, and the dashboard
+  // connection keeps receiving deltas.
+  auto daemon = makeDaemon(daemonConfig());
+  ClientChannel dashboard(daemon->connect());
+  ASSERT_TRUE(dashboardHello(dashboard, /*clientId=*/80).has_value());
+
+  ASSERT_TRUE(dashboard.send(static_cast<FrameType>(8), {}));
+  const auto error = dashboard.read(5000ms);
+  ASSERT_TRUE(error.has_value());
+  ASSERT_EQ(error->type, FrameType::Error);
+  EXPECT_EQ(ErrorMsg::decode(error->body).code, 3u);
+
+  IngestClient client(connectTo(*daemon), /*clientId=*/12);
+  client.uploadRun(0, runApp(0, &client));
+  ASSERT_TRUE(client.flush().empty());
+  daemon->drain();
+  const auto delta = dashboard.read(10000ms);
+  ASSERT_TRUE(delta.has_value());
+  ASSERT_EQ(delta->type, FrameType::Delta);
+  EXPECT_EQ(DeltaMsg::decode(delta->body).jobIndex, 0u);
+  client.bye();
 }
 
 TEST_F(SpectordDaemonTest, UnassignedAdminOpIsAnsweredWithError) {
@@ -271,29 +307,16 @@ TEST_F(SpectordDaemonTest, ChaosChannelDamageIsAccountedExactly) {
   client.bye();
 }
 
-TEST_F(SpectordDaemonTest, PublishesOneDeltaPerRunPerTopic) {
+TEST_F(SpectordDaemonTest, PublishesOneDeltaPerRun) {
   // Each run's DeltaMsg is built on its shard thread from the delivery and
-  // its flow columns; the loop fans it out once per subscribed topic, as
-  // the run lands. A raw dashboard connection keeps every delta it reads.
+  // its flow columns; the loop sends it to every dashboard connection as
+  // the run lands. A raw dashboard connection keeps every frame it reads.
   auto daemon = makeDaemon(daemonConfig());
   ClientChannel dashboard(daemon->connect());
-  const auto helloAck =
-      helloReply(dashboard, /*clientId=*/400, ClientKind::Dashboard);
-  ASSERT_TRUE(helloAck.has_value());
-  ASSERT_EQ(helloAck->type, FrameType::HelloAck);
-  constexpr Topic kAllTopics[] = {Topic::Totals, Topic::Loss, Topic::Progress};
-  for (const Topic topic : kAllTopics) {
-    SubscribeMsg subscribe;
-    subscribe.topic = topic;
-    ASSERT_TRUE(dashboard.send(FrameType::Subscribe, subscribe.encode()));
-  }
-  // The snapshots come first, so every run below arrives as deltas.
-  for (const Topic topic : kAllTopics) {
-    const auto frame = dashboard.read(5000ms);
-    ASSERT_TRUE(frame.has_value());
-    ASSERT_EQ(frame->type, FrameType::Snapshot);
-    EXPECT_EQ(SnapshotMsg::decode(frame->body).topic, topic);
-  }
+  // The (empty) view comes first, so every run below arrives as a delta.
+  const auto view = dashboardHello(dashboard, /*clientId=*/400);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_TRUE(*view == DashboardMirror{});
 
   IngestClient client(connectTo(*daemon), /*clientId=*/10);
   constexpr std::size_t kRuns = 4;
@@ -305,39 +328,33 @@ TEST_F(SpectordDaemonTest, PublishesOneDeltaPerRunPerTopic) {
     client.uploadRun(i, artifacts);
     ASSERT_TRUE(client.flush().empty());
     daemon->drain();
-    // One delta per topic for this run, published as the run lands.
-    for (const Topic topic : kAllTopics) {
-      const auto frame = dashboard.read(10000ms);
-      ASSERT_TRUE(frame.has_value()) << "run " << i;
-      ASSERT_EQ(frame->type, FrameType::Delta) << "run " << i;
-      const DeltaMsg delta = DeltaMsg::decode(frame->body);
-      EXPECT_EQ(delta.topic, topic);
-      EXPECT_EQ(delta.jobIndex, i);
-      EXPECT_EQ(delta.apkSha256, sha);
-      EXPECT_FALSE(delta.replayed);
-      if (topic == Topic::Totals) {
-        flows += delta.flowCount;
-        attributed += delta.attributedBytes;
-        // Zero loss: every reported socket keeps its context.
-        EXPECT_EQ(delta.unattributedBytes, 0u);
-        // The per-library and per-category sums split the run's bytes.
-        std::uint64_t byLibrary = 0;
-        for (const auto& [library, bytes] : delta.bytesByLibrary)
-          byLibrary += bytes;
-        EXPECT_EQ(byLibrary, delta.attributedBytes);
-        std::uint64_t byCategory = 0;
-        for (const auto& [category, bytes] : delta.bytesByLibCategory)
-          byCategory += bytes;
-        EXPECT_EQ(byCategory, delta.attributedBytes);
-      } else if (topic == Topic::Loss) {
-        EXPECT_EQ(delta.account.lost, 0u);
-        EXPECT_GT(delta.account.reportsEmitted, 0u);
-      }
-    }
+    // One delta for this run, published as the run lands.
+    const auto frame = dashboard.read(10000ms);
+    ASSERT_TRUE(frame.has_value()) << "run " << i;
+    ASSERT_EQ(frame->type, FrameType::Delta) << "run " << i;
+    const DeltaMsg delta = DeltaMsg::decode(frame->body);
+    EXPECT_EQ(delta.jobIndex, i);
+    EXPECT_EQ(delta.apkSha256, sha);
+    EXPECT_FALSE(delta.replayed);
+    flows += delta.flowCount;
+    attributed += delta.attributedBytes;
+    // Zero loss: every reported socket keeps its context.
+    EXPECT_EQ(delta.unattributedBytes, 0u);
+    EXPECT_EQ(delta.account.lost, 0u);
+    EXPECT_GT(delta.account.reportsEmitted, 0u);
+    // The per-library and per-category sums split the run's bytes.
+    std::uint64_t byLibrary = 0;
+    for (const auto& [library, bytes] : delta.bytesByLibrary)
+      byLibrary += bytes;
+    EXPECT_EQ(byLibrary, delta.attributedBytes);
+    std::uint64_t byCategory = 0;
+    for (const auto& [category, bytes] : delta.bytesByLibCategory)
+      byCategory += bytes;
+    EXPECT_EQ(byCategory, delta.attributedBytes);
   }
   EXPECT_GT(flows, 0u);
   EXPECT_GT(attributed, 0u);
-  EXPECT_EQ(daemon->metrics().service.subscriberDeltasSent, 3 * kRuns);
+  EXPECT_EQ(daemon->metrics().service.subscriberDeltasSent, kRuns);
   client.bye();
 }
 
@@ -394,20 +411,17 @@ TEST_F(SpectordDaemonTest, DashboardMirrorReconstructsDaemonStateExactly) {
 
   // First subscriber sees an empty snapshot, then every run as a delta.
   DashboardClient early(daemon->connect(), /*clientId=*/100);
-  early.subscribe(Topic::Totals);
-  early.subscribe(Topic::Loss);
-  early.subscribe(Topic::Progress);
-  ASSERT_TRUE(early.waitForSnapshot(Topic::Progress, 5000ms));
+  ASSERT_TRUE(early.waitForSnapshot(5000ms));
 
   // Another thread reads the daemon's view while runs land: every copy is
-  // one whole run boundary, never half a run.
+  // one whole run boundary, never half a run (each run is a distinct apk).
   std::uint64_t reads = 0;
   std::jthread reader([&](std::stop_token landed) {
     std::uint64_t last = 0;
     while (!landed.stop_requested()) {
       const DashboardMirror view = daemon->dashboard();
-      EXPECT_EQ(view.totals.runsFolded, view.runsFolded);
-      EXPECT_LE(view.accounts.size(), view.runsFolded);
+      EXPECT_EQ(view.totals.bytesByApp.size(), view.runsFolded);
+      EXPECT_EQ(view.accounts.size(), view.runsFolded);
       EXPECT_GE(view.runsFolded, last);
       last = view.runsFolded;
       ++reads;
@@ -421,14 +435,11 @@ TEST_F(SpectordDaemonTest, DashboardMirrorReconstructsDaemonStateExactly) {
     client.uploadRun(i, runApp(i, &client));
     EXPECT_TRUE(client.flush().empty());
     if (i == 1) {
-      // A subscriber joining mid-study: its snapshots + the remaining
+      // A subscriber joining mid-study: its snapshot + the remaining
       // deltas must land on the same final state (no double count across
       // the subscribe boundary, no missed run).
       daemon->drain();
       mid.emplace(daemon->connect(), /*clientId=*/102);
-      mid->subscribe(Topic::Totals);
-      mid->subscribe(Topic::Loss);
-      mid->subscribe(Topic::Progress);
     }
   }
   daemon->drain();
@@ -437,13 +448,9 @@ TEST_F(SpectordDaemonTest, DashboardMirrorReconstructsDaemonStateExactly) {
   EXPECT_GT(reads, 0u);
 
   DashboardClient late(daemon->connect(), /*clientId=*/101);
-  late.subscribe(Topic::Totals);
-  late.subscribe(Topic::Loss);
-  late.subscribe(Topic::Progress);
 
   const DashboardMirror reference = daemon->dashboard();
   EXPECT_EQ(reference.runsFolded, 4u);
-  EXPECT_EQ(reference.totals.runsFolded, 4u);
   EXPECT_EQ(reference.expectedRuns, 4u);
   EXPECT_EQ(reference.accounts.size(), 4u);
   EXPECT_EQ(reference.totals.bytesByApp.size(), 4u);
@@ -462,8 +469,8 @@ TEST_F(SpectordDaemonTest, DashboardMirrorReconstructsDaemonStateExactly) {
 TEST_F(SpectordDaemonTest, PromptSubscriberGetsEveryDeltaUnderATightBudget) {
   // The budget counts what the subscriber's channel has not accepted, and
   // a delta into an empty queue always goes out: a subscriber that reads
-  // after every run gets every delta of every topic, even with a budget
-  // smaller than one Totals delta, and never needs a resync.
+  // after every run gets every delta, even with a budget smaller than one
+  // delta, and never needs a resync.
   constexpr std::size_t kRuns = 4;
   auto config = daemonConfig();
   config.subscriberQueueBytes = 256;
@@ -471,10 +478,7 @@ TEST_F(SpectordDaemonTest, PromptSubscriberGetsEveryDeltaUnderATightBudget) {
   auto daemon = makeDaemon(std::move(config));
 
   DashboardClient dashboard(daemon->connect(), /*clientId=*/210);
-  dashboard.subscribe(Topic::Totals);
-  dashboard.subscribe(Topic::Loss);
-  dashboard.subscribe(Topic::Progress);
-  ASSERT_TRUE(dashboard.waitForSnapshot(Topic::Progress, 5000ms));
+  ASSERT_TRUE(dashboard.waitForSnapshot(5000ms));
 
   IngestClient client(connectTo(*daemon), /*clientId=*/11);
   for (std::size_t i = 0; i < kRuns; ++i) {
@@ -482,17 +486,16 @@ TEST_F(SpectordDaemonTest, PromptSubscriberGetsEveryDeltaUnderATightBudget) {
     ASSERT_TRUE(client.flush().empty());
     daemon->drain();
     ASSERT_TRUE(dashboard.waitUntil(
-        [&] { return dashboard.deltasReceived() == 3 * (i + 1); }, 10000ms))
+        [&] { return dashboard.deltasReceived() == i + 1; }, 10000ms))
         << "run " << i << ": " << dashboard.deltasReceived() << " deltas";
   }
 
   EXPECT_TRUE(dashboard.mirror() == daemon->dashboard());
-  for (const Topic topic : {Topic::Totals, Topic::Loss, Topic::Progress})
-    EXPECT_EQ(dashboard.snapshotsReceived(topic), 1u);
-  EXPECT_EQ(dashboard.deltasReceived(), 3 * kRuns);
+  EXPECT_EQ(dashboard.snapshotsReceived(), 1u);
+  EXPECT_EQ(dashboard.deltasReceived(), kRuns);
   const auto service = daemon->metrics().service;
   EXPECT_EQ(service.subscriberDeltasDropped, 0u);
-  EXPECT_EQ(service.subscriberDeltasSent, 3 * kRuns);
+  EXPECT_EQ(service.subscriberDeltasSent, kRuns);
   EXPECT_EQ(service.subscriberSnapshotsResent, 0u);
   client.bye();
 }
@@ -506,10 +509,7 @@ TEST_F(SpectordDaemonTest, SlowSubscriberIsBoundedAndResyncsWithoutStallingInges
   auto daemon = makeDaemon(std::move(config));
 
   DashboardClient dashboard(daemon->connect(), /*clientId=*/200);
-  dashboard.subscribe(Topic::Totals);
-  dashboard.subscribe(Topic::Loss);
-  dashboard.subscribe(Topic::Progress);
-  ASSERT_TRUE(dashboard.waitForSnapshot(Topic::Progress, 5000ms));
+  ASSERT_TRUE(dashboard.waitForSnapshot(5000ms));
 
   // The subscriber goes silent; ingest must finish regardless.
   IngestClient client(connectTo(*daemon), /*clientId=*/3);
@@ -521,23 +521,21 @@ TEST_F(SpectordDaemonTest, SlowSubscriberIsBoundedAndResyncsWithoutStallingInges
 
   // Once the silent reader's channel is full, deltas wait in its queue,
   // and a delta that would take the queue past the 256-byte budget is
-  // dropped (arming a resync). Once a topic is armed the remaining runs
-  // ride its pending snapshot instead of the delta stream, so attempts
-  // never exceed one per run per subscribed topic.
+  // dropped (arming a resync). Once armed, the remaining runs ride the
+  // pending snapshot instead of the delta stream, so attempts never
+  // exceed one per run.
   const auto service = daemon->metrics().service;
   EXPECT_GT(service.subscriberDeltasDropped, 0u);
   EXPECT_LE(service.subscriberDeltasSent + service.subscriberDeltasDropped,
-            3 * generator_.appCount());
+            generator_.appCount());
 
-  // Once the subscriber drains, the resync snapshots restore exactness on
-  // every topic: the whole mirror equals the daemon's view.
+  // Once the subscriber drains, the resync snapshot restores exactness:
+  // the whole mirror equals the daemon's view.
   const DashboardMirror reference = daemon->dashboard();
   EXPECT_TRUE(dashboard.waitUntil(
       [&] { return dashboard.mirror() == reference; }, 10000ms));
-  // With the channel full, every topic's next delta found the queue over
-  // budget: Totals and Progress both resynced.
-  EXPECT_GE(dashboard.snapshotsReceived(Topic::Totals), 2u);
-  EXPECT_GE(dashboard.snapshotsReceived(Topic::Progress), 2u);
+  // The first snapshot plus at least one resync.
+  EXPECT_GE(dashboard.snapshotsReceived(), 2u);
   EXPECT_GT(daemon->metrics().service.subscriberSnapshotsResent, 0u);
   client.bye();
 }
@@ -605,6 +603,12 @@ TEST_F(SpectordDaemonTest, AdminResumeReplaysCheckpointsAndShutdownStops) {
     EXPECT_TRUE(resumed.ok);
     EXPECT_NE(resumed.info.find("replayed 3 runs"), std::string::npos)
         << resumed.info;
+    // The scan leaves the bundles in place: a second Resume finds the same
+    // runs and must not fold them again.
+    const AdminAckMsg again = admin.request(AdminOp::Resume);
+    EXPECT_TRUE(again.ok);
+    EXPECT_NE(again.info.find("replayed 0 runs"), std::string::npos)
+        << again.info;
 
     // The replayed runs rebuild the whole view: totals, the persisted
     // loss accounts and the progress counters.
@@ -674,6 +678,43 @@ TEST_F(SpectordDaemonTest, AdminOpsReportAFailedCheckpointWrite) {
     complete(client, 3);
     client.bye();
     EXPECT_NO_THROW(daemon->shutdown());
+  }
+  EXPECT_EQ(orch::StudyRecovery::scan(directory.string()).runs.size(), 1u);
+  std::filesystem::remove_all(directory);
+}
+
+TEST_F(SpectordDaemonTest, RunWhoseCheckpointFailedCanBeRunAgain) {
+  // A run whose checkpoint write fails is folded nowhere, so the daemon
+  // does not count its job as handed over: once the directory is writable
+  // again, a re-run of the job (fresh reports, then the upload) is folded
+  // and checkpointed, not acked as a duplicate.
+  const auto directory =
+      std::filesystem::path(::testing::TempDir()) /
+      ("spectord_rerun_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(directory);
+  const auto blocker =
+      directory /
+      (util::toHex(generator_.makeJob(0).apk.sha256()) + ".spab.tmp");
+  std::filesystem::create_directories(blocker);
+  auto config = daemonConfig();
+  config.checkpointDirectory = directory.string();
+  {
+    auto daemon = makeDaemon(config);
+    AdminClient admin(daemon->connect(), /*clientId=*/303);
+    IngestClient client(connectTo(*daemon), /*clientId=*/13);
+    client.uploadRun(0, runApp(0, &client));
+    ASSERT_TRUE(client.flush().empty());
+    EXPECT_FALSE(admin.request(AdminOp::Drain).ok);
+
+    std::filesystem::remove_all(blocker);
+    client.uploadRun(0, runApp(0, &client));
+    ASSERT_TRUE(client.flush().empty());
+    EXPECT_TRUE(admin.request(AdminOp::Drain).ok);
+    const DashboardMirror view = daemon->dashboard();
+    EXPECT_EQ(view.runsFolded, 1u);
+    EXPECT_EQ(view.reportsLost, 0u);
+    EXPECT_EQ(daemon->metrics().service.duplicateRunUploads, 0u);
+    client.bye();
   }
   EXPECT_EQ(orch::StudyRecovery::scan(directory.string()).runs.size(), 1u);
   std::filesystem::remove_all(directory);

@@ -48,8 +48,7 @@ void probeTypedDecoders(const std::vector<std::uint8_t>& body) {
   probe([](auto& b) { return HelloAckMsg::decode(b); });
   probe([](auto& b) { return ReportAckMsg::decode(b); });
   probe([](auto& b) { return RunAckMsg::decode(b); });
-  probe([](auto& b) { return SubscribeMsg::decode(b); });
-  probe([](auto& b) { return SnapshotMsg::decode(b); });
+  probe([](auto& b) { return DashboardMirror::decode(b); });
   probe([](auto& b) { return DeltaMsg::decode(b); });
   probe([](auto& b) { return AdminMsg::decode(b); });
   probe([](auto& b) { return AdminAckMsg::decode(b); });
@@ -84,9 +83,9 @@ TEST(SpectordFuzzTest, MutatedRealFramesAreRejectedOrParsedNeverFatal) {
     HelloMsg hello;
     hello.clientId = 1;
     pool.push_back(encodeFrame(FrameType::Hello, hello.encode()));
-    SnapshotMsg snapshot;
+    DashboardMirror snapshot;
     snapshot.totals.bytesByLibrary["lib"] = 7;
-    snapshot.accounts.emplace_back("sha", core::ApkLossAccount{});
+    snapshot.accounts["sha"] = core::ApkLossAccount{};
     pool.push_back(encodeFrame(FrameType::Snapshot, snapshot.encode()));
     DeltaMsg delta;
     delta.apkSha256 = "abc";

@@ -64,66 +64,35 @@ TEST(SpectordProtocolTest, RunAckRoundTrip) {
   EXPECT_EQ(back.reason, msg.reason);
 }
 
-// A snapshot's payload is per-topic: Totals carries the rolling view,
-// Loss the per-apk accounts, Progress the run/report counters.
-TEST(SpectordProtocolTest, TotalsSnapshotRoundTrip) {
-  SnapshotMsg msg;
-  msg.topic = Topic::Totals;
-  msg.totals.runsFolded = 3;
-  msg.totals.flowCount = 40;
-  msg.totals.attributedBytes = 4096;
-  msg.totals.unattributedBytes = 12;
-  msg.totals.bytesByLibrary["okhttp"] = 2048;
-  msg.totals.bytesByLibCategory["Advertisement"] = 1024;
-  msg.totals.bytesByApp["aa11"] = 4096;
-
-  const SnapshotMsg back = SnapshotMsg::decode(msg.encode());
-  EXPECT_EQ(back.topic, Topic::Totals);
-  EXPECT_EQ(back.totals.runsFolded, 3u);
-  EXPECT_EQ(back.totals.flowCount, 40u);
-  EXPECT_EQ(back.totals.attributedBytes, 4096u);
-  EXPECT_EQ(back.totals.unattributedBytes, 12u);
-  EXPECT_EQ(back.totals.bytesByLibrary.at("okhttp"), 2048u);
-  EXPECT_EQ(back.totals.bytesByLibCategory.at("Advertisement"), 1024u);
-  EXPECT_EQ(back.totals.bytesByApp.at("aa11"), 4096u);
-}
-
-TEST(SpectordProtocolTest, LossSnapshotRoundTripCarriesAccounts) {
-  SnapshotMsg msg;
-  msg.topic = Topic::Loss;
+/// A view with every part filled in: totals, two accounts, progress.
+DashboardMirror fullMirror() {
+  DashboardMirror mirror;
+  mirror.totals.flowCount = 40;
+  mirror.totals.attributedBytes = 4096;
+  mirror.totals.unattributedBytes = 12;
+  mirror.totals.bytesByLibrary["okhttp"] = 2048;
+  mirror.totals.bytesByLibrary["unity"] = 2048;
+  mirror.totals.bytesByLibCategory["Advertisement"] = 1024;
+  mirror.totals.bytesByApp["aa11"] = 4096;
   core::ApkLossAccount account;
+  account.reportsEmitted = 11;
   account.framesDelivered = 10;
   account.uniqueDelivered = 9;
   account.duplicated = 1;
+  account.outOfOrder = 3;
   account.lost = 2;
-  msg.accounts.emplace_back("aa11", account);
-
-  const SnapshotMsg back = SnapshotMsg::decode(msg.encode());
-  EXPECT_EQ(back.topic, Topic::Loss);
-  ASSERT_EQ(back.accounts.size(), 1u);
-  EXPECT_EQ(back.accounts[0].first, "aa11");
-  EXPECT_EQ(back.accounts[0].second, account);
+  mirror.accounts["aa11"] = account;
+  mirror.accounts["bb22"] = core::ApkLossAccount{};
+  mirror.runsFolded = 3;
+  mirror.expectedRuns = 25;
+  mirror.reportsDelivered = 9;
+  mirror.reportsLost = 2;
+  return mirror;
 }
 
-TEST(SpectordProtocolTest, ProgressSnapshotRoundTrip) {
-  SnapshotMsg msg;
-  msg.topic = Topic::Progress;
-  msg.runsFolded = 3;
-  msg.expectedRuns = 25;
-  msg.reportsDelivered = 9;
-  msg.reportsLost = 2;
-
-  const SnapshotMsg back = SnapshotMsg::decode(msg.encode());
-  EXPECT_EQ(back.topic, Topic::Progress);
-  EXPECT_EQ(back.runsFolded, 3u);
-  EXPECT_EQ(back.expectedRuns, 25u);
-  EXPECT_EQ(back.reportsDelivered, 9u);
-  EXPECT_EQ(back.reportsLost, 2u);
-}
-
-TEST(SpectordProtocolTest, DeltaRoundTrip) {
+/// One run's delta with every field set.
+DeltaMsg fullDelta() {
   DeltaMsg msg;
-  msg.topic = Topic::Totals;
   msg.jobIndex = 5;
   msg.apkSha256 = "ff00";
   msg.replayed = true;
@@ -131,14 +100,93 @@ TEST(SpectordProtocolTest, DeltaRoundTrip) {
   msg.attributedBytes = 777;
   msg.unattributedBytes = 3;
   msg.bytesByLibrary.emplace_back("unity", 500);
-  msg.bytesByLibCategory.emplace_back("Game Engine", 500);
+  msg.bytesByLibrary.emplace_back("okhttp", 277);
+  msg.bytesByLibCategory.emplace_back("Game Engine", 777);
+  msg.account.reportsEmitted = 4;
+  msg.account.uniqueDelivered = 3;
+  msg.account.lost = 1;
+  return msg;
+}
+
+// A snapshot's body is the daemon's whole view.
+TEST(SpectordProtocolTest, SnapshotRoundTripsTheWholeMirror) {
+  const DashboardMirror mirror = fullMirror();
+  EXPECT_TRUE(DashboardMirror::decode(mirror.encode()) == mirror);
+  EXPECT_TRUE(DashboardMirror::decode(DashboardMirror{}.encode()) ==
+              DashboardMirror{});
+}
+
+// The snapshot body carries the rolling totals, the per-apk loss accounts
+// and the run/report counters; each part is checked field by field below.
+TEST(SpectordProtocolTest, TotalsSnapshotRoundTrip) {
+  const DashboardMirror back = DashboardMirror::decode(fullMirror().encode());
+  EXPECT_EQ(back.totals.flowCount, 40u);
+  EXPECT_EQ(back.totals.attributedBytes, 4096u);
+  EXPECT_EQ(back.totals.unattributedBytes, 12u);
+  ASSERT_EQ(back.totals.bytesByLibrary.size(), 2u);
+  EXPECT_EQ(back.totals.bytesByLibrary.at("okhttp"), 2048u);
+  EXPECT_EQ(back.totals.bytesByLibrary.at("unity"), 2048u);
+  EXPECT_EQ(back.totals.bytesByLibCategory.at("Advertisement"), 1024u);
+  EXPECT_EQ(back.totals.bytesByApp.at("aa11"), 4096u);
+}
+
+TEST(SpectordProtocolTest, LossSnapshotRoundTripCarriesAccounts) {
+  const DashboardMirror mirror = fullMirror();
+  const DashboardMirror back = DashboardMirror::decode(mirror.encode());
+  ASSERT_EQ(back.accounts.size(), 2u);
+  EXPECT_EQ(back.accounts.at("aa11"), mirror.accounts.at("aa11"));
+  EXPECT_EQ(back.accounts.at("aa11").lost, 2u);
+  EXPECT_EQ(back.accounts.at("aa11").outOfOrder, 3u);
+  EXPECT_EQ(back.accounts.at("bb22"), core::ApkLossAccount{});
+}
+
+TEST(SpectordProtocolTest, ProgressSnapshotRoundTrip) {
+  const DashboardMirror back = DashboardMirror::decode(fullMirror().encode());
+  EXPECT_EQ(back.runsFolded, 3u);
+  EXPECT_EQ(back.expectedRuns, 25u);
+  EXPECT_EQ(back.reportsDelivered, 9u);
+  EXPECT_EQ(back.reportsLost, 2u);
+}
+
+TEST(SpectordProtocolTest, DeltaRoundTrip) {
+  const DeltaMsg msg = fullDelta();
   const DeltaMsg back = DeltaMsg::decode(msg.encode());
-  EXPECT_EQ(back.topic, Topic::Totals);
   EXPECT_EQ(back.jobIndex, 5u);
   EXPECT_EQ(back.apkSha256, "ff00");
   EXPECT_TRUE(back.replayed);
+  EXPECT_EQ(back.flowCount, 7u);
+  EXPECT_EQ(back.attributedBytes, 777u);
+  EXPECT_EQ(back.unattributedBytes, 3u);
   EXPECT_EQ(back.bytesByLibrary, msg.bytesByLibrary);
   EXPECT_EQ(back.bytesByLibCategory, msg.bytesByLibCategory);
+  EXPECT_EQ(back.account, msg.account);
+}
+
+TEST(SpectordProtocolTest, ApplyDeltaFoldsOneRun) {
+  // Each delta adds its bytes, replaces its apk's account and counts one
+  // run with its delivered and lost reports.
+  DashboardMirror mirror;
+  mirror.expectedRuns = 2;
+  DeltaMsg first = fullDelta();
+  mirror.applyDelta(first);
+  DeltaMsg second = fullDelta();
+  second.jobIndex = 6;
+  second.account.uniqueDelivered = 5;
+  second.account.lost = 0;
+  mirror.applyDelta(second);
+
+  EXPECT_EQ(mirror.runsFolded, 2u);
+  EXPECT_EQ(mirror.expectedRuns, 2u);
+  EXPECT_EQ(mirror.reportsDelivered, 8u);
+  EXPECT_EQ(mirror.reportsLost, 1u);
+  EXPECT_EQ(mirror.totals.flowCount, 14u);
+  EXPECT_EQ(mirror.totals.attributedBytes, 1554u);
+  EXPECT_EQ(mirror.totals.unattributedBytes, 6u);
+  EXPECT_EQ(mirror.totals.bytesByLibrary.at("unity"), 1000u);
+  EXPECT_EQ(mirror.totals.bytesByLibCategory.at("Game Engine"), 1554u);
+  EXPECT_EQ(mirror.totals.bytesByApp.at("ff00"), 1554u);
+  ASSERT_EQ(mirror.accounts.size(), 1u);
+  EXPECT_EQ(mirror.accounts.at("ff00"), second.account);
 }
 
 TEST(SpectordProtocolTest, AdminAndErrorAndByeRoundTrip) {
@@ -183,8 +231,23 @@ TEST(SpectordProtocolTest, TruncatedTypedBodyThrowsDecodeError) {
   auto body = HelloAckMsg{}.encode();
   body.pop_back();
   EXPECT_THROW((void)HelloAckMsg::decode(body), util::DecodeError);
-  EXPECT_THROW(SnapshotMsg::decode(std::vector<std::uint8_t>{1, 2}),
+  EXPECT_THROW((void)DashboardMirror::decode(std::vector<std::uint8_t>{1, 2}),
                util::DecodeError);
+}
+
+TEST(SpectordProtocolTest, EveryStrictPrefixOfAMirrorOrDeltaThrows) {
+  const std::vector<std::uint8_t> mirror = fullMirror().encode();
+  for (std::size_t n = 0; n < mirror.size(); ++n)
+    EXPECT_THROW((void)DashboardMirror::decode(
+                     std::span<const std::uint8_t>(mirror.data(), n)),
+                 util::DecodeError)
+        << n << " of " << mirror.size() << " bytes";
+  const std::vector<std::uint8_t> delta = fullDelta().encode();
+  for (std::size_t n = 0; n < delta.size(); ++n)
+    EXPECT_THROW(
+        (void)DeltaMsg::decode(std::span<const std::uint8_t>(delta.data(), n)),
+        util::DecodeError)
+        << n << " of " << delta.size() << " bytes";
 }
 
 TEST(SpectordProtocolTest, ParserHandlesAnyChunking) {

@@ -255,9 +255,11 @@ TEST_F(SpectordResilientTest, SecondLiveAttachOnSameClientIdIsRefused) {
 TEST_F(SpectordResilientTest, AdminDrainExpiresStaleSessions) {
   auto daemon = makeDaemon();
   std::uint64_t token = 0;
+  core::RunArtifacts artifacts;
   {
     IngestClient client(connectTo(*daemon), /*clientId=*/9, testConfig());
-    client.uploadRun(0, runApp(0, &client));
+    artifacts = runApp(0, &client);
+    client.uploadRun(0, artifacts);
     EXPECT_TRUE(client.flush().empty());
     token = client.sessionToken();
     client.bye();
@@ -278,6 +280,22 @@ TEST_F(SpectordResilientTest, AdminDrainExpiresStaleSessions) {
   EXPECT_FALSE(ack.resumed);
   EXPECT_NE(ack.session, token);
   EXPECT_EQ(ack.ackedFrames, 0u);
+
+  // A client whose session expired re-sends its unacked run tail into the
+  // fresh session: the daemon already has job 0, so the re-upload is acked
+  // and not folded again.
+  ASSERT_TRUE(comeback.send(
+      FrameType::RunComplete,
+      core::SpabEnvelope::encode(0, core::ApkLossAccount{}, artifacts)));
+  const auto runAck = comeback.read(5000ms);
+  ASSERT_TRUE(runAck.has_value());
+  ASSERT_EQ(runAck->type, FrameType::RunAck);
+  const RunAckMsg verdict = RunAckMsg::decode(runAck->body);
+  EXPECT_EQ(verdict.jobIndex, 0u);
+  EXPECT_TRUE(verdict.accepted);
+  daemon->drain();
+  EXPECT_EQ(daemon->metrics().runsCompleted, 1u);
+  EXPECT_EQ(daemon->metrics().service.duplicateRunUploads, 1u);
   daemon->shutdown();
 }
 
