@@ -43,8 +43,8 @@ struct RequestWorld {
     dex::DexFile dexFile;
     dex::ClassDef cls;
     cls.dottedName = "x";
-    for (const auto& method : program.methods)
-      cls.methods.push_back({method.signature});
+    for (rt::MethodId id = 0; id < program.methodCount(); ++id)
+      cls.methods.push_back({std::string(program.method(id).signature)});
     dexFile.classes.push_back(cls);
     apk.setDex(dex::writeDexFiles({dexFile}));
   }

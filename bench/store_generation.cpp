@@ -1,19 +1,22 @@
 // App-store generation throughput: the per-app work a dispatcher worker
 // does before it emulates.
 //
-// Three axes:
+// Four axes:
 //   - job expansion: makeJob + apk sha256, on 1 thread and on every
 //     hardware thread, the threads claiming corpus indices from one atomic
 //     cursor as the dispatcher's workers do;
 //   - hashing: ApkFile::sha256(), the header and then the dex image in one
 //     update;
+//   - makeJob alone, on one thread, each call timed without the job's
+//     destruction;
 //   - heap allocations per makeJob, counted on one thread by the global
 //     operator new replacement in common/alloc_counter.cpp.
 //
 // The headline expands a fixed corpus kRepetitions times per thread count,
 // prints the median apps/s with its min and max, times the hash alone in
 // serialized MB/s (1 MB = 10^6 bytes) on the kernel the process selected,
-// counts makeJob's allocations, and writes BENCH_store.json (gated by
+// times makeJob alone in us per app (median of kRepetitions with min and
+// max), counts makeJob's allocations, and writes BENCH_store.json (gated by
 // scripts/check_bench_floor.py). The google-benchmark microbenchmarks
 // after it isolate the hash and the expansion; pass
 // --benchmark_filter='^$' to run the headline alone.
@@ -113,6 +116,23 @@ Rate measureHash() {
   });
 }
 
+/// makeJob alone over the whole corpus on this thread, kRepetitions times:
+/// median us per app with min and max. Each call is timed on its own, so
+/// destroying the job it returned is not counted.
+Rate measureMakeJob() {
+  return repeat(1, [] {
+    std::chrono::steady_clock::duration spent{};
+    for (std::size_t i = 0; i < kApps; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      const auto job = benchGenerator().makeJob(i);
+      spent += std::chrono::steady_clock::now() - start;
+      benchmark::DoNotOptimize(job);
+    }
+    return std::chrono::duration<double, std::micro>(spent).count() /
+           static_cast<double>(kApps);
+  });
+}
+
 /// Heap allocations per makeJob over the whole corpus, on this thread.
 double makeJobAllocationsPerApp() {
   const std::uint64_t before = bench::allocationCount();
@@ -137,6 +157,9 @@ void runHeadline() {
   const Rate hash = measureHash();
   std::printf("sha256 (%s kernel): %8.1f MB/s  (min %.1f, max %.1f)\n",
               util::Sha256::kernelName(), hash.median, hash.min, hash.max);
+  const Rate makeJob = measureMakeJob();
+  std::printf("makeJob alone (1 thread): %8.1f us/app  (min %.1f, max %.1f)\n",
+              makeJob.median, makeJob.min, makeJob.max);
   const double allocations = makeJobAllocationsPerApp();
   std::printf("makeJob: %.0f heap allocations per app\n", allocations);
   std::printf("\n");
@@ -159,8 +182,12 @@ void runHeadline() {
                  "  \"sha256_mb_per_sec_min\": %.2f,\n"
                  "  \"sha256_mb_per_sec_max\": %.2f,\n",
                  util::Sha256::kernelName(), hash.median, hash.min, hash.max);
-    std::fprintf(json, "  \"make_job_allocs_per_app\": %.1f,\n",
-                 allocations);
+    std::fprintf(json,
+                 "  \"make_job_us\": %.1f,\n"
+                 "  \"make_job_us_min\": %.1f,\n"
+                 "  \"make_job_us_max\": %.1f,\n"
+                 "  \"make_job_allocs_per_app\": %.1f,\n",
+                 makeJob.median, makeJob.min, makeJob.max, allocations);
     std::fprintf(json, "  \"threads\": [1, %zu]\n}\n", hardware);
     std::fclose(json);
     std::printf("wrote BENCH_store.json\n\n");

@@ -90,16 +90,19 @@ FLOORS = {
     "BENCH_store.json": {
         # makeJob + sha256 over a 96-app corpus, median of 5,
         # the threads claiming indices from one cursor as dispatcher
-        # workers do. Measured ~150-165 apps/s on 1 thread and ~600-710
-        # on 4 threads of a 4-thread box. The all-threads floor matches the
+        # workers do. Measured ~960-1,340 apps/s on 1 thread and
+        # ~3,700-5,260 on 4 threads of a 4-core box (~670-770 and
+        # ~2,000-2,300 while each program method stored its own signature
+        # and frame name strings). The all-threads floor matches the
         # one-thread floor: on a 1-core box it cannot beat one thread.
         "one_thread_apps_per_sec": (40.0, "/s"),
         "all_threads_apps_per_sec": (40.0, "/s"),
         # ApkFile::sha256() alone over 16 apks, serialized MB/s on one
         # thread, median of 5, on whichever kernel the process selected
         # (sha256_kernel). Measured 103-151 MB/s on the portable kernel and
-        # 397-711 MB/s on the SHA-extension kernel of one 4-core box: the
-        # floor is one both kernels clear, so it gates the code on any CPU.
+        # 1,230-1,440 MB/s on the SHA-extension kernel of one 4-core box:
+        # the floor is one both kernels clear, so it gates the code on any
+        # CPU.
         "sha256_mb_per_sec": (60.0, "MB/s"),
     },
 }
@@ -122,10 +125,12 @@ CEILINGS = {
     "BENCH_store.json": {
         # Heap allocations per makeJob over the bench's 96-app corpus, one
         # thread. Measured 34,810 when each apk stored its signatures as
-        # separate strings in nested class vectors, and 4,134 with the dex
-        # written once into one image: the ceiling catches a return to a
-        # string per signature.
-        "make_job_allocs_per_app": (10000.0, " allocs"),
+        # separate strings in nested class vectors, 4,134 with the dex
+        # written once into one image but a signature and a frame name
+        # string per program method, and 755 with the program's
+        # signatures in one arena and the class map in one block: the
+        # ceiling catches a return to a string per method.
+        "make_job_allocs_per_app": (2500.0, " allocs"),
     },
 }
 

@@ -11,9 +11,11 @@
 # SHA-extension digest kernel makes 16-byte loads from
 # caller buffers at any alignment; the slicing-by-8 crc32 kernel reads
 # eight bytes per step up to the end of its buffer; the method tracer
-# keeps per-id slots and views into its own map; the attribution, fold
-# and ingest suites drive the dense id-indexed accumulators, where an
-# out-of-range id is a silent heap overrun in a release build; the
+# keeps per-id slots and views into its own map; an app program keeps
+# every signature in one arena that regrows under the views it hands out
+# (program_test); the attribution, fold and ingest suites drive the
+# dense id-indexed accumulators, where an out-of-range id is a silent
+# heap overrun in a release build; the
 # router's one fold path parks frames whose signature ids are not yet
 # defined and repairs them later (ingest_dict_test); and the cluster
 # suites drive the checkpoint protocol's kill points through
@@ -52,6 +54,7 @@ TARGETS=(
   bytes_test
   tracer_test
   interpreter_test
+  program_test
   fuzz_decoders_test
   spectord_fuzz_test
   spectord_protocol_test

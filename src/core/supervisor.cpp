@@ -17,7 +17,8 @@ std::string translateFrame(const rt::StackFrameSnapshot& frame,
   if (frame.isAppFrame()) {
     // Xposed hands the hook the reflected Method object, so app frames are
     // overload-precise.
-    return program.method(static_cast<rt::MethodId>(frame.methodId)).signature;
+    return std::string(
+        program.method(static_cast<rt::MethodId>(frame.methodId)).signature);
   }
   // Framework frames: try the dex translation table (third-party code
   // bundled in the apk shows up here), otherwise keep the frame name.

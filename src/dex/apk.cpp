@@ -35,6 +35,7 @@ std::vector<std::uint8_t> header(const ApkFile& apk, std::size_t extra) {
 }  // namespace
 
 void ApkFile::setDex(DexWriter&& writer) {
+  writer.closeClass();
   ApkFile& written = writer.apk_;
   std::sort(written.classIndex_.begin(), written.classIndex_.end(),
             [](const ClassKey& a, const ClassKey& b) {
@@ -159,24 +160,45 @@ void DexWriter::reserve(std::size_t imageBytes, std::size_t classes,
                         std::size_t methods) {
   apk_.image_.reserve(imageBytes);
   apk_.classes_.reserve(classes);
+  apk_.classIndex_.reserve(classes);
   apk_.methods_.reserve(methods);
 }
 
-void DexWriter::appendU32(std::uint32_t v) {
-  const std::uint8_t bytes[4] = {
-      static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
-      static_cast<std::uint8_t>(v >> 16), static_cast<std::uint8_t>(v >> 24)};
-  apk_.image_.insert(apk_.image_.end(), bytes, bytes + 4);
+namespace {
+/// Writes `v` little-endian at `out`; returns the byte after it.
+std::uint8_t* putU32(std::uint8_t* out, std::uint32_t v) noexcept {
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  return out + 4;
 }
 
-void DexWriter::appendBytes(std::string_view bytes) {
-  const auto* data = reinterpret_cast<const std::uint8_t*>(bytes.data());
-  apk_.image_.insert(apk_.image_.end(), data, data + bytes.size());
+/// Copies `bytes` to `out`; returns the byte after them.
+std::uint8_t* putBytes(std::uint8_t* out, std::string_view bytes) noexcept {
+  if (!bytes.empty()) std::memcpy(out, bytes.data(), bytes.size());
+  return out + bytes.size();
+}
+}  // namespace
+
+std::uint8_t* DexWriter::grow(std::size_t bytes, const char* what) {
+  auto& image = apk_.image_;
+  // Offsets are u32: the image must end inside 4 GiB.
+  const std::size_t end = image.size() + bytes;
+  (void)util::checkedU32(end, what);
+  image.resize(end);
+  return image.data() + end - bytes;
+}
+
+void DexWriter::appendU32(std::uint32_t v) {
+  putU32(grow(4, "DexWriter: dex image"), v);
 }
 
 void DexWriter::patchU32(std::size_t offset, std::uint32_t v) noexcept {
-  std::uint8_t* p = apk_.image_.data() + offset;
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  putU32(apk_.image_.data() + offset, v);
+}
+
+void DexWriter::closeClass() noexcept {
+  if (apk_.classes_.empty()) return;
+  const ApkFile::ClassEntry& cls = apk_.classes_.back();
+  patchU32(std::size_t{cls.nameOffset} + cls.nameSize, cls.methodCount);
 }
 
 void DexWriter::beginDex() {
@@ -190,15 +212,13 @@ void DexWriter::beginDex() {
 void DexWriter::beginClass(std::string_view dottedName) {
   if (apk_.dexes_.empty())
     throw std::logic_error("DexWriter: class before the first dex");
-  auto& image = apk_.image_;
-  // Offsets are u32: the whole entry must end inside 4 GiB.
-  (void)util::checkedU32(image.size() + 8 + dottedName.size(),
-                         "DexWriter: dex image");
-  const auto nameOffset = static_cast<std::uint32_t>(image.size() + 4);
+  closeClass();
+  std::uint8_t* out = grow(8 + dottedName.size(), "DexWriter: dex image");
+  const auto nameOffset = static_cast<std::uint32_t>(
+      out + 4 - apk_.image_.data());
   const auto nameSize = static_cast<std::uint32_t>(dottedName.size());
-  appendU32(nameSize);
-  appendBytes(dottedName);
-  appendU32(0);  // method count, patched as methods arrive
+  out = putBytes(putU32(out, nameSize), dottedName);
+  putU32(out, 0);  // method count, patched when the class closes
 
   const auto cls = static_cast<std::uint32_t>(apk_.classes_.size());
   apk_.classes_.push_back(
@@ -208,36 +228,51 @@ void DexWriter::beginClass(std::string_view dottedName) {
 
   std::uint64_t hash = kClassHashSeed;
   indexable_ = true;
-  ownPrefix_.assign(1, 'L');
   for (const char c : dottedName) {
     hash = classHashStep(hash, c);
     indexable_ = indexable_ && c != '/' && c != ';';
-    ownPrefix_ += c == '.' ? '/' : c;
   }
-  ownPrefix_ += ";->";
   if (indexable_) apk_.classIndex_.push_back({hash, cls});
+  ownPrefix_.assign(1, 'L');
+  ownPrefix_ += dottedName;
+  std::replace(ownPrefix_.begin() + 1, ownPrefix_.end(), '.', '/');
+  ownPrefix_ += ";->";
+}
+
+std::uint8_t* DexWriter::appendMethod(std::size_t size) {
+  if (apk_.dexes_.empty() || apk_.dexes_.back().classCount == 0)
+    throw std::logic_error("DexWriter: method outside a class");
+  std::uint8_t* const signature =
+      putU32(grow(4 + size, "DexWriter: dex image"),
+             static_cast<std::uint32_t>(size));
+  apk_.methods_.push_back(
+      {static_cast<std::uint32_t>(signature - apk_.image_.data()),
+       static_cast<std::uint32_t>(size)});
+  ++apk_.classes_.back().methodCount;
+  return signature;
 }
 
 void DexWriter::addMethod(std::initializer_list<std::string_view> pieces) {
-  if (apk_.dexes_.empty() || apk_.dexes_.back().classCount == 0)
-    throw std::logic_error("DexWriter: method outside a class");
-  auto& image = apk_.image_;
-  std::size_t total = 0;
-  for (const std::string_view piece : pieces) total += piece.size();
-  (void)util::checkedU32(image.size() + 4 + total, "DexWriter: dex image");
-  const auto offset = static_cast<std::uint32_t>(image.size() + 4);
-  const auto size = static_cast<std::uint32_t>(total);
-  appendU32(size);
-  for (const std::string_view piece : pieces) appendBytes(piece);
-
-  const auto method = static_cast<std::uint32_t>(apk_.methods_.size());
-  apk_.methods_.push_back({offset, size});
-  ApkFile::ClassEntry& cls = apk_.classes_.back();
-  patchU32(std::size_t{cls.nameOffset} + cls.nameSize, ++cls.methodCount);
+  std::size_t size = 0;
+  for (const std::string_view piece : pieces) size += piece.size();
+  std::uint8_t* const signature = appendMethod(size);
+  std::uint8_t* out = signature;
+  for (const std::string_view piece : pieces) out = putBytes(out, piece);
   const bool own = size >= ownPrefix_.size() &&
-                   std::memcmp(image.data() + offset, ownPrefix_.data(),
+                   std::memcmp(signature, ownPrefix_.data(),
                                ownPrefix_.size()) == 0;
-  if (!indexable_ || !own) apk_.strays_.push_back(method);
+  if (!indexable_ || !own)
+    apk_.strays_.push_back(
+        static_cast<std::uint32_t>(apk_.methods_.size() - 1));
+}
+
+void DexWriter::addOwnMethod(std::string_view member) {
+  putBytes(putBytes(appendMethod(ownPrefix_.size() + member.size()),
+                    ownPrefix_),
+           member);
+  if (!indexable_)
+    apk_.strays_.push_back(
+        static_cast<std::uint32_t>(apk_.methods_.size() - 1));
 }
 
 DexWriter writeDexFiles(const std::vector<DexFile>& dexFiles) {

@@ -144,8 +144,9 @@ class ApkFile {
 };
 
 /// The one writer of dex content: appends dex, class and method entries to
-/// an image, patches each count as entries arrive, and fills the tables,
-/// the class index and the stray list as it goes. makeJob, deserialize and
+/// an image, patches the dex and class counts in it (a class's method
+/// count once, when the class closes), and fills the tables, the class
+/// index and the stray list as it goes. makeJob, deserialize and
 /// hand-built apks all write through it; ApkFile::setDex installs the
 /// result.
 class DexWriter {
@@ -164,13 +165,24 @@ class DexWriter {
   /// Appends a method whose signature is the concatenation of `pieces`,
   /// written straight into the image.
   void addMethod(std::initializer_list<std::string_view> pieces);
+  /// Appends a method whose signature is the current class's own prefix,
+  /// "L<its name, '.' as '/'>;->", then `member`: a method the class
+  /// index finds, written with no prefix to build or compare.
+  void addOwnMethod(std::string_view member);
 
  private:
   friend class ApkFile;
 
+  /// Extends the image by `bytes`; returns where they start. Throws
+  /// std::length_error (naming `what`) past 4 GiB.
+  std::uint8_t* grow(std::size_t bytes, const char* what);
+  /// Appends a method entry of `size` signature bytes to the current
+  /// class; returns where the caller writes them.
+  std::uint8_t* appendMethod(std::size_t size);
   void appendU32(std::uint32_t v);
-  void appendBytes(std::string_view bytes);
   void patchU32(std::size_t offset, std::uint32_t v) noexcept;
+  /// Writes the current class's method count into its entry.
+  void closeClass() noexcept;
 
   ApkFile apk_;  // only its dex content and tables are written
   std::size_t dexCountOffset_ = 0;  // of the current dex's class count

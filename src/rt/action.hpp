@@ -24,6 +24,8 @@ enum class HttpEngine : std::uint8_t { OkHttp = 0, UrlConnection = 1, ApacheHttp
 /// Invoke another app method (pushes a stack frame).
 struct CallAction {
   MethodId callee = 0;
+
+  [[nodiscard]] bool operator==(const CallAction&) const = default;
 };
 
 /// Issue an HTTP-style request: resolve + connect + `transfers`
@@ -46,6 +48,8 @@ struct NetRequestAction {
   /// ScenarioConfig::keepAliveReuse flag is on; otherwise behaves exactly
   /// like a one-shot request.
   bool keepAlive = false;
+
+  [[nodiscard]] bool operator==(const NetRequestAction&) const = default;
 };
 
 /// The stock HttpURLConnection User-Agent — the "generic identifier" the
@@ -56,12 +60,16 @@ inline constexpr const char* kDefaultUserAgent =
 /// Advance simulated time (computation, rendering, media playback...).
 struct SleepAction {
   std::uint32_t ms = 0;
+
+  [[nodiscard]] bool operator==(const SleepAction&) const = default;
 };
 
 /// Schedule an app method on the AsyncTask pool; it runs at the next drain
 /// point under the AsyncTask$2.call / FutureTask.run wrapper frames.
 struct AsyncAction {
   MethodId task = 0;
+
+  [[nodiscard]] bool operator==(const AsyncAction&) const = default;
 };
 
 /// A request issued later by a framework-owned thread (WebView, media
@@ -72,6 +80,8 @@ struct SystemRequestAction {
   std::uint16_t port = 443;
   std::uint32_t requestBytesMin = 150;
   std::uint32_t requestBytesMax = 600;
+
+  [[nodiscard]] bool operator==(const SystemRequestAction&) const = default;
 };
 
 /// Invoke `callee` with probability `prob` (apps gate work on state the
@@ -79,6 +89,8 @@ struct SystemRequestAction {
 struct GuardAction {
   double prob = 1.0;
   MethodId callee = 0;
+
+  [[nodiscard]] bool operator==(const GuardAction&) const = default;
 };
 
 /// Invoke `callee` through the reflection machinery: the runtime pushes a
@@ -87,6 +99,8 @@ struct GuardAction {
 /// which library issued a request (ScenarioConfig::adversarialApps).
 struct ReflectiveCallAction {
   MethodId callee = 0;
+
+  [[nodiscard]] bool operator==(const ReflectiveCallAction&) const = default;
 };
 
 using Action =

@@ -73,14 +73,18 @@ std::vector<StackFrameSnapshot> Interpreter::getStackTrace() const {
   std::vector<StackFrameSnapshot> trace;
   trace.reserve(liveStack_.size());
   for (auto it = liveStack_.rbegin(); it != liveStack_.rend(); ++it)
-    trace.push_back({std::string(it->name), it->methodId});
+    trace.push_back(
+        {it->methodId >= 0
+             ? program_.frameName(static_cast<MethodId>(it->methodId))
+             : std::string(it->name),
+         it->methodId});
   return trace;
 }
 
 void Interpreter::runMethod(MethodId id, int depth) {
   if (depth >= limits_.maxCallDepth) return;  // Java would StackOverflowError
-  const MethodInfo& method = program_.method(id);
-  liveStack_.push_back({method.frameName, static_cast<std::int32_t>(id)});
+  const MethodView method = program_.method(id);
+  liveStack_.push_back({{}, static_cast<std::int32_t>(id)});
   ++methodEntries_;
   tracer_.onAppMethodEntry(id, method.signature);
   for (const Action& action : method.body) {

@@ -113,7 +113,8 @@ class Interpreter {
   void runBackgroundTick();
 
   /// Snapshot of the current call stack, innermost frame first — only
-  /// meaningful from inside a hook.
+  /// meaningful from inside a hook. App frames are named here, from their
+  /// signatures (AppProgram::frameName).
   [[nodiscard]] std::vector<StackFrameSnapshot> getStackTrace() const;
 
   [[nodiscard]] std::size_t socketsCreated() const noexcept { return socketsCreated_; }
@@ -133,8 +134,10 @@ class Interpreter {
   [[nodiscard]] const util::SimClock& clock() const noexcept { return clock_; }
 
  private:
+  /// An app frame is its method id; getStackTrace derives its name. A
+  /// framework frame is its name, a view of a framework constant.
   struct LiveFrame {
-    std::string_view name;  // stable storage: program method or framework constant
+    std::string_view name;
     std::int32_t methodId = -1;
   };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <memory_resource>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -15,34 +16,28 @@ namespace {
 constexpr double kAntFreeFraction = 0.10;
 constexpr double kAntOnlyFraction = 0.34;
 
-/// Appends `dotted` with every '.' written as '/'.
-void appendSlashed(std::string& out, std::string_view dotted) {
-  for (const char c : dotted) out += c == '.' ? '/' : c;
-}
+/// `n` in decimal, held by the object: a piece of a name written from
+/// pieces, with no string built for it.
+class Decimal {
+ public:
+  explicit Decimal(std::size_t n) noexcept
+      : size_(static_cast<std::size_t>(
+            std::to_chars(digits_, digits_ + sizeof digits_, n).ptr -
+            digits_)) {}
+  operator std::string_view() const noexcept { return {digits_, size_}; }
 
-/// Smali signature builder.
-std::string makeSignature(std::string_view dottedClass, std::string_view method,
-                          std::string_view params = "", std::string_view ret = "V") {
-  std::string out;
-  out.reserve(dottedClass.size() + method.size() + params.size() +
-              ret.size() + 6);
-  out += 'L';
-  appendSlashed(out, dottedClass);
-  out += ";->";
-  out += method;
-  out += '(';
-  out += params;
-  out += ')';
-  out += ret;
-  return out;
-}
+ private:
+  char digits_[20] = {};
+  std::size_t size_;
+};
 
-/// Decimal digits of `n`.
-std::size_t decimalDigits(std::size_t n) {
-  std::size_t digits = 1;
-  for (; n >= 10; n /= 10) ++digits;
-  return digits;
-}
+/// Bulk (cold) library code: classes of up to kBulkMethodsPerClass
+/// methods, method k of a class being "m<k>(I)I".
+constexpr std::size_t kBulkMethodsPerClass = 16;
+constexpr std::string_view kBulkMembers[kBulkMethodsPerClass] = {
+    "m0(I)I", "m1(I)I", "m2(I)I",  "m3(I)I",  "m4(I)I",  "m5(I)I",
+    "m6(I)I", "m7(I)I", "m8(I)I",  "m9(I)I",  "m10(I)I", "m11(I)I",
+    "m12(I)I", "m13(I)I", "m14(I)I", "m15(I)I"};
 
 std::string sanitizeSlug(std::string_view prefix) {
   // "com.unity3d.ads" -> "unity3d-ads"
@@ -429,21 +424,34 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
   const auto& profiles = libraryProfiles();
 
   rt::AppProgram program;
-  // Every program method also goes into the dex, in its class. The class
-  // names pile up in one arena, (offset, size) per method id, so the dex
-  // assembly can key classes by views that no later append moves.
-  std::string classNames;
-  std::vector<std::pair<std::size_t, std::size_t>> programClasses;
-  const auto addProgramMethod = [&](const std::string& dottedClass,
-                                    const std::string& method,
-                                    std::vector<rt::Action> body,
-                                    std::string_view params = "",
-                                    std::string_view ret = "V") {
-    programClasses.emplace_back(classNames.size(), dottedClass.size());
-    classNames += dottedClass;
-    return program.addMethod(makeSignature(dottedClass, method, params, ret),
-                             std::move(body));
+  // Every program method also goes into the dex, in its class. Each class
+  // name is written once, from pieces, into one arena; a method keeps its
+  // class's (offset, size) there, by method id, so the dex assembly can
+  // key classes by views that no later append moves. The program writes
+  // each signature into its own arena from the class name and the member
+  // pieces.
+  struct ClassName {
+    std::size_t offset = 0;  // into classNames
+    std::size_t size = 0;
   };
+  std::string classNames;
+  std::size_t classNamesWritten = 0;
+  std::vector<ClassName> programClasses;
+  const auto addClass = [&](std::initializer_list<std::string_view> pieces) {
+    const std::size_t offset = classNames.size();
+    for (const std::string_view piece : pieces) classNames += piece;
+    ++classNamesWritten;
+    return ClassName{offset, classNames.size() - offset};
+  };
+  const auto addProgramMethod =
+      [&](ClassName cls, std::initializer_list<std::string_view> member,
+          std::vector<rt::Action> body) {
+        const rt::MethodId id = program.addMethod(
+            std::string_view(classNames).substr(cls.offset, cls.size), member,
+            std::move(body));
+        programClasses.push_back(cls);
+        return id;
+      };
 
   // --- Traffic sources: helper -> task -> enqueue chains -------------------
   struct BuiltSource {
@@ -499,8 +507,10 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
       }
     }
     for (std::size_t d = 0; d < source.domains.size(); ++d) {
-      const std::string cls =
-          source.taskPackage + (d == 0 ? ".b" : ".b" + std::to_string(d));
+      const Decimal domainIndex(d);
+      const ClassName cls = addClass(
+          {source.taskPackage, ".b",
+           d == 0 ? std::string_view() : std::string_view(domainIndex)});
       rt::NetRequestAction request;
       request.domain = source.domains[d];
       request.port = rng.chance(0.85) ? 443 : 80;
@@ -545,10 +555,10 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
 
       // Listing 1 shape: b.a holds the request, b.doInBackground calls it.
       const rt::MethodId helper = addProgramMethod(
-          cls, "a", {request}, "Ljava/lang/String;", "Ljava/lang/Object;");
+          cls, {"a(Ljava/lang/String;)Ljava/lang/Object;"}, {request});
       const rt::MethodId task = addProgramMethod(
-          cls, "doInBackground", {rt::CallAction{helper}},
-          "[Ljava/lang/String;", "Ljava/lang/Object;");
+          cls, {"doInBackground([Ljava/lang/String;)Ljava/lang/Object;"},
+          {rt::CallAction{helper}});
       // Laundering wraps the *outermost* app frame of the request stack:
       // what the async queue runs is the trampoline, so the raw origin
       // scan sees junk (or a builtin-looking frame) where doInBackground
@@ -557,20 +567,20 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
       rt::MethodId entry = task;
       if (launder == Launder::Reflect) {
         entry = addProgramMethod(
-            junkPackage + ".x" + std::to_string(builtSources.size()),
-            "i" + std::to_string(d), {rt::ReflectiveCallAction{task}});
+            addClass({junkPackage, ".x", Decimal(builtSources.size())}),
+            {"i", domainIndex, "()V"}, {rt::ReflectiveCallAction{task}});
       } else if (launder == Launder::Spoof) {
         entry = addProgramMethod(
-            "android.support.v7.sync.Dispatch" +
-                std::to_string(builtSources.size()),
-            "run" + std::to_string(d), {rt::CallAction{task}});
+            addClass({"android.support.v7.sync.Dispatch",
+                      Decimal(builtSources.size())}),
+            {"run", domainIndex, "()V"}, {rt::CallAction{task}});
       }
       if (sync) {
         // Developer code on the UI thread calls straight into the fetch.
         built.enqueuers.push_back(entry);
       } else {
-        const rt::MethodId enqueue = addProgramMethod(
-            cls, "request", {rt::AsyncAction{entry}});
+        const rt::MethodId enqueue =
+            addProgramMethod(cls, {"request()V"}, {rt::AsyncAction{entry}});
         built.enqueuers.push_back(enqueue);
       }
     }
@@ -588,18 +598,18 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
     std::size_t made = 0;
     int hubIndex = 0;
     while (made < size) {
-      const std::string cls =
-          packageBase + ".T" + std::to_string(treeId) + "H" + std::to_string(hubIndex);
+      const ClassName cls = addClass(
+          {packageBase, ".T", Decimal(treeId), "H", Decimal(hubIndex)});
       std::vector<rt::Action> body;
       const std::size_t leaves = std::min(kLeavesPerHub, size - made);
+      body.reserve(leaves);
       for (std::size_t l = 0; l < leaves; ++l) {
         const rt::MethodId leaf =
-            addProgramMethod(cls, "w" + std::to_string(l), {}, "I", "I");
+            addProgramMethod(cls, {"w", Decimal(l), "(I)I"}, {});
         body.push_back(rt::CallAction{leaf});
         ++made;
       }
-      const rt::MethodId hub =
-          addProgramMethod(cls, "run", std::move(body));
+      const rt::MethodId hub = addProgramMethod(cls, {"run()V"}, std::move(body));
       ++made;  // the hub itself counts
       hubs.push_back(hub);
       ++hubIndex;
@@ -610,10 +620,9 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
     // chain wrappers instead.
     rt::MethodId next = hubs.back();
     for (std::size_t i = hubs.size() - 1; i-- > 0;) {
-      const std::string cls = packageBase + ".T" + std::to_string(treeId) + "C" +
-                              std::to_string(i);
       next = addProgramMethod(
-          cls, "step", {rt::CallAction{hubs[i]}, rt::CallAction{next}});
+          addClass({packageBase, ".T", Decimal(treeId), "C", Decimal(i)}),
+          {"step()V"}, {rt::CallAction{hubs[i]}, rt::CallAction{next}});
     }
     return next;
   };
@@ -691,8 +700,8 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
     else if (sourceProfile.radarCategory == "Utility") backgroundProb = 0.30;
     if (backgroundProb <= 0.0) continue;
     const rt::MethodId task = addProgramMethod(
-        built.plan->taskPackage + ".BgSync" + std::to_string(b), "run",
-        {rt::GuardAction{backgroundProb, built.enqueuers.front()}});
+        addClass({built.plan->taskPackage, ".BgSync", Decimal(b)}),
+        {"run()V"}, {rt::GuardAction{backgroundProb, built.enqueuers.front()}});
     program.backgroundTasks.push_back(task);
   }
 
@@ -706,10 +715,10 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
     request.requestBytesMin = 120;
     request.requestBytesMax = 420;
     request.transfers = 1;
-    const std::string cls = plan.packageName + ".sync.Poller";
-    const rt::MethodId fetch = addProgramMethod(cls, "fetch", {request});
+    const ClassName cls = addClass({plan.packageName, ".sync.Poller"});
+    const rt::MethodId fetch = addProgramMethod(cls, {"fetch()V"}, {request});
     const rt::MethodId poll = addProgramMethod(
-        cls, "run", {rt::GuardAction{plan.syncProb, fetch}});
+        cls, {"run()V"}, {rt::GuardAction{plan.syncProb, fetch}});
     program.backgroundTasks.push_back(poll);
   }
 
@@ -718,31 +727,32 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
     rt::SystemRequestAction request;
     request.domain = plan.systemAdDomain;
     const rt::MethodId trigger = addProgramMethod(
-        plan.packageName + ".ui.WebBanner", "refresh", {request});
+        addClass({plan.packageName, ".ui.WebBanner"}), {"refresh()V"},
+        {request});
     spreadGuards(trigger, 2.5);
   }
 
   std::vector<rt::MethodId> handlers;
   handlers.reserve(handlerCount);
   for (std::size_t h = 0; h < handlerCount; ++h) {
-    std::vector<rt::Action> body;
     const std::string& base = subtreePackages[h % subtreePackages.size()];
-    if (const auto subtree =
-            buildSubtree(base, static_cast<int>(h), perHandler))
-      body.push_back(rt::CallAction{*subtree});
+    const auto subtree = buildSubtree(base, static_cast<int>(h), perHandler);
+    std::vector<rt::Action> body;
+    body.reserve((subtree ? 1 : 0) + handlerGuards[h].size() + 1);
+    if (subtree) body.push_back(rt::CallAction{*subtree});
     for (const auto& guard : handlerGuards[h])
       body.push_back(rt::GuardAction{guard.prob, guard.target});
     body.push_back(rt::SleepAction{static_cast<std::uint32_t>(rng.uniform(0, 3))});
-    handlers.push_back(addProgramMethod(plan.packageName + ".ui.Handler" +
-                                            std::to_string(h),
-                                        "onClick", std::move(body),
-                                        "Landroid/view/View;"));
+    handlers.push_back(addProgramMethod(
+        addClass({plan.packageName, ".ui.Handler", Decimal(h)}),
+        {"onClick(Landroid/view/View;)V"}, std::move(body)));
   }
 
   // --- onCreate -----------------------------------------------------------------
   std::vector<rt::Action> onCreateBody;
+  onCreateBody.reserve(1 + builtSources.size());
   if (const auto subtree =
-          buildSubtree(plan.packageName + ".ui", 9999, onCreateShare))
+          buildSubtree(subtreePackages.front(), 9999, onCreateShare))
     onCreateBody.push_back(rt::CallAction{*subtree});
   for (const auto& built : builtSources) {
     if (built.plan->initRequestProb <= 0.0) continue;
@@ -750,9 +760,9 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
         built.plan->initialDownload ? 0.95 : built.plan->initRequestProb,
         built.enqueuers.front()});
   }
-  const rt::MethodId onCreate =
-      addProgramMethod(plan.packageName + ".ui.MainActivity", "onCreate",
-                       std::move(onCreateBody), "Landroid/os/Bundle;");
+  const rt::MethodId onCreate = addProgramMethod(
+      addClass({plan.packageName, ".ui.MainActivity"}),
+      {"onCreate(Landroid/os/Bundle;)V"}, std::move(onCreateBody));
 
   program.onCreate = onCreate;
   program.uiHandlers = std::move(handlers);
@@ -767,24 +777,21 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
   apk.vtScanDate = version.vtScanDate;
   apk.abis = version.abis;
 
-  // Bulk (cold) library code: classes of up to 16 methods "m<k>(I)I".
+  // Bulk (cold) library code, kBulkMembers in each class.
   struct BulkClass {
-    std::size_t nameOffset = 0;  // into classNames
-    std::size_t nameSize = 0;
+    ClassName name;
     std::size_t methods = 0;
   };
   std::vector<BulkClass> bulkClasses;
-  std::size_t methodCount = program.methods.size();
-  const auto addBulk = [&](const std::string& package, std::size_t count) {
+  std::size_t methodCount = program.methodCount();
+  const auto addBulk = [&](std::string_view package, std::string_view suffix,
+                           std::size_t count) {
     std::size_t made = 0;
-    int classIndex = 0;
-    while (made < count) {
-      const std::size_t offset = classNames.size();
-      classNames += package;
-      classNames += ".a";
-      classNames += std::to_string(classIndex++);
-      const std::size_t inClass = std::min<std::size_t>(16, count - made);
-      bulkClasses.push_back({offset, classNames.size() - offset, inClass});
+    for (std::size_t classIndex = 0; made < count; ++classIndex) {
+      const std::size_t inClass =
+          std::min<std::size_t>(kBulkMethodsPerClass, count - made);
+      bulkClasses.push_back(
+          {addClass({package, suffix, ".a", Decimal(classIndex)}), inClass});
       made += inClass;
     }
     methodCount += count;
@@ -794,10 +801,10 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
     const LibraryProfile& profile = profiles[static_cast<std::size_t>(profileIndex)];
     const auto bulk = static_cast<std::size_t>(
         static_cast<double>(profile.bulkMethods) * config_.methodScale);
-    addBulk(std::string(profile.prefix) + ".internal", bulk);
+    addBulk(profile.prefix, ".internal", bulk);
   }
   if (methodCount < plan.totalMethods)
-    addBulk(plan.packageName + ".gen", plan.totalMethods - methodCount);
+    addBulk(plan.packageName, ".gen", plan.totalMethods - methodCount);
 
   // Group methods into classes. Entry e < programCount is program method
   // e; entry programCount + b is bulk class b. A class keeps its entries
@@ -808,27 +815,37 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
   // std::unordered_map<std::string, ...> this assembly always used,
   // because the key hash is the same (std::hash<std::string_view> equals
   // std::hash<std::string>), the keys arrive in the same sequence (program
-  // methods in id order, then bulk classes) and neither map reserves.
+  // methods in id order, then bulk classes), neither map reserves and the
+  // allocator does not change the bucket policy. The map's nodes and
+  // buckets come from one block sized for the most classes there can be
+  // (every class name written, repeats included): a 40-byte node plus the
+  // bucket arrays the map grows through, which a monotonic resource keeps.
   struct ClassEntries {
     std::uint32_t first = 0;
     std::uint32_t last = 0;
     std::size_t methods = 0;
   };
   constexpr std::uint32_t kEndOfClass = ~std::uint32_t{0};
-  const std::size_t programCount = program.methods.size();
-  std::unordered_map<std::string_view, std::uint32_t> classOf;
+  constexpr std::size_t kClassMapBytesPerClass = 80;
+  const std::size_t programCount = program.methodCount();
+  std::pmr::monotonic_buffer_resource classMapMemory(
+      classNamesWritten * kClassMapBytesPerClass);
+  std::pmr::unordered_map<std::string_view, std::uint32_t> classOf(
+      &classMapMemory);
   std::vector<ClassEntries> classes;
+  classes.reserve(classNamesWritten);
   std::vector<std::uint32_t> nextEntry(programCount + bulkClasses.size(),
                                        kEndOfClass);
   std::size_t imageBytes = 4;
-  const auto place = [&](std::size_t nameOffset, std::size_t nameSize,
-                         std::uint32_t entry, std::size_t methods) {
-    const std::string_view name(classNames.data() + nameOffset, nameSize);
+  const auto place = [&](ClassName className, std::uint32_t entry,
+                         std::size_t methods) {
+    const std::string_view name =
+        std::string_view(classNames).substr(className.offset, className.size);
     const auto [it, fresh] =
         classOf.try_emplace(name, static_cast<std::uint32_t>(classes.size()));
     if (fresh) {
       classes.push_back({entry, entry, 0});
-      imageBytes += 4 + nameSize + 4;
+      imageBytes += 4 + name.size() + 4;
     } else {
       nextEntry[classes[it->second].last] = entry;
       classes[it->second].last = entry;
@@ -836,17 +853,17 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
     classes[it->second].methods += methods;
   };
   for (std::size_t id = 0; id < programCount; ++id) {
-    place(programClasses[id].first, programClasses[id].second,
-          static_cast<std::uint32_t>(id), 1);
-    imageBytes += 4 + program.methods[id].signature.size();
+    const auto method = static_cast<rt::MethodId>(id);
+    place(programClasses[id], method, 1);
+    imageBytes += 4 + program.method(method).signature.size();
   }
   for (std::size_t b = 0; b < bulkClasses.size(); ++b) {
     const BulkClass& bulk = bulkClasses[b];
-    place(bulk.nameOffset, bulk.nameSize,
-          static_cast<std::uint32_t>(programCount + b), bulk.methods);
-    // "L<class>;->m<k>(I)I": 'L', the class, ";->m", the digits, "(I)I".
+    place(bulk.name, static_cast<std::uint32_t>(programCount + b),
+          bulk.methods);
+    // "L<class>;-><member>".
     for (std::size_t k = 0; k < bulk.methods; ++k)
-      imageBytes += 4 + bulk.nameSize + 9 + decimalDigits(k);
+      imageBytes += 4 + 1 + bulk.name.size + 3 + kBulkMembers[k].size();
   }
 
   // Multi-dex: respect the 64k method-reference limit per dex file. Each
@@ -858,8 +875,6 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
               classes.size(), methodCount);
   dex.beginDex();
   std::size_t inCurrentDex = 0;
-  std::string ownPrefix;  // "L<bulk class, '.' as '/'>;->"
-  char digits[20];
   for (const auto& [name, index] : classOf) {
     const ClassEntries& cls = classes[index];
     if (inCurrentDex + cls.methods > kDexMethodLimit) {
@@ -871,20 +886,12 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
     for (std::uint32_t entry = cls.first; entry != kEndOfClass;
          entry = nextEntry[entry]) {
       if (entry < programCount) {
-        dex.addMethod(program.methods[entry].signature);
+        dex.addMethod(program.method(entry).signature);
         continue;
       }
-      ownPrefix.assign(1, 'L');
-      appendSlashed(ownPrefix, name);
-      ownPrefix += ";->";
       for (std::size_t k = 0; k < bulkClasses[entry - programCount].methods;
-           ++k) {
-        const auto end = std::to_chars(digits, digits + sizeof digits, k).ptr;
-        dex.addMethod({ownPrefix, "m",
-                       std::string_view(digits, static_cast<std::size_t>(
-                                                    end - digits)),
-                       "(I)I"});
-      }
+           ++k)
+        dex.addOwnMethod(kBulkMembers[k]);
     }
   }
   apk.setDex(std::move(dex));

@@ -40,8 +40,8 @@ class SupervisorTest : public ::testing::Test {
     dex::DexFile dexFile;
     dex::ClassDef cls;
     cls.dottedName = "mixed";
-    for (const auto& method : program_.methods)
-      cls.methods.push_back({method.signature});
+    for (rt::MethodId id = 0; id < program_.methodCount(); ++id)
+      cls.methods.push_back({std::string(program_.method(id).signature)});
     dexFile.classes.push_back(cls);
     apk_.setDex(dex::writeDexFiles({dexFile}));
   }

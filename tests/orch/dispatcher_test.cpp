@@ -33,7 +33,7 @@ class DispatcherTest : public ::testing::Test {
     dex::DexFile dexFile;
     dex::ClassDef cls;
     cls.dottedName = "com.app.H";
-    cls.methods.push_back({job.program.methods[0].signature});
+    cls.methods.push_back({std::string(job.program.method(0).signature)});
     dexFile.classes.push_back(cls);
     job.apk.setDex(dex::writeDexFiles({dexFile}));
     return job;

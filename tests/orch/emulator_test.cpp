@@ -34,10 +34,10 @@ class EmulatorTest : public ::testing::Test {
 
     // Dex mirror of the program methods plus cold code.
     dex::DexFile dexFile;
-    for (const auto& method : program_.methods) {
+    for (rt::MethodId id = 0; id < program_.methodCount(); ++id) {
       dex::ClassDef cls;
       cls.dottedName = "x";
-      cls.methods.push_back({method.signature});
+      cls.methods.push_back({std::string(program_.method(id).signature)});
       dexFile.classes.push_back(std::move(cls));
     }
     dex::ClassDef cold;

@@ -177,9 +177,10 @@ TEST_F(InterpreterTest, SystemRequestHasNoAppFrames) {
 TEST_F(InterpreterTest, CallDepthIsBounded) {
   AppProgram program;
   // Mutually recursive pair: would loop forever without the depth cap.
-  const MethodId a = program.addMethod("Lcom/app/A;->f()V", {});
+  // Ids are handed out in order, so A's body can call B before B exists.
+  const MethodId a = program.addMethod("Lcom/app/A;->f()V", {CallAction{1}});
   const MethodId b = program.addMethod("Lcom/app/B;->g()V", {CallAction{a}});
-  program.methods[a].body.push_back(CallAction{b});
+  ASSERT_EQ(b, 1u);
   program.onCreate = a;
 
   auto stack = makeStack();

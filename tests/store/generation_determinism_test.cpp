@@ -11,17 +11,21 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "core/export.hpp"
 #include "dex/apk.hpp"
 #include "orch/study.hpp"
+#include "rt/program.hpp"
 #include "util/bytes.hpp"
 #include "util/sha256.hpp"
 
@@ -146,6 +150,127 @@ INSTANTIATE_TEST_SUITE_P(
         ApkPin{"MultiDex", 5, 10, 2.0, false, 40018776,
                0x5b1178ce229fe21bULL}),
     [](const ::testing::TestParamInfo<ApkPin>& info) {
+      return std::string(info.param.name);
+    });
+
+// The programs. An apk carries every program signature but no body,
+// frame name or entry point, so CorpusApkPin cannot see those move. Each
+// world pins, over its apps in index order, the total method count and
+// the FNV-64 of every program written out: per method its signature, its
+// frame name and its body (each action's kind and every field), then
+// onCreate, uiHandlers and backgroundTasks. The values were recorded
+// while each method still stored its own signature and frame name
+// strings.
+void putU64(std::string& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out += static_cast<char>(v >> (8 * i));
+}
+
+void putText(std::string& out, std::string_view text) {
+  putU64(out, text.size());
+  out += text;
+}
+
+void putAction(std::string& out, const rt::Action& action) {
+  putU64(out, action.index());
+  std::visit(
+      [&out](const auto& a) {
+        using T = std::decay_t<decltype(a)>;
+        if constexpr (std::is_same_v<T, rt::NetRequestAction>) {
+          putText(out, a.domain);
+          putU64(out, a.port);
+          putU64(out, a.requestBytesMin);
+          putU64(out, a.requestBytesMax);
+          putU64(out, a.transfers);
+          putU64(out, static_cast<std::uint64_t>(a.engine));
+          putText(out, a.path);
+          putText(out, a.userAgent);
+          putU64(out, a.post);
+          putU64(out, a.keepAlive);
+        } else if constexpr (std::is_same_v<T, rt::SystemRequestAction>) {
+          putText(out, a.domain);
+          putU64(out, a.port);
+          putU64(out, a.requestBytesMin);
+          putU64(out, a.requestBytesMax);
+        } else if constexpr (std::is_same_v<T, rt::SleepAction>) {
+          putU64(out, a.ms);
+        } else if constexpr (std::is_same_v<T, rt::AsyncAction>) {
+          putU64(out, a.task);
+        } else if constexpr (std::is_same_v<T, rt::GuardAction>) {
+          putU64(out, std::bit_cast<std::uint64_t>(a.prob));
+          putU64(out, a.callee);
+        } else {  // CallAction, ReflectiveCallAction
+          putU64(out, a.callee);
+        }
+      },
+      action);
+}
+
+void putProgram(std::string& out, const rt::AppProgram& program) {
+  putU64(out, program.methodCount());
+  for (rt::MethodId id = 0; id < program.methodCount(); ++id) {
+    const rt::MethodView method = program.method(id);
+    putText(out, method.signature);
+    putText(out, program.frameName(id));
+    putU64(out, method.body.size());
+    for (const rt::Action& action : method.body) putAction(out, action);
+  }
+  putU64(out, program.onCreate.has_value());
+  putU64(out, program.onCreate.value_or(0));
+  putU64(out, program.uiHandlers.size());
+  for (const rt::MethodId id : program.uiHandlers) putU64(out, id);
+  putU64(out, program.backgroundTasks.size());
+  for (const rt::MethodId id : program.backgroundTasks) putU64(out, id);
+}
+
+struct ProgramPin {
+  const char* name;
+  std::uint64_t seed;
+  std::size_t apps;
+  double methodScale;
+  bool scenarios;
+  std::size_t methods;
+  std::uint64_t digest;
+
+  friend void PrintTo(const ProgramPin& pin, std::ostream* out) {
+    *out << pin.name;
+  }
+};
+
+class CorpusProgramPin : public ::testing::TestWithParam<ProgramPin> {};
+
+TEST_P(CorpusProgramPin, NoProgramByteMoves) {
+  const ProgramPin& pin = GetParam();
+  StoreConfig config = storeConfig(pin.seed, pin.apps);
+  config.methodScale = pin.methodScale;
+  if (pin.scenarios)
+    config.scenarios = {.keepAliveReuse = true,
+                        .adversarialApps = true,
+                        .backgroundSync = true};
+  const AppStoreGenerator generator(config);
+  std::string written;
+  std::size_t methods = 0;
+  for (std::size_t i = 0; i < generator.appCount(); ++i) {
+    const auto job = generator.makeJob(i);
+    putProgram(written, job.program);
+    methods += job.program.methodCount();
+  }
+  EXPECT_EQ(methods, pin.methods);
+  EXPECT_EQ(util::fnv1a64(written), pin.digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Worlds, CorpusProgramPin,
+    ::testing::Values(
+        ProgramPin{"Seed5", 5, 20, 0.05, false, 6961, 0xcc2e0045ba20016fULL},
+        ProgramPin{"Seed5Scenarios", 5, 20, 0.05, true, 7418,
+                   0x6cff5a45320af50cULL},
+        ProgramPin{"Seed77", 77, 20, 0.05, false, 10023,
+                   0xac16e1cf93ad02ccULL},
+        ProgramPin{"Seed77Scenarios", 77, 20, 0.05, true, 10622,
+                   0x970982ffe564944bULL},
+        ProgramPin{"MultiDex", 5, 10, 2.0, false, 67702,
+                   0x528a67b0e5f01848ULL}),
+    [](const ::testing::TestParamInfo<ProgramPin>& info) {
       return std::string(info.param.name);
     });
 

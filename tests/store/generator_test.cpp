@@ -38,7 +38,7 @@ TEST(GeneratorTest, MakeJobIsIdempotent) {
   const auto first = generator.makeJob(3);
   const auto second = generator.makeJob(3);
   EXPECT_EQ(first.apk, second.apk);
-  EXPECT_EQ(first.program.methods.size(), second.program.methods.size());
+  EXPECT_EQ(first.program, second.program);
 }
 
 TEST(GeneratorTest, DifferentSeedsDifferentWorlds) {
@@ -54,12 +54,14 @@ TEST(GeneratorTest, ProgramMethodsAreInDex) {
   const auto dexSignatures = dex::allMethodSignatures(job.apk);
   const std::unordered_set<std::string_view> dexSet(dexSignatures.begin(),
                                                     dexSignatures.end());
-  for (const auto& method : job.program.methods)
-    EXPECT_TRUE(dexSet.contains(method.signature)) << method.signature;
+  for (rt::MethodId id = 0; id < job.program.methodCount(); ++id) {
+    const std::string_view signature = job.program.method(id).signature;
+    EXPECT_TRUE(dexSet.contains(signature)) << signature;
+  }
 }
 
 TEST(GeneratorTest, ProgramFrameNamesAreTheParsedSignatures) {
-  // AppProgram::addMethod derives each frame name from a view of the
+  // AppProgram::frameName derives each frame name from a view of the
   // signature; it must be the name TypeSignature spells out, for every
   // class shape the generator writes (scenario classes included).
   StoreConfig config = smallConfig(12);
@@ -69,10 +71,12 @@ TEST(GeneratorTest, ProgramFrameNamesAreTheParsedSignatures) {
   for (const StoreConfig& world : {smallConfig(12), config}) {
     const AppStoreGenerator generator(world);
     for (std::size_t i = 0; i < generator.appCount(); ++i) {
-      for (const auto& method : generator.makeJob(i).program.methods) {
-        const auto parsed = dex::TypeSignature::parse(method.signature);
-        ASSERT_TRUE(parsed.has_value()) << method.signature;
-        EXPECT_EQ(method.frameName, parsed->frameName()) << method.signature;
+      const auto job = generator.makeJob(i);
+      for (rt::MethodId id = 0; id < job.program.methodCount(); ++id) {
+        const std::string_view signature = job.program.method(id).signature;
+        const auto parsed = dex::TypeSignature::parse(signature);
+        ASSERT_TRUE(parsed.has_value()) << signature;
+        EXPECT_EQ(job.program.frameName(id), parsed->frameName()) << signature;
       }
     }
   }
@@ -89,11 +93,11 @@ TEST(GeneratorTest, AddMethodRejectsMalformedSignatures) {
     ASSERT_FALSE(dex::TypeSignature::parse(bad).has_value()) << bad;
     rt::AppProgram program;
     EXPECT_THROW(program.addMethod(bad, {}), std::invalid_argument) << bad;
-    EXPECT_TRUE(program.methods.empty()) << bad;
+    EXPECT_EQ(program.methodCount(), 0u) << bad;
   }
   rt::AppProgram program;
   EXPECT_EQ(program.addMethod("Lcom/Foo;->ok(I)V", {}), 0u);
-  EXPECT_EQ(program.method(0).frameName, "com.Foo.ok");
+  EXPECT_EQ(program.frameName(0), "com.Foo.ok");
 }
 
 TEST(GeneratorTest, PlannedDomainsResolveInFarm) {
@@ -220,7 +224,7 @@ TEST(GeneratorTest, UiHandlersExistAndAreValid) {
   EXPECT_FALSE(job.program.uiHandlers.empty());
   ASSERT_TRUE(job.program.onCreate.has_value());
   for (const auto handler : job.program.uiHandlers)
-    EXPECT_LT(handler, job.program.methods.size());
+    EXPECT_LT(handler, job.program.methodCount());
 }
 
 TEST(GeneratorTest, AntOnlyAppsUseOnlyAntListedTaskPackages) {
