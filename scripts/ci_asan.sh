@@ -13,7 +13,10 @@
 # eight bytes per step up to the end of its buffer; the method tracer
 # keeps per-id slots and views into its own map; an app program keeps
 # every signature in one arena that regrows under the views it hands out
-# (program_test); the attribution, fold and ingest suites drive the
+# (program_test); the capture index groups, orders and sums a capture's
+# packets in one flat table it answers every query from by offset, and
+# owns it past the capture's end (capture_index_test, capture_test); the
+# attribution, fold and ingest suites drive the
 # dense id-indexed accumulators, where an out-of-range id is a silent
 # heap overrun in a release build; the
 # router's one fold path parks frames whose signature ids are not yet
@@ -55,6 +58,8 @@ TARGETS=(
   tracer_test
   interpreter_test
   program_test
+  capture_test
+  capture_index_test
   fuzz_decoders_test
   spectord_fuzz_test
   spectord_protocol_test

@@ -174,12 +174,12 @@ std::vector<FlowRecord> TrafficAttributor::attribute(
   std::unordered_map<net::Ipv4Addr,
                      std::vector<std::pair<util::SimTimeMs, std::string_view>>>
       dnsByIp;
-  // The capture records answered-DNS packet indices on append, so this
-  // visits exactly the packets that matter instead of scanning the whole
-  // capture for them (queries and NXDOMAINs were already excluded there).
-  const auto& capturePackets = run.capture.packets();
-  for (const std::uint32_t i : run.capture.dnsAnswerPackets()) {
-    const auto& pkt = capturePackets[i];
+  // Only DNS responses carrying an address count: queries have none and
+  // an NXDOMAIN answers 0.0.0.0.
+  for (const net::PacketRecord& pkt : run.capture.packets()) {
+    if (pkt.proto != net::Proto::Udp || !pkt.isDns() ||
+        pkt.dnsAnswer == net::Ipv4Addr{})
+      continue;
     dnsByIp[pkt.dnsAnswer].emplace_back(pkt.timestampMs,
                                         std::string_view(pkt.dnsQname));
   }

@@ -1,8 +1,8 @@
 // The datagram ingestion boundary.
 //
 // Everything that can receive a supervisor report datagram — the sharded
-// ingest router, the ingest pipeline, spectord clients, fault-injection
-// wrappers — implements this one-method interface, so emulators and
+// ingest router, the spectord ingest client, the fault-injection channel —
+// implements this one-method interface, so emulators and
 // dispatchers are wired against the boundary rather than a concrete
 // collector.
 #pragma once

@@ -1,6 +1,8 @@
 #include "net/capture.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <numeric>
 
 #include "util/bytes.hpp"
 
@@ -12,42 +14,6 @@ constexpr std::uint32_t kMagic = 0x50434c53;  // "SLCP"
 
 void CaptureFile::append(PacketRecord record) {
   if (record.proto == Proto::Tcp) tcpPayloadBytes_ += record.payloadBytes;
-  const auto index = static_cast<std::uint32_t>(packets_.size());
-  if (record.proto == Proto::Udp && record.isDns() &&
-      !(record.dnsAnswer == Ipv4Addr{}))
-    dnsAnswerPackets_.push_back(index);
-  // Thread the packet onto its connection's chain. This is the only hash
-  // probe the pair ever pays: the per-run CaptureIndex build used to redo
-  // it for every packet on the offline attribution path, where it was the
-  // single largest cost; here it amortizes into capture recording.
-  const auto [it, inserted] = connIdOf_.try_emplace(
-      normalizedPair(record.pair), static_cast<std::uint32_t>(connPairs_.size()));
-  if (inserted) {
-    connPairs_.push_back(it->first);
-    connPackets_.emplace_back();
-    connSorted_.push_back(1);
-  }
-  const std::uint32_t conn = it->second;
-  std::vector<std::uint32_t>& group = connPackets_[conn];
-  const std::uint32_t prev = group.empty() ? kNoPacket : group.back();
-  group.push_back(index);
-
-  // Per-packet columns: timestamp and running per-direction sums of the
-  // packet's connection. The previous packet of the same connection was
-  // appended recently, so reading its running sums stays cache-resident —
-  // unlike the index-build-time gather these columns replace.
-  if (prev != kNoPacket && record.timestampMs < packetTimestamps_[prev])
-    connSorted_[conn] = 0;
-  packetTimestamps_.push_back(record.timestampMs);
-  const bool forward = record.pair.src == connPairs_[conn].src;
-  const std::uint64_t wireFwd = prev == kNoPacket ? 0 : cumWireFwd_[prev];
-  const std::uint64_t wireRev = prev == kNoPacket ? 0 : cumWireRev_[prev];
-  const std::uint64_t payFwd = prev == kNoPacket ? 0 : cumPayFwd_[prev];
-  const std::uint64_t payRev = prev == kNoPacket ? 0 : cumPayRev_[prev];
-  cumWireFwd_.push_back(wireFwd + (forward ? record.wireBytes : 0));
-  cumWireRev_.push_back(wireRev + (forward ? 0 : record.wireBytes));
-  cumPayFwd_.push_back(payFwd + (forward ? record.payloadBytes : 0));
-  cumPayRev_.push_back(payRev + (forward ? 0 : record.payloadBytes));
   packets_.push_back(std::move(record));
 }
 
@@ -76,47 +42,54 @@ CaptureFile::StreamVolume CaptureFile::streamVolume(const SocketPair& pair,
   return volume;
 }
 
-CaptureIndex::CaptureIndex(const CaptureFile& capture) : capture_(&capture) {
-  // The capture groups, timestamps, and prefix-sums its packets as they are
-  // appended, so for connections whose packets arrived chronologically —
-  // the monotonic-clock common case, i.e. essentially all of them — there
-  // is nothing to build: queries read the capture's columns directly. Only
-  // out-of-order connections get time-sorted copies with materialized
-  // prefix sums (a stable sort keeps capture order among equal timestamps;
-  // any order among equals yields the same sums for the inclusive-range
-  // queries, but stability makes the index reproducible byte-for-byte).
-  const auto& sorted = capture.connectionSorted();
+CaptureIndex::CaptureIndex(const CaptureFile& capture)
+    : tcpPayload_(capture.totalTcpPayloadBytes()) {
   const auto& packets = capture.packets();
-  const auto& flatTs = capture.packetTimestamps();
-  for (std::uint32_t c = 0; c < sorted.size(); ++c) {
-    if (sorted[c]) continue;
-    const SocketPair& conn = capture.connectionPairs()[c];
-    std::vector<std::uint32_t> order = capture.connectionPackets()[c];
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return flatTs[a] < flatTs[b];
-                     });
-    SortedConn& out = resorted_[c];
-    const std::size_t n = order.size();
-    out.timestamps.resize(n);
-    out.wireForward.assign(n + 1, 0);
-    out.wireReverse.assign(n + 1, 0);
-    out.payloadForward.assign(n + 1, 0);
-    out.payloadReverse.assign(n + 1, 0);
-    out.forward.resize(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      const PacketRecord& pkt = packets[order[k]];
-      out.timestamps[k] = pkt.timestampMs;
-      const bool forward = pkt.pair.src == conn.src;
-      out.forward[k] = forward ? 1 : 0;
-      out.wireForward[k + 1] =
-          out.wireForward[k] + (forward ? pkt.wireBytes : 0);
-      out.wireReverse[k + 1] =
-          out.wireReverse[k] + (forward ? 0 : pkt.wireBytes);
-      out.payloadForward[k + 1] =
-          out.payloadForward[k] + (forward ? pkt.payloadBytes : 0);
-      out.payloadReverse[k + 1] =
-          out.payloadReverse[k] + (forward ? 0 : pkt.payloadBytes);
+  // Connection ids, and each connection's packet count one slot up, so
+  // the prefix sum turns the counts into first-entry offsets.
+  std::vector<std::uint32_t> connectionOf(packets.size());
+  connectionIds_.reserve(packets.size());
+  firsts_.push_back(0);
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    const auto [it, inserted] = connectionIds_.try_emplace(
+        normalizedPair(packets[i].pair),
+        static_cast<std::uint32_t>(connectionIds_.size()));
+    if (inserted) firsts_.push_back(0);
+    connectionOf[i] = it->second;
+    ++firsts_[it->second + 1];
+  }
+  std::partial_sum(firsts_.begin(), firsts_.end(), firsts_.begin());
+
+  // Each connection's packets in capture order...
+  std::vector<std::uint32_t> next(firsts_.begin(), std::prev(firsts_.end()));
+  entries_.resize(packets.size());
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    const PacketRecord& pkt = packets[i];
+    Entry& entry = entries_[next[connectionOf[i]]++];
+    entry.timestampMs = pkt.timestampMs;
+    entry.forward = pkt.pair.src == normalizedPair(pkt.pair).src;
+    entry.through.wire[entry.forward] = pkt.wireBytes;
+    entry.through.payload[entry.forward] = pkt.payloadBytes;
+  }
+  // ...then in time order. Only a connection appended out of time order is
+  // sorted, stably, so equal timestamps keep their capture order.
+  const auto byTime = [](const Entry& a, const Entry& b) {
+    return a.timestampMs < b.timestampMs;
+  };
+  for (std::size_t c = 0; c + 1 < firsts_.size(); ++c) {
+    const auto begin = entries_.begin() + firsts_[c];
+    const auto end = entries_.begin() + firsts_[c + 1];
+    if (!std::is_sorted(begin, end, byTime))
+      std::stable_sort(begin, end, byTime);
+  }
+  // Running sums over the whole table: the difference of two entries'
+  // sums is what the entries after the first, through the second, carry.
+  for (std::size_t k = 1; k < entries_.size(); ++k) {
+    Sums& sums = entries_[k].through;
+    const Sums& before = entries_[k - 1].through;
+    for (int direction = 0; direction < 2; ++direction) {
+      sums.wire[direction] += before.wire[direction];
+      sums.payload[direction] += before.payload[direction];
     }
   }
 }
@@ -125,116 +98,44 @@ CaptureFile::StreamVolume CaptureIndex::streamVolume(
     const SocketPair& pair, util::SimTimeMs fromMs,
     util::SimTimeMs toMs) const {
   CaptureFile::StreamVolume volume;
-  if (capture_ == nullptr) return volume;
-  const SocketPair conn = normalized(pair);
-  const auto& ids = capture_->connectionIds();
-  const auto it = ids.find(conn);
-  if (it == ids.end()) return volume;
-  const std::uint32_t c = it->second;
+  const SocketPair conn = normalizedPair(pair);
+  const auto id = connectionIds_.find(conn);
+  if (id == connectionIds_.end()) return volume;
+  const auto begin = entries_.begin() + firsts_[id->second];
+  const auto end = entries_.begin() + firsts_[id->second + 1];
+  const auto first =
+      std::ranges::lower_bound(begin, end, fromMs, {}, &Entry::timestampMs);
+  const auto last =
+      std::ranges::upper_bound(first, end, toMs, {}, &Entry::timestampMs);
+  if (first == last) return volume;
 
-  std::uint64_t wireFwd = 0;
-  std::uint64_t wireRev = 0;
-  std::uint64_t payFwd = 0;
-  std::uint64_t payRev = 0;
-  std::size_t matched = 0;
-  util::SimTimeMs firstFwd = CaptureFile::StreamVolume::kNoTimestamp;
-  util::SimTimeMs firstRev = CaptureFile::StreamVolume::kNoTimestamp;
-
-  const auto resortedIt = resorted_.find(c);
-  if (resortedIt == resorted_.end()) {
-    // Chronological connection: binary-search the capture's timestamp
-    // column through the connection's packet-index list, and difference
-    // its append-time cumulative sums. Nothing was copied to get here.
-    const std::vector<std::uint32_t>& group =
-        capture_->connectionPackets()[c];
-    const auto& ts = capture_->packetTimestamps();
-    std::size_t a = 0;
-    for (std::size_t lo = 0, hi = group.size(); lo < hi;) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (ts[group[mid]] < fromMs)
-        lo = mid + 1;
-      else
-        hi = mid;
-      a = lo;
-    }
-    std::size_t b = a;
-    for (std::size_t lo = a, hi = group.size(); lo < hi;) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (ts[group[mid]] <= toMs)
-        lo = mid + 1;
-      else
-        hi = mid;
-      b = lo;
-    }
-    if (a >= b) return volume;
-    const std::uint32_t last = group[b - 1];
-    const std::uint64_t baseWireFwd =
-        a == 0 ? 0 : capture_->cumulativeWireForward()[group[a - 1]];
-    const std::uint64_t baseWireRev =
-        a == 0 ? 0 : capture_->cumulativeWireReverse()[group[a - 1]];
-    const std::uint64_t basePayFwd =
-        a == 0 ? 0 : capture_->cumulativePayloadForward()[group[a - 1]];
-    const std::uint64_t basePayRev =
-        a == 0 ? 0 : capture_->cumulativePayloadReverse()[group[a - 1]];
-    wireFwd = capture_->cumulativeWireForward()[last] - baseWireFwd;
-    wireRev = capture_->cumulativeWireReverse()[last] - baseWireRev;
-    payFwd = capture_->cumulativePayloadForward()[last] - basePayFwd;
-    payRev = capture_->cumulativePayloadReverse()[last] - basePayRev;
-    matched = b - a;
-    // First packet per direction: a short forward scan from the range
-    // start, done the moment both directions have been seen. In time order
-    // the first hit per direction is the minimum, matching the naive scan.
-    const auto& pkts = capture_->packets();
-    for (std::size_t k = a; k < b; ++k) {
-      if (pkts[group[k]].pair.src == conn.src) {
-        if (firstFwd == CaptureFile::StreamVolume::kNoTimestamp)
-          firstFwd = ts[group[k]];
-      } else if (firstRev == CaptureFile::StreamVolume::kNoTimestamp) {
-        firstRev = ts[group[k]];
-      }
-      if (firstFwd != CaptureFile::StreamVolume::kNoTimestamp &&
-          firstRev != CaptureFile::StreamVolume::kNoTimestamp)
-        break;
-    }
-  } else {
-    const SortedConn& sc = resortedIt->second;
-    const auto a = static_cast<std::size_t>(
-        std::lower_bound(sc.timestamps.begin(), sc.timestamps.end(), fromMs) -
-        sc.timestamps.begin());
-    const auto b = static_cast<std::size_t>(
-        std::upper_bound(sc.timestamps.begin(), sc.timestamps.end(), toMs) -
-        sc.timestamps.begin());
-    if (a >= b) return volume;
-    wireFwd = sc.wireForward[b] - sc.wireForward[a];
-    wireRev = sc.wireReverse[b] - sc.wireReverse[a];
-    payFwd = sc.payloadForward[b] - sc.payloadForward[a];
-    payRev = sc.payloadReverse[b] - sc.payloadReverse[a];
-    matched = b - a;
-    for (std::size_t k = a; k < b; ++k) {
-      if (sc.forward[k]) {
-        if (firstFwd == CaptureFile::StreamVolume::kNoTimestamp)
-          firstFwd = sc.timestamps[k];
-      } else if (firstRev == CaptureFile::StreamVolume::kNoTimestamp) {
-        firstRev = sc.timestamps[k];
-      }
-      if (firstFwd != CaptureFile::StreamVolume::kNoTimestamp &&
-          firstRev != CaptureFile::StreamVolume::kNoTimestamp)
-        break;
-    }
+  const Sums& through = std::prev(last)->through;
+  const Sums before =
+      first == entries_.begin() ? Sums{} : std::prev(first)->through;
+  // First packet per direction: a short forward scan from the range
+  // start, done the moment both directions have been seen. In time order
+  // the first hit per direction is the minimum, matching the naive scan.
+  constexpr util::SimTimeMs kNone = CaptureFile::StreamVolume::kNoTimestamp;
+  util::SimTimeMs firstOf[2] = {kNone, kNone};
+  for (auto it = first; it != last; ++it) {
+    if (firstOf[it->forward] == kNone) firstOf[it->forward] = it->timestampMs;
+    if (firstOf[false] != kNone && firstOf[true] != kNone) break;
   }
 
   // "Forward" is relative to the normalized orientation; the caller's src
   // may be either end. Mirror exactly the naive scan's direction test
   // (pkt.pair.src == pair.src), under which a src == dst pair counts every
   // packet as sent by src.
-  const bool queryIsForward = pair.src == conn.src;
-  volume.bytesFromSrc = queryIsForward ? wireFwd : wireRev;
-  volume.bytesFromDst = queryIsForward ? wireRev : wireFwd;
-  volume.payloadFromSrc = queryIsForward ? payFwd : payRev;
-  volume.payloadFromDst = queryIsForward ? payRev : payFwd;
-  volume.firstFromSrcMs = queryIsForward ? firstFwd : firstRev;
-  volume.firstFromDstMs = queryIsForward ? firstRev : firstFwd;
-  volume.packetCount = matched;
+  const bool srcForward = pair.src == conn.src;
+  volume.bytesFromSrc = through.wire[srcForward] - before.wire[srcForward];
+  volume.bytesFromDst = through.wire[!srcForward] - before.wire[!srcForward];
+  volume.payloadFromSrc =
+      through.payload[srcForward] - before.payload[srcForward];
+  volume.payloadFromDst =
+      through.payload[!srcForward] - before.payload[!srcForward];
+  volume.firstFromSrcMs = firstOf[srcForward];
+  volume.firstFromDstMs = firstOf[!srcForward];
+  volume.packetCount = static_cast<std::size_t>(last - first);
   return volume;
 }
 
@@ -285,7 +186,11 @@ CaptureFile CaptureFile::deserialize(std::span<const std::uint8_t> bytes) {
   for (std::uint32_t i = 0; i < count; ++i) {
     PacketRecord pkt;
     pkt.timestampMs = r.u64();
-    pkt.proto = static_cast<Proto>(r.u8());
+    const std::uint8_t proto = r.u8();
+    if (proto != static_cast<std::uint8_t>(Proto::Tcp) &&
+        proto != static_cast<std::uint8_t>(Proto::Udp))
+      throw util::DecodeError("CaptureFile: unknown protocol");
+    pkt.proto = static_cast<Proto>(proto);
     pkt.pair.src.ip = Ipv4Addr(r.u32());
     pkt.pair.src.port = r.u16();
     pkt.pair.dst.ip = Ipv4Addr(r.u32());

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -75,13 +76,12 @@ struct HttpExchange {
   return pair.reversed() < pair ? pair.reversed() : pair;
 }
 
-/// Append-only capture with pcap-like binary (de)serialization.
+/// Append-only capture with pcap-like binary (de)serialization: the
+/// packets, the dissected HTTP exchanges and the running TCP payload total,
+/// nothing derived beyond that. CaptureIndex builds the per-connection
+/// lookup the offline join needs.
 class CaptureFile {
  public:
-  /// Sentinel in the per-packet chain links: no earlier packet on this
-  /// connection.
-  static constexpr std::uint32_t kNoPacket = 0xFFFFFFFFu;
-
   void append(PacketRecord record);
 
   /// Record a dissected HTTP exchange (kept alongside the raw packets, as
@@ -134,121 +134,43 @@ class CaptureFile {
 
   [[nodiscard]] std::uint64_t totalWireBytes() const noexcept;
 
-  /// Sum of TCP payload bytes over the whole capture, maintained
-  /// incrementally on append — O(1) at query time. The attribution
-  /// unattributed-traffic accounting reads this once per run; recomputing
-  /// it was a full packet scan per run.
+  /// Sum of TCP payload bytes over the whole capture, kept on append, so
+  /// the per-run unattributed-traffic accounting reads it without a scan.
   [[nodiscard]] std::uint64_t totalTcpPayloadBytes() const noexcept {
     return tcpPayloadBytes_;
   }
 
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
+  /// Throws util::DecodeError on a bad magic, truncation, trailing bytes or
+  /// a protocol byte other than TCP (6) or UDP (17).
   [[nodiscard]] static CaptureFile deserialize(std::span<const std::uint8_t> bytes);
 
   [[nodiscard]] bool operator==(const CaptureFile& other) const noexcept {
-    // Everything but packets_ and http_ is derived from them on append;
-    // comparing derived state would be redundant.
+    // The payload total is derived from packets_ on append.
     return packets_ == other.packets_ && http_ == other.http_;
-  }
-
-  /// Per-connection grouping maintained incrementally on append: each
-  /// packet's index is recorded under its normalized connection as it is
-  /// captured. CaptureIndex reads these directly, so the per-run index
-  /// build — on the offline attribution hot path — no longer re-hashes or
-  /// regroups any packet.
-  [[nodiscard]] const std::vector<SocketPair>& connectionPairs() const noexcept {
-    return connPairs_;
-  }
-  [[nodiscard]] const std::vector<std::vector<std::uint32_t>>&
-  connectionPackets() const noexcept {
-    return connPackets_;
-  }
-  /// Dense connection id of a *normalized* socket pair (first-seen order,
-  /// the same ids connectionPairs/connectionPackets are keyed by).
-  [[nodiscard]] const std::unordered_map<SocketPair, std::uint32_t>&
-  connectionIds() const noexcept {
-    return connIdOf_;
-  }
-
-  /// Indices (in capture order) of DNS response packets carrying a real
-  /// answer — the only packets the attribution DNS correlation reads.
-  [[nodiscard]] const std::vector<std::uint32_t>& dnsAnswerPackets()
-      const noexcept {
-    return dnsAnswerPackets_;
-  }
-
-  /// Compact per-packet columns in capture order: the timestamp, and the
-  /// connection-cumulative per-direction byte sums *including* the packet
-  /// ("forward" = sent by the normalized orientation's src). When a
-  /// connection's packets are chronological (connectionSorted), these are
-  /// exactly the time-sorted prefix sums CaptureIndex needs, so its build
-  /// gathers from these small flat arrays instead of re-walking the fat
-  /// PacketRecords.
-  [[nodiscard]] const std::vector<util::SimTimeMs>& packetTimestamps()
-      const noexcept {
-    return packetTimestamps_;
-  }
-  [[nodiscard]] const std::vector<std::uint64_t>& cumulativeWireForward()
-      const noexcept {
-    return cumWireFwd_;
-  }
-  [[nodiscard]] const std::vector<std::uint64_t>& cumulativeWireReverse()
-      const noexcept {
-    return cumWireRev_;
-  }
-  [[nodiscard]] const std::vector<std::uint64_t>& cumulativePayloadForward()
-      const noexcept {
-    return cumPayFwd_;
-  }
-  [[nodiscard]] const std::vector<std::uint64_t>& cumulativePayloadReverse()
-      const noexcept {
-    return cumPayRev_;
-  }
-  /// Per connection: 1 while its packets arrived in non-decreasing
-  /// timestamp order (the monotonic-clock common case), 0 otherwise.
-  [[nodiscard]] const std::vector<std::uint8_t>& connectionSorted()
-      const noexcept {
-    return connSorted_;
   }
 
  private:
   std::vector<PacketRecord> packets_;
   std::vector<HttpExchange> http_;
   std::uint64_t tcpPayloadBytes_ = 0;
-  std::unordered_map<SocketPair, std::uint32_t> connIdOf_;  // normalized -> id
-  std::vector<SocketPair> connPairs_;
-  std::vector<std::vector<std::uint32_t>> connPackets_;
-  std::vector<std::uint8_t> connSorted_;
-  std::vector<std::uint32_t> dnsAnswerPackets_;
-  std::vector<util::SimTimeMs> packetTimestamps_;
-  std::vector<std::uint64_t> cumWireFwd_;
-  std::vector<std::uint64_t> cumWireRev_;
-  std::vector<std::uint64_t> cumPayFwd_;
-  std::vector<std::uint64_t> cumPayRev_;
 };
 
-/// Read-only query accelerator over one CaptureFile.
+/// Query accelerator for one capture, built in one pass and owning its
+/// data: the index copies what it answers from, so the capture may be
+/// appended to or destroyed afterwards without changing an answer.
 ///
-/// The capture already groups its packets by *normalized* connection (the
-/// socket pair in a canonical orientation, so both directions of a stream
-/// land in one bucket) and keeps per-packet timestamps and per-direction
-/// connection-cumulative byte sums, all maintained on append. For the
-/// monotonic-clock common case — a connection's packets already in
-/// timestamp order — the index is a pure view over those columns and costs
-/// one pass over the (small) per-connection sorted bits to build; only
-/// out-of-order connections get time-sorted copies with materialized
-/// prefix sums. A streamVolume query is a hash probe plus two binary
-/// searches either way: O(log P) against the naive O(P), which turns the
-/// offline attribution of a run from O(flows x packets) into
-/// O((flows + packets) log P).
-///
-/// The index borrows the capture: it must outlive the index, and packets
-/// appended after construction leave the index in an unspecified (though
-/// memory-safe) state. The offline pipeline builds it once per run, right
-/// before attribution, when the capture is final.
+/// The build groups the packets by *normalized* connection (the socket
+/// pair in a canonical orientation, so both directions of a stream share a
+/// group) into one flat table, a connection's packets contiguous and in
+/// time order, and keeps running per-direction wire and payload sums over
+/// the table. A streamVolume query is a hash probe for the connection, two
+/// binary searches for the window's ends, a subtraction of the sums and a
+/// scan for the first packet per direction that stops once both are seen:
+/// O(log P) against the naive O(P), which turns the offline attribution of
+/// a run from O(flows x packets) into O((flows + packets) log P).
 class CaptureIndex {
  public:
-  CaptureIndex() = default;
   explicit CaptureIndex(const CaptureFile& capture);
 
   /// Exactly CaptureFile::streamVolume, answered from the index.
@@ -257,40 +179,39 @@ class CaptureIndex {
       util::SimTimeMs toMs) const;
 
   [[nodiscard]] std::size_t connectionCount() const noexcept {
-    return capture_ == nullptr ? 0 : capture_->connectionPairs().size();
+    return connectionIds_.size();
   }
   [[nodiscard]] std::size_t packetCount() const noexcept {
-    return capture_ == nullptr ? 0 : capture_->size();
+    return entries_.size();
   }
 
   /// Sum of TCP payload bytes over the indexed capture (matches
   /// CaptureFile::totalTcpPayloadBytes()).
   [[nodiscard]] std::uint64_t totalTcpPayload() const noexcept {
-    return capture_ == nullptr ? 0 : capture_->totalTcpPayloadBytes();
+    return tcpPayload_;
   }
 
  private:
-  /// Slow-path materialization for one out-of-order connection: its packet
-  /// timestamps time-sorted, plus per-direction prefix sums ("forward" =
-  /// sent by the canonical orientation's src; block[k] sums the
-  /// connection's first k packets in time order).
-  struct SortedConn {
-    std::vector<util::SimTimeMs> timestamps;
-    std::vector<std::uint64_t> wireForward;
-    std::vector<std::uint64_t> wireReverse;
-    std::vector<std::uint64_t> payloadForward;
-    std::vector<std::uint64_t> payloadReverse;
-    /// Per time-sorted packet: 1 when sent by the canonical orientation's
-    /// src (the first-packet-per-direction scan reads this).
-    std::vector<std::uint8_t> forward;
+  /// Byte sums per direction, indexed by Entry::forward.
+  struct Sums {
+    std::uint64_t wire[2] = {};
+    std::uint64_t payload[2] = {};
+  };
+  /// One packet: `forward` when sent by the normalized orientation's src,
+  /// and the running sums over every entry of the table up to and
+  /// including it.
+  struct Entry {
+    util::SimTimeMs timestampMs = 0;
+    bool forward = false;
+    Sums through;
   };
 
-  [[nodiscard]] static SocketPair normalized(const SocketPair& pair) noexcept {
-    return normalizedPair(pair);
-  }
-
-  const CaptureFile* capture_ = nullptr;
-  std::unordered_map<std::uint32_t, SortedConn> resorted_;  // by conn id
+  /// Normalized pair -> connection id, dense in first-seen order.
+  std::unordered_map<SocketPair, std::uint32_t> connectionIds_;
+  /// Connection c's entries are [firsts_[c], firsts_[c + 1]).
+  std::vector<std::uint32_t> firsts_;
+  std::vector<Entry> entries_;
+  std::uint64_t tcpPayload_ = 0;
 };
 
 }  // namespace libspector::net

@@ -10,6 +10,11 @@
 
 namespace libspector::orch {
 
+namespace {
+/// Simulated time one background tick lasts.
+constexpr std::uint32_t kBackgroundTickMs = 20 * 1000;
+}  // namespace
+
 EmulatorInstance::EmulatorInstance(const net::ServerFarm& farm,
                                    ingest::ReportSink* collector,
                                    EmulatorConfig config)
@@ -69,7 +74,7 @@ core::RunArtifacts EmulatorInstance::run(const dex::ApkFile& apk,
   // session ends.
   for (std::uint32_t tick = 0; tick < config_.backgroundTicks; ++tick) {
     runtime.runBackgroundTick();
-    clock.advance(config_.backgroundTickMs);
+    clock.advance(kBackgroundTickMs);
   }
 
   // Pooled keep-alive connections FIN only now (a no-op outside the

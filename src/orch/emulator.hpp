@@ -25,9 +25,9 @@ struct EmulatorConfig {
   monkey::MonkeyConfig monkey;
   /// After the monkey finishes, the app sits in background for a few ticks
   /// and may keep transmitting (Rosen et al.; the paper's §IV-D relies on
-  /// the 80%%-within-60s observation).
+  /// the 80%%-within-60s observation). Each tick lasts 20 simulated
+  /// seconds.
   std::uint32_t backgroundTicks = 3;
-  std::uint32_t backgroundTickMs = 20 * 1000;
   /// Seed for this instance's stochastic behaviour (RTTs, response sizes,
   /// monkey handler choice). The dispatcher derives one per app.
   std::uint64_t seed = 1;

@@ -155,7 +155,6 @@ void Interpreter::doNetRequest(const NetRequestAction& request) {
       // exactly what per-request flow splitting partitions on.
       const net::SocketId socketId = it->second;
       const std::uint32_t ordinal = nextRequestOrdinal_[socketId]++;
-      ++connectionsReused_;
       tracer_.onRequestBoundary(socketId, ordinal, clock_.now());
       firePostHooks(kRequestBoundaryFrame, socketId, ordinal);
       runTransfers(request, socketId);

@@ -118,7 +118,6 @@ class Interpreter {
   [[nodiscard]] std::vector<StackFrameSnapshot> getStackTrace() const;
 
   [[nodiscard]] std::size_t socketsCreated() const noexcept { return socketsCreated_; }
-  [[nodiscard]] std::size_t connectionsReused() const noexcept { return connectionsReused_; }
   [[nodiscard]] std::size_t connectsBlocked() const noexcept { return connectsBlocked_; }
   [[nodiscard]] std::size_t methodEntries() const noexcept { return methodEntries_; }
   [[nodiscard]] std::size_t uiEventsDelivered() const noexcept { return uiEvents_; }
@@ -172,7 +171,6 @@ class Interpreter {
 
   std::size_t actionsThisEntry_ = 0;
   std::size_t socketsCreated_ = 0;
-  std::size_t connectionsReused_ = 0;
   std::size_t connectsBlocked_ = 0;
   std::size_t methodEntries_ = 0;
   std::size_t uiEvents_ = 0;

@@ -15,6 +15,9 @@ namespace {
 
 constexpr double kAntFreeFraction = 0.10;
 constexpr double kAntOnlyFraction = 0.34;
+/// Events the monkey is expected to deliver per run; trigger-guard
+/// probabilities are calibrated against this so mean request counts hold.
+constexpr std::uint32_t kExpectedMonkeyEvents = 960;
 
 /// `n` in decimal, held by the object: a piece of a name written from
 /// pieces, with no string built for it.
@@ -648,7 +651,7 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
   // --- Handlers ---------------------------------------------------------------
   // Expected monkey hits per handler, for trigger-guard calibration.
   const double hitsPerHandler =
-      static_cast<double>(config_.expectedMonkeyEvents) /
+      static_cast<double>(kExpectedMonkeyEvents) /
       static_cast<double>(std::max<std::size_t>(handlerCount, 1));
 
   struct PendingGuard {

@@ -30,9 +30,6 @@ struct StoreConfig {
   /// Scales dex method counts (1.0 reproduces the paper's ~49k methods per
   /// apk; the default keeps large studies fast while preserving ratios).
   double methodScale = 0.15;
-  /// Events the monkey is expected to deliver per run; trigger-guard
-  /// probabilities are calibrated against this so mean request counts hold.
-  std::uint32_t expectedMonkeyEvents = 960;
   /// Fraction of repository packages that are ARM-only (filtered by §III-A).
   double armOnlyFraction = 0.06;
   /// Workload-scenario switches (§14). All off (the default) generates the

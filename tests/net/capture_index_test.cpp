@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "net/capture.hpp"
@@ -20,7 +22,8 @@ void expectSameVolume(const CaptureFile::StreamVolume& naive,
   EXPECT_EQ(naive.payloadFromDst, indexed.payloadFromDst) << context;
   EXPECT_EQ(naive.packetCount, indexed.packetCount) << context;
   // The RTT axis: first-packet-per-direction timestamps must agree too,
-  // on both the sorted-view fast path and the resorted slow path.
+  // on the index's one query path, whatever order the packets were
+  // appended in.
   EXPECT_EQ(naive.firstFromSrcMs, indexed.firstFromSrcMs) << context;
   EXPECT_EQ(naive.firstFromDstMs, indexed.firstFromDstMs) << context;
   EXPECT_EQ(naive.rttMs(), indexed.rttMs()) << context;
@@ -173,10 +176,10 @@ TEST(CaptureIndexTest, RttIsZeroWhenResponsePrecedesRequestInWindow) {
   EXPECT_EQ(volume.rttMs(), 0u);
 }
 
-TEST(CaptureIndexTest, RttWindowingMatchesNaiveOnTheResortedPath) {
-  // Out-of-order appends push the connection onto the index's resorted
-  // slow path; the per-direction first-timestamp scan must still agree
-  // with the naive reference on every window.
+TEST(CaptureIndexTest, RttWindowingMatchesNaiveOnOutOfOrderAppends) {
+  // Out-of-order appends leave the index to put the connection in time
+  // order; the per-direction first-timestamp scan must still agree with
+  // the naive reference on every window.
   CaptureFile capture;
   capture.append(makeTcpPacket(300, kPair.reversed(), 340, 300));
   capture.append(makeTcpPacket(100, kPair, 140, 100));
@@ -187,8 +190,39 @@ TEST(CaptureIndexTest, RttWindowingMatchesNaiveOnTheResortedPath) {
     for (util::SimTimeMs to : {99u, 150u, 200u, 299u, 400u})
       expectSameVolume(capture.streamVolume(kPair, from, to),
                        index.streamVolume(kPair, from, to),
-                       "resorted window [" + std::to_string(from) + "," +
+                       "out-of-order window [" + std::to_string(from) + "," +
                            std::to_string(to) + "]");
+}
+
+TEST(CaptureIndexTest, AnswersFromItsOwnCopyAfterTheCaptureChangesOrDies) {
+  // The index copies what it answers from: appending to the capture after
+  // the build (enough to move its packets) or destroying it leaves every
+  // answer that of the capture as it was built, kept here as a copy.
+  auto capture = std::make_unique<CaptureFile>();
+  capture->append(makeTcpPacket(100, kPair, 140, 100));
+  capture->append(makeTcpPacket(127, kPair.reversed(), 540, 500));
+  capture->append(makeTcpPacket(90, kPair, 40, 0));  // out of order
+  capture->append(makeUdpPacket(95, kPair, 80, 52));
+  const CaptureFile kept = *capture;
+  const CaptureIndex index(*capture);
+
+  const auto expectAnswersOfKept = [&](const std::string& context) {
+    EXPECT_EQ(index.packetCount(), kept.size()) << context;
+    EXPECT_EQ(index.connectionCount(), 1u) << context;
+    EXPECT_EQ(index.totalTcpPayload(), kept.totalTcpPayloadBytes()) << context;
+    for (const SocketPair& pair : {kPair, kPair.reversed()})
+      for (util::SimTimeMs from : {0u, 95u, 101u})
+        for (util::SimTimeMs to : {99u, 127u, 1000u})
+          expectSameVolume(kept.streamVolume(pair, from, to),
+                           index.streamVolume(pair, from, to),
+                           context + " window [" + std::to_string(from) + "," +
+                               std::to_string(to) + "] pair " + pair.str());
+  };
+  for (util::SimTimeMs ts = 0; ts < 1000; ++ts)
+    capture->append(makeTcpPacket(ts, kPair, 1540, 1500));
+  expectAnswersOfKept("after appends");
+  capture.reset();
+  expectAnswersOfKept("after the capture died");
 }
 
 // ---------------------------------------------------------------------------

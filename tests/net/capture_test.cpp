@@ -81,6 +81,13 @@ TEST(CaptureTest, DeserializeRejectsCorruptInput) {
   const auto good = capture.serialize();
   const std::span<const std::uint8_t> truncated(good.data(), good.size() - 3);
   EXPECT_THROW((void)CaptureFile::deserialize(truncated), util::DecodeError);
+  // A protocol byte (after the magic, the count and the first packet's
+  // timestamp) other than TCP (6) or UDP (17): left in, the packet's
+  // payload would count in streamVolume but in neither protocol's total.
+  auto badProto = capture.serialize();
+  ASSERT_EQ(badProto[16], 6u);
+  badProto[16] = 99;
+  EXPECT_THROW((void)CaptureFile::deserialize(badProto), util::DecodeError);
 }
 
 TEST(CaptureTest, EmptyCapture) {
